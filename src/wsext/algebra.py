@@ -25,7 +25,7 @@ from .errors import (
     UnknownSymbol,
 )
 from .report import CheckResult
-from .terms import Term, eval_term, term_vars
+from .terms import Term, Var, term_vars
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -361,11 +361,48 @@ class Equation:
 
 def check_equation(A: FiniteAlgebra, eq: Equation) -> CheckResult:
     """Exhaustively check an identity on A; the counterexample is the first
-    failing assignment in lexicographic order of the variable list."""
-    for values in product(range(A.size), repeat=len(eq.vars)):
-        env = dict(zip(eq.vars, values))
-        lhs = eval_term(eq.lhs, A, env)
-        rhs = eval_term(eq.rhs, A, env)
+    failing assignment in lexicographic order of the variable list.
+
+    The assignments are taken in blocks, one per value of the first
+    variable: each term node is tabulated over the block's |A|^(k-1)
+    assignments (k variables) as one flat list, so a block holds
+    O(nodes * |A|^(k-1)) integers and every assignment is still checked.
+    When a variable is declared twice, its last position binds it.
+    """
+    size, k = A.size, len(eq.vars)
+    block = size ** (k - 1) if k else 1
+    # the values of variables 2..k over one block, in lex order
+    rest = []
+    for j in range(1, k):
+        stride = size ** (k - 1 - j)
+        column = [v for v in range(size) for _ in range(stride)]
+        rest.append(column * (block // len(column)))
+    for first in range(size) if k else (0,):
+        env = dict(zip(eq.vars, [[first] * block] + rest))
+        lhs = _tabulate(eq.lhs, A, env, block)
+        rhs = _tabulate(eq.rhs, A, env, block)
         if lhs != rhs:
-            return CheckResult(False, {"assignment": env, "lhs": lhs, "rhs": rhs})
+            i = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+            flat, values = first * block + i, []
+            for _ in range(k):
+                flat, v = divmod(flat, size)
+                values.append(v)
+            return CheckResult(False, {"assignment": dict(zip(eq.vars, reversed(values))),
+                                       "lhs": lhs[i], "rhs": rhs[i]})
     return CheckResult(True)
+
+
+def _tabulate(t: Term, A: FiniteAlgebra, env: Mapping[str, list[int]],
+              block: int) -> list[int]:
+    """Values of t over one block, given each variable's column."""
+    if isinstance(t, Var):
+        return env[t.name]
+    tab, size = A.tables[t.op], A.size
+    args = [_tabulate(a, A, env, block) for a in t.args]
+    if not args:
+        return [tab[0]] * block
+    if len(args) == 1:
+        return [tab[a] for a in args[0]]
+    if len(args) == 2:
+        return [tab[a * size + b] for a, b in zip(*args)]
+    return [tab[table_index(size, xs)] for xs in zip(*args)]

@@ -85,9 +85,6 @@ class CanonicalExtension:
     def candidate_ops(self) -> CandidateOps:
         return CandidateOps(self.space, self.gamma, self.B, self.X.zero)
 
-    def y_index(self) -> dict[tuple[int, ...], int]:
-        return {t: i for i, t in enumerate(self.Y)}
-
 
 def build_canonical(e: SplitExtension, theta: ThetaSpec, w: Witness) -> CanonicalExtension:
     """Construct Y, the transported operations, the action tables, and the

@@ -61,15 +61,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _non_negative(text: str) -> int:
+    """argparse type for counts: a usage error (exit 64) below zero."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--theta", metavar="FILE", help="witness term file")
     p.add_argument("--theta-vars", metavar="CSV",
                    help="inline variable list, e.g. x1,x2,y (overrides --theta)")
     p.add_argument("--theta-term", metavar="SEXPR",
                    help="inline term text, e.g. '(+ x1 (+ y x2))'")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", type=_non_negative, default=DEFAULT_BUDGET,
                    help="search node budget (default %(default)s)")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_non_negative, default=1,
                    help="worker threads for element-wise computations")
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -225,12 +236,15 @@ def cmd_canonicalize(args) -> int:
 
 def cmd_gamma_check(args) -> int:
     g = gamma_from_obj(_load_json(Path(args.gamma)), Path(args.gamma).parent)
+    # the conditions are computed once per data set; the carrier size and
+    # the rebuild reuse them
     rep = gb.check_conditions(g, budget=args.budget)
+    _, carrier = gb._checked(g, args.budget)
     payload = {
         "schema": JSON_SCHEMA,
         "command": "gamma-check",
         "conditions": rep.to_json(),
-        "carrier_size": len(gb.compute_Y(g)),
+        "carrier_size": len(carrier.Y),
     }
     lines = ["conditions:"] + ["  " + ln for ln in rep.render().splitlines()]
     code = EXIT_OK if rep.ok else EXIT_NEGATIVE
@@ -359,7 +373,7 @@ def build_parser() -> _Parser:
     p.add_argument("extension")
     p.add_argument("--no-normalize", action="store_true",
                    help="do not pin q_i(0) = 0 during the search")
-    p.add_argument("--limit", type=int, default=10,
+    p.add_argument("--limit", type=_non_negative, default=10,
                    help="witnesses to materialize (default %(default)s)")
     _add_common(p)
     p.set_defaults(fn=cmd_check)
@@ -367,7 +381,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("canonicalize", help="write the canonical tuple form")
     p.add_argument("extension")
     p.add_argument("-o", "--out", help="output file")
-    p.add_argument("--witness-index", type=int, default=None,
+    p.add_argument("--witness-index", type=_non_negative, default=None,
                    help="use the i-th enumerated witness instead of the file's")
     _add_common(p)
     p.set_defaults(fn=cmd_canonicalize)

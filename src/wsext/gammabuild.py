@@ -19,12 +19,12 @@ coordinate projections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional, Sequence
 
 from .ambient import CandidateOps, TupleSpace, flat_arg_index
-from .algebra import Equation, FiniteAlgebra, FnTable, check_equation
+from .algebra import DEFAULT_BUDGET, Equation, FiniteAlgebra, FnTable, check_equation
 from .errors import (
     ArityMismatch,
     ConditionsFailed,
@@ -40,8 +40,6 @@ from .extension import SplitExtension, Witness, validate_split_extension, valida
 from .report import Report
 from .terms import TermSpec, ThetaSpec, require_admissible
 
-DEFAULT_BUDGET = 10_000_000
-
 
 @dataclass(frozen=True)
 class GammaData:
@@ -52,6 +50,8 @@ class GammaData:
     theta: ThetaSpec
     gamma: dict[str, tuple[tuple[int, ...], ...]]
     axioms: tuple[Equation, ...]
+    # budget -> (report, carrier), filled by the condition checks
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.X.signature != self.B.signature:
@@ -131,39 +131,57 @@ def _theta_at_zero(g: GammaData, xs: tuple[int, ...]) -> int:
     return g.theta.eval(g.X, xs + (g.X.zero,))
 
 
-def check_conditions(g: GammaData, budget: int = DEFAULT_BUDGET) -> Report:
-    """The four validity conditions, each with a first counterexample.
+@dataclass(frozen=True)
+class _Carrier:
+    """The carved-out carrier, shared by the condition checks and the rebuild.
 
-    Condition 1 includes closure of the carrier under the candidate
-    operations; without closure the identities cannot even be stated on it.
+    ``algebra`` is Y with the candidate operations, indexed by carrier
+    position; it is None when Y is not closed under them.
     """
+
+    Y: list[int]
+    y_pos: dict[int, int]
+    kernel: list[tuple[int, ...]]
+    algebra: Optional[FiniteAlgebra]
+
+
+def _checked(g: GammaData, budget: int) -> tuple[Report, _Carrier]:
+    """The four conditions and the carrier they were checked on.
+
+    Computed once per data set and budget: a later call, such as the rebuild
+    after ``check_conditions``, reuses the first result.
+    """
+    if budget not in g._memo:
+        g._memo[budget] = _check(g, budget)
+    return g._memo[budget]
+
+
+def _check(g: GammaData, budget: int) -> tuple[Report, _Carrier]:
     rep = Report()
     ops = g.candidate_ops()
     Y = compute_Y(g)
-    yset = set(Y)
     y_pos = {z: i for i, z in enumerate(Y)}
 
-    # 1: closure + defining identities on the carrier
+    # 1: closure + defining identities on the carrier; the closure pass
+    # tabulates the operations on Y
     failure = ""
-    closure_ok = True
+    tables = {}
     for name, arity in g.X.signature.ops:
         if (len(Y) ** arity) > budget:
             raise SearchBudgetExceeded(f"closure check for {name!r} exceeds budget")
+        table = []
         for args in product(Y, repeat=arity):
-            if ops.apply(name, args) not in yset:
-                closure_ok = False
+            z = ops.apply(name, args)
+            if z not in y_pos:
                 failure = f"carrier not closed under {name!r} at {args}"
                 break
-        if not closure_ok:
+            table.append(y_pos[z])
+        if failure:
             break
-    axioms_ok = closure_ok
-    if closure_ok:
-        tables = {}
-        for name, arity in g.X.signature.ops:
-            tables[name] = tuple(
-                y_pos[ops.apply(name, tuple(Y[i] for i in args))]
-                for args in product(range(len(Y)), repeat=arity))
-        YA = FiniteAlgebra(g.X.signature, len(Y), tables)
+        tables[name] = tuple(table)
+    YA = None if failure else FiniteAlgebra(g.X.signature, len(Y), tables)
+    axioms_ok = YA is not None
+    if axioms_ok:
         for i, ax in enumerate(g.axioms):
             if len(Y) ** len(ax.vars) > budget:
                 raise SearchBudgetExceeded(f"axiom {i} check exceeds budget")
@@ -213,7 +231,7 @@ def check_conditions(g: GammaData, budget: int = DEFAULT_BUDGET) -> Report:
     for tuples in product(kernel, repeat=g.n):
         xs_star = tuple(_theta_at_zero(g, ys) for ys in tuples)
         for b in range(g.B.size):
-            if g.space.pack(xs_star, b) not in yset:
+            if g.space.pack(xs_star, b) not in y_pos:
                 continue
             args = tuple(g.space.pack(ys, g.B.zero) for ys in tuples)
             args += (g.space.pack((g.X.zero,) * g.n, b),)
@@ -225,7 +243,16 @@ def check_conditions(g: GammaData, budget: int = DEFAULT_BUDGET) -> Report:
         if not cond4_ok:
             break
     rep.add("projection_witness", cond4_ok, failure)
-    return rep
+    return rep, _Carrier(Y, y_pos, kernel, YA)
+
+
+def check_conditions(g: GammaData, budget: int = DEFAULT_BUDGET) -> Report:
+    """The four validity conditions, each with a first counterexample.
+
+    Condition 1 includes closure of the carrier under the candidate
+    operations; without closure the identities cannot even be stated on it.
+    """
+    return _checked(g, budget)[0]
 
 
 def build_extension_from_gamma(g: GammaData,
@@ -238,36 +265,26 @@ def build_extension_from_gamma(g: GammaData,
     injection; its membership is not implied by the four conditions).
     The result is revalidated before being returned.
     """
-    rep = check_conditions(g, budget)
+    rep, carrier = _checked(g, budget)
     if not rep.ok:
         raise ConditionsFailed(rep)
-    ops = g.candidate_ops()
-    Y = compute_Y(g)
-    y_pos = {z: i for i, z in enumerate(Y)}
+    Y, y_pos = carrier.Y, carrier.y_pos
 
     missing = [b for b in range(g.B.size)
                if g.space.pack((g.X.zero,) * g.n, b) not in y_pos]
     if missing:
         raise IotaNotInY(f"zero-tuple section misses the carrier at base {missing}")
 
-    tables = {}
-    for name, arity in g.X.signature.ops:
-        tables[name] = tuple(
-            y_pos[ops.apply(name, tuple(Y[i] for i in args))]
-            for args in product(range(len(Y)), repeat=arity))
-    A = FiniteAlgebra(g.X.signature, len(Y), tables)
-
-    kernel = _kernel_tuples(g, Y)
     k_vals = []
     for x in range(g.X.size):
-        ys = next(t for t in kernel if _theta_at_zero(g, t) == x)
+        ys = next(t for t in carrier.kernel if _theta_at_zero(g, t) == x)
         k_vals.append(y_pos[g.space.pack(ys, g.B.zero)])
     k = FnTable(g.X.size, len(Y), tuple(k_vals))
     p = FnTable(len(Y), g.B.size, tuple(g.space.unpack(z)[1] for z in Y))
     s = FnTable(g.B.size, len(Y),
                 tuple(y_pos[g.space.pack((g.X.zero,) * g.n, b)]
                       for b in range(g.B.size)))
-    ext = SplitExtension(g.X, A, g.B, k, p, s)
+    ext = SplitExtension(g.X, carrier.algebra, g.B, k, p, s)
 
     q = tuple(
         FnTable(len(Y), g.X.size,

@@ -8,9 +8,10 @@ implementations on small instances.
 
 from itertools import product
 
-from wsext.algebra import FnTable, is_homomorphism
+from wsext.algebra import Equation, FiniteAlgebra, FnTable, is_homomorphism
 from wsext.extension import SplitExtension, Witness
-from wsext.terms import ThetaSpec
+from wsext.report import CheckResult
+from wsext.terms import ThetaSpec, eval_term
 
 
 def all_functions(dom_size: int, cod_size: int):
@@ -46,6 +47,18 @@ def brute_force_witnesses(e: SplitExtension, theta: ThetaSpec, normalized: bool)
             out.append(Witness(n, tuple(FnTable(e.A.size, e.X.size, arr)
                                         for arr in arrays)))
     return out
+
+
+def brute_force_equation(A: FiniteAlgebra, eq: Equation) -> CheckResult:
+    """Evaluate both sides once per assignment, in lexicographic order of
+    the variable list; the first failing assignment is the counterexample."""
+    for values in product(range(A.size), repeat=len(eq.vars)):
+        env = dict(zip(eq.vars, values))
+        lhs = eval_term(eq.lhs, A, env)
+        rhs = eval_term(eq.rhs, A, env)
+        if lhs != rhs:
+            return CheckResult(False, {"assignment": env, "lhs": lhs, "rhs": rhs})
+    return CheckResult(True)
 
 
 def witness_key(w: Witness):

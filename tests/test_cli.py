@@ -2,7 +2,16 @@ import json
 import subprocess
 import sys
 
-from wsext.fixtures import fixture_path
+import pytest
+
+from wsext import build_canonical, gammabuild
+from wsext.algebra import FnTable
+from wsext.cli import main
+from wsext.extension import SplitExtension, Witness
+from wsext.fixtures import EXTENSIONS, fixture_path
+from wsext.serialize import extension_to_obj
+
+from conftest import load_fixture
 
 EXAMPLE = str(fixture_path("example_monoid"))
 THETA_XZY = str(fixture_path("theta_monoid_xzy"))
@@ -264,3 +273,50 @@ def test_gamma_check_rebuild_refuses_incompatible_witness(tmp_path):
     assert res2.returncode == 1
     assert "rebuild: FAIL" in res2.stdout
     assert not (tmp_path / "never.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("check", EXAMPLE, "--theta", THETA_XZY, "--limit", "-1"),
+    ("check", EXAMPLE, "--theta", THETA_XZY, "--workers", "-3"),
+    ("check", EXAMPLE, "--theta", THETA_XZY, "--budget", "-1"),
+    ("canonicalize", EXAMPLE, "--theta", THETA_XZY, "--witness-index", "-1"),
+])
+def test_negative_counts_are_usage_errors(args):
+    res = run_cli(*args)
+    assert res.returncode == 64
+    assert "non-negative" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSIONS))
+def test_gamma_check_rebuild_computes_the_carrier_once(name, tmp_path, monkeypatch, capsys):
+    canon, rebuilt = tmp_path / "canon.json", tmp_path / "rebuilt.json"
+    theta_file = str(fixture_path(EXTENSIONS[name]))
+    assert main(["canonicalize", str(fixture_path(name)), "--theta", theta_file,
+                 "-o", str(canon)]) == 0
+    capsys.readouterr()
+
+    calls = []
+    compute_Y = gammabuild.compute_Y
+    monkeypatch.setattr(gammabuild, "compute_Y",
+                        lambda *a, **kw: calls.append(a) or compute_Y(*a, **kw))
+    assert main(["gamma-check", str(canon), "--rebuild", str(rebuilt), "--json"]) == 0
+    assert len(calls) == 1
+
+    # the report and the rebuilt file are the canonical form read back
+    e, w, axioms, theta = load_fixture(name)
+    c = build_canonical(e, theta, w)
+    assert json.loads(capsys.readouterr().out) == {
+        "schema": "wsext.report/1",
+        "command": "gamma-check",
+        "conditions": [{"name": n, "ok": True, "detail": ""} for n in (
+            "axioms_hold_on_carrier", "kernel_embedding_well_defined",
+            "kernel_embedding_homomorphism", "projection_witness")],
+        "carrier_size": len(c.Y),
+        "rebuild": {"ok": True, "out": str(rebuilt)},
+    }
+    expected = SplitExtension(c.X, c.y_algebra(), c.B, c.k_prime, c.pi_B, c.iota_B)
+    projections = Witness(c.n, tuple(
+        FnTable(len(c.Y), c.X.size, tuple(t[i] for t in c.Y)) for i in range(c.n)))
+    assert json.loads(rebuilt.read_text()) == json.loads(json.dumps(
+        extension_to_obj(expected, witness=projections, axioms=axioms)))

@@ -1,5 +1,7 @@
 """Property-based checks over randomly generated small structures."""
 
+from itertools import product
+
 from hypothesis import given, settings, strategies as st
 
 from wsext import (
@@ -19,7 +21,7 @@ from wsext import (
     trivial_algebra,
 )
 
-from oracles import brute_force_homs
+from oracles import brute_force_equation, brute_force_homs
 
 MSIG = Signature((("+", 2), ("0", 0)), "0")
 
@@ -108,3 +110,98 @@ def test_tuple_space_pack_unpack_roundtrip(x_size, n, b_size, data):
     # ascending index order is lexicographic order on (xs, b)
     listed = [space.unpack(i) for i in space.indices()]
     assert listed == sorted(listed)
+
+
+# -- check_equation against the per-assignment oracle ---------------------------------
+
+SIG4 = Signature((("0", 0), ("-", 1), ("+", 2), ("m", 3)), "0")
+
+
+def _identity(vars_, lhs, rhs):
+    vs = vars_.split()
+    return Equation(tuple(vs), parse_term(lhs, SIG4, vs), parse_term(rhs, SIG4, vs))
+
+
+# identities of Z_n with m(x, y, z) = x - y + z
+GROUP_IDENTITIES = [
+    _identity("x y z", "(+ x (+ y z))", "(+ (+ x y) z)"),
+    _identity("x y", "(+ x y)", "(+ y x)"),
+    _identity("x", "(+ x (- x))", "0"),
+    _identity("x y", "(m x x y)", "y"),
+    _identity("x y z", "(m x y z)", "(+ x (+ (- y) z))"),
+    _identity("", "(- 0)", "0"),
+    _identity("x y z", "(+ y 0)", "y"),  # x and z declared but unused
+]
+
+
+def assert_same_result(A, eq):
+    fast, slow = check_equation(A, eq), brute_force_equation(A, eq)
+    # repr also pins the key order of the counterexample's assignment
+    assert repr(fast) == repr(slow)
+    return slow
+
+
+@st.composite
+def relabelled_cyclic_groups(draw):
+    """Z_n on a shuffled carrier, as SIG4 tables."""
+    size = draw(st.integers(1, 4))
+    label = draw(st.permutations(range(size)))
+
+    def table(f, arity):
+        return [label[f(*(label.index(a) for a in args)) % size]
+                for args in product(range(size), repeat=arity)]
+
+    return make_algebra(SIG4, size, {
+        "0": [label[0]],
+        "-": table(lambda a: -a, 1),
+        "+": table(lambda a, b: a + b, 2),
+        "m": table(lambda a, b, c: a - b + c, 3),
+    })
+
+
+@given(relabelled_cyclic_groups(), st.data())
+def test_check_equation_matches_oracle_on_perturbed_groups(G, data):
+    for eq in GROUP_IDENTITIES:
+        assert assert_same_result(G, eq).ok
+    name, arity = data.draw(st.sampled_from(SIG4.ops))
+    tables = {n: list(t) for n, t in G.tables.items()}
+    i = data.draw(st.integers(0, len(tables[name]) - 1))
+    tables[name][i] = data.draw(st.integers(0, G.size - 1))
+    perturbed = make_algebra(SIG4, G.size, tables)
+    for eq in GROUP_IDENTITIES:
+        assert_same_result(perturbed, eq)
+
+
+def test_perturbing_one_entry_breaks_an_identity():
+    G = make_algebra(SIG4, 2, {"0": [0], "-": [0, 1], "+": [0, 1, 1, 0],
+                               "m": [a ^ b ^ c for a, b, c in product(range(2), repeat=3)]})
+    tables = dict(G.tables, **{"+": (1, 1, 1, 0)})
+    res = assert_same_result(make_algebra(SIG4, 2, tables), GROUP_IDENTITIES[0])
+    assert not res.ok
+    assert res.counterexample == {"assignment": {"x": 0, "y": 0, "z": 1}, "lhs": 1, "rhs": 0}
+
+
+@st.composite
+def sig4_algebras(draw, max_size=3):
+    size = draw(st.integers(1, max_size))
+    entries = st.integers(0, size - 1)
+    return make_algebra(SIG4, size, {
+        name: draw(st.lists(entries, min_size=size ** arity, max_size=size ** arity))
+        for name, arity in SIG4.ops})
+
+
+def sig4_terms(vars_):
+    leaves = st.sampled_from([Var(v) for v in vars_] + [App("0", ())])
+    return st.recursive(leaves, lambda kids: st.one_of(
+        kids.map(lambda a: App("-", (a,))),
+        st.tuples(kids, kids).map(lambda ab: App("+", ab)),
+        st.tuples(kids, kids, kids).map(lambda abc: App("m", abc)),
+    ), max_leaves=6)
+
+
+@given(sig4_algebras(), st.data())
+def test_check_equation_matches_oracle_on_random_algebras(A, data):
+    # repeated names are allowed: the last position binds the variable
+    vars_ = data.draw(st.lists(st.sampled_from("xyz"), max_size=3))
+    terms_ = sig4_terms(vars_)
+    assert_same_result(A, Equation(tuple(vars_), data.draw(terms_), data.draw(terms_)))
