@@ -25,7 +25,7 @@ from .errors import (
     UnknownSymbol,
 )
 from .report import CheckResult
-from .terms import Term, Var, term_vars
+from .terms import Term, Var, require_distinct_vars, term_vars
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -352,6 +352,7 @@ class Equation:
 
     def __post_init__(self):
         object.__setattr__(self, "vars", tuple(self.vars))
+        require_distinct_vars(self.vars)
         declared = set(self.vars)
         used = term_vars(self.lhs) | term_vars(self.rhs)
         if not used <= declared:
@@ -367,7 +368,6 @@ def check_equation(A: FiniteAlgebra, eq: Equation) -> CheckResult:
     variable: each term node is tabulated over the block's |A|^(k-1)
     assignments (k variables) as one flat list, so a block holds
     O(nodes * |A|^(k-1)) integers and every assignment is still checked.
-    When a variable is declared twice, its last position binds it.
     """
     size, k = A.size, len(eq.vars)
     block = size ** (k - 1) if k else 1

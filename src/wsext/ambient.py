@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Mapping, Sequence
 
-from .algebra import FiniteAlgebra
+from .algebra import FiniteAlgebra, table_index
 from .errors import ArityMismatch, EntryOutOfRange, UnboundVariable
 from .terms import Term, TermSpec, Var
 
@@ -70,13 +70,6 @@ class TupleSpace:
 GammaTables = Mapping[str, tuple[tuple[int, ...], ...]]
 
 
-def flat_arg_index(size: int, args: Sequence[int]) -> int:
-    idx = 0
-    for a in args:
-        idx = idx * size + a
-    return idx
-
-
 class CandidateOps:
     """Ambient-set operations induced by action tables and the base algebra."""
 
@@ -89,7 +82,7 @@ class CandidateOps:
 
     def apply(self, op: str, args: Sequence[int]) -> int:
         """Apply a basic operation to ambient indices, returning an ambient index."""
-        xs = self.gamma[op][flat_arg_index(self.space.size, args)]
+        xs = self.gamma[op][table_index(self.space.size, args)]
         b = self.B.op(op, tuple(self.space.unpack(a)[1] for a in args))
         return self.space.pack(xs, b)
 

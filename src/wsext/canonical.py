@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from .ambient import CandidateOps, TupleSpace, flat_arg_index
-from .algebra import FiniteAlgebra, FnTable
+from .ambient import CandidateOps, TupleSpace
+from .algebra import FiniteAlgebra, FnTable, table_index
 from .errors import InternalCheckFailed, WrongSignature, WrongTheta
 from .extension import (
     SplitExtension,
@@ -28,7 +28,7 @@ from .extension import (
     require_witness,
 )
 from .report import Report
-from .terms import TermSpec, ThetaSpec, require_admissible
+from .terms import TermSpec, ThetaSpec, check_theta_admissible, require_admissible
 
 
 def ambient_space(e: SplitExtension, n: int) -> TupleSpace:
@@ -136,7 +136,7 @@ def build_canonical(e: SplitExtension, theta: ThetaSpec, w: Witness) -> Canonica
             ambient_args = tuple(y_indices[i] for i in args)
             a_val = e.A.op(name, tuple(phi_t(z) for z in ambient_args))
             z_out = psi_t(a_val)
-            xs_expected = gamma[name][flat_arg_index(space.size, ambient_args)]
+            xs_expected = gamma[name][table_index(space.size, ambient_args)]
             b_expected = e.B.op(name, tuple(space.unpack(z)[1] for z in ambient_args))
             if space.unpack(z_out) != (xs_expected, b_expected):
                 raise InternalCheckFailed(
@@ -176,22 +176,22 @@ def membership_by_gamma_id(c: CanonicalExtension) -> list[int]:
             if c.gamma_id[z] == c.space.unpack(z)[0]]
 
 
-def membership_by_term(c: CanonicalExtension, omega: Optional[TermSpec] = None) -> list[int]:
+def membership_by_term(c, omega: Optional[TermSpec] = None) -> list[int]:
     """Ambient indices z whose first n coordinates are reproduced by
     evaluating ``omega`` (default: the witness term) in the candidate
     operations with every other argument at the zero tuple.
 
+    ``c`` is a CanonicalExtension or raw action data (``gammabuild.GammaData``):
+    anything with ``X``, ``B``, ``theta``, ``space`` and ``candidate_ops()``.
     Any term acting as the identity when its non-distinguished arguments
     are zero defines the same subset on genuine extension data; the term
-    is validated to have that unit property on X and B.
+    is validated to have that unit property on X and B (WrongTheta).
     """
     omega = omega or c.theta
     for alg, label in ((c.X, "kernel"), (c.B, "base")):
-        zeros = (alg.zero,) * (omega.arity - 1)
-        for x in range(alg.size):
-            if omega.eval(alg, zeros + (x,)) != x:
-                raise WrongTheta(
-                    f"membership term lacks the unit property on the {label} algebra")
+        if not check_theta_admissible(omega, alg):
+            raise WrongTheta(
+                f"membership term lacks the unit property on the {label} algebra")
     ops = c.candidate_ops()
     return [z for z in c.space.indices()
             if c.space.unpack(ops.retract(omega, z))[0] == c.space.unpack(z)[0]]

@@ -81,7 +81,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--budget", type=_non_negative, default=DEFAULT_BUDGET,
                    help="search node budget (default %(default)s)")
     p.add_argument("--workers", type=_non_negative, default=1,
-                   help="worker threads for element-wise computations")
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
@@ -144,12 +144,10 @@ def cmd_check(args) -> int:
         return EXIT_INVALID
 
     normalize = not args.no_normalize
-    count = ext.count_witnesses(e, theta, normalize=normalize,
-                                budget=args.budget, workers=args.workers)
+    count = ext.count_witnesses(e, theta, normalize=normalize, budget=args.budget)
     witnesses = ext.find_witnesses(e, theta, normalize=normalize,
-                                   limit=args.limit, budget=args.budget,
-                                   workers=args.workers)
-    schreier = ext.is_schreier(e, theta, workers=args.workers)
+                                   limit=args.limit, budget=args.budget)
+    schreier = ext.is_schreier(e, theta)
     payload.update({
         "normalized": normalize,
         "limit": args.limit,
@@ -192,8 +190,7 @@ def cmd_canonicalize(args) -> int:
         witness = file_witness
     else:
         index = args.witness_index or 0
-        found = ext.find_witnesses(e, theta, limit=index + 1,
-                                   budget=args.budget, workers=args.workers)
+        found = ext.find_witnesses(e, theta, limit=index + 1, budget=args.budget)
         if len(found) <= index:
             _emit([f"no witness at index {index} "
                    f"(found {len(found)})"])
@@ -281,8 +278,7 @@ def cmd_pullback(args) -> int:
     if file_witness is not None and file_witness.n == theta.n:
         witness = file_witness
     else:
-        found = ext.find_witnesses(e, theta, limit=1, budget=args.budget,
-                                   workers=args.workers)
+        found = ext.find_witnesses(e, theta, limit=1, budget=args.budget)
         if not found:
             _emit(["no witness for the source extension"])
             return EXIT_NEGATIVE

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from itertools import islice, product
 from typing import Optional, Sequence
 
-from ._parallel import ordered_map
 from .algebra import (
     DEFAULT_BUDGET,
     FiniteAlgebra,
@@ -172,7 +171,8 @@ def feasible_tuples(
     """Per element a, the lexicographic list of kernel tuples xs with
     theta(k xs, s p(a)) = a.  With ``normalize``, the zero element of A
     admits only the all-zero tuple (always feasible when theta is
-    admissible on A)."""
+    admissible on A).  ``workers`` is accepted for compatibility and has
+    no effect."""
     require_admissible(theta, e.A, "middle algebra")
     n = theta.n
     cost = e.A.size * e.X.size ** n
@@ -180,11 +180,9 @@ def feasible_tuples(
         raise SearchBudgetExceeded(
             f"witness feasibility needs {cost} evaluations, budget is {budget}")
 
-    def tuples_for(a: int) -> list[tuple[int, ...]]:
-        return [xs for xs in product(range(e.X.size), repeat=n)
-                if theta_at(e, theta, xs, a) == a]
-
-    T = ordered_map(tuples_for, range(e.A.size), workers)
+    T = [[xs for xs in product(range(e.X.size), repeat=n)
+          if theta_at(e, theta, xs, a) == a]
+         for a in range(e.A.size)]
     if normalize:
         zero_tuple = (e.X.zero,) * n
         if zero_tuple not in T[e.A.zero]:
@@ -201,9 +199,10 @@ def count_witnesses(
     budget: int = DEFAULT_BUDGET,
     workers: int = 1,
 ) -> int:
-    """Number of witnesses = product over a of |T(a)| (0 if any is empty)."""
+    """Number of witnesses = product over a of |T(a)| (0 if any is empty).
+    ``workers`` is accepted for compatibility and has no effect."""
     total = 1
-    for choices in feasible_tuples(e, theta, normalize, budget, workers):
+    for choices in feasible_tuples(e, theta, normalize, budget):
         total *= len(choices)
     return total
 
@@ -220,9 +219,10 @@ def find_witnesses(
 
     Order: elements a in increasing index are the significant positions;
     tuples within each T(a) are tried in lexicographic order.  Returns []
-    exactly when some T(a) is empty.
+    exactly when some T(a) is empty.  ``workers`` is accepted for
+    compatibility and has no effect.
     """
-    T = feasible_tuples(e, theta, normalize, budget, workers)
+    T = feasible_tuples(e, theta, normalize, budget)
     if any(not choices for choices in T):
         return []
     total = 1
@@ -298,17 +298,13 @@ def is_schreier(e: SplitExtension, theta: ThetaSpec, workers: int = 1) -> bool:
 
     Injectivity alone would accept extensions with no witness at all
     (phi injective but not surjective); uniqueness is only meaningful on
-    top of existence, so both halves are tested.
+    top of existence, so both halves are tested.  ``workers`` is accepted
+    for compatibility and has no effect.
     """
     require_admissible(theta, e.A, "middle algebra")
-
-    def phi_val(args: tuple[tuple[int, ...], int]) -> int:
-        xs, b = args
-        return theta.eval(e.A, tuple(e.k(x) for x in xs) + (e.s(b),))
-
-    domain = [(xs, b) for xs in product(range(e.X.size), repeat=theta.n)
+    values = [theta.eval(e.A, tuple(e.k(x) for x in xs) + (e.s(b),))
+              for xs in product(range(e.X.size), repeat=theta.n)
               for b in range(e.B.size)]
-    values = ordered_map(phi_val, domain, workers)
     return len(set(values)) == len(values) == e.A.size
 
 

@@ -23,8 +23,9 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional, Sequence
 
-from .ambient import CandidateOps, TupleSpace, flat_arg_index
-from .algebra import DEFAULT_BUDGET, Equation, FiniteAlgebra, FnTable, check_equation
+from .ambient import CandidateOps, TupleSpace
+from .algebra import DEFAULT_BUDGET, Equation, FiniteAlgebra, FnTable, check_equation, table_index
+from .canonical import membership_by_term
 from .errors import (
     ArityMismatch,
     ConditionsFailed,
@@ -43,7 +44,12 @@ from .terms import TermSpec, ThetaSpec, require_admissible
 
 @dataclass(frozen=True)
 class GammaData:
-    """Raw action data: algebras, witness term, per-operation tables, axioms."""
+    """Raw action data: algebras, witness term, per-operation tables, axioms.
+
+    Construction is the one place action tables are checked: one table per
+    operation, |X^n x B|^arity entries each, every entry an n-tuple of exact
+    ints in 0..|X|-1 (bool and float are rejected, not coerced).
+    """
 
     X: FiniteAlgebra
     B: FiniteAlgebra
@@ -58,7 +64,7 @@ class GammaData:
             raise SignatureMismatch("kernel and base algebras differ in signature")
         require_admissible(self.theta, self.X, "kernel algebra")
         require_admissible(self.theta, self.B, "base algebra")
-        space = self.space
+        space, n, size = self.space, self.n, self.X.size
         for name, arity in self.X.signature.ops:
             if name not in self.gamma:
                 raise MissingTable(f"no action table for operation {name!r}")
@@ -68,11 +74,13 @@ class GammaData:
                     f"action table for {name!r} has {len(table)} entries, "
                     f"expected {space.size}^{arity}")
             for entry in table:
-                if len(entry) != self.n:
+                if len(entry) != n:
                     raise ArityMismatch(
-                        f"action entry {entry} for {name!r} is not an {self.n}-tuple")
-                if any(not (0 <= x < self.X.size) for x in entry):
-                    raise EntryOutOfRange(f"action entry {entry} outside the kernel carrier")
+                        f"action entry {entry} for {name!r} is not an {n}-tuple")
+                for x in entry:
+                    if type(x) is not int or not 0 <= x < size:
+                        raise EntryOutOfRange(
+                            f"action entry {entry} outside the kernel carrier")
         extra = set(self.gamma) - set(self.X.signature.op_names())
         if extra:
             raise SignatureMismatch(f"action tables for unknown operations {sorted(extra)}")
@@ -89,30 +97,19 @@ class GammaData:
         return CandidateOps(self.space, self.gamma, self.B, self.X.zero)
 
 
-def _membership(g: GammaData, ops: CandidateOps, spec: TermSpec) -> list[int]:
-    return [z for z in g.space.indices()
-            if g.space.unpack(ops.retract(spec, z))[0] == g.space.unpack(z)[0]]
-
-
 def compute_Y(g: GammaData, membership_term: Optional[TermSpec] = None) -> list[int]:
     """The carrier subset, as ascending (= lexicographic) ambient indices.
 
     Membership of (xs, b) means the witness term, evaluated in the
     candidate operations with all non-distinguished arguments at the zero
-    tuple, reproduces xs.  An alternative term with the same unit property
-    may be supplied; if its subset differs the data is inconsistent and
+    tuple, reproduces xs (``canonical.membership_by_term``).  An alternative
+    term with the same unit property may be supplied (WrongTheta when it
+    lacks it); if its subset differs the data is inconsistent and
     MembershipDiscrepancy is raised.
     """
-    ops = g.candidate_ops()
-    base = _membership(g, ops, g.theta)
+    base = membership_by_term(g)
     if membership_term is not None:
-        for alg, label in ((g.X, "kernel"), (g.B, "base")):
-            zeros = (alg.zero,) * (membership_term.arity - 1)
-            for x in range(alg.size):
-                if membership_term.eval(alg, zeros + (x,)) != x:
-                    raise ArityMismatch(
-                        f"membership term lacks the unit property on the {label} algebra")
-        alt = _membership(g, ops, membership_term)
+        alt = membership_by_term(g, membership_term)
         if alt != base:
             diff = sorted(set(alt) ^ set(base))
             raise MembershipDiscrepancy(
@@ -212,7 +209,7 @@ def _check(g: GammaData, budget: int) -> tuple[Report, _Carrier]:
             raise SearchBudgetExceeded(f"condition 3 for {name!r} exceeds budget")
         for tuples in product(kernel, repeat=arity):
             args = tuple(g.space.pack(xs, g.B.zero) for xs in tuples)
-            via_action = g.gamma[name][flat_arg_index(g.space.size, args)]
+            via_action = g.gamma[name][table_index(g.space.size, args)]
             lhs = _theta_at_zero(g, via_action)
             rhs = g.X.op(name, tuple(_theta_at_zero(g, xs) for xs in tuples))
             if lhs != rhs:

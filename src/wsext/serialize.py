@@ -241,51 +241,28 @@ _GAMMA_EXTRAS = ["schema", "n", "Y", "ops_Y", "k_prime", "pi_B", "iota_B",
 
 
 def gamma_from_obj(obj: Source, base_dir: Optional[Path] = None) -> GammaData:
+    """Action data from a document.  Only the JSON structure is checked here
+    (nesting lengths, list leaves); GammaData checks the tables themselves:
+    missing and unknown operations, entry lengths, and entry values."""
     obj, base_dir = _resolve(obj, base_dir)
     _check_keys(obj, ["X", "B", "theta", "gamma"], ["axioms"] + _GAMMA_EXTRAS, "gamma data")
     X = algebra_from_obj(obj["X"], base_dir)
     B = algebra_from_obj(obj["B"], base_dir)
     theta = theta_from_obj(obj["theta"], X.signature, base_dir)
-    n = theta.n
-    ambient = X.size ** n * B.size
+    ambient = X.size ** theta.n * B.size
     if not isinstance(obj["gamma"], dict):
         raise FileFormatError("gamma: expected an object")
-    gamma = {}
+    gamma = dict(obj["gamma"])
     for name, arity in X.signature.ops:
-        if name not in obj["gamma"]:
-            raise FileFormatError(f"gamma: missing table for {name!r}")
-        flat = _flatten_table(obj["gamma"][name], ambient, arity, f"gamma {name!r}")
-        entries = []
-        for entry in flat:
-            if not isinstance(entry, list) or len(entry) != n:
-                raise FileFormatError(
-                    f"gamma {name!r}: entries must be lists of {n} integers")
-            entries.append(tuple(_int(v, f"gamma {name!r} entry") for v in entry))
-        gamma[name] = tuple(entries)
-    extra = sorted(set(obj["gamma"]) - {nm for nm, _ in X.signature.ops})
-    if extra:
-        raise FileFormatError(f"gamma: unknown operations {extra}")
+        if name in gamma:
+            flat = _flatten_table(gamma[name], ambient, arity, f"gamma {name!r}")
+            for entry in flat:
+                if type(entry) is not list:
+                    raise FileFormatError(
+                        f"gamma {name!r}: entries must be lists of {theta.n} integers")
+            gamma[name] = tuple(map(tuple, flat))
     axioms = equations_from_obj(obj.get("axioms", []), X.signature)
     return GammaData(X, B, theta, gamma, axioms)
-
-
-def load_gamma(path: Union[str, Path]) -> GammaData:
-    path = Path(path)
-    return gamma_from_obj(_load_json(path), path.parent)
-
-
-def gamma_to_obj(g: GammaData) -> dict:
-    ambient = g.space.size
-    return {
-        "X": algebra_to_obj(g.X),
-        "B": algebra_to_obj(g.B),
-        "theta": theta_to_obj(g.theta),
-        "gamma": {
-            name: _nest_table([list(t) for t in g.gamma[name]], ambient, arity)
-            for name, arity in g.X.signature.ops
-        },
-        "axioms": equations_to_obj(g.axioms),
-    }
 
 
 def canonical_to_obj(
@@ -349,11 +326,6 @@ def hom_from_obj(obj: Source, base_dir: Optional[Path] = None) -> tuple[FiniteAl
     if not isinstance(values, list) or len(values) != B_prime.size:
         raise FileFormatError(f"f: expected a list of length {B_prime.size}")
     return B_prime, [_int(v, "f") for v in values]
-
-
-def load_hom(path: Union[str, Path]) -> tuple[FiniteAlgebra, list[int]]:
-    path = Path(path)
-    return hom_from_obj(_load_json(path), path.parent)
 
 
 def dump_json(obj: Any, path: Union[str, Path]) -> None:

@@ -91,6 +91,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def require_distinct_vars(vars: Sequence[str]) -> None:
+    """A variable list declares each name once; TermSyntaxError otherwise."""
+    var_list = list(vars)
+    if len(set(var_list)) != len(var_list):
+        raise TermSyntaxError(f"duplicate variable names in {var_list}", 0)
+
+
 def parse_term(text: str, sig: "Signature", vars: Sequence[str]) -> Term:
     """Parse s-expression term text against a signature and variable list.
 
@@ -98,8 +105,7 @@ def parse_term(text: str, sig: "Signature", vars: Sequence[str]) -> Term:
     an operation symbol is rejected up front.
     """
     var_list = list(vars)
-    if len(set(var_list)) != len(var_list):
-        raise TermSyntaxError(f"duplicate variable names in {var_list}", 0)
+    require_distinct_vars(var_list)
     for v in var_list:
         if sig.has_op(v):
             raise TermSyntaxError(
@@ -181,6 +187,7 @@ class TermSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "vars", tuple(self.vars))
+        require_distinct_vars(self.vars)
         free = term_vars(self.term)
         if not free <= set(self.vars):
             raise UnboundVariable(
@@ -216,9 +223,12 @@ class ThetaSpec(TermSpec):
         return len(self.vars) - 1
 
 
-def check_theta_admissible(theta: ThetaSpec, A: "FiniteAlgebra") -> CheckResult:
-    """Check theta(0,..,0,x) = x for every x in the carrier."""
-    zeros = (A.zero,) * theta.n
+def check_theta_admissible(theta: TermSpec, A: "FiniteAlgebra") -> CheckResult:
+    """Check the unit law theta(0,..,0,x) = x for every x in the carrier.
+
+    Any term qualifies: all arguments but the last are set to zero.
+    """
+    zeros = (A.zero,) * (theta.arity - 1)
     for x in range(A.size):
         got = theta.eval(A, zeros + (x,))
         if got != x:

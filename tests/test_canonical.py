@@ -248,8 +248,8 @@ def test_gamma_tables_preserve_zero(fixture_case):
     space = c.space
     zero = space.pack((e.X.zero,) * c.n, e.B.zero)
     for op, arity in e.A.signature.ops:
-        from wsext.ambient import flat_arg_index
-        entry = c.gamma[op][flat_arg_index(space.size, (zero,) * arity)]
+        from wsext.algebra import table_index
+        entry = c.gamma[op][table_index(space.size, (zero,) * arity)]
         assert entry == (e.X.zero,) * c.n
 
 
@@ -266,9 +266,9 @@ def test_gamma_table_for_theta_retracts_to_gamma_id(example):
     table = gamma_table(c, theta)
     space = c.space
     zero = space.pack((0, 0), 0)
-    from wsext.ambient import flat_arg_index
+    from wsext.algebra import table_index
     for z in space.indices():
-        assert table[flat_arg_index(space.size, (zero, zero, z))] == c.gamma_id[z]
+        assert table[table_index(space.size, (zero, zero, z))] == c.gamma_id[z]
 
 
 # -- sigma/tau decomposition ---------------------------------------------------------------------

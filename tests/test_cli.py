@@ -1,15 +1,21 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wsext import build_canonical, gammabuild
 from wsext.algebra import FnTable
 from wsext.cli import main
 from wsext.extension import SplitExtension, Witness
 from wsext.fixtures import EXTENSIONS, fixture_path
-from wsext.serialize import extension_to_obj
+from wsext.serialize import canonical_to_obj, extension_to_obj
 
 from conftest import load_fixture
 
@@ -320,3 +326,80 @@ def test_gamma_check_rebuild_computes_the_carrier_once(name, tmp_path, monkeypat
         FnTable(len(c.Y), c.X.size, tuple(t[i] for t in c.Y)) for i in range(c.n)))
     assert json.loads(rebuilt.read_text()) == json.loads(json.dumps(
         extension_to_obj(expected, witness=projections, axioms=axioms)))
+
+
+# -- malformed action data ---------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _canonical_text() -> str:
+    """The canonical document of example_monoid (n = 2, 8 ambient tuples)."""
+    e, w, axioms, theta = load_fixture("example_monoid")
+    return json.dumps(canonical_to_obj(build_canonical(e, theta, w), axioms))
+
+
+def _set(path, value):
+    def mutate(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+    return mutate
+
+
+MALFORMED_GAMMA = {
+    "missing op table": lambda doc: doc["gamma"].pop("+"),
+    "unknown op": lambda doc: doc["gamma"].update({"*": doc["gamma"]["0"]}),
+    "wrong entry length": _set(("gamma", "+", 1, 2), [0]),
+    "out-of-range value": _set(("gamma", "+", 1, 2, 0), 2),
+    "true value": _set(("gamma", "+", 1, 2, 1), True),
+    "float value": _set(("gamma", "+", 1, 2, 0), 1.5),
+    "non-list entry": _set(("gamma", "0"), 0),
+    "ragged nesting": lambda doc: doc["gamma"]["+"][3].pop(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_GAMMA))
+def test_gamma_check_malformed_data_is_a_file_error(case, tmp_path):
+    doc = json.loads(_canonical_text())
+    MALFORMED_GAMMA[case](doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("gamma-check", str(path))
+    assert res.returncode == 64
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in res.stderr
+
+
+def _leaf_paths(node, path=()):
+    """Paths to every scalar of a JSON document, in document order."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path]
+    return [p for key, child in items for p in _leaf_paths(child, path + (key,))]
+
+
+FUZZ_VALUES = [True, None, 1.5, -1, 0, 1, 2, 3, 99, 10 ** 30, "x", [], [0, 0, 0], {}]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_leaf_paths(json.loads(_canonical_text()))),
+                          st.sampled_from(FUZZ_VALUES)),
+                min_size=1, max_size=2))
+def test_gamma_check_exit_code_contract_under_leaf_fuzz(replacements):
+    doc = json.loads(_canonical_text())
+    for path, value in replacements:
+        _set(path, value)(doc)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzzed.json"
+        path.write_text(json.dumps(doc))
+        # an exception escaping main would be a traceback at the shell
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["gamma-check", str(path)])
+    assert code in (0, 1, 2, 64)
+    assert "Traceback" not in err.getvalue()

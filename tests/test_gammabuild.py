@@ -18,7 +18,14 @@ from wsext import (
     validate_split_extension,
     validate_witness,
 )
-from wsext.errors import ConditionsFailed, IotaNotInY, MembershipDiscrepancy
+from wsext.errors import (
+    ArityMismatch,
+    ConditionsFailed,
+    EntryOutOfRange,
+    IotaNotInY,
+    MembershipDiscrepancy,
+    WrongTheta,
+)
 from wsext.canonical import membership_by_gamma_id
 
 from conftest import load_fixture
@@ -69,7 +76,7 @@ def test_membership_is_a_filter_not_an_iteration():
     # and no error is raised even though the data is no longer idempotent
     e, w, theta, c, g = extracted("example_monoid")
     space = g.space
-    from wsext.ambient import flat_arg_index
+    from wsext.algebra import table_index
     zero = space.pack((0, 0), 0)
     member = space.pack((0, 1), 0)  # psi(1), a carrier member
     before = compute_Y(g)
@@ -78,7 +85,7 @@ def test_membership_is_a_filter_not_an_iteration():
     table = list(g.gamma["+"])
     # retraction of `member` is gamma_+(zero, inner) with inner = member + 0;
     # rewriting the (zero, member) entry moves it off its own coordinates
-    table[flat_arg_index(space.size, (zero, member))] = (1, 1)
+    table[table_index(space.size, (zero, member))] = (1, 1)
     g2 = GammaData(g.X, g.B, g.theta, {"+": tuple(table), "0": g.gamma["0"]},
                    g.axioms)
     after = compute_Y(g2)
@@ -97,13 +104,36 @@ def test_membership_variant_agreement_and_discrepancy():
     zero = space.pack((0, 0), 0)
     table = list(g.gamma["+"])
     target = space.pack((1, 1), 0)
-    from wsext.ambient import flat_arg_index
-    idx = flat_arg_index(space.size, (zero, target))
+    from wsext.algebra import table_index
+    idx = table_index(space.size, (zero, target))
     table[idx] = (1, 1)  # claim (1,1,0) is fixed by 0 + z
     broken = GammaData(g.X, g.B, g.theta, {"+": tuple(table), "0": g.gamma["0"]},
                        g.axioms)
     with pytest.raises(MembershipDiscrepancy):
         compute_Y(broken, membership_term=omega)
+
+
+def test_membership_term_without_unit_property_is_wrong_theta():
+    e, w, theta, c, g = extracted("example_monoid")
+    first = TermSpec(("x", "y"), parse_term("x", MSIG, ["x", "y"]))
+    with pytest.raises(WrongTheta):
+        compute_Y(g, membership_term=first)
+
+
+@pytest.mark.parametrize("entry, error", [
+    ((0,), ArityMismatch),
+    ((0, 0, 0), ArityMismatch),
+    ((0, 2), EntryOutOfRange),
+    ((-1, 0), EntryOutOfRange),
+    ((True, 0), EntryOutOfRange),
+    ((0, 1.0), EntryOutOfRange),
+])
+def test_action_entries_are_checked_on_construction(entry, error):
+    e, w, theta, c, g = extracted("example_monoid")
+    table = list(g.gamma["+"])
+    table[3] = entry
+    with pytest.raises(error):
+        GammaData(g.X, g.B, g.theta, {"+": tuple(table), "0": g.gamma["0"]}, g.axioms)
 
 
 def test_remark_variant_terms_per_fixture(fixture_case):
@@ -149,11 +179,11 @@ def test_product_data_passes_all_conditions():
 def test_mutated_action_fails_some_condition():
     e, w, theta, c, g = extracted("example_monoid")
     space = g.space
-    from wsext.ambient import flat_arg_index
+    from wsext.algebra import table_index
     # corrupt the action at a pair of carrier members
     m_psi = psi(e, w)
     z1, z2 = m_psi(1), m_psi(2)
-    idx = flat_arg_index(space.size, (z1, z2))
+    idx = table_index(space.size, (z1, z2))
     table = list(g.gamma["+"])
     old = table[idx]
     table[idx] = ((old[0] + 1) % 2, old[1])
@@ -223,10 +253,10 @@ def test_heyting_incompatible_witnesses_raise_iota_error():
 
 def test_failed_conditions_raise():
     e, w, theta, c, g = extracted("example_monoid")
-    from wsext.ambient import flat_arg_index
+    from wsext.algebra import table_index
     space = g.space
     m_psi = psi(e, w)
-    idx = flat_arg_index(space.size, (m_psi(1), m_psi(2)))
+    idx = table_index(space.size, (m_psi(1), m_psi(2)))
     table = list(g.gamma["+"])
     old = table[idx]
     table[idx] = ((old[0] + 1) % 2, old[1])

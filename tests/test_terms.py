@@ -2,6 +2,7 @@ import pytest
 
 from wsext import (
     App,
+    Equation,
     Signature,
     TermSpec,
     ThetaSpec,
@@ -118,6 +119,17 @@ def test_termspec_rejects_undeclared_variables():
 def test_thetaspec_needs_two_variables():
     with pytest.raises(ArityMismatch):
         ThetaSpec(("x",), Var("x"))
+
+
+def test_repeated_variable_names_rejected_like_the_parser():
+    with pytest.raises(TermSyntaxError) as parsed:
+        parse_term("x", MSIG, ["x", "x"])
+    for make in (lambda: TermSpec(("x", "x"), Var("x")),
+                 lambda: ThetaSpec(("x", "x"), Var("x")),
+                 lambda: Equation(("x", "x"), Var("x"), Var("x"))):
+        with pytest.raises(TermSyntaxError) as exc:
+            make()
+        assert str(exc.value) == str(parsed.value)
 
 
 # -- admissibility ----------------------------------------------------------------------
