@@ -116,7 +116,7 @@ def make_algebra(sig: Signature, size: int, tables: Mapping[str, Sequence[int]])
             raise ArityMismatch(
                 f"table for {name!r} has {len(values)} entries, expected {size}^{arity}")
         for v in values:
-            if not isinstance(v, int) or not (0 <= v < size):
+            if type(v) is not int or not (0 <= v < size):
                 raise EntryOutOfRange(f"table entry {v!r} for {name!r} outside 0..{size - 1}")
         frozen[name] = values
     extra = set(tables) - {n for n, _ in sig.ops}
@@ -146,8 +146,9 @@ class FnTable:
             raise SizeMismatch(
                 f"function table has {len(self.values)} entries, expected {self.dom_size}")
         for v in self.values:
-            if not (0 <= v < self.cod_size):
-                raise EntryOutOfRange(f"function value {v} outside 0..{self.cod_size - 1}")
+            if type(v) is not int or not (0 <= v < self.cod_size):
+                raise EntryOutOfRange(
+                    f"function value {v!r} outside 0..{self.cod_size - 1}")
 
     def __call__(self, x: int) -> int:
         return self.values[x]

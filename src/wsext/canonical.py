@@ -19,8 +19,13 @@ from itertools import product
 from typing import Optional
 
 from .ambient import CandidateOps, TupleSpace
-from .algebra import FiniteAlgebra, FnTable, table_index
-from .errors import InternalCheckFailed, WrongSignature, WrongTheta
+from .algebra import DEFAULT_BUDGET, FiniteAlgebra, FnTable, table_index
+from .errors import (
+    InternalCheckFailed,
+    SearchBudgetExceeded,
+    WrongSignature,
+    WrongTheta,
+)
 from .extension import (
     SplitExtension,
     Witness,
@@ -86,7 +91,8 @@ class CanonicalExtension:
         return CandidateOps(self.space, self.gamma, self.B, self.X.zero)
 
 
-def build_canonical(e: SplitExtension, theta: ThetaSpec, w: Witness) -> CanonicalExtension:
+def build_canonical(e: SplitExtension, theta: ThetaSpec, w: Witness,
+                    budget: int = DEFAULT_BUDGET) -> CanonicalExtension:
     """Construct Y, the transported operations, the action tables, and the
     structure maps from a validated, normalized witness.
 
@@ -94,11 +100,17 @@ def build_canonical(e: SplitExtension, theta: ThetaSpec, w: Witness) -> Canonica
     cross-checked against the action-table description; Y is computed from
     the image of psi and cross-checked against both fixpoint definitions.
     Any mismatch is an internal invariant failure, not a user error.
+    Raises SearchBudgetExceeded when the action tables would hold more
+    than ``budget`` entries.
     """
     require_valid(e)
     require_witness(e, theta, w, normalized=True)
     n = theta.n
     space = ambient_space(e, n)
+    entries = sum(space.size ** arity for _, arity in e.A.signature.ops)
+    if entries > budget:
+        raise SearchBudgetExceeded(
+            f"action tables need {entries} entries, budget is {budget}")
     psi_t = psi(e, w)
     phi_t = phi(e, theta)
 
@@ -112,15 +124,19 @@ def build_canonical(e: SplitExtension, theta: ThetaSpec, w: Witness) -> Canonica
     Y = tuple(space.unpack(z)[0] + (space.unpack(z)[1],) for z in y_indices)
     y_pos = {z: i for i, z in enumerate(y_indices)}
 
-    # action tables on the full ambient space
+    # action tables on the full ambient space, by flat composition:
+    # gamma_op(z_1, .., z_r) = q(op_A(phi z_1, .., phi z_r)), read through
+    # the row-major index of (phi z_1, .., phi z_r) in the table of A
+    q_of = [w.values_at(a) for a in range(e.A.size)]
+    phis = phi_t.values
     gamma: dict[str, tuple[tuple[int, ...], ...]] = {}
     for name, arity in e.A.signature.ops:
-        entries = []
-        for args in product(space.indices(), repeat=arity):
-            a_val = e.A.op(name, tuple(phi_t(z) for z in args))
-            entries.append(w.values_at(a_val))
-        gamma[name] = tuple(entries)
-    gamma_id = tuple(w.values_at(phi_t(z)) for z in space.indices())
+        idx = [0]
+        for _ in range(arity):
+            idx = [i * e.A.size + pz for i in idx for pz in phis]
+        table = e.A.tables[name]
+        gamma[name] = tuple(q_of[table[i]] for i in idx)
+    gamma_id = tuple(q_of[a] for a in phis)
 
     # fixpoint definition of Y must reproduce the image of psi
     fixpoint = [z for z in space.indices()

@@ -197,7 +197,7 @@ def cmd_canonicalize(args) -> int:
             return EXIT_NEGATIVE
         witness = found[index]
 
-    c = can.build_canonical(e, theta, witness)
+    c = can.build_canonical(e, theta, witness, budget=args.budget)
     verification = can.verify_isomorphism(e, c, witness)
     doc = canonical_to_obj(c, axioms=axioms, verification=verification)
     if args.out:

@@ -46,6 +46,8 @@ def _load_json(path: Path) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FileFormatError(f"{path}: JSON nested too deeply") from exc
 
 
 def _resolve(obj: Source, base_dir: Optional[Path]) -> tuple[Any, Optional[Path]]:
@@ -77,11 +79,14 @@ def _flatten_table(nested: Any, size: int, arity: int, what: str) -> list:
 
 
 def _nest_table(flat: Sequence, size: int, arity: int) -> Any:
+    """Inverse of _flatten_table: cut the flat list into rows of ``size``,
+    arity - 1 times."""
     if arity == 0:
         return flat[0]
-    step = size ** (arity - 1)
-    return [_nest_table(flat[i * step:(i + 1) * step], size, arity - 1)
-            for i in range(size)]
+    nested = list(flat)
+    for _ in range(arity - 1):
+        nested = [nested[i:i + size] for i in range(0, len(nested), size)]
+    return nested
 
 
 # -- algebra files --------------------------------------------------------------
@@ -236,6 +241,8 @@ def extension_to_obj(
 
 # -- action data files -----------------------------------------------------------------
 
+CANONICAL_SCHEMA = "wsext.canonical/1"
+
 _GAMMA_EXTRAS = ["schema", "n", "Y", "ops_Y", "k_prime", "pi_B", "iota_B",
                  "gamma_id", "verification"]
 
@@ -243,12 +250,20 @@ _GAMMA_EXTRAS = ["schema", "n", "Y", "ops_Y", "k_prime", "pi_B", "iota_B",
 def gamma_from_obj(obj: Source, base_dir: Optional[Path] = None) -> GammaData:
     """Action data from a document.  Only the JSON structure is checked here
     (nesting lengths, list leaves); GammaData checks the tables themselves:
-    missing and unknown operations, entry lengths, and entry values."""
+    missing and unknown operations, entry lengths, and entry values.
+
+    Of the extras that canonical_to_obj writes, ``schema`` and ``n`` are
+    checked against the data when present; the others are not read."""
     obj, base_dir = _resolve(obj, base_dir)
     _check_keys(obj, ["X", "B", "theta", "gamma"], ["axioms"] + _GAMMA_EXTRAS, "gamma data")
+    if "schema" in obj and obj["schema"] != CANONICAL_SCHEMA:
+        raise FileFormatError(
+            f"schema: expected {CANONICAL_SCHEMA!r}, got {obj['schema']!r}")
     X = algebra_from_obj(obj["X"], base_dir)
     B = algebra_from_obj(obj["B"], base_dir)
     theta = theta_from_obj(obj["theta"], X.signature, base_dir)
+    if "n" in obj and _int(obj["n"], "n") != theta.n:
+        raise FileFormatError(f"n: {obj['n']} but theta has {theta.n} kernel arguments")
     ambient = X.size ** theta.n * B.size
     if not isinstance(obj["gamma"], dict):
         raise FileFormatError("gamma: expected an object")
@@ -273,7 +288,7 @@ def canonical_to_obj(
     """Canonical form as a document that gamma_from_obj can read back."""
     ambient = c.space.size
     obj = {
-        "schema": "wsext.canonical/1",
+        "schema": CANONICAL_SCHEMA,
         "X": algebra_to_obj(c.X),
         "B": algebra_to_obj(c.B),
         "n": c.n,
@@ -328,8 +343,32 @@ def hom_from_obj(obj: Source, base_dir: Optional[Path] = None) -> tuple[FiniteAl
     return B_prime, [_int(v, "f") for v in values]
 
 
+def _rows(obj: Any, pad: str) -> str:
+    """JSON text of ``obj``: dicts, lists of dicts and lists of lists of
+    containers are laid out as by ``indent=2``; any other list is a leaf row
+    (one gamma row, one algebra table row, Y) written on one line.  The
+    layout is decided from the first element, so the Python-level work is
+    per row and the C encoder writes the entries."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = [f"{inner}{json.dumps(k)}: {_rows(v, inner)}" for k, v in obj.items()]
+    elif (isinstance(obj, list) and obj
+          and (isinstance(obj[0], dict)
+               or (isinstance(obj[0], list) and obj[0]
+                   and isinstance(obj[0][0], (list, dict))))):
+        inner = pad + "  "
+        items = [inner + _rows(v, inner) for v in obj]
+    else:
+        return json.dumps(obj)
+    opening, closing = ("{", "}") if isinstance(obj, dict) else ("[", "]")
+    return opening + "\n" + ",\n".join(items) + "\n" + pad + closing
+
+
 def dump_json(obj: Any, path: Union[str, Path]) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    """Write a document with one leaf row per line (see _rows)."""
+    Path(path).write_text(_rows(obj, "") + "\n")
 
 
 def to_text(obj: Any) -> str:

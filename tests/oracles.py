@@ -61,6 +61,22 @@ def brute_force_equation(A: FiniteAlgebra, eq: Equation) -> CheckResult:
     return CheckResult(True)
 
 
+def brute_force_gamma(e: SplitExtension, theta: ThetaSpec, w: Witness):
+    """(gamma, gamma_id) entry by entry: over every tuple of ambient
+    arguments in lexicographic order, gamma_op(z_1, .., z_r) =
+    q(op_A(phi z_1, .., phi z_r)) with
+    phi(x_1, .., x_n, b) = theta(k x_1, .., k x_n, s b)."""
+    ambient = list(product(*[range(e.X.size)] * theta.n, range(e.B.size)))
+    phi = [theta.eval(e.A, tuple(e.k(x) for x in z[:-1]) + (e.s(z[-1]),))
+           for z in ambient]
+    gamma = {}
+    for name, arity in e.A.signature.ops:
+        gamma[name] = tuple(
+            w.values_at(e.A.op(name, tuple(phi[z] for z in args)))
+            for args in product(range(len(ambient)), repeat=arity))
+    return gamma, tuple(w.values_at(a) for a in phi)
+
+
 def witness_key(w: Witness):
     return tuple(q.values for q in w.q)
 

@@ -68,6 +68,16 @@ def test_make_algebra_entry_out_of_range():
         make_algebra(MSIG, 4, {"+": [0] * 15 + [5], "0": [0]})
 
 
+def test_make_algebra_rejects_bool_entries():
+    with pytest.raises(EntryOutOfRange):
+        make_algebra(MSIG, 2, {"+": [0, 1, 1, True], "0": [0]})
+
+
+def test_fn_table_rejects_float_values():
+    with pytest.raises(EntryOutOfRange):
+        FnTable(2, 2, (0, 1.0))
+
+
 def test_make_algebra_missing_table():
     with pytest.raises(MissingTable):
         make_algebra(MSIG, 2, {"+": [0, 1, 1, 1]})

@@ -21,10 +21,11 @@ from wsext import (
     verify_isomorphism,
 )
 from wsext.canonical import CanonicalExtension, ambient_space
-from wsext.errors import WitnessInvalid, WrongSignature, WrongTheta
+from wsext.errors import SearchBudgetExceeded, WitnessInvalid, WrongSignature, WrongTheta
 from wsext.extension import SplitExtension
 
 from conftest import load_fixture
+from oracles import brute_force_gamma
 
 MSIG = Signature((("+", 2), ("0", 0)), "0")
 
@@ -68,6 +69,21 @@ def test_example_canonical_carrier(example):
     c = build_canonical(e, theta, w)
     assert c.Y == ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 1))
     assert len(c.Y) == 5
+
+
+def test_gamma_matches_oracle(fixture_case):
+    name, e, w, axioms, theta = fixture_case
+    for witness in [w] + find_witnesses(e, theta, limit=3):
+        c = build_canonical(e, theta, witness)
+        assert (c.gamma, c.gamma_id) == brute_force_gamma(e, theta, witness)
+
+
+def test_build_canonical_respects_budget(example):
+    e, w, _, theta = example
+    entries = 8 ** 2 + 1  # '+' and '0' over the 8 ambient tuples
+    assert build_canonical(e, theta, w, budget=entries).Y
+    with pytest.raises(SearchBudgetExceeded):
+        build_canonical(e, theta, w, budget=entries - 1)
 
 
 def test_canonical_of_trivial_quotient():

@@ -10,12 +10,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wsext import build_canonical, gammabuild
+from wsext import build_canonical, gammabuild, verify_isomorphism
 from wsext.algebra import FnTable
 from wsext.cli import main
 from wsext.extension import SplitExtension, Witness
 from wsext.fixtures import EXTENSIONS, fixture_path
-from wsext.serialize import canonical_to_obj, extension_to_obj
+from wsext.serialize import canonical_to_obj, extension_to_obj, gamma_from_obj, to_text
 
 from conftest import load_fixture
 
@@ -294,6 +294,56 @@ def test_negative_counts_are_usage_errors(args):
     assert "Traceback" not in res.stderr
 
 
+def test_canonicalize_respects_budget():
+    res = run_cli("canonicalize", EXAMPLE, "--theta", THETA_XZY, "--budget", "1")
+    assert res.returncode == 64
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in res.stderr
+
+
+def test_deeply_nested_json_is_a_file_error(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    res = run_cli("gamma-check", str(path))
+    assert res.returncode == 64
+    assert res.stderr.startswith("error: ")
+    assert "Traceback" not in res.stderr
+
+
+def _leaf_rows(table, arity):
+    """The innermost lists of a nested action table: one row per line."""
+    if arity <= 1:
+        return [table]
+    return [row for sub in table for row in _leaf_rows(sub, arity - 1)]
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSIONS))
+def test_written_files_hold_the_document_one_row_per_line(name, tmp_path, capsys):
+    canon, rebuilt = tmp_path / "canon.json", tmp_path / "rebuilt.json"
+    theta_file = str(fixture_path(EXTENSIONS[name]))
+    assert main(["canonicalize", str(fixture_path(name)), "--theta", theta_file,
+                 "-o", str(canon)]) == 0
+    assert main(["gamma-check", str(canon), "--rebuild", str(rebuilt)]) == 0
+    capsys.readouterr()
+
+    e, w, axioms, theta = load_fixture(name)
+    c = build_canonical(e, theta, w)
+    doc = canonical_to_obj(c, axioms=axioms, verification=verify_isomorphism(e, c, w))
+    text = canon.read_text()
+    assert json.loads(text) == json.loads(to_text(doc))
+    lines = [ln.rstrip(",") for ln in text.splitlines()]
+    for op, arity in c.X.signature.ops:
+        for row in _leaf_rows(doc["gamma"][op], arity):
+            assert any(ln.endswith(json.dumps(row)) for ln in lines)
+
+    g = gamma_from_obj(json.loads(text))
+    e2, w2 = gammabuild.build_extension_from_gamma(g)
+    assert json.loads(rebuilt.read_text()) == json.loads(to_text(
+        extension_to_obj(e2, witness=w2, axioms=g.axioms)))
+
+
 @pytest.mark.parametrize("name", sorted(EXTENSIONS))
 def test_gamma_check_rebuild_computes_the_carrier_once(name, tmp_path, monkeypatch, capsys):
     canon, rebuilt = tmp_path / "canon.json", tmp_path / "rebuilt.json"
@@ -355,6 +405,9 @@ MALFORMED_GAMMA = {
     "float value": _set(("gamma", "+", 1, 2, 0), 1.5),
     "non-list entry": _set(("gamma", "0"), 0),
     "ragged nesting": lambda doc: doc["gamma"]["+"][3].pop(),
+    "unknown schema": _set(("schema",), "x"),
+    "n contradicts theta": _set(("n",), 99),
+    "float n": _set(("n",), 2.0),
 }
 
 

@@ -9,9 +9,13 @@ from wsext import (
     Equation,
     FnTable,
     Signature,
+    SplitExtension,
+    ThetaSpec,
     Var,
+    build_canonical,
     check_equation,
     enumerate_homomorphisms,
+    find_witnesses,
     format_term,
     is_homomorphism,
     make_algebra,
@@ -21,7 +25,7 @@ from wsext import (
     trivial_algebra,
 )
 
-from oracles import brute_force_equation, brute_force_homs
+from oracles import brute_force_equation, brute_force_gamma, brute_force_homs
 
 MSIG = Signature((("+", 2), ("0", 0)), "0")
 
@@ -204,3 +208,39 @@ def test_check_equation_matches_oracle_on_random_algebras(A, data):
     vars_ = data.draw(st.lists(st.sampled_from("xyz"), max_size=3, unique=True))
     terms_ = sig4_terms(vars_)
     assert_same_result(A, Equation(tuple(vars_), data.draw(terms_), data.draw(terms_)))
+
+
+# -- canonical action tables against the per-entry oracle -----------------------------
+
+USIG = Signature((("+", 2), ("-", 1), ("0", 0)), "0")
+THETAS = {
+    1: ThetaSpec(("x", "y"), parse_term("(+ x y)", USIG, ["x", "y"])),
+    2: ThetaSpec(("x1", "x2", "y"), parse_term("(+ x1 (+ y x2))", USIG, ["x1", "x2", "y"])),
+}
+
+
+@st.composite
+def unital_algebras(draw, max_size):
+    """USIG algebras on {0..size-1} where 0 is a two-sided unit of + and a
+    fixed point of -; every other entry is free."""
+    size = draw(st.integers(1, max_size))
+    entries = st.integers(0, size - 1)
+    plus = [a if b == 0 else b if a == 0 else draw(entries)
+            for a, b in product(range(size), repeat=2)]
+    minus = [0] + [draw(entries) for _ in range(size - 1)]
+    return make_algebra(USIG, size, {"+": plus, "-": minus, "0": [0]})
+
+
+@given(unital_algebras(3), unital_algebras(2), st.sampled_from(sorted(THETAS)), st.data())
+@settings(max_examples=60, deadline=None)
+def test_gamma_matches_oracle_on_product_extensions(X, B, n, data):
+    # X -> X x B -> B with k x = (x, 0), p (x, b) = b, s b = (0, b)
+    A = product_algebra(X, B)
+    e = SplitExtension(X, A, B,
+                       FnTable(X.size, A.size, tuple(x * B.size for x in range(X.size))),
+                       FnTable(A.size, B.size, tuple(a % B.size for a in range(A.size))),
+                       FnTable(B.size, A.size, tuple(range(B.size))))
+    theta = THETAS[n]
+    w = data.draw(st.sampled_from(find_witnesses(e, theta, limit=4)))
+    c = build_canonical(e, theta, w)
+    assert (c.gamma, c.gamma_id) == brute_force_gamma(e, theta, w)
