@@ -180,7 +180,7 @@ def build_canonical(e: SplitExtension, theta: ThetaSpec, w: Witness,
                            gamma, gamma_id)
 
     # third carrier definition: retraction through the candidate operations
-    via_theta = membership_by_term(c)
+    via_theta = membership_by_term(c, budget=budget)
     if via_theta != y_indices:
         raise InternalCheckFailed("candidate-operation carrier differs from im(psi)")
     return c
@@ -192,7 +192,8 @@ def membership_by_gamma_id(c: CanonicalExtension) -> list[int]:
             if c.gamma_id[z] == c.space.unpack(z)[0]]
 
 
-def membership_by_term(c, omega: Optional[TermSpec] = None) -> list[int]:
+def membership_by_term(c, omega: Optional[TermSpec] = None,
+                       budget: int = DEFAULT_BUDGET) -> list[int]:
     """Ambient indices z whose first n coordinates are reproduced by
     evaluating ``omega`` (default: the witness term) in the candidate
     operations with every other argument at the zero tuple.
@@ -202,7 +203,11 @@ def membership_by_term(c, omega: Optional[TermSpec] = None) -> list[int]:
     Any term acting as the identity when its non-distinguished arguments
     are zero defines the same subset on genuine extension data; the term
     is validated to have that unit property on X and B (WrongTheta).
+    Raises SearchBudgetExceeded when |X^n x B| exceeds ``budget``.
     """
+    if c.space.size > budget:
+        raise SearchBudgetExceeded(
+            f"membership test needs {c.space.size} ambient tuples, budget is {budget}")
     omega = omega or c.theta
     for alg, label in ((c.X, "kernel"), (c.B, "base")):
         if not check_theta_admissible(omega, alg):
@@ -213,11 +218,17 @@ def membership_by_term(c, omega: Optional[TermSpec] = None) -> list[int]:
             if c.space.unpack(ops.retract(omega, z))[0] == c.space.unpack(z)[0]]
 
 
-def gamma_table(c: CanonicalExtension, omega: TermSpec) -> tuple[tuple[int, ...], ...]:
+def gamma_table(c: CanonicalExtension, omega: TermSpec,
+                budget: int = DEFAULT_BUDGET) -> tuple[tuple[int, ...], ...]:
     """Action table of an arbitrary term: evaluate it in the candidate
     operations over every ambient argument tuple and keep the first n
     output coordinates.  For a single basic operation this reproduces the
-    stored table."""
+    stored table.  Raises SearchBudgetExceeded when the table would hold
+    more than ``budget`` entries, |X^n x B|^arity."""
+    needed = c.space.size ** omega.arity
+    if needed > budget:
+        raise SearchBudgetExceeded(
+            f"action table needs {needed} entries, budget is {budget}")
     ops = c.candidate_ops()
     entries = []
     for args in product(c.space.indices(), repeat=omega.arity):

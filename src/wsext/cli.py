@@ -8,6 +8,7 @@ morphism-check.  Exit codes are part of the machine contract:
       obstruction found)
   2   validation failure (extension or morphism laws broken)
   64  file, parse, or usage errors
+  70  internal error (a bug in wsext; one line on stderr, no traceback)
 
 Plain output is line oriented and stable across runs and worker counts;
 --json emits a versioned document instead.
@@ -16,6 +17,8 @@ Plain output is line oriented and stable across runs and worker counts;
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import sys
 from pathlib import Path
 from typing import Optional
@@ -51,6 +54,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INVALID = 2
 EXIT_USAGE = 64
+EXIT_SOFTWARE = 70
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,6 +100,24 @@ def _resolve_theta(args, signature) -> ThetaSpec:
     if args.theta:
         return theta_from_obj(args.theta, signature, base_dir=Path.cwd())
     raise FileFormatError("a witness term is required (--theta or --theta-vars/--theta-term)")
+
+
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector and restore its earlier state.
+
+    Used around the parsing and writing of action-data documents: their
+    millions of lists and tuples hold no cycles, and each would otherwise
+    re-trigger collections that walk the whole heap.  The library never
+    touches the collector; only this command-line process does.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def _emit(lines: list[str]) -> None:
@@ -199,9 +221,10 @@ def cmd_canonicalize(args) -> int:
 
     c = can.build_canonical(e, theta, witness, budget=args.budget)
     verification = can.verify_isomorphism(e, c, witness)
-    doc = canonical_to_obj(c, axioms=axioms, verification=verification)
     if args.out:
-        dump_json(doc, args.out)
+        with _collector_paused():
+            dump_json(canonical_to_obj(c, axioms=axioms, verification=verification),
+                      args.out)
 
     core = [en for en in verification.entries if en.name != "section_transport"]
     core_ok = all(en.ok for en in core)
@@ -232,7 +255,9 @@ def cmd_canonicalize(args) -> int:
 # -- gamma-check --------------------------------------------------------------------
 
 def cmd_gamma_check(args) -> int:
-    g = gamma_from_obj(_load_json(Path(args.gamma)), Path(args.gamma).parent)
+    # the decoded document is garbage once gamma_from_obj returns
+    with _collector_paused():
+        g = gamma_from_obj(_load_json(Path(args.gamma)), Path(args.gamma).parent)
     # the conditions are computed once per data set; the carrier size and
     # the rebuild reuse them
     rep = gb.check_conditions(g, budget=args.budget)
@@ -420,6 +445,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a bug, not a verdict on the input: never exit 1
+        message = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return EXIT_SOFTWARE
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ coordinate projections.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 from typing import Optional, Sequence
 
 from .ambient import CandidateOps, TupleSpace
@@ -47,8 +47,11 @@ class GammaData:
     """Raw action data: algebras, witness term, per-operation tables, axioms.
 
     Construction is the one place action tables are checked: one table per
-    operation, |X^n x B|^arity entries each, every entry an n-tuple of exact
-    ints in 0..|X|-1 (bool and float are rejected, not coerced).
+    operation, |X^n x B|^arity entries each, every entry a sequence of n
+    exact ints in 0..|X|-1 (bool and float are rejected, not coerced).
+    Each table is checked in whole-table passes and stored as a tuple of
+    shared n-tuples, one per distinct entry; only a rejected table is
+    walked entry by entry, to name its first bad entry.
     """
 
     X: FiniteAlgebra
@@ -65,6 +68,10 @@ class GammaData:
         require_admissible(self.theta, self.X, "kernel algebra")
         require_admissible(self.theta, self.B, "base algebra")
         space, n, size = self.space, self.n, self.X.size
+        # the valid entries, each keyed by itself: a lookup returns the one
+        # shared tuple for all equal entries
+        shared = {xs: xs for xs in product(range(size), repeat=n)}
+        gamma = {}
         for name, arity in self.X.signature.ops:
             if name not in self.gamma:
                 raise MissingTable(f"no action table for operation {name!r}")
@@ -73,17 +80,14 @@ class GammaData:
                 raise ArityMismatch(
                     f"action table for {name!r} has {len(table)} entries, "
                     f"expected {space.size}^{arity}")
-            for entry in table:
-                if len(entry) != n:
-                    raise ArityMismatch(
-                        f"action entry {entry} for {name!r} is not an {n}-tuple")
-                for x in entry:
-                    if type(x) is not int or not 0 <= x < size:
-                        raise EntryOutOfRange(
-                            f"action entry {entry} outside the kernel carrier")
+            stored = _shared_entries(table, shared)
+            if stored is None:
+                _raise_first_bad_entry(name, table, n, size)
+            gamma[name] = stored
         extra = set(self.gamma) - set(self.X.signature.op_names())
         if extra:
             raise SignatureMismatch(f"action tables for unknown operations {sorted(extra)}")
+        object.__setattr__(self, "gamma", gamma)
 
     @property
     def n(self) -> int:
@@ -97,7 +101,33 @@ class GammaData:
         return CandidateOps(self.space, self.gamma, self.B, self.X.zero)
 
 
-def compute_Y(g: GammaData, membership_term: Optional[TermSpec] = None) -> list[int]:
+def _shared_entries(table: Sequence, shared: dict) -> Optional[tuple]:
+    """The table as a tuple of the tuples in ``shared``, computed in
+    whole-table passes; None unless every entry is a key of ``shared`` and
+    every value an exact int (bool and float compare equal to ints, so
+    they are ruled out by type first)."""
+    if not set(map(type, chain.from_iterable(table))) <= {int}:
+        return None
+    try:
+        return tuple(map(shared.__getitem__, map(tuple, table)))
+    except KeyError:
+        return None
+
+
+def _raise_first_bad_entry(name: str, table: Sequence, n: int, size: int) -> None:
+    """Name the first entry that is not n exact ints in 0..size-1."""
+    for entry in map(tuple, table):
+        if len(entry) != n:
+            raise ArityMismatch(
+                f"action entry {entry} for {name!r} is not an {n}-tuple")
+        for x in entry:
+            if type(x) is not int or not 0 <= x < size:
+                raise EntryOutOfRange(
+                    f"action entry {entry} outside the kernel carrier")
+
+
+def compute_Y(g: GammaData, membership_term: Optional[TermSpec] = None,
+              budget: int = DEFAULT_BUDGET) -> list[int]:
     """The carrier subset, as ascending (= lexicographic) ambient indices.
 
     Membership of (xs, b) means the witness term, evaluated in the
@@ -105,11 +135,12 @@ def compute_Y(g: GammaData, membership_term: Optional[TermSpec] = None) -> list[
     tuple, reproduces xs (``canonical.membership_by_term``).  An alternative
     term with the same unit property may be supplied (WrongTheta when it
     lacks it); if its subset differs the data is inconsistent and
-    MembershipDiscrepancy is raised.
+    MembershipDiscrepancy is raised.  Raises SearchBudgetExceeded when
+    |X^n x B| exceeds ``budget``.
     """
-    base = membership_by_term(g)
+    base = membership_by_term(g, budget=budget)
     if membership_term is not None:
-        alt = membership_by_term(g, membership_term)
+        alt = membership_by_term(g, membership_term, budget=budget)
         if alt != base:
             diff = sorted(set(alt) ^ set(base))
             raise MembershipDiscrepancy(
@@ -156,7 +187,7 @@ def _checked(g: GammaData, budget: int) -> tuple[Report, _Carrier]:
 def _check(g: GammaData, budget: int) -> tuple[Report, _Carrier]:
     rep = Report()
     ops = g.candidate_ops()
-    Y = compute_Y(g)
+    Y = compute_Y(g, budget=budget)
     y_pos = {z: i for i, z in enumerate(Y)}
 
     # 1: closure + defining identities on the carrier; the closure pass

@@ -12,6 +12,7 @@ byte-level comparison of two runs is meaningful.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
@@ -67,15 +68,14 @@ def _int(value: Any, what: str) -> int:
 
 
 def _flatten_table(nested: Any, size: int, arity: int, what: str) -> list:
-    """Row-major flatten of an arity-deep nested array over {0..size-1}."""
-    if arity == 0:
-        return [nested]
-    if not isinstance(nested, list) or len(nested) != size:
-        raise FileFormatError(f"{what}: expected a list of length {size}")
-    out = []
-    for row in nested:
-        out.extend(_flatten_table(row, size, arity - 1, what))
-    return out
+    """Row-major flatten of an arity-deep nested array over {0..size-1},
+    one nesting level per pass; the leaves are not inspected."""
+    level = [nested]
+    for _ in range(arity):
+        if not (set(map(type, level)) <= {list} and set(map(len, level)) <= {size}):
+            raise FileFormatError(f"{what}: expected a list of length {size}")
+        level = list(chain.from_iterable(level))
+    return level
 
 
 def _nest_table(flat: Sequence, size: int, arity: int) -> Any:
@@ -249,7 +249,8 @@ _GAMMA_EXTRAS = ["schema", "n", "Y", "ops_Y", "k_prime", "pi_B", "iota_B",
 
 def gamma_from_obj(obj: Source, base_dir: Optional[Path] = None) -> GammaData:
     """Action data from a document.  Only the JSON structure is checked here
-    (nesting lengths, list leaves); GammaData checks the tables themselves:
+    (nesting lengths, list leaves), in whole-level passes; the entry lists
+    go to GammaData as they are, which checks the tables themselves:
     missing and unknown operations, entry lengths, and entry values.
 
     Of the extras that canonical_to_obj writes, ``schema`` and ``n`` are
@@ -271,11 +272,10 @@ def gamma_from_obj(obj: Source, base_dir: Optional[Path] = None) -> GammaData:
     for name, arity in X.signature.ops:
         if name in gamma:
             flat = _flatten_table(gamma[name], ambient, arity, f"gamma {name!r}")
-            for entry in flat:
-                if type(entry) is not list:
-                    raise FileFormatError(
-                        f"gamma {name!r}: entries must be lists of {theta.n} integers")
-            gamma[name] = tuple(map(tuple, flat))
+            if not set(map(type, flat)) <= {list}:
+                raise FileFormatError(
+                    f"gamma {name!r}: entries must be lists of {theta.n} integers")
+            gamma[name] = flat
     axioms = equations_from_obj(obj.get("axioms", []), X.signature)
     return GammaData(X, B, theta, gamma, axioms)
 
@@ -368,7 +368,11 @@ def _rows(obj: Any, pad: str) -> str:
 
 def dump_json(obj: Any, path: Union[str, Path]) -> None:
     """Write a document with one leaf row per line (see _rows)."""
-    Path(path).write_text(_rows(obj, "") + "\n")
+    text = _rows(obj, "") + "\n"
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise FileFormatError(f"cannot write {path}: {exc}") from exc
 
 
 def to_text(obj: Any) -> str:

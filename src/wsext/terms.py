@@ -69,6 +69,11 @@ def format_term(t: Term) -> str:
 
 _DELIMS = "()"
 
+# Parenthesis nesting allowed in term text.  Evaluation, printing and the
+# equation kernels recurse once or twice per level, so the cap keeps every
+# parsed term well inside the interpreter's recursion limit.
+MAX_TERM_DEPTH = 200
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     """Tokens are ('(' | ')' | 'sym', text, offset)."""
@@ -102,7 +107,8 @@ def parse_term(text: str, sig: "Signature", vars: Sequence[str]) -> Term:
     """Parse s-expression term text against a signature and variable list.
 
     Variables shadow nothing: a declared variable whose name collides with
-    an operation symbol is rejected up front.
+    an operation symbol is rejected up front.  Applications nested more than
+    MAX_TERM_DEPTH deep are a TermSyntaxError.
     """
     var_list = list(vars)
     require_distinct_vars(var_list)
@@ -117,7 +123,7 @@ def parse_term(text: str, sig: "Signature", vars: Sequence[str]) -> Term:
 
     pos = 0
 
-    def parse() -> Term:
+    def parse(depth: int) -> Term:
         nonlocal pos
         if pos >= len(tokens):
             raise TermSyntaxError("unexpected end of input", len(text))
@@ -136,6 +142,8 @@ def parse_term(text: str, sig: "Signature", vars: Sequence[str]) -> Term:
                 return App(val, ())
             raise UnknownSymbol(f"symbol {val!r} is neither a variable nor an operation")
         # kind == "(" : an application
+        if depth >= MAX_TERM_DEPTH:
+            raise TermSyntaxError(f"term nested more than {MAX_TERM_DEPTH} levels deep", off)
         if pos >= len(tokens):
             raise TermSyntaxError("unterminated '('", off)
         hkind, hval, hoff = tokens[pos]
@@ -151,13 +159,13 @@ def parse_term(text: str, sig: "Signature", vars: Sequence[str]) -> Term:
             if tokens[pos][0] == ")":
                 pos += 1
                 break
-            args.append(parse())
+            args.append(parse(depth + 1))
         if len(args) != sig.arity(hval):
             raise ArityMismatch(
                 f"operation {hval!r} expects {sig.arity(hval)} arguments, got {len(args)}")
         return App(hval, tuple(args))
 
-    result = parse()
+    result = parse(0)
     if pos != len(tokens):
         raise TermSyntaxError("trailing input after term", tokens[pos][2])
     return result

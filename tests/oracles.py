@@ -9,6 +9,7 @@ implementations on small instances.
 from itertools import product
 
 from wsext.algebra import Equation, FiniteAlgebra, FnTable, is_homomorphism
+from wsext.errors import ArityMismatch, EntryOutOfRange
 from wsext.extension import SplitExtension, Witness
 from wsext.report import CheckResult
 from wsext.terms import ThetaSpec, eval_term
@@ -75,6 +76,20 @@ def brute_force_gamma(e: SplitExtension, theta: ThetaSpec, w: Witness):
             w.values_at(e.A.op(name, tuple(phi[z] for z in args)))
             for args in product(range(len(ambient)), repeat=arity))
     return gamma, tuple(w.values_at(a) for a in phi)
+
+
+def brute_force_entry_error(ops, gamma, n: int, size: int):
+    """(exception class, message) for the first action entry, walking each
+    operation's table entry by entry in signature order, that is not an
+    n-tuple of exact ints in 0..size-1; None when there is none."""
+    for name, _ in ops:
+        for entry in gamma[name]:
+            if len(entry) != n:
+                return ArityMismatch, f"action entry {entry} for {name!r} is not an {n}-tuple"
+            for x in entry:
+                if type(x) is not int or not 0 <= x < size:
+                    return EntryOutOfRange, f"action entry {entry} outside the kernel carrier"
+    return None
 
 
 def witness_key(w: Witness):

@@ -276,6 +276,22 @@ def test_gamma_table_for_basic_op_matches_stored(example):
     assert gamma_table(c, omega) == c.gamma["+"]
 
 
+def test_gamma_table_respects_budget(example):
+    e, w, _, theta = example
+    c = build_canonical(e, theta, w)
+    assert len(gamma_table(c, theta, budget=8 ** 3)) == 8 ** 3
+    with pytest.raises(SearchBudgetExceeded):
+        gamma_table(c, theta, budget=8 ** 3 - 1)
+
+
+def test_membership_by_term_respects_budget(example):
+    e, w, _, theta = example
+    c = build_canonical(e, theta, w)
+    assert membership_by_term(c, budget=8) == membership_by_gamma_id(c)
+    with pytest.raises(SearchBudgetExceeded):
+        membership_by_term(c, budget=7)
+
+
 def test_gamma_table_for_theta_retracts_to_gamma_id(example):
     e, w, _, theta = example
     c = build_canonical(e, theta, w)

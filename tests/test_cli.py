@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import subprocess
@@ -10,12 +11,18 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wsext import build_canonical, gammabuild, verify_isomorphism
+from wsext import build_canonical, cli, gammabuild, verify_isomorphism
 from wsext.algebra import FnTable
 from wsext.cli import main
 from wsext.extension import SplitExtension, Witness
 from wsext.fixtures import EXTENSIONS, fixture_path
-from wsext.serialize import canonical_to_obj, extension_to_obj, gamma_from_obj, to_text
+from wsext.serialize import (
+    canonical_to_obj,
+    extension_to_obj,
+    gamma_from_obj,
+    load_extension,
+    to_text,
+)
 
 from conftest import load_fixture
 
@@ -30,6 +37,13 @@ MAGMA = str(fixture_path("left_unital_magma"))
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "wsext", *args],
                           capture_output=True, text=True, timeout=60)
+
+
+def _assert_one_error_line(res):
+    assert res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in res.stderr
 
 
 def test_check_example_exits_zero_and_reports_sizes():
@@ -297,10 +311,7 @@ def test_negative_counts_are_usage_errors(args):
 def test_canonicalize_respects_budget():
     res = run_cli("canonicalize", EXAMPLE, "--theta", THETA_XZY, "--budget", "1")
     assert res.returncode == 64
-    assert res.stdout == ""
-    lines = res.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "Traceback" not in res.stderr
+    _assert_one_error_line(res)
 
 
 def test_deeply_nested_json_is_a_file_error(tmp_path):
@@ -309,6 +320,56 @@ def test_deeply_nested_json_is_a_file_error(tmp_path):
     res = run_cli("gamma-check", str(path))
     assert res.returncode == 64
     assert res.stderr.startswith("error: ")
+    assert "Traceback" not in res.stderr
+
+
+def _deep(depth, inner):
+    """(+ x1 (+ x1 .. inner)): a term ``depth`` applications deep."""
+    return "(+ x1 " * depth + inner + ")" * depth
+
+
+def test_deep_inline_term_is_a_parse_error():
+    res = run_cli("check", EXAMPLE, "--theta-vars", "x1,x2,y",
+                  "--theta-term", _deep(3000, "(+ y x2)"))
+    assert res.returncode == 64
+    _assert_one_error_line(res)
+
+
+def test_deep_theta_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps({"vars": ["x1", "x2", "y"], "term": _deep(3000, "(+ y x2)")}))
+    res = run_cli("check", EXAMPLE, "--theta", str(path))
+    assert res.returncode == 64
+    _assert_one_error_line(res)
+
+
+def test_deep_extension_axiom_is_a_parse_error(tmp_path):
+    e, w, _ = load_extension(EXAMPLE)
+    doc = extension_to_obj(e, witness=w)
+    doc["axioms"] = [{"vars": ["x1", "y"], "lhs": _deep(3000, "y"), "rhs": "y"}]
+    path = tmp_path / "ext.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("check", str(path), "--theta", THETA_XZY)
+    assert res.returncode == 64
+    _assert_one_error_line(res)
+
+
+def test_internal_errors_exit_70_with_one_line(monkeypatch, capsys):
+    def broken(args):
+        raise ZeroDivisionError("boom\nsecond line")
+
+    monkeypatch.setattr(cli, "cmd_check", broken)
+    assert main(["check", EXAMPLE, "--theta", THETA_XZY]) == 70
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: ZeroDivisionError: boom second line\n"
+
+
+def test_unwritable_output_is_a_file_error(tmp_path):
+    out = tmp_path / "missing-dir" / "canon.json"
+    res = run_cli("canonicalize", EXAMPLE, "--theta", THETA_XZY, "-o", str(out))
+    assert res.returncode == 64
+    assert res.stderr.startswith("error: cannot write ")
     assert "Traceback" not in res.stderr
 
 
@@ -419,10 +480,44 @@ def test_gamma_check_malformed_data_is_a_file_error(case, tmp_path):
     path.write_text(json.dumps(doc))
     res = run_cli("gamma-check", str(path))
     assert res.returncode == 64
-    assert res.stdout == ""
-    lines = res.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "Traceback" not in res.stderr
+    _assert_one_error_line(res)
+
+
+def _collector_cases(tmp):
+    """(argv, expected exit) for the commands that pause the collector."""
+    good, bad, broken = tmp / "good.json", tmp / "bad.json", tmp / "broken.json"
+    good.write_text(_canonical_text())
+    doc = json.loads(_canonical_text())
+    MALFORMED_GAMMA["out-of-range value"](doc)
+    bad.write_text(json.dumps(doc))
+    broken.write_text("{oops")
+    return {
+        "gamma-check": (["gamma-check", str(good), "--rebuild", str(tmp / "r.json")], 0),
+        "canonicalize -o": (["canonicalize", EXAMPLE, "--theta", THETA_XZY,
+                             "-o", str(tmp / "c.json")], 0),
+        "malformed action data": (["gamma-check", str(bad)], 64),
+        "invalid JSON": (["gamma-check", str(broken)], 64),
+        "unwritable output": (["canonicalize", EXAMPLE, "--theta", THETA_XZY,
+                               "-o", str(tmp / "missing-dir" / "c.json")], 64),
+    }
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("case", ["gamma-check", "canonicalize -o", "malformed action data",
+                                  "invalid JSON", "unwritable output"])
+def test_cli_restores_the_collector_state(case, enabled, tmp_path, capsys):
+    argv, code = _collector_cases(tmp_path)[case]
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+    capsys.readouterr()
 
 
 def _leaf_paths(node, path=()):

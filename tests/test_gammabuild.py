@@ -24,6 +24,7 @@ from wsext.errors import (
     EntryOutOfRange,
     IotaNotInY,
     MembershipDiscrepancy,
+    SearchBudgetExceeded,
     WrongTheta,
 )
 from wsext.canonical import membership_by_gamma_id
@@ -63,6 +64,13 @@ def test_extracted_example_carrier_has_five_elements():
     Y = compute_Y(g)
     assert len(Y) == 5
     assert Y == membership_by_gamma_id(c)
+
+
+def test_compute_Y_respects_budget():
+    g = product_gamma_data()
+    assert compute_Y(g, budget=4) == list(range(4))
+    with pytest.raises(SearchBudgetExceeded):
+        compute_Y(g, budget=3)
 
 
 def test_product_data_carrier_is_everything():

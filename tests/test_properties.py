@@ -25,7 +25,15 @@ from wsext import (
     trivial_algebra,
 )
 
-from oracles import brute_force_equation, brute_force_gamma, brute_force_homs
+from wsext.errors import ArityMismatch, EntryOutOfRange
+from wsext.gammabuild import GammaData
+
+from oracles import (
+    brute_force_entry_error,
+    brute_force_equation,
+    brute_force_gamma,
+    brute_force_homs,
+)
 
 MSIG = Signature((("+", 2), ("0", 0)), "0")
 
@@ -244,3 +252,50 @@ def test_gamma_matches_oracle_on_product_extensions(X, B, n, data):
     w = data.draw(st.sampled_from(find_witnesses(e, theta, limit=4)))
     c = build_canonical(e, theta, w)
     assert (c.gamma, c.gamma_id) == brute_force_gamma(e, theta, w)
+
+
+# -- action-data entry checks against the per-entry oracle ----------------------------
+
+def sum_theta(n: int) -> ThetaSpec:
+    """(+ x1 (+ x2 .. (+ xn y))): admissible wherever 0 is a unit of +."""
+    vars_ = [f"x{i + 1}" for i in range(n)] + ["y"]
+    text = "y"
+    for v in reversed(vars_[:-1]):
+        text = f"(+ {v} {text})"
+    return ThetaSpec(tuple(vars_), parse_term(text, USIG, vars_))
+
+
+BAD_LEAVES = ["wrong length", True, 1.5, -1, "|X|", 10 ** 30, "x", None]
+
+
+@given(unital_algebras(3), unital_algebras(2), st.integers(1, 3), st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_gamma_data_entry_checks_match_oracle(X, B, n, as_lists, data):
+    ambient = X.size ** n * B.size
+    entry = st.lists(st.integers(0, X.size - 1), min_size=n, max_size=n)
+    tables = {name: data.draw(st.lists(entry, min_size=ambient ** arity,
+                                       max_size=ambient ** arity))
+              for name, arity in USIG.ops}
+    for _ in range(data.draw(st.integers(0, 2))):
+        name = data.draw(st.sampled_from(USIG.op_names()))
+        i = data.draw(st.integers(0, len(tables[name]) - 1))
+        target = tables[name][i]
+        bad = data.draw(st.sampled_from(BAD_LEAVES))
+        if bad == "wrong length":
+            tables[name][i] = data.draw(st.sampled_from([target[:-1], target + [0]]))
+        elif target:
+            j = data.draw(st.integers(0, len(target) - 1))
+            target[j] = X.size if bad == "|X|" else bad
+    as_tuples = {name: tuple(map(tuple, t)) for name, t in tables.items()}
+    given_tables = tables if as_lists else as_tuples
+    expected = brute_force_entry_error(USIG.ops, as_tuples, n, X.size)
+    try:
+        g = GammaData(X, B, sum_theta(n), given_tables, ())
+    except (ArityMismatch, EntryOutOfRange) as exc:
+        assert (type(exc), str(exc)) == expected
+    else:
+        assert expected is None
+        assert g.gamma == as_tuples
+        # equal entries are one shared tuple
+        for table in g.gamma.values():
+            assert len(set(map(id, table))) == len(set(table))
