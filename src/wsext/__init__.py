@@ -24,7 +24,6 @@ from .canonical import (
     gamma_table,
     membership_by_gamma_id,
     membership_by_term,
-    phi,
     psi,
     sigma_tau_decompose,
     verify_isomorphism,
@@ -39,6 +38,7 @@ from .extension import (
     feasible_tuples,
     find_witnesses,
     is_schreier,
+    phi,
     product_extension_check,
     pullback_extension,
     semiabelian_witness,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import (
@@ -77,6 +78,49 @@ def table_index(size: int, args: Sequence[int]) -> int:
     return idx
 
 
+def table_args(size: int, arity: int, idx: int) -> tuple[int, ...]:
+    """The argument tuple at a flat table index (inverse of table_index)."""
+    args = []
+    for _ in range(arity):
+        idx, a = divmod(idx, size)
+        args.append(a)
+    return tuple(reversed(args))
+
+
+def lex_columns(radices: Sequence[int]) -> list[list[int]]:
+    """The columns of the mixed-radix grid over ``radices`` in lex order:
+    column j holds coordinate j of every grid point, the last coordinate
+    varying fastest.  The grid has prod(radices) points (1 when empty)."""
+    total = stride = prod(radices)
+    columns = []
+    for r in radices:
+        stride //= r
+        column = [v for v in range(r) for _ in range(stride)]
+        columns.append(column * (total // len(column)))
+    return columns
+
+
+# Grid points per block in lex_blocks: kernels that tabulate a term over a
+# grid hold O(term nodes * GRID_BLOCK) integers at a time, whatever its size.
+GRID_BLOCK = 1 << 14
+
+
+def lex_blocks(radices: Sequence[int]) -> Iterator[tuple[int, list[list[int]]]]:
+    """The grid of lex_columns in consecutive blocks, in lex order.
+
+    Each block fixes the leading coordinates and runs the trailing ones
+    over their whole range: as many trailing coordinates as fit in
+    GRID_BLOCK points (at least none).  Yields (points, columns) per block.
+    """
+    split, points = len(radices), 1
+    while split and points * radices[split - 1] <= GRID_BLOCK:
+        split -= 1
+        points *= radices[split]
+    tail = lex_columns(radices[split:])
+    for head in product(*(range(r) for r in radices[:split])):
+        yield points, [[h] * points for h in head] + tail
+
+
 @dataclass(frozen=True, eq=True)
 class FiniteAlgebra:
     """A finite algebra: carrier {0..size-1} and one flat table per op."""
@@ -92,9 +136,6 @@ class FiniteAlgebra:
 
     def op(self, name: str, args: Sequence[int]) -> int:
         return self.tables[name][table_index(self.size, args)]
-
-    def elements(self) -> range:
-        return range(self.size)
 
     def arg_tuples(self, arity: int) -> Iterator[tuple[int, ...]]:
         return product(range(self.size), repeat=arity)
@@ -185,22 +226,29 @@ def _require_same_signature(A: FiniteAlgebra, B: FiniteAlgebra) -> None:
 def is_homomorphism(f: FnTable, A: FiniteAlgebra, B: FiniteAlgebra) -> CheckResult:
     """Does f commute with every operation table (constants included)?
 
-    The counterexample records the operation and argument tuple where the
-    two evaluation orders first disagree.
+    Each operation is compared as two flat tables over its argument
+    tuples in lex order; the counterexample records the operation and the
+    first argument tuple where the two evaluation orders disagree.
     """
     _require_same_signature(A, B)
     if f.dom_size != A.size or f.cod_size != B.size:
         raise SizeMismatch(
             f"table is {f.dom_size}->{f.cod_size}, algebras are {A.size}->{B.size}")
+    fv = f.values
     for name, arity in A.signature.ops:
-        for args in A.arg_tuples(arity):
-            lhs = f(A.op(name, args))
-            rhs = B.op(name, tuple(f(a) for a in args))
-            if lhs != rhs:
-                return CheckResult(False, {
-                    "op": name, "args": list(args),
-                    "f(op(args))": lhs, "op(f(args))": rhs,
-                })
+        # f(op_A(args)) against op_B read at the flat index of f(args)
+        idx = [0]
+        for _ in range(arity):
+            idx = [i * B.size + v for i in idx for v in fv]
+        lhs = [fv[v] for v in A.tables[name]]
+        table = B.tables[name]
+        rhs = [table[i] for i in idx]
+        if lhs != rhs:
+            j = next(j for j, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+            return CheckResult(False, {
+                "op": name, "args": list(table_args(A.size, arity, j)),
+                "f(op(args))": lhs[j], "op(f(args))": rhs[j],
+            })
     return CheckResult(True)
 
 
@@ -365,31 +413,21 @@ def check_equation(A: FiniteAlgebra, eq: Equation) -> CheckResult:
     """Exhaustively check an identity on A; the counterexample is the first
     failing assignment in lexicographic order of the variable list.
 
-    The assignments are taken in blocks, one per value of the first
-    variable: each term node is tabulated over the block's |A|^(k-1)
-    assignments (k variables) as one flat list, so a block holds
-    O(nodes * |A|^(k-1)) integers and every assignment is still checked.
+    The assignments are taken in the blocks of lex_blocks: each term node is
+    tabulated over one block as one flat list, so a block holds
+    O(nodes * GRID_BLOCK) integers and every assignment is still checked.
     """
-    size, k = A.size, len(eq.vars)
-    block = size ** (k - 1) if k else 1
-    # the values of variables 2..k over one block, in lex order
-    rest = []
-    for j in range(1, k):
-        stride = size ** (k - 1 - j)
-        column = [v for v in range(size) for _ in range(stride)]
-        rest.append(column * (block // len(column)))
-    for first in range(size) if k else (0,):
-        env = dict(zip(eq.vars, [[first] * block] + rest))
-        lhs = _tabulate(eq.lhs, A, env, block)
-        rhs = _tabulate(eq.rhs, A, env, block)
+    offset = 0
+    for points, columns in lex_blocks([A.size] * len(eq.vars)):
+        env = dict(zip(eq.vars, columns))
+        lhs = _tabulate(eq.lhs, A, env, points)
+        rhs = _tabulate(eq.rhs, A, env, points)
         if lhs != rhs:
             i = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-            flat, values = first * block + i, []
-            for _ in range(k):
-                flat, v = divmod(flat, size)
-                values.append(v)
-            return CheckResult(False, {"assignment": dict(zip(eq.vars, reversed(values))),
+            values = table_args(A.size, len(eq.vars), offset + i)
+            return CheckResult(False, {"assignment": dict(zip(eq.vars, values)),
                                        "lhs": lhs[i], "rhs": rhs[i]})
+        offset += points
     return CheckResult(True)
 
 

@@ -15,8 +15,7 @@ these candidate operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .algebra import FiniteAlgebra, table_index
 from .errors import ArityMismatch, EntryOutOfRange, UnboundVariable
@@ -55,11 +54,6 @@ class TupleSpace:
             xs.append(idx % self.x_size)
             idx //= self.x_size
         return tuple(reversed(xs)), b
-
-    def tuples(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        for xs in product(range(self.x_size), repeat=self.n):
-            for b in range(self.b_size):
-                yield xs, b
 
     def indices(self) -> range:
         return range(self.size)

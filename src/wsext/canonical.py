@@ -29,11 +29,12 @@ from .errors import (
 from .extension import (
     SplitExtension,
     Witness,
+    phi,
     require_valid,
     require_witness,
 )
 from .report import Report
-from .terms import TermSpec, ThetaSpec, check_theta_admissible, require_admissible
+from .terms import TermSpec, ThetaSpec, check_theta_admissible
 
 
 def ambient_space(e: SplitExtension, n: int) -> TupleSpace:
@@ -45,17 +46,6 @@ def psi(e: SplitExtension, w: Witness) -> FnTable:
     space = ambient_space(e, w.n)
     return FnTable(e.A.size, space.size,
                    tuple(space.pack(w.values_at(a), e.p(a)) for a in range(e.A.size)))
-
-
-def phi(e: SplitExtension, theta: ThetaSpec) -> FnTable:
-    """Tabulate (x_1, .., x_n, b) -> theta(k x_1, .., k x_n, s b)."""
-    require_admissible(theta, e.A, "middle algebra")
-    space = ambient_space(e, theta.n)
-    values = []
-    for z in space.indices():
-        xs, b = space.unpack(z)
-        values.append(theta.eval(e.A, tuple(e.k(x) for x in xs) + (e.s(b),)))
-    return FnTable(space.size, e.A.size, tuple(values))
 
 
 @dataclass(frozen=True)
@@ -138,12 +128,6 @@ def build_canonical(e: SplitExtension, theta: ThetaSpec, w: Witness,
         gamma[name] = tuple(q_of[table[i]] for i in idx)
     gamma_id = tuple(q_of[a] for a in phis)
 
-    # fixpoint definition of Y must reproduce the image of psi
-    fixpoint = [z for z in space.indices()
-                if gamma_id[z] == space.unpack(z)[0]]
-    if fixpoint != y_indices:
-        raise InternalCheckFailed("fixpoint carrier differs from the image of psi")
-
     # transported operations on Y, cross-checked against the gamma form
     ops_Y: dict[str, tuple[int, ...]] = {}
     for name, arity in e.A.signature.ops:
@@ -178,6 +162,10 @@ def build_canonical(e: SplitExtension, theta: ThetaSpec, w: Witness,
 
     c = CanonicalExtension(e.X, e.B, n, theta, Y, ops_Y, k_prime, pi_B, iota_B,
                            gamma, gamma_id)
+
+    # fixpoint definition of Y must reproduce the image of psi
+    if membership_by_gamma_id(c) != y_indices:
+        raise InternalCheckFailed("fixpoint carrier differs from the image of psi")
 
     # third carrier definition: retraction through the candidate operations
     via_theta = membership_by_term(c, budget=budget)

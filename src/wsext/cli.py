@@ -337,7 +337,7 @@ def cmd_pullback(args) -> int:
 def cmd_product_check(args) -> int:
     X = algebra_from_obj(_load_json(Path(args.algebra)), Path(args.algebra).parent)
     theta = _resolve_theta(args, X.signature)
-    res = ext.product_extension_check(X, theta)
+    res = ext.product_extension_check(X, theta, budget=args.budget)
     if args.json:
         _emit_json({
             "schema": JSON_SCHEMA,

@@ -5,11 +5,14 @@ p, where k is injective with image exactly the preimage of B's zero.  A
 witness for the term theta (arity n+1) is an n-tuple of plain functions
 q_i : A -> X satisfying  theta(k q_1(a), .., k q_n(a), s p(a)) = a.
 
-Witness search is organized per element: for each a the feasible kernel
-tuples T(a) are computed first (the defining condition is pointwise), so
-existence costs |A| * |X|^n term evaluations instead of a search over
-function space.  Witness enumeration is the lexicographic product of the
-T(a) lists, elements of A in increasing index.
+Everything here derives from one map, the comparison map
+phi(x_1, .., x_n, b) = theta(k x_1, .., k x_n, s b) on X^n x B, tabulated
+flat over the ambient tuples, one block of them at a time.  A witness
+picks a preimage in each fibre of phi, so the feasible kernel tuples T(a)
+are the xs with phi(xs, p(a)) = a, read off the table in one pass instead
+of a search over function space; the extension is Schreier iff phi is a
+bijection onto A.  Witness enumeration is the lexicographic product of
+the T(a) lists, elements of A in increasing index.
 """
 
 from __future__ import annotations
@@ -22,9 +25,12 @@ from .algebra import (
     DEFAULT_BUDGET,
     FiniteAlgebra,
     FnTable,
+    _tabulate,
     is_homomorphism,
+    lex_blocks,
     pullback_algebra,
     subalgebra_closure,
+    table_args,
 )
 from .errors import (
     AlphaAxiomFailed,
@@ -122,9 +128,23 @@ class Witness:
         return tuple(qi.values for qi in self.q)
 
 
-def theta_at(e: SplitExtension, theta: ThetaSpec, xs: Sequence[int], a: int) -> int:
-    """theta evaluated in A at kernel coordinates xs (through k) and s(p(a))."""
-    return theta.eval(e.A, tuple(e.k(x) for x in xs) + (e.s(e.p(a)),))
+def _comparison(e: SplitExtension, theta: ThetaSpec, x_columns: Sequence[Sequence[int]],
+                b_column: Sequence[int]) -> list[int]:
+    """The column kernel of phi: theta evaluated in A, entry by entry, at k
+    of each kernel column and s of the base column."""
+    k, s = e.k.values, e.s.values
+    columns = [[k[x] for x in col] for col in x_columns] + [[s[b] for b in b_column]]
+    return _tabulate(theta.term, e.A, dict(zip(theta.vars, columns)), len(b_column))
+
+
+def phi(e: SplitExtension, theta: ThetaSpec) -> FnTable:
+    """Tabulate the comparison map (x_1, .., x_n, b) -> theta(k x_1, .., k x_n, s b)
+    over the ambient tuples of X^n x B in lex order, block by block."""
+    require_admissible(theta, e.A, "middle algebra")
+    values: list[int] = []
+    for _, (*x_columns, b_column) in lex_blocks([e.X.size] * theta.n + [e.B.size]):
+        values += _comparison(e, theta, x_columns, b_column)
+    return FnTable(len(values), e.A.size, tuple(values))
 
 
 def validate_witness(
@@ -133,7 +153,8 @@ def validate_witness(
     w: Witness,
     normalized: bool = False,
 ) -> CheckResult:
-    """Check the defining equation at every element of A.
+    """Check the defining equation at every element of A: the column kernel
+    of phi over the witness's own columns (q_1, .., q_n, p) must return a.
 
     With ``normalized`` also require q_i(0_A) = 0_X for every component.
     """
@@ -142,10 +163,10 @@ def validate_witness(
     for qi in w.q:
         if qi.dom_size != e.A.size or qi.cod_size != e.X.size:
             return CheckResult(False, {"reason": "shape"})
-    for a in range(e.A.size):
-        got = theta_at(e, theta, w.values_at(a), a)
-        if got != a:
-            return CheckResult(False, {"a": a, "value": got})
+    got = _comparison(e, theta, w.arrays(), e.p.values)
+    bad = next((a for a, v in enumerate(got) if v != a), None)
+    if bad is not None:
+        return CheckResult(False, {"a": bad, "value": got[bad]})
     if normalized:
         vals = w.values_at(e.A.zero)
         if vals != (e.X.zero,) * w.n:
@@ -169,9 +190,11 @@ def feasible_tuples(
     workers: int = 1,
 ) -> list[list[tuple[int, ...]]]:
     """Per element a, the lexicographic list of kernel tuples xs with
-    theta(k xs, s p(a)) = a.  With ``normalize``, the zero element of A
+    theta(k xs, s p(a)) = a: one pass over phi puts xs into T(phi(xs, b))
+    whenever p(phi(xs, b)) = b.  With ``normalize``, the zero element of A
     admits only the all-zero tuple (always feasible when theta is
-    admissible on A).  ``workers`` is accepted for compatibility and has
+    admissible on A).  The budget caps |A| * |X|^n, the size of the search
+    the table replaces.  ``workers`` is accepted for compatibility and has
     no effect."""
     require_admissible(theta, e.A, "middle algebra")
     n = theta.n
@@ -180,9 +203,12 @@ def feasible_tuples(
         raise SearchBudgetExceeded(
             f"witness feasibility needs {cost} evaluations, budget is {budget}")
 
-    T = [[xs for xs in product(range(e.X.size), repeat=n)
-          if theta_at(e, theta, xs, a) == a]
-         for a in range(e.A.size)]
+    xs_of = list(product(range(e.X.size), repeat=n))
+    nb, p = e.B.size, e.p.values
+    T: list[list[tuple[int, ...]]] = [[] for _ in range(e.A.size)]
+    for z, a in enumerate(phi(e, theta).values):
+        if p[a] == z % nb:
+            T[a].append(xs_of[z // nb])
     if normalize:
         zero_tuple = (e.X.zero,) * n
         if zero_tuple not in T[e.A.zero]:
@@ -293,7 +319,7 @@ def semiabelian_witness(
 
 
 def is_schreier(e: SplitExtension, theta: ThetaSpec, workers: int = 1) -> bool:
-    """True iff the evaluation map (xs, b) -> theta(k xs, s b) is a
+    """True iff the comparison map phi, (xs, b) -> theta(k xs, s b), is a
     bijection onto A: every element decomposes, and uniquely.
 
     Injectivity alone would accept extensions with no witness at all
@@ -301,10 +327,7 @@ def is_schreier(e: SplitExtension, theta: ThetaSpec, workers: int = 1) -> bool:
     top of existence, so both halves are tested.  ``workers`` is accepted
     for compatibility and has no effect.
     """
-    require_admissible(theta, e.A, "middle algebra")
-    values = [theta.eval(e.A, tuple(e.k(x) for x in xs) + (e.s(b),))
-              for xs in product(range(e.X.size), repeat=theta.n)
-              for b in range(e.B.size)]
+    values = phi(e, theta).values
     return len(set(values)) == len(values) == e.A.size
 
 
@@ -360,25 +383,38 @@ class ProductCheck:
         return self.ok
 
 
-def product_extension_check(X: FiniteAlgebra, theta: ThetaSpec) -> ProductCheck:
+def product_extension_check(X: FiniteAlgebra, theta: ThetaSpec,
+                            budget: int = DEFAULT_BUDGET) -> ProductCheck:
     """Can every x be written theta(y_1, .., y_n, 0) within X itself?
 
     Equivalent at finite scale to X --id--> X --> 1 having a witness, and
     hence (by pullback stability) to every product projection X x B -> B
-    having one.  Returns the lexicographically first choice per element,
-    or the first unreachable element.
+    having one.  theta(ys, 0) is tabulated over the |X|^n tuples ys in lex
+    order, block by block until every element is reached
+    (SearchBudgetExceeded when |X|^n exceeds ``budget``).  Returns the
+    lexicographically first choice per element, or the first unreachable
+    element.
     """
     require_admissible(theta, X, "kernel algebra")
     n = theta.n
-    choices = []
-    for x in range(X.size):
-        found = next((ys for ys in product(range(X.size), repeat=n)
-                      if theta.eval(X, ys + (X.zero,)) == x), None)
-        if found is None:
-            return ProductCheck(False, None, x)
-        choices.append(found)
-    q = tuple(FnTable(X.size, X.size, tuple(choices[x][i] for x in range(X.size)))
-              for i in range(n))
+    cost = X.size ** n
+    if cost > budget:
+        raise SearchBudgetExceeded(
+            f"product check needs {cost} evaluations, budget is {budget}")
+    first: dict[int, int] = {}  # x -> lex index of its first ys
+    offset = 0
+    for points, ys_columns in lex_blocks([X.size] * n):
+        env = dict(zip(theta.vars, ys_columns + [[X.zero] * points]))
+        for j, x in enumerate(_tabulate(theta.term, X, env, points)):
+            first.setdefault(x, offset + j)
+        if len(first) == X.size:
+            break
+        offset += points
+    missing = next((x for x in range(X.size) if x not in first), None)
+    if missing is not None:
+        return ProductCheck(False, None, missing)
+    choices = [table_args(X.size, n, first[x]) for x in range(X.size)]
+    q = tuple(FnTable(X.size, X.size, tuple(ys[i] for ys in choices)) for i in range(n))
     return ProductCheck(True, q, None)
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +10,18 @@ from wsext import serialize as S
 from wsext.fixtures import EXTENSIONS, fixture_path
 
 EXTENSION_NAMES = sorted(EXTENSIONS)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(*args):
+    """Run ``python -m wsext`` in a child process that imports this
+    checkout's sources first, whatever the caller's PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run([sys.executable, "-m", "wsext", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def load_fixture(name: str):

@@ -8,11 +8,11 @@ implementations on small instances.
 
 from itertools import product
 
-from wsext.algebra import Equation, FiniteAlgebra, FnTable, is_homomorphism
-from wsext.errors import ArityMismatch, EntryOutOfRange
+from wsext.algebra import Equation, FiniteAlgebra, FnTable
+from wsext.errors import ArityMismatch, EntryOutOfRange, InternalCheckFailed
 from wsext.extension import SplitExtension, Witness
 from wsext.report import CheckResult
-from wsext.terms import ThetaSpec, eval_term
+from wsext.terms import ThetaSpec, eval_term, require_admissible
 
 
 def all_functions(dom_size: int, cod_size: int):
@@ -20,14 +20,100 @@ def all_functions(dom_size: int, cod_size: int):
     return product(range(cod_size), repeat=dom_size)
 
 
+def brute_force_homomorphism(f: FnTable, A: FiniteAlgebra, B: FiniteAlgebra) -> CheckResult:
+    """f(op(args)) against op(f(args)), one argument tuple at a time in lex
+    order per operation; the first disagreement is the counterexample."""
+    for name, arity in A.signature.ops:
+        for args in product(range(A.size), repeat=arity):
+            lhs = f(A.op(name, args))
+            rhs = B.op(name, tuple(f(a) for a in args))
+            if lhs != rhs:
+                return CheckResult(False, {
+                    "op": name, "args": list(args),
+                    "f(op(args))": lhs, "op(f(args))": rhs,
+                })
+    return CheckResult(True)
+
+
 def brute_force_homs(A, B):
     """Filter of the homomorphism predicate over all |B|^|A| functions."""
     out = []
     for values in all_functions(A.size, B.size):
         f = FnTable(A.size, B.size, values)
-        if is_homomorphism(f, A, B):
+        if brute_force_homomorphism(f, A, B):
             out.append(f)
     return out
+
+
+def theta_at(e: SplitExtension, theta: ThetaSpec, xs, b: int) -> int:
+    """theta evaluated in A by structural recursion at k xs and s b."""
+    return theta.eval(e.A, tuple(e.k(x) for x in xs) + (e.s(b),))
+
+
+def brute_force_phi(e: SplitExtension, theta: ThetaSpec) -> list[int]:
+    """The comparison map over X^n x B in lex order, one term evaluation
+    per ambient tuple."""
+    return [theta_at(e, theta, z[:-1], z[-1])
+            for z in product(*[range(e.X.size)] * theta.n, range(e.B.size))]
+
+
+def brute_force_feasible(e: SplitExtension, theta: ThetaSpec, normalize: bool):
+    """T(a) by trying every kernel tuple at every element: |A| * |X|^n
+    term evaluations, then the all-zero tuple alone at 0_A."""
+    require_admissible(theta, e.A, "middle algebra")
+    n = theta.n
+    T = [[xs for xs in product(range(e.X.size), repeat=n)
+          if theta_at(e, theta, xs, e.p(a)) == a]
+         for a in range(e.A.size)]
+    if normalize:
+        zero_tuple = (e.X.zero,) * n
+        if zero_tuple not in T[e.A.zero]:
+            raise InternalCheckFailed(
+                "all-zero tuple infeasible at 0_A despite admissible theta")
+        T[e.A.zero] = [zero_tuple]
+    return T
+
+
+def brute_force_schreier(e: SplitExtension, theta: ThetaSpec) -> bool:
+    """Every a has exactly one ambient tuple with phi(xs, b) = a."""
+    require_admissible(theta, e.A, "middle algebra")
+    values = brute_force_phi(e, theta)
+    return all(values.count(a) == 1 for a in range(e.A.size)) and len(values) == e.A.size
+
+
+def brute_force_witness_check(e: SplitExtension, theta: ThetaSpec, w: Witness,
+                              normalized: bool = False) -> CheckResult:
+    """The defining equation element by element, then normalization."""
+    if w.n != theta.n:
+        return CheckResult(False, {"reason": "arity", "witness_n": w.n, "theta_n": theta.n})
+    for qi in w.q:
+        if qi.dom_size != e.A.size or qi.cod_size != e.X.size:
+            return CheckResult(False, {"reason": "shape"})
+    for a in range(e.A.size):
+        got = theta_at(e, theta, w.values_at(a), e.p(a))
+        if got != a:
+            return CheckResult(False, {"a": a, "value": got})
+    if normalized:
+        vals = w.values_at(e.A.zero)
+        if vals != (e.X.zero,) * w.n:
+            return CheckResult(False, {"a": e.A.zero, "tuple": list(vals),
+                                       "reason": "not normalized"})
+    return CheckResult(True)
+
+
+def brute_force_product_check(X: FiniteAlgebra, theta: ThetaSpec):
+    """(choices, obstruction): per x the lex-first ys with theta(ys, 0) = x,
+    scanning all |X|^n tuples for each x; obstruction is the first x with
+    none."""
+    require_admissible(theta, X, "kernel algebra")
+    choices = []
+    for x in range(X.size):
+        found = next((ys for ys in product(range(X.size), repeat=theta.n)
+                      if theta.eval(X, ys + (X.zero,)) == x), None)
+        if found is None:
+            return None, x
+        choices.append(found)
+    return choices, None
 
 
 def brute_force_witnesses(e: SplitExtension, theta: ThetaSpec, normalized: bool):
@@ -67,14 +153,12 @@ def brute_force_gamma(e: SplitExtension, theta: ThetaSpec, w: Witness):
     arguments in lexicographic order, gamma_op(z_1, .., z_r) =
     q(op_A(phi z_1, .., phi z_r)) with
     phi(x_1, .., x_n, b) = theta(k x_1, .., k x_n, s b)."""
-    ambient = list(product(*[range(e.X.size)] * theta.n, range(e.B.size)))
-    phi = [theta.eval(e.A, tuple(e.k(x) for x in z[:-1]) + (e.s(z[-1]),))
-           for z in ambient]
+    phi = brute_force_phi(e, theta)
     gamma = {}
     for name, arity in e.A.signature.ops:
         gamma[name] = tuple(
             w.values_at(e.A.op(name, tuple(phi[z] for z in args)))
-            for args in product(range(len(ambient)), repeat=arity))
+            for args in product(range(len(phi)), repeat=arity))
     return gamma, tuple(w.values_at(a) for a in phi)
 
 

@@ -5,7 +5,6 @@ without ``-s`` the per-criterion verdicts still appear as test outcomes.
 """
 
 import json
-import subprocess
 import sys
 import time
 from contextlib import contextmanager
@@ -35,7 +34,7 @@ from wsext.errors import IotaNotInY
 from wsext.fixtures import fixture_path
 from wsext.terms import TermSpec, ThetaSpec
 
-from conftest import EXTENSION_NAMES, load_fixture
+from conftest import EXTENSION_NAMES, load_fixture, run_cli
 from oracles import brute_force_witnesses, witness_key
 
 
@@ -49,11 +48,6 @@ def criterion(name):
         raise
     elapsed = time.monotonic() - started
     print(f"[acceptance] {name}: PASS ({elapsed:.2f}s)", file=sys.stderr)
-
-
-def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "wsext", *args],
-                          capture_output=True, text=True, timeout=120)
 
 
 EXAMPLE = str(fixture_path("example_monoid"))

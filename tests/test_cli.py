@@ -2,8 +2,6 @@ import contextlib
 import gc
 import io
 import json
-import subprocess
-import sys
 import tempfile
 from functools import lru_cache
 from pathlib import Path
@@ -24,7 +22,7 @@ from wsext.serialize import (
     to_text,
 )
 
-from conftest import load_fixture
+from conftest import load_fixture, run_cli
 
 EXAMPLE = str(fixture_path("example_monoid"))
 THETA_XZY = str(fixture_path("theta_monoid_xzy"))
@@ -32,11 +30,6 @@ THETA_SUM = str(fixture_path("theta_monoid_sum"))
 HEYTING = str(fixture_path("heyting_chain"))
 THETA_H = str(fixture_path("theta_heyting"))
 MAGMA = str(fixture_path("left_unital_magma"))
-
-
-def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "wsext", *args],
-                          capture_output=True, text=True, timeout=60)
 
 
 def _assert_one_error_line(res):
@@ -211,6 +204,24 @@ def test_product_check_magma_obstruction():
     payload = json.loads(res.stdout)
     assert payload["ok"] is False
     assert payload["obstruction"] == 1
+
+
+def test_product_check_respects_budget(tmp_path):
+    # theta(ys, 0) is tabulated over |X|^n = 12^5 tuples, far over the budget
+    z12 = {"signature": {"ops": [{"name": "+", "arity": 2}, {"name": "0", "arity": 0}],
+                         "constant": "0"},
+           "size": 12, "tables": {"+": [[(a + b) % 12 for b in range(12)] for a in range(12)],
+                                  "0": 0}}
+    path = tmp_path / "z12.json"
+    path.write_text(json.dumps(z12))
+    res = run_cli("product-check", str(path), "--theta-vars", "x1,x2,x3,x4,x5,y",
+                  "--theta-term", "(+ x1 y)", "--budget", "10")
+    assert res.returncode == 64
+    _assert_one_error_line(res)
+    assert res.stderr == "error: product check needs 248832 evaluations, budget is 10\n"
+    res = run_cli("product-check", str(path), "--theta-vars", "x,y",
+                  "--theta-term", "(+ x y)", "--budget", "12")
+    assert res.returncode == 0
 
 
 def test_morphism_check_identity(tmp_path):

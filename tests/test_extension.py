@@ -21,7 +21,12 @@ from wsext import (
     validate_split_extension,
     validate_witness,
 )
-from wsext.errors import AlphaAxiomFailed, InvalidMorphism, SearchBudgetExceeded
+from wsext.errors import (
+    AlphaAxiomFailed,
+    InvalidMorphism,
+    SearchBudgetExceeded,
+    ThetaNotAdmissible,
+)
 from wsext.serialize import load_algebra
 from wsext.fixtures import fixture_path
 
@@ -283,6 +288,17 @@ def test_magma_product_check_obstructed_at_one():
     assert not res.ok
     assert res.obstruction == 1
     assert res.q is None
+
+
+def test_product_check_respects_budget(example):
+    e, _, _, theta = example  # n = 2 over a 2-element kernel: 4 tuples ys
+    with pytest.raises(SearchBudgetExceeded, match="needs 4 evaluations, budget is 3"):
+        product_extension_check(e.X, theta, budget=3)
+    assert product_extension_check(e.X, theta, budget=4).ok
+    # admissibility is checked before the budget
+    bogus = ThetaSpec(theta.vars, parse_term("(+ x1 x2)", MSIG, list(theta.vars)))
+    with pytest.raises(ThetaNotAdmissible):
+        product_extension_check(e.X, bogus, budget=0)
 
 
 def test_example_kernel_passes_product_check(example):

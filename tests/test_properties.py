@@ -1,7 +1,11 @@
 """Property-based checks over randomly generated small structures."""
 
+import json
+from contextlib import contextmanager
 from itertools import product
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from wsext import (
@@ -18,6 +22,7 @@ from wsext import (
     find_witnesses,
     format_term,
     is_homomorphism,
+    check_theta_admissible,
     make_algebra,
     parse_term,
     product_algebra,
@@ -25,17 +30,59 @@ from wsext import (
     trivial_algebra,
 )
 
-from wsext.errors import ArityMismatch, EntryOutOfRange
+from wsext import algebra
+from wsext.errors import ArityMismatch, EntryOutOfRange, ToolkitError
+from wsext.extension import (
+    Witness,
+    feasible_tuples,
+    is_schreier,
+    phi,
+    product_extension_check,
+    validate_witness,
+)
+from wsext.fixtures import fixture_path
 from wsext.gammabuild import GammaData
+from wsext.serialize import theta_from_obj
+
+from conftest import EXTENSION_NAMES, load_fixture
 
 from oracles import (
     brute_force_entry_error,
     brute_force_equation,
+    brute_force_feasible,
     brute_force_gamma,
+    brute_force_homomorphism,
     brute_force_homs,
+    brute_force_phi,
+    brute_force_product_check,
+    brute_force_schreier,
+    brute_force_witness_check,
 )
 
 MSIG = Signature((("+", 2), ("0", 0)), "0")
+
+# grid block sizes for the flat kernels: tiny ones cut even small grids
+# into many blocks, the real one keeps them whole
+GRID_BLOCKS = st.sampled_from([1, 2, 3, 7, algebra.GRID_BLOCK])
+
+
+@contextmanager
+def grid_block(points):
+    with mock.patch.object(algebra, "GRID_BLOCK", points):
+        yield
+
+
+@given(st.lists(st.integers(1, 4), max_size=4), st.integers(1, 20))
+def test_lex_blocks_cut_the_lex_grid_in_order(radices, points):
+    with grid_block(points):
+        blocks = list(algebra.lex_blocks(radices))
+    grid = algebra.lex_columns(radices)
+    joined = [[v for _, columns in blocks for v in columns[j]] for j in range(len(radices))]
+    assert joined == grid
+    assert sum(p for p, _ in blocks) == len(list(product(*map(range, radices))))
+    for p, columns in blocks:
+        assert all(len(c) == p for c in columns)
+        assert p <= points or p == 1
 
 
 @st.composite
@@ -211,11 +258,12 @@ def sig4_terms(vars_):
     ), max_leaves=6)
 
 
-@given(sig4_algebras(), st.data())
-def test_check_equation_matches_oracle_on_random_algebras(A, data):
+@given(sig4_algebras(), GRID_BLOCKS, st.data())
+def test_check_equation_matches_oracle_on_random_algebras(A, points, data):
     vars_ = data.draw(st.lists(st.sampled_from("xyz"), max_size=3, unique=True))
     terms_ = sig4_terms(vars_)
-    assert_same_result(A, Equation(tuple(vars_), data.draw(terms_), data.draw(terms_)))
+    with grid_block(points):
+        assert_same_result(A, Equation(tuple(vars_), data.draw(terms_), data.draw(terms_)))
 
 
 # -- canonical action tables against the per-entry oracle -----------------------------
@@ -299,3 +347,165 @@ def test_gamma_data_entry_checks_match_oracle(X, B, n, as_lists, data):
         # equal entries are one shared tuple
         for table in g.gamma.values():
             assert len(set(map(id, table))) == len(set(table))
+
+
+# -- is_homomorphism against the per-tuple oracle ----------------------------------------
+
+@given(relabelled_cyclic_groups(), st.data())
+def test_is_homomorphism_matches_oracle(G, data):
+    # the identity of G, and of algebras one entry away from G, perturbed in
+    # at most one value: the counterexample must be the oracle's first one
+    B = data.draw(st.one_of(st.just(G), sig4_algebras().filter(lambda B: B.size == G.size)))
+    values = list(range(G.size))
+    if data.draw(st.booleans()):
+        values[data.draw(st.integers(0, G.size - 1))] = data.draw(st.integers(0, G.size - 1))
+    f = FnTable(G.size, G.size, tuple(values))
+    assert repr(is_homomorphism(f, G, B)) == repr(brute_force_homomorphism(f, G, B))
+
+
+@given(sig4_algebras(), sig4_algebras(), st.data())
+def test_is_homomorphism_matches_oracle_on_random_maps(A, B, data):
+    f = FnTable(A.size, B.size, tuple(data.draw(st.lists(
+        st.integers(0, B.size - 1), min_size=A.size, max_size=A.size))))
+    assert repr(is_homomorphism(f, A, B)) == repr(brute_force_homomorphism(f, A, B))
+
+
+# -- the comparison map against the per-element oracles -----------------------------------
+
+def usig_terms(vars_):
+    leaves = st.sampled_from([Var(v) for v in vars_] + [App("0", ())])
+    return st.recursive(leaves, lambda kids: st.one_of(
+        kids.map(lambda a: App("-", (a,))),
+        st.tuples(kids, kids).map(lambda ab: App("+", ab)),
+    ), max_leaves=6)
+
+
+def outcome(fn):
+    """A call's value, or the class and message of the toolkit error it raised."""
+    try:
+        return "value", fn()
+    except ToolkitError as exc:
+        return "raised", type(exc), str(exc)
+
+
+def product_extension(X, B):
+    """X -> X x B -> B with k x = (x, 0), p (x, b) = b, s b = (0, b)."""
+    A = product_algebra(X, B)
+    return SplitExtension(X, A, B,
+                          FnTable(X.size, A.size, tuple(x * B.size for x in range(X.size))),
+                          FnTable(A.size, B.size, tuple(a % B.size for a in range(A.size))),
+                          FnTable(B.size, A.size, tuple(range(B.size))))
+
+
+def perturb(f: FnTable, data) -> FnTable:
+    """f with one value replaced (possibly by itself)."""
+    values = list(f.values)
+    values[data.draw(st.integers(0, f.dom_size - 1))] = data.draw(
+        st.integers(0, f.cod_size - 1))
+    return FnTable(f.dom_size, f.cod_size, tuple(values))
+
+
+@given(unital_algebras(3), unital_algebras(2), st.integers(1, 3), st.booleans(),
+       st.sampled_from(["none", "p", "s"]), GRID_BLOCKS, st.data())
+@settings(max_examples=120, deadline=None)
+def test_comparison_map_matches_oracles(X, B, n, normalize, broken, points, data):
+    with grid_block(points):
+        compare_comparison_map(X, B, n, normalize, broken, data)
+
+
+def compare_comparison_map(X, B, n, normalize, broken, data):
+    e = product_extension(X, B)
+    if broken != "none":
+        maps = {"k": e.k, "p": e.p, "s": e.s}
+        maps[broken] = perturb(maps[broken], data)
+        e = SplitExtension(X, e.A, B, **maps)
+    vars_ = [f"x{i + 1}" for i in range(n)] + ["y"]
+    # the sum term is admissible; a random term usually is not
+    theta = data.draw(st.one_of(
+        st.just(sum_theta(n)),
+        usig_terms(vars_).map(lambda t: ThetaSpec(tuple(vars_), t))))
+
+    assert outcome(lambda: feasible_tuples(e, theta, normalize=normalize)) == \
+        outcome(lambda: brute_force_feasible(e, theta, normalize))
+    assert outcome(lambda: is_schreier(e, theta)) == \
+        outcome(lambda: brute_force_schreier(e, theta))
+    if check_theta_admissible(theta, e.A):
+        assert phi(e, theta).values == tuple(brute_force_phi(e, theta))
+
+    # a found witness, or random maps, with at most one value changed
+    found = outcome(lambda: find_witnesses(e, theta, normalize=normalize, limit=3))
+    q = (list(data.draw(st.sampled_from(found[1])).q) if found[0] == "value" and found[1]
+         else [FnTable(e.A.size, X.size, tuple(data.draw(st.lists(
+             st.integers(0, X.size - 1), min_size=e.A.size, max_size=e.A.size))))
+               for _ in range(n)])
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, n - 1))
+        q[i] = perturb(q[i], data)
+    w = Witness(n, tuple(q))
+    for normalized in (False, True):
+        assert repr(validate_witness(e, theta, w, normalized)) == \
+            repr(brute_force_witness_check(e, theta, w, normalized))
+
+
+def single_changes(w: Witness):
+    """w and every witness that differs from it in exactly one value."""
+    yield w
+    for i, qi in enumerate(w.q):
+        for a in range(qi.dom_size):
+            for x in range(qi.cod_size):
+                if x != qi(a):
+                    values = list(qi.values)
+                    values[a] = x
+                    q = list(w.q)
+                    q[i] = FnTable(qi.dom_size, qi.cod_size, tuple(values))
+                    yield Witness(w.n, tuple(q))
+
+
+@pytest.mark.parametrize("name", EXTENSION_NAMES)
+def test_comparison_map_matches_oracles_on_fixtures(name):
+    # every bundled witness term of the fixture's signature; on
+    # example_monoid the binary sum term has |X x B| < |A|, so phi can be
+    # injective without being onto
+    e, file_witness, _, _ = load_fixture(name)
+    for theta_name in ("theta_monoid_sum", "theta_monoid_xzy", "theta_group", "theta_heyting"):
+        try:
+            theta = theta_from_obj(json.loads(fixture_path(theta_name).read_text()),
+                                   e.A.signature)
+        except ToolkitError:
+            continue
+        for normalize in (False, True):
+            assert outcome(lambda: feasible_tuples(e, theta, normalize=normalize)) == \
+                outcome(lambda: brute_force_feasible(e, theta, normalize))
+        assert outcome(lambda: is_schreier(e, theta)) == \
+            outcome(lambda: brute_force_schreier(e, theta))
+        assert phi(e, theta).values == tuple(brute_force_phi(e, theta))
+        candidates = find_witnesses(e, theta, normalize=False, limit=2)
+        if file_witness is not None and file_witness.n == theta.n:
+            candidates.append(file_witness)
+        for w in candidates:
+            for changed in single_changes(w):
+                for normalized in (False, True):
+                    assert repr(validate_witness(e, theta, changed, normalized)) == \
+                        repr(brute_force_witness_check(e, theta, changed, normalized))
+
+
+@given(unital_algebras(4), st.integers(1, 3), GRID_BLOCKS, st.data())
+@settings(deadline=None)
+def test_product_check_matches_oracle(X, n, points, data):
+    vars_ = [f"x{i + 1}" for i in range(n)] + ["y"]
+    theta = data.draw(st.one_of(
+        st.just(sum_theta(n)),
+        usig_terms(vars_).map(lambda t: ThetaSpec(tuple(vars_), t))))
+    with grid_block(points):
+        res = outcome(lambda: product_extension_check(X, theta))
+    expected = outcome(lambda: brute_force_product_check(X, theta))
+    if expected[0] == "raised":
+        assert res == expected
+        return
+    choices, obstruction = expected[1]
+    ok, q, got_obstruction = res[1].ok, res[1].q, res[1].obstruction
+    assert (ok, got_obstruction) == (obstruction is None, obstruction)
+    if ok:
+        assert [tuple(qi(x) for qi in q) for x in range(X.size)] == choices
+    else:
+        assert q is None
