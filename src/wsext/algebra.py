@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import prod
-from typing import Iterator, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     ArityMismatch,
@@ -75,6 +76,16 @@ def table_index(size: int, args: Sequence[int]) -> int:
     idx = 0
     for a in args:
         idx = idx * size + a
+    return idx
+
+
+def fold_indices(size: int, values: Sequence[int], arity: int) -> list[int]:
+    """Flat table indices, radix ``size``, of every arity-tuple drawn from
+    ``values`` in lex order: entry j is table_index(size, args) where args
+    is the j-th tuple of ``product(values, repeat=arity)``."""
+    idx = [0]
+    for _ in range(arity):
+        idx = [i * size + v for i in idx for v in values]
     return idx
 
 
@@ -223,6 +234,41 @@ def _require_same_signature(A: FiniteAlgebra, B: FiniteAlgebra) -> None:
         raise SignatureMismatch("algebras have different signatures")
 
 
+def _gather(idx: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """A callable that reads seq[i] for every i in ``idx`` into one tuple,
+    in one C-level pass (operator.itemgetter, which returns a bare item
+    rather than a tuple when given a single index)."""
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda seq: (seq[i],)
+    return itemgetter(*idx)
+
+
+def _square_failure(f: Sequence[Optional[int]], A: FiniteAlgebra,
+                    B: FiniteAlgebra) -> Optional[tuple[str, tuple[int, ...]]]:
+    """First (op, args), in signature then lex order, where the map f from
+    A's carrier to B's is undefined (None) at an argument or at op_A(args),
+    or where f(op_A(args)) != op_B(f(args)); None when f is a homomorphism.
+    Each operation is compared as two flat tables, f read through A's table
+    against B's table read at the index fold of f; the argument tuples are
+    walked only to name the first failure."""
+    defined = [v is not None for v in f]
+    total = all(defined)
+    f0 = [0 if v is None else v for v in f]
+    for name, arity in A.signature.ops:
+        lhs = _gather(A.tables[name])(f)
+        rhs = _gather(fold_indices(B.size, f0, arity))(B.tables[name])
+        if total and lhs == rhs:
+            continue
+        # bit i of args_defined[j] says whether f is defined at argument i
+        args_defined = fold_indices(2, defined, arity)
+        bad = next((j for j, (u, v, d) in enumerate(zip(lhs, rhs, args_defined))
+                    if u is None or d != 2 ** arity - 1 or u != v), None)
+        if bad is not None:
+            return name, table_args(A.size, arity, bad)
+    return None
+
+
 def is_homomorphism(f: FnTable, A: FiniteAlgebra, B: FiniteAlgebra) -> CheckResult:
     """Does f commute with every operation table (constants included)?
 
@@ -234,22 +280,15 @@ def is_homomorphism(f: FnTable, A: FiniteAlgebra, B: FiniteAlgebra) -> CheckResu
     if f.dom_size != A.size or f.cod_size != B.size:
         raise SizeMismatch(
             f"table is {f.dom_size}->{f.cod_size}, algebras are {A.size}->{B.size}")
-    fv = f.values
-    for name, arity in A.signature.ops:
-        # f(op_A(args)) against op_B read at the flat index of f(args)
-        idx = [0]
-        for _ in range(arity):
-            idx = [i * B.size + v for i in idx for v in fv]
-        lhs = [fv[v] for v in A.tables[name]]
-        table = B.tables[name]
-        rhs = [table[i] for i in idx]
-        if lhs != rhs:
-            j = next(j for j, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-            return CheckResult(False, {
-                "op": name, "args": list(table_args(A.size, arity, j)),
-                "f(op(args))": lhs[j], "op(f(args))": rhs[j],
-            })
-    return CheckResult(True)
+    fail = _square_failure(f.values, A, B)
+    if fail is None:
+        return CheckResult(True)
+    name, args = fail
+    return CheckResult(False, {
+        "op": name, "args": list(args),
+        "f(op(args))": f(A.op(name, args)),
+        "op(f(args))": B.op(name, tuple(map(f, args))),
+    })
 
 
 def enumerate_homomorphisms(

@@ -15,11 +15,21 @@ term x + z + y.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Optional
+from itertools import chain, compress, product, repeat
+from operator import eq
+from typing import Optional, Sequence
 
 from .ambient import CandidateOps, TupleSpace
-from .algebra import DEFAULT_BUDGET, FiniteAlgebra, FnTable, table_index
+from .algebra import (
+    DEFAULT_BUDGET,
+    FiniteAlgebra,
+    FnTable,
+    _gather,
+    _square_failure,
+    _tabulate,
+    fold_indices,
+    table_args,
+)
 from .errors import (
     InternalCheckFailed,
     SearchBudgetExceeded,
@@ -81,6 +91,25 @@ class CanonicalExtension:
         return CandidateOps(self.space, self.gamma, self.B, self.X.zero)
 
 
+def _action_table(A: FiniteAlgebra, name: str, arity: int, phis: Sequence[int],
+                  q_of: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """gamma_op(z_1, .., z_r) = q(op_A(phi z_1, .., phi z_r)), row by row.
+
+    The table factors through phi: the leaf row over z_r for the A-values
+    (a_1, .., a_{r-1}) of the leading arguments is
+    q o op_A(a_1, .., a_{r-1}, -) o phi, so at most |A|^(r-1) distinct rows
+    exist.  Each is computed once from its row of A's table and the rows
+    are concatenated along the phi-fold of the leading arguments."""
+    table = A.tables[name]
+    if arity == 0:
+        return (q_of[table[0]],)
+    at_phi = _gather(phis)
+    prefixes = fold_indices(A.size, phis, arity - 1)
+    rows = {i: _gather(at_phi(table[i * A.size:(i + 1) * A.size]))(q_of)
+            for i in set(prefixes)}
+    return tuple(chain.from_iterable(map(rows.__getitem__, prefixes)))
+
+
 def build_canonical(e: SplitExtension, theta: ThetaSpec, w: Witness,
                     budget: int = DEFAULT_BUDGET) -> CanonicalExtension:
     """Construct Y, the transported operations, the action tables, and the
@@ -102,82 +131,93 @@ def build_canonical(e: SplitExtension, theta: ThetaSpec, w: Witness,
         raise SearchBudgetExceeded(
             f"action tables need {entries} entries, budget is {budget}")
     psi_t = psi(e, w)
-    phi_t = phi(e, theta)
+    phis = phi(e, theta).values
 
     for a in range(e.A.size):
-        if phi_t(psi_t(a)) != a:
-            raise InternalCheckFailed(f"phi(psi({a})) = {phi_t(psi_t(a))}")
+        if phis[psi_t(a)] != a:
+            raise InternalCheckFailed(f"phi(psi({a})) = {phis[psi_t(a)]}")
 
     y_indices = sorted(set(psi_t.values))
     if len(y_indices) != e.A.size:
         raise InternalCheckFailed("psi is not injective")
     Y = tuple(space.unpack(z)[0] + (space.unpack(z)[1],) for z in y_indices)
     y_pos = {z: i for i, z in enumerate(y_indices)}
+    psi_Y = [y_pos[z] for z in psi_t.values]  # psi as positions in Y
 
-    # action tables on the full ambient space, by flat composition:
-    # gamma_op(z_1, .., z_r) = q(op_A(phi z_1, .., phi z_r)), read through
-    # the row-major index of (phi z_1, .., phi z_r) in the table of A
     q_of = [w.values_at(a) for a in range(e.A.size)]
-    phis = phi_t.values
-    gamma: dict[str, tuple[tuple[int, ...], ...]] = {}
-    for name, arity in e.A.signature.ops:
-        idx = [0]
-        for _ in range(arity):
-            idx = [i * e.A.size + pz for i in idx for pz in phis]
-        table = e.A.tables[name]
-        gamma[name] = tuple(q_of[table[i]] for i in idx)
-    gamma_id = tuple(q_of[a] for a in phis)
+    gamma = {name: _action_table(e.A, name, arity, phis, q_of)
+             for name, arity in e.A.signature.ops}
+    gamma_id = _gather(phis)(q_of)
 
-    # transported operations on Y, cross-checked against the gamma form
-    ops_Y: dict[str, tuple[int, ...]] = {}
-    for name, arity in e.A.signature.ops:
-        values = []
-        for args in product(range(len(Y)), repeat=arity):
-            ambient_args = tuple(y_indices[i] for i in args)
-            a_val = e.A.op(name, tuple(phi_t(z) for z in ambient_args))
-            z_out = psi_t(a_val)
-            xs_expected = gamma[name][table_index(space.size, ambient_args)]
-            b_expected = e.B.op(name, tuple(space.unpack(z)[1] for z in ambient_args))
-            if space.unpack(z_out) != (xs_expected, b_expected):
-                raise InternalCheckFailed(
-                    f"transported {name!r} disagrees with its action table at {args}")
-            values.append(y_pos[z_out])
-        ops_Y[name] = tuple(values)
-
-    k_prime_vals = []
-    for x in range(e.X.size):
-        z = psi_t(e.k(x))
-        # unique (ys, 0_B) in Y with theta_X(ys, 0_X) = x
-        matches = [i for i, t in enumerate(Y)
-                   if t[-1] == e.B.zero and theta.eval(e.X, t[:-1] + (e.X.zero,)) == x]
-        if matches != [y_pos[z]]:
-            raise InternalCheckFailed(
-                f"kernel embedding at {x}: expected unique {y_pos[z]}, found {matches}")
-        k_prime_vals.append(y_pos[z])
-    k_prime = FnTable(e.X.size, len(Y), tuple(k_prime_vals))
-
+    # transported operations: op_Y(y_1, .., y_r) = psi(op_A(phi y_1, .., phi y_r))
+    phi_Y = [phis[z] for z in y_indices]
+    ops_Y = {name: _gather(_gather(fold_indices(e.A.size, phi_Y, arity))(
+                 e.A.tables[name]))(psi_Y)
+             for name, arity in e.A.signature.ops}
+    k_prime = FnTable(e.X.size, len(Y), tuple(psi_Y[a] for a in e.k.values))
     pi_B = FnTable(len(Y), e.B.size, tuple(t[-1] for t in Y))
-    iota_B = FnTable(e.B.size, len(Y),
-                     tuple(y_pos[psi_t(e.s(b))] for b in range(e.B.size)))
+    iota_B = FnTable(e.B.size, len(Y), tuple(psi_Y[a] for a in e.s.values))
 
     c = CanonicalExtension(e.X, e.B, n, theta, Y, ops_Y, k_prime, pi_B, iota_B,
                            gamma, gamma_id)
-
-    # fixpoint definition of Y must reproduce the image of psi
-    if membership_by_gamma_id(c) != y_indices:
-        raise InternalCheckFailed("fixpoint carrier differs from the image of psi")
-
-    # third carrier definition: retraction through the candidate operations
-    via_theta = membership_by_term(c, budget=budget)
-    if via_theta != y_indices:
-        raise InternalCheckFailed("candidate-operation carrier differs from im(psi)")
+    _cross_check(c, budget=budget)
     return c
 
 
+def _cross_check(c: CanonicalExtension, budget: int = DEFAULT_BUDGET) -> None:
+    """Check a canonical form against itself, raising InternalCheckFailed
+    at the first disagreement:
+
+    - each transported operation against the action-table description,
+      op_Y(y_1, .., y_r) = (gamma_op(y_1, .., y_r), op_B(b_1, .., b_r)),
+      naming the first argument tuple (positions in Y) in lex order;
+    - k_prime(x) against the unique (ys, 0_B) in Y with theta_X(ys, 0_X) = x;
+    - Y against the fixpoint carrier and the candidate-operation carrier
+      (membership_by_gamma_id, membership_by_term with ``budget``).
+    """
+    space = c.space
+    y_indices = [space.pack(t[:-1], t[-1]) for t in c.Y]
+    y_xs = [t[:-1] for t in c.Y]
+    y_b = [t[-1] for t in c.Y]
+    for name, arity in c.X.signature.ops:
+        values = c.ops_Y[name]
+        got = list(zip(_gather(values)(y_xs), _gather(values)(y_b)))
+        want = list(zip(
+            _gather(fold_indices(space.size, y_indices, arity))(c.gamma[name]),
+            _gather(fold_indices(c.B.size, y_b, arity))(c.B.tables[name])))
+        if got != want:
+            bad = next(j for j, (u, v) in enumerate(zip(got, want)) if u != v)
+            raise InternalCheckFailed(
+                f"transported {name!r} disagrees with its action table at "
+                f"{table_args(len(c.Y), arity, bad)}")
+
+    # theta_X(ys, 0_X) at every (ys, 0_B) in Y, as one column kernel
+    base = [i for i, b in enumerate(y_b) if b == c.B.zero]
+    columns = [[y_xs[i][j] for i in base] for j in range(c.n)] + [[c.X.zero] * len(base)]
+    matches: list[list[int]] = [[] for _ in range(c.X.size)]
+    for i, x in zip(base, _tabulate(c.theta.term, c.X, dict(zip(c.theta.vars, columns)),
+                                    len(base))):
+        matches[x].append(i)
+    for x in range(c.X.size):
+        if matches[x] != [c.k_prime(x)]:
+            raise InternalCheckFailed(
+                f"kernel embedding at {x}: expected unique {c.k_prime(x)}, "
+                f"found {matches[x]}")
+
+    if membership_by_gamma_id(c) != y_indices:
+        raise InternalCheckFailed("fixpoint carrier differs from the image of psi")
+    if membership_by_term(c, budget=budget) != y_indices:
+        raise InternalCheckFailed("candidate-operation carrier differs from im(psi)")
+
+
 def membership_by_gamma_id(c: CanonicalExtension) -> list[int]:
-    """Ambient indices satisfying the stored fixpoint condition."""
-    return [z for z in c.space.indices()
-            if c.gamma_id[z] == c.space.unpack(z)[0]]
+    """Ambient indices satisfying the stored fixpoint condition
+    gamma_id(z) = (z_1, .., z_n), compared in one pass against the kernel
+    coordinates of every ambient tuple in lex order."""
+    space = c.space
+    xs = product(range(c.X.size), repeat=c.n)
+    xs_of_z = chain.from_iterable(map(repeat, xs, repeat(space.b_size)))
+    return list(compress(space.indices(), map(eq, c.gamma_id, xs_of_z)))
 
 
 def membership_by_term(c, omega: Optional[TermSpec] = None,
@@ -230,7 +270,9 @@ def verify_isomorphism(e: SplitExtension, c: CanonicalExtension, w: Witness) -> 
 
     The section_transport entry compares the transported section with the
     zero-tuple injection b -> (0, .., 0, b); witnesses whose q_i do not
-    vanish on the section image fail that entry (and only it)."""
+    vanish on the section image fail that entry (and only it).  Where
+    psi(a) lies outside Y (a witness that does not belong to ``c``), the
+    entries that need its position in Y fail."""
     rep = Report()
     space = c.space
     psi_t = psi(e, w)
@@ -247,36 +289,18 @@ def verify_isomorphism(e: SplitExtension, c: CanonicalExtension, w: Witness) -> 
     rep.add("psi_phi_identity_on_Y", bad is None,
             "" if bad is None else f"fails at ambient index {bad}")
 
-    def psi_hom_failure():
-        for name, arity in e.A.signature.ops:
-            for args in e.A.arg_tuples(arity):
-                lhs = y_pos[psi_t(e.A.op(name, args))]
-                rhs = YA.op(name, tuple(y_pos[psi_t(a)] for a in args))
-                if lhs != rhs:
-                    return name, args
-        return None
+    # psi and phi as maps between A and Y (psi_Y is None where psi leaves Y)
+    psi_Y = [y_pos.get(z) for z in psi_t.values]
+    phi_Y = [phi_t(z) for z in y_indices]
+    for label, fail in (("psi_homomorphism", _square_failure(psi_Y, e.A, YA)),
+                        ("phi_homomorphism", _square_failure(phi_Y, YA, e.A))):
+        rep.add(label, fail is None,
+                "" if fail is None else f"op {fail[0]!r} at {fail[1]}")
 
-    fail = psi_hom_failure()
-    rep.add("psi_homomorphism", fail is None,
-            "" if fail is None else f"op {fail[0]!r} at {fail[1]}")
-
-    def phi_hom_failure():
-        for name, arity in e.A.signature.ops:
-            for args in product(range(len(c.Y)), repeat=arity):
-                lhs = phi_t(y_indices[YA.op(name, args)])
-                rhs = e.A.op(name, tuple(phi_t(y_indices[i]) for i in args))
-                if lhs != rhs:
-                    return name, args
-        return None
-
-    fail = phi_hom_failure()
-    rep.add("phi_homomorphism", fail is None,
-            "" if fail is None else f"op {fail[0]!r} at {fail[1]}")
-
-    k_ok = c.k_prime.values == tuple(y_pos[psi_t(e.k(x))] for x in range(e.X.size))
+    k_ok = c.k_prime.values == tuple(psi_Y[a] for a in e.k.values)
     rep.add("kernel_transport", k_ok)
 
-    p_ok = all(c.pi_B(y_pos[psi_t(a)]) == e.p(a) for a in range(e.A.size))
+    p_ok = all(y is not None and c.pi_B(y) == e.p(a) for a, y in enumerate(psi_Y))
     rep.add("quotient_transport", p_ok)
 
     bad = next((b for b in range(e.B.size)
@@ -318,6 +342,7 @@ def sigma_tau_decompose(
     e: SplitExtension,
     theta: ThetaSpec,
     w: Witness,
+    budget: int = DEFAULT_BUDGET,
 ) -> SigmaTauDecomposition:
     """Decompose the binary action table into four simpler maps.
 
@@ -328,6 +353,8 @@ def sigma_tau_decompose(
     sigma_i(b, x, b') = q_i(s b + k x + s b') and
     tau_i(x, b, x') = q_i(k x + s b + k x'); the report checks the
     rewritten form against the direct action at every argument pair.
+    Raises SearchBudgetExceeded when the |A|^3 term evaluations of the
+    x + z + y check plus the (|X|^2 |B|)^2 argument pairs exceed ``budget``.
     """
     ops = [(nm, ar) for nm, ar in e.A.signature.ops]
     binary = [nm for nm, ar in ops if ar == 2]
@@ -340,6 +367,10 @@ def sigma_tau_decompose(
     require_witness(e, theta, w)
     if theta.n != 2:
         raise WrongTheta(f"witness term must have arity 3, got {theta.arity}")
+    cost = e.A.size ** 3 + (e.X.size ** 2 * e.B.size) ** 2
+    if cost > budget:
+        raise SearchBudgetExceeded(
+            f"decomposition needs {cost} evaluations, budget is {budget}")
     for x, y, z in product(range(e.A.size), repeat=3):
         if theta.eval(e.A, (x, y, z)) != e.A.op(add, (e.A.op(add, (x, z)), y)):
             raise WrongTheta(

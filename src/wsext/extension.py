@@ -17,8 +17,11 @@ the T(a) lists, elements of A in increasing index.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import compress, cycle, islice, product
+from math import prod
+from operator import eq
 from typing import Optional, Sequence
 
 from .algebra import (
@@ -31,6 +34,7 @@ from .algebra import (
     pullback_algebra,
     subalgebra_closure,
     table_args,
+    table_index,
 )
 from .errors import (
     AlphaAxiomFailed,
@@ -182,6 +186,30 @@ def require_witness(e: SplitExtension, theta: ThetaSpec, w: Witness,
         raise WitnessInvalid(f"witness fails at {res.counterexample}")
 
 
+def _feasible_points(e: SplitExtension, theta: ThetaSpec, budget: int) -> tuple:
+    """(phi, points): the comparison map and the ambient indices z with
+    p(phi(z)) = b(z), that is the z whose kernel tuple lies in T(phi(z)).
+    The budget caps |A| * |X|^n, the size of the search the table replaces."""
+    require_admissible(theta, e.A, "middle algebra")
+    cost = e.A.size * e.X.size ** theta.n
+    if cost > budget:
+        raise SearchBudgetExceeded(
+            f"witness feasibility needs {cost} evaluations, budget is {budget}")
+    values = phi(e, theta).values
+    b_of_z = cycle(range(e.B.size))
+    in_fibre = map(eq, map(e.p.values.__getitem__, values), b_of_z)
+    return values, compress(range(len(values)), in_fibre)
+
+
+def _check_zero_point(e: SplitExtension, theta: ThetaSpec, values) -> None:
+    """With normalization, 0_A admits only the all-zero tuple, which is
+    feasible whenever theta is admissible on A: phi(0, .., 0, p(0_A)) = 0_A."""
+    zero = table_index(e.X.size, (e.X.zero,) * theta.n) * e.B.size + e.p(e.A.zero)
+    if values[zero] != e.A.zero:
+        raise InternalCheckFailed(
+            "all-zero tuple infeasible at 0_A despite admissible theta")
+
+
 def feasible_tuples(
     e: SplitExtension,
     theta: ThetaSpec,
@@ -196,25 +224,15 @@ def feasible_tuples(
     admissible on A).  The budget caps |A| * |X|^n, the size of the search
     the table replaces.  ``workers`` is accepted for compatibility and has
     no effect."""
-    require_admissible(theta, e.A, "middle algebra")
-    n = theta.n
-    cost = e.A.size * e.X.size ** n
-    if cost > budget:
-        raise SearchBudgetExceeded(
-            f"witness feasibility needs {cost} evaluations, budget is {budget}")
-
-    xs_of = list(product(range(e.X.size), repeat=n))
-    nb, p = e.B.size, e.p.values
+    values, points = _feasible_points(e, theta, budget)
+    xs_of = list(product(range(e.X.size), repeat=theta.n))
+    nb = e.B.size
     T: list[list[tuple[int, ...]]] = [[] for _ in range(e.A.size)]
-    for z, a in enumerate(phi(e, theta).values):
-        if p[a] == z % nb:
-            T[a].append(xs_of[z // nb])
+    for z in points:
+        T[values[z]].append(xs_of[z // nb])
     if normalize:
-        zero_tuple = (e.X.zero,) * n
-        if zero_tuple not in T[e.A.zero]:
-            raise InternalCheckFailed(
-                "all-zero tuple infeasible at 0_A despite admissible theta")
-        T[e.A.zero] = [zero_tuple]
+        _check_zero_point(e, theta, values)
+        T[e.A.zero] = [(e.X.zero,) * theta.n]
     return T
 
 
@@ -225,12 +243,16 @@ def count_witnesses(
     budget: int = DEFAULT_BUDGET,
     workers: int = 1,
 ) -> int:
-    """Number of witnesses = product over a of |T(a)| (0 if any is empty).
-    ``workers`` is accepted for compatibility and has no effect."""
-    total = 1
-    for choices in feasible_tuples(e, theta, normalize, budget):
-        total *= len(choices)
-    return total
+    """Number of witnesses = product over a of |T(a)| (0 if any is empty),
+    with the fibre sizes |T(a)| counted in one pass over phi; no kernel
+    tuple is materialized.  ``workers`` is accepted for compatibility and
+    has no effect."""
+    values, points = _feasible_points(e, theta, budget)
+    sizes = Counter(map(values.__getitem__, points))
+    if normalize:
+        _check_zero_point(e, theta, values)
+        sizes[e.A.zero] = 1
+    return prod(sizes[a] for a in range(e.A.size))
 
 
 def find_witnesses(

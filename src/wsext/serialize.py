@@ -285,8 +285,33 @@ def canonical_to_obj(
     axioms: Sequence[Equation] = (),
     verification: Optional[Report] = None,
 ) -> dict:
-    """Canonical form as a document that gamma_from_obj can read back."""
+    """Canonical form as a document that gamma_from_obj can read back.
+
+    The gamma tables and gamma_id share sublists: equal n-tuples are one
+    list, and equal leaf rows (the innermost lists of a table) are one list
+    of those, so a table costs one list per distinct row, not one per
+    entry.  The document is equal to one with no sharing, but a change
+    made through one reference shows at every place the list occurs:
+    treat it as read-only.
+    """
     ambient = c.space.size
+    entries: dict[tuple[int, ...], list[int]] = {}
+    rows: dict[tuple, list] = {}
+
+    def leaf(row: tuple) -> list:
+        shared = rows.get(row)
+        if shared is None:
+            for t in set(row).difference(entries):
+                entries[t] = list(t)
+            shared = rows[row] = list(map(entries.__getitem__, row))
+        return shared
+
+    def nested(table: tuple, arity: int) -> Any:
+        if arity == 0:
+            return leaf(table)[0]
+        leaves = [leaf(table[i:i + ambient]) for i in range(0, len(table), ambient)]
+        return _nest_table(leaves, ambient, arity - 1)
+
     obj = {
         "schema": CANONICAL_SCHEMA,
         "X": algebra_to_obj(c.X),
@@ -299,11 +324,9 @@ def canonical_to_obj(
         "k_prime": list(c.k_prime.values),
         "pi_B": list(c.pi_B.values),
         "iota_B": list(c.iota_B.values),
-        "gamma": {
-            name: _nest_table([list(t) for t in c.gamma[name]], ambient, arity)
-            for name, arity in c.X.signature.ops
-        },
-        "gamma_id": [list(t) for t in c.gamma_id],
+        "gamma": {name: nested(c.gamma[name], arity)
+                  for name, arity in c.X.signature.ops},
+        "gamma_id": leaf(c.gamma_id),
         "axioms": equations_to_obj(axioms),
     }
     if verification is not None:
@@ -343,32 +366,38 @@ def hom_from_obj(obj: Source, base_dir: Optional[Path] = None) -> tuple[FiniteAl
     return B_prime, [_int(v, "f") for v in values]
 
 
-def _rows(obj: Any, pad: str) -> str:
+def _rows(obj: Any, pad: str, memo: dict[int, str]) -> str:
     """JSON text of ``obj``: dicts, lists of dicts and lists of lists of
     containers are laid out as by ``indent=2``; any other list is a leaf row
     (one gamma row, one algebra table row, Y) written on one line.  The
     layout is decided from the first element, so the Python-level work is
-    per row and the C encoder writes the entries."""
+    per row and the C encoder writes the entries.  ``memo`` maps id(row) to
+    the row's text, so a leaf row that occurs at many places in ``obj`` (as
+    canonical_to_obj shares them) is encoded once."""
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = pad + "  "
-        items = [f"{inner}{json.dumps(k)}: {_rows(v, inner)}" for k, v in obj.items()]
+        items = [f"{inner}{json.dumps(k)}: {_rows(v, inner, memo)}" for k, v in obj.items()]
     elif (isinstance(obj, list) and obj
           and (isinstance(obj[0], dict)
                or (isinstance(obj[0], list) and obj[0]
                    and isinstance(obj[0][0], (list, dict))))):
         inner = pad + "  "
-        items = [inner + _rows(v, inner) for v in obj]
+        items = [inner + _rows(v, inner, memo) for v in obj]
     else:
-        return json.dumps(obj)
+        text = memo.get(id(obj))
+        if text is None:
+            text = memo[id(obj)] = json.dumps(obj)
+        return text
     opening, closing = ("{", "}") if isinstance(obj, dict) else ("[", "]")
     return opening + "\n" + ",\n".join(items) + "\n" + pad + closing
 
 
 def dump_json(obj: Any, path: Union[str, Path]) -> None:
     """Write a document with one leaf row per line (see _rows)."""
-    text = _rows(obj, "") + "\n"
+    # obj holds every object that memo keys on, so no id is reused meanwhile
+    text = _rows(obj, "", {}) + "\n"
     try:
         Path(path).write_text(text)
     except OSError as exc:

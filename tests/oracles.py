@@ -6,12 +6,21 @@ defining equations directly, so they can arbitrate the optimized
 implementations on small instances.
 """
 
+import json
 from itertools import product
 
-from wsext.algebra import Equation, FiniteAlgebra, FnTable
+from wsext.algebra import DEFAULT_BUDGET, Equation, FiniteAlgebra, FnTable, table_index
+from wsext.canonical import membership_by_term, psi
 from wsext.errors import ArityMismatch, EntryOutOfRange, InternalCheckFailed
-from wsext.extension import SplitExtension, Witness
-from wsext.report import CheckResult
+from wsext.extension import SplitExtension, Witness, phi
+from wsext.report import CheckResult, Report
+from wsext.serialize import (
+    CANONICAL_SCHEMA,
+    _nest_table,
+    algebra_to_obj,
+    equations_to_obj,
+    theta_to_obj,
+)
 from wsext.terms import ThetaSpec, eval_term, require_admissible
 
 
@@ -190,3 +199,165 @@ def classical_weakly_schreier(e: SplitExtension, add: str) -> bool:
         if not any(table[e.k.values[x] * size + spa] == a for x in range(e.X.size)):
             return False
     return True
+
+
+# -- canonical form: cross-checks, isomorphism report, writer -------------------------
+
+def brute_force_transport(e: SplitExtension, theta: ThetaSpec, w: Witness, Y):
+    """ops_Y entry by entry along the bijection: the position in Y of
+    psi(op_A(phi y_1, .., phi y_r)) for every argument tuple of positions."""
+    psi_t, phi_t = psi(e, w), phi(e, theta)
+    y_indices = [table_index(e.X.size, t[:-1]) * e.B.size + t[-1] for t in Y]
+    y_pos = {z: i for i, z in enumerate(y_indices)}
+    return {name: tuple(y_pos[psi_t(e.A.op(name, tuple(phi_t(y_indices[i]) for i in args)))]
+                        for args in product(range(len(Y)), repeat=arity))
+            for name, arity in e.A.signature.ops}
+
+
+def brute_force_cross_check(c, budget: int = DEFAULT_BUDGET) -> None:
+    """The canonical form's self-checks, one entry at a time: each transported
+    operation against (gamma, B) per argument tuple of Y, k' against a term
+    evaluation per element of Y for every x, and the two other carrier
+    definitions, with the messages build_canonical raises."""
+    space = c.space
+    y_indices = [space.pack(t[:-1], t[-1]) for t in c.Y]
+    for name, arity in c.X.signature.ops:
+        for j, args in enumerate(product(range(len(c.Y)), repeat=arity)):
+            ambient_args = tuple(y_indices[i] for i in args)
+            z_out = y_indices[c.ops_Y[name][j]]
+            xs_expected = c.gamma[name][table_index(space.size, ambient_args)]
+            b_expected = c.B.op(name, tuple(space.unpack(z)[1] for z in ambient_args))
+            if space.unpack(z_out) != (xs_expected, b_expected):
+                raise InternalCheckFailed(
+                    f"transported {name!r} disagrees with its action table at {args}")
+    for x in range(c.X.size):
+        # unique (ys, 0_B) in Y with theta_X(ys, 0_X) = x
+        matches = [i for i, t in enumerate(c.Y)
+                   if t[-1] == c.B.zero and c.theta.eval(c.X, t[:-1] + (c.X.zero,)) == x]
+        if matches != [c.k_prime(x)]:
+            raise InternalCheckFailed(
+                f"kernel embedding at {x}: expected unique {c.k_prime(x)}, found {matches}")
+    if brute_force_fixpoint_carrier(c) != y_indices:
+        raise InternalCheckFailed("fixpoint carrier differs from the image of psi")
+    if membership_by_term(c, budget=budget) != y_indices:
+        raise InternalCheckFailed("candidate-operation carrier differs from im(psi)")
+
+
+def brute_force_fixpoint_carrier(c) -> list[int]:
+    """Ambient indices z with gamma_id(z) = (z_1, .., z_n), one at a time."""
+    return [z for z in c.space.indices() if c.gamma_id[z] == c.space.unpack(z)[0]]
+
+
+def brute_force_verify(e: SplitExtension, c, w: Witness) -> Report:
+    """verify_isomorphism with both homomorphism squares walked one argument
+    tuple at a time, in signature and lex order.  Where psi(a) lies outside
+    Y, a lookup of it fails the entry that makes it (at that argument
+    tuple, for the squares)."""
+    rep = Report()
+    space = c.space
+    psi_t = psi(e, w)
+    phi_t = phi(e, c.theta)
+    y_indices = [space.pack(t[:-1], t[-1]) for t in c.Y]
+    y_pos = {z: i for i, z in enumerate(y_indices)}
+    YA = c.y_algebra()
+
+    bad = next((a for a in range(e.A.size) if phi_t(psi_t(a)) != a), None)
+    rep.add("phi_psi_identity", bad is None,
+            "" if bad is None else f"fails at a = {bad}")
+
+    bad = next((z for z in y_indices if psi_t(phi_t(z)) != z), None)
+    rep.add("psi_phi_identity_on_Y", bad is None,
+            "" if bad is None else f"fails at ambient index {bad}")
+
+    def psi_hom_failure():
+        for name, arity in e.A.signature.ops:
+            for args in e.A.arg_tuples(arity):
+                lhs = y_pos.get(psi_t(e.A.op(name, args)))
+                ys = tuple(y_pos.get(psi_t(a)) for a in args)
+                if lhs is None or None in ys or lhs != YA.op(name, ys):
+                    return name, args
+        return None
+
+    fail = psi_hom_failure()
+    rep.add("psi_homomorphism", fail is None,
+            "" if fail is None else f"op {fail[0]!r} at {fail[1]}")
+
+    def phi_hom_failure():
+        for name, arity in e.A.signature.ops:
+            for args in product(range(len(c.Y)), repeat=arity):
+                lhs = phi_t(y_indices[YA.op(name, args)])
+                rhs = e.A.op(name, tuple(phi_t(y_indices[i]) for i in args))
+                if lhs != rhs:
+                    return name, args
+        return None
+
+    fail = phi_hom_failure()
+    rep.add("phi_homomorphism", fail is None,
+            "" if fail is None else f"op {fail[0]!r} at {fail[1]}")
+
+    k_ok = all(c.k_prime(x) == y_pos.get(psi_t(e.k(x))) for x in range(e.X.size))
+    rep.add("kernel_transport", k_ok)
+
+    p_ok = all(psi_t(a) in y_pos and c.pi_B(y_pos[psi_t(a)]) == e.p(a)
+               for a in range(e.A.size))
+    rep.add("quotient_transport", p_ok)
+
+    bad = next((b for b in range(e.B.size)
+                if psi_t(e.s(b)) != space.pack((e.X.zero,) * c.n, b)), None)
+    rep.add("section_transport", bad is None,
+            "" if bad is None else
+            f"psi(s({bad})) = {space.unpack(psi_t(e.s(bad)))}, "
+            f"zero-tuple injection differs")
+
+    bad = next(((i, t) for i, t in enumerate(c.Y)
+                if w.values_at(phi_t(y_indices[i])) != t[:-1]), None)
+    rep.add("witness_projections", bad is None,
+            "" if bad is None else f"fails at Y[{bad[0]}] = {bad[1]}")
+    return rep
+
+
+def listing_canonical_to_obj(c, axioms=(), verification=None) -> dict:
+    """The canonical document with a fresh list for every gamma entry."""
+    ambient = c.space.size
+    obj = {
+        "schema": CANONICAL_SCHEMA,
+        "X": algebra_to_obj(c.X),
+        "B": algebra_to_obj(c.B),
+        "n": c.n,
+        "theta": theta_to_obj(c.theta),
+        "Y": [list(t) for t in c.Y],
+        "ops_Y": {name: _nest_table(c.ops_Y[name], len(c.Y), arity)
+                  for name, arity in c.X.signature.ops},
+        "k_prime": list(c.k_prime.values),
+        "pi_B": list(c.pi_B.values),
+        "iota_B": list(c.iota_B.values),
+        "gamma": {
+            name: _nest_table([list(t) for t in c.gamma[name]], ambient, arity)
+            for name, arity in c.X.signature.ops
+        },
+        "gamma_id": [list(t) for t in c.gamma_id],
+        "axioms": equations_to_obj(axioms),
+    }
+    if verification is not None:
+        obj["verification"] = verification.to_json()
+    return obj
+
+
+def plain_rows(obj, pad: str) -> str:
+    """The one-leaf-row-per-line layout of dump_json, encoding every leaf
+    row where it occurs."""
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        items = [f"{inner}{json.dumps(k)}: {plain_rows(v, inner)}" for k, v in obj.items()]
+    elif (isinstance(obj, list) and obj
+          and (isinstance(obj[0], dict)
+               or (isinstance(obj[0], list) and obj[0]
+                   and isinstance(obj[0][0], (list, dict))))):
+        inner = pad + "  "
+        items = [inner + plain_rows(v, inner) for v in obj]
+    else:
+        return json.dumps(obj)
+    opening, closing = ("{", "}") if isinstance(obj, dict) else ("[", "]")
+    return opening + "\n" + ",\n".join(items) + "\n" + pad + closing

@@ -20,6 +20,7 @@ from wsext import (
     trivial_algebra,
     verify_isomorphism,
 )
+from wsext.algebra import _square_failure
 from wsext.canonical import CanonicalExtension, ambient_space
 from wsext.errors import SearchBudgetExceeded, WitnessInvalid, WrongSignature, WrongTheta
 from wsext.extension import SplitExtension
@@ -220,6 +221,15 @@ def test_corrupted_transport_table_fails_homomorphism_square(example):
     assert not (rep.entry("psi_homomorphism").ok and rep.entry("phi_homomorphism").ok)
 
 
+def test_square_failure_names_the_first_argument_outside_a_partial_map():
+    # every sum is 0, so f(a + b) is defined even where f(b) is not
+    A = make_algebra(MSIG, 2, {"+": [0, 0, 0, 0], "0": [0]})
+    one = trivial_algebra(MSIG)
+    assert _square_failure([0, 0], A, one) is None
+    assert _square_failure([0, None], A, one) == ("+", (0, 1))
+    assert _square_failure([None, 0], A, one) == ("+", (0, 0))
+
+
 def test_trivial_extension_verification():
     X = make_algebra(MSIG, 2, {"+": [0, 1, 1, 1], "0": [0]})
     one = trivial_algebra(MSIG)
@@ -355,3 +365,25 @@ def test_sigma_tau_rejects_wrong_signature():
     e, w, _, theta = load_fixture("heyting_chain")
     with pytest.raises(WrongSignature):
         sigma_tau_decompose(e, theta, w)
+
+
+def test_sigma_tau_respects_budget(example):
+    e, w, _, theta = example
+    cost = e.A.size ** 3 + (e.X.size ** 2 * e.B.size) ** 2
+    assert sigma_tau_decompose(e, theta, w, budget=cost).report.ok
+    with pytest.raises(SearchBudgetExceeded, match=f"needs {cost} evaluations"):
+        sigma_tau_decompose(e, theta, w, budget=cost - 1)
+
+
+def test_sigma_tau_checks_its_inputs_before_the_budget(example):
+    e, w, _, _ = example
+    straight = ThetaSpec(("x1", "x2", "y"),
+                         parse_term("(+ x1 (+ x2 y))", MSIG, ["x1", "x2", "y"]))
+    with pytest.raises(WitnessInvalid):
+        sigma_tau_decompose(e, straight, w, budget=0)
+    e, w, _, theta = load_fixture("heyting_chain")
+    with pytest.raises(WrongSignature):
+        sigma_tau_decompose(e, theta, w, budget=0)
+    e, w, _, theta = load_fixture("n2_product")
+    with pytest.raises(WrongTheta):
+        sigma_tau_decompose(e, theta, w, budget=0)

@@ -23,6 +23,7 @@ from wsext import (
 )
 from wsext.errors import (
     AlphaAxiomFailed,
+    InternalCheckFailed,
     InvalidMorphism,
     SearchBudgetExceeded,
     ThetaNotAdmissible,
@@ -116,6 +117,29 @@ def test_unnormalized_enumeration_is_larger(example):
     e2, _, _, theta2 = load_fixture("heyting_chain")
     assert count_witnesses(e2, theta2, normalize=False) == 16
     assert count_witnesses(e2, theta2, normalize=True) == 8
+
+
+def test_count_witnesses_checks_admissibility_then_budget_then_zero(example):
+    e, _, _, theta = example
+    cost = e.A.size * e.X.size ** theta.n
+    assert count_witnesses(e, theta, budget=cost) == 6
+    with pytest.raises(SearchBudgetExceeded, match=f"needs {cost} evaluations"):
+        count_witnesses(e, theta, budget=cost - 1)
+    bogus = ThetaSpec(("x1", "x2", "y"), parse_term("(+ x1 x2)", MSIG, ["x1", "x2", "y"]))
+    with pytest.raises(ThetaNotAdmissible):
+        count_witnesses(e, bogus, budget=0)
+    # s(b) = 1 for every b: the all-zero tuple decomposes s(p(0_A)) = 1, not 0_A
+    broken = SplitExtension(e.X, e.A, e.B, e.k, e.p, FnTable.constant(e.B.size, e.A.size, 1))
+    with pytest.raises(SearchBudgetExceeded):
+        count_witnesses(broken, theta, budget=cost - 1)
+    with pytest.raises(InternalCheckFailed, match="all-zero tuple infeasible"):
+        count_witnesses(broken, theta)
+    # p(0_A) = 1: the all-zero tuple is looked up at base 1, where it gives s(1)
+    p = list(e.p.values)
+    p[e.A.zero] = 1
+    broken = SplitExtension(e.X, e.A, e.B, e.k, FnTable(e.A.size, e.B.size, tuple(p)), e.s)
+    with pytest.raises(InternalCheckFailed, match="all-zero tuple infeasible"):
+        count_witnesses(broken, theta)
 
 
 def test_find_witnesses_limit(example):

@@ -1,8 +1,12 @@
 """Property-based checks over randomly generated small structures."""
 
+import dataclasses
 import json
+import tempfile
 from contextlib import contextmanager
 from itertools import product
+from math import prod
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -31,9 +35,11 @@ from wsext import (
 )
 
 from wsext import algebra
+from wsext.canonical import _cross_check, membership_by_gamma_id, verify_isomorphism
 from wsext.errors import ArityMismatch, EntryOutOfRange, ToolkitError
 from wsext.extension import (
     Witness,
+    count_witnesses,
     feasible_tuples,
     is_schreier,
     phi,
@@ -42,21 +48,27 @@ from wsext.extension import (
 )
 from wsext.fixtures import fixture_path
 from wsext.gammabuild import GammaData
-from wsext.serialize import theta_from_obj
+from wsext.serialize import canonical_to_obj, dump_json, theta_from_obj
 
 from conftest import EXTENSION_NAMES, load_fixture
 
 from oracles import (
+    brute_force_cross_check,
     brute_force_entry_error,
     brute_force_equation,
     brute_force_feasible,
+    brute_force_fixpoint_carrier,
     brute_force_gamma,
     brute_force_homomorphism,
     brute_force_homs,
     brute_force_phi,
     brute_force_product_check,
     brute_force_schreier,
+    brute_force_transport,
+    brute_force_verify,
     brute_force_witness_check,
+    listing_canonical_to_obj,
+    plain_rows,
 )
 
 MSIG = Signature((("+", 2), ("0", 0)), "0")
@@ -427,6 +439,11 @@ def compare_comparison_map(X, B, n, normalize, broken, data):
 
     assert outcome(lambda: feasible_tuples(e, theta, normalize=normalize)) == \
         outcome(lambda: brute_force_feasible(e, theta, normalize))
+    # the count against the list lengths, at, under and far over its budget
+    cost = e.A.size * X.size ** n
+    budget = data.draw(st.sampled_from([algebra.DEFAULT_BUDGET, cost, cost - 1]))
+    assert outcome(lambda: count_witnesses(e, theta, normalize, budget)) == \
+        outcome(lambda: prod(map(len, feasible_tuples(e, theta, normalize, budget))))
     assert outcome(lambda: is_schreier(e, theta)) == \
         outcome(lambda: brute_force_schreier(e, theta))
     if check_theta_admissible(theta, e.A):
@@ -509,3 +526,146 @@ def test_product_check_matches_oracle(X, n, points, data):
         assert [tuple(qi(x) for qi in q) for x in range(X.size)] == choices
     else:
         assert q is None
+
+
+# -- canonical form: writer, cross-checks and report against the per-entry oracles ----
+
+def cyclic_group(m: int):
+    """Z_m over USIG: +, unary minus, 0."""
+    return make_algebra(USIG, m, {"+": [(u + v) % m for u in range(m) for v in range(m)],
+                                  "-": [(-u) % m for u in range(m)], "0": [0]})
+
+
+GSIG = Signature((("*", 2), ("inv", 1), ("e", 0)), "e")
+GROUP_THETA = ThetaSpec(("x", "y"), parse_term("(* x y)", GSIG, ["x", "y"]))
+
+
+def dihedral_extension(m: int) -> SplitExtension:
+    """Z_m -> D_m -> Z_2; r^i s^j is element j * m + i of the middle."""
+    def group(size, mul, inv):
+        return make_algebra(GSIG, size, {
+            "*": [mul(u, v) for u in range(size) for v in range(size)],
+            "inv": [inv(u) for u in range(size)], "e": [0]})
+
+    def mul(u, v):
+        (j, i), (j2, i2) = divmod(u, m), divmod(v, m)
+        return ((j + j2) % 2) * m + (i + (i2 if j == 0 else -i2)) % m
+
+    X = group(m, lambda u, v: (u + v) % m, lambda u: (-u) % m)
+    B = group(2, lambda u, v: (u + v) % 2, lambda u: u)
+    A = group(2 * m, mul, lambda u: u if u >= m else (-u) % m)
+    return SplitExtension(X, A, B, FnTable(m, 2 * m, tuple(range(m))),
+                          FnTable(2 * m, 2, tuple(a // m for a in range(2 * m))),
+                          FnTable(2, 2 * m, (0, m)))
+
+
+@st.composite
+def canonical_cases(draw, max_product_m=5):
+    """(e, theta, w, axioms): a product family Z_m -> Z_m^2 -> Z_m with the
+    sum term of n kernel arguments and a witness drawn fibre by fibre, a
+    dihedral family, or a bundled fixture with one of its first witnesses.
+    Every signature has a binary, a unary or a nullary operation."""
+    kind = draw(st.sampled_from(["product", "dihedral", "fixture"]))
+    if kind == "product":
+        # sampled, not drawn as integers, so that the largest family
+        # (5^8 binary entries at m=5, n=3) is no likelier than the others
+        m, n = draw(st.sampled_from([(m, n) for m in range(2, max_product_m + 1)
+                                     for n in (1, 2, 3)]))
+        e, theta = product_extension(cyclic_group(m), cyclic_group(m)), sum_theta(n)
+        T = feasible_tuples(e, theta)
+        choice = [draw(st.sampled_from(ts)) for ts in T]
+        w = Witness(n, tuple(FnTable(e.A.size, m, tuple(xs[i] for xs in choice))
+                             for i in range(n)))
+        return e, theta, w, ()
+    if kind == "dihedral":
+        e = dihedral_extension(draw(st.integers(2, 6)))
+        return e, GROUP_THETA, find_witnesses(e, GROUP_THETA)[0], ()
+    e, file_witness, axioms, theta = load_fixture(draw(st.sampled_from(EXTENSION_NAMES)))
+    witnesses = find_witnesses(e, theta, limit=3)
+    return e, theta, draw(st.sampled_from(witnesses + [file_witness])), axioms
+
+
+@given(canonical_cases())
+@settings(max_examples=60, deadline=None)
+def test_writer_matches_the_listing_oracle(case):
+    e, theta, w, axioms = case
+    c = build_canonical(e, theta, w)
+    verification = verify_isomorphism(e, c, w)
+    doc = canonical_to_obj(c, axioms=axioms, verification=verification)
+    expected = listing_canonical_to_obj(c, axioms, verification)
+    assert doc == expected
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "canon.json"
+        dump_json(doc, path)
+        assert path.read_bytes() == (plain_rows(expected, "") + "\n").encode()
+        assert json.loads(path.read_text()) == doc
+
+
+def any_outcome(fn):
+    """outcome, also for a non-toolkit exception, recorded by its class."""
+    try:
+        return outcome(fn)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return "raised", type(exc)
+
+
+def assert_same_report(e, c, w):
+    assert any_outcome(lambda: verify_isomorphism(e, c, w).to_json()) == \
+        any_outcome(lambda: brute_force_verify(e, c, w).to_json())
+
+
+def corrupt(c, data):
+    """c with one entry of one of its tables replaced, within range, or
+    with its witness term replaced by a projection."""
+    field = data.draw(st.sampled_from(
+        ["ops_Y", "gamma", "gamma_id", "k_prime", "pi_B", "Y", "theta"]))
+    pick = lambda seq: data.draw(st.integers(0, len(seq) - 1))  # noqa: E731
+    kernel_tuple = st.tuples(*[st.integers(0, c.X.size - 1)] * c.n)
+    if field in ("ops_Y", "gamma"):
+        name = data.draw(st.sampled_from(c.X.signature.op_names()))
+        table = list(getattr(c, field)[name])
+        j = pick(table)
+        table[j] = data.draw(kernel_tuple if field == "gamma"
+                             else st.integers(0, len(c.Y) - 1))
+        return dataclasses.replace(c, **{field: {**getattr(c, field), name: tuple(table)}})
+    if field == "gamma_id":
+        table = list(c.gamma_id)
+        table[pick(table)] = data.draw(kernel_tuple)
+        return dataclasses.replace(c, gamma_id=tuple(table))
+    if field == "theta":  # a projection: theta_X(ys, 0) need not be injective
+        return dataclasses.replace(c, theta=ThetaSpec(
+            c.theta.vars, Var(data.draw(st.sampled_from(c.theta.vars)))))
+    if field in ("k_prime", "pi_B"):
+        f = getattr(c, field)
+        return dataclasses.replace(c, **{field: perturb(f, data)})
+    Y = [list(t) for t in c.Y]
+    i = pick(Y)
+    j = data.draw(st.integers(0, c.n))
+    Y[i][j] = data.draw(st.integers(0, (c.X.size if j < c.n else c.B.size) - 1))
+    return dataclasses.replace(c, Y=tuple(map(tuple, Y)))
+
+
+@given(canonical_cases(max_product_m=4), st.data())
+@settings(max_examples=300, deadline=None)
+def test_cross_checks_and_report_match_the_per_entry_loops(case, data):
+    e, theta, w, _ = case
+    c = build_canonical(e, theta, w)
+    assert c.ops_Y == brute_force_transport(e, theta, w, c.Y)
+    brute_force_cross_check(c)
+    assert verify_isomorphism(e, c, w).to_json() == brute_force_verify(e, c, w).to_json()
+
+    bad = corrupt(c, data)
+    assert any_outcome(lambda: _cross_check(bad)) == \
+        any_outcome(lambda: brute_force_cross_check(bad))
+    assert membership_by_gamma_id(bad) == brute_force_fixpoint_carrier(bad)
+    assert_same_report(e, bad, w)
+
+    # a witness with one value changed: the same report (or the same kind
+    # of failure) for c, and the checks pass on its own canonical form
+    i = data.draw(st.integers(0, w.n - 1))
+    mutant = Witness(w.n, w.q[:i] + (perturb(w.q[i], data),) + w.q[i + 1:])
+    assert_same_report(e, c, mutant)
+    if validate_witness(e, theta, mutant, normalized=True):
+        c2 = build_canonical(e, theta, mutant)
+        assert c2.ops_Y == brute_force_transport(e, theta, mutant, c2.Y)
+        brute_force_cross_check(c2)
