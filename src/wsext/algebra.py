@@ -9,6 +9,7 @@ be any carrier index, not necessarily 0.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from math import prod
@@ -121,8 +122,11 @@ def lex_blocks(radices: Sequence[int]) -> Iterator[tuple[int, list[list[int]]]]:
 
     Each block fixes the leading coordinates and runs the trailing ones
     over their whole range: as many trailing coordinates as fit in
-    GRID_BLOCK points (at least none).  Yields (points, columns) per block.
+    GRID_BLOCK points (at least none).  Yields (points, columns) per block;
+    an empty grid (a zero radix) has no blocks.
     """
+    if 0 in radices:
+        return
     split, points = len(radices), 1
     while split and points * radices[split - 1] <= GRID_BLOCK:
         split -= 1
@@ -150,6 +154,10 @@ class FiniteAlgebra:
 
     def arg_tuples(self, arity: int) -> Iterator[tuple[int, ...]]:
         return product(range(self.size), repeat=arity)
+
+    def columns(self, name: str, args: Sequence[Sequence[int]], block: int) -> list[int]:
+        """The operation over one block of argument columns (see _node)."""
+        return _node(self.tables[name], self.size, args, block)
 
 
 def make_algebra(sig: Signature, size: int, tables: Mapping[str, Sequence[int]]) -> FiniteAlgebra:
@@ -371,12 +379,15 @@ def pullback_algebra(
     B_prime: FiniteAlgebra,
     f: FnTable,
     B: FiniteAlgebra,
+    budget: int = DEFAULT_BUDGET,
 ) -> tuple[FiniteAlgebra, FnTable, FnTable]:
     """The subalgebra {(a,b') : p(a) = f(b')} of A x B', with projections.
 
     Elements are ordered lexicographically in (a, b'); the i-th element of
     the result is ``(proj_A(i), proj_B_prime(i))``.  Raises NotHomomorphism
-    unless both maps are homomorphisms into B.
+    unless both maps are homomorphisms into B, then SearchBudgetExceeded
+    when the tables of the pullback, sum over the operations of
+    |P|^arity entries, would exceed ``budget``.
     """
     _require_same_signature(A, B)
     _require_same_signature(B_prime, B)
@@ -384,6 +395,13 @@ def pullback_algebra(
         res = is_homomorphism(g, dom, cod)
         if not res:
             raise NotHomomorphism(f"{name} is not a homomorphism: {res.counterexample}")
+    # |P| = sum over b of |p^-1(b)| * |f^-1(b)|
+    p_fibres, f_fibres = Counter(p.values), Counter(f.values)
+    size = sum(p_fibres[b] * f_fibres[b] for b in p_fibres)
+    entries = sum(size ** arity for _, arity in A.signature.ops)
+    if entries > budget:
+        raise SearchBudgetExceeded(
+            f"pullback tables need {entries} entries, budget is {budget}")
 
     elements = [(a, bp) for a in range(A.size) for bp in range(B_prime.size)
                 if p(a) == f(bp)]
@@ -470,17 +488,22 @@ def check_equation(A: FiniteAlgebra, eq: Equation) -> CheckResult:
     return CheckResult(True)
 
 
-def _tabulate(t: Term, A: FiniteAlgebra, env: Mapping[str, list[int]],
-              block: int) -> list[int]:
-    """Values of t over one block, given each variable's column."""
+def _tabulate(t: Term, A, env: Mapping[str, list[int]], block: int) -> list[int]:
+    """Values of t over one block, given each variable's column, in anything
+    with a ``columns`` kernel: a FiniteAlgebra or ``ambient.CandidateOps``."""
     if isinstance(t, Var):
         return env[t.name]
-    tab, size = A.tables[t.op], A.size
-    args = [_tabulate(a, A, env, block) for a in t.args]
+    return A.columns(t.op, [_tabulate(a, A, env, block) for a in t.args], block)
+
+
+def _node(table: Sequence, size: int, args: Sequence[Sequence[int]],
+          block: int) -> list:
+    """One operation over one block: the table, radix ``size``, read at
+    each row of the argument columns."""
     if not args:
-        return [tab[0]] * block
+        return [table[0]] * block
     if len(args) == 1:
-        return [tab[a] for a in args[0]]
+        return [table[a] for a in args[0]]
     if len(args) == 2:
-        return [tab[a * size + b] for a, b in zip(*args)]
-    return [tab[table_index(size, xs)] for xs in zip(*args)]
+        return [table[a * size + b] for a, b in zip(*args)]
+    return [table[table_index(size, xs)] for xs in zip(*args)]

@@ -8,18 +8,19 @@ ambient space is serialized.
 Given one "action" table per basic operation (mapping ambient argument
 tuples to the first n output coordinates), the candidate operations make
 the full ambient set into an algebra-like structure: the last coordinate
-is always computed in B.  Composite terms are evaluated structurally in
-these candidate operations.
+is always computed in B.  Terms are tabulated in these candidate
+operations by ``algebra._tabulate``, as in a finite algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
+from operator import add
 from typing import Mapping, Sequence
 
-from .algebra import FiniteAlgebra, table_index
-from .errors import ArityMismatch, EntryOutOfRange, UnboundVariable
-from .terms import Term, TermSpec, Var
+from .algebra import FiniteAlgebra, _node
+from .errors import ArityMismatch, EntryOutOfRange
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,11 @@ GammaTables = Mapping[str, tuple[tuple[int, ...], ...]]
 
 
 class CandidateOps:
-    """Ambient-set operations induced by action tables and the base algebra."""
+    """Ambient-set operations induced by action tables and the base algebra.
+
+    ``columns`` is their kernel for ``algebra._tabulate``: the action table
+    gives the first n output coordinates, B the last.
+    """
 
     def __init__(self, space: TupleSpace, gamma: GammaTables, B: FiniteAlgebra,
                  x_zero: int):
@@ -73,35 +78,13 @@ class CandidateOps:
         self.gamma = gamma
         self.B = B
         self.zero_tuple = space.pack((x_zero,) * space.n, B.zero)
+        # each n-tuple of kernel coordinates -> the ambient index of (xs, 0)
+        self._row = {xs: i * B.size for i, xs in
+                     enumerate(product(range(space.x_size), repeat=space.n))}
 
-    def apply(self, op: str, args: Sequence[int]) -> int:
-        """Apply a basic operation to ambient indices, returning an ambient index."""
-        xs = self.gamma[op][table_index(self.space.size, args)]
-        b = self.B.op(op, tuple(self.space.unpack(a)[1] for a in args))
-        return self.space.pack(xs, b)
-
-    def eval(self, spec: TermSpec, args: Sequence[int]) -> int:
-        """Evaluate a term structurally in the candidate operations.
-
-        Leaves evaluate to the ambient arguments themselves; a bare
-        variable term therefore denotes the identity on the ambient set.
-        """
-        if len(args) != spec.arity:
-            raise ArityMismatch(
-                f"term of arity {spec.arity} applied to {len(args)} arguments")
-        env = dict(zip(spec.vars, args))
-
-        def rec(t: Term) -> int:
-            if isinstance(t, Var):
-                if t.name not in env:
-                    raise UnboundVariable(f"variable {t.name!r} not bound")
-                return env[t.name]
-            return self.apply(t.op, tuple(rec(a) for a in t.args))
-
-        return rec(spec.term)
-
-    def retract(self, theta: TermSpec, z: int) -> int:
-        """theta evaluated with every non-distinguished argument at the
-        ambient zero tuple; for data extracted from a genuine extension
-        this retracts the ambient set onto the canonical carrier."""
-        return self.eval(theta, (self.zero_tuple,) * (theta.arity - 1) + (z,))
+    def columns(self, name: str, args: Sequence[Sequence[int]], block: int) -> list[int]:
+        rows = map(self._row.__getitem__,
+                   _node(self.gamma[name], self.space.size, args, block))
+        b_size = self.B.size
+        base = self.B.columns(name, [[z % b_size for z in col] for col in args], block)
+        return list(map(add, rows, base))

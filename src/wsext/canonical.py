@@ -28,6 +28,7 @@ from .algebra import (
     _square_failure,
     _tabulate,
     fold_indices,
+    lex_blocks,
     table_args,
 )
 from .errors import (
@@ -226,24 +227,36 @@ def membership_by_term(c, omega: Optional[TermSpec] = None,
     evaluating ``omega`` (default: the witness term) in the candidate
     operations with every other argument at the zero tuple.
 
-    ``c`` is a CanonicalExtension or raw action data (``gammabuild.GammaData``):
-    anything with ``X``, ``B``, ``theta``, ``space`` and ``candidate_ops()``.
-    Any term acting as the identity when its non-distinguished arguments
-    are zero defines the same subset on genuine extension data; the term
-    is validated to have that unit property on X and B (WrongTheta).
-    Raises SearchBudgetExceeded when |X^n x B| exceeds ``budget``.
+    ``c`` is duck-typed: a CanonicalExtension, raw action data
+    (``gammabuild.GammaData``), or anything else with the algebras ``X``
+    and ``B``, a witness term ``theta``, a ``space`` (TupleSpace) and a
+    ``candidate_ops()`` returning the ``ambient.CandidateOps`` of its
+    action tables.  Any term acting as the identity when its
+    non-distinguished arguments are zero defines the same subset on
+    genuine extension data; the term is validated to have that unit
+    property on X and B (WrongTheta), after the budget check
+    (SearchBudgetExceeded when |X^n x B| exceeds ``budget``).
     """
-    if c.space.size > budget:
+    space = c.space
+    if space.size > budget:
         raise SearchBudgetExceeded(
-            f"membership test needs {c.space.size} ambient tuples, budget is {budget}")
+            f"membership test needs {space.size} ambient tuples, budget is {budget}")
     omega = omega or c.theta
     for alg, label in ((c.X, "kernel"), (c.B, "base")):
         if not check_theta_admissible(omega, alg):
             raise WrongTheta(
                 f"membership term lacks the unit property on the {label} algebra")
     ops = c.candidate_ops()
-    return [z for z in c.space.indices()
-            if c.space.unpack(ops.retract(omega, z))[0] == c.space.unpack(z)[0]]
+    b_size = space.b_size
+    members, start = [], 0
+    # each block of the ambient grid is a run of consecutive indices
+    for points, _ in lex_blocks([space.x_size] * space.n + [b_size]):
+        zs = range(start, start + points)
+        columns = [[ops.zero_tuple] * points] * (omega.arity - 1) + [list(zs)]
+        values = _tabulate(omega.term, ops, dict(zip(omega.vars, columns)), points)
+        members += [z for z, v in zip(zs, values) if v // b_size == z // b_size]
+        start += points
+    return members
 
 
 def gamma_table(c: CanonicalExtension, omega: TermSpec,
@@ -253,14 +266,18 @@ def gamma_table(c: CanonicalExtension, omega: TermSpec,
     output coordinates.  For a single basic operation this reproduces the
     stored table.  Raises SearchBudgetExceeded when the table would hold
     more than ``budget`` entries, |X^n x B|^arity."""
-    needed = c.space.size ** omega.arity
+    space = c.space
+    needed = space.size ** omega.arity
     if needed > budget:
         raise SearchBudgetExceeded(
             f"action table needs {needed} entries, budget is {budget}")
     ops = c.candidate_ops()
+    kernel_tuples = list(product(range(space.x_size), repeat=space.n))
+    b_size = space.b_size
     entries = []
-    for args in product(c.space.indices(), repeat=omega.arity):
-        entries.append(c.space.unpack(ops.eval(omega, args))[0])
+    for points, columns in lex_blocks([space.size] * omega.arity):
+        values = _tabulate(omega.term, ops, dict(zip(omega.vars, columns)), points)
+        entries += [kernel_tuples[v // b_size] for v in values]
     return tuple(entries)
 
 

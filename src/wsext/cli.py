@@ -309,7 +309,7 @@ def cmd_pullback(args) -> int:
             return EXIT_NEGATIVE
         witness = found[0]
 
-    e2, w2 = ext.pullback_extension(e, theta, B_prime, f, witness)
+    e2, w2 = ext.pullback_extension(e, theta, B_prime, f, witness, budget=args.budget)
     doc = extension_to_obj(e2, witness=w2, axioms=axioms)
     if args.out:
         dump_json(doc, args.out)

@@ -359,16 +359,19 @@ def pullback_extension(
     B_prime: FiniteAlgebra,
     f: FnTable,
     w: Witness,
+    budget: int = DEFAULT_BUDGET,
 ) -> tuple[SplitExtension, Witness]:
     """Pull the extension back along f : B' -> B and transport the witness.
 
     The middle algebra is the pullback of p and f with elements (a, b') in
     lexicographic order; the transported witness is q'_i(a, b') = q_i(a).
     The result is revalidated (extension laws and witness equation).
+    Raises SearchBudgetExceeded when the pullback's tables would hold more
+    than ``budget`` entries (see ``pullback_algebra``).
     """
     require_valid(e)
     require_witness(e, theta, w)
-    P, proj_A, proj_Bp = pullback_algebra(e.A, e.p, B_prime, f, e.B)
+    P, proj_A, proj_Bp = pullback_algebra(e.A, e.p, B_prime, f, e.B, budget=budget)
     index = {(proj_A(i), proj_Bp(i)): i for i in range(P.size)}
 
     k2 = FnTable(e.X.size, P.size,

@@ -21,10 +21,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain, product
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .ambient import CandidateOps, TupleSpace
-from .algebra import DEFAULT_BUDGET, Equation, FiniteAlgebra, FnTable, check_equation, table_index
+from .algebra import (
+    DEFAULT_BUDGET,
+    Equation,
+    FiniteAlgebra,
+    FnTable,
+    _tabulate,
+    check_equation,
+    fold_indices,
+    lex_blocks,
+    table_args,
+)
 from .canonical import membership_by_term
 from .errors import (
     ArityMismatch,
@@ -148,29 +158,21 @@ def compute_Y(g: GammaData, membership_term: Optional[TermSpec] = None,
     return base
 
 
-def _kernel_tuples(g: GammaData, Y: Sequence[int]) -> list[tuple[int, ...]]:
-    """Kernel-coordinate tuples ys with (ys, 0_B) in Y, in lex order."""
-    yset = set(Y)
-    return [xs for xs in product(range(g.X.size), repeat=g.n)
-            if g.space.pack(xs, g.B.zero) in yset]
-
-
-def _theta_at_zero(g: GammaData, xs: tuple[int, ...]) -> int:
-    return g.theta.eval(g.X, xs + (g.X.zero,))
-
-
 @dataclass(frozen=True)
 class _Carrier:
     """The carved-out carrier, shared by the condition checks and the rebuild.
 
+    ``kernel`` lists the tuples ys with (ys, 0_B) in Y, in lex order.
     ``algebra`` is Y with the candidate operations, indexed by carrier
-    position; it is None when Y is not closed under them.
+    position; it is None when Y is not closed under them.  ``k`` is the
+    kernel embedding as positions in Y; it is None unless condition 2 holds.
     """
 
     Y: list[int]
     y_pos: dict[int, int]
     kernel: list[tuple[int, ...]]
     algebra: Optional[FiniteAlgebra]
+    k: Optional[tuple[int, ...]]
 
 
 def _checked(g: GammaData, budget: int) -> tuple[Report, _Carrier]:
@@ -184,11 +186,25 @@ def _checked(g: GammaData, budget: int) -> tuple[Report, _Carrier]:
     return g._memo[budget]
 
 
+def _grid(axes: Sequence[Sequence[int]]) -> Iterator[tuple[int, list[list[int]]]]:
+    """Every tuple with coordinate j drawn from axes[j], in lex order, as
+    value columns in the blocks of lex_blocks: (points, columns)."""
+    for points, columns in lex_blocks([len(axis) for axis in axes]):
+        yield points, [[axis[i] for i in col] for axis, col in zip(axes, columns)]
+
+
 def _check(g: GammaData, budget: int) -> tuple[Report, _Carrier]:
+    """The four conditions, each operation or term tabulated over its grid
+    of ambient-index arguments; first failures are in lex order."""
     rep = Report()
     ops = g.candidate_ops()
+    space = g.space
+    x_size, b_size = space.x_size, space.b_size
     Y = compute_Y(g, budget=budget)
     y_pos = {z: i for i, z in enumerate(Y)}
+
+    def xs_of(z: int) -> tuple[int, ...]:
+        return table_args(x_size, g.n, z // b_size)
 
     # 1: closure + defining identities on the carrier; the closure pass
     # tabulates the operations on Y
@@ -197,14 +213,11 @@ def _check(g: GammaData, budget: int) -> tuple[Report, _Carrier]:
     for name, arity in g.X.signature.ops:
         if (len(Y) ** arity) > budget:
             raise SearchBudgetExceeded(f"closure check for {name!r} exceeds budget")
-        table = []
-        for args in product(Y, repeat=arity):
-            z = ops.apply(name, args)
-            if z not in y_pos:
-                failure = f"carrier not closed under {name!r} at {args}"
-                break
-            table.append(y_pos[z])
-        if failure:
+        table = [y_pos.get(z) for points, args in _grid([Y] * arity)
+                 for z in ops.columns(name, args, points)]
+        if None in table:
+            args = table_args(len(Y), arity, table.index(None))
+            failure = f"carrier not closed under {name!r} at {tuple(Y[i] for i in args)}"
             break
         tables[name] = tuple(table)
     YA = None if failure else FiniteAlgebra(g.X.signature, len(Y), tables)
@@ -220,58 +233,62 @@ def _check(g: GammaData, budget: int) -> tuple[Report, _Carrier]:
                 break
     rep.add("axioms_hold_on_carrier", axioms_ok, failure)
 
-    # 2: unique kernel tuple over each x
-    kernel = _kernel_tuples(g, Y)
-    cond2_ok = True
-    failure = ""
-    for x in range(g.X.size):
-        matches = [ys for ys in kernel if _theta_at_zero(g, ys) == x]
-        if len(matches) != 1:
-            cond2_ok = False
-            failure = f"x = {x} has kernel tuples {matches}"
-            break
-    rep.add("kernel_embedding_well_defined", cond2_ok, failure)
+    # 2: unique kernel tuple over each x.  at_zero is theta_X(ys, 0_X) over
+    # X^n (|X|^n <= |X^n x B|, which compute_Y budgeted), read by theta0.
+    at_zero: list[int] = []
+    for points, columns in lex_blocks([x_size] * g.n):
+        env = dict(zip(g.theta.vars, columns + [[g.X.zero] * points]))
+        at_zero += _tabulate(g.theta.term, g.X, env, points)
 
-    # 3: the embedding inverse is a homomorphism
-    cond3_ok = True
+    def theta0(column: Sequence[int]) -> list[int]:
+        return [at_zero[z // b_size] for z in column]
+
+    kz = [z for z in Y if z % b_size == g.B.zero]  # the (ys, 0_B) in Y, in lex order
+    groups: list[list[int]] = [[] for _ in range(x_size)]
+    for z, x in zip(kz, theta0(kz)):
+        groups[x].append(z)
+    bad = next((x for x, group in enumerate(groups) if len(group) != 1), None)
+    rep.add("kernel_embedding_well_defined", bad is None,
+            "" if bad is None else
+            f"x = {bad} has kernel tuples {list(map(xs_of, groups[bad]))}")
+
+    # 3: the embedding inverse is a homomorphism: theta0 o op = op_X o theta0
     failure = ""
     for name, arity in g.X.signature.ops:
-        if len(kernel) ** arity > budget:
+        if len(kz) ** arity > budget:
             raise SearchBudgetExceeded(f"condition 3 for {name!r} exceeds budget")
-        for tuples in product(kernel, repeat=arity):
-            args = tuple(g.space.pack(xs, g.B.zero) for xs in tuples)
-            via_action = g.gamma[name][table_index(g.space.size, args)]
-            lhs = _theta_at_zero(g, via_action)
-            rhs = g.X.op(name, tuple(_theta_at_zero(g, xs) for xs in tuples))
-            if lhs != rhs:
-                cond3_ok = False
-                failure = f"op {name!r} at kernel tuples {tuples}: {lhs} != {rhs}"
-                break
-        if not cond3_ok:
+        lhs: list[int] = []
+        rhs: list[int] = []
+        for points, args in _grid([kz] * arity):
+            lhs += theta0(ops.columns(name, args, points))
+            rhs += g.X.columns(name, list(map(theta0, args)), points)
+        if lhs != rhs:
+            j = next(j for j, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
+            ys = tuple(xs_of(kz[i]) for i in table_args(len(kz), arity, j))
+            failure = f"op {name!r} at kernel tuples {ys}: {lhs[j]} != {rhs[j]}"
             break
-    rep.add("kernel_embedding_homomorphism", cond3_ok, failure)
+    rep.add("kernel_embedding_homomorphism", not failure, failure)
 
-    # 4: coordinate projections witness the decomposition
-    cond4_ok = True
+    # 4: coordinate projections witness the decomposition: wherever the
+    # target (theta0(ys_1), .., theta0(ys_n), b) is in Y, theta at
+    # ((ys_1, 0_B), .., (ys_n, 0_B), (0, .., 0, b)) has its kernel coordinates
     failure = ""
-    if len(kernel) ** g.n * g.B.size > budget:
+    if len(kz) ** g.n * b_size > budget:
         raise SearchBudgetExceeded("condition 4 exceeds budget")
-    for tuples in product(kernel, repeat=g.n):
-        xs_star = tuple(_theta_at_zero(g, ys) for ys in tuples)
-        for b in range(g.B.size):
-            if g.space.pack(xs_star, b) not in y_pos:
-                continue
-            args = tuple(g.space.pack(ys, g.B.zero) for ys in tuples)
-            args += (g.space.pack((g.X.zero,) * g.n, b),)
-            got = g.space.unpack(ops.eval(g.theta, args))[0]
-            if got != xs_star:
-                cond4_ok = False
-                failure = f"kernel tuples {tuples}, base {b}: {got} != {xs_star}"
-                break
-        if not cond4_ok:
-            break
-    rep.add("projection_witness", cond4_ok, failure)
-    return rep, _Carrier(Y, y_pos, kernel, YA)
+    zero_row = space.pack((g.X.zero,) * g.n, 0)  # the ambient index of (0, .., 0, 0)
+    got: list[int] = []
+    for points, args in _grid([kz] * g.n + [range(zero_row, zero_row + b_size)]):
+        got += _tabulate(g.theta.term, ops, dict(zip(g.theta.vars, args)), points)
+    targets = [t * b_size + b for t in fold_indices(x_size, theta0(kz), g.n)
+               for b in range(b_size)]
+    j = next((j for j, (t, z) in enumerate(zip(targets, got))
+              if t in y_pos and z // b_size != t // b_size), None)
+    if j is not None:
+        ys = tuple(xs_of(kz[i]) for i in table_args(len(kz), g.n, j // b_size))
+        failure = f"kernel tuples {ys}, base {j % b_size}: {xs_of(got[j])} != {xs_of(targets[j])}"
+    rep.add("projection_witness", not failure, failure)
+    k = None if bad is not None else tuple(y_pos[group[0]] for group in groups)
+    return rep, _Carrier(Y, y_pos, list(map(xs_of, kz)), YA, k)
 
 
 def check_conditions(g: GammaData, budget: int = DEFAULT_BUDGET) -> Report:
@@ -297,29 +314,19 @@ def build_extension_from_gamma(g: GammaData,
     if not rep.ok:
         raise ConditionsFailed(rep)
     Y, y_pos = carrier.Y, carrier.y_pos
+    x_size, b_size = g.X.size, g.B.size
 
-    missing = [b for b in range(g.B.size)
-               if g.space.pack((g.X.zero,) * g.n, b) not in y_pos]
+    zero_row = g.space.pack((g.X.zero,) * g.n, 0)  # the ambient index of (0, .., 0, 0)
+    missing = [b for b in range(b_size) if zero_row + b not in y_pos]
     if missing:
         raise IotaNotInY(f"zero-tuple section misses the carrier at base {missing}")
 
-    k_vals = []
-    for x in range(g.X.size):
-        ys = next(t for t in carrier.kernel if _theta_at_zero(g, t) == x)
-        k_vals.append(y_pos[g.space.pack(ys, g.B.zero)])
-    k = FnTable(g.X.size, len(Y), tuple(k_vals))
-    p = FnTable(len(Y), g.B.size, tuple(g.space.unpack(z)[1] for z in Y))
-    s = FnTable(g.B.size, len(Y),
-                tuple(y_pos[g.space.pack((g.X.zero,) * g.n, b)]
-                      for b in range(g.B.size)))
+    k = FnTable(x_size, len(Y), carrier.k)
+    p = FnTable(len(Y), b_size, tuple(z % b_size for z in Y))
+    s = FnTable(b_size, len(Y), tuple(y_pos[zero_row + b] for b in range(b_size)))
     ext = SplitExtension(g.X, carrier.algebra, g.B, k, p, s)
-
-    q = tuple(
-        FnTable(len(Y), g.X.size,
-                tuple(g.space.unpack(z)[0][i] for z in Y))
-        for i in range(g.n)
-    )
-    w = Witness(g.n, q)
+    coords = zip(*(table_args(x_size, g.n, z // b_size) for z in Y))
+    w = Witness(g.n, tuple(FnTable(len(Y), x_size, xs) for xs in coords))
 
     val = validate_split_extension(ext)
     if not val.ok:

@@ -9,10 +9,31 @@ implementations on small instances.
 import json
 from itertools import product
 
-from wsext.algebra import DEFAULT_BUDGET, Equation, FiniteAlgebra, FnTable, table_index
-from wsext.canonical import membership_by_term, psi
-from wsext.errors import ArityMismatch, EntryOutOfRange, InternalCheckFailed
-from wsext.extension import SplitExtension, Witness, phi
+from wsext.algebra import (
+    DEFAULT_BUDGET,
+    Equation,
+    FiniteAlgebra,
+    FnTable,
+    table_index,
+)
+from wsext.canonical import psi
+from wsext.errors import (
+    ArityMismatch,
+    ConditionsFailed,
+    EntryOutOfRange,
+    InternalCheckFailed,
+    IotaNotInY,
+    SearchBudgetExceeded,
+    UnboundVariable,
+    WrongTheta,
+)
+from wsext.extension import (
+    SplitExtension,
+    Witness,
+    phi,
+    validate_split_extension,
+    validate_witness,
+)
 from wsext.report import CheckResult, Report
 from wsext.serialize import (
     CANONICAL_SCHEMA,
@@ -21,7 +42,15 @@ from wsext.serialize import (
     equations_to_obj,
     theta_to_obj,
 )
-from wsext.terms import ThetaSpec, eval_term, require_admissible
+from wsext.terms import (
+    Term,
+    TermSpec,
+    ThetaSpec,
+    Var,
+    check_theta_admissible,
+    eval_term,
+    require_admissible,
+)
 
 
 def all_functions(dom_size: int, cod_size: int):
@@ -239,7 +268,7 @@ def brute_force_cross_check(c, budget: int = DEFAULT_BUDGET) -> None:
                 f"kernel embedding at {x}: expected unique {c.k_prime(x)}, found {matches}")
     if brute_force_fixpoint_carrier(c) != y_indices:
         raise InternalCheckFailed("fixpoint carrier differs from the image of psi")
-    if membership_by_term(c, budget=budget) != y_indices:
+    if brute_force_membership(c, budget=budget) != y_indices:
         raise InternalCheckFailed("candidate-operation carrier differs from im(psi)")
 
 
@@ -361,3 +390,204 @@ def plain_rows(obj, pad: str) -> str:
         return json.dumps(obj)
     opening, closing = ("{", "}") if isinstance(obj, dict) else ("[", "]")
     return opening + "\n" + ",\n".join(items) + "\n" + pad + closing
+
+
+# -- action data: candidate operations, carrier and conditions, entry by entry ----------
+
+class PerEntryOps:
+    """The candidate operations of a canonical form or of raw action data,
+    one ambient index at a time: each application unpacks its arguments,
+    reads the action entry and computes the base coordinate in B, and
+    packs the result."""
+
+    def __init__(self, c):
+        self.space = c.space
+        self.gamma = c.gamma
+        self.B = c.B
+        self.zero_tuple = self.space.pack((c.X.zero,) * self.space.n, c.B.zero)
+
+    def apply(self, op: str, args) -> int:
+        xs = self.gamma[op][table_index(self.space.size, args)]
+        b = self.B.op(op, tuple(self.space.unpack(a)[1] for a in args))
+        return self.space.pack(xs, b)
+
+    def eval(self, spec: TermSpec, args) -> int:
+        """The term by structural recursion; a bare variable term is the
+        identity on the ambient set."""
+        if len(args) != spec.arity:
+            raise ArityMismatch(
+                f"term of arity {spec.arity} applied to {len(args)} arguments")
+        env = dict(zip(spec.vars, args))
+
+        def rec(t: Term) -> int:
+            if isinstance(t, Var):
+                if t.name not in env:
+                    raise UnboundVariable(f"variable {t.name!r} not bound")
+                return env[t.name]
+            return self.apply(t.op, tuple(rec(a) for a in t.args))
+
+        return rec(spec.term)
+
+    def retract(self, theta: TermSpec, z: int) -> int:
+        """theta at z with every other argument at the zero tuple."""
+        return self.eval(theta, (self.zero_tuple,) * (theta.arity - 1) + (z,))
+
+
+def brute_force_membership(c, omega=None, budget: int = DEFAULT_BUDGET) -> list[int]:
+    """membership_by_term with one retraction per ambient index."""
+    space = c.space
+    if space.size > budget:
+        raise SearchBudgetExceeded(
+            f"membership test needs {space.size} ambient tuples, budget is {budget}")
+    omega = omega or c.theta
+    for alg, label in ((c.X, "kernel"), (c.B, "base")):
+        if not check_theta_admissible(omega, alg):
+            raise WrongTheta(
+                f"membership term lacks the unit property on the {label} algebra")
+    ops = PerEntryOps(c)
+    return [z for z in space.indices()
+            if space.unpack(ops.retract(omega, z))[0] == space.unpack(z)[0]]
+
+
+def brute_force_gamma_table(c, omega: TermSpec, budget: int = DEFAULT_BUDGET):
+    """gamma_table with one term evaluation per ambient argument tuple."""
+    space = c.space
+    needed = space.size ** omega.arity
+    if needed > budget:
+        raise SearchBudgetExceeded(
+            f"action table needs {needed} entries, budget is {budget}")
+    ops = PerEntryOps(c)
+    return tuple(space.unpack(ops.eval(omega, args))[0]
+                 for args in product(space.indices(), repeat=omega.arity))
+
+
+def brute_force_conditions(g, budget: int = DEFAULT_BUDGET):
+    """(report, Y, kernel tuples, Y tables or None) for raw action data:
+    the four conditions walked one argument tuple at a time, with the
+    messages and the budget checks, in their order, of check_conditions."""
+    rep = Report()
+    space = g.space
+    ops = PerEntryOps(g)
+    Y = brute_force_membership(g, budget=budget)
+    y_pos = {z: i for i, z in enumerate(Y)}
+
+    def theta_at_zero(xs):
+        return g.theta.eval(g.X, xs + (g.X.zero,))
+
+    # 1: closure, then the identities on Y
+    failure = ""
+    tables = {}
+    for name, arity in g.X.signature.ops:
+        if (len(Y) ** arity) > budget:
+            raise SearchBudgetExceeded(f"closure check for {name!r} exceeds budget")
+        table = []
+        for args in product(Y, repeat=arity):
+            z = ops.apply(name, args)
+            if z not in y_pos:
+                failure = f"carrier not closed under {name!r} at {args}"
+                break
+            table.append(y_pos[z])
+        if failure:
+            break
+        tables[name] = tuple(table)
+    YA = None if failure else FiniteAlgebra(g.X.signature, len(Y), tables)
+    axioms_ok = YA is not None
+    if axioms_ok:
+        for i, ax in enumerate(g.axioms):
+            if len(Y) ** len(ax.vars) > budget:
+                raise SearchBudgetExceeded(f"axiom {i} check exceeds budget")
+            res = brute_force_equation(YA, ax)
+            if not res:
+                axioms_ok = False
+                failure = f"axiom {i} fails at {res.counterexample}"
+                break
+    rep.add("axioms_hold_on_carrier", axioms_ok, failure)
+
+    # 2: one kernel tuple over each x
+    yset = set(Y)
+    kernel = [xs for xs in product(range(g.X.size), repeat=g.n)
+              if space.pack(xs, g.B.zero) in yset]
+    cond2_ok = True
+    failure = ""
+    for x in range(g.X.size):
+        matches = [ys for ys in kernel if theta_at_zero(ys) == x]
+        if len(matches) != 1:
+            cond2_ok = False
+            failure = f"x = {x} has kernel tuples {matches}"
+            break
+    rep.add("kernel_embedding_well_defined", cond2_ok, failure)
+
+    # 3: the inverse of the embedding is a homomorphism
+    cond3_ok = True
+    failure = ""
+    for name, arity in g.X.signature.ops:
+        if len(kernel) ** arity > budget:
+            raise SearchBudgetExceeded(f"condition 3 for {name!r} exceeds budget")
+        for tuples in product(kernel, repeat=arity):
+            args = tuple(space.pack(xs, g.B.zero) for xs in tuples)
+            lhs = theta_at_zero(g.gamma[name][table_index(space.size, args)])
+            rhs = g.X.op(name, tuple(theta_at_zero(xs) for xs in tuples))
+            if lhs != rhs:
+                cond3_ok = False
+                failure = f"op {name!r} at kernel tuples {tuples}: {lhs} != {rhs}"
+                break
+        if not cond3_ok:
+            break
+    rep.add("kernel_embedding_homomorphism", cond3_ok, failure)
+
+    # 4: the coordinate projections witness the decomposition
+    cond4_ok = True
+    failure = ""
+    if len(kernel) ** g.n * g.B.size > budget:
+        raise SearchBudgetExceeded("condition 4 exceeds budget")
+    for tuples in product(kernel, repeat=g.n):
+        xs_star = tuple(theta_at_zero(ys) for ys in tuples)
+        for b in range(g.B.size):
+            if space.pack(xs_star, b) not in y_pos:
+                continue
+            args = tuple(space.pack(ys, g.B.zero) for ys in tuples)
+            args += (space.pack((g.X.zero,) * g.n, b),)
+            got = space.unpack(ops.eval(g.theta, args))[0]
+            if got != xs_star:
+                cond4_ok = False
+                failure = f"kernel tuples {tuples}, base {b}: {got} != {xs_star}"
+                break
+        if not cond4_ok:
+            break
+    rep.add("projection_witness", cond4_ok, failure)
+    return rep, Y, kernel, None if YA is None else YA.tables
+
+
+def brute_force_rebuild(g, budget: int = DEFAULT_BUDGET):
+    """build_extension_from_gamma from brute_force_conditions: k found by a
+    scan of the kernel tuples, p, s and the projections by unpacking."""
+    rep, Y, kernel, tables = brute_force_conditions(g, budget)
+    if not rep.ok:
+        raise ConditionsFailed(rep)
+    space = g.space
+    y_pos = {z: i for i, z in enumerate(Y)}
+    zeros = (g.X.zero,) * g.n
+    missing = [b for b in range(g.B.size) if space.pack(zeros, b) not in y_pos]
+    if missing:
+        raise IotaNotInY(f"zero-tuple section misses the carrier at base {missing}")
+    k_vals = []
+    for x in range(g.X.size):
+        ys = next(t for t in kernel if g.theta.eval(g.X, t + (g.X.zero,)) == x)
+        k_vals.append(y_pos[space.pack(ys, g.B.zero)])
+    ext = SplitExtension(
+        g.X, FiniteAlgebra(g.X.signature, len(Y), tables), g.B,
+        FnTable(g.X.size, len(Y), tuple(k_vals)),
+        FnTable(len(Y), g.B.size, tuple(space.unpack(z)[1] for z in Y)),
+        FnTable(g.B.size, len(Y), tuple(y_pos[space.pack(zeros, b)]
+                                        for b in range(g.B.size))))
+    w = Witness(g.n, tuple(FnTable(len(Y), g.X.size,
+                                   tuple(space.unpack(z)[0][i] for z in Y))
+                           for i in range(g.n)))
+    val = validate_split_extension(ext)
+    if not val.ok:
+        raise InternalCheckFailed(
+            "reconstructed extension failed validation:\n" + val.render())
+    res = validate_witness(ext, g.theta, w)
+    if not res:
+        raise InternalCheckFailed(f"projection witness fails at {res.counterexample}")
+    return ext, w

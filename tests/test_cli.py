@@ -191,6 +191,19 @@ def test_pullback_rejects_non_homomorphism(tmp_path):
     assert res.returncode == 2
 
 
+def test_pullback_respects_budget(tmp_path):
+    # the pullback along the identity has 5 elements: 5^2 + 5^0 = 26 entries
+    hom = tmp_path / "hom.json"
+    n2 = json.loads(fixture_path("n2").read_text())
+    hom.write_text(json.dumps({"B_prime": n2, "f": [0, 1]}))
+    argv = ["pullback", EXAMPLE, str(hom), "--theta", THETA_XZY, "--budget"]
+    assert run_cli(*argv, "26").returncode == 0
+    res = run_cli(*argv, "25")
+    assert res.returncode == 64
+    _assert_one_error_line(res)
+    assert res.stderr == "error: pullback tables need 26 entries, budget is 25\n"
+
+
 def test_product_check_monoid_passes():
     res = run_cli("product-check", str(fixture_path("n2")),
                   "--theta-vars", "x,y", "--theta-term", "(+ x y)")
@@ -453,9 +466,10 @@ def test_gamma_check_rebuild_computes_the_carrier_once(name, tmp_path, monkeypat
 # -- malformed action data ---------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _canonical_text() -> str:
-    """The canonical document of example_monoid (n = 2, 8 ambient tuples)."""
-    e, w, axioms, theta = load_fixture("example_monoid")
+def _canonical_text(name: str = "example_monoid") -> str:
+    """The canonical document of a fixture (example_monoid: n = 2, 8
+    ambient tuples; s3: a group with a unary operation and axioms)."""
+    e, w, axioms, theta = load_fixture(name)
     return json.dumps(canonical_to_obj(build_canonical(e, theta, w), axioms))
 
 
@@ -545,20 +559,21 @@ def _leaf_paths(node, path=()):
 FUZZ_VALUES = [True, None, 1.5, -1, 0, 1, 2, 3, 99, 10 ** 30, "x", [], [0, 0, 0], {}]
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(_leaf_paths(json.loads(_canonical_text()))),
-                          st.sampled_from(FUZZ_VALUES)),
-                min_size=1, max_size=2))
-def test_gamma_check_exit_code_contract_under_leaf_fuzz(replacements):
-    doc = json.loads(_canonical_text())
-    for path, value in replacements:
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["example_monoid", "s3"]), st.booleans(), st.data())
+def test_gamma_check_exit_code_contract_under_leaf_fuzz(name, rebuild, data):
+    doc = json.loads(_canonical_text(name))
+    leaf = st.tuples(st.sampled_from(_leaf_paths(doc)), st.sampled_from(FUZZ_VALUES))
+    for path, value in data.draw(st.lists(leaf, min_size=1, max_size=2)):
         _set(path, value)(doc)
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzzed.json"
         path.write_text(json.dumps(doc))
+        argv = ["gamma-check", str(path)] + (["--rebuild", str(Path(tmp) / "r.json")]
+                                             if rebuild else [])
         # an exception escaping main would be a traceback at the shell
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["gamma-check", str(path)])
+            code = main(argv)
     assert code in (0, 1, 2, 64)
     assert "Traceback" not in err.getvalue()

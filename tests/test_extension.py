@@ -25,6 +25,7 @@ from wsext.errors import (
     AlphaAxiomFailed,
     InternalCheckFailed,
     InvalidMorphism,
+    NotHomomorphism,
     SearchBudgetExceeded,
     ThetaNotAdmissible,
 )
@@ -293,6 +294,25 @@ def test_pullback_validates_for_every_fixture_hom(fixture_case):
             e2, w2 = pullback_extension(e, theta, B_prime, f, w)
             assert validate_split_extension(e2).ok
             assert validate_witness(e2, theta, w2)
+
+
+def test_pullback_respects_budget(fixture_case):
+    from wsext import enumerate_homomorphisms
+    name, e, w, axioms, theta = fixture_case
+    for B_prime in (e.B, trivial_algebra(e.B.signature)):
+        for f in enumerate_homomorphisms(B_prime, e.B, limit=3):
+            e2, _ = pullback_extension(e, theta, B_prime, f, w)
+            cost = sum(e2.A.size ** arity for _, arity in e.A.signature.ops)
+            assert pullback_extension(e, theta, B_prime, f, w, budget=cost)[0] == e2
+            with pytest.raises(SearchBudgetExceeded,
+                               match=f"need {cost} entries, budget is {cost - 1}$"):
+                pullback_extension(e, theta, B_prime, f, w, budget=cost - 1)
+
+
+def test_pullback_checks_homomorphisms_before_the_budget(example):
+    e, w, _, theta = example
+    with pytest.raises(NotHomomorphism):
+        pullback_extension(e, theta, e.B, FnTable(2, 2, (1, 0)), w, budget=0)
 
 
 # -- product_extension_check ---------------------------------------------------------------

@@ -1,3 +1,6 @@
+import re
+from itertools import product
+
 import pytest
 
 from wsext import (
@@ -200,6 +203,57 @@ def test_mutated_action_fails_some_condition():
     rep = check_conditions(broken)
     assert not rep.ok
     assert any(not en.ok and en.detail for en in rep.entries)
+
+
+def test_closure_failure_names_the_first_argument_tuple():
+    # two carrier pairs whose action leaves the carrier: the report names
+    # the first in lex order, as the per-entry oracle does
+    e, w, theta, c, g = extracted("example_monoid")
+    from wsext.algebra import table_index
+    from oracles import brute_force_conditions
+    Y = compute_Y(g)
+    table = list(g.gamma["+"])
+    # no argument is the zero tuple Y[0], so the carrier itself stays put
+    for args in ((Y[2], Y[1]), (Y[1], Y[3])):
+        b = g.B.op("+", tuple(z % g.B.size for z in args))
+        table[table_index(g.space.size, args)] = next(
+            xs for xs in product(range(g.X.size), repeat=2) if g.space.pack(xs, b) not in Y)
+    broken = GammaData(g.X, g.B, g.theta, {"+": tuple(table), "0": g.gamma["0"]},
+                       g.axioms)
+    assert compute_Y(broken) == Y
+    rep = check_conditions(broken)
+    assert rep.to_json() == brute_force_conditions(broken)[0].to_json()
+    assert rep.entry("axioms_hold_on_carrier").detail == \
+        f"carrier not closed under '+' at {(Y[1], Y[3])}"
+
+
+def test_condition_budgets_are_checked_in_order():
+    # the constant comes first in this signature, and the carrier is not
+    # closed under it; condition 3 passes at it, so the budgets of
+    # condition 3 for '+' (3^2 kernel pairs) and of condition 4 (3^2 * 2
+    # cases) are reached and bind above the 8 ambient tuples
+    sig = Signature((("0", 0), ("+", 2)), "0")
+    N2 = make_algebra(sig, 2, {"0": [0], "+": [0, 1, 1, 1]})
+    theta = ThetaSpec(("x1", "x2", "y"), parse_term("(+ x1 y)", sig, ["x1", "x2", "y"]))
+    space_size = 8
+    unpack = [(z // 4, z // 2 % 2) for z in range(space_size)]
+    plus = [tuple(N2.op("+", (u, v)) for u, v in zip(unpack[z1], unpack[z2]))
+            for z1 in range(space_size) for z2 in range(space_size)]
+    plus[2] = (0, 0)  # 0 + (0, 1, 0) leaves the ambient tuple (0, 1, 0)
+    g = GammaData(N2, N2, theta, {"0": ((0, 1),), "+": tuple(plus)}, ())
+    from oracles import brute_force_conditions
+    assert len(compute_Y(g)) == 7
+    expected = {7: "membership test needs 8 ambient tuples, budget is 7",
+                8: "condition 3 for '+' exceeds budget",
+                17: "condition 4 exceeds budget"}
+    for budget, message in expected.items():
+        for check in (check_conditions, brute_force_conditions):
+            with pytest.raises(SearchBudgetExceeded, match=f"^{re.escape(message)}$"):
+                check(g, budget)
+    rep = check_conditions(g, 18)
+    assert rep.to_json() == brute_force_conditions(g, 18)[0].to_json()
+    assert rep.entry("axioms_hold_on_carrier").detail == \
+        "carrier not closed under '0' at ()"
 
 
 # -- build_extension_from_gamma ----------------------------------------------------------

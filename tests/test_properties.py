@@ -18,9 +18,15 @@ from wsext import (
     FnTable,
     Signature,
     SplitExtension,
+    TermSpec,
     ThetaSpec,
     Var,
     build_canonical,
+    build_extension_from_gamma,
+    check_conditions,
+    extract_gamma,
+    gamma_table,
+    membership_by_term,
     check_equation,
     enumerate_homomorphisms,
     find_witnesses,
@@ -47,22 +53,26 @@ from wsext.extension import (
     validate_witness,
 )
 from wsext.fixtures import fixture_path
-from wsext.gammabuild import GammaData
+from wsext.gammabuild import GammaData, _checked
 from wsext.serialize import canonical_to_obj, dump_json, theta_from_obj
 
 from conftest import EXTENSION_NAMES, load_fixture
 
 from oracles import (
+    brute_force_conditions,
     brute_force_cross_check,
     brute_force_entry_error,
     brute_force_equation,
     brute_force_feasible,
     brute_force_fixpoint_carrier,
     brute_force_gamma,
+    brute_force_gamma_table,
     brute_force_homomorphism,
     brute_force_homs,
+    brute_force_membership,
     brute_force_phi,
     brute_force_product_check,
+    brute_force_rebuild,
     brute_force_schreier,
     brute_force_transport,
     brute_force_verify,
@@ -669,3 +679,105 @@ def test_cross_checks_and_report_match_the_per_entry_loops(case, data):
         c2 = build_canonical(e, theta, mutant)
         assert c2.ops_Y == brute_force_transport(e, theta, mutant, c2.Y)
         brute_force_cross_check(c2)
+
+
+# -- action data: conditions, carrier and term tables against the per-entry oracles ----
+
+def substitute(t, env):
+    """t with the variables named in env replaced by their terms."""
+    if isinstance(t, Var):
+        return env.get(t.name, t)
+    return App(t.op, tuple(substitute(a, env) for a in t.args))
+
+
+def membership_variants(theta: ThetaSpec) -> list[TermSpec]:
+    """Terms over theta's variables to cut Y out with: theta itself, theta
+    with its kernel arguments reversed, theta nested in its own last
+    argument, the last variable alone (all with the unit property), and
+    the first variable alone (without it unless the algebras are trivial)."""
+    *xs, y = theta.vars
+    terms = [theta.term,
+             substitute(theta.term, {x: Var(v) for x, v in zip(xs, reversed(xs))}),
+             substitute(theta.term, {y: theta.term}),
+             Var(y), Var(xs[0])]
+    return [TermSpec(theta.vars, t) for t in terms]
+
+
+def gamma_mutant(g: GammaData, data) -> GammaData:
+    """g, or g with one or two action entries replaced by kernel tuples;
+    each entry sits at an argument tuple of carrier members half of the
+    time, where the conditions look."""
+    count = data.draw(st.integers(0, 2))
+    if not count:
+        return g
+    gamma, size, members = dict(g.gamma), g.space.size, membership_by_term(g)
+    for _ in range(count):
+        name, arity = data.draw(st.sampled_from(g.X.signature.ops))
+        table = list(gamma[name])
+        if arity and data.draw(st.booleans()):
+            j = 0
+            for _ in range(arity):
+                j = j * size + data.draw(st.sampled_from(members))
+        else:
+            j = data.draw(st.integers(0, len(table) - 1))
+        table[j] = data.draw(st.tuples(*[st.integers(0, g.X.size - 1)] * g.n))
+        gamma[name] = tuple(table)
+    return GammaData(g.X, g.B, g.theta, gamma, g.axioms)
+
+
+def condition_costs(g: GammaData, Y, kernel) -> list[int]:
+    """Every budget a condition check compares against, one under and at."""
+    costs = {g.space.size, len(kernel) ** g.n * g.B.size}
+    for _, arity in g.X.signature.ops:
+        costs |= {len(Y) ** arity, len(kernel) ** arity}
+    costs |= {len(Y) ** len(ax.vars) for ax in g.axioms}
+    return sorted({c + d for c in costs for d in (-1, 0)} - {-1})
+
+
+def carrier_outcome(g: GammaData, budget: int):
+    rep, carrier = _checked(g, budget)
+    assert check_conditions(g, budget) is rep
+    tables = None if carrier.algebra is None else dict(carrier.algebra.tables)
+    return rep.to_json(), carrier.Y, carrier.kernel, tables
+
+
+def oracle_carrier_outcome(g: GammaData, budget: int):
+    rep, Y, kernel, tables = brute_force_conditions(g, budget)
+    return rep.to_json(), Y, kernel, tables
+
+
+def rebuilt(result):
+    ext, w = result
+    return (ext.A.size, dict(ext.A.tables), ext.k.values, ext.p.values, ext.s.values,
+            w.arrays())
+
+
+@given(canonical_cases(), GRID_BLOCKS, st.data())
+@settings(max_examples=200, deadline=None)
+def test_action_data_checks_match_the_per_entry_oracles(case, points, data):
+    e, theta, w, axioms = case
+    g = gamma_mutant(extract_gamma(build_canonical(e, theta, w), axioms), data)
+    _, Y, kernel, _ = brute_force_conditions(g)
+    budget = data.draw(st.one_of(st.just(algebra.DEFAULT_BUDGET),
+                                 st.sampled_from(condition_costs(g, Y, kernel))))
+    size = g.space.size
+    with grid_block(points):
+        assert any_outcome(lambda: carrier_outcome(g, budget)) == \
+            any_outcome(lambda: oracle_carrier_outcome(g, budget))
+        assert any_outcome(lambda: rebuilt(build_extension_from_gamma(g, budget))) == \
+            any_outcome(lambda: rebuilt(brute_force_rebuild(g, budget)))
+
+        for omega in membership_variants(g.theta):
+            for cap in (size, size - 1):
+                assert any_outcome(lambda: membership_by_term(g, omega, budget=cap)) == \
+                    any_outcome(lambda: brute_force_membership(g, omega, budget=cap))
+
+        basic = [TermSpec(vs, App(name, tuple(map(Var, vs))))
+                 for name, arity in g.X.signature.ops
+                 for vs in [tuple(f"v{i}" for i in range(arity))]]
+        for omega in basic + membership_variants(g.theta)[:1]:
+            cost = size ** omega.arity
+            # the full tables only where the per-entry oracle stays quick
+            for cap in ((cost, cost - 1) if cost <= 5000 else (cost - 1,)):
+                assert any_outcome(lambda: gamma_table(g, omega, budget=cap)) == \
+                    any_outcome(lambda: brute_force_gamma_table(g, omega, budget=cap))
