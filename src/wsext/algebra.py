@@ -358,19 +358,24 @@ def enumerate_homomorphisms(
     return out
 
 
+def _pair_tables(A: FiniteAlgebra, B: FiniteAlgebra,
+                 pairs: Sequence[tuple[int, int]]) -> dict[str, tuple]:
+    """The componentwise operations on a subset of A x B, given as its (a, b)
+    pairs in lex order: one index fold per coordinate column and operation,
+    then a lookup of each result pair; None where a result leaves the subset."""
+    position = {pair: i for i, pair in enumerate(pairs)}
+    a_col, b_col = zip(*pairs)
+    return {name: tuple(map(position.get, zip(
+                _gather(fold_indices(A.size, a_col, arity))(A.tables[name]),
+                _gather(fold_indices(B.size, b_col, arity))(B.tables[name]))))
+            for name, arity in A.signature.ops}
+
+
 def product_algebra(A: FiniteAlgebra, B: FiniteAlgebra) -> FiniteAlgebra:
-    """Componentwise product on carrier {0..|A|*|B|-1}, pairing (a,b) -> a*|B| + b."""
+    """Componentwise product, pairing (a,b) -> a*|B| + b: the pullback over all pairs."""
     _require_same_signature(A, B)
-    size = A.size * B.size
-    tables: dict[str, tuple[int, ...]] = {}
-    for name, arity in A.signature.ops:
-        values = []
-        for args in product(range(size), repeat=arity):
-            a_args = tuple(x // B.size for x in args)
-            b_args = tuple(x % B.size for x in args)
-            values.append(A.op(name, a_args) * B.size + B.op(name, b_args))
-        tables[name] = tuple(values)
-    return FiniteAlgebra(A.signature, size, tables)
+    pairs = list(product(range(A.size), range(B.size)))
+    return FiniteAlgebra(A.signature, len(pairs), _pair_tables(A, B, pairs))
 
 
 def pullback_algebra(
@@ -405,45 +410,31 @@ def pullback_algebra(
 
     elements = [(a, bp) for a in range(A.size) for bp in range(B_prime.size)
                 if p(a) == f(bp)]
-    index = {el: i for i, el in enumerate(elements)}
-    tables: dict[str, tuple[int, ...]] = {}
+    tables = _pair_tables(A, B_prime, elements)
     for name, arity in A.signature.ops:
-        values = []
-        for args in product(elements, repeat=arity):
-            a_val = A.op(name, tuple(a for a, _ in args))
-            bp_val = B_prime.op(name, tuple(bp for _, bp in args))
-            # closure is automatic since p and f are homomorphisms
-            if (a_val, bp_val) not in index:
-                raise NotHomomorphism(
-                    f"pullback carrier not closed under {name!r} at {args}")
-            values.append(index[(a_val, bp_val)])
-        tables[name] = tuple(values)
-    P = FiniteAlgebra(A.signature, len(elements), tables)
-    proj_A = FnTable(len(elements), A.size, tuple(a for a, _ in elements))
-    proj_Bp = FnTable(len(elements), B_prime.size, tuple(bp for _, bp in elements))
+        # closure is automatic since p and f are homomorphisms
+        if None in tables[name]:
+            args = table_args(size, arity, tables[name].index(None))
+            raise NotHomomorphism(f"pullback carrier not closed under {name!r} at "
+                                  f"{tuple(elements[i] for i in args)}")
+    P = FiniteAlgebra(A.signature, size, tables)
+    proj_A = FnTable(size, A.size, tuple(a for a, _ in elements))
+    proj_Bp = FnTable(size, B_prime.size, tuple(bp for _, bp in elements))
     return P, proj_A, proj_Bp
 
 
 def subalgebra_closure(A: FiniteAlgebra, generators: Sequence[int]) -> list[int]:
     """Smallest subset of the carrier containing the generators and closed
-    under every operation (constants included), sorted ascending."""
+    under every operation (constants included), sorted ascending: each
+    round reads every operation's table at the index fold of the members."""
     current = set(generators)
-    for name, arity in A.signature.ops:
-        if arity == 0:
-            current.add(A.op(name, ()))
-    changed = True
-    while changed:
-        changed = False
+    while True:
         members = sorted(current)
         for name, arity in A.signature.ops:
-            if arity == 0:
-                continue
-            for args in product(members, repeat=arity):
-                v = A.op(name, args)
-                if v not in current:
-                    current.add(v)
-                    changed = True
-    return sorted(current)
+            current.update(map(A.tables[name].__getitem__,
+                               fold_indices(A.size, members, arity)))
+        if len(current) == len(members):
+            return members
 
 
 # -- equations ----------------------------------------------------------------

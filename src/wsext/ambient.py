@@ -15,11 +15,12 @@ operations by ``algebra._tabulate``, as in a finite algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from operator import add
 from typing import Mapping, Sequence
 
-from .algebra import FiniteAlgebra, _node
+from .algebra import FiniteAlgebra, _node, table_args, table_index
 from .errors import ArityMismatch, EntryOutOfRange
 
 
@@ -35,29 +36,42 @@ class TupleSpace:
     def size(self) -> int:
         return self.x_size ** self.n * self.b_size
 
+    @property
+    def radices(self) -> list[int]:
+        """The grid of the ambient tuples: n kernel coordinates, then B."""
+        return [self.x_size] * self.n + [self.b_size]
+
+    @cached_property
+    def kernel_tuples(self) -> list[tuple[int, ...]]:
+        """The |X|^n kernel tuples in lex order, built on first use."""
+        return list(product(range(self.x_size), repeat=self.n))
+
     def pack(self, xs: Sequence[int], b: int) -> int:
         if len(xs) != self.n:
             raise ArityMismatch(f"expected {self.n} kernel coordinates, got {len(xs)}")
-        idx = 0
         for x in xs:
             if not (0 <= x < self.x_size):
                 raise EntryOutOfRange(f"coordinate {x} outside 0..{self.x_size - 1}")
-            idx = idx * self.x_size + x
         if not (0 <= b < self.b_size):
             raise EntryOutOfRange(f"base coordinate {b} outside 0..{self.b_size - 1}")
-        return idx * self.b_size + b
+        return table_index(self.x_size, xs) * self.b_size + b
 
     def unpack(self, idx: int) -> tuple[tuple[int, ...], int]:
-        b = idx % self.b_size
-        idx //= self.b_size
-        xs = []
-        for _ in range(self.n):
-            xs.append(idx % self.x_size)
-            idx //= self.x_size
-        return tuple(reversed(xs)), b
+        return table_args(self.x_size, self.n, idx // self.b_size), idx % self.b_size
+
+    def fold(self, axes: Sequence[Sequence[int]]) -> list[int]:
+        """The indices of the tuples in axes[0] x .. x axes[n], in lex order."""
+        idx = [0]
+        for radix, axis in zip(self.radices, axes):
+            idx = [i * radix + v for i in idx for v in axis]
+        return idx
 
     def indices(self) -> range:
         return range(self.size)
+
+
+def ambient_space(e, n: int) -> TupleSpace:
+    return TupleSpace(e.X.size, n, e.B.size)
 
 
 # gamma tables: per op, a flat tuple over ambient-index argument tuples
@@ -79,8 +93,7 @@ class CandidateOps:
         self.B = B
         self.zero_tuple = space.pack((x_zero,) * space.n, B.zero)
         # each n-tuple of kernel coordinates -> the ambient index of (xs, 0)
-        self._row = {xs: i * B.size for i, xs in
-                     enumerate(product(range(space.x_size), repeat=space.n))}
+        self._row = {xs: i * space.b_size for i, xs in enumerate(space.kernel_tuples)}
 
     def columns(self, name: str, args: Sequence[Sequence[int]], block: int) -> list[int]:
         rows = map(self._row.__getitem__,

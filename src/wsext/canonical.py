@@ -15,11 +15,12 @@ term x + z + y.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, compress, product, repeat
 from operator import eq
 from typing import Optional, Sequence
 
-from .ambient import CandidateOps, TupleSpace
+from .ambient import CandidateOps, TupleSpace, ambient_space
 from .algebra import (
     DEFAULT_BUDGET,
     FiniteAlgebra,
@@ -46,10 +47,6 @@ from .extension import (
 )
 from .report import Report
 from .terms import TermSpec, ThetaSpec, check_theta_admissible
-
-
-def ambient_space(e: SplitExtension, n: int) -> TupleSpace:
-    return TupleSpace(e.X.size, n, e.B.size)
 
 
 def psi(e: SplitExtension, w: Witness) -> FnTable:
@@ -80,7 +77,7 @@ class CanonicalExtension:
     gamma: dict[str, tuple[tuple[int, ...], ...]]
     gamma_id: tuple[tuple[int, ...], ...]
 
-    @property
+    @cached_property
     def space(self) -> TupleSpace:
         return TupleSpace(self.X.size, self.n, self.B.size)
 
@@ -216,8 +213,7 @@ def membership_by_gamma_id(c: CanonicalExtension) -> list[int]:
     gamma_id(z) = (z_1, .., z_n), compared in one pass against the kernel
     coordinates of every ambient tuple in lex order."""
     space = c.space
-    xs = product(range(c.X.size), repeat=c.n)
-    xs_of_z = chain.from_iterable(map(repeat, xs, repeat(space.b_size)))
+    xs_of_z = chain.from_iterable(map(repeat, space.kernel_tuples, repeat(space.b_size)))
     return list(compress(space.indices(), map(eq, c.gamma_id, xs_of_z)))
 
 
@@ -250,7 +246,7 @@ def membership_by_term(c, omega: Optional[TermSpec] = None,
     b_size = space.b_size
     members, start = [], 0
     # each block of the ambient grid is a run of consecutive indices
-    for points, _ in lex_blocks([space.x_size] * space.n + [b_size]):
+    for points, _ in lex_blocks(space.radices):
         zs = range(start, start + points)
         columns = [[ops.zero_tuple] * points] * (omega.arity - 1) + [list(zs)]
         values = _tabulate(omega.term, ops, dict(zip(omega.vars, columns)), points)
@@ -272,8 +268,7 @@ def gamma_table(c: CanonicalExtension, omega: TermSpec,
         raise SearchBudgetExceeded(
             f"action table needs {needed} entries, budget is {budget}")
     ops = c.candidate_ops()
-    kernel_tuples = list(product(range(space.x_size), repeat=space.n))
-    b_size = space.b_size
+    kernel_tuples, b_size = space.kernel_tuples, space.b_size
     entries = []
     for points, columns in lex_blocks([space.size] * omega.arity):
         values = _tabulate(omega.term, ops, dict(zip(omega.vars, columns)), points)

@@ -135,7 +135,7 @@ def cmd_check(args) -> int:
     theta = _resolve_theta(args, e.A.signature)
     rep = ext.validate_split_extension(e)
     n = theta.n
-    ambient = e.X.size ** n * e.B.size
+    ambient = can.ambient_space(e, n).size
 
     payload = {
         "schema": JSON_SCHEMA,

@@ -34,8 +34,8 @@ from .algebra import (
     pullback_algebra,
     subalgebra_closure,
     table_args,
-    table_index,
 )
+from .ambient import ambient_space
 from .errors import (
     AlphaAxiomFailed,
     ExtensionInvalid,
@@ -146,7 +146,7 @@ def phi(e: SplitExtension, theta: ThetaSpec) -> FnTable:
     over the ambient tuples of X^n x B in lex order, block by block."""
     require_admissible(theta, e.A, "middle algebra")
     values: list[int] = []
-    for _, (*x_columns, b_column) in lex_blocks([e.X.size] * theta.n + [e.B.size]):
+    for _, (*x_columns, b_column) in lex_blocks(ambient_space(e, theta.n).radices):
         values += _comparison(e, theta, x_columns, b_column)
     return FnTable(len(values), e.A.size, tuple(values))
 
@@ -204,7 +204,7 @@ def _feasible_points(e: SplitExtension, theta: ThetaSpec, budget: int) -> tuple:
 def _check_zero_point(e: SplitExtension, theta: ThetaSpec, values) -> None:
     """With normalization, 0_A admits only the all-zero tuple, which is
     feasible whenever theta is admissible on A: phi(0, .., 0, p(0_A)) = 0_A."""
-    zero = table_index(e.X.size, (e.X.zero,) * theta.n) * e.B.size + e.p(e.A.zero)
+    zero = ambient_space(e, theta.n).pack((e.X.zero,) * theta.n, e.p(e.A.zero))
     if values[zero] != e.A.zero:
         raise InternalCheckFailed(
             "all-zero tuple infeasible at 0_A despite admissible theta")
@@ -225,7 +225,7 @@ def feasible_tuples(
     the table replaces.  ``workers`` is accepted for compatibility and has
     no effect."""
     values, points = _feasible_points(e, theta, budget)
-    xs_of = list(product(range(e.X.size), repeat=theta.n))
+    xs_of = ambient_space(e, theta.n).kernel_tuples
     nb = e.B.size
     T: list[list[tuple[int, ...]]] = [[] for _ in range(e.A.size)]
     for z in points:

@@ -20,7 +20,8 @@ coordinate projections.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, product
+from functools import cached_property
+from itertools import chain
 from typing import Iterator, Optional, Sequence
 
 from .ambient import CandidateOps, TupleSpace
@@ -31,7 +32,6 @@ from .algebra import (
     FnTable,
     _tabulate,
     check_equation,
-    fold_indices,
     lex_blocks,
     table_args,
 )
@@ -80,7 +80,7 @@ class GammaData:
         space, n, size = self.space, self.n, self.X.size
         # the valid entries, each keyed by itself: a lookup returns the one
         # shared tuple for all equal entries
-        shared = {xs: xs for xs in product(range(size), repeat=n)}
+        shared = {xs: xs for xs in space.kernel_tuples}
         gamma = {}
         for name, arity in self.X.signature.ops:
             if name not in self.gamma:
@@ -103,7 +103,7 @@ class GammaData:
     def n(self) -> int:
         return self.theta.n
 
-    @property
+    @cached_property
     def space(self) -> TupleSpace:
         return TupleSpace(self.X.size, self.theta.n, self.B.size)
 
@@ -204,7 +204,7 @@ def _check(g: GammaData, budget: int) -> tuple[Report, _Carrier]:
     y_pos = {z: i for i, z in enumerate(Y)}
 
     def xs_of(z: int) -> tuple[int, ...]:
-        return table_args(x_size, g.n, z // b_size)
+        return space.unpack(z)[0]
 
     # 1: closure + defining identities on the carrier; the closure pass
     # tabulates the operations on Y
@@ -279,8 +279,7 @@ def _check(g: GammaData, budget: int) -> tuple[Report, _Carrier]:
     got: list[int] = []
     for points, args in _grid([kz] * g.n + [range(zero_row, zero_row + b_size)]):
         got += _tabulate(g.theta.term, ops, dict(zip(g.theta.vars, args)), points)
-    targets = [t * b_size + b for t in fold_indices(x_size, theta0(kz), g.n)
-               for b in range(b_size)]
+    targets = space.fold([theta0(kz)] * g.n + [range(b_size)])
     j = next((j for j, (t, z) in enumerate(zip(targets, got))
               if t in y_pos and z // b_size != t // b_size), None)
     if j is not None:
@@ -325,7 +324,7 @@ def build_extension_from_gamma(g: GammaData,
     p = FnTable(len(Y), b_size, tuple(z % b_size for z in Y))
     s = FnTable(b_size, len(Y), tuple(y_pos[zero_row + b] for b in range(b_size)))
     ext = SplitExtension(g.X, carrier.algebra, g.B, k, p, s)
-    coords = zip(*(table_args(x_size, g.n, z // b_size) for z in Y))
+    coords = zip(*(g.space.unpack(z)[0] for z in Y))
     w = Witness(g.n, tuple(FnTable(len(Y), x_size, xs) for xs in coords))
 
     val = validate_split_extension(ext)

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Any, Optional, Sequence, Union
 
 from .algebra import Equation, FiniteAlgebra, FnTable, Signature, make_algebra
+from .ambient import TupleSpace
 from .canonical import CanonicalExtension
 from .errors import FileFormatError
 from .extension import ExtensionMorphism, SplitExtension, Witness
@@ -265,7 +266,7 @@ def gamma_from_obj(obj: Source, base_dir: Optional[Path] = None) -> GammaData:
     theta = theta_from_obj(obj["theta"], X.signature, base_dir)
     if "n" in obj and _int(obj["n"], "n") != theta.n:
         raise FileFormatError(f"n: {obj['n']} but theta has {theta.n} kernel arguments")
-    ambient = X.size ** theta.n * B.size
+    ambient = TupleSpace(X.size, theta.n, B.size).size
     if not isinstance(obj["gamma"], dict):
         raise FileFormatError("gamma: expected an object")
     gamma = dict(obj["gamma"])
