@@ -120,10 +120,11 @@ GRID_BLOCK = 1 << 14
 def lex_blocks(radices: Sequence[int]) -> Iterator[tuple[int, list[list[int]]]]:
     """The grid of lex_columns in consecutive blocks, in lex order.
 
-    Each block fixes the leading coordinates and runs the trailing ones
-    over their whole range: as many trailing coordinates as fit in
-    GRID_BLOCK points (at least none).  Yields (points, columns) per block;
-    an empty grid (a zero radix) has no blocks.
+    Each block fixes the leading coordinates, runs the trailing ones over
+    their whole range (as many as fit in GRID_BLOCK points, at least none)
+    and the boundary coordinate before them over a run of as many values
+    as fit as well (at least one).  Yields (points, columns) per block; an
+    empty grid (a zero radix) has no blocks.
     """
     if 0 in radices:
         return
@@ -132,8 +133,18 @@ def lex_blocks(radices: Sequence[int]) -> Iterator[tuple[int, list[list[int]]]]:
         split -= 1
         points *= radices[split]
     tail = lex_columns(radices[split:])
-    for head in product(*(range(r) for r in radices[:split])):
-        yield points, [[h] * points for h in head] + tail
+    if not split:
+        yield points, tail
+        return
+    *lead, edge = radices[:split]
+    run = GRID_BLOCK // points
+    for head in product(*map(range, lead)):
+        for start in range(0, edge, run):
+            values = range(start, min(start + run, edge))
+            size = len(values) * points
+            yield size, ([[h] * size for h in head]
+                         + [[v for v in values for _ in range(points)]]
+                         + [column * len(values) for column in tail])
 
 
 @dataclass(frozen=True, eq=True)

@@ -3,7 +3,10 @@
 A tuple (x_1, .., x_n, b) is packed into a single index in mixed radix
 (|X| repeated n times, then |B|); ascending index order is exactly the
 lexicographic order on tuples, which fixes element order everywhere the
-ambient space is serialized.
+ambient space is serialized.  ``TupleSpace`` is the one owner of this
+encoding: the index of a tuple and back, the grid radices, the index fold
+of a grid, and the kernel tuples in lex order, so that the kernel tuple
+of index z is ``kernel_tuples[z // b_size]``.
 
 Given one "action" table per basic operation (mapping ambient argument
 tuples to the first n output coordinates), the candidate operations make

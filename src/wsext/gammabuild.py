@@ -59,9 +59,9 @@ class GammaData:
     Construction is the one place action tables are checked: one table per
     operation, |X^n x B|^arity entries each, every entry a sequence of n
     exact ints in 0..|X|-1 (bool and float are rejected, not coerced).
-    Each table is checked in whole-table passes and stored as a tuple of
-    shared n-tuples, one per distinct entry; only a rejected table is
-    walked entry by entry, to name its first bad entry.
+    Each table is checked by type in one whole-table pass, then stored as
+    a tuple of shared n-tuples: each distinct entry is checked once, when
+    it is first seen, so nothing is built over all |X|^n kernel tuples.
     """
 
     X: FiniteAlgebra
@@ -78,9 +78,6 @@ class GammaData:
         require_admissible(self.theta, self.X, "kernel algebra")
         require_admissible(self.theta, self.B, "base algebra")
         space, n, size = self.space, self.n, self.X.size
-        # the valid entries, each keyed by itself: a lookup returns the one
-        # shared tuple for all equal entries
-        shared = {xs: xs for xs in space.kernel_tuples}
         gamma = {}
         for name, arity in self.X.signature.ops:
             if name not in self.gamma:
@@ -90,10 +87,11 @@ class GammaData:
                 raise ArityMismatch(
                     f"action table for {name!r} has {len(table)} entries, "
                     f"expected {space.size}^{arity}")
-            stored = _shared_entries(table, shared)
-            if stored is None:
+            # bool and float compare equal to ints, so they are ruled out
+            # by type before any entry is looked up
+            if not set(map(type, chain.from_iterable(table))) <= {int}:
                 _raise_first_bad_entry(name, table, n, size)
-            gamma[name] = stored
+            gamma[name] = tuple(map(_Interned(name, n, size).__getitem__, map(tuple, table)))
         extra = set(self.gamma) - set(self.X.signature.op_names())
         if extra:
             raise SignatureMismatch(f"action tables for unknown operations {sorted(extra)}")
@@ -111,29 +109,36 @@ class GammaData:
         return CandidateOps(self.space, self.gamma, self.B, self.X.zero)
 
 
-def _shared_entries(table: Sequence, shared: dict) -> Optional[tuple]:
-    """The table as a tuple of the tuples in ``shared``, computed in
-    whole-table passes; None unless every entry is a key of ``shared`` and
-    every value an exact int (bool and float compare equal to ints, so
-    they are ruled out by type first)."""
-    if not set(map(type, chain.from_iterable(table))) <= {int}:
-        return None
-    try:
-        return tuple(map(shared.__getitem__, map(tuple, table)))
-    except KeyError:
-        return None
+class _Interned(dict):
+    """The action entries of one table seen so far, each keyed by itself: a
+    lookup returns the one shared tuple for all equal entries.  A miss
+    checks the entry and stores it, so the dict grows with the distinct
+    entries of the input, not with |X|^n, and the first bad entry in
+    table order is the one named."""
+
+    def __init__(self, name: str, n: int, size: int):
+        super().__init__()
+        self.name, self.n, self.size = name, n, size
+
+    def __missing__(self, entry: tuple) -> tuple:
+        _check_entry(self.name, entry, self.n, self.size)
+        self[entry] = entry
+        return entry
+
+
+def _check_entry(name: str, entry: tuple, n: int, size: int) -> None:
+    """Raise unless the entry is n exact ints in 0..size-1."""
+    if len(entry) != n:
+        raise ArityMismatch(f"action entry {entry} for {name!r} is not an {n}-tuple")
+    for x in entry:
+        if type(x) is not int or not 0 <= x < size:
+            raise EntryOutOfRange(f"action entry {entry} outside the kernel carrier")
 
 
 def _raise_first_bad_entry(name: str, table: Sequence, n: int, size: int) -> None:
     """Name the first entry that is not n exact ints in 0..size-1."""
     for entry in map(tuple, table):
-        if len(entry) != n:
-            raise ArityMismatch(
-                f"action entry {entry} for {name!r} is not an {n}-tuple")
-        for x in entry:
-            if type(x) is not int or not 0 <= x < size:
-                raise EntryOutOfRange(
-                    f"action entry {entry} outside the kernel carrier")
+        _check_entry(name, entry, n, size)
 
 
 def compute_Y(g: GammaData, membership_term: Optional[TermSpec] = None,
@@ -197,10 +202,10 @@ def _check(g: GammaData, budget: int) -> tuple[Report, _Carrier]:
     """The four conditions, each operation or term tabulated over its grid
     of ambient-index arguments; first failures are in lex order."""
     rep = Report()
-    ops = g.candidate_ops()
     space = g.space
     x_size, b_size = space.x_size, space.b_size
     Y = compute_Y(g, budget=budget)
+    ops = g.candidate_ops()  # after compute_Y has budgeted |X^n x B|
     y_pos = {z: i for i, z in enumerate(Y)}
 
     def xs_of(z: int) -> tuple[int, ...]:

@@ -23,6 +23,7 @@ from wsext.errors import (
     EntryOutOfRange,
     InternalCheckFailed,
     IotaNotInY,
+    NotHomomorphism,
     SearchBudgetExceeded,
     UnboundVariable,
     WrongTheta,
@@ -81,6 +82,76 @@ def brute_force_homs(A, B):
         if brute_force_homomorphism(f, A, B):
             out.append(f)
     return out
+
+
+def brute_force_product(A: FiniteAlgebra, B: FiniteAlgebra) -> FiniteAlgebra:
+    """The componentwise product, one entry at a time: each argument tuple
+    of pair indices a*|B| + b is split into its A and B coordinates."""
+    size = A.size * B.size
+    tables = {}
+    for name, arity in A.signature.ops:
+        values = []
+        for args in product(range(size), repeat=arity):
+            a_args = tuple(x // B.size for x in args)
+            b_args = tuple(x % B.size for x in args)
+            values.append(A.op(name, a_args) * B.size + B.op(name, b_args))
+        tables[name] = tuple(values)
+    return FiniteAlgebra(A.signature, size, tables)
+
+
+def brute_force_pullback(A: FiniteAlgebra, p: FnTable, B_prime: FiniteAlgebra,
+                         f: FnTable, B: FiniteAlgebra, check_maps: bool = True):
+    """The pullback {(a, b') : p(a) = f(b')} with its projections, one
+    argument tuple of pairs at a time.  Raises NotHomomorphism as
+    pullback_algebra does: first for a map that fails
+    brute_force_homomorphism (unless ``check_maps`` is off), then at the
+    first operation result outside the carrier."""
+    if check_maps:
+        for name, g, dom, cod in (("p", p, A, B), ("f", f, B_prime, B)):
+            res = brute_force_homomorphism(g, dom, cod)
+            if not res:
+                raise NotHomomorphism(f"{name} is not a homomorphism: {res.counterexample}")
+    elements = [(a, bp) for a in range(A.size) for bp in range(B_prime.size)
+                if p(a) == f(bp)]
+    index = {el: i for i, el in enumerate(elements)}
+    tables = {}
+    for name, arity in A.signature.ops:
+        values = []
+        for args in product(elements, repeat=arity):
+            a_val = A.op(name, tuple(a for a, _ in args))
+            bp_val = B_prime.op(name, tuple(bp for _, bp in args))
+            if (a_val, bp_val) not in index:
+                raise NotHomomorphism(
+                    f"pullback carrier not closed under {name!r} at {args}")
+            values.append(index[(a_val, bp_val)])
+        tables[name] = tuple(values)
+    P = FiniteAlgebra(A.signature, len(elements), tables)
+    proj_A = FnTable(len(elements), A.size, tuple(a for a, _ in elements))
+    proj_Bp = FnTable(len(elements), B_prime.size, tuple(bp for _, bp in elements))
+    return P, proj_A, proj_Bp
+
+
+def brute_force_closure(A: FiniteAlgebra, generators) -> list[int]:
+    """The generated subalgebra, one operation application at a time:
+    constants first, then rounds over every argument tuple of the members
+    until a round adds nothing."""
+    current = set(generators)
+    for name, arity in A.signature.ops:
+        if arity == 0:
+            current.add(A.op(name, ()))
+    changed = True
+    while changed:
+        changed = False
+        members = sorted(current)
+        for name, arity in A.signature.ops:
+            if arity == 0:
+                continue
+            for args in product(members, repeat=arity):
+                v = A.op(name, args)
+                if v not in current:
+                    current.add(v)
+                    changed = True
+    return sorted(current)
 
 
 def theta_at(e: SplitExtension, theta: ThetaSpec, xs, b: int) -> int:

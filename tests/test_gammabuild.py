@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -326,3 +327,24 @@ def test_failed_conditions_raise():
                        g.axioms)
     with pytest.raises(ConditionsFailed):
         build_extension_from_gamma(broken)
+
+
+def test_decoding_and_budget_check_allocate_by_the_input():
+    # a constant-only signature: the one action table has a single entry,
+    # while X^n holds 20^4 = 160,000 kernel tuples; reading the data and
+    # refusing it over budget must not build anything of that size
+    csig = Signature((("0", 0),), "0")
+    X = make_algebra(csig, 20, {"0": [0]})
+    B = make_algebra(csig, 1, {"0": [0]})
+    names = ["x1", "x2", "x3", "x4", "y"]
+    theta = ThetaSpec(tuple(names), parse_term("y", csig, names))
+    tracemalloc.start()
+    try:
+        g = GammaData(X, B, theta, {"0": ((0, 0, 0, 0),)}, ())
+        with pytest.raises(SearchBudgetExceeded,
+                           match="membership test needs 160000 ambient tuples"):
+            check_conditions(g, budget=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

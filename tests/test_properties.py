@@ -37,12 +37,13 @@ from wsext import (
     parse_term,
     product_algebra,
     pullback_algebra,
+    subalgebra_closure,
     trivial_algebra,
 )
 
 from wsext import algebra
 from wsext.canonical import _cross_check, membership_by_gamma_id, verify_isomorphism
-from wsext.errors import ArityMismatch, EntryOutOfRange, ToolkitError
+from wsext.errors import ArityMismatch, EntryOutOfRange, NotHomomorphism, ToolkitError
 from wsext.extension import (
     Witness,
     count_witnesses,
@@ -54,11 +55,13 @@ from wsext.extension import (
 )
 from wsext.fixtures import fixture_path
 from wsext.gammabuild import GammaData, _checked
+from wsext.report import CheckResult
 from wsext.serialize import canonical_to_obj, dump_json, theta_from_obj
 
 from conftest import EXTENSION_NAMES, load_fixture
 
 from oracles import (
+    brute_force_closure,
     brute_force_conditions,
     brute_force_cross_check,
     brute_force_entry_error,
@@ -71,7 +74,9 @@ from oracles import (
     brute_force_homs,
     brute_force_membership,
     brute_force_phi,
+    brute_force_product,
     brute_force_product_check,
+    brute_force_pullback,
     brute_force_rebuild,
     brute_force_schreier,
     brute_force_transport,
@@ -94,7 +99,19 @@ def grid_block(points):
         yield
 
 
-@given(st.lists(st.integers(1, 4), max_size=4), st.integers(1, 20))
+def _with_wide_radix(args):
+    radices, wide, at = args
+    return radices[:at] + [wide] + radices[at:]
+
+
+# small grids, and grids with one coordinate wider than any patched block
+LEX_RADICES = st.one_of(
+    st.lists(st.integers(1, 4), max_size=4),
+    st.tuples(st.lists(st.integers(1, 4), max_size=2), st.integers(21, 60),
+              st.integers(0, 2)).map(_with_wide_radix))
+
+
+@given(LEX_RADICES, st.integers(1, 20))
 def test_lex_blocks_cut_the_lex_grid_in_order(radices, points):
     with grid_block(points):
         blocks = list(algebra.lex_blocks(radices))
@@ -104,7 +121,21 @@ def test_lex_blocks_cut_the_lex_grid_in_order(radices, points):
     assert sum(p for p, _ in blocks) == len(list(product(*map(range, radices))))
     for p, columns in blocks:
         assert all(len(c) == p for c in columns)
-        assert p <= points or p == 1
+        assert p <= points
+    # the longest suffix that fits is whole in every block, and the
+    # coordinate before it runs in as many values as fit beside it
+    split, tail = len(radices), 1
+    while split and tail * radices[split - 1] <= points:
+        split -= 1
+        tail *= radices[split]
+    expected = 1 if not split else (
+        prod(radices[:split - 1]) * -(-radices[split - 1] // (points // tail)))
+    assert len(blocks) == expected
+
+
+def test_lex_blocks_split_a_coordinate_wider_than_a_block():
+    assert [p for p, _ in algebra.lex_blocks([20000])] == [algebra.GRID_BLOCK, 20000 - algebra.GRID_BLOCK]
+    assert [p for p, _ in algebra.lex_blocks([200, 200])] == [81 * 200, 81 * 200, 38 * 200]
 
 
 @st.composite
@@ -178,6 +209,81 @@ def test_pullback_carrier_is_closed(A, B):
         P, proj_A, proj_B = pullback_algebra(A, p, B, f, B)
         for i in range(P.size):
             assert p(proj_A(i)) == f(proj_B(i))
+
+
+@given(small_algebras(), small_algebras())
+def test_product_matches_the_per_entry_oracle(A, B):
+    P = product_algebra(A, B)
+    assert (P.size, P.tables) == (A.size * B.size, brute_force_product(A, B).tables)
+
+
+def draw_map(S, B, data, label):
+    """A map S -> B: one of the first homomorphisms, or any value array."""
+    homs = enumerate_homomorphisms(S, B, limit=8)
+    if homs and data.draw(st.booleans(), label=f"{label} is a homomorphism"):
+        return data.draw(st.sampled_from(homs), label=label)
+    values = data.draw(st.lists(st.integers(0, B.size - 1), min_size=S.size,
+                                max_size=S.size), label=label)
+    return FnTable(S.size, B.size, tuple(values))
+
+
+def pullback_outcome(build, *args):
+    def call():
+        P, proj_A, proj_Bp = build(*args)
+        return P.size, P.tables, proj_A.values, proj_Bp.values
+    return outcome(call)
+
+
+@given(small_algebras(), small_algebras(), small_algebras(), st.data())
+@settings(max_examples=80)
+def test_pullback_matches_the_per_entry_oracle(A, B_prime, B, data):
+    # tables and projections, or the NotHomomorphism message of the first
+    # map that fails (f is often not a homomorphism)
+    p, f = draw_map(A, B, data, "p"), draw_map(B_prime, B, data, "f")
+    got = pullback_outcome(pullback_algebra, A, p, B_prime, f, B)
+    assert got == pullback_outcome(brute_force_pullback, A, p, B_prime, f, B)
+    if p(A.zero) != B.zero or f(B_prime.zero) != B.zero:
+        return
+    # past the map check, the carrier's own closure check names the first
+    # result outside it; maps that keep the constants keep (0, 0') in it
+    with mock.patch.object(algebra, "is_homomorphism", lambda *_: CheckResult(True)):
+        got = pullback_outcome(pullback_algebra, A, p, B_prime, f, B)
+    assert got == pullback_outcome(brute_force_pullback, A, p, B_prime, f, B, False)
+
+
+def test_pullback_along_a_non_homomorphism_names_it():
+    e, _, _, _ = load_fixture("example_monoid")
+    swap = FnTable(2, 2, (1, 0))
+    got = pullback_outcome(pullback_algebra, e.A, e.p, e.B, swap, e.B)
+    assert got == pullback_outcome(brute_force_pullback, e.A, e.p, e.B, swap, e.B)
+    assert got[:2] == ("raised", NotHomomorphism)
+    assert got[2].startswith("f is not a homomorphism: ")
+
+
+@given(small_algebras(), st.data())
+def test_subalgebra_closure_matches_the_per_entry_oracle(A, data):
+    generators = data.draw(st.lists(st.integers(0, A.size - 1), max_size=3))
+    assert subalgebra_closure(A, generators) == brute_force_closure(A, generators)
+
+
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 4))
+def test_tuple_space_kernel_tuples_follow_the_encoding(x_size, n, b_size):
+    from wsext import TupleSpace
+    space = TupleSpace(x_size, n, b_size)
+    assert space.radices == [x_size] * n + [b_size]
+    assert space.fold([range(r) for r in space.radices]) == list(space.indices())
+    for z in space.indices():
+        xs, b = space.unpack(z)
+        assert space.kernel_tuples[z // b_size] == xs
+        assert space.fold([[x] for x in xs] + [[b]]) == [z]
+
+
+def test_space_is_built_once_per_object():
+    e, w, axioms, theta = load_fixture("example_monoid")
+    c = build_canonical(e, theta, w)
+    assert c.space is c.space
+    g = extract_gamma(c, axioms)
+    assert g.space is g.space
 
 
 @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 4), st.data())
