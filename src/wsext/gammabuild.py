@@ -90,7 +90,8 @@ class GammaData:
             # bool and float compare equal to ints, so they are ruled out
             # by type before any entry is looked up
             if not set(map(type, chain.from_iterable(table))) <= {int}:
-                _raise_first_bad_entry(name, table, n, size)
+                for entry in map(tuple, table):
+                    _check_entry(name, entry, n, size)
             gamma[name] = tuple(map(_Interned(name, n, size).__getitem__, map(tuple, table)))
         extra = set(self.gamma) - set(self.X.signature.op_names())
         if extra:
@@ -133,12 +134,6 @@ def _check_entry(name: str, entry: tuple, n: int, size: int) -> None:
     for x in entry:
         if type(x) is not int or not 0 <= x < size:
             raise EntryOutOfRange(f"action entry {entry} outside the kernel carrier")
-
-
-def _raise_first_bad_entry(name: str, table: Sequence, n: int, size: int) -> None:
-    """Name the first entry that is not n exact ints in 0..size-1."""
-    for entry in map(tuple, table):
-        _check_entry(name, entry, n, size)
 
 
 def compute_Y(g: GammaData, membership_term: Optional[TermSpec] = None,
