@@ -24,7 +24,7 @@ from wsext.errors import (
 )
 
 from conftest import load_fixture
-from oracles import brute_force_homs
+from oracles import brute_force_homs, brute_force_pullback
 
 MSIG = Signature((("+", 2), ("0", 0)), "0")
 
@@ -213,8 +213,12 @@ def test_pullback_along_zero_map_is_kernel():
 def test_pullback_rejects_non_homomorphism():
     e, _, _, _ = load_fixture("example_monoid")
     bad = FnTable(2, 2, (1, 0))
-    with pytest.raises(NotHomomorphism):
+    with pytest.raises(NotHomomorphism) as raised:
         pullback_algebra(e.A, e.p, e.B, bad, e.B)
+    with pytest.raises(NotHomomorphism) as expected:
+        brute_force_pullback(e.A, e.p, e.B, bad, e.B)
+    assert str(raised.value) == str(expected.value)
+    assert str(raised.value).startswith("f is not a homomorphism: ")
 
 
 def test_subalgebra_closure_contains_constants():
