@@ -6,7 +6,8 @@ lexicographic order on tuples, which fixes element order everywhere the
 ambient space is serialized.  ``TupleSpace`` is the one owner of this
 encoding: the index of a tuple and back, the grid radices, the index fold
 of a grid, and the kernel tuples in lex order, so that the kernel tuple
-of index z is ``kernel_tuples[z // b_size]``.
+of index z is ``kernel_tuples[z // b_size]`` and ``kernel_rows`` maps it
+back to the index of (xs, 0).
 
 Given one "action" table per basic operation (mapping ambient argument
 tuples to the first n output coordinates), the candidate operations make
@@ -48,6 +49,11 @@ class TupleSpace:
     def kernel_tuples(self) -> list[tuple[int, ...]]:
         """The |X|^n kernel tuples in lex order, built on first use."""
         return list(product(range(self.x_size), repeat=self.n))
+
+    @cached_property
+    def kernel_rows(self) -> dict[tuple[int, ...], int]:
+        """Each kernel tuple xs -> the index of (xs, 0), built on first use."""
+        return {xs: i * self.b_size for i, xs in enumerate(self.kernel_tuples)}
 
     def pack(self, xs: Sequence[int], b: int) -> int:
         if len(xs) != self.n:
@@ -95,11 +101,9 @@ class CandidateOps:
         self.gamma = gamma
         self.B = B
         self.zero_tuple = space.pack((x_zero,) * space.n, B.zero)
-        # each n-tuple of kernel coordinates -> the ambient index of (xs, 0)
-        self._row = {xs: i * space.b_size for i, xs in enumerate(space.kernel_tuples)}
 
     def columns(self, name: str, args: Sequence[Sequence[int]], block: int) -> list[int]:
-        rows = map(self._row.__getitem__,
+        rows = map(self.space.kernel_rows.__getitem__,
                    _node(self.gamma[name], self.space.size, args, block))
         b_size = self.B.size
         base = self.B.columns(name, [[z % b_size for z in col] for col in args], block)

@@ -12,6 +12,13 @@ morphism-check.  Exit codes are part of the machine contract:
 
 Plain output is line oriented and stable across runs and worker counts;
 --json emits a versioned document instead.
+
+One writer: each command returns its exit code, its --json payload and
+its plain lines, and ``main`` alone writes, once per run.  A --json run
+that exits 0, 1 or 2 prints exactly one document with ``schema`` and
+``command`` keys; an early exit carries ``error``, or ``valid`` and
+``validation``.  Exits 64 and 70 print nothing on stdout; their message
+goes to stderr.  No other code in the package writes to stdout or stderr.
 """
 
 from __future__ import annotations
@@ -120,17 +127,18 @@ def _collector_paused():
             gc.enable()
 
 
-def _emit(lines: list[str]) -> None:
-    sys.stdout.write("\n".join(lines) + "\n")
+# (exit code, --json payload, plain lines); main adds the schema and command keys
+Outcome = tuple[int, dict, list[str]]
 
 
-def _emit_json(payload: dict) -> None:
-    sys.stdout.write(to_text(payload))
+def _failure(code: int, message: str) -> Outcome:
+    """An early exit: plain mode prints the message, --json carries it as "error"."""
+    return code, {"error": message}, [message]
 
 
 # -- check -----------------------------------------------------------------------
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> Outcome:
     e, file_witness, _ = load_extension(args.extension)
     theta = _resolve_theta(args, e.A.signature)
     rep = ext.validate_split_extension(e)
@@ -138,8 +146,6 @@ def cmd_check(args) -> int:
     ambient = can.ambient_space(e, n).size
 
     payload = {
-        "schema": JSON_SCHEMA,
-        "command": "check",
         "valid": rep.ok,
         "validation": rep.to_json(),
         "theta": {"vars": list(theta.vars), "term": format_term(theta.term)},
@@ -159,11 +165,7 @@ def cmd_check(args) -> int:
         lines.extend("  " + ln for ln in rep.render().splitlines())
         payload["witness_count"] = 0
         payload["witnesses"] = []
-        if args.json:
-            _emit_json(payload)
-        else:
-            _emit(lines)
-        return EXIT_INVALID
+        return EXIT_INVALID, payload, lines
 
     normalize = not args.no_normalize
     count = ext.count_witnesses(e, theta, normalize=normalize, budget=args.budget)
@@ -189,22 +191,18 @@ def cmd_check(args) -> int:
     for i, w in enumerate(witnesses):
         qs = "; ".join(f"q{j + 1} = {list(q.values)}" for j, q in enumerate(w.q))
         lines.append(f"witness[{i}]: {qs}")
-    if args.json:
-        _emit_json(payload)
-    else:
-        _emit(lines)
-    return EXIT_OK if count > 0 else EXIT_NEGATIVE
+    return (EXIT_OK if count > 0 else EXIT_NEGATIVE), payload, lines
 
 
 # -- canonicalize -----------------------------------------------------------------
 
-def cmd_canonicalize(args) -> int:
+def cmd_canonicalize(args) -> Outcome:
     e, file_witness, axioms = load_extension(args.extension)
     theta = _resolve_theta(args, e.A.signature)
     rep = ext.validate_split_extension(e)
     if not rep.ok:
-        _emit(["validation: FAIL"] + ["  " + ln for ln in rep.render().splitlines()])
-        return EXIT_INVALID
+        return (EXIT_INVALID, {"valid": False, "validation": rep.to_json()},
+                ["validation: FAIL"] + ["  " + ln for ln in rep.render().splitlines()])
 
     usable_file_witness = (file_witness is not None
                            and file_witness.n == theta.n)
@@ -214,9 +212,7 @@ def cmd_canonicalize(args) -> int:
         index = args.witness_index or 0
         found = ext.find_witnesses(e, theta, limit=index + 1, budget=args.budget)
         if len(found) <= index:
-            _emit([f"no witness at index {index} "
-                   f"(found {len(found)})"])
-            return EXIT_NEGATIVE
+            return _failure(EXIT_NEGATIVE, f"no witness at index {index} (found {len(found)})")
         witness = found[index]
 
     c = can.build_canonical(e, theta, witness, budget=args.budget)
@@ -228,33 +224,28 @@ def cmd_canonicalize(args) -> int:
 
     core = [en for en in verification.entries if en.name != "section_transport"]
     core_ok = all(en.ok for en in core)
-    if args.json:
-        _emit_json({
-            "schema": JSON_SCHEMA,
-            "command": "canonicalize",
-            "carrier_size": len(c.Y),
-            "Y": [list(t) for t in c.Y],
-            "verification": verification.to_json(),
-            "out": args.out,
-        })
-    else:
-        lines = [
-            f"canonical carrier: {len(c.Y)} tuples",
-            *(f"  Y[{i}] = {list(t)}" for i, t in enumerate(c.Y)),
-            "verification:",
-            *("  " + ln for ln in verification.render().splitlines()),
-        ]
-        if args.out:
-            lines.append(f"wrote {args.out}")
-        _emit(lines)
+    payload = {
+        "carrier_size": len(c.Y),
+        "Y": [list(t) for t in c.Y],
+        "verification": verification.to_json(),
+        "out": args.out,
+    }
+    lines = [
+        f"canonical carrier: {len(c.Y)} tuples",
+        *(f"  Y[{i}] = {list(t)}" for i, t in enumerate(c.Y)),
+        "verification:",
+        *("  " + ln for ln in verification.render().splitlines()),
+    ]
+    if args.out:
+        lines.append(f"wrote {args.out}")
     # the section entry records whether this witness gives the zero-tuple
     # section; the isomorphism itself is the core contract
-    return EXIT_OK if core_ok else EXIT_INVALID
+    return (EXIT_OK if core_ok else EXIT_INVALID), payload, lines
 
 
 # -- gamma-check --------------------------------------------------------------------
 
-def cmd_gamma_check(args) -> int:
+def cmd_gamma_check(args) -> Outcome:
     # the decoded document is garbage once gamma_from_obj returns
     with _collector_paused():
         g = gamma_from_obj(_load_json(Path(args.gamma)), Path(args.gamma).parent)
@@ -262,12 +253,7 @@ def cmd_gamma_check(args) -> int:
     # the rebuild reuse them
     rep = gb.check_conditions(g, budget=args.budget)
     _, carrier = gb._checked(g, args.budget)
-    payload = {
-        "schema": JSON_SCHEMA,
-        "command": "gamma-check",
-        "conditions": rep.to_json(),
-        "carrier_size": len(carrier.Y),
-    }
+    payload = {"conditions": rep.to_json(), "carrier_size": len(carrier.Y)}
     lines = ["conditions:"] + ["  " + ln for ln in rep.render().splitlines()]
     code = EXIT_OK if rep.ok else EXIT_NEGATIVE
     if rep.ok and args.rebuild:
@@ -281,112 +267,85 @@ def cmd_gamma_check(args) -> int:
             dump_json(extension_to_obj(e2, witness=w2, axioms=g.axioms), args.rebuild)
             payload["rebuild"] = {"ok": True, "out": args.rebuild}
             lines.append(f"rebuild: wrote {args.rebuild}")
-    if args.json:
-        _emit_json(payload)
-    else:
-        _emit(lines)
-    return code
+    return code, payload, lines
 
 
 # -- pullback ------------------------------------------------------------------------
 
-def cmd_pullback(args) -> int:
+def cmd_pullback(args) -> Outcome:
     e, file_witness, axioms = load_extension(args.extension)
     theta = _resolve_theta(args, e.A.signature)
     B_prime, f_values = hom_from_obj(_load_json(Path(args.hom)), Path(args.hom).parent)
     f = FnTable(B_prime.size, e.B.size, tuple(f_values))
     res = is_homomorphism(f, B_prime, e.B)
     if not res:
-        _emit([f"f is not a homomorphism: {res.counterexample}"])
-        return EXIT_INVALID
+        return _failure(EXIT_INVALID, f"f is not a homomorphism: {res.counterexample}")
 
     if file_witness is not None and file_witness.n == theta.n:
         witness = file_witness
     else:
         found = ext.find_witnesses(e, theta, limit=1, budget=args.budget)
         if not found:
-            _emit(["no witness for the source extension"])
-            return EXIT_NEGATIVE
+            return _failure(EXIT_NEGATIVE, "no witness for the source extension")
         witness = found[0]
 
     e2, w2 = ext.pullback_extension(e, theta, B_prime, f, witness, budget=args.budget)
     doc = extension_to_obj(e2, witness=w2, axioms=axioms)
     if args.out:
         dump_json(doc, args.out)
-    if args.json:
-        _emit_json({
-            "schema": JSON_SCHEMA,
-            "command": "pullback",
-            "middle_size": e2.A.size,
-            "witness": [list(q.values) for q in w2.q],
-            "out": args.out,
-        })
-    else:
-        lines = [
-            f"pullback middle algebra: {e2.A.size} elements",
-            *(f"q{j + 1}' = {list(q.values)}" for j, q in enumerate(w2.q)),
-        ]
-        if args.out:
-            lines.append(f"wrote {args.out}")
-        _emit(lines)
-    return EXIT_OK
+    payload = {
+        "middle_size": e2.A.size,
+        "witness": [list(q.values) for q in w2.q],
+        "out": args.out,
+    }
+    lines = [
+        f"pullback middle algebra: {e2.A.size} elements",
+        *(f"q{j + 1}' = {list(q.values)}" for j, q in enumerate(w2.q)),
+    ]
+    if args.out:
+        lines.append(f"wrote {args.out}")
+    return EXIT_OK, payload, lines
 
 
 # -- product-check ----------------------------------------------------------------------
 
-def cmd_product_check(args) -> int:
+def cmd_product_check(args) -> Outcome:
     X = algebra_from_obj(_load_json(Path(args.algebra)), Path(args.algebra).parent)
     theta = _resolve_theta(args, X.signature)
     res = ext.product_extension_check(X, theta, budget=args.budget)
-    if args.json:
-        _emit_json({
-            "schema": JSON_SCHEMA,
-            "command": "product-check",
-            "ok": res.ok,
-            "q": None if res.q is None else [list(q.values) for q in res.q],
-            "obstruction": res.obstruction,
-        })
-    elif res.ok:
-        _emit(["product extensions admit witnesses"]
-              + [f"q{j + 1} = {list(q.values)}" for j, q in enumerate(res.q)])
+    payload = {
+        "ok": res.ok,
+        "q": None if res.q is None else [list(q.values) for q in res.q],
+        "obstruction": res.obstruction,
+    }
+    if res.ok:
+        lines = (["product extensions admit witnesses"]
+                 + [f"q{j + 1} = {list(q.values)}" for j, q in enumerate(res.q)])
     else:
-        _emit([f"obstruction: element {res.obstruction} is not "
-               "reachable as theta(ys, 0)"])
-    return EXIT_OK if res.ok else EXIT_NEGATIVE
+        lines = [f"obstruction: element {res.obstruction} is not reachable as theta(ys, 0)"]
+    return (EXIT_OK if res.ok else EXIT_NEGATIVE), payload, lines
 
 
 # -- morphism-check ----------------------------------------------------------------------
 
-def cmd_morphism_check(args) -> int:
+def cmd_morphism_check(args) -> Outcome:
     m = load_morphism(args.morphism)
     val = ext.validate_morphism(m)
-    payload = {
-        "schema": JSON_SCHEMA,
-        "command": "morphism-check",
-        "valid": val.ok,
-        "validation": val.to_json(),
-    }
+    payload = {"valid": val.ok, "validation": val.to_json()}
     lines = ["morphism validation:"] + ["  " + ln for ln in val.render().splitlines()]
     if not val.ok:
-        if args.json:
-            _emit_json(payload)
-        else:
-            _emit(lines)
-        return EXIT_INVALID
+        return EXIT_INVALID, payload, lines
     surj = ext.check_morphism_surjectivity(m)
     payload["surjectivity"] = surj.to_json()
     lines += ["surjectivity:"] + ["  " + ln for ln in surj.render().splitlines()]
-    if args.json:
-        _emit_json(payload)
-    else:
-        _emit(lines)
-    return EXIT_OK if surj.ok else EXIT_NEGATIVE
+    return (EXIT_OK if surj.ok else EXIT_NEGATIVE), payload, lines
 
 
 # -- entry point ---------------------------------------------------------------------------
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="wsext", description=__doc__,
+    # --help shows the contract above, not how the module writes it
+    parser = _Parser(prog="wsext", description=__doc__.partition("\n\nOne writer:")[0],
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -438,7 +397,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code, payload, lines = args.fn(args)
+        sys.stdout.write(to_text({"schema": JSON_SCHEMA, "command": args.command, **payload})
+                         if args.json else "\n".join(lines) + "\n")
+        return code
     except (FileFormatError, ConditionsFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, FileFormatError) else EXIT_NEGATIVE

@@ -42,7 +42,7 @@ def _check_keys(obj: dict, required: Sequence[str], optional: Sequence[str], wha
 def _load_json(path: Path) -> Any:
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the name
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
@@ -52,10 +52,13 @@ def _load_json(path: Path) -> Any:
         raise FileFormatError(f"{path}: JSON nested too deeply") from exc
 
 
-def _resolve(obj: Source, base_dir: Optional[Path]) -> tuple[Any, Optional[Path]]:
+def _resolve(obj: Source, base_dir: Optional[Path], what: str) -> tuple[Any, Optional[Path]]:
     """Inline dicts pass through; strings/paths load JSON relative to base_dir."""
     if isinstance(obj, dict):
         return obj, base_dir
+    if not isinstance(obj, (str, Path)):
+        raise FileFormatError(f"{what}: expected an object or a file name, "
+                              f"got {type(obj).__name__}")
     path = Path(obj)
     if base_dir is not None and not path.is_absolute():
         path = base_dir / path
@@ -93,10 +96,12 @@ def _nest_table(flat: Sequence, size: int, arity: int) -> Any:
 # -- algebra files --------------------------------------------------------------
 
 def algebra_from_obj(obj: Source, base_dir: Optional[Path] = None) -> FiniteAlgebra:
-    obj, _ = _resolve(obj, base_dir)
+    obj, _ = _resolve(obj, base_dir, "algebra")
     _check_keys(obj, ["signature", "size", "tables"], ["element_names"], "algebra")
     sig_obj = obj["signature"]
     _check_keys(sig_obj, ["ops", "constant"], [], "signature")
+    if not isinstance(sig_obj["ops"], list):
+        raise FileFormatError("signature ops: expected a list")
     ops = []
     for op in sig_obj["ops"]:
         _check_keys(op, ["name", "arity"], [], "operation")
@@ -152,7 +157,7 @@ def _fn_from_list(values: Any, dom: int, cod: int, what: str) -> FnTable:
 # -- witness terms ----------------------------------------------------------------
 
 def theta_from_obj(obj: Source, sig: Signature, base_dir: Optional[Path] = None) -> ThetaSpec:
-    obj, _ = _resolve(obj, base_dir)
+    obj, _ = _resolve(obj, base_dir, "theta")
     _check_keys(obj, ["vars", "term"], [], "theta")
     vars_ = obj["vars"]
     if not isinstance(vars_, list) or not all(isinstance(v, str) for v in vars_):
@@ -192,7 +197,7 @@ def equations_to_obj(axioms: Sequence[Equation]) -> list:
 def extension_from_obj(
     obj: Source, base_dir: Optional[Path] = None
 ) -> tuple[SplitExtension, Optional[Witness], tuple[Equation, ...]]:
-    obj, base_dir = _resolve(obj, base_dir)
+    obj, base_dir = _resolve(obj, base_dir, "extension")
     _check_keys(obj, ["X", "A", "B", "k", "p", "s"], ["witness", "axioms"], "extension")
     X = algebra_from_obj(obj["X"], base_dir)
     A = algebra_from_obj(obj["A"], base_dir)
@@ -256,7 +261,7 @@ def gamma_from_obj(obj: Source, base_dir: Optional[Path] = None) -> GammaData:
 
     Of the extras that canonical_to_obj writes, ``schema`` and ``n`` are
     checked against the data when present; the others are not read."""
-    obj, base_dir = _resolve(obj, base_dir)
+    obj, base_dir = _resolve(obj, base_dir, "gamma data")
     _check_keys(obj, ["X", "B", "theta", "gamma"], ["axioms"] + _GAMMA_EXTRAS, "gamma data")
     if "schema" in obj and obj["schema"] != CANONICAL_SCHEMA:
         raise FileFormatError(
@@ -338,7 +343,7 @@ def canonical_to_obj(
 # -- morphism files ------------------------------------------------------------------
 
 def morphism_from_obj(obj: Source, base_dir: Optional[Path] = None) -> ExtensionMorphism:
-    obj, base_dir = _resolve(obj, base_dir)
+    obj, base_dir = _resolve(obj, base_dir, "morphism")
     _check_keys(obj, ["source", "target", "f", "g", "h"], [], "morphism")
     source, _, _ = extension_from_obj(obj["source"], base_dir)
     target, _, _ = extension_from_obj(obj["target"], base_dir)
@@ -358,7 +363,7 @@ def load_morphism(path: Union[str, Path]) -> ExtensionMorphism:
 def hom_from_obj(obj: Source, base_dir: Optional[Path] = None) -> tuple[FiniteAlgebra, list[int]]:
     """A homomorphism file: the domain algebra plus a value array into the
     target (whose size is only known to the caller)."""
-    obj, base_dir = _resolve(obj, base_dir)
+    obj, base_dir = _resolve(obj, base_dir, "homomorphism")
     _check_keys(obj, ["B_prime", "f"], [], "homomorphism")
     B_prime = algebra_from_obj(obj["B_prime"], base_dir)
     values = obj["f"]

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import gc
 import io
 import json
@@ -389,6 +390,17 @@ def test_internal_errors_exit_70_with_one_line(monkeypatch, capsys):
     assert err == "internal error: ZeroDivisionError: boom second line\n"
 
 
+def test_a_failed_report_write_exits_70_with_one_line():
+    class BrokenPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    err = io.StringIO()
+    with contextlib.redirect_stdout(BrokenPipe()), contextlib.redirect_stderr(err):
+        assert main(["check", EXAMPLE, "--theta", THETA_XZY, "--json"]) == 70
+    assert err.getvalue() == "internal error: BrokenPipeError: [Errno 32] Broken pipe\n"
+
+
 def test_unwritable_output_is_a_file_error(tmp_path):
     out = tmp_path / "missing-dir" / "canon.json"
     res = run_cli("canonicalize", EXAMPLE, "--theta", THETA_XZY, "-o", str(out))
@@ -577,3 +589,206 @@ def test_gamma_check_exit_code_contract_under_leaf_fuzz(name, rebuild, data):
             code = main(argv)
     assert code in (0, 1, 2, 64)
     assert "Traceback" not in err.getvalue()
+
+
+# -- every command: early exits, hostile documents, fuzz ------------------------------------
+
+def _documents():
+    """The documents the commands read, by role: bundled fixtures."""
+    ext = json.loads(fixture_path("example_monoid").read_text())
+    bare = {key: ext[key] for key in ("X", "A", "B", "k", "p", "s")}
+    n2 = json.loads(fixture_path("n2").read_text())
+    return {
+        "extension": ext,
+        "theta": json.loads(Path(THETA_XZY).read_text()),
+        "hom": {"B_prime": n2, "f": [0, 1]},
+        "morphism": {"source": bare, "target": json.loads(json.dumps(bare)),
+                     "f": [0, 1], "g": [0, 1, 2, 3, 4], "h": [0, 1]},
+        "algebra": json.loads(json.dumps(n2)),
+        "canonical": json.loads(_canonical_text()),
+    }
+
+
+# the argv of each command; a role stands for the file that holds its document
+COMMAND_ARGV = {
+    "check": ["check", "extension", "--theta", "theta"],
+    "canonicalize": ["canonicalize", "extension", "--theta", "theta"],
+    "gamma-check": ["gamma-check", "canonical"],
+    "pullback": ["pullback", "extension", "hom", "--theta", "theta"],
+    "product-check": ["product-check", "algebra", "--theta", "theta"],
+    "morphism-check": ["morphism-check", "morphism"],
+}
+
+
+def _write_documents(docs, tmp: Path) -> dict:
+    """Write each document to <role>.json (bytes are written as they are)."""
+    paths = {}
+    for role, doc in docs.items():
+        paths[role] = tmp / f"{role}.json"
+        if isinstance(doc, bytes):
+            paths[role].write_bytes(doc)
+        else:
+            paths[role].write_text(json.dumps(doc))
+    return paths
+
+
+def _argv(command: str, paths: dict) -> list[str]:
+    return [str(paths[a]) if a in paths else a for a in COMMAND_ARGV[command]]
+
+
+def _run_main(argv):
+    """(exit code, stdout, stderr) of main in this process; an exception
+    escaping main would be a traceback at the shell."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+# mutations that stop a command before its report: (command, mutation,
+# exit code, first words of the plain output)
+EARLY_EXITS = {
+    "canonicalize, invalid extension": (
+        "canonicalize", _set(("extension", "s"), [0, 3]), 2, "validation: FAIL\n  "),
+    "canonicalize, no witness": (
+        "canonicalize", _set(("theta",), json.loads(Path(THETA_SUM).read_text())), 1,
+        "no witness at index 0 (found 0)\n"),
+    "pullback, not a homomorphism": (
+        "pullback", _set(("hom", "f"), [1, 0]), 2, "f is not a homomorphism: "),
+    "pullback, no witness": (
+        "pullback", _set(("theta",), json.loads(Path(THETA_SUM).read_text())), 1,
+        "no witness for the source extension\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EARLY_EXITS))
+def test_early_exits_print_one_json_document(case, tmp_path):
+    command, mutate, code, opening = EARLY_EXITS[case]
+    docs = _documents()
+    mutate(docs)
+    argv = _argv(command, _write_documents(docs, tmp_path))
+    plain_code, plain, err = _run_main(argv)
+    json_code, out, json_err = _run_main(argv + ["--json"])
+    assert plain_code == json_code == code
+    assert err == json_err == ""
+    assert plain.startswith(opening)
+    doc = json.loads(out)
+    assert list(doc)[:2] == ["schema", "command"]
+    assert doc.pop("schema") == "wsext.report/1" and doc.pop("command") == command
+    if case == "canonicalize, invalid extension":
+        # the keys and the values that check reports for the same file
+        check = json.loads(_run_main(["check"] + argv[1:] + ["--json"])[1])
+        assert doc == {"valid": False, "validation": check["validation"]}
+    else:
+        assert plain.count("\n") == 1 and doc == {"error": plain.rstrip("\n")}
+
+
+# documents that are not objects where an object or a file name belongs,
+# and files that cannot be read as text
+HOSTILE = {
+    "extension X is a list": ("extension", _set(("extension", "X"), [1, 2])),
+    "hom B_prime is an int": ("hom", _set(("hom", "B_prime"), 5)),
+    "morphism target B is null": ("morphism", _set(("morphism", "target", "B"), None)),
+    "algebra ops is an int": ("algebra", _set(("algebra", "signature", "ops"), 5)),
+    "canonical theta is a float": ("canonical", _set(("canonical", "theta"), 1.5)),
+    "extension is a list": ("extension", _set(("extension",), [1, 2])),
+    "theta is true": ("theta", _set(("theta",), True)),
+    "hom is null": ("hom", _set(("hom",), None)),
+    "file name with a NUL": ("extension", _set(("extension", "A"), "a\x00b")),
+    "algebra is not UTF-8": ("algebra", _set(("algebra",), b"\xff\xfe{}")),
+    "canonical is not UTF-8": ("canonical", _set(("canonical",), b"{\"X\": \"\xd7\"}")),
+}
+
+
+@pytest.mark.parametrize("case, command", [
+    (case, command) for case, (role, _) in sorted(HOSTILE.items())
+    for command in sorted(COMMAND_ARGV) if role in COMMAND_ARGV[command]])
+def test_hostile_documents_are_file_errors(case, command, tmp_path):
+    docs = _documents()
+    HOSTILE[case][1](docs)
+    argv = _argv(command, _write_documents(docs, tmp_path))
+    for flags in ([], ["--json"]):
+        code, out, err = _run_main(argv + flags)
+        assert code == 64
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+# replacement values: leaves, containers, and whole documents of other roles
+FUZZ_DOCUMENT_VALUES = FUZZ_VALUES + [
+    False, -10 ** 30, "", "a\x00b", "theta.json", [1, 2], [[0, 1], [1, 0]],
+    {"x": 0}, json.loads("[" * 100 + "]" * 100),
+    json.loads(fixture_path("n2").read_text()),
+    json.loads(Path(THETA_XZY).read_text()),
+]
+TERM_TOKENS = ["(", ")", " ", "+", "*", "x1", "x2", "y", "0", "meet"]
+
+
+def _nodes(node, path=()):
+    """(path, node) for every node of a JSON document, the root included."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        items = ()
+    return [(path, node)] + [pn for key, child in items for pn in _nodes(child, path + (key,))]
+
+
+def _mutate(doc, path, kind, value):
+    """The document with the node at path replaced, dropped, or given an
+    extra key or item."""
+    holder = [doc]
+    *head, last = (0,) + path
+    parent = holder
+    for key in head:
+        parent = parent[key]
+    if kind == "replace":
+        parent[last] = value
+    elif kind == "drop" and path:
+        del parent[last]
+    elif isinstance(parent[last], dict):
+        parent[last]["extra"] = value
+    elif isinstance(parent[last], list):
+        parent[last].append(value)
+    return holder[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(COMMAND_ARGV)), st.booleans(), st.data())
+def test_every_command_keeps_the_exit_code_contract_under_fuzz(command, json_mode, data):
+    docs = _documents()
+    role = data.draw(st.sampled_from([a for a in COMMAND_ARGV[command] if a in docs]))
+    for _ in range(data.draw(st.integers(1, 2))):
+        whole = data.draw(st.booleans())
+        paths = [p for p, node in _nodes(docs[role])
+                 if isinstance(node, (dict, list)) == whole] or [()]
+        docs[role] = _mutate(docs[role], data.draw(st.sampled_from(paths)),
+                             data.draw(st.sampled_from(["replace", "drop", "extra"])),
+                             copy.deepcopy(data.draw(st.sampled_from(FUZZ_DOCUMENT_VALUES))))
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = _argv(command, _write_documents(docs, Path(tmp)))
+        if "--theta" in argv and data.draw(st.booleans()):
+            i = argv.index("--theta")
+            term = "".join(data.draw(st.lists(st.sampled_from(TERM_TOKENS), max_size=12)))
+            argv[i:i + 2] = ["--theta-vars", data.draw(st.sampled_from(
+                ["x1,x2,y", "x,y", "y", "x1,,y", ""])), "--theta-term", term]
+        if data.draw(st.booleans()):
+            argv += {"canonicalize": ["-o", str(Path(tmp) / "out.json")],
+                     "gamma-check": ["--rebuild", str(Path(tmp) / "out.json")],
+                     "pullback": ["-o", str(Path(tmp) / "out.json")]}.get(command, [])
+        budget = data.draw(st.sampled_from([None, "0", "7", "100"]))
+        argv += (["--budget", budget] if budget else []) + (["--json"] if json_mode else [])
+        code, out, err = _run_main(argv)
+    assert code in (0, 1, 2, 64)
+    assert "Traceback" not in out + err
+    if code == 64:
+        assert out == ""
+        lines = err.splitlines()
+        assert lines[0].startswith("error: ")
+        assert sum(ln.startswith("error:") for ln in lines) == 1
+    else:
+        assert err == ""
+        if json_mode:
+            doc = json.loads(out)  # exactly one document: loads rejects extra data
+            assert doc["schema"] == "wsext.report/1" and doc["command"] == command

@@ -266,6 +266,7 @@ def test_tuple_space_kernel_tuples_follow_the_encoding(x_size, n, b_size):
     for z in space.indices():
         xs, b = space.unpack(z)
         assert space.kernel_tuples[z // b_size] == xs
+        assert space.kernel_rows[xs] == space.pack(xs, 0)
         assert space.fold([[x] for x in xs] + [[b]]) == [z]
 
 
