@@ -34,12 +34,7 @@ from . import canonical as can
 from . import extension as ext
 from . import gammabuild as gb
 from .algebra import DEFAULT_BUDGET, FnTable, is_homomorphism
-from .errors import (
-    ConditionsFailed,
-    FileFormatError,
-    IotaNotInY,
-    ToolkitError,
-)
+from .errors import FileFormatError, IotaNotInY, ToolkitError
 from .serialize import (
     _load_json,
     canonical_to_obj,
@@ -136,12 +131,39 @@ def _failure(code: int, message: str) -> Outcome:
     return code, {"error": message}, [message]
 
 
+def _indented(rep) -> list[str]:
+    return ["  " + ln for ln in rep.render().splitlines()]
+
+
+def _load_and_validate(args) -> tuple:
+    """The front half of check, canonicalize and pullback: the extension
+    file with its witness and axioms, theta, and the validation report."""
+    e, file_witness, axioms = load_extension(args.extension)
+    theta = _resolve_theta(args, e.A.signature)
+    return e, file_witness, axioms, theta, ext.validate_split_extension(e)
+
+
+def _invalid(rep) -> Outcome:
+    """The early exit of canonicalize and pullback on an invalid extension."""
+    return (EXIT_INVALID, {"valid": False, "validation": rep.to_json()},
+            ["validation: FAIL"] + _indented(rep))
+
+
+def _witness(e, theta, file_witness, index: Optional[int], budget: int) -> tuple:
+    """(witness or None, witnesses found): the file's witness when no index
+    is asked for and its arity fits theta, else the index-th enumerated
+    witness (the first when index is None)."""
+    if index is None and file_witness is not None and file_witness.n == theta.n:
+        return file_witness, 1
+    index = index or 0
+    found = ext.find_witnesses(e, theta, limit=index + 1, budget=budget)
+    return (found[index] if len(found) > index else None), len(found)
+
+
 # -- check -----------------------------------------------------------------------
 
 def cmd_check(args) -> Outcome:
-    e, file_witness, _ = load_extension(args.extension)
-    theta = _resolve_theta(args, e.A.signature)
-    rep = ext.validate_split_extension(e)
+    e, file_witness, _, theta, rep = _load_and_validate(args)
     n = theta.n
     ambient = can.ambient_space(e, n).size
 
@@ -162,7 +184,7 @@ def cmd_check(args) -> Outcome:
         f"validation: {'PASS' if rep.ok else 'FAIL'}",
     ]
     if not rep.ok:
-        lines.extend("  " + ln for ln in rep.render().splitlines())
+        lines += _indented(rep)
         payload["witness_count"] = 0
         payload["witnesses"] = []
         return EXIT_INVALID, payload, lines
@@ -197,23 +219,13 @@ def cmd_check(args) -> Outcome:
 # -- canonicalize -----------------------------------------------------------------
 
 def cmd_canonicalize(args) -> Outcome:
-    e, file_witness, axioms = load_extension(args.extension)
-    theta = _resolve_theta(args, e.A.signature)
-    rep = ext.validate_split_extension(e)
+    e, file_witness, axioms, theta, rep = _load_and_validate(args)
     if not rep.ok:
-        return (EXIT_INVALID, {"valid": False, "validation": rep.to_json()},
-                ["validation: FAIL"] + ["  " + ln for ln in rep.render().splitlines()])
-
-    usable_file_witness = (file_witness is not None
-                           and file_witness.n == theta.n)
-    if args.witness_index is None and usable_file_witness:
-        witness = file_witness
-    else:
-        index = args.witness_index or 0
-        found = ext.find_witnesses(e, theta, limit=index + 1, budget=args.budget)
-        if len(found) <= index:
-            return _failure(EXIT_NEGATIVE, f"no witness at index {index} (found {len(found)})")
-        witness = found[index]
+        return _invalid(rep)
+    witness, found = _witness(e, theta, file_witness, args.witness_index, args.budget)
+    if witness is None:
+        return _failure(EXIT_NEGATIVE,
+                        f"no witness at index {args.witness_index or 0} (found {found})")
 
     c = can.build_canonical(e, theta, witness, budget=args.budget)
     verification = can.verify_isomorphism(e, c, witness)
@@ -254,7 +266,7 @@ def cmd_gamma_check(args) -> Outcome:
     rep = gb.check_conditions(g, budget=args.budget)
     _, carrier = gb._checked(g, args.budget)
     payload = {"conditions": rep.to_json(), "carrier_size": len(carrier.Y)}
-    lines = ["conditions:"] + ["  " + ln for ln in rep.render().splitlines()]
+    lines = ["conditions:"] + _indented(rep)
     code = EXIT_OK if rep.ok else EXIT_NEGATIVE
     if rep.ok and args.rebuild:
         try:
@@ -273,21 +285,17 @@ def cmd_gamma_check(args) -> Outcome:
 # -- pullback ------------------------------------------------------------------------
 
 def cmd_pullback(args) -> Outcome:
-    e, file_witness, axioms = load_extension(args.extension)
-    theta = _resolve_theta(args, e.A.signature)
+    e, file_witness, axioms, theta, rep = _load_and_validate(args)
     B_prime, f_values = hom_from_obj(_load_json(Path(args.hom)), Path(args.hom).parent)
+    if not rep.ok:
+        return _invalid(rep)
     f = FnTable(B_prime.size, e.B.size, tuple(f_values))
     res = is_homomorphism(f, B_prime, e.B)
     if not res:
         return _failure(EXIT_INVALID, f"f is not a homomorphism: {res.counterexample}")
-
-    if file_witness is not None and file_witness.n == theta.n:
-        witness = file_witness
-    else:
-        found = ext.find_witnesses(e, theta, limit=1, budget=args.budget)
-        if not found:
-            return _failure(EXIT_NEGATIVE, "no witness for the source extension")
-        witness = found[0]
+    witness, _ = _witness(e, theta, file_witness, None, args.budget)
+    if witness is None:
+        return _failure(EXIT_NEGATIVE, "no witness for the source extension")
 
     e2, w2 = ext.pullback_extension(e, theta, B_prime, f, witness, budget=args.budget)
     doc = extension_to_obj(e2, witness=w2, axioms=axioms)
@@ -332,12 +340,12 @@ def cmd_morphism_check(args) -> Outcome:
     m = load_morphism(args.morphism)
     val = ext.validate_morphism(m)
     payload = {"valid": val.ok, "validation": val.to_json()}
-    lines = ["morphism validation:"] + ["  " + ln for ln in val.render().splitlines()]
+    lines = ["morphism validation:"] + _indented(val)
     if not val.ok:
         return EXIT_INVALID, payload, lines
     surj = ext.check_morphism_surjectivity(m)
     payload["surjectivity"] = surj.to_json()
-    lines += ["surjectivity:"] + ["  " + ln for ln in surj.render().splitlines()]
+    lines += ["surjectivity:"] + _indented(surj)
     return (EXIT_OK if surj.ok else EXIT_NEGATIVE), payload, lines
 
 
@@ -401,16 +409,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.stdout.write(to_text({"schema": JSON_SCHEMA, "command": args.command, **payload})
                          if args.json else "\n".join(lines) + "\n")
         return code
-    except (FileFormatError, ConditionsFailed) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE if isinstance(exc, FileFormatError) else EXIT_NEGATIVE
     except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, message = EXIT_USAGE, f"error: {exc}"
     except Exception as exc:  # a bug, not a verdict on the input: never exit 1
-        message = str(exc).replace("\n", " ")
-        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
-        return EXIT_SOFTWARE
+        code, message = EXIT_SOFTWARE, f"internal error: {type(exc).__name__}: {exc}"
+    # one stderr line, even when the message holds a file name with a newline
+    print(message.replace("\n", " "), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

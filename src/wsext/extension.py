@@ -11,13 +11,15 @@ flat over the ambient tuples, one block of them at a time.  A witness
 picks a preimage in each fibre of phi, so the feasible kernel tuples T(a)
 are the xs with phi(xs, p(a)) = a, read off the table in one pass instead
 of a search over function space; the extension is Schreier iff phi is a
-bijection onto A.  Witness enumeration is the lexicographic product of
-the T(a) lists, elements of A in increasing index.
+bijection onto A.  One fibre walk does that pass for every witness query
+(admissibility, budget, the pass and the pin of 0_A, each once):
+feasible_tuples lists the fibres, count_witnesses multiplies their sizes
+and find_witnesses enumerates the lexicographic product of the T(a)
+lists, elements of A in increasing index.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, cycle, islice, product
 from math import prod
@@ -141,13 +143,20 @@ def _comparison(e: SplitExtension, theta: ThetaSpec, x_columns: Sequence[Sequenc
     return _tabulate(theta.term, e.A, dict(zip(theta.vars, columns)), len(b_column))
 
 
+def _phi_values(e: SplitExtension, theta: ThetaSpec) -> list[int]:
+    """The values of phi over the ambient tuples of X^n x B in lex order,
+    block by block; theta's admissibility is the caller's to check."""
+    values: list[int] = []
+    for _, (*x_columns, b_column) in lex_blocks(ambient_space(e, theta.n).radices):
+        values += _comparison(e, theta, x_columns, b_column)
+    return values
+
+
 def phi(e: SplitExtension, theta: ThetaSpec) -> FnTable:
     """Tabulate the comparison map (x_1, .., x_n, b) -> theta(k x_1, .., k x_n, s b)
     over the ambient tuples of X^n x B in lex order, block by block."""
     require_admissible(theta, e.A, "middle algebra")
-    values: list[int] = []
-    for _, (*x_columns, b_column) in lex_blocks(ambient_space(e, theta.n).radices):
-        values += _comparison(e, theta, x_columns, b_column)
+    values = _phi_values(e, theta)
     return FnTable(len(values), e.A.size, tuple(values))
 
 
@@ -186,28 +195,37 @@ def require_witness(e: SplitExtension, theta: ThetaSpec, w: Witness,
         raise WitnessInvalid(f"witness fails at {res.counterexample}")
 
 
-def _feasible_points(e: SplitExtension, theta: ThetaSpec, budget: int) -> tuple:
-    """(phi, points): the comparison map and the ambient indices z with
-    p(phi(z)) = b(z), that is the z whose kernel tuple lies in T(phi(z)).
-    The budget caps |A| * |X|^n, the size of the search the table replaces."""
+def _fibres(e: SplitExtension, theta: ThetaSpec, normalize: bool,
+            budget: int) -> list[list[int]]:
+    """The fibre walk behind every witness query: per element a of A, the
+    rows r (indices of kernel tuples xs_r in lex order) with
+    phi(xs_r, p(a)) = a, in increasing order.
+
+    One walk, in this order: theta's admissibility on A; the budget, which
+    caps |A| * |X|^n, the size of the search the table replaces; one pass
+    over phi, laid out as |X|^n rows by |B| columns, keeping the entries z
+    with p(phi(z)) = b(z), each in the fibre of phi(z); and, with
+    ``normalize``, the pin of 0_A to the all-zero row, which lies in its
+    fibre whenever theta is admissible on A: phi(0, .., 0, p(0_A)) = 0_A.
+    """
     require_admissible(theta, e.A, "middle algebra")
     cost = e.A.size * e.X.size ** theta.n
     if cost > budget:
         raise SearchBudgetExceeded(
             f"witness feasibility needs {cost} evaluations, budget is {budget}")
-    values = phi(e, theta).values
-    b_of_z = cycle(range(e.B.size))
-    in_fibre = map(eq, map(e.p.values.__getitem__, values), b_of_z)
-    return values, compress(range(len(values)), in_fibre)
-
-
-def _check_zero_point(e: SplitExtension, theta: ThetaSpec, values) -> None:
-    """With normalization, 0_A admits only the all-zero tuple, which is
-    feasible whenever theta is admissible on A: phi(0, .., 0, p(0_A)) = 0_A."""
-    zero = ambient_space(e, theta.n).pack((e.X.zero,) * theta.n, e.p(e.A.zero))
-    if values[zero] != e.A.zero:
-        raise InternalCheckFailed(
-            "all-zero tuple infeasible at 0_A despite admissible theta")
+    values = _phi_values(e, theta)
+    nb = e.B.size
+    in_fibre = map(eq, map(e.p.values.__getitem__, values), cycle(range(nb)))
+    fibres: list[list[int]] = [[] for _ in range(e.A.size)]
+    for z in compress(range(len(values)), in_fibre):
+        fibres[values[z]].append(z // nb)
+    if normalize:
+        zero = ambient_space(e, theta.n).pack((e.X.zero,) * theta.n, e.p(e.A.zero))
+        if values[zero] != e.A.zero:
+            raise InternalCheckFailed(
+                "all-zero tuple infeasible at 0_A despite admissible theta")
+        fibres[e.A.zero] = [zero // nb]
+    return fibres
 
 
 def feasible_tuples(
@@ -215,25 +233,14 @@ def feasible_tuples(
     theta: ThetaSpec,
     normalize: bool = True,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> list[list[tuple[int, ...]]]:
-    """Per element a, the lexicographic list of kernel tuples xs with
-    theta(k xs, s p(a)) = a: one pass over phi puts xs into T(phi(xs, b))
-    whenever p(phi(xs, b)) = b.  With ``normalize``, the zero element of A
-    admits only the all-zero tuple (always feasible when theta is
-    admissible on A).  The budget caps |A| * |X|^n, the size of the search
-    the table replaces.  ``workers`` is accepted for compatibility and has
-    no effect."""
-    values, points = _feasible_points(e, theta, budget)
+    """Per element a, the lexicographic list T(a) of kernel tuples xs with
+    theta(k xs, s p(a)) = a: the rows of the fibre walk as kernel tuples.
+    With ``normalize``, the zero element of A admits only the all-zero
+    tuple.  Raises SearchBudgetExceeded when |A| * |X|^n exceeds
+    ``budget``."""
     xs_of = ambient_space(e, theta.n).kernel_tuples
-    nb = e.B.size
-    T: list[list[tuple[int, ...]]] = [[] for _ in range(e.A.size)]
-    for z in points:
-        T[values[z]].append(xs_of[z // nb])
-    if normalize:
-        _check_zero_point(e, theta, values)
-        T[e.A.zero] = [(e.X.zero,) * theta.n]
-    return T
+    return [[xs_of[r] for r in rows] for rows in _fibres(e, theta, normalize, budget)]
 
 
 def count_witnesses(
@@ -241,18 +248,10 @@ def count_witnesses(
     theta: ThetaSpec,
     normalize: bool = True,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> int:
     """Number of witnesses = product over a of |T(a)| (0 if any is empty),
-    with the fibre sizes |T(a)| counted in one pass over phi; no kernel
-    tuple is materialized.  ``workers`` is accepted for compatibility and
-    has no effect."""
-    values, points = _feasible_points(e, theta, budget)
-    sizes = Counter(map(values.__getitem__, points))
-    if normalize:
-        _check_zero_point(e, theta, values)
-        sizes[e.A.zero] = 1
-    return prod(sizes[a] for a in range(e.A.size))
+    the fibre sizes of the fibre walk; no kernel tuple is materialized."""
+    return prod(map(len, _fibres(e, theta, normalize, budget)))
 
 
 def find_witnesses(
@@ -261,35 +260,21 @@ def find_witnesses(
     normalize: bool = True,
     limit: Optional[int] = None,
     budget: int = DEFAULT_BUDGET,
-    workers: int = 1,
 ) -> list[Witness]:
     """Enumerate witnesses as choice functions through the T(a) lists.
 
     Order: elements a in increasing index are the significant positions;
     tuples within each T(a) are tried in lexicographic order.  Returns []
-    exactly when some T(a) is empty.  ``workers`` is accepted for
-    compatibility and has no effect.
+    exactly when some T(a) is empty.  Raises SearchBudgetExceeded when
+    more than ``budget`` witnesses would be materialized.
     """
     T = feasible_tuples(e, theta, normalize, budget)
-    if any(not choices for choices in T):
-        return []
-    total = 1
-    for choices in T:
-        total *= len(choices)
+    total = prod(map(len, T))
     if min(total, total if limit is None else limit) > budget:
         raise SearchBudgetExceeded(
             f"would materialize {total} witnesses, budget is {budget}")
-    combos = product(*T)
-    if limit is not None:
-        combos = islice(combos, limit)
-    out = []
-    for choice in combos:
-        q = tuple(
-            FnTable(e.A.size, e.X.size, tuple(choice[a][i] for a in range(e.A.size)))
-            for i in range(theta.n)
-        )
-        out.append(Witness(theta.n, q))
-    return out
+    return [Witness(theta.n, tuple(FnTable(e.A.size, e.X.size, q) for q in zip(*choice)))
+            for choice in islice(product(*T), limit)]
 
 
 def semiabelian_witness(
@@ -340,14 +325,13 @@ def semiabelian_witness(
     return w
 
 
-def is_schreier(e: SplitExtension, theta: ThetaSpec, workers: int = 1) -> bool:
+def is_schreier(e: SplitExtension, theta: ThetaSpec) -> bool:
     """True iff the comparison map phi, (xs, b) -> theta(k xs, s b), is a
     bijection onto A: every element decomposes, and uniquely.
 
     Injectivity alone would accept extensions with no witness at all
     (phi injective but not surjective); uniqueness is only meaningful on
-    top of existence, so both halves are tested.  ``workers`` is accepted
-    for compatibility and has no effect.
+    top of existence, so both halves are tested.
     """
     values = phi(e, theta).values
     return len(set(values)) == len(values) == e.A.size

@@ -234,14 +234,6 @@ def test_inadmissible_theta_is_rejected_downstream(example):
         pec(e.A, bogus)
 
 
-def test_workers_do_not_change_results(example):
-    e, _, _, theta = example
-    serial = [q.values for w in find_witnesses(e, theta, workers=1) for q in w.q]
-    threaded = [q.values for w in find_witnesses(e, theta, workers=3) for q in w.q]
-    assert serial == threaded
-    assert is_schreier(e, theta, workers=1) == is_schreier(e, theta, workers=3)
-
-
 # -- is_schreier --------------------------------------------------------------------
 
 def test_direct_product_is_schreier():
