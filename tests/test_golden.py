@@ -1,7 +1,9 @@
 """Golden outputs: the plain stdout and every written file of ``check``,
-``canonicalize -o``, ``gamma-check --rebuild`` and ``pullback -o`` (along
-the identity homomorphism on B) for each bundled extension, compared byte
-for byte.
+``canonicalize -o``, ``gamma-check --rebuild``, ``pullback -o`` (along
+the identity homomorphism on B) and ``product-check`` (on the kernel
+algebra X) for each bundled extension, and the one stderr line of
+``check`` with the inadmissible witness term x over (x, y), compared byte
+for byte, with the exit code of every run.
 
 Each fixture runs in its own directory holding copies of its extension and
 theta files, with relative paths, so no absolute path reaches the output.
@@ -33,6 +35,8 @@ RUNS = [
     ("gamma-check.txt", ["gamma-check", "canon.json", "--rebuild", "rebuilt.json"]),
     ("pullback.txt", ["pullback", "{ext}", "hom.json", "--theta", "{theta}",
                       "-o", "pullback.json"]),
+    ("product-check.txt", ["product-check", "kernel.json", "--theta", "{theta}"]),
+    ("check-inadmissible.txt", ["check", "{ext}", "--theta-vars", "x,y", "--theta-term", "x"]),
 ]
 
 
@@ -47,21 +51,28 @@ def _chdir(path: Path):
 
 
 def outputs(name: str, work: Path) -> dict[str, bytes]:
-    """File name -> bytes: the stdout of each run and every file it wrote,
-    with the fixture's runs made in the empty directory ``work``."""
+    """File name -> bytes: the stdout of each run, its stderr when it wrote
+    any (as <run>.err), the exit codes of all runs (exit-codes.txt) and
+    every file the runs wrote, with the fixture's runs made in the empty
+    directory ``work``."""
     ext, theta = f"{name}.json", f"{EXTENSIONS[name]}.json"
     shutil.copyfile(fixture_path(name), work / ext)
     shutil.copyfile(fixture_path(theta), work / theta)
-    B = json.loads((work / ext).read_text())["B"]
+    doc = json.loads((work / ext).read_text())
+    B = doc["B"]
     (work / "hom.json").write_text(json.dumps({"B_prime": B, "f": list(range(B["size"]))}))
-    got = {}
+    (work / "kernel.json").write_text(json.dumps(doc["X"]))
+    got, codes = {}, []
     with _chdir(work):
         for stdout_name, argv in RUNS:
-            out = io.StringIO()
-            with contextlib.redirect_stdout(out):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main([a.format(ext=ext, theta=theta) for a in argv])
-            assert code == 0, (name, argv, code)
             got[stdout_name] = out.getvalue().encode()
+            if err.getvalue():
+                got[stdout_name.replace(".txt", ".err")] = err.getvalue().encode()
+            codes.append(f"{stdout_name} {code}\n")
+    got["exit-codes.txt"] = "".join(codes).encode()
     for written in ("canon.json", "rebuilt.json", "pullback.json"):
         got[written] = (work / written).read_bytes()
     return got
