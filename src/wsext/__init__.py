@@ -8,7 +8,9 @@ from .algebra import (
     FiniteAlgebra,
     FnTable,
     Signature,
+    check_commuting,
     check_equation,
+    check_theta_admissible,
     enumerate_homomorphisms,
     is_homomorphism,
     make_algebra,
@@ -60,9 +62,6 @@ from .terms import (
     TermSpec,
     ThetaSpec,
     Var,
-    check_commuting,
-    check_theta_admissible,
-    eval_term,
     format_term,
     parse_term,
 )

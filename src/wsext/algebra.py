@@ -24,11 +24,12 @@ from .errors import (
     SearchBudgetExceeded,
     SignatureMismatch,
     SizeMismatch,
+    ThetaNotAdmissible,
     UnboundVariable,
     UnknownSymbol,
 )
 from .report import CheckResult
-from .terms import Term, Var, require_distinct_vars, term_vars
+from .terms import App, Term, TermSpec, ThetaSpec, Var, require_distinct_vars, substitute, term_vars
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -323,7 +324,9 @@ def enumerate_homomorphisms(
     Deterministic backtracking over positions 0..|A|-1.  A constraint
     f(op(args)) = op(f(args)) is checked as soon as its last participating
     element is assigned.  Each attempted assignment costs one node against
-    ``budget``.
+    ``budget``.  The constraint lists need no budget of their own: they
+    hold one entry per entry of A's tables, sum over the operations of
+    |A|^arity, the size of the input itself.
     """
     _require_same_signature(A, B)
     fixed = dict(fixed or {})
@@ -382,13 +385,6 @@ def _pair_tables(A: FiniteAlgebra, B: FiniteAlgebra,
             for name, arity in A.signature.ops}
 
 
-def product_algebra(A: FiniteAlgebra, B: FiniteAlgebra) -> FiniteAlgebra:
-    """Componentwise product, pairing (a,b) -> a*|B| + b: the pullback over all pairs."""
-    _require_same_signature(A, B)
-    pairs = list(product(range(A.size), range(B.size)))
-    return FiniteAlgebra(A.signature, len(pairs), _pair_tables(A, B, pairs))
-
-
 def pullback_algebra(
     A: FiniteAlgebra,
     p: FnTable,
@@ -432,6 +428,13 @@ def pullback_algebra(
     proj_A = FnTable(size, A.size, tuple(a for a, _ in elements))
     proj_Bp = FnTable(size, B_prime.size, tuple(bp for _, bp in elements))
     return P, proj_A, proj_Bp
+
+
+def product_algebra(A: FiniteAlgebra, B: FiniteAlgebra) -> FiniteAlgebra:
+    """Componentwise product, pairing (a,b) -> a*|B| + b: the pullback over
+    the one-element algebra, within its budget at DEFAULT_BUDGET."""
+    return pullback_algebra(A, FnTable.constant(A.size, 1, 0), B,
+                            FnTable.constant(B.size, 1, 0), trivial_algebra(A.signature))[0]
 
 
 def subalgebra_closure(A: FiniteAlgebra, generators: Sequence[int]) -> list[int]:
@@ -488,6 +491,73 @@ def check_equation(A: FiniteAlgebra, eq: Equation) -> CheckResult:
                                        "lhs": lhs[i], "rhs": rhs[i]})
         offset += points
     return CheckResult(True)
+
+
+def check_theta_admissible(theta: TermSpec, A: FiniteAlgebra) -> CheckResult:
+    """Check the unit law theta(0,..,0,x) = x for every x in the carrier,
+    as the identity in the last variable with zero in all the others.
+
+    Any term qualifies; a term without variables has no argument to put
+    x in (ArityMismatch).  The counterexample is the first failing x.
+    """
+    if not theta.vars:
+        raise ArityMismatch("term of arity 0 applied to 1 arguments")
+    *zeros, x = theta.vars
+    zero = App(A.signature.constant_name, ())
+    res = check_equation(A, Equation(
+        (x,), substitute(theta.term, dict.fromkeys(zeros, zero)), Var(x)))
+    if res:
+        return res
+    return CheckResult(False, {"x": res.counterexample["assignment"][x],
+                               "value": res.counterexample["lhs"]})
+
+
+def require_admissible(theta: ThetaSpec, A: FiniteAlgebra, where: str = "") -> None:
+    res = check_theta_admissible(theta, A)
+    if not res:
+        suffix = f" ({where})" if where else ""
+        raise ThetaNotAdmissible(
+            f"theta(0,..,0,x) != x at {res.counterexample}{suffix}")
+
+
+def check_commuting(
+    omega: TermSpec,
+    theta: ThetaSpec,
+    A: FiniteAlgebra,
+    budget: int = DEFAULT_BUDGET,
+) -> CheckResult:
+    """Interchange law between an m-ary term and the witness term.
+
+    For every m x (n+1) matrix of elements: applying theta to each row and
+    then omega to the results must equal applying omega down each column
+    and then theta.  The matrix entries are the variables of one equation,
+    in row-major order, and the counterexample is its first failing
+    matrix.  Raises SearchBudgetExceeded when the |A|^(m(n+1)) matrices
+    exceed ``budget``.
+    """
+    m, width = omega.arity, theta.arity
+    domain = A.size ** (m * width)
+    if domain > budget:
+        raise SearchBudgetExceeded(
+            f"commutation check needs {domain} cases, budget is {budget}")
+    rows = [[Var(f"a{j}_{i}") for i in range(width)] for j in range(m)]
+    columns = [[row[i] for row in rows] for i in range(width)]
+
+    def apply(spec: TermSpec, args) -> Term:
+        return substitute(spec.term, dict(zip(spec.vars, args)))
+
+    res = check_equation(A, Equation(
+        tuple(v.name for row in rows for v in row),
+        apply(omega, [apply(theta, row) for row in rows]),
+        apply(theta, [apply(omega, column) for column in columns])))
+    if res:
+        return res
+    values = list(res.counterexample["assignment"].values())
+    return CheckResult(False, {
+        "matrix": [values[j * width:(j + 1) * width] for j in range(m)],
+        "rows_first": res.counterexample["lhs"],
+        "columns_first": res.counterexample["rhs"],
+    })
 
 
 def _tabulate(t: Term, A, env: Mapping[str, list[int]], block: int) -> list[int]:

@@ -16,20 +16,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, product, repeat
+from itertools import chain, compress, repeat
 from operator import eq
 from typing import Optional, Sequence
 
 from .ambient import CandidateOps, TupleSpace, ambient_space
 from .algebra import (
     DEFAULT_BUDGET,
+    Equation,
     FiniteAlgebra,
     FnTable,
     _gather,
     _square_failure,
     _tabulate,
+    check_equation,
+    check_theta_admissible,
     fold_indices,
     lex_blocks,
+    lex_columns,
     table_args,
 )
 from .errors import (
@@ -41,12 +45,13 @@ from .errors import (
 from .extension import (
     SplitExtension,
     Witness,
+    _comparison,
     phi,
     require_valid,
     require_witness,
 )
 from .report import Report
-from .terms import TermSpec, ThetaSpec, check_theta_admissible
+from .terms import App, TermSpec, ThetaSpec, Var
 
 
 def psi(e: SplitExtension, w: Witness) -> FnTable:
@@ -377,57 +382,43 @@ def sigma_tau_decompose(
     if cost > budget:
         raise SearchBudgetExceeded(
             f"decomposition needs {cost} evaluations, budget is {budget}")
-    for x, y, z in product(range(e.A.size), repeat=3):
-        if theta.eval(e.A, (x, y, z)) != e.A.op(add, (e.A.op(add, (x, z)), y)):
-            raise WrongTheta(
-                "witness term is not x + z + y on the middle algebra")
+    x, y, z = map(Var, theta.vars)
+    if not check_equation(e.A, Equation(theta.vars, theta.term,
+                                        App(add, (App(add, (x, z)), y)))):
+        raise WrongTheta("witness term is not x + z + y on the middle algebra")
 
-    def add_in(alg: FiniteAlgebra, u: int, v: int) -> int:
-        return alg.op(add, (u, v))
-
-    def sum_A(*vals: int) -> int:
-        acc = vals[0]
-        for v in vals[1:]:
-            acc = add_in(e.A, acc, v)
-        return acc
-
-    def sigma_val(i: int, b: int, x: int, bp: int) -> int:
-        return w.q[i](sum_A(e.s(b), e.k(x), e.s(bp)))
-
-    def tau_val(i: int, x: int, b: int, xp: int) -> int:
-        return w.q[i](sum_A(e.k(x), e.s(b), e.k(xp)))
-
+    # sigma_i(b, x, b') = q_i(s b + k x + s b'), tau_i(x, b, x') = q_i(k x + s b + k x')
     nX, nB = e.X.size, e.B.size
-    sigma = tuple(
-        TriTable((nB, nX, nB), nX,
-                 tuple(sigma_val(i, b, x, bp)
-                       for b in range(nB) for x in range(nX) for bp in range(nB)))
-        for i in range(2)
-    )
-    tau = tuple(
-        TriTable((nX, nB, nX), nX,
-                 tuple(tau_val(i, x, b, xp)
-                       for x in range(nX) for b in range(nB) for xp in range(nX)))
-        for i in range(2)
-    )
+    k, s = e.k.values, e.s.values
 
-    rep = Report()
+    def tables(dims, maps) -> tuple[TriTable, TriTable]:
+        first, second, third = (_gather(col)(f) for col, f in zip(lex_columns(dims), maps))
+        points = len(first)
+        sums = e.A.columns(add, [e.A.columns(add, [first, second], points), third], points)
+        return tuple(TriTable(dims, nX, _gather(sums)(qi.values)) for qi in w.q)
+
+    sigma = tables((nB, nX, nB), (s, k, s))
+    tau = tables((nX, nB, nX), (k, s, k))
+
+    # the direct action against its rewritten form, block by block over
+    # the argument pairs ((x11, x21, b1), (x12, x22, b2)) in lex order
     bad = None
-    for x11, x21, b1 in product(range(nX), range(nX), range(nB)):
-        for x12, x22, b2 in product(range(nX), range(nX), range(nB)):
-            u1 = theta.eval(e.A, (e.k(x11), e.k(x21), e.s(b1)))
-            u2 = theta.eval(e.A, (e.k(x12), e.k(x22), e.s(b2)))
-            direct = tuple(w.q[i](add_in(e.A, u1, u2)) for i in range(2))
-            mid = add_in(e.X, x21, x12)
-            bb = add_in(e.B, b1, b2)
-            left = add_in(e.X, x11, sigma[0](b1, mid, b2))
-            right = add_in(e.X, sigma[1](b1, mid, b2), x22)
-            composed = tuple(tau[i](left, bb, right) for i in range(2))
-            if direct != composed:
-                bad = ((x11, x21, b1), (x12, x22, b2), direct, composed)
-                break
-        if bad:
+    for points, (x11, x21, b1, x12, x22, b2) in lex_blocks([nX, nX, nB] * 2):
+        at_sum = _gather(e.A.columns(add, [_comparison(e, theta, [x11, x21], b1),
+                                           _comparison(e, theta, [x12, x22], b2)], points))
+        direct = list(zip(*(at_sum(qi.values) for qi in w.q)))
+        mid = e.X.columns(add, [x21, x12], points)
+        at_sigma = _gather([(a * nX + b) * nB + c for a, b, c in zip(b1, mid, b2)])
+        left = e.X.columns(add, [x11, at_sigma(sigma[0].values)], points)
+        right = e.X.columns(add, [at_sigma(sigma[1].values), x22], points)
+        bb = e.B.columns(add, [b1, b2], points)
+        at_tau = _gather([(a * nB + b) * nX + c for a, b, c in zip(left, bb, right)])
+        composed = list(zip(*(at_tau(t.values) for t in tau)))
+        if direct != composed:
+            j = next(j for j, (d, c) in enumerate(zip(direct, composed)) if d != c)
+            bad = ((x11[j], x21[j], b1[j]), (x12[j], x22[j], b2[j]), direct[j], composed[j])
             break
+    rep = Report()
     rep.add("decomposition_identity", bad is None,
             "" if bad is None else
             f"args {bad[0]} , {bad[1]}: direct {bad[2]} != composed {bad[3]}")

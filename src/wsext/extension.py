@@ -28,12 +28,15 @@ from typing import Optional, Sequence
 
 from .algebra import (
     DEFAULT_BUDGET,
+    Equation,
     FiniteAlgebra,
     FnTable,
     _tabulate,
+    check_equation,
     is_homomorphism,
     lex_blocks,
     pullback_algebra,
+    require_admissible,
     subalgebra_closure,
     table_args,
 )
@@ -50,7 +53,7 @@ from .errors import (
     WitnessInvalid,
 )
 from .report import CheckResult, Report
-from .terms import TermSpec, ThetaSpec, require_admissible
+from .terms import App, TermSpec, ThetaSpec, Var, substitute
 
 
 @dataclass(frozen=True)
@@ -293,31 +296,35 @@ def semiabelian_witness(
     require_admissible(theta, e.A, "middle algebra")
     if len(alphas) != theta.n:
         raise AlphaAxiomFailed(f"expected {theta.n} binary terms, got {len(alphas)}")
+    x, y = Var("x"), Var("y")
+    zero = App(e.A.signature.constant_name, ())
+    differences = []
     for i, alpha in enumerate(alphas):
         if alpha.arity != 2:
             raise AlphaAxiomFailed(f"term {i + 1} has arity {alpha.arity}, expected 2")
-        for x in range(e.A.size):
-            if alpha.eval(e.A, (x, x)) != e.A.zero:
-                raise AlphaAxiomFailed(
-                    f"alpha_{i + 1}({x},{x}) = {alpha.eval(e.A, (x, x))} != {e.A.zero}")
-    for x in range(e.A.size):
-        for y in range(e.A.size):
-            diff = tuple(alpha.eval(e.A, (x, y)) for alpha in alphas)
-            if theta.eval(e.A, diff + (y,)) != x:
-                raise AlphaAxiomFailed(
-                    f"theta(alphas({x},{y}), {y}) != {x}")
+        differences.append(substitute(alpha.term, dict(zip(alpha.vars, (x, y)))))
+        res = check_equation(e.A, Equation(
+            ("x",), substitute(alpha.term, dict.fromkeys(alpha.vars, x)), zero))
+        if not res:
+            v, got = res.counterexample["assignment"]["x"], res.counterexample["lhs"]
+            raise AlphaAxiomFailed(f"alpha_{i + 1}({v},{v}) = {got} != {e.A.zero}")
+    res = check_equation(e.A, Equation(("x", "y"), substitute(
+        theta.term, dict(zip(theta.vars, differences + [y]))), x))
+    if not res:
+        u, v = res.counterexample["assignment"].values()
+        raise AlphaAxiomFailed(f"theta(alphas({u},{v}), {v}) != {u}")
 
-    k_preimage = {e.k(x): x for x in range(e.X.size)}
+    # k q_i(a) = alpha_i(a, s p(a)), tabulated over the carrier of A
+    k_preimage = {a: i for i, a in enumerate(e.k.values)}
+    env = {"x": list(range(e.A.size)), "y": [e.s(b) for b in e.p.values]}
     q = []
-    for alpha in alphas:
-        values = []
-        for a in range(e.A.size):
-            v = alpha.eval(e.A, (a, e.s(e.p(a))))
-            if v not in k_preimage:
-                raise KernelPreimageMissing(
-                    f"alpha(a, sp(a)) = {v} at a = {a} is outside the kernel image")
-            values.append(k_preimage[v])
-        q.append(FnTable(e.A.size, e.X.size, tuple(values)))
+    for difference in differences:
+        values = _tabulate(difference, e.A, env, e.A.size)
+        a = next((a for a, v in enumerate(values) if v not in k_preimage), None)
+        if a is not None:
+            raise KernelPreimageMissing(
+                f"alpha(a, sp(a)) = {values[a]} at a = {a} is outside the kernel image")
+        q.append(FnTable(e.A.size, e.X.size, tuple(map(k_preimage.__getitem__, values))))
     w = Witness(theta.n, tuple(q))
     res = validate_witness(e, theta, w)
     if not res:

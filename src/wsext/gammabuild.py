@@ -33,6 +33,7 @@ from .algebra import (
     _tabulate,
     check_equation,
     lex_blocks,
+    require_admissible,
     table_args,
 )
 from .canonical import membership_by_term
@@ -49,7 +50,7 @@ from .errors import (
 )
 from .extension import SplitExtension, Witness, validate_split_extension, validate_witness
 from .report import Report
-from .terms import TermSpec, ThetaSpec, require_admissible
+from .terms import TermSpec, ThetaSpec
 
 
 @dataclass(frozen=True)

@@ -1,33 +1,23 @@
-"""Terms over a signature: s-expression parsing, printing, evaluation.
+"""Terms over a signature: s-expression parsing, printing, substitution.
 
 The term text format is minimal: a term is either a variable name, a
 0-ary operation name, or ``(op t1 ... tk)`` with whitespace-separated
 subterms.  There is no infix syntax and no escaping; symbols are runs of
 non-whitespace, non-parenthesis ASCII characters.
 
-This module intentionally does not import the algebra module; algebras
-are consumed duck-typed (``size``, ``op``, ``zero``, ``signature``), which
-keeps the dependency graph acyclic.
+Terms are syntax only: their values are tabulated by the algebra module
+(``algebra._tabulate``), which checks identities with ``check_equation``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .errors import (
-    ArityMismatch,
-    SearchBudgetExceeded,
-    TermSyntaxError,
-    ThetaNotAdmissible,
-    UnboundVariable,
-    UnknownSymbol,
-)
-from .report import CheckResult
+from .errors import ArityMismatch, TermSyntaxError, UnboundVariable, UnknownSymbol
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .algebra import FiniteAlgebra, Signature
+    from .algebra import Signature
 
 
 class Term:
@@ -56,6 +46,14 @@ def term_vars(t: Term) -> set[str]:
     return set().union(*(term_vars(a) for a in t.args)) if t.args else set()
 
 
+def substitute(t: Term, env: Mapping[str, Term]) -> Term:
+    """t with every variable named in env replaced by its term, all at
+    once: the substituted terms are not themselves substituted into."""
+    if isinstance(t, Var):
+        return env.get(t.name, t)
+    return App(t.op, tuple(substitute(a, env) for a in t.args))
+
+
 def format_term(t: Term) -> str:
     """Render a term back to its text form (0-ary ops print bare)."""
     if isinstance(t, Var):
@@ -69,7 +67,7 @@ def format_term(t: Term) -> str:
 
 _DELIMS = "()"
 
-# Parenthesis nesting allowed in term text.  Evaluation, printing and the
+# Parenthesis nesting allowed in term text.  Printing, substitution and the
 # equation kernels recurse once or twice per level, so the cap keeps every
 # parsed term well inside the interpreter's recursion limit.
 MAX_TERM_DEPTH = 200
@@ -171,16 +169,7 @@ def parse_term(text: str, sig: "Signature", vars: Sequence[str]) -> Term:
     return result
 
 
-# -- evaluation ----------------------------------------------------------------
-
-def eval_term(t: Term, A: "FiniteAlgebra", env: Mapping[str, int]) -> int:
-    """Evaluate by structural recursion on the operation tables."""
-    if isinstance(t, Var):
-        if t.name not in env:
-            raise UnboundVariable(f"variable {t.name!r} not bound")
-        return env[t.name]
-    return A.op(t.op, tuple(eval_term(a, A, env) for a in t.args))
-
+# -- term specs ----------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TermSpec:
@@ -205,12 +194,6 @@ class TermSpec:
     def arity(self) -> int:
         return len(self.vars)
 
-    def eval(self, A: "FiniteAlgebra", args: Sequence[int]) -> int:
-        if len(args) != len(self.vars):
-            raise ArityMismatch(
-                f"term of arity {len(self.vars)} applied to {len(args)} arguments")
-        return eval_term(self.term, A, dict(zip(self.vars, args)))
-
 
 @dataclass(frozen=True)
 class ThetaSpec(TermSpec):
@@ -218,7 +201,7 @@ class ThetaSpec(TermSpec):
 
     Admissibility (plugging the algebra's zero into the first n variables
     acts as the identity in the last) is a per-algebra property checked by
-    check_theta_admissible, not assumed here.
+    algebra.check_theta_admissible, not assumed here.
     """
 
     def __post_init__(self):
@@ -229,56 +212,3 @@ class ThetaSpec(TermSpec):
     @property
     def n(self) -> int:
         return len(self.vars) - 1
-
-
-def check_theta_admissible(theta: TermSpec, A: "FiniteAlgebra") -> CheckResult:
-    """Check the unit law theta(0,..,0,x) = x for every x in the carrier.
-
-    Any term qualifies: all arguments but the last are set to zero.
-    """
-    zeros = (A.zero,) * (theta.arity - 1)
-    for x in range(A.size):
-        got = theta.eval(A, zeros + (x,))
-        if got != x:
-            return CheckResult(False, {"x": x, "value": got})
-    return CheckResult(True)
-
-
-def require_admissible(theta: ThetaSpec, A: "FiniteAlgebra", where: str = "") -> None:
-    res = check_theta_admissible(theta, A)
-    if not res:
-        suffix = f" ({where})" if where else ""
-        raise ThetaNotAdmissible(
-            f"theta(0,..,0,x) != x at {res.counterexample}{suffix}")
-
-
-def check_commuting(
-    omega: TermSpec,
-    theta: ThetaSpec,
-    A: "FiniteAlgebra",
-    budget: int = 10_000_000,
-) -> CheckResult:
-    """Interchange law between an m-ary term and the witness term.
-
-    For every m x (n+1) matrix of elements: applying theta to each row and
-    then omega to the results must equal applying omega down each column
-    and then theta.  The counterexample is the first failing matrix.
-    """
-    m = omega.arity
-    width = theta.arity
-    domain = A.size ** (m * width)
-    if domain > budget:
-        raise SearchBudgetExceeded(
-            f"commutation check needs {domain} cases, budget is {budget}")
-    for flat in product(range(A.size), repeat=m * width):
-        rows = [flat[j * width:(j + 1) * width] for j in range(m)]
-        row_then_omega = omega.eval(A, [theta.eval(A, r) for r in rows])
-        cols = [tuple(rows[j][i] for j in range(m)) for i in range(width)]
-        col_then_theta = theta.eval(A, [omega.eval(A, c) for c in cols])
-        if row_then_omega != col_then_theta:
-            return CheckResult(False, {
-                "matrix": [list(r) for r in rows],
-                "rows_first": row_then_omega,
-                "columns_first": col_then_theta,
-            })
-    return CheckResult(True)

@@ -3,7 +3,11 @@
 These deliberately avoid the library's search/enumeration code paths:
 everything is computed by iterating whole function spaces and checking
 defining equations directly, so they can arbitrate the optimized
-implementations on small instances.
+implementations on small instances.  Terms are evaluated here, one
+assignment at a time, by the structural recursion of ``eval_term``; the
+library's own evaluator (``algebra._tabulate``) and the identity checks
+built on it (``check_equation``, admissibility, interchange, the alpha
+laws and the sigma/tau decomposition) are only ever compared against.
 """
 
 import json
@@ -16,22 +20,28 @@ from wsext.algebra import (
     FnTable,
     table_index,
 )
-from wsext.canonical import psi
+from wsext.canonical import SigmaTauDecomposition, TriTable, psi
 from wsext.errors import (
+    AlphaAxiomFailed,
     ArityMismatch,
     ConditionsFailed,
     EntryOutOfRange,
     InternalCheckFailed,
     IotaNotInY,
+    KernelPreimageMissing,
     NotHomomorphism,
     SearchBudgetExceeded,
+    ThetaNotAdmissible,
     UnboundVariable,
+    WrongSignature,
     WrongTheta,
 )
 from wsext.extension import (
     SplitExtension,
     Witness,
     phi,
+    require_valid,
+    require_witness,
     validate_split_extension,
     validate_witness,
 )
@@ -43,15 +53,71 @@ from wsext.serialize import (
     equations_to_obj,
     theta_to_obj,
 )
-from wsext.terms import (
-    Term,
-    TermSpec,
-    ThetaSpec,
-    Var,
-    check_theta_admissible,
-    eval_term,
-    require_admissible,
-)
+from wsext.terms import Term, TermSpec, ThetaSpec, Var
+
+
+# -- terms, one assignment at a time -----------------------------------------------
+
+def eval_term(t: Term, A: FiniteAlgebra, env) -> int:
+    """Evaluate by structural recursion on the operation tables."""
+    if isinstance(t, Var):
+        if t.name not in env:
+            raise UnboundVariable(f"variable {t.name!r} not bound")
+        return env[t.name]
+    return A.op(t.op, tuple(eval_term(a, A, env) for a in t.args))
+
+
+def term_value(spec: TermSpec, A: FiniteAlgebra, args) -> int:
+    """The term of ``spec`` at ``args``, bound to its variables in order."""
+    if len(args) != len(spec.vars):
+        raise ArityMismatch(
+            f"term of arity {len(spec.vars)} applied to {len(args)} arguments")
+    return eval_term(spec.term, A, dict(zip(spec.vars, args)))
+
+
+def brute_force_admissible(theta: TermSpec, A: FiniteAlgebra) -> CheckResult:
+    """The unit law theta(0,..,0,x) = x, one x at a time in increasing order."""
+    zeros = (A.zero,) * (theta.arity - 1)
+    for x in range(A.size):
+        got = term_value(theta, A, zeros + (x,))
+        if got != x:
+            return CheckResult(False, {"x": x, "value": got})
+    return CheckResult(True)
+
+
+def require_admissible(theta: ThetaSpec, A: FiniteAlgebra, where: str = "") -> None:
+    """ThetaNotAdmissible, with the message of the library's check, unless
+    brute_force_admissible holds."""
+    res = brute_force_admissible(theta, A)
+    if not res:
+        suffix = f" ({where})" if where else ""
+        raise ThetaNotAdmissible(
+            f"theta(0,..,0,x) != x at {res.counterexample}{suffix}")
+
+
+def brute_force_commuting(omega: TermSpec, theta: ThetaSpec, A: FiniteAlgebra,
+                          budget: int = DEFAULT_BUDGET) -> CheckResult:
+    """The interchange law one m x (n+1) matrix at a time, in lex order of
+    its row-major entries: theta along each row then omega, against omega
+    down each column then theta."""
+    m = omega.arity
+    width = theta.arity
+    domain = A.size ** (m * width)
+    if domain > budget:
+        raise SearchBudgetExceeded(
+            f"commutation check needs {domain} cases, budget is {budget}")
+    for flat in product(range(A.size), repeat=m * width):
+        rows = [flat[j * width:(j + 1) * width] for j in range(m)]
+        row_then_omega = term_value(omega, A, [term_value(theta, A, r) for r in rows])
+        cols = [tuple(rows[j][i] for j in range(m)) for i in range(width)]
+        col_then_theta = term_value(theta, A, [term_value(omega, A, c) for c in cols])
+        if row_then_omega != col_then_theta:
+            return CheckResult(False, {
+                "matrix": [list(r) for r in rows],
+                "rows_first": row_then_omega,
+                "columns_first": col_then_theta,
+            })
+    return CheckResult(True)
 
 
 def all_functions(dom_size: int, cod_size: int):
@@ -156,7 +222,7 @@ def brute_force_closure(A: FiniteAlgebra, generators) -> list[int]:
 
 def theta_at(e: SplitExtension, theta: ThetaSpec, xs, b: int) -> int:
     """theta evaluated in A by structural recursion at k xs and s b."""
-    return theta.eval(e.A, tuple(e.k(x) for x in xs) + (e.s(b),))
+    return term_value(theta, e.A, tuple(e.k(x) for x in xs) + (e.s(b),))
 
 
 def brute_force_phi(e: SplitExtension, theta: ThetaSpec) -> list[int]:
@@ -218,7 +284,7 @@ def brute_force_product_check(X: FiniteAlgebra, theta: ThetaSpec):
     choices = []
     for x in range(X.size):
         found = next((ys for ys in product(range(X.size), repeat=theta.n)
-                      if theta.eval(X, ys + (X.zero,)) == x), None)
+                      if term_value(theta, X, ys + (X.zero,)) == x), None)
         if found is None:
             return None, x
         choices.append(found)
@@ -236,7 +302,7 @@ def brute_force_witnesses(e: SplitExtension, theta: ThetaSpec, normalized: bool)
         ok = True
         for a in range(e.A.size):
             args = tuple(e.k(arr[a]) for arr in arrays) + (e.s(e.p(a)),)
-            if theta.eval(e.A, args) != a:
+            if term_value(theta, e.A, args) != a:
                 ok = False
                 break
         if ok:
@@ -333,7 +399,8 @@ def brute_force_cross_check(c, budget: int = DEFAULT_BUDGET) -> None:
     for x in range(c.X.size):
         # unique (ys, 0_B) in Y with theta_X(ys, 0_X) = x
         matches = [i for i, t in enumerate(c.Y)
-                   if t[-1] == c.B.zero and c.theta.eval(c.X, t[:-1] + (c.X.zero,)) == x]
+                   if t[-1] == c.B.zero
+                   and term_value(c.theta, c.X, t[:-1] + (c.X.zero,)) == x]
         if matches != [c.k_prime(x)]:
             raise InternalCheckFailed(
                 f"kernel embedding at {x}: expected unique {c.k_prime(x)}, found {matches}")
@@ -512,7 +579,7 @@ def brute_force_membership(c, omega=None, budget: int = DEFAULT_BUDGET) -> list[
             f"membership test needs {space.size} ambient tuples, budget is {budget}")
     omega = omega or c.theta
     for alg, label in ((c.X, "kernel"), (c.B, "base")):
-        if not check_theta_admissible(omega, alg):
+        if not brute_force_admissible(omega, alg):
             raise WrongTheta(
                 f"membership term lacks the unit property on the {label} algebra")
     ops = PerEntryOps(c)
@@ -543,7 +610,7 @@ def brute_force_conditions(g, budget: int = DEFAULT_BUDGET):
     y_pos = {z: i for i, z in enumerate(Y)}
 
     def theta_at_zero(xs):
-        return g.theta.eval(g.X, xs + (g.X.zero,))
+        return term_value(g.theta, g.X, xs + (g.X.zero,))
 
     # 1: closure, then the identities on Y
     failure = ""
@@ -643,7 +710,7 @@ def brute_force_rebuild(g, budget: int = DEFAULT_BUDGET):
         raise IotaNotInY(f"zero-tuple section misses the carrier at base {missing}")
     k_vals = []
     for x in range(g.X.size):
-        ys = next(t for t in kernel if g.theta.eval(g.X, t + (g.X.zero,)) == x)
+        ys = next(t for t in kernel if term_value(g.theta, g.X, t + (g.X.zero,)) == x)
         k_vals.append(y_pos[space.pack(ys, g.B.zero)])
     ext = SplitExtension(
         g.X, FiniteAlgebra(g.X.signature, len(Y), tables), g.B,
@@ -662,3 +729,111 @@ def brute_force_rebuild(g, budget: int = DEFAULT_BUDGET):
     if not res:
         raise InternalCheckFailed(f"projection witness fails at {res.counterexample}")
     return ext, w
+
+
+# -- semi-abelian witnesses and the monoid decomposition, one assignment at a time ----
+
+def brute_force_semiabelian_witness(e: SplitExtension, theta: ThetaSpec, alphas) -> Witness:
+    """semiabelian_witness with each alpha law checked one assignment at a
+    time (alpha_i(x, x) = 0 for every x, then the theta law over (x, y) in
+    lex order) and each q_i read off one element at a time."""
+    require_valid(e)
+    require_admissible(theta, e.A, "middle algebra")
+    if len(alphas) != theta.n:
+        raise AlphaAxiomFailed(f"expected {theta.n} binary terms, got {len(alphas)}")
+    for i, alpha in enumerate(alphas):
+        if alpha.arity != 2:
+            raise AlphaAxiomFailed(f"term {i + 1} has arity {alpha.arity}, expected 2")
+        for x in range(e.A.size):
+            if term_value(alpha, e.A, (x, x)) != e.A.zero:
+                raise AlphaAxiomFailed(
+                    f"alpha_{i + 1}({x},{x}) = {term_value(alpha, e.A, (x, x))} != {e.A.zero}")
+    for x in range(e.A.size):
+        for y in range(e.A.size):
+            diff = tuple(term_value(alpha, e.A, (x, y)) for alpha in alphas)
+            if term_value(theta, e.A, diff + (y,)) != x:
+                raise AlphaAxiomFailed(f"theta(alphas({x},{y}), {y}) != {x}")
+
+    k_preimage = {e.k(x): x for x in range(e.X.size)}
+    q = []
+    for alpha in alphas:
+        values = []
+        for a in range(e.A.size):
+            v = term_value(alpha, e.A, (a, e.s(e.p(a))))
+            if v not in k_preimage:
+                raise KernelPreimageMissing(
+                    f"alpha(a, sp(a)) = {v} at a = {a} is outside the kernel image")
+            values.append(k_preimage[v])
+        q.append(FnTable(e.A.size, e.X.size, tuple(values)))
+    w = Witness(theta.n, tuple(q))
+    res = validate_witness(e, theta, w)
+    if not res:
+        raise InternalCheckFailed(f"derived witness fails at {res.counterexample}")
+    return w
+
+
+def brute_force_sigma_tau(e: SplitExtension, theta: ThetaSpec, w: Witness,
+                          budget: int = DEFAULT_BUDGET) -> SigmaTauDecomposition:
+    """sigma_tau_decompose with the x + z + y check, every sigma and tau
+    entry and the decomposition identity computed one argument tuple at a
+    time, the last over argument pairs in lex order."""
+    ops = list(e.A.signature.ops)
+    binary = [nm for nm, ar in ops if ar == 2]
+    if len(binary) != 1 or len(ops) != 2:
+        raise WrongSignature(
+            "need exactly one binary operation and the constant, got " + str(ops))
+    add = binary[0]
+    require_valid(e)
+    require_witness(e, theta, w)
+    if theta.n != 2:
+        raise WrongTheta(f"witness term must have arity 3, got {theta.arity}")
+    cost = e.A.size ** 3 + (e.X.size ** 2 * e.B.size) ** 2
+    if cost > budget:
+        raise SearchBudgetExceeded(
+            f"decomposition needs {cost} evaluations, budget is {budget}")
+    for x, y, z in product(range(e.A.size), repeat=3):
+        if term_value(theta, e.A, (x, y, z)) != e.A.op(add, (e.A.op(add, (x, z)), y)):
+            raise WrongTheta("witness term is not x + z + y on the middle algebra")
+
+    def add_in(alg: FiniteAlgebra, u: int, v: int) -> int:
+        return alg.op(add, (u, v))
+
+    def sum_A(*vals: int) -> int:
+        acc = vals[0]
+        for v in vals[1:]:
+            acc = add_in(e.A, acc, v)
+        return acc
+
+    nX, nB = e.X.size, e.B.size
+    sigma = tuple(
+        TriTable((nB, nX, nB), nX,
+                 tuple(w.q[i](sum_A(e.s(b), e.k(x), e.s(bp)))
+                       for b in range(nB) for x in range(nX) for bp in range(nB)))
+        for i in range(2))
+    tau = tuple(
+        TriTable((nX, nB, nX), nX,
+                 tuple(w.q[i](sum_A(e.k(x), e.s(b), e.k(xp)))
+                       for x in range(nX) for b in range(nB) for xp in range(nX)))
+        for i in range(2))
+
+    rep = Report()
+    bad = None
+    for x11, x21, b1 in product(range(nX), range(nX), range(nB)):
+        for x12, x22, b2 in product(range(nX), range(nX), range(nB)):
+            u1 = term_value(theta, e.A, (e.k(x11), e.k(x21), e.s(b1)))
+            u2 = term_value(theta, e.A, (e.k(x12), e.k(x22), e.s(b2)))
+            direct = tuple(w.q[i](add_in(e.A, u1, u2)) for i in range(2))
+            mid = add_in(e.X, x21, x12)
+            bb = add_in(e.B, b1, b2)
+            left = add_in(e.X, x11, sigma[0](b1, mid, b2))
+            right = add_in(e.X, sigma[1](b1, mid, b2), x22)
+            composed = tuple(tau[i](left, bb, right) for i in range(2))
+            if direct != composed:
+                bad = ((x11, x21, b1), (x12, x22, b2), direct, composed)
+                break
+        if bad:
+            break
+    rep.add("decomposition_identity", bad is None,
+            "" if bad is None else
+            f"args {bad[0]} , {bad[1]}: direct {bad[2]} != composed {bad[3]}")
+    return SigmaTauDecomposition(sigma, tau, rep)

@@ -23,6 +23,7 @@ from wsext import (
     Var,
     build_canonical,
     build_extension_from_gamma,
+    check_commuting,
     check_conditions,
     extract_gamma,
     gamma_table,
@@ -37,6 +38,8 @@ from wsext import (
     parse_term,
     product_algebra,
     pullback_algebra,
+    semiabelian_witness,
+    sigma_tau_decompose,
     subalgebra_closure,
     trivial_algebra,
 )
@@ -57,11 +60,14 @@ from wsext.fixtures import fixture_path
 from wsext.gammabuild import GammaData, _checked
 from wsext.report import CheckResult
 from wsext.serialize import canonical_to_obj, dump_json, theta_from_obj
+from wsext.terms import substitute
 
 from conftest import EXTENSION_NAMES, load_fixture
 
 from oracles import (
+    brute_force_admissible,
     brute_force_closure,
+    brute_force_commuting,
     brute_force_conditions,
     brute_force_cross_check,
     brute_force_entry_error,
@@ -79,6 +85,8 @@ from oracles import (
     brute_force_pullback,
     brute_force_rebuild,
     brute_force_schreier,
+    brute_force_semiabelian_witness,
+    brute_force_sigma_tau,
     brute_force_transport,
     brute_force_verify,
     brute_force_witness_check,
@@ -636,6 +644,162 @@ def test_product_check_matches_oracle(X, n, points, data):
         assert q is None
 
 
+# -- the term laws against the per-assignment oracles ------------------------------------
+
+# a second constant declared before the distinguished one, so that no law
+# can read "the zero" off the first nullary operation by accident
+ZSIG = Signature((("1", 0), ("-", 1), ("+", 2), ("0", 0)), "0")
+
+
+def sig_terms(sig: Signature, vars_, depth: int):
+    """Terms over sig and vars_ with applications nested at most ``depth`` deep."""
+    leaves = st.sampled_from([Var(v) for v in vars_]
+                             + [App(name, ()) for name, arity in sig.ops if arity == 0])
+    if depth == 0:
+        return leaves
+    kids = sig_terms(sig, vars_, depth - 1)
+    return st.one_of(leaves, *(
+        st.tuples(*[kids] * arity).map(lambda args, name=name: App(name, args))
+        for name, arity in sig.ops if arity))
+
+
+@st.composite
+def zsig_algebras(draw, max_size=4):
+    size = draw(st.integers(1, max_size))
+    entries = st.integers(0, size - 1)
+    return make_algebra(ZSIG, size, {
+        name: draw(st.lists(entries, min_size=size ** arity, max_size=size ** arity))
+        for name, arity in ZSIG.ops})
+
+
+def checked(fn):
+    """outcome with a check's result as its repr, which also pins the key
+    order of its counterexample."""
+    return outcome(lambda: repr(fn()))
+
+
+@given(zsig_algebras(), st.integers(1, 2), st.integers(0, 2), GRID_BLOCKS, st.data())
+@settings(max_examples=300, deadline=None)
+def test_admissibility_and_interchange_match_the_oracles(A, n, m, points, data):
+    theta_vars = [f"x{i + 1}" for i in range(n)] + ["y"]
+    theta = ThetaSpec(tuple(theta_vars), data.draw(sig_terms(ZSIG, theta_vars, 3)))
+    omega_vars = [f"v{i}" for i in range(m)]
+    omega = TermSpec(tuple(omega_vars), data.draw(sig_terms(ZSIG, omega_vars, 3)))
+    domain = A.size ** (m * theta.arity)
+    budget = data.draw(st.sampled_from([algebra.DEFAULT_BUDGET, domain, domain - 1]))
+    with grid_block(points):
+        # omega of arity 0 has no argument for x: ArityMismatch on both sides
+        for spec in (theta, omega):
+            assert checked(lambda: check_theta_admissible(spec, A)) == \
+                checked(lambda: brute_force_admissible(spec, A))
+        assert checked(lambda: check_commuting(omega, theta, A, budget)) == \
+            checked(lambda: brute_force_commuting(omega, theta, A, budget))
+
+
+@pytest.mark.parametrize("name", EXTENSION_NAMES)
+def test_interchange_matches_the_oracle_on_fixtures(name):
+    # every basic operation against the fixture's witness term on X, A and
+    # B; several fail at a matrix that is not its own transpose
+    e, _, _, theta = load_fixture(name)
+    for op, arity in e.A.signature.ops:
+        vars_ = tuple(f"v{i}" for i in range(arity))
+        omega = TermSpec(vars_, App(op, tuple(map(Var, vars_))))
+        for alg in (e.X, e.A, e.B):
+            assert repr(check_commuting(omega, theta, alg)) == \
+                repr(brute_force_commuting(omega, theta, alg))
+
+
+def test_a_closed_term_has_no_unit_law():
+    A = make_algebra(ZSIG, 2, {"1": [1], "-": [0, 1], "+": [0, 1, 1, 0], "0": [0]})
+    omega = TermSpec((), App("1", ()))
+    with pytest.raises(ArityMismatch) as exc:
+        check_theta_admissible(omega, A)
+    assert outcome(lambda: brute_force_admissible(omega, A)) == \
+        ("raised", ArityMismatch, str(exc.value))
+
+
+ALPHA_TEXTS = {
+    "klein_four": ["(* x (inv y))"],
+    "s3": ["(* x (inv y))"],
+    "heyting_chain": ["(imp x y)", "(imp (imp (imp x y) y) x)"],
+}
+
+
+@given(st.sampled_from(sorted(ALPHA_TEXTS)), GRID_BLOCKS, st.data())
+@settings(deadline=None)
+def test_semiabelian_witness_matches_the_oracle(name, points, data):
+    # the fixture's alpha terms, or random terms in their place, with the
+    # variables in either order and now and then of the wrong arity or number
+    e, _, _, theta = load_fixture(name)
+    sig = e.A.signature
+    alphas = []
+    for text in ALPHA_TEXTS[name]:
+        vars_ = data.draw(st.sampled_from([("x", "y"), ("y", "x"), ("x",), ("x", "y", "z")]))
+        terms_ = [sig_terms(sig, vars_, 2)]
+        if {"x", "y"} <= set(vars_):
+            terms_.append(st.just(parse_term(text, sig, ["x", "y"])))
+        alphas.append(TermSpec(vars_, data.draw(st.one_of(terms_))))
+    alphas = data.draw(st.sampled_from([alphas, alphas[:-1], alphas + alphas[:1]]))
+    with grid_block(points):
+        assert outcome(lambda: semiabelian_witness(e, theta, alphas).arrays()) == \
+            outcome(lambda: brute_force_semiabelian_witness(e, theta, alphas).arrays())
+
+
+def test_semiabelian_witness_matches_the_oracle_on_the_fixture_terms():
+    for name, texts in ALPHA_TEXTS.items():
+        e, _, _, theta = load_fixture(name)
+        alphas = [TermSpec(("x", "y"), parse_term(t, e.A.signature, ["x", "y"]))
+                  for t in texts]
+        w = semiabelian_witness(e, theta, alphas)
+        assert w.arrays() == brute_force_semiabelian_witness(e, theta, alphas).arrays()
+
+
+@pytest.mark.parametrize("points", [1, 7, algebra.GRID_BLOCK])
+def test_sigma_tau_matches_the_oracle_on_fixtures(points):
+    # every example_monoid witness, and n2_product with the twisted ternary sum
+    e, _, _, theta = load_fixture("example_monoid")
+    cases = [(e, theta, w) for w in find_witnesses(e, theta)]
+    e, _, _, _ = load_fixture("n2_product")
+    twisted = ThetaSpec(("x1", "x2", "y"), parse_term("(+ x1 (+ y x2))", MSIG, ["x1", "x2", "y"]))
+    cases.append((e, twisted, find_witnesses(e, twisted)[0]))
+    assert len(cases) == 7
+    for e, theta, w in cases:
+        with grid_block(points):
+            dec = sigma_tau_decompose(e, theta, w)
+        assert dec.report.ok
+        assert dec == brute_force_sigma_tau(e, theta, w)
+
+
+@st.composite
+def unital_magmas(draw, max_size):
+    """MSIG algebras where 0 is a two-sided unit of +; every other entry is
+    free, so + need not be associative."""
+    size = draw(st.integers(1, max_size))
+    entries = st.integers(0, size - 1)
+    plus = [a if b == 0 else b if a == 0 else draw(entries)
+            for a, b in product(range(size), repeat=2)]
+    return make_algebra(MSIG, size, {"+": plus, "0": [0]})
+
+
+XZY = ThetaSpec(("x1", "x2", "y"), parse_term("(+ (+ x1 y) x2)", MSIG, ["x1", "x2", "y"]))
+
+
+@given(unital_magmas(3), unital_magmas(2), GRID_BLOCKS, st.data())
+@settings(max_examples=80, deadline=None)
+def test_sigma_tau_matches_the_oracle_on_product_extensions(X, B, points, data):
+    # X -> X x B -> B with theta = x + z + y; without associativity the
+    # decomposition identity can fail, and its detail is compared
+    e = product_extension(X, B)
+    found = find_witnesses(e, XZY, normalize=False, limit=4)
+    w = (data.draw(st.sampled_from(found)) if found else
+         Witness(2, tuple(FnTable(e.A.size, X.size, tuple(data.draw(st.lists(
+             st.integers(0, X.size - 1), min_size=e.A.size, max_size=e.A.size))))
+             for _ in range(2))))
+    with grid_block(points):
+        got = outcome(lambda: sigma_tau_decompose(e, XZY, w))
+    assert got == outcome(lambda: brute_force_sigma_tau(e, XZY, w))
+
+
 # -- canonical form: writer, cross-checks and report against the per-entry oracles ----
 
 def cyclic_group(m: int):
@@ -780,13 +944,6 @@ def test_cross_checks_and_report_match_the_per_entry_loops(case, data):
 
 
 # -- action data: conditions, carrier and term tables against the per-entry oracles ----
-
-def substitute(t, env):
-    """t with the variables named in env replaced by their terms."""
-    if isinstance(t, Var):
-        return env.get(t.name, t)
-    return App(t.op, tuple(substitute(a, env) for a in t.args))
-
 
 def membership_variants(theta: ThetaSpec) -> list[TermSpec]:
     """Terms over theta's variables to cut Y out with: theta itself, theta

@@ -9,12 +9,12 @@ from wsext import (
     Var,
     check_commuting,
     check_theta_admissible,
-    eval_term,
     format_term,
     make_algebra,
     parse_term,
     trivial_algebra,
 )
+from wsext.algebra import _tabulate, lex_columns
 from wsext.errors import (
     ArityMismatch,
     SearchBudgetExceeded,
@@ -85,28 +85,22 @@ def test_parse_roundtrip_on_fixture_terms():
 def test_eval_on_example_table():
     e, _, _, theta = load_fixture("example_monoid")
     # 1 (+) 2 (+) 0 = 4 and 0 (+) 2 (+) 1 = 3 in the 5-element table
-    assert theta.eval(e.A, (1, 0, 2)) == 4
-    assert theta.eval(e.A, (0, 1, 2)) == 3
+    columns = ([1, 0], [0, 1], [2, 2])
+    assert _tabulate(theta.term, e.A, dict(zip(theta.vars, columns)), 2) == [4, 3]
 
 
 def test_eval_on_one_element_algebra():
     one = trivial_algebra(MSIG)
     t = parse_term("(+ x (+ y 0))", MSIG, ["x", "y"])
-    assert eval_term(t, one, {"x": 0, "y": 0}) == 0
-
-
-def test_eval_unbound_variable():
-    A = make_algebra(MSIG, 2, {"+": [0, 1, 1, 1], "0": [0]})
-    with pytest.raises(UnboundVariable):
-        eval_term(Var("x"), A, {})
+    assert _tabulate(t, one, {"x": [0], "y": [0]}, 1) == [0]
 
 
 def test_eval_depth_one_matches_table_lookup():
     e, _, _, _ = load_fixture("example_monoid")
     t = parse_term("(+ x y)", MSIG, ["x", "y"])
-    for x in range(5):
-        for y in range(5):
-            assert eval_term(t, e.A, {"x": x, "y": y}) == e.A.op("+", (x, y))
+    xs, ys = lex_columns([5, 5])
+    assert _tabulate(t, e.A, {"x": xs, "y": ys}, 25) == [
+        e.A.op("+", (x, y)) for x, y in zip(xs, ys)]
 
 
 # -- term specs ----------------------------------------------------------------------
