@@ -25,11 +25,10 @@ from .errors import (
     SignatureMismatch,
     SizeMismatch,
     ThetaNotAdmissible,
-    UnboundVariable,
     UnknownSymbol,
 )
 from .report import CheckResult
-from .terms import App, Term, TermSpec, ThetaSpec, Var, require_distinct_vars, substitute, term_vars
+from .terms import App, Term, TermSpec, ThetaSpec, Var, require_declared_vars, substitute
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -463,12 +462,7 @@ class Equation:
 
     def __post_init__(self):
         object.__setattr__(self, "vars", tuple(self.vars))
-        require_distinct_vars(self.vars)
-        declared = set(self.vars)
-        used = term_vars(self.lhs) | term_vars(self.rhs)
-        if not used <= declared:
-            raise UnboundVariable(
-                f"equation uses undeclared variables {sorted(used - declared)}")
+        require_declared_vars(self.vars, (self.lhs, self.rhs), "equation")
 
 
 def check_equation(A: FiniteAlgebra, eq: Equation) -> CheckResult:

@@ -108,10 +108,12 @@ def _resolve_theta(args, signature) -> ThetaSpec:
 def _collector_paused():
     """Pause the cyclic garbage collector and restore its earlier state.
 
-    Used around the parsing and writing of action-data documents: their
-    millions of lists and tuples hold no cycles, and each would otherwise
-    re-trigger collections that walk the whole heap.  The library never
-    touches the collector; only this command-line process does.
+    Used around the writing of canonical documents: their millions of
+    lists and tuples hold no cycles, and each would otherwise re-trigger
+    collections that walk the whole heap.  Reading one needs no pause:
+    the reader decodes each distinct table row once, so the document
+    holds one list per distinct row, not one per entry.  The library
+    never touches the collector; only this command-line process does.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -258,9 +260,7 @@ def cmd_canonicalize(args) -> Outcome:
 # -- gamma-check --------------------------------------------------------------------
 
 def cmd_gamma_check(args) -> Outcome:
-    # the decoded document is garbage once gamma_from_obj returns
-    with _collector_paused():
-        g = gamma_from_obj(_load_json(Path(args.gamma)), Path(args.gamma).parent)
+    g = gamma_from_obj(_load_json(Path(args.gamma)), Path(args.gamma).parent)
     # the conditions are computed once per data set; the carrier size and
     # the rebuild reuse them
     rep = gb.check_conditions(g, budget=args.budget)

@@ -53,6 +53,18 @@ from .report import Report
 from .terms import TermSpec, ThetaSpec
 
 
+class LeafRows(tuple):
+    """An action table given as its leaf rows, in table order: the
+    innermost lists of |X^n x B| entries each, or one row of one entry for
+    a nullary operation.  Equal rows may be one shared object; GammaData
+    checks and interns each distinct row object once."""
+
+
+def distinct_rows(rows: Sequence) -> list:
+    """The distinct objects among rows, in order of first occurrence."""
+    return list(dict(zip(map(id, rows), rows)).values())
+
+
 @dataclass(frozen=True)
 class GammaData:
     """Raw action data: algebras, witness term, per-operation tables, axioms.
@@ -60,9 +72,13 @@ class GammaData:
     Construction is the one place action tables are checked: one table per
     operation, |X^n x B|^arity entries each, every entry a sequence of n
     exact ints in 0..|X|-1 (bool and float are rejected, not coerced).
-    Each table is checked by type in one whole-table pass, then stored as
-    a tuple of shared n-tuples: each distinct entry is checked once, when
-    it is first seen, so nothing is built over all |X|^n kernel tuples.
+    A table is given flat, in table order, or as LeafRows; a flat table is
+    cut into its rows of |X^n x B| entries first.  Each distinct row
+    object is checked by type in one pass and interned once, and each
+    distinct entry is checked once, when it is first seen, so nothing is
+    built over all |X|^n kernel tuples.  A rejected table names its first
+    bad entry in table order.  Each table is stored as a flat tuple of
+    shared n-tuples; the given tables are read, never changed.
     """
 
     X: FiniteAlgebra
@@ -83,17 +99,25 @@ class GammaData:
         for name, arity in self.X.signature.ops:
             if name not in self.gamma:
                 raise MissingTable(f"no action table for operation {name!r}")
-            table = self.gamma[name]
-            if len(table) != space.size ** arity:
+            rows = self.gamma[name]
+            if not isinstance(rows, LeafRows):
+                rows = [rows[i:i + space.size] for i in range(0, len(rows), space.size)]
+            entries = sum(map(len, rows))
+            if entries != space.size ** arity:
                 raise ArityMismatch(
-                    f"action table for {name!r} has {len(table)} entries, "
+                    f"action table for {name!r} has {entries} entries, "
                     f"expected {space.size}^{arity}")
+            # in order of first occurrence, so the first bad entry found is
+            # the first in table order
+            distinct = distinct_rows(rows)
             # bool and float compare equal to ints, so they are ruled out
             # by type before any entry is looked up
-            if not set(map(type, chain.from_iterable(table))) <= {int}:
-                for entry in map(tuple, table):
+            if not set(map(type, chain.from_iterable(chain.from_iterable(distinct)))) <= {int}:
+                for entry in map(tuple, chain.from_iterable(distinct)):
                     _check_entry(name, entry, n, size)
-            gamma[name] = tuple(map(_Interned(name, n, size).__getitem__, map(tuple, table)))
+            intern = _Interned(name, n, size).__getitem__
+            shared = {id(row): tuple(map(intern, map(tuple, row))) for row in distinct}
+            gamma[name] = tuple(chain.from_iterable(map(shared.__getitem__, map(id, rows))))
         extra = set(self.gamma) - set(self.X.signature.op_names())
         if extra:
             raise SignatureMismatch(f"action tables for unknown operations {sorted(extra)}")

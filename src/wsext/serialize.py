@@ -12,6 +12,7 @@ byte-level comparison of two runs is meaningful.
 from __future__ import annotations
 
 import json
+import re
 from itertools import chain
 from pathlib import Path
 from typing import Any, Optional, Sequence, Union
@@ -21,7 +22,7 @@ from .ambient import TupleSpace
 from .canonical import CanonicalExtension
 from .errors import FileFormatError
 from .extension import ExtensionMorphism, SplitExtension, Witness
-from .gammabuild import GammaData
+from .gammabuild import GammaData, LeafRows, distinct_rows
 from .report import Report
 from .terms import ThetaSpec, format_term, parse_term
 
@@ -40,16 +41,78 @@ def _check_keys(obj: dict, required: Sequence[str], optional: Sequence[str], wha
 
 
 def _load_json(path: Path) -> Any:
+    """The document in a file.  Equal row lines decode to one shared list
+    (see _decode_shared_rows), so the document is read-only."""
     try:
         text = path.read_text()
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the name
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
+    doc = _decode_shared_rows(text)
+    if doc is not None:
+        return doc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise FileFormatError(f"{path}: JSON nested too deeply") from exc
+
+
+# A line that holds one whole array and no string, such as a leaf row of
+# dump_json's layout: (indent, array text, trailing comma and blanks).
+_ROW_LINE = re.compile(r'([ \t]*)(\[[^"]*\])([ \t]*,?[ \t\r]*)')
+# the key of the object that stands for a shared row in the skeleton text
+_ROW_REF = "\u0000row"
+
+
+def _decode_shared_rows(text: str) -> Any:
+    """The document with each distinct row text decoded once, or None when
+    the text has no row line or anything is in doubt (the caller then
+    decodes the whole text, so every error is json.loads' own).  A
+    document decoded here holds a row, so it is never None itself.
+
+    A row line is a line that holds exactly one JSON array and no string
+    (see _ROW_LINE).  JSON strings cannot span lines, so such an array is
+    outside every string, and swapping it for an object that references
+    its decoded value leaves a skeleton text that parses exactly when the
+    text does, to the same document.  Each distinct row text is decoded
+    once, and every place it occurs holds that one list: the document is
+    equal to json.loads(text), but it is read-only.  Arrays that span
+    lines, or share a line with anything else, are decoded in place.
+    """
+    lines = text.split("\n")
+    rows: list = []
+    row_ids: dict[str, int] = {}
+    skeleton: dict[str, str] = {}
+    for line in dict.fromkeys(lines):
+        match = _ROW_LINE.fullmatch(line)
+        if match is None:
+            continue
+        indent, row, tail = match.groups()
+        if row not in row_ids:
+            try:
+                rows.append(json.loads(row))
+            except (ValueError, RecursionError):
+                continue
+            row_ids[row] = len(rows) - 1
+        skeleton[line] = f"{indent}{{{json.dumps(_ROW_REF)}: {row_ids[row]}}}{tail}"
+    if not skeleton:
+        return None
+    refs = 0
+
+    def resolve(obj: dict) -> Any:
+        nonlocal refs
+        if _ROW_REF not in obj:
+            return obj
+        refs += 1
+        return rows[obj[_ROW_REF]]
+
+    try:
+        doc = json.loads("\n".join(map(skeleton.get, lines, lines)), object_hook=resolve)
+    except (ValueError, RecursionError, LookupError, TypeError):
+        return None
+    # a document object keyed like a reference shows as one reference too many
+    return doc if refs == sum(map(skeleton.__contains__, lines)) else None
 
 
 def _resolve(obj: Source, base_dir: Optional[Path], what: str) -> tuple[Any, Optional[Path]]:
@@ -71,13 +134,17 @@ def _int(value: Any, what: str) -> int:
     return value
 
 
+def _require_lists(level: Sequence, size: int, what: str) -> None:
+    if not (set(map(type, level)) <= {list} and set(map(len, level)) <= {size}):
+        raise FileFormatError(f"{what}: expected a list of length {size}")
+
+
 def _flatten_table(nested: Any, size: int, arity: int, what: str) -> list:
     """Row-major flatten of an arity-deep nested array over {0..size-1},
     one nesting level per pass; the leaves are not inspected."""
     level = [nested]
     for _ in range(arity):
-        if not (set(map(type, level)) <= {list} and set(map(len, level)) <= {size}):
-            raise FileFormatError(f"{what}: expected a list of length {size}")
+        _require_lists(level, size, what)
         level = list(chain.from_iterable(level))
     return level
 
@@ -255,9 +322,13 @@ _GAMMA_EXTRAS = ["schema", "n", "Y", "ops_Y", "k_prime", "pi_B", "iota_B",
 
 def gamma_from_obj(obj: Source, base_dir: Optional[Path] = None) -> GammaData:
     """Action data from a document.  Only the JSON structure is checked here
-    (nesting lengths, list leaves), in whole-level passes; the entry lists
-    go to GammaData as they are, which checks the tables themselves:
-    missing and unknown operations, entry lengths, and entry values.
+    (nesting lengths, list leaves), in whole-level passes down to the leaf
+    rows (the innermost lists of entries), then once per distinct row
+    object: a document from _load_json holds each distinct row text as one
+    shared list, so the row checks cost what the distinct rows cost.  The
+    rows go to GammaData as LeafRows, which checks the tables themselves:
+    missing and unknown operations, entry lengths, and entry values.  The
+    document is read, never changed.
 
     Of the extras that canonical_to_obj writes, ``schema`` and ``n`` are
     checked against the data when present; the others are not read."""
@@ -277,11 +348,16 @@ def gamma_from_obj(obj: Source, base_dir: Optional[Path] = None) -> GammaData:
     gamma = dict(obj["gamma"])
     for name, arity in X.signature.ops:
         if name in gamma:
-            flat = _flatten_table(gamma[name], ambient, arity, f"gamma {name!r}")
-            if not set(map(type, flat)) <= {list}:
-                raise FileFormatError(
-                    f"gamma {name!r}: entries must be lists of {theta.n} integers")
-            gamma[name] = flat
+            what = f"gamma {name!r}"
+            # a nullary table is one bare entry: one row of one entry
+            rows = (_flatten_table(gamma[name], ambient, arity - 1, what) if arity
+                    else [[gamma[name]]])
+            distinct = distinct_rows(rows)
+            if arity:
+                _require_lists(distinct, ambient, what)
+            if not set(map(type, chain.from_iterable(distinct))) <= {list}:
+                raise FileFormatError(f"{what}: entries must be lists of {theta.n} integers")
+            gamma[name] = LeafRows(rows)
     axioms = equations_from_obj(obj.get("axioms", []), X.signature)
     return GammaData(X, B, theta, gamma, axioms)
 

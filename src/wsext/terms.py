@@ -101,6 +101,15 @@ def require_distinct_vars(vars: Sequence[str]) -> None:
         raise TermSyntaxError(f"duplicate variable names in {var_list}", 0)
 
 
+def require_declared_vars(vars: Sequence[str], terms: Sequence[Term], noun: str) -> None:
+    """The variable list declares each name once (TermSyntaxError) and
+    every variable of the terms (UnboundVariable, naming the noun)."""
+    require_distinct_vars(vars)
+    undeclared = set().union(*map(term_vars, terms)) - set(vars)
+    if undeclared:
+        raise UnboundVariable(f"{noun} uses undeclared variables {sorted(undeclared)}")
+
+
 def parse_term(text: str, sig: "Signature", vars: Sequence[str]) -> Term:
     """Parse s-expression term text against a signature and variable list.
 
@@ -184,11 +193,7 @@ class TermSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "vars", tuple(self.vars))
-        require_distinct_vars(self.vars)
-        free = term_vars(self.term)
-        if not free <= set(self.vars):
-            raise UnboundVariable(
-                f"term uses undeclared variables {sorted(free - set(self.vars))}")
+        require_declared_vars(self.vars, (self.term,), "term")
 
     @property
     def arity(self) -> int:

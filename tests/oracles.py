@@ -12,6 +12,7 @@ laws and the sigma/tau decomposition) are only ever compared against.
 
 import json
 from itertools import product
+from pathlib import Path
 
 from wsext.algebra import (
     DEFAULT_BUDGET,
@@ -26,11 +27,14 @@ from wsext.errors import (
     ArityMismatch,
     ConditionsFailed,
     EntryOutOfRange,
+    FileFormatError,
     InternalCheckFailed,
     IotaNotInY,
     KernelPreimageMissing,
+    MissingTable,
     NotHomomorphism,
     SearchBudgetExceeded,
+    SignatureMismatch,
     ThetaNotAdmissible,
     UnboundVariable,
     WrongSignature,
@@ -47,10 +51,16 @@ from wsext.extension import (
 )
 from wsext.report import CheckResult, Report
 from wsext.serialize import (
+    _GAMMA_EXTRAS,
     CANONICAL_SCHEMA,
+    _check_keys,
+    _int,
     _nest_table,
+    algebra_from_obj,
     algebra_to_obj,
+    equations_from_obj,
     equations_to_obj,
+    theta_from_obj,
     theta_to_obj,
 )
 from wsext.terms import Term, TermSpec, ThetaSpec, Var
@@ -349,6 +359,74 @@ def brute_force_entry_error(ops, gamma, n: int, size: int):
                 if type(x) is not int or not 0 <= x < size:
                     return EntryOutOfRange, f"action entry {entry} outside the kernel carrier"
     return None
+
+
+def per_entry_read_gamma(path: Path):
+    """Action data read from a file the whole-document way: json.loads of
+    the text, every nesting level checked element by element and flattened
+    down to the entries, then the GammaData checks walked entry by entry.
+    (gamma tables as tuples of n-tuples, axioms); raises what the library
+    raises, with the same messages.  The algebras, theta and axioms are
+    read by the library's own functions."""
+    try:
+        text = path.read_text()
+    except (OSError, ValueError) as exc:
+        raise FileFormatError(f"cannot read {path}: {exc}") from exc
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise FileFormatError(f"{path}: JSON nested too deeply") from exc
+    _check_keys(obj, ["X", "B", "theta", "gamma"], ["axioms"] + _GAMMA_EXTRAS, "gamma data")
+    if "schema" in obj and obj["schema"] != CANONICAL_SCHEMA:
+        raise FileFormatError(
+            f"schema: expected {CANONICAL_SCHEMA!r}, got {obj['schema']!r}")
+    X = algebra_from_obj(obj["X"], path.parent)
+    B = algebra_from_obj(obj["B"], path.parent)
+    theta = theta_from_obj(obj["theta"], X.signature, path.parent)
+    if "n" in obj and _int(obj["n"], "n") != theta.n:
+        raise FileFormatError(f"n: {obj['n']} but theta has {theta.n} kernel arguments")
+    ambient = X.size ** theta.n * B.size
+    if not isinstance(obj["gamma"], dict):
+        raise FileFormatError("gamma: expected an object")
+    gamma = dict(obj["gamma"])
+    for name, arity in X.signature.ops:
+        if name not in gamma:
+            continue
+        level = [gamma[name]]
+        for _ in range(arity):
+            for item in level:
+                if type(item) is not list or len(item) != ambient:
+                    raise FileFormatError(f"gamma {name!r}: expected a list of length {ambient}")
+            level = [x for item in level for x in item]
+        for entry in level:
+            if type(entry) is not list:
+                raise FileFormatError(
+                    f"gamma {name!r}: entries must be lists of {theta.n} integers")
+        gamma[name] = level
+    axioms = equations_from_obj(obj.get("axioms", []), X.signature)
+
+    if X.signature != B.signature:
+        raise SignatureMismatch("kernel and base algebras differ in signature")
+    require_admissible(theta, X, "kernel algebra")
+    require_admissible(theta, B, "base algebra")
+    tables = {}
+    for name, arity in X.signature.ops:
+        if name not in gamma:
+            raise MissingTable(f"no action table for operation {name!r}")
+        table = tuple(map(tuple, gamma[name]))
+        if len(table) != ambient ** arity:
+            raise ArityMismatch(f"action table for {name!r} has {len(table)} entries, "
+                                f"expected {ambient}^{arity}")
+        error = brute_force_entry_error([(name, arity)], {name: table}, theta.n, X.size)
+        if error is not None:
+            raise error[0](error[1])
+        tables[name] = table
+    extra = set(gamma) - set(X.signature.op_names())
+    if extra:
+        raise SignatureMismatch(f"action tables for unknown operations {sorted(extra)}")
+    return tables, axioms
 
 
 def witness_key(w: Witness):

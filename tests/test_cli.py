@@ -521,7 +521,7 @@ def test_gamma_check_malformed_data_is_a_file_error(case, tmp_path):
 
 
 def _collector_cases(tmp):
-    """(argv, expected exit) for the commands that pause the collector."""
+    """(argv, expected exit) for the commands that read or write action data."""
     good, bad, broken = tmp / "good.json", tmp / "bad.json", tmp / "broken.json"
     good.write_text(_canonical_text())
     doc = json.loads(_canonical_text())

@@ -32,6 +32,7 @@ from wsext.errors import (
     WrongTheta,
 )
 from wsext.canonical import membership_by_gamma_id
+from wsext.gammabuild import LeafRows
 
 from conftest import load_fixture
 
@@ -146,6 +147,24 @@ def test_action_entries_are_checked_on_construction(entry, error):
     table[3] = entry
     with pytest.raises(error):
         GammaData(g.X, g.B, g.theta, {"+": tuple(table), "0": g.gamma["0"]}, g.axioms)
+
+
+@pytest.mark.parametrize("bad_a, bad_b, error, message", [
+    ((0, 5), (7, 0), EntryOutOfRange, "action entry (0, 5) outside the kernel carrier"),
+    ((0, True), (0, 1.5), EntryOutOfRange, "action entry (0, True) outside the kernel carrier"),
+    ((0,), (0, 0, 0), ArityMismatch, "action entry (0,) for '+' is not an 2-tuple"),
+])
+def test_shared_rows_name_the_first_bad_entry_in_table_order(bad_a, bad_b, error, message):
+    # rows a, b, a: b's last occurrence comes before a's, and b's bad entry
+    # sits earlier in its row, so only table order names a's
+    e, w, theta, c, g = extracted("example_monoid")
+    size = g.space.size
+    rows = [list(map(list, g.gamma["+"][i:i + size])) for i in range(0, size ** 2, size)]
+    a, b = rows[0], rows[1]
+    a[3], b[0] = list(bad_a), list(bad_b)
+    table = LeafRows([a, b, a] + rows[3:])
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        GammaData(g.X, g.B, g.theta, {"+": table, "0": g.gamma["0"]}, g.axioms)
 
 
 def test_remark_variant_terms_per_fixture(fixture_case):

@@ -57,9 +57,16 @@ from wsext.extension import (
     validate_witness,
 )
 from wsext.fixtures import fixture_path
-from wsext.gammabuild import GammaData, _checked
+from wsext.gammabuild import GammaData, LeafRows, _checked
 from wsext.report import CheckResult
-from wsext.serialize import canonical_to_obj, dump_json, theta_from_obj
+from wsext.serialize import (
+    _ROW_REF,
+    _load_json,
+    canonical_to_obj,
+    dump_json,
+    gamma_from_obj,
+    theta_from_obj,
+)
 from wsext.terms import substitute
 
 from conftest import EXTENSION_NAMES, load_fixture
@@ -91,6 +98,7 @@ from oracles import (
     brute_force_verify,
     brute_force_witness_check,
     listing_canonical_to_obj,
+    per_entry_read_gamma,
     plain_rows,
 )
 
@@ -473,6 +481,56 @@ def test_gamma_data_entry_checks_match_oracle(X, B, n, as_lists, data):
         assert expected is None
         assert g.gamma == as_tuples
         # equal entries are one shared tuple
+        for table in g.gamma.values():
+            assert len(set(map(id, table))) == len(set(table))
+
+
+def put_bad_leaf(row: list, j: int, bad, size: int, data) -> None:
+    """Entry j of row made bad as BAD_LEAVES names it."""
+    if bad == "wrong length":
+        row[j] = data.draw(st.sampled_from([row[j][:-1], row[j] + [0]]))
+    elif row[j]:
+        i = data.draw(st.integers(0, len(row[j]) - 1))
+        row[j][i] = size if bad == "|X|" else bad
+
+
+@given(unital_algebras(3), unital_algebras(2), st.integers(1, 3), st.data())
+@settings(max_examples=80, deadline=None)
+def test_shared_leaf_rows_are_checked_like_the_flat_table(X, B, n, data):
+    # rows drawn from a pool of at most three, so that rows repeat; a bad
+    # leaf lands in a pool row (and so in each of its copies) or in one
+    # copy, and equal rows are then one shared object, as the reader hands
+    # them over
+    ambient = X.size ** n * B.size
+    entry = st.lists(st.integers(0, X.size - 1), min_size=n, max_size=n)
+    pool = data.draw(st.lists(st.lists(entry, min_size=ambient, max_size=ambient),
+                              min_size=1, max_size=3))
+    for _ in range(data.draw(st.integers(0, 2))):
+        row = data.draw(st.sampled_from(pool))
+        put_bad_leaf(row, data.draw(st.integers(0, len(row) - 1)),
+                     data.draw(st.sampled_from(BAD_LEAVES)), X.size, data)
+    # a nullary table is one row of one entry
+    tables = {name: [[list(e) for e in data.draw(st.sampled_from(pool))][:ambient if arity else 1]
+                     for _ in range(ambient ** (arity - 1) if arity else 1)]
+              for name, arity in USIG.ops}
+    for _ in range(data.draw(st.integers(0, 2))):
+        rows = tables[data.draw(st.sampled_from(USIG.op_names()))]
+        row = data.draw(st.sampled_from(rows))
+        put_bad_leaf(row, data.draw(st.integers(0, len(row) - 1)),
+                     data.draw(st.sampled_from(BAD_LEAVES)), X.size, data)
+    shared: dict = {}
+    given_tables = {name: LeafRows(shared.setdefault(json.dumps(row), row) for row in rows)
+                    for name, rows in tables.items()}
+    as_tuples = {name: tuple(tuple(e) for row in rows for e in row)
+                 for name, rows in tables.items()}
+    expected = brute_force_entry_error(USIG.ops, as_tuples, n, X.size)
+    try:
+        g = GammaData(X, B, sum_theta(n), given_tables, ())
+    except (ArityMismatch, EntryOutOfRange) as exc:
+        assert (type(exc), str(exc)) == expected
+    else:
+        assert expected is None
+        assert g.gamma == as_tuples
         for table in g.gamma.values():
             assert len(set(map(id, table))) == len(set(table))
 
@@ -1036,3 +1094,153 @@ def test_action_data_checks_match_the_per_entry_oracles(case, points, data):
             for cap in ((cost, cost - 1) if cost <= 5000 else (cost - 1,)):
                 assert any_outcome(lambda: gamma_table(g, omega, budget=cap)) == \
                     any_outcome(lambda: brute_force_gamma_table(g, omega, budget=cap))
+
+
+# -- the row-sharing reader against the whole-document oracle ---------------------------
+
+def row_slots(doc) -> list[tuple]:
+    """(container, key) of every leaf row of doc's gamma tables, in table
+    order: container[key] is the row, the innermost list of entries."""
+    arity = {op["name"]: op["arity"] for op in doc["X"]["signature"]["ops"]}
+    slots = []
+    for name in doc["gamma"]:
+        level = [(doc["gamma"], name)]
+        for _ in range(arity[name] - 1):
+            level = [(c[k], i) for c, k in level if isinstance(c[k], list)
+                     for i in range(len(c[k]))]
+        slots += level if arity[name] else []
+    return slots
+
+
+def spaced_text(obj, rnd) -> str:
+    """JSON text of obj with random whitespace between its tokens; a list of
+    lists is written on a line of its own half of the time, so that some
+    leaf rows are whole lines and others are split across lines."""
+    def ws():
+        return rnd.choice(["", " ", "\t", "\n", "\r\n", "\n    ", " \n\t"])
+
+    def emit(v):
+        if isinstance(v, dict):
+            return "{" + ws() + ("," + ws()).join(
+                f"{json.dumps(k)}{ws()}:{ws()}{emit(x)}{ws()}" for k, x in v.items()) + "}"
+        if isinstance(v, list):
+            if v and isinstance(v[0], list) and rnd.random() < 0.5:
+                return "\n" + json.dumps(v) + "\n"
+            return "[" + ws() + ("," + ws()).join(emit(x) + ws() for x in v) + "]"
+        return json.dumps(v)
+    return emit(obj)
+
+
+PLACEHOLDER = "\u0001placeholder"
+# text put where PLACEHOLDER is written: deep nesting, and objects that the
+# reader's row reference could be mistaken for, on a line of their own
+PLACED = ["[" * 100_000 + "]" * 100_000, json.dumps({_ROW_REF: 0}),
+          '{"\\u0000row": 1}', json.dumps({_ROW_REF: 0, "a": 1}), json.dumps({_ROW_REF: "x"})]
+DOC_FAULTS = ["deeper row", "deeper entry", "shallower table", "short row", "non-list row",
+              "non-list entry", "bad leaf", "row text in strings", "marker object",
+              "placed text"]
+TEXT_FAULTS = ["truncated", "not UTF-8", "raw newline in a string"]
+
+
+def faulty_doc(doc: dict, data) -> dict:
+    """An unshared copy of a canonical document with up to two drawn faults."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(data.draw(st.integers(1, 2))):
+        add_fault(doc, data.draw(st.one_of(st.just("none"), st.sampled_from(DOC_FAULTS))), data)
+    return doc
+
+
+def well_formed(row) -> bool:
+    return isinstance(row, list) and all(
+        isinstance(e, list) and e and all(type(x) is int for x in e) for e in row)
+
+
+def add_fault(doc: dict, fault: str, data) -> None:
+    if fault == "row text in strings":
+        doc["X"]["element_names"] = [f"[[{x}]]" for x in range(doc["X"]["size"])]
+        return
+    if fault == "marker object":
+        doc["gamma"][doc["X"]["signature"]["ops"][0]["name"]] = {_ROW_REF: 0}
+        return
+    slots = [(c, k) for c, k in row_slots(doc) if c[k] and well_formed(c[k])]
+    if fault == "none" or not slots:
+        return
+    # a row whose value occurred before (a later repeat) or a first occurrence
+    seen, firsts, repeats = set(), [], []
+    for slot in slots:
+        key = json.dumps(slot[0][slot[1]])
+        (repeats if key in seen else firsts).append(slot)
+        seen.add(key)
+    c, k = data.draw(st.sampled_from(repeats if repeats and data.draw(st.booleans()) else firsts))
+    row = c[k]
+    j = data.draw(st.integers(0, len(row) - 1))
+    if fault == "deeper row":
+        c[k] = [row]
+    elif fault == "deeper entry":
+        row[j] = [row[j]]
+    elif fault == "shallower table":
+        name = data.draw(st.sampled_from(sorted(doc["gamma"])))
+        if isinstance(doc["gamma"][name], list) and doc["gamma"][name]:
+            doc["gamma"][name] = doc["gamma"][name][0]
+    elif fault == "short row":
+        row.pop()
+    elif fault == "non-list row":
+        c[k] = data.draw(st.sampled_from([0, "row", None, {}]))
+    elif fault == "non-list entry":
+        row[j] = data.draw(st.sampled_from([0, "x", None, {}]))
+    elif fault == "bad leaf":
+        put_bad_leaf(row, j, data.draw(st.sampled_from(BAD_LEAVES)), doc["X"]["size"], data)
+    else:  # placed text: a middle row, so that the row layout gives it a line
+        c, k = slots[len(slots) // 2]
+        c[k] = PLACEHOLDER
+
+
+def layout(doc: dict, data, tmp: Path) -> bytes:
+    """doc as one of the layouts a reader must take, with one drawn fault
+    in the text."""
+    fault = data.draw(st.one_of(st.just("none"), st.sampled_from(TEXT_FAULTS)))
+    if fault == "raw newline in a string":
+        doc = dict(doc, X=dict(doc["X"], element_names=["[[0]]"] * doc["X"]["size"]))
+    kind = data.draw(st.sampled_from(["rows", "spaced", "compact", "indent"]))
+    if kind == "rows":
+        dump_json(doc, tmp / "rows.json")
+        text = (tmp / "rows.json").read_text()
+    elif kind == "spaced":
+        text = spaced_text(doc, data.draw(st.randoms(use_true_random=False)))
+    else:
+        text = json.dumps(doc, indent=2 if kind == "indent" else None)
+    text = text.replace(json.dumps(PLACEHOLDER), data.draw(st.sampled_from(PLACED)))
+    if fault == "truncated":
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    elif fault == "raw newline in a string":
+        text = text.replace('"[[0]]"', '"\n[[0]]\n"', 1)
+    raw = text.encode()
+    if fault == "not UTF-8":
+        i = data.draw(st.integers(0, len(raw)))
+        raw = raw[:i] + b"\xff" + raw[i:]
+    return raw
+
+
+def read_outcome(read):
+    try:
+        return read()
+    except ToolkitError as exc:
+        return type(exc), str(exc)
+
+
+@given(canonical_cases(max_product_m=3), st.data())
+@settings(max_examples=200, deadline=None)
+def test_row_sharing_reader_matches_the_whole_document_oracle(case, data):
+    e, theta, w, axioms = case
+    doc = canonical_to_obj(build_canonical(e, theta, w), axioms)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "gamma.json"
+        path.write_bytes(layout(faulty_doc(doc, data), data, Path(tmp)))
+        got = read_outcome(lambda: gamma_from_obj(_load_json(path), path.parent))
+        expected = read_outcome(lambda: per_entry_read_gamma(path))
+    if isinstance(got, GammaData):
+        assert (got.gamma, got.axioms) == expected
+        for table in got.gamma.values():
+            assert len(set(map(id, table))) == len(set(table))
+    else:
+        assert got == expected

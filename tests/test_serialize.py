@@ -2,7 +2,17 @@ import json
 
 import pytest
 
-from wsext import build_canonical
+from wsext import (
+    FnTable,
+    Signature,
+    SplitExtension,
+    build_canonical,
+    gammabuild,
+    make_algebra,
+    product_algebra,
+)
+from wsext import serialize as S
+from wsext.cli import main
 from wsext.errors import FileFormatError
 from wsext.fixtures import fixture_path
 from wsext.serialize import (
@@ -10,6 +20,7 @@ from wsext.serialize import (
     algebra_to_obj,
     canonical_to_obj,
     extension_from_obj,
+    dump_json,
     extension_to_obj,
     gamma_from_obj,
     load_algebra,
@@ -131,3 +142,68 @@ def test_malformed_json_reports_file_error(tmp_path):
     bad.write_text("{ not json")
     with pytest.raises(FileFormatError):
         load_algebra(bad)
+
+
+def product_family_files(tmp_path, m: int):
+    """ext.json and theta.json of Z_m -> Z_m x Z_m -> Z_m with the term
+    x1 + y + x2 (n = 2, |X^n x B| = m^3)."""
+    sig = Signature((("+", 2), ("0", 0)), "0")
+    Z = make_algebra(sig, m, {"+": [(u + v) % m for u in range(m) for v in range(m)],
+                              "0": [0]})
+    e = SplitExtension(Z, product_algebra(Z, Z), Z,
+                       FnTable(m, m * m, tuple(x * m for x in range(m))),
+                       FnTable(m * m, m, tuple(a % m for a in range(m * m))),
+                       FnTable(m, m * m, tuple(range(m))))
+    ext, theta = tmp_path / "ext.json", tmp_path / "theta.json"
+    dump_json(extension_to_obj(e), ext)
+    theta.write_text(json.dumps({"vars": ["x1", "x2", "y"], "term": "(+ x1 (+ y x2))"}))
+    return ext, theta
+
+
+def test_action_data_is_decoded_and_checked_once_per_distinct_row(
+        tmp_path, monkeypatch, capsys):
+    m = 5
+    ext, theta = product_family_files(tmp_path, m)
+    canon = tmp_path / "canon.json"
+    assert main(["canonicalize", str(ext), "--theta", str(theta), "-o", str(canon)]) == 0
+    capsys.readouterr()
+    row_texts = {json.dumps(row) for row in json.loads(canon.read_text())["gamma"]["+"]}
+
+    given = {}
+    real = S.GammaData
+    monkeypatch.setattr(S, "GammaData", lambda X, B, theta, gamma, axioms:
+                        given.update(gamma) or real(X, B, theta, gamma, axioms))
+    checks, misses = [], []
+    check_entry, missing = gammabuild._check_entry, gammabuild._Interned.__missing__
+    monkeypatch.setattr(gammabuild, "_check_entry",
+                        lambda *args: checks.append(args) or check_entry(*args))
+    monkeypatch.setattr(gammabuild._Interned, "__missing__",
+                        lambda self, entry: misses.append(entry) or missing(self, entry))
+    g = gamma_from_obj(S._load_json(canon), canon.parent)
+
+    # the + table reaches GammaData as its m^3 leaf rows, one object per
+    # distinct row text
+    rows = given["+"]
+    assert isinstance(rows, gammabuild.LeafRows) and len(rows) == m ** 3
+    assert len(set(map(id, rows))) == len(row_texts) < m ** 3
+    # each distinct entry of each table is checked and interned once
+    distinct_entries = sum(len(set(table)) for table in g.gamma.values())
+    assert len(checks) == len(misses) == distinct_entries
+
+
+@pytest.mark.parametrize("placed", [
+    json.dumps({S._ROW_REF: 0}),
+    '{"\\u0000row": 1}',
+    json.dumps({S._ROW_REF: 0, "a": 1}),
+    json.dumps({S._ROW_REF: "x"}),
+    json.dumps({S._ROW_REF: 10 ** 6}),
+])
+def test_reader_reads_a_document_object_spelled_like_its_row_reference(tmp_path, placed):
+    e, w, axioms, theta = load_fixture("example_monoid")
+    doc = json.loads(json.dumps(canonical_to_obj(build_canonical(e, theta, w), axioms)))
+    doc["gamma"]["+"][4] = "placeholder"
+    path = tmp_path / "canon.json"
+    dump_json(doc, path)
+    text = path.read_text().replace('"placeholder"', placed)
+    path.write_text(text)
+    assert S._load_json(path) == json.loads(text)

@@ -110,6 +110,16 @@ def test_termspec_rejects_undeclared_variables():
         TermSpec(("x",), parse_term("(+ x y)", MSIG, ["x", "y"]))
 
 
+def test_undeclared_variables_are_named_with_the_noun():
+    t = parse_term("(+ z (+ x y))", MSIG, ["x", "y", "z"])
+    with pytest.raises(UnboundVariable) as term:
+        TermSpec(("x",), t)
+    assert str(term.value) == "term uses undeclared variables ['y', 'z']"
+    with pytest.raises(UnboundVariable) as equation:
+        Equation(("y",), t, Var("x"))
+    assert str(equation.value) == "equation uses undeclared variables ['x', 'z']"
+
+
 def test_thetaspec_needs_two_variables():
     with pytest.raises(ArityMismatch):
         ThetaSpec(("x",), Var("x"))
