@@ -10,7 +10,6 @@ be any carrier index, not necessarily 0.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import product
 from math import prod
 from operator import itemgetter
@@ -27,14 +26,13 @@ from .errors import (
     ThetaNotAdmissible,
     UnknownSymbol,
 )
-from .report import CheckResult
+from .report import CheckResult, Record
 from .terms import App, Term, TermSpec, ThetaSpec, Var, require_declared_vars, substitute
 
 DEFAULT_BUDGET = 10_000_000
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """Operation names with arities, plus the distinguished constant.
 
     ``ops`` preserves declaration order; that order fixes table order in
@@ -147,8 +145,7 @@ def lex_blocks(radices: Sequence[int]) -> Iterator[tuple[int, list[list[int]]]]:
                          + [column * len(values) for column in tail])
 
 
-@dataclass(frozen=True, eq=True)
-class FiniteAlgebra:
+class FiniteAlgebra(Record):
     """A finite algebra: carrier {0..size-1} and one flat table per op."""
 
     signature: Signature
@@ -203,8 +200,7 @@ def trivial_algebra(sig: Signature) -> FiniteAlgebra:
 
 # -- function tables ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class FnTable:
+class FnTable(Record):
     """A total function {0..dom_size-1} -> {0..cod_size-1} as a value array."""
 
     dom_size: int
@@ -452,8 +448,7 @@ def subalgebra_closure(A: FiniteAlgebra, generators: Sequence[int]) -> list[int]
 
 # -- equations ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Equation:
+class Equation(Record):
     """An identity lhs = rhs over a shared ordered variable list."""
 
     vars: tuple[str, ...]

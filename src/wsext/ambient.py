@@ -18,7 +18,6 @@ operations by ``algebra._tabulate``, as in a finite algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
 from operator import add
@@ -26,10 +25,10 @@ from typing import Mapping, Sequence
 
 from .algebra import FiniteAlgebra, _node, table_args, table_index
 from .errors import ArityMismatch, EntryOutOfRange
+from .report import Record
 
 
-@dataclass(frozen=True)
-class TupleSpace:
+class TupleSpace(Record):
     """Mixed-radix index <-> tuple conversion for X^n x B."""
 
     x_size: int

@@ -14,7 +14,6 @@ term x + z + y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import eq
@@ -50,7 +49,7 @@ from .extension import (
     require_valid,
     require_witness,
 )
-from .report import Report
+from .report import Record, Report
 from .terms import App, TermSpec, ThetaSpec, Var
 
 
@@ -61,8 +60,7 @@ def psi(e: SplitExtension, w: Witness) -> FnTable:
                    tuple(space.pack(w.values_at(a), e.p(a)) for a in range(e.A.size)))
 
 
-@dataclass(frozen=True)
-class CanonicalExtension:
+class CanonicalExtension(Record):
     """The subset Y with transported operations and structure maps.
 
     Y is stored as a lex-ordered tuple of (x_1, .., x_n, b) tuples; every
@@ -330,8 +328,7 @@ def verify_isomorphism(e: SplitExtension, c: CanonicalExtension, w: Witness) -> 
 
 # -- four-map decomposition of the binary action (monoid case) -----------------
 
-@dataclass(frozen=True)
-class TriTable:
+class TriTable(Record):
     """A table for a three-argument map with per-argument domains."""
 
     dims: tuple[int, int, int]
@@ -342,8 +339,7 @@ class TriTable:
         return self.values[(a * self.dims[1] + b) * self.dims[2] + c]
 
 
-@dataclass(frozen=True)
-class SigmaTauDecomposition:
+class SigmaTauDecomposition(Record):
     sigma: tuple[TriTable, TriTable]
     tau: tuple[TriTable, TriTable]
     report: Report

@@ -20,7 +20,6 @@ lists, elements of A in increasing index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, cycle, islice, product
 from math import prod
 from operator import eq
@@ -52,12 +51,11 @@ from .errors import (
     SizeMismatch,
     WitnessInvalid,
 )
-from .report import CheckResult, Report
+from .report import CheckResult, Record, Report
 from .terms import App, TermSpec, ThetaSpec, Var, substitute
 
 
-@dataclass(frozen=True)
-class SplitExtension:
+class SplitExtension(Record):
     """X --k--> A --p/s-- B over a shared signature.
 
     Only size and signature coherence is enforced at construction; the
@@ -118,8 +116,7 @@ def require_valid(e: SplitExtension) -> None:
         raise ExtensionInvalid(rep)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """An n-tuple of functions q_i : A -> X certifying the decomposition."""
 
     n: int
@@ -387,8 +384,7 @@ def pullback_extension(
     return ext, w2
 
 
-@dataclass(frozen=True)
-class ProductCheck:
+class ProductCheck(Record):
     """Outcome of the product-extension condition on a kernel algebra."""
 
     ok: bool
@@ -436,8 +432,7 @@ def product_extension_check(X: FiniteAlgebra, theta: ThetaSpec,
 
 # -- morphisms of extensions ---------------------------------------------------
 
-@dataclass(frozen=True)
-class ExtensionMorphism:
+class ExtensionMorphism(Record):
     """Three maps (f on kernels, g on middles, h on bases) between extensions."""
 
     source: SplitExtension

@@ -19,7 +19,6 @@ coordinate projections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from typing import Iterator, Optional, Sequence
@@ -49,7 +48,7 @@ from .errors import (
     SignatureMismatch,
 )
 from .extension import SplitExtension, Witness, validate_split_extension, validate_witness
-from .report import Report
+from .report import Record, Report
 from .terms import TermSpec, ThetaSpec
 
 
@@ -65,8 +64,7 @@ def distinct_rows(rows: Sequence) -> list:
     return list(dict(zip(map(id, rows), rows)).values())
 
 
-@dataclass(frozen=True)
-class GammaData:
+class GammaData(Record):
     """Raw action data: algebras, witness term, per-operation tables, axioms.
 
     Construction is the one place action tables are checked: one table per
@@ -86,8 +84,6 @@ class GammaData:
     theta: ThetaSpec
     gamma: dict[str, tuple[tuple[int, ...], ...]]
     axioms: tuple[Equation, ...]
-    # budget -> (report, carrier), filled by the condition checks
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.X.signature != self.B.signature:
@@ -122,6 +118,8 @@ class GammaData:
         if extra:
             raise SignatureMismatch(f"action tables for unknown operations {sorted(extra)}")
         object.__setattr__(self, "gamma", gamma)
+        # budget -> (report, carrier), filled by the condition checks; not a field
+        object.__setattr__(self, "_memo", {})
 
     @property
     def n(self) -> int:
@@ -183,8 +181,7 @@ def compute_Y(g: GammaData, membership_term: Optional[TermSpec] = None,
     return base
 
 
-@dataclass(frozen=True)
-class _Carrier:
+class _Carrier(Record):
     """The carved-out carrier, shared by the condition checks and the rebuild.
 
     ``kernel`` lists the tuples ys with (ys, 0_B) in Y, in lex order.

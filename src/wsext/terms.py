@@ -11,10 +11,10 @@ Terms are syntax only: their values are tabulated by the algebra module
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import ArityMismatch, TermSyntaxError, UnboundVariable, UnknownSymbol
+from .report import Record
 
 if TYPE_CHECKING:  # pragma: no cover
     from .algebra import Signature
@@ -26,13 +26,11 @@ class Term:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Var(Term):
+class Var(Term, Record):
     name: str
 
 
-@dataclass(frozen=True)
-class App(Term):
+class App(Term, Record):
     op: str
     args: tuple[Term, ...]
 
@@ -180,8 +178,7 @@ def parse_term(text: str, sig: "Signature", vars: Sequence[str]) -> Term:
 
 # -- term specs ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TermSpec:
+class TermSpec(Record):
     """A term together with its ordered argument variables.
 
     The variable order fixes the argument order of the induced operation,
@@ -200,7 +197,6 @@ class TermSpec:
         return len(self.vars)
 
 
-@dataclass(frozen=True)
 class ThetaSpec(TermSpec):
     """Witness term: arity n+1 with the last variable distinguished.
 

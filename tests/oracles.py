@@ -3,13 +3,15 @@
 These deliberately avoid the library's search/enumeration code paths:
 everything is computed by iterating whole function spaces and checking
 defining equations directly, so they can arbitrate the optimized
-implementations on small instances.  Terms are evaluated here, one
+implementations on small instances.  Records are compared against the
+standard library's frozen dataclasses.  Terms are evaluated here, one
 assignment at a time, by the structural recursion of ``eval_term``; the
 library's own evaluator (``algebra._tabulate``) and the identity checks
 built on it (``check_equation``, admissibility, interchange, the alpha
 laws and the sigma/tau decomposition) are only ever compared against.
 """
 
+import dataclasses
 import json
 from itertools import product
 from pathlib import Path
@@ -49,7 +51,7 @@ from wsext.extension import (
     validate_split_extension,
     validate_witness,
 )
-from wsext.report import CheckResult, Report
+from wsext.report import CheckResult, Record, Report
 from wsext.serialize import (
     _GAMMA_EXTRAS,
     CANONICAL_SCHEMA,
@@ -915,3 +917,20 @@ def brute_force_sigma_tau(e: SplitExtension, theta: ThetaSpec, w: Witness,
             "" if bad is None else
             f"args {bad[0]} , {bad[1]}: direct {bad[2]} != composed {bad[3]}")
     return SigmaTauDecomposition(sigma, tau, rep)
+
+
+# -- records ---------------------------------------------------------------------
+
+def dataclass_twin(cls: type) -> type:
+    """The frozen dataclass with the fields and defaults of the record class
+    cls, read from the class bodies: the annotated names of cls and of its
+    record bases, base classes first, with a class attribute of the same
+    name as the default.  It has cls's qualified name, so the two reprs can
+    be compared as text."""
+    bodies = [vars(k) for k in reversed(cls.__mro__)
+              if issubclass(k, Record) and k is not Record]
+    names = [name for body in bodies for name in body.get("__annotations__", {})]
+    namespace = {"__annotations__": dict.fromkeys(names, "object"),
+                 "__qualname__": cls.__qualname__}
+    namespace.update({name: getattr(cls, name) for name in names if hasattr(cls, name)})
+    return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), namespace))

@@ -1,15 +1,21 @@
 """Every name a module of the package imports is used in that module.
 
 Re-exports in ``__init__.py`` and imports under ``if TYPE_CHECKING:`` are
-exempt, as is ``from __future__ import ...``.
+exempt, as is ``from __future__ import ...``.  Starting the CLI imports no
+module it does not need.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import wsext
+from conftest import SRC
 
 PACKAGE = Path(wsext.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
@@ -71,3 +77,18 @@ def test_the_check_catches_an_unused_import():
               "    from os import sep\n"
               "x: 'TYPE_CHECKING' = list(chain())\n")
     assert unused_imports(source) == ["product (line 2)"]
+
+
+def test_cli_start_up_imports_no_dataclasses_and_every_layer():
+    """``import wsext.cli`` in a fresh interpreter adds neither ``dataclasses``
+    nor ``inspect``, which with ``ast``, ``dis`` and ``tokenize`` would be
+    compiled or loaded on every start of the CLI, and it loads every layer,
+    which ``perfbench/traced.py`` relies on to rebind their functions."""
+    probe = ("import json, sys; before = set(sys.modules); import wsext.cli; "
+             "print(json.dumps(sorted(set(sys.modules) - before)))")
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, text=True, check=True).stdout
+    added = set(json.loads(out))
+    assert not added & {"dataclasses", "inspect"}
+    assert {"wsext.serialize", "wsext.extension", "wsext.canonical",
+            "wsext.gammabuild"} <= added

@@ -1,6 +1,5 @@
 """Property-based checks over randomly generated small structures."""
 
-import dataclasses
 import json
 import tempfile
 from contextlib import contextmanager
@@ -944,6 +943,12 @@ def assert_same_report(e, c, w):
         any_outcome(lambda: brute_force_verify(e, c, w).to_json())
 
 
+def replace(record, **changes):
+    """The record rebuilt from its fields, with some of them changed."""
+    fields = {f: getattr(record, f) for f in record._fields}
+    return type(record)(**{**fields, **changes})
+
+
 def corrupt(c, data):
     """c with one entry of one of its tables replaced, within range, or
     with its witness term replaced by a projection."""
@@ -957,22 +962,22 @@ def corrupt(c, data):
         j = pick(table)
         table[j] = data.draw(kernel_tuple if field == "gamma"
                              else st.integers(0, len(c.Y) - 1))
-        return dataclasses.replace(c, **{field: {**getattr(c, field), name: tuple(table)}})
+        return replace(c, **{field: {**getattr(c, field), name: tuple(table)}})
     if field == "gamma_id":
         table = list(c.gamma_id)
         table[pick(table)] = data.draw(kernel_tuple)
-        return dataclasses.replace(c, gamma_id=tuple(table))
+        return replace(c, gamma_id=tuple(table))
     if field == "theta":  # a projection: theta_X(ys, 0) need not be injective
-        return dataclasses.replace(c, theta=ThetaSpec(
+        return replace(c, theta=ThetaSpec(
             c.theta.vars, Var(data.draw(st.sampled_from(c.theta.vars)))))
     if field in ("k_prime", "pi_B"):
         f = getattr(c, field)
-        return dataclasses.replace(c, **{field: perturb(f, data)})
+        return replace(c, **{field: perturb(f, data)})
     Y = [list(t) for t in c.Y]
     i = pick(Y)
     j = data.draw(st.integers(0, c.n))
     Y[i][j] = data.draw(st.integers(0, (c.X.size if j < c.n else c.B.size) - 1))
-    return dataclasses.replace(c, Y=tuple(map(tuple, Y)))
+    return replace(c, Y=tuple(map(tuple, Y)))
 
 
 @given(canonical_cases(max_product_m=4), st.data())
