@@ -19,13 +19,11 @@ from .algebra import (
     subalgebra_closure,
     trivial_algebra,
 )
-from .ambient import CandidateOps, TupleSpace
+from .ambient import CandidateOps, TupleSpace, gamma_table, membership_by_term
 from .canonical import (
     CanonicalExtension,
     build_canonical,
-    gamma_table,
     membership_by_gamma_id,
-    membership_by_term,
     psi,
     sigma_tau_decompose,
     verify_isomorphism,

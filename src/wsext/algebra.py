@@ -145,6 +145,13 @@ def lex_blocks(radices: Sequence[int]) -> Iterator[tuple[int, list[list[int]]]]:
                          + [column * len(values) for column in tail])
 
 
+def lex_grid(axes: Sequence[Sequence[int]]) -> Iterator[tuple[int, list[list[int]]]]:
+    """Every tuple with coordinate j drawn from axes[j], in lex order, as
+    value columns in the blocks of lex_blocks: (points, columns)."""
+    for points, columns in lex_blocks([len(axis) for axis in axes]):
+        yield points, [[axis[i] for i in col] for axis, col in zip(axes, columns)]
+
+
 class FiniteAlgebra(Record):
     """A finite algebra: carrier {0..size-1} and one flat table per op."""
 

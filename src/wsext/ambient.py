@@ -1,4 +1,5 @@
-"""The ambient tuple algebra X^n x B: indexing and candidate operations.
+"""The ambient tuple algebra X^n x B: indexing, candidate operations and
+the tabulations of terms in them; the action-data layer.
 
 A tuple (x_1, .., x_n, b) is packed into a single index in mixed radix
 (|X| repeated n times, then |B|); ascending index order is exactly the
@@ -12,8 +13,12 @@ back to the index of (xs, 0).
 Given one "action" table per basic operation (mapping ambient argument
 tuples to the first n output coordinates), the candidate operations make
 the full ambient set into an algebra-like structure: the last coordinate
-is always computed in B.  Terms are tabulated in these candidate
-operations by ``algebra._tabulate``, as in a finite algebra.
+is always computed in B.  ``CandidateOps.columns`` is the one reader of
+an action table by ambient index; terms are tabulated in the candidate
+operations by ``algebra._tabulate``, as in a finite algebra, for the
+carrier by term (``membership_by_term``) and the action table of a term
+(``gamma_table``).  ``ActionData`` gives canonical forms and raw action
+data their ambient space and candidate operations.
 """
 
 from __future__ import annotations
@@ -21,11 +26,21 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import product
 from operator import add
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .algebra import FiniteAlgebra, _node, table_args, table_index
-from .errors import ArityMismatch, EntryOutOfRange
+from .algebra import (
+    DEFAULT_BUDGET,
+    FiniteAlgebra,
+    _node,
+    _tabulate,
+    check_theta_admissible,
+    lex_blocks,
+    table_args,
+    table_index,
+)
+from .errors import ArityMismatch, EntryOutOfRange, SearchBudgetExceeded, WrongTheta
 from .report import Record
+from .terms import TermSpec
 
 
 class TupleSpace(Record):
@@ -107,3 +122,72 @@ class CandidateOps:
         b_size = self.B.size
         base = self.B.columns(name, [[z % b_size for z in col] for col in args], block)
         return list(map(add, rows, base))
+
+
+class ActionData:
+    """The ambient space and candidate operations of a holder of action
+    tables: a record with the algebras ``X`` and ``B``, ``n`` kernel
+    coordinates, a witness term ``theta`` and the tables ``gamma``.
+    Adds no field."""
+
+    @cached_property
+    def space(self) -> TupleSpace:
+        return TupleSpace(self.X.size, self.n, self.B.size)
+
+    def candidate_ops(self) -> CandidateOps:
+        return CandidateOps(self.space, self.gamma, self.B, self.X.zero)
+
+
+def membership_by_term(c: ActionData, omega: Optional[TermSpec] = None,
+                       budget: int = DEFAULT_BUDGET) -> list[int]:
+    """Ambient indices z whose first n coordinates are reproduced by
+    evaluating ``omega`` (default: the witness term) in the candidate
+    operations with every other argument at the zero tuple.
+
+    Any term acting as the identity when its non-distinguished arguments
+    are zero defines the same subset on genuine extension data; the term
+    is validated to have that unit property on X and B (WrongTheta),
+    after the budget check (SearchBudgetExceeded when |X^n x B| exceeds
+    ``budget``).
+    """
+    space = c.space
+    if space.size > budget:
+        raise SearchBudgetExceeded(
+            f"membership test needs {space.size} ambient tuples, budget is {budget}")
+    omega = omega or c.theta
+    for alg, label in ((c.X, "kernel"), (c.B, "base")):
+        if not check_theta_admissible(omega, alg):
+            raise WrongTheta(
+                f"membership term lacks the unit property on the {label} algebra")
+    ops = c.candidate_ops()
+    b_size = space.b_size
+    members, start = [], 0
+    # each block of the ambient grid is a run of consecutive indices
+    for points, _ in lex_blocks(space.radices):
+        zs = range(start, start + points)
+        columns = [[ops.zero_tuple] * points] * (omega.arity - 1) + [list(zs)]
+        values = _tabulate(omega.term, ops, dict(zip(omega.vars, columns)), points)
+        members += [z for z, v in zip(zs, values) if v // b_size == z // b_size]
+        start += points
+    return members
+
+
+def gamma_table(c: ActionData, omega: TermSpec,
+                budget: int = DEFAULT_BUDGET) -> tuple[tuple[int, ...], ...]:
+    """Action table of an arbitrary term: evaluate it in the candidate
+    operations over every ambient argument tuple and keep the first n
+    output coordinates.  For a single basic operation this reproduces the
+    stored table.  Raises SearchBudgetExceeded when the table would hold
+    more than ``budget`` entries, |X^n x B|^arity."""
+    space = c.space
+    needed = space.size ** omega.arity
+    if needed > budget:
+        raise SearchBudgetExceeded(
+            f"action table needs {needed} entries, budget is {budget}")
+    ops = c.candidate_ops()
+    kernel_tuples, b_size = space.kernel_tuples, space.b_size
+    entries = []
+    for points, columns in lex_blocks([space.size] * omega.arity):
+        values = _tabulate(omega.term, ops, dict(zip(omega.vars, columns)), points)
+        entries += [kernel_tuples[v // b_size] for v in values]
+    return tuple(entries)

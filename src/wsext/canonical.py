@@ -9,17 +9,18 @@ transported along the bijection; their first n output coordinates are the
 per-operation action tables (gamma), their last coordinate is computed in
 B.  This module builds that form, verifies the isomorphism, and computes
 the four-map decomposition of the binary action for the monoid witness
-term x + z + y.
+term x + z + y.  The ambient space, the candidate operations and the
+carrier by term come from ``ambient``, the action-data layer that raw
+action data (``gammabuild``) reads too.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import eq
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .ambient import CandidateOps, TupleSpace, ambient_space
+from .ambient import ActionData, ambient_space, membership_by_term
 from .algebra import (
     DEFAULT_BUDGET,
     Equation,
@@ -29,10 +30,10 @@ from .algebra import (
     _square_failure,
     _tabulate,
     check_equation,
-    check_theta_admissible,
     fold_indices,
     lex_blocks,
     lex_columns,
+    lex_grid,
     table_args,
 )
 from .errors import (
@@ -50,7 +51,7 @@ from .extension import (
     require_witness,
 )
 from .report import Record, Report
-from .terms import App, TermSpec, ThetaSpec, Var
+from .terms import App, ThetaSpec, Var
 
 
 def psi(e: SplitExtension, w: Witness) -> FnTable:
@@ -60,7 +61,7 @@ def psi(e: SplitExtension, w: Witness) -> FnTable:
                    tuple(space.pack(w.values_at(a), e.p(a)) for a in range(e.A.size)))
 
 
-class CanonicalExtension(Record):
+class CanonicalExtension(ActionData, Record):
     """The subset Y with transported operations and structure maps.
 
     Y is stored as a lex-ordered tuple of (x_1, .., x_n, b) tuples; every
@@ -80,16 +81,9 @@ class CanonicalExtension(Record):
     gamma: dict[str, tuple[tuple[int, ...], ...]]
     gamma_id: tuple[tuple[int, ...], ...]
 
-    @cached_property
-    def space(self) -> TupleSpace:
-        return TupleSpace(self.X.size, self.n, self.B.size)
-
     def y_algebra(self) -> FiniteAlgebra:
         """Y with its transported operations, as a finite algebra."""
         return FiniteAlgebra(self.X.signature, len(self.Y), self.ops_Y)
-
-    def candidate_ops(self) -> CandidateOps:
-        return CandidateOps(self.space, self.gamma, self.B, self.X.zero)
 
 
 def _action_table(A: FiniteAlgebra, name: str, arity: int, phis: Sequence[int],
@@ -163,9 +157,10 @@ def _cross_check(c: CanonicalExtension, budget: int = DEFAULT_BUDGET) -> None:
     """Check a canonical form against itself, raising InternalCheckFailed
     at the first disagreement:
 
-    - each transported operation against the action-table description,
+    - each transported operation against the candidate operation,
       op_Y(y_1, .., y_r) = (gamma_op(y_1, .., y_r), op_B(b_1, .., b_r)),
-      naming the first argument tuple (positions in Y) in lex order;
+      over the grid of Y, naming the first argument tuple (positions in
+      Y) in lex order;
     - k_prime(x) against the unique (ys, 0_B) in Y with theta_X(ys, 0_X) = x;
     - Y against the fixpoint carrier and the candidate-operation carrier
       (membership_by_gamma_id, membership_by_term with ``budget``).
@@ -174,12 +169,11 @@ def _cross_check(c: CanonicalExtension, budget: int = DEFAULT_BUDGET) -> None:
     y_indices = [space.pack(t[:-1], t[-1]) for t in c.Y]
     y_xs = [t[:-1] for t in c.Y]
     y_b = [t[-1] for t in c.Y]
+    ops = c.candidate_ops()
     for name, arity in c.X.signature.ops:
-        values = c.ops_Y[name]
-        got = list(zip(_gather(values)(y_xs), _gather(values)(y_b)))
-        want = list(zip(
-            _gather(fold_indices(space.size, y_indices, arity))(c.gamma[name]),
-            _gather(fold_indices(c.B.size, y_b, arity))(c.B.tables[name])))
+        got = list(_gather(c.ops_Y[name])(y_indices))
+        want = [z for points, args in lex_grid([y_indices] * arity)
+                for z in ops.columns(name, args, points)]
         if got != want:
             bad = next(j for j, (u, v) in enumerate(zip(got, want)) if u != v)
             raise InternalCheckFailed(
@@ -212,65 +206,6 @@ def membership_by_gamma_id(c: CanonicalExtension) -> list[int]:
     space = c.space
     xs_of_z = chain.from_iterable(map(repeat, space.kernel_tuples, repeat(space.b_size)))
     return list(compress(space.indices(), map(eq, c.gamma_id, xs_of_z)))
-
-
-def membership_by_term(c, omega: Optional[TermSpec] = None,
-                       budget: int = DEFAULT_BUDGET) -> list[int]:
-    """Ambient indices z whose first n coordinates are reproduced by
-    evaluating ``omega`` (default: the witness term) in the candidate
-    operations with every other argument at the zero tuple.
-
-    ``c`` is duck-typed: a CanonicalExtension, raw action data
-    (``gammabuild.GammaData``), or anything else with the algebras ``X``
-    and ``B``, a witness term ``theta``, a ``space`` (TupleSpace) and a
-    ``candidate_ops()`` returning the ``ambient.CandidateOps`` of its
-    action tables.  Any term acting as the identity when its
-    non-distinguished arguments are zero defines the same subset on
-    genuine extension data; the term is validated to have that unit
-    property on X and B (WrongTheta), after the budget check
-    (SearchBudgetExceeded when |X^n x B| exceeds ``budget``).
-    """
-    space = c.space
-    if space.size > budget:
-        raise SearchBudgetExceeded(
-            f"membership test needs {space.size} ambient tuples, budget is {budget}")
-    omega = omega or c.theta
-    for alg, label in ((c.X, "kernel"), (c.B, "base")):
-        if not check_theta_admissible(omega, alg):
-            raise WrongTheta(
-                f"membership term lacks the unit property on the {label} algebra")
-    ops = c.candidate_ops()
-    b_size = space.b_size
-    members, start = [], 0
-    # each block of the ambient grid is a run of consecutive indices
-    for points, _ in lex_blocks(space.radices):
-        zs = range(start, start + points)
-        columns = [[ops.zero_tuple] * points] * (omega.arity - 1) + [list(zs)]
-        values = _tabulate(omega.term, ops, dict(zip(omega.vars, columns)), points)
-        members += [z for z, v in zip(zs, values) if v // b_size == z // b_size]
-        start += points
-    return members
-
-
-def gamma_table(c: CanonicalExtension, omega: TermSpec,
-                budget: int = DEFAULT_BUDGET) -> tuple[tuple[int, ...], ...]:
-    """Action table of an arbitrary term: evaluate it in the candidate
-    operations over every ambient argument tuple and keep the first n
-    output coordinates.  For a single basic operation this reproduces the
-    stored table.  Raises SearchBudgetExceeded when the table would hold
-    more than ``budget`` entries, |X^n x B|^arity."""
-    space = c.space
-    needed = space.size ** omega.arity
-    if needed > budget:
-        raise SearchBudgetExceeded(
-            f"action table needs {needed} entries, budget is {budget}")
-    ops = c.candidate_ops()
-    kernel_tuples, b_size = space.kernel_tuples, space.b_size
-    entries = []
-    for points, columns in lex_blocks([space.size] * omega.arity):
-        values = _tabulate(omega.term, ops, dict(zip(omega.vars, columns)), points)
-        entries += [kernel_tuples[v // b_size] for v in values]
-    return tuple(entries)
 
 
 def verify_isomorphism(e: SplitExtension, c: CanonicalExtension, w: Witness) -> Report:

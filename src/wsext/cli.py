@@ -24,8 +24,6 @@ goes to stderr.  No other code in the package writes to stdout or stderr.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import gc
 import sys
 from pathlib import Path
 from typing import Optional
@@ -34,6 +32,7 @@ from . import canonical as can
 from . import extension as ext
 from . import gammabuild as gb
 from .algebra import DEFAULT_BUDGET, FnTable, is_homomorphism
+from .ambient import ambient_space
 from .errors import FileFormatError, IotaNotInY, ToolkitError
 from .serialize import (
     _load_json,
@@ -104,26 +103,6 @@ def _resolve_theta(args, signature) -> ThetaSpec:
     raise FileFormatError("a witness term is required (--theta or --theta-vars/--theta-term)")
 
 
-@contextlib.contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector and restore its earlier state.
-
-    Used around the writing of canonical documents: their millions of
-    lists and tuples hold no cycles, and each would otherwise re-trigger
-    collections that walk the whole heap.  Reading one needs no pause:
-    the reader decodes each distinct table row once, so the document
-    holds one list per distinct row, not one per entry.  The library
-    never touches the collector; only this command-line process does.
-    """
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if was_enabled:
-            gc.enable()
-
-
 # (exit code, --json payload, plain lines); main adds the schema and command keys
 Outcome = tuple[int, dict, list[str]]
 
@@ -167,7 +146,7 @@ def _witness(e, theta, file_witness, index: Optional[int], budget: int) -> tuple
 def cmd_check(args) -> Outcome:
     e, file_witness, _, theta, rep = _load_and_validate(args)
     n = theta.n
-    ambient = can.ambient_space(e, n).size
+    ambient = ambient_space(e, n).size
 
     payload = {
         "valid": rep.ok,
@@ -232,9 +211,7 @@ def cmd_canonicalize(args) -> Outcome:
     c = can.build_canonical(e, theta, witness, budget=args.budget)
     verification = can.verify_isomorphism(e, c, witness)
     if args.out:
-        with _collector_paused():
-            dump_json(canonical_to_obj(c, axioms=axioms, verification=verification),
-                      args.out)
+        dump_json(canonical_to_obj(c, axioms=axioms, verification=verification), args.out)
 
     core = [en for en in verification.entries if en.name != "section_transport"]
     core_ok = all(en.ok for en in core)

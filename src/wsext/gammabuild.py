@@ -14,16 +14,17 @@ the data valid:
 
 When they hold and the zero-tuple section lands in Y, the subset becomes
 the middle algebra of a split extension whose witness is the tuple of
-coordinate projections.
+coordinate projections.  The ambient space, the candidate operations and
+the carrier by term come from ``ambient``, the action-data layer that
+canonical forms read too; nothing here comes from ``canonical``.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import chain
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
-from .ambient import CandidateOps, TupleSpace
+from .ambient import ActionData, membership_by_term
 from .algebra import (
     DEFAULT_BUDGET,
     Equation,
@@ -32,10 +33,10 @@ from .algebra import (
     _tabulate,
     check_equation,
     lex_blocks,
+    lex_grid,
     require_admissible,
     table_args,
 )
-from .canonical import membership_by_term
 from .errors import (
     ArityMismatch,
     ConditionsFailed,
@@ -64,7 +65,7 @@ def distinct_rows(rows: Sequence) -> list:
     return list(dict(zip(map(id, rows), rows)).values())
 
 
-class GammaData(Record):
+class GammaData(ActionData, Record):
     """Raw action data: algebras, witness term, per-operation tables, axioms.
 
     Construction is the one place action tables are checked: one table per
@@ -125,13 +126,6 @@ class GammaData(Record):
     def n(self) -> int:
         return self.theta.n
 
-    @cached_property
-    def space(self) -> TupleSpace:
-        return TupleSpace(self.X.size, self.theta.n, self.B.size)
-
-    def candidate_ops(self) -> CandidateOps:
-        return CandidateOps(self.space, self.gamma, self.B, self.X.zero)
-
 
 class _Interned(dict):
     """The action entries of one table seen so far, each keyed by itself: a
@@ -165,7 +159,7 @@ def compute_Y(g: GammaData, membership_term: Optional[TermSpec] = None,
 
     Membership of (xs, b) means the witness term, evaluated in the
     candidate operations with all non-distinguished arguments at the zero
-    tuple, reproduces xs (``canonical.membership_by_term``).  An alternative
+    tuple, reproduces xs (``ambient.membership_by_term``).  An alternative
     term with the same unit property may be supplied (WrongTheta when it
     lacks it); if its subset differs the data is inconsistent and
     MembershipDiscrepancy is raised.  Raises SearchBudgetExceeded when
@@ -208,13 +202,6 @@ def _checked(g: GammaData, budget: int) -> tuple[Report, _Carrier]:
     return g._memo[budget]
 
 
-def _grid(axes: Sequence[Sequence[int]]) -> Iterator[tuple[int, list[list[int]]]]:
-    """Every tuple with coordinate j drawn from axes[j], in lex order, as
-    value columns in the blocks of lex_blocks: (points, columns)."""
-    for points, columns in lex_blocks([len(axis) for axis in axes]):
-        yield points, [[axis[i] for i in col] for axis, col in zip(axes, columns)]
-
-
 def _check(g: GammaData, budget: int) -> tuple[Report, _Carrier]:
     """The four conditions, each operation or term tabulated over its grid
     of ambient-index arguments; first failures are in lex order."""
@@ -235,7 +222,7 @@ def _check(g: GammaData, budget: int) -> tuple[Report, _Carrier]:
     for name, arity in g.X.signature.ops:
         if (len(Y) ** arity) > budget:
             raise SearchBudgetExceeded(f"closure check for {name!r} exceeds budget")
-        table = [y_pos.get(z) for points, args in _grid([Y] * arity)
+        table = [y_pos.get(z) for points, args in lex_grid([Y] * arity)
                  for z in ops.columns(name, args, points)]
         if None in table:
             args = table_args(len(Y), arity, table.index(None))
@@ -281,7 +268,7 @@ def _check(g: GammaData, budget: int) -> tuple[Report, _Carrier]:
             raise SearchBudgetExceeded(f"condition 3 for {name!r} exceeds budget")
         lhs: list[int] = []
         rhs: list[int] = []
-        for points, args in _grid([kz] * arity):
+        for points, args in lex_grid([kz] * arity):
             lhs += theta0(ops.columns(name, args, points))
             rhs += g.X.columns(name, list(map(theta0, args)), points)
         if lhs != rhs:
@@ -299,7 +286,7 @@ def _check(g: GammaData, budget: int) -> tuple[Report, _Carrier]:
         raise SearchBudgetExceeded("condition 4 exceeds budget")
     zero_row = space.pack((g.X.zero,) * g.n, 0)  # the ambient index of (0, .., 0, 0)
     got: list[int] = []
-    for points, args in _grid([kz] * g.n + [range(zero_row, zero_row + b_size)]):
+    for points, args in lex_grid([kz] * g.n + [range(zero_row, zero_row + b_size)]):
         got += _tabulate(g.theta.term, ops, dict(zip(g.theta.vars, args)), points)
     targets = space.fold([theta0(kz)] * g.n + [range(b_size)])
     j = next((j for j, (t, z) in enumerate(zip(targets, got))

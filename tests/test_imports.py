@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every module imports only from the layers below its own.
 
 Re-exports in ``__init__.py`` and imports under ``if TYPE_CHECKING:`` are
 exempt, as is ``from __future__ import ...``.  Starting the CLI imports no
@@ -92,3 +93,61 @@ def test_cli_start_up_imports_no_dataclasses_and_every_layer():
     assert not added & {"dataclasses", "inspect"}
     assert {"wsext.serialize", "wsext.extension", "wsext.canonical",
             "wsext.gammabuild"} <= added
+
+
+# The layers of the package, lowest first.  canonical and gammabuild share
+# one: both are clients of the action-data layer, ambient, and neither
+# imports the other.
+LAYERS = [{"errors"}, {"report"}, {"terms"}, {"algebra"}, {"ambient"}, {"extension"},
+          {"canonical", "gammabuild"}, {"serialize"}, {"cli"}, {"__main__"}]
+LAYER_OF = {module: i for i, layer in enumerate(LAYERS) for module in layer}
+
+
+def package_imports(source: str) -> set[str]:
+    """The top-level package modules that a module imports at run time."""
+    tree = ast.parse(source)
+    skipped = _type_checking_only(tree)
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = f"wsext.{node.module or ''}" if node.level else node.module
+            names = ([f"wsext.{alias.name}" for alias in node.names]
+                     if module.rstrip(".") == "wsext" else [module])
+        else:
+            continue
+        found |= {name.split(".")[1] for name in names if name.startswith("wsext.")}
+    return found
+
+
+def layering_violations(sources: dict[str, str]) -> list[str]:
+    """'module imports target' wherever target is not in a lower layer."""
+    return sorted(f"{module} imports {target}"
+                  for module, source in sources.items()
+                  for target in package_imports(source)
+                  if LAYER_OF[target] >= LAYER_OF[module])
+
+
+def test_every_module_has_a_layer():
+    assert {p.stem for p in MODULES if p.parent == PACKAGE} == set(LAYER_OF)
+
+
+def test_each_module_imports_only_from_lower_layers():
+    sources = {p.stem: p.read_text() for p in MODULES if p.parent == PACKAGE}
+    assert layering_violations(sources) == []
+
+
+def test_the_layering_check_catches_upward_and_sibling_imports():
+    sources = {
+        "gammabuild": "from .canonical import membership_by_term\n",
+        "algebra": "import wsext.ambient\nfrom wsext.errors import ToolkitError\n",
+        "canonical": ("from typing import TYPE_CHECKING\n"
+                      "if TYPE_CHECKING:\n    from .gammabuild import GammaData\n"
+                      "from . import ambient, extension\n"),
+        "report": "from wsext import terms\n",
+    }
+    assert layering_violations(sources) == [
+        "algebra imports ambient", "gammabuild imports canonical", "report imports terms"]
