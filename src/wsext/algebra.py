@@ -9,7 +9,6 @@ be any carrier index, not necessarily 0.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import product
 from math import prod
 from operator import itemgetter
@@ -19,7 +18,6 @@ from .errors import (
     ArityMismatch,
     EntryOutOfRange,
     MissingTable,
-    NotHomomorphism,
     SearchBudgetExceeded,
     SignatureMismatch,
     SizeMismatch,
@@ -311,146 +309,6 @@ def is_homomorphism(f: FnTable, A: FiniteAlgebra, B: FiniteAlgebra) -> CheckResu
         "f(op(args))": f(A.op(name, args)),
         "op(f(args))": B.op(name, tuple(map(f, args))),
     })
-
-
-def enumerate_homomorphisms(
-    A: FiniteAlgebra,
-    B: FiniteAlgebra,
-    fixed: Optional[Mapping[int, int]] = None,
-    budget: int = DEFAULT_BUDGET,
-    limit: Optional[int] = None,
-) -> list[FnTable]:
-    """All homomorphisms A -> B extending ``fixed``, in lexicographic order
-    of their value arrays.
-
-    Deterministic backtracking over positions 0..|A|-1.  A constraint
-    f(op(args)) = op(f(args)) is checked as soon as its last participating
-    element is assigned.  Each attempted assignment costs one node against
-    ``budget``.  The constraint lists need no budget of their own: they
-    hold one entry per entry of A's tables, sum over the operations of
-    |A|^arity, the size of the input itself.
-    """
-    _require_same_signature(A, B)
-    fixed = dict(fixed or {})
-    for pos, val in fixed.items():
-        if not (0 <= pos < A.size) or not (0 <= val < B.size):
-            raise SizeMismatch(f"fixed assignment {pos}->{val} out of range")
-
-    # constraints grouped by the largest element index they mention
-    by_position: list[list[tuple[str, tuple[int, ...], int]]] = [[] for _ in range(A.size)]
-    for name, arity in A.signature.ops:
-        for args in A.arg_tuples(arity):
-            result = A.op(name, args)
-            trigger = max(args + (result,)) if args else result
-            by_position[trigger].append((name, args, result))
-
-    out: list[FnTable] = []
-    assignment = [0] * A.size
-    nodes = 0
-
-    def consistent(pos: int) -> bool:
-        for name, args, result in by_position[pos]:
-            if assignment[result] != B.op(name, tuple(assignment[a] for a in args)):
-                return False
-        return True
-
-    def extend(pos: int) -> bool:
-        nonlocal nodes
-        if pos == A.size:
-            out.append(FnTable(A.size, B.size, tuple(assignment)))
-            return limit is not None and len(out) >= limit
-        candidates = (fixed[pos],) if pos in fixed else range(B.size)
-        for val in candidates:
-            nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(
-                    f"homomorphism search exceeded {budget} nodes")
-            assignment[pos] = val
-            if consistent(pos) and extend(pos + 1):
-                return True
-        return False
-
-    extend(0)
-    return out
-
-
-def _pair_tables(A: FiniteAlgebra, B: FiniteAlgebra,
-                 pairs: Sequence[tuple[int, int]]) -> dict[str, tuple]:
-    """The componentwise operations on a subset of A x B, given as its (a, b)
-    pairs in lex order: one index fold per coordinate column and operation,
-    then a lookup of each result pair; None where a result leaves the subset."""
-    position = {pair: i for i, pair in enumerate(pairs)}
-    a_col, b_col = zip(*pairs)
-    return {name: tuple(map(position.get, zip(
-                _gather(fold_indices(A.size, a_col, arity))(A.tables[name]),
-                _gather(fold_indices(B.size, b_col, arity))(B.tables[name]))))
-            for name, arity in A.signature.ops}
-
-
-def pullback_algebra(
-    A: FiniteAlgebra,
-    p: FnTable,
-    B_prime: FiniteAlgebra,
-    f: FnTable,
-    B: FiniteAlgebra,
-    budget: int = DEFAULT_BUDGET,
-) -> tuple[FiniteAlgebra, FnTable, FnTable]:
-    """The subalgebra {(a,b') : p(a) = f(b')} of A x B', with projections.
-
-    Elements are ordered lexicographically in (a, b'); the i-th element of
-    the result is ``(proj_A(i), proj_B_prime(i))``.  Raises NotHomomorphism
-    unless both maps are homomorphisms into B, then SearchBudgetExceeded
-    when the tables of the pullback, sum over the operations of
-    |P|^arity entries, would exceed ``budget``.
-    """
-    _require_same_signature(A, B)
-    _require_same_signature(B_prime, B)
-    for name, g, dom, cod in (("p", p, A, B), ("f", f, B_prime, B)):
-        res = is_homomorphism(g, dom, cod)
-        if not res:
-            raise NotHomomorphism(f"{name} is not a homomorphism: {res.counterexample}")
-    # |P| = sum over b of |p^-1(b)| * |f^-1(b)|
-    p_fibres, f_fibres = Counter(p.values), Counter(f.values)
-    size = sum(p_fibres[b] * f_fibres[b] for b in p_fibres)
-    entries = sum(size ** arity for _, arity in A.signature.ops)
-    if entries > budget:
-        raise SearchBudgetExceeded(
-            f"pullback tables need {entries} entries, budget is {budget}")
-
-    elements = [(a, bp) for a in range(A.size) for bp in range(B_prime.size)
-                if p(a) == f(bp)]
-    tables = _pair_tables(A, B_prime, elements)
-    for name, arity in A.signature.ops:
-        # closure is automatic since p and f are homomorphisms
-        if None in tables[name]:
-            args = table_args(size, arity, tables[name].index(None))
-            raise NotHomomorphism(f"pullback carrier not closed under {name!r} at "
-                                  f"{tuple(elements[i] for i in args)}")
-    P = FiniteAlgebra(A.signature, size, tables)
-    proj_A = FnTable(size, A.size, tuple(a for a, _ in elements))
-    proj_Bp = FnTable(size, B_prime.size, tuple(bp for _, bp in elements))
-    return P, proj_A, proj_Bp
-
-
-def product_algebra(A: FiniteAlgebra, B: FiniteAlgebra) -> FiniteAlgebra:
-    """Componentwise product, pairing (a,b) -> a*|B| + b: the pullback over
-    the one-element algebra, within its budget at DEFAULT_BUDGET."""
-    return pullback_algebra(A, FnTable.constant(A.size, 1, 0), B,
-                            FnTable.constant(B.size, 1, 0), trivial_algebra(A.signature))[0]
-
-
-def subalgebra_closure(A: FiniteAlgebra, generators: Sequence[int]) -> list[int]:
-    """Smallest subset of the carrier containing the generators and closed
-    under every operation (constants included), sorted ascending: each
-    round reads every operation's table at the index fold of the members."""
-    current = set(generators)
-    while True:
-        members = sorted(current)
-        for name, arity in A.signature.ops:
-            current.update(map(A.tables[name].__getitem__,
-                               fold_indices(A.size, members, arity)))
-        if len(current) == len(members):
-            return members
 
 
 # -- equations ----------------------------------------------------------------

@@ -24,16 +24,16 @@ goes to stderr.  No other code in the package writes to stdout or stderr.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import sys
 from pathlib import Path
+from types import ModuleType
 from typing import Optional
 
-from . import canonical as can
 from . import extension as ext
-from . import gammabuild as gb
 from .algebra import DEFAULT_BUDGET, FnTable, is_homomorphism
 from .ambient import ambient_space
-from .errors import FileFormatError, IotaNotInY, ToolkitError
+from .errors import FileFormatError, IotaNotInY, SectionNotHomomorphism, ToolkitError
 from .serialize import (
     _load_json,
     canonical_to_obj,
@@ -48,6 +48,27 @@ from .serialize import (
     to_text,
 )
 from .terms import ThetaSpec, format_term, parse_term
+
+
+def _lazy(name: str) -> ModuleType:
+    """The package module ``name``, registered in ``sys.modules`` but
+    executed only on its first attribute access (``LazyLoader``), so each
+    command compiles only the optional layers it runs.  A module already
+    imported is returned as it is."""
+    qualified = f"{__package__}.{name}"
+    module = sys.modules.get(qualified)
+    if module is None:
+        spec = importlib.util.find_spec(qualified)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[qualified] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+can = _lazy("canonical")
+gb = _lazy("gammabuild")
+tr = _lazy("transport")
 
 JSON_SCHEMA = "wsext.report/1"
 
@@ -248,7 +269,7 @@ def cmd_gamma_check(args) -> Outcome:
     if rep.ok and args.rebuild:
         try:
             e2, w2 = gb.build_extension_from_gamma(g, budget=args.budget)
-        except IotaNotInY as exc:
+        except (IotaNotInY, SectionNotHomomorphism) as exc:
             payload["rebuild"] = {"ok": False, "error": str(exc)}
             lines.append(f"rebuild: FAIL [{exc}]")
             code = EXIT_NEGATIVE
@@ -274,7 +295,7 @@ def cmd_pullback(args) -> Outcome:
     if witness is None:
         return _failure(EXIT_NEGATIVE, "no witness for the source extension")
 
-    e2, w2 = ext.pullback_extension(e, theta, B_prime, f, witness, budget=args.budget)
+    e2, w2 = tr.pullback_extension(e, theta, B_prime, f, witness, budget=args.budget)
     doc = extension_to_obj(e2, witness=w2, axioms=axioms)
     if args.out:
         dump_json(doc, args.out)
@@ -297,7 +318,7 @@ def cmd_pullback(args) -> Outcome:
 def cmd_product_check(args) -> Outcome:
     X = algebra_from_obj(_load_json(Path(args.algebra)), Path(args.algebra).parent)
     theta = _resolve_theta(args, X.signature)
-    res = ext.product_extension_check(X, theta, budget=args.budget)
+    res = tr.product_extension_check(X, theta, budget=args.budget)
     payload = {
         "ok": res.ok,
         "q": None if res.q is None else [list(q.values) for q in res.q],
@@ -315,12 +336,12 @@ def cmd_product_check(args) -> Outcome:
 
 def cmd_morphism_check(args) -> Outcome:
     m = load_morphism(args.morphism)
-    val = ext.validate_morphism(m)
+    val = tr.validate_morphism(m)
     payload = {"valid": val.ok, "validation": val.to_json()}
     lines = ["morphism validation:"] + _indented(val)
     if not val.ok:
         return EXIT_INVALID, payload, lines
-    surj = ext.check_morphism_surjectivity(m)
+    surj = tr.check_morphism_surjectivity(m)
     payload["surjectivity"] = surj.to_json()
     lines += ["surjectivity:"] + _indented(surj)
     return (EXIT_OK if surj.ok else EXIT_NEGATIVE), payload, lines

@@ -113,6 +113,11 @@ class IotaNotInY(ToolkitError):
     """The zero-tuple section does not land in the reconstructed carrier."""
 
 
+class SectionNotHomomorphism(ToolkitError):
+    """The zero-tuple section lands in the reconstructed carrier but is not
+    a homomorphism into the rebuilt middle algebra."""
+
+
 class InternalCheckFailed(ToolkitError):
     """A property the construction guarantees was violated; indicates a bug
     or inputs that slipped past validation."""

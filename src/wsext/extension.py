@@ -34,17 +34,13 @@ from .algebra import (
     check_equation,
     is_homomorphism,
     lex_blocks,
-    pullback_algebra,
     require_admissible,
-    subalgebra_closure,
-    table_args,
 )
 from .ambient import ambient_space
 from .errors import (
     AlphaAxiomFailed,
     ExtensionInvalid,
     InternalCheckFailed,
-    InvalidMorphism,
     KernelPreimageMissing,
     SearchBudgetExceeded,
     SignatureMismatch,
@@ -339,161 +335,3 @@ def is_schreier(e: SplitExtension, theta: ThetaSpec) -> bool:
     """
     values = phi(e, theta).values
     return len(set(values)) == len(values) == e.A.size
-
-
-def pullback_extension(
-    e: SplitExtension,
-    theta: ThetaSpec,
-    B_prime: FiniteAlgebra,
-    f: FnTable,
-    w: Witness,
-    budget: int = DEFAULT_BUDGET,
-) -> tuple[SplitExtension, Witness]:
-    """Pull the extension back along f : B' -> B and transport the witness.
-
-    The middle algebra is the pullback of p and f with elements (a, b') in
-    lexicographic order; the transported witness is q'_i(a, b') = q_i(a).
-    The result is revalidated (extension laws and witness equation).
-    Raises SearchBudgetExceeded when the pullback's tables would hold more
-    than ``budget`` entries (see ``pullback_algebra``).
-    """
-    require_valid(e)
-    require_witness(e, theta, w)
-    P, proj_A, proj_Bp = pullback_algebra(e.A, e.p, B_prime, f, e.B, budget=budget)
-    index = {(proj_A(i), proj_Bp(i)): i for i in range(P.size)}
-
-    k2 = FnTable(e.X.size, P.size,
-                 tuple(index[(e.k(x), B_prime.zero)] for x in range(e.X.size)))
-    p2 = proj_Bp
-    s2 = FnTable(B_prime.size, P.size,
-                 tuple(index[(e.s(f(b)), b)] for b in range(B_prime.size)))
-    ext = SplitExtension(e.X, P, B_prime, k2, p2, s2)
-
-    q2 = tuple(
-        FnTable(P.size, e.X.size, tuple(qi(proj_A(j)) for j in range(P.size)))
-        for qi in w.q
-    )
-    w2 = Witness(w.n, q2)
-
-    rep = validate_split_extension(ext)
-    if not rep.ok:
-        raise InternalCheckFailed("pullback extension failed validation:\n" + rep.render())
-    res = validate_witness(ext, theta, w2)
-    if not res:
-        raise InternalCheckFailed(f"transported witness fails at {res.counterexample}")
-    return ext, w2
-
-
-class ProductCheck(Record):
-    """Outcome of the product-extension condition on a kernel algebra."""
-
-    ok: bool
-    q: Optional[tuple[FnTable, ...]]
-    obstruction: Optional[int]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def product_extension_check(X: FiniteAlgebra, theta: ThetaSpec,
-                            budget: int = DEFAULT_BUDGET) -> ProductCheck:
-    """Can every x be written theta(y_1, .., y_n, 0) within X itself?
-
-    Equivalent at finite scale to X --id--> X --> 1 having a witness, and
-    hence (by pullback stability) to every product projection X x B -> B
-    having one.  theta(ys, 0) is tabulated over the |X|^n tuples ys in lex
-    order, block by block until every element is reached
-    (SearchBudgetExceeded when |X|^n exceeds ``budget``).  Returns the
-    lexicographically first choice per element, or the first unreachable
-    element.
-    """
-    require_admissible(theta, X, "kernel algebra")
-    n = theta.n
-    cost = X.size ** n
-    if cost > budget:
-        raise SearchBudgetExceeded(
-            f"product check needs {cost} evaluations, budget is {budget}")
-    first: dict[int, int] = {}  # x -> lex index of its first ys
-    offset = 0
-    for points, ys_columns in lex_blocks([X.size] * n):
-        env = dict(zip(theta.vars, ys_columns + [[X.zero] * points]))
-        for j, x in enumerate(_tabulate(theta.term, X, env, points)):
-            first.setdefault(x, offset + j)
-        if len(first) == X.size:
-            break
-        offset += points
-    missing = next((x for x in range(X.size) if x not in first), None)
-    if missing is not None:
-        return ProductCheck(False, None, missing)
-    choices = [table_args(X.size, n, first[x]) for x in range(X.size)]
-    q = tuple(FnTable(X.size, X.size, tuple(ys[i] for ys in choices)) for i in range(n))
-    return ProductCheck(True, q, None)
-
-
-# -- morphisms of extensions ---------------------------------------------------
-
-class ExtensionMorphism(Record):
-    """Three maps (f on kernels, g on middles, h on bases) between extensions."""
-
-    source: SplitExtension
-    target: SplitExtension
-    f: FnTable
-    g: FnTable
-    h: FnTable
-
-
-def validate_morphism(m: ExtensionMorphism) -> Report:
-    """Homomorphism checks plus the three commuting squares."""
-    rep = Report()
-    for name, fn, dom, cod in (("f", m.f, m.source.X, m.target.X),
-                               ("g", m.g, m.source.A, m.target.A),
-                               ("h", m.h, m.source.B, m.target.B)):
-        if fn.dom_size != dom.size or fn.cod_size != cod.size:
-            raise SizeMismatch(f"morphism component {name} has wrong endpoints")
-        res = is_homomorphism(fn, dom, cod)
-        rep.add(f"{name}_homomorphism", res.ok,
-                "" if res.ok else str(res.counterexample))
-
-    squares = (
-        ("kernel_square", m.source.k.then(m.g), m.f.then(m.target.k)),
-        ("quotient_square", m.g.then(m.target.p), m.source.p.then(m.h)),
-        ("section_square", m.source.s.then(m.g), m.h.then(m.target.s)),
-    )
-    for name, left, right in squares:
-        ok = left.values == right.values
-        rep.add(name, ok, "" if ok else f"{list(left.values)} != {list(right.values)}")
-    return rep
-
-
-def check_morphism_surjectivity(m: ExtensionMorphism) -> Report:
-    """Surjectivity of the three components, joint generation of the target
-    middle algebra, and the implication 'f and h surjective => g surjective'
-    (extremal epimorphisms of finite algebras are the surjections).
-    """
-    val = validate_morphism(m)
-    if not val.ok:
-        raise InvalidMorphism("morphism squares failed:\n" + val.render())
-
-    rep = Report()
-    f_surj = m.f.is_surjective()
-    h_surj = m.h.is_surjective()
-    g_surj = m.g.is_surjective()
-    rep.add("f_surjective", f_surj)
-    rep.add("h_surjective", h_surj)
-    rep.add("g_surjective", g_surj)
-
-    generators = sorted(set(m.source.k.then(m.g).values)
-                        | set(m.source.s.then(m.g).values))
-    closure = subalgebra_closure(m.target.A, generators)
-    jointly_generate = closure == list(range(m.target.A.size))
-    if f_surj and h_surj:
-        rep.add("joint_generation", jointly_generate,
-                "" if jointly_generate else
-                f"generated subalgebra {closure} is proper")
-        rep.add("surjection_lemma", g_surj,
-                "" if g_surj else "f, h surjective but g is not")
-    else:
-        rep.add("joint_generation", True,
-                f"not applicable (f/h not both surjective); closure size {len(closure)}")
-        rep.add("surjection_lemma", True, "not applicable (hypothesis unmet)")
-    return rep

@@ -12,11 +12,12 @@ the data valid:
   3. that embedding is a homomorphism;
   4. the coordinate projections witness the decomposition condition.
 
-When they hold and the zero-tuple section lands in Y, the subset becomes
-the middle algebra of a split extension whose witness is the tuple of
-coordinate projections.  The ambient space, the candidate operations and
-the carrier by term come from ``ambient``, the action-data layer that
-canonical forms read too; nothing here comes from ``canonical``.
+When they hold and the zero-tuple section is a homomorphism into Y, the
+subset becomes the middle algebra of a split extension whose witness is
+the tuple of coordinate projections.  The ambient space, the candidate
+operations and the carrier by term come from ``ambient``, the action-data
+layer that canonical forms read too; nothing here comes from
+``canonical``.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .algebra import (
     FnTable,
     _tabulate,
     check_equation,
+    is_homomorphism,
     lex_blocks,
     lex_grid,
     require_admissible,
@@ -46,6 +48,7 @@ from .errors import (
     MembershipDiscrepancy,
     MissingTable,
     SearchBudgetExceeded,
+    SectionNotHomomorphism,
     SignatureMismatch,
 )
 from .extension import SplitExtension, Witness, validate_split_extension, validate_witness
@@ -312,11 +315,13 @@ def build_extension_from_gamma(g: GammaData,
                                budget: int = DEFAULT_BUDGET) -> tuple[SplitExtension, Witness]:
     """Assemble the split extension over the carved-out carrier.
 
-    Raises ConditionsFailed unless all four conditions pass, and
-    IotaNotInY when some zero-tuple (0, .., 0, b) is missing from the
-    carrier (the section of the reconstructed extension is the zero-tuple
-    injection; its membership is not implied by the four conditions).
-    The result is revalidated before being returned.
+    Raises ConditionsFailed unless all four conditions pass, IotaNotInY
+    when some zero-tuple (0, .., 0, b) is missing from the carrier, and
+    SectionNotHomomorphism, with the first counterexample, when the
+    zero-tuple injection b -> (0, .., 0, b) is not a homomorphism into the
+    carrier's algebra.  That injection is the section of the reconstructed
+    extension, and the four conditions imply neither property.  The
+    result is revalidated before being returned.
     """
     rep, carrier = _checked(g, budget)
     if not rep.ok:
@@ -332,6 +337,10 @@ def build_extension_from_gamma(g: GammaData,
     k = FnTable(x_size, len(Y), carrier.k)
     p = FnTable(len(Y), b_size, tuple(z % b_size for z in Y))
     s = FnTable(b_size, len(Y), tuple(y_pos[zero_row + b] for b in range(b_size)))
+    res = is_homomorphism(s, g.B, carrier.algebra)
+    if not res:
+        raise SectionNotHomomorphism(
+            f"zero-tuple section is not a homomorphism: {res.counterexample}")
     ext = SplitExtension(g.X, carrier.algebra, g.B, k, p, s)
     coords = zip(*(g.space.unpack(z)[0] for z in Y))
     w = Witness(g.n, tuple(FnTable(len(Y), x_size, xs) for xs in coords))

@@ -15,16 +15,19 @@ import json
 import re
 from itertools import chain
 from pathlib import Path
-from typing import Any, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
 
 from .algebra import Equation, FiniteAlgebra, FnTable, Signature, make_algebra
 from .ambient import TupleSpace
-from .canonical import CanonicalExtension
 from .errors import FileFormatError
-from .extension import ExtensionMorphism, SplitExtension, Witness
-from .gammabuild import GammaData, LeafRows, distinct_rows
+from .extension import SplitExtension, Witness
 from .report import Report
 from .terms import ThetaSpec, format_term, parse_term
+
+if TYPE_CHECKING:
+    from .canonical import CanonicalExtension
+    from .gammabuild import GammaData
+    from .transport import ExtensionMorphism
 
 Source = Union[str, Path, dict]
 
@@ -332,6 +335,8 @@ def gamma_from_obj(obj: Source, base_dir: Optional[Path] = None) -> GammaData:
 
     Of the extras that canonical_to_obj writes, ``schema`` and ``n`` are
     checked against the data when present; the others are not read."""
+    from .gammabuild import GammaData, LeafRows, distinct_rows
+
     obj, base_dir = _resolve(obj, base_dir, "gamma data")
     _check_keys(obj, ["X", "B", "theta", "gamma"], ["axioms"] + _GAMMA_EXTRAS, "gamma data")
     if "schema" in obj and obj["schema"] != CANONICAL_SCHEMA:
@@ -419,6 +424,8 @@ def canonical_to_obj(
 # -- morphism files ------------------------------------------------------------------
 
 def morphism_from_obj(obj: Source, base_dir: Optional[Path] = None) -> ExtensionMorphism:
+    from .transport import ExtensionMorphism
+
     obj, base_dir = _resolve(obj, base_dir, "morphism")
     _check_keys(obj, ["source", "target", "f", "g", "h"], [], "morphism")
     source, _, _ = extension_from_obj(obj["source"], base_dir)

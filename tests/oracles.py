@@ -36,6 +36,7 @@ from wsext.errors import (
     MissingTable,
     NotHomomorphism,
     SearchBudgetExceeded,
+    SectionNotHomomorphism,
     SignatureMismatch,
     ThetaNotAdmissible,
     UnboundVariable,
@@ -792,12 +793,15 @@ def brute_force_rebuild(g, budget: int = DEFAULT_BUDGET):
     for x in range(g.X.size):
         ys = next(t for t in kernel if term_value(g.theta, g.X, t + (g.X.zero,)) == x)
         k_vals.append(y_pos[space.pack(ys, g.B.zero)])
+    A = FiniteAlgebra(g.X.signature, len(Y), tables)
+    s = FnTable(g.B.size, len(Y), tuple(y_pos[space.pack(zeros, b)] for b in range(g.B.size)))
+    res = brute_force_homomorphism(s, g.B, A)
+    if not res:
+        raise SectionNotHomomorphism(
+            f"zero-tuple section is not a homomorphism: {res.counterexample}")
     ext = SplitExtension(
-        g.X, FiniteAlgebra(g.X.signature, len(Y), tables), g.B,
-        FnTable(g.X.size, len(Y), tuple(k_vals)),
-        FnTable(len(Y), g.B.size, tuple(space.unpack(z)[1] for z in Y)),
-        FnTable(g.B.size, len(Y), tuple(y_pos[space.pack(zeros, b)]
-                                        for b in range(g.B.size))))
+        g.X, A, g.B, FnTable(g.X.size, len(Y), tuple(k_vals)),
+        FnTable(len(Y), g.B.size, tuple(space.unpack(z)[1] for z in Y)), s)
     w = Witness(g.n, tuple(FnTable(len(Y), g.X.size,
                                    tuple(space.unpack(z)[0][i] for z in Y))
                            for i in range(g.n)))

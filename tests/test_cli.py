@@ -10,9 +10,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wsext import build_canonical, cli, gammabuild, verify_isomorphism
+from wsext import (
+    build_canonical,
+    build_extension_from_gamma,
+    check_conditions,
+    cli,
+    gammabuild,
+    verify_isomorphism,
+)
 from wsext.algebra import FnTable
 from wsext.cli import main
+from wsext.errors import SectionNotHomomorphism
 from wsext.extension import SplitExtension, Witness
 from wsext.fixtures import EXTENSIONS, fixture_path
 from wsext.serialize import (
@@ -24,6 +32,7 @@ from wsext.serialize import (
 )
 
 from conftest import load_fixture, run_cli
+from oracles import brute_force_rebuild
 
 EXAMPLE = str(fixture_path("example_monoid"))
 THETA_XZY = str(fixture_path("theta_monoid_xzy"))
@@ -318,6 +327,39 @@ def test_gamma_check_rebuild_refuses_incompatible_witness(tmp_path):
     assert res2.returncode == 1
     assert "rebuild: FAIL" in res2.stdout
     assert not (tmp_path / "never.json").exists()
+
+
+def test_gamma_check_rebuild_refuses_a_section_that_is_not_a_homomorphism(tmp_path):
+    # X = B = Z_2, theta = x + y: the four conditions hold and every
+    # zero-tuple is in the carrier, but b -> (0, b) does not preserve +
+    z2 = {"signature": {"ops": [{"name": "0", "arity": 0}, {"name": "+", "arity": 2}],
+                        "constant": "0"},
+          "size": 2, "tables": {"0": 0, "+": [[0, 1], [1, 0]]}}
+    plus = [0, 0, 1, 1, 0, 1, 1, 0, 1, 1, 0, 0, 1, 0, 0, 1]
+    doc = {"X": z2, "B": z2, "theta": {"vars": ["x", "y"], "term": "(+ x y)"},
+           "gamma": {"0": [0], "+": [[[v] for v in plus[i:i + 4]] for i in range(0, 16, 4)]},
+           "axioms": [{"vars": ["a", "b", "c"], "lhs": "(+ a (+ b c))",
+                       "rhs": "(+ (+ a b) c)"}]}
+    message = ("zero-tuple section is not a homomorphism: "
+               "{'op': '+', 'args': [1, 1], 'f(op(args))': 0, 'op(f(args))': 2}")
+    g = gamma_from_obj(doc)
+    assert check_conditions(g).ok
+    for rebuild in (build_extension_from_gamma, brute_force_rebuild):
+        with pytest.raises(SectionNotHomomorphism) as exc:
+            rebuild(g)
+        assert str(exc.value) == message
+
+    path, out = tmp_path / "gamma.json", tmp_path / "never.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("gamma-check", str(path), "--rebuild", str(out))
+    assert res.returncode == 1 and res.stderr == ""
+    assert res.stdout.splitlines()[-1] == f"rebuild: FAIL [{message}]"
+    res = run_cli("gamma-check", str(path), "--rebuild", str(out), "--json")
+    assert res.returncode == 1
+    payload = json.loads(res.stdout)
+    assert all(entry["ok"] for entry in payload["conditions"])
+    assert payload["rebuild"] == {"ok": False, "error": message}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args", [

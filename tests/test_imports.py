@@ -3,10 +3,12 @@ every module imports only from the layers below its own.
 
 Re-exports in ``__init__.py`` and imports under ``if TYPE_CHECKING:`` are
 exempt, as is ``from __future__ import ...``.  Starting the CLI imports no
-module it does not need.
+module it does not need, each command executes only the layers it runs,
+and ``import wsext`` executes none while every public name still resolves.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -17,6 +19,8 @@ import pytest
 
 import wsext
 from conftest import SRC
+from wsext.cli import main
+from wsext.fixtures import fixture_path
 
 PACKAGE = Path(wsext.__file__).resolve().parent
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
@@ -80,31 +84,114 @@ def test_the_check_catches_an_unused_import():
     assert unused_imports(source) == ["product (line 2)"]
 
 
+def _probe(code: str):
+    """The JSON value that ``code`` prints, run in a fresh interpreter on
+    this checkout's sources."""
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+                         capture_output=True, text=True, check=True).stdout
+    return json.loads(out)
+
+
+# the package modules executed so far: a module registered with the CLI's
+# _lazy but not yet executed is in sys.modules, but not a plain module
+EXECUTED = ("sorted(n for n, m in sys.modules.items() "
+            "if n.startswith('wsext') and type(m) is types.ModuleType)")
+OPTIONAL = {"wsext.canonical", "wsext.gammabuild", "wsext.transport"}
+
+
 def test_cli_start_up_imports_no_dataclasses_and_every_layer():
     """``import wsext.cli`` in a fresh interpreter adds neither ``dataclasses``
     nor ``inspect``, which with ``ast``, ``dis`` and ``tokenize`` would be
-    compiled or loaded on every start of the CLI, and it loads every layer,
-    which ``perfbench/traced.py`` relies on to rebind their functions."""
-    probe = ("import json, sys; before = set(sys.modules); import wsext.cli; "
-             "print(json.dumps(sorted(set(sys.modules) - before)))")
-    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
-                         capture_output=True, text=True, check=True).stdout
-    added = set(json.loads(out))
+    compiled or loaded on every start of the CLI, and it registers every
+    layer, which ``perfbench/traced.py`` relies on to rebind their
+    functions.  The optional layers are registered but not executed."""
+    added, executed = _probe(
+        "import json, sys, types; before = set(sys.modules); import wsext.cli; "
+        f"print(json.dumps([sorted(set(sys.modules) - before), {EXECUTED}]))")
+    added = set(added)
     assert not added & {"dataclasses", "inspect"}
     assert {"wsext.serialize", "wsext.extension", "wsext.canonical",
-            "wsext.gammabuild"} <= added
+            "wsext.gammabuild", "wsext.transport"} <= added
+    assert not OPTIONAL & set(executed)
 
 
-# The layers of the package, lowest first.  canonical and gammabuild share
-# one: both are clients of the action-data layer, ambient, and neither
-# imports the other.
+def test_importing_the_package_executes_no_layer():
+    assert _probe(f"import json, sys, types, wsext; print(json.dumps({EXECUTED}))") == ["wsext"]
+
+
+BASE = ["wsext", "wsext.algebra", "wsext.ambient", "wsext.cli", "wsext.errors",
+        "wsext.extension", "wsext.report", "wsext.serialize", "wsext.terms"]
+
+
+@pytest.mark.parametrize("command,layer", [
+    ("check", None), ("canonicalize", "wsext.canonical"), ("gamma-check", "wsext.gammabuild")])
+def test_each_command_executes_only_its_layers(command, layer, tmp_path, capsys):
+    ext, theta = str(fixture_path("example_monoid")), str(fixture_path("theta_monoid_xzy"))
+    canon = tmp_path / "canon.json"
+    argv = {
+        "check": ["check", ext, "--theta", theta],
+        "canonicalize": ["canonicalize", ext, "--theta", theta, "-o", str(canon)],
+        "gamma-check": ["gamma-check", str(canon), "--rebuild", str(tmp_path / "rebuilt.json")],
+    }[command]
+    if command == "gamma-check":
+        assert main(["canonicalize", ext, "--theta", theta, "-o", str(canon)]) == 0
+        capsys.readouterr()
+    code, executed = _probe(
+        "import contextlib, io, json, sys, types\n"
+        "from wsext import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        f"print(json.dumps([code, {EXECUTED}]))")
+    assert code == 0
+    assert executed == sorted(BASE + ([layer] if layer else []))
+
+
+# the names the package exported when it imported every layer eagerly
+EXPORTS = [
+    "App", "CandidateOps", "CanonicalExtension", "CheckResult", "DEFAULT_BUDGET", "Equation",
+    "ExtensionMorphism", "FiniteAlgebra", "FnTable", "GammaData", "ProductCheck", "Report",
+    "ReportEntry", "Signature", "SplitExtension", "Term", "TermSpec", "ThetaSpec",
+    "TupleSpace", "Var", "Witness", "build_canonical", "build_extension_from_gamma",
+    "check_commuting", "check_conditions", "check_equation", "check_morphism_surjectivity",
+    "check_theta_admissible", "compute_Y", "count_witnesses", "enumerate_homomorphisms",
+    "extract_gamma", "feasible_tuples", "find_witnesses", "format_term", "gamma_table",
+    "is_homomorphism", "is_schreier", "make_algebra", "membership_by_gamma_id",
+    "membership_by_term", "parse_term", "phi", "product_algebra", "product_extension_check",
+    "psi", "pullback_algebra", "pullback_extension", "semiabelian_witness",
+    "sigma_tau_decompose", "subalgebra_closure", "trivial_algebra", "validate_morphism",
+    "validate_split_extension", "validate_witness", "verify_isomorphism",
+]
+
+
+def test_the_public_namespace_is_unchanged():
+    assert sorted(wsext.__all__) == EXPORTS
+    for name in EXPORTS:
+        module = importlib.import_module(f"wsext.{wsext._MODULE_OF[name]}")
+        value = getattr(wsext, name)
+        assert value is getattr(module, name)
+        # the table names the module that defines the name, not one that re-exports it
+        defined_in = getattr(value, "__module__", "")
+        assert not defined_in.startswith("wsext") or defined_in == module.__name__, name
+    assert set(EXPORTS) <= set(dir(wsext))
+    namespace = {}
+    exec("from wsext import *", namespace)
+    assert all(namespace[name] is getattr(wsext, name) for name in EXPORTS)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        wsext.no_such_name
+
+
+# The layers of the package, lowest first.  canonical, gammabuild and
+# transport share one: each serves its own commands, canonical and
+# gammabuild as clients of the action-data layer, ambient, and none of the
+# three imports another.
 LAYERS = [{"errors"}, {"report"}, {"terms"}, {"algebra"}, {"ambient"}, {"extension"},
-          {"canonical", "gammabuild"}, {"serialize"}, {"cli"}, {"__main__"}]
+          {"canonical", "gammabuild", "transport"}, {"serialize"}, {"cli"}, {"__main__"}]
 LAYER_OF = {module: i for i, layer in enumerate(LAYERS) for module in layer}
 
 
 def package_imports(source: str) -> set[str]:
-    """The top-level package modules that a module imports at run time."""
+    """The top-level package modules that a module imports at run time,
+    counting each module registered through the CLI's ``_lazy``."""
     tree = ast.parse(source)
     skipped = _type_checking_only(tree)
     found = set()
@@ -117,6 +204,9 @@ def package_imports(source: str) -> set[str]:
             module = f"wsext.{node.module or ''}" if node.level else node.module
             names = ([f"wsext.{alias.name}" for alias in node.names]
                      if module.rstrip(".") == "wsext" else [module])
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "_lazy"):
+            names = [f"wsext.{arg.value}" for arg in node.args if isinstance(arg, ast.Constant)]
         else:
             continue
         found |= {name.split(".")[1] for name in names if name.startswith("wsext.")}
@@ -148,6 +238,8 @@ def test_the_layering_check_catches_upward_and_sibling_imports():
                       "if TYPE_CHECKING:\n    from .gammabuild import GammaData\n"
                       "from . import ambient, extension\n"),
         "report": "from wsext import terms\n",
+        "transport": "gb = _lazy('gammabuild')\n",
     }
     assert layering_violations(sources) == [
-        "algebra imports ambient", "gammabuild imports canonical", "report imports terms"]
+        "algebra imports ambient", "gammabuild imports canonical", "report imports terms",
+        "transport imports gammabuild"]

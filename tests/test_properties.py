@@ -43,7 +43,7 @@ from wsext import (
     trivial_algebra,
 )
 
-from wsext import algebra
+from wsext import algebra, transport
 from wsext.canonical import _cross_check, membership_by_gamma_id, verify_isomorphism
 from wsext.errors import ArityMismatch, EntryOutOfRange, NotHomomorphism, ToolkitError
 from wsext.extension import (
@@ -52,7 +52,6 @@ from wsext.extension import (
     feasible_tuples,
     is_schreier,
     phi,
-    product_extension_check,
     validate_witness,
 )
 from wsext.fixtures import fixture_path
@@ -67,6 +66,7 @@ from wsext.serialize import (
     theta_from_obj,
 )
 from wsext.terms import substitute
+from wsext.transport import product_extension_check
 
 from conftest import EXTENSION_NAMES, load_fixture
 
@@ -261,7 +261,7 @@ def test_pullback_matches_the_per_entry_oracle(A, B_prime, B, data):
         return
     # past the map check, the carrier's own closure check names the first
     # result outside it; maps that keep the constants keep (0, 0') in it
-    with mock.patch.object(algebra, "is_homomorphism", lambda *_: CheckResult(True)):
+    with mock.patch.object(transport, "is_homomorphism", lambda *_: CheckResult(True)):
         got = pullback_outcome(pullback_algebra, A, p, B_prime, f, B)
     assert got == pullback_outcome(brute_force_pullback, A, p, B_prime, f, B, False)
 

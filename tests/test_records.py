@@ -19,16 +19,15 @@ from wsext.algebra import DEFAULT_BUDGET, FnTable
 from wsext.ambient import TupleSpace
 from wsext.canonical import build_canonical, sigma_tau_decompose
 from wsext.extension import (
-    ExtensionMorphism,
     SplitExtension,
     Witness,
-    product_extension_check,
     validate_split_extension,
     validate_witness,
 )
 from wsext.gammabuild import _checked, extract_gamma
 from wsext.report import Record
 from wsext.terms import TermSpec
+from wsext.transport import ExtensionMorphism, product_extension_check
 
 
 def record_classes() -> set[type]:

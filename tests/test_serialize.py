@@ -170,8 +170,8 @@ def test_action_data_is_decoded_and_checked_once_per_distinct_row(
     row_texts = {json.dumps(row) for row in json.loads(canon.read_text())["gamma"]["+"]}
 
     given = {}
-    real = S.GammaData
-    monkeypatch.setattr(S, "GammaData", lambda X, B, theta, gamma, axioms:
+    real = gammabuild.GammaData
+    monkeypatch.setattr(gammabuild, "GammaData", lambda X, B, theta, gamma, axioms:
                         given.update(gamma) or real(X, B, theta, gamma, axioms))
     checks, misses = [], []
     check_entry, missing = gammabuild._check_entry, gammabuild._Interned.__missing__
