@@ -5,11 +5,15 @@ row-major order: the entry for arguments ``(a_1, .., a_k)`` sits at index
 ``((a_1*size + a_2)*size + ..)*size + a_k``.  Every algebra carries a
 distinguished constant (the "zero" of the pointed variety); its value may
 be any carrier index, not necessarily 0.
+
+Terms are tabulated over blocks of a lex grid by two table kernels:
+``_tabulate`` over argument columns, and ``_factored``, through which
+``check_equation`` checks every identity, over each subterm's own axes.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 from math import prod
 from operator import itemgetter
 from typing import Callable, Iterator, Mapping, Optional, Sequence
@@ -95,17 +99,22 @@ def table_args(size: int, arity: int, idx: int) -> tuple[int, ...]:
     return tuple(reversed(args))
 
 
+def _axis_columns(axes: Sequence[Sequence[int]]) -> list[list[int]]:
+    """lex_columns with coordinate j drawn from axes[j]."""
+    total = stride = prod(map(len, axes))
+    columns = []
+    for axis in axes:
+        stride //= len(axis)
+        column = list(chain.from_iterable([v] * stride for v in axis))
+        columns.append(column * (total // len(column)))
+    return columns
+
+
 def lex_columns(radices: Sequence[int]) -> list[list[int]]:
     """The columns of the mixed-radix grid over ``radices`` in lex order:
     column j holds coordinate j of every grid point, the last coordinate
     varying fastest.  The grid has prod(radices) points (1 when empty)."""
-    total = stride = prod(radices)
-    columns = []
-    for r in radices:
-        stride //= r
-        column = [v for v in range(r) for _ in range(stride)]
-        columns.append(column * (total // len(column)))
-    return columns
+    return _axis_columns([range(r) for r in radices])
 
 
 # Grid points per block in lex_blocks: kernels that tabulate a term over a
@@ -113,14 +122,15 @@ def lex_columns(radices: Sequence[int]) -> list[list[int]]:
 GRID_BLOCK = 1 << 14
 
 
-def lex_blocks(radices: Sequence[int]) -> Iterator[tuple[int, list[list[int]]]]:
-    """The grid of lex_columns in consecutive blocks, in lex order.
+def _block_axes(radices: Sequence[int]) -> Iterator[list[range]]:
+    """The grid of lex_columns in consecutive blocks, in lex order, each
+    the grid of its axes: one range of values per coordinate.
 
     Each block fixes the leading coordinates, runs the trailing ones over
     their whole range (as many as fit in GRID_BLOCK points, at least none)
     and the boundary coordinate before them over a run of as many values
-    as fit as well (at least one).  Yields (points, columns) per block; an
-    empty grid (a zero radix) has no blocks.
+    as fit as well (at least one).  An empty grid (a zero radix) has no
+    blocks.
     """
     if 0 in radices:
         return
@@ -128,26 +138,28 @@ def lex_blocks(radices: Sequence[int]) -> Iterator[tuple[int, list[list[int]]]]:
     while split and points * radices[split - 1] <= GRID_BLOCK:
         split -= 1
         points *= radices[split]
-    tail = lex_columns(radices[split:])
+    tail = [range(r) for r in radices[split:]]
     if not split:
-        yield points, tail
+        yield tail
         return
     *lead, edge = radices[:split]
     run = GRID_BLOCK // points
     for head in product(*map(range, lead)):
         for start in range(0, edge, run):
-            values = range(start, min(start + run, edge))
-            size = len(values) * points
-            yield size, ([[h] * size for h in head]
-                         + [[v for v in values for _ in range(points)]]
-                         + [column * len(values) for column in tail])
+            yield [range(h, h + 1) for h in head] + [range(start, min(start + run, edge))] + tail
+
+
+def lex_blocks(radices: Sequence[int]) -> Iterator[tuple[int, list[list[int]]]]:
+    """(points, columns) of each block of _block_axes."""
+    return lex_grid([range(r) for r in radices])
 
 
 def lex_grid(axes: Sequence[Sequence[int]]) -> Iterator[tuple[int, list[list[int]]]]:
     """Every tuple with coordinate j drawn from axes[j], in lex order, as
-    value columns in the blocks of lex_blocks: (points, columns)."""
-    for points, columns in lex_blocks([len(axis) for axis in axes]):
-        yield points, [[axis[i] for i in col] for axis, col in zip(axes, columns)]
+    value columns in the blocks of _block_axes: (points, columns)."""
+    for block in _block_axes([len(axis) for axis in axes]):
+        yield prod(map(len, block)), _axis_columns(
+            [axis[r.start:r.stop] for axis, r in zip(axes, block)])
 
 
 class FiniteAlgebra(Record):
@@ -257,7 +269,10 @@ def _require_same_signature(A: FiniteAlgebra, B: FiniteAlgebra) -> None:
 def _gather(idx: Sequence[int]) -> Callable[[Sequence], tuple]:
     """A callable that reads seq[i] for every i in ``idx`` into one tuple,
     in one C-level pass (operator.itemgetter, which returns a bare item
-    rather than a tuple when given a single index)."""
+    rather than a tuple when given a single index); a range of step 1 is
+    read as one slice."""
+    if type(idx) is range and idx.step == 1:
+        return itemgetter(slice(idx.start, idx.stop))
     if len(idx) == 1:
         i = idx[0]
         return lambda seq: (seq[i],)
@@ -329,22 +344,61 @@ def check_equation(A: FiniteAlgebra, eq: Equation) -> CheckResult:
     """Exhaustively check an identity on A; the counterexample is the first
     failing assignment in lexicographic order of the variable list.
 
-    The assignments are taken in the blocks of lex_blocks: each term node is
-    tabulated over one block as one flat list, so a block holds
-    O(nodes * GRID_BLOCK) integers and every assignment is still checked.
+    The assignments are taken in the blocks of _block_axes, and each side
+    is tabulated over a block by _factored: O(nodes * GRID_BLOCK) integers
+    at a time, and every assignment is still checked.
     """
-    offset = 0
-    for points, columns in lex_blocks([A.size] * len(eq.vars)):
-        env = dict(zip(eq.vars, columns))
-        lhs = _tabulate(eq.lhs, A, env, points)
-        rhs = _tabulate(eq.rhs, A, env, points)
+    offset, every = 0, tuple(range(len(eq.vars)))
+    pos = dict(zip(eq.vars, every))
+    for axes in _block_axes([A.size] * len(eq.vars)):
+        lhs, rhs = (tuple(_spread(*_factored(side, A, pos, axes), every, axes))
+                    for side in (eq.lhs, eq.rhs))
         if lhs != rhs:
             i = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
             values = table_args(A.size, len(eq.vars), offset + i)
             return CheckResult(False, {"assignment": dict(zip(eq.vars, values)),
                                        "lhs": lhs[i], "rhs": rhs[i]})
-        offset += points
+        offset += len(lhs)
     return CheckResult(True)
+
+
+def _factored(t: Term, A: FiniteAlgebra, pos: Mapping[str, int], axes: list[range]):
+    """(vs, values): t over the lex grid of the axes of just its variables,
+    whose positions are vs, ascending.  A binary node whose first argument's
+    variables all precede its second's is an outer product of table rows;
+    other nodes spread their arguments onto one grid for _node."""
+    if isinstance(t, Var):
+        return (pos[t.name],), axes[pos[t.name]]
+    table, n = A.tables[t.op], A.size
+    args = [_factored(a, A, pos, axes) for a in t.args]
+    if not args:
+        return (), (table[0],)
+    if len(args) == 1:
+        return args[0][0], _gather(args[0][1])(table)
+    (vs, first), (ws, second) = args[:2]
+    if len(args) == 2 and not ws:
+        return vs, _gather(first)(table[second[0]::n])
+    if len(args) == 2 and (not vs or vs[-1] < ws[0]):
+        row, out = _gather(second), []
+        for u in first:
+            out += row(table[u * n:u * n + n])
+        return vs + ws, out
+    joint = tuple(sorted({i for vs, _ in args for i in vs}))
+    return joint, _node(table, n, [_spread(*arg, joint, axes) for arg in args],
+                        prod(len(axes[i]) for i in joint))
+
+
+def _spread(vs: tuple[int, ...], values: Sequence[int], joint: tuple[int, ...],
+            axes: list[range]) -> Sequence[int]:
+    """values over the grid of the axes vs, read at each point of the grid
+    of the axes joint, a superset of vs."""
+    if vs == joint:
+        return values
+    idx = [0]
+    for j in joint:
+        r = range(len(axes[j]))
+        idx = [i * len(r) + k for i in idx for k in r] if j in vs else [i for i in idx for _ in r]
+    return _gather(idx)(values)
 
 
 def check_theta_admissible(theta: TermSpec, A: FiniteAlgebra) -> CheckResult:

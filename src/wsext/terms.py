@@ -5,8 +5,9 @@ The term text format is minimal: a term is either a variable name, a
 subterms.  There is no infix syntax and no escaping; symbols are runs of
 non-whitespace, non-parenthesis ASCII characters.
 
-Terms are syntax only: their values are tabulated by the algebra module
-(``algebra._tabulate``), which checks identities with ``check_equation``.
+Terms are syntax only: their values are tabulated by the algebra module,
+over argument columns (``algebra._tabulate``) or, in ``check_equation``,
+each subterm over the axes of its own variables (``algebra._factored``).
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ defining equations directly, so they can arbitrate the optimized
 implementations on small instances.  Records are compared against the
 standard library's frozen dataclasses.  Terms are evaluated here, one
 assignment at a time, by the structural recursion of ``eval_term``; the
-library's own evaluator (``algebra._tabulate``) and the identity checks
-built on it (``check_equation``, admissibility, interchange, the alpha
-laws and the sigma/tau decomposition) are only ever compared against.
+library's own kernels (``algebra._tabulate`` and ``algebra._factored``)
+and the identity checks built on them (``check_equation``, admissibility,
+interchange, the alpha laws and the sigma/tau decomposition) are only
+ever compared against.
 """
 
 import dataclasses

@@ -1,11 +1,13 @@
-"""One term evaluator in the library: the column kernel ``algebra._tabulate``.
+"""Terms are evaluated in the library only by the table kernels of
+``algebra``: ``_tabulate`` over argument columns and ``_factored``.
 
 Every law the library checks is an ``Equation`` handed to
-``check_equation``, which tabulates both sides block by block.  No module
+``check_equation``, which tabulates both sides block by block with
+``_factored``, each subterm over the axes of its own variables.  No module
 of the package may name ``eval_term`` or call a method named ``eval``, so
-a second, per-entry evaluator cannot come back beside the kernel.  The
+a second, per-entry evaluator cannot come back beside the kernels.  The
 per-entry evaluator lives in ``tests/oracles.py``, as the reference the
-kernel is compared against.
+kernels are compared against.
 """
 
 import ast

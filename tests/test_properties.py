@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import tracemalloc
 from contextlib import contextmanager
 from itertools import product
 from math import prod
@@ -325,6 +326,17 @@ GROUP_IDENTITIES = [
     _identity("x y z", "(m x y z)", "(+ x (+ (- y) z))"),
     _identity("", "(- 0)", "0"),
     _identity("x y z", "(+ y 0)", "y"),  # x and z declared but unused
+    # every branch of the factored kernel: a declared order unlike the order
+    # of first occurrence, a variable repeated across arguments, sides over
+    # some or none of the variables, ordered ternary nodes
+    _identity("z x y", "(+ x (+ y z))", "(+ (+ x y) z)"),
+    _identity("y x", "(+ x y)", "(+ y x)"),
+    _identity("x y", "(+ x x)", "(+ x (+ x 0))"),
+    _identity("x y", "(m x y x)", "(+ x (+ (- y) x))"),
+    _identity("x y z", "(- (- y))", "(+ 0 y)"),
+    _identity("x y z", "(+ 0 0)", "(- 0)"),
+    _identity("x y z", "(+ z (- z))", "0"),
+    _identity("x y z", "(m x (+ y z) z)", "(+ x (- y))"),
 ]
 
 
@@ -353,17 +365,17 @@ def relabelled_cyclic_groups(draw):
     })
 
 
-@given(relabelled_cyclic_groups(), st.data())
-def test_check_equation_matches_oracle_on_perturbed_groups(G, data):
-    for eq in GROUP_IDENTITIES:
-        assert assert_same_result(G, eq).ok
+@given(relabelled_cyclic_groups(), GRID_BLOCKS, st.data())
+def test_check_equation_matches_oracle_on_perturbed_groups(G, points, data):
     name, arity = data.draw(st.sampled_from(SIG4.ops))
     tables = {n: list(t) for n, t in G.tables.items()}
     i = data.draw(st.integers(0, len(tables[name]) - 1))
     tables[name][i] = data.draw(st.integers(0, G.size - 1))
     perturbed = make_algebra(SIG4, G.size, tables)
-    for eq in GROUP_IDENTITIES:
-        assert_same_result(perturbed, eq)
+    with grid_block(points):
+        for eq in GROUP_IDENTITIES:
+            assert assert_same_result(G, eq).ok
+            assert_same_result(perturbed, eq)
 
 
 def test_perturbing_one_entry_breaks_an_identity():
@@ -399,6 +411,37 @@ def test_check_equation_matches_oracle_on_random_algebras(A, points, data):
     terms_ = sig4_terms(vars_)
     with grid_block(points):
         assert_same_result(A, Equation(tuple(vars_), data.draw(terms_), data.draw(terms_)))
+
+
+ASSOCIATIVITY = Equation(("x", "y", "z"), parse_term("(+ (+ x y) z)", MSIG, ["x", "y", "z"]),
+                         parse_term("(+ x (+ y z))", MSIG, ["x", "y", "z"]))
+
+
+@pytest.mark.parametrize("a", [0, 23, 24, 25])
+def test_check_equation_finds_the_first_failure_in_either_block_of_a_real_grid(a):
+    """Left projection on 26 elements with the entry (a, 1) changed to 2:
+    associativity fails first where x = a.  The 26^3 grid is two blocks
+    at the real GRID_BLOCK, x < 24 and x >= 24."""
+    assert [len(axes[0]) for axes in algebra._block_axes([26] * 3)] == [24, 2]
+    plus = [u for u in range(26) for _ in range(26)]
+    plus[a * 26 + 1] = 2
+    A = make_algebra(MSIG, 26, {"+": plus, "0": [0]})
+    res = assert_same_result(A, ASSOCIATIVITY)
+    assert not res.ok and res.counterexample["assignment"]["x"] == a
+
+
+def test_check_equation_holds_less_than_one_full_grid_list():
+    """Associativity on Z_64 has 262,144 assignments; a list of them all
+    takes 2 MB, and the kernel holds a few blocks of 16,384 at a time."""
+    Z = make_algebra(MSIG, 64, {"+": [(a + b) % 64 for a, b in product(range(64), repeat=2)],
+                                "0": [0]})
+    tracemalloc.start()
+    try:
+        assert check_equation(Z, ASSOCIATIVITY)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 ** 3 * 8
 
 
 # -- canonical action tables against the per-entry oracle -----------------------------
