@@ -2,31 +2,30 @@
 the tabulations of terms in them; the action-data layer.
 
 A tuple (x_1, .., x_n, b) is packed into a single index in mixed radix
-(|X| repeated n times, then |B|); ascending index order is exactly the
-lexicographic order on tuples, which fixes element order everywhere the
-ambient space is serialized.  ``TupleSpace`` is the one owner of this
-encoding: the index of a tuple and back, the grid radices, the index fold
-of a grid, and the kernel tuples in lex order, so that the kernel tuple
-of index z is ``kernel_tuples[z // b_size]`` and ``kernel_rows`` maps it
-back to the index of (xs, 0).
+(|X| repeated n times, then |B|), so index order is the lexicographic
+order on tuples.  ``TupleSpace`` is the one owner of this encoding: the
+index of a tuple and back, the grid radices and index fold, and the
+kernel tuples in lex order (``kernel_rows`` maps xs to the index of
+(xs, 0)).
 
 Given one "action" table per basic operation (mapping ambient argument
 tuples to the first n output coordinates), the candidate operations make
-the full ambient set into an algebra-like structure: the last coordinate
-is always computed in B.  ``CandidateOps.columns`` is the one reader of
-an action table by ambient index; terms are tabulated in the candidate
-operations by ``algebra._tabulate``, as in a finite algebra, for the
-carrier by term (``membership_by_term``) and the action table of a term
-(``gamma_table``).  ``ActionData`` gives canonical forms and raw action
-data their ambient space and candidate operations.
+the ambient set an algebra-like structure, the last coordinate computed
+in B.  An ``ActionTable`` holds a table by its leaf rows: argument tuple
+z = prefix * |S| + last is entry ``last`` of the row at ``prefix``.
+``CandidateOps.columns`` is the one reader of a table by ambient index;
+terms are tabulated in the candidate operations by ``algebra._tabulate``
+for the carrier by term (``membership_by_term``) and the action table of
+a term (``gamma_table``).  ``ActionData`` gives canonical forms and raw
+action data their ambient space and candidate operations.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
-from operator import add
-from typing import Mapping, Optional, Sequence
+from itertools import chain, product, repeat
+from operator import add, eq, getitem
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .algebra import (
     DEFAULT_BUDGET,
@@ -97,9 +96,43 @@ def ambient_space(e, n: int) -> TupleSpace:
     return TupleSpace(e.X.size, n, e.B.size)
 
 
-# gamma tables: per op, a flat tuple over ambient-index argument tuples
-# (row-major, radix = space.size), entries are n-tuples of X elements.
-GammaTables = Mapping[str, tuple[tuple[int, ...], ...]]
+class ActionTable:
+    """An action table by its distinct leaf rows: ``rows`` maps a key to a
+    row, the n-tuples over the last argument, and ``prefixes`` holds the
+    key at each tuple of leading arguments in lex order (a nullary table
+    is one row of one entry).  Indexing, ``len``, iteration and equality
+    read it as the sequence of its entries in table order."""
+
+    __slots__ = ("prefixes", "rows")
+
+    def __init__(self, prefixes: Sequence, rows: Mapping):
+        self.prefixes, self.rows = prefixes, rows
+
+    def __len__(self) -> int:
+        return sum(map(len, map(self.rows.__getitem__, self.prefixes)))
+
+    def __getitem__(self, z: int):
+        prefix, last = divmod(z, len(self.rows[self.prefixes[0]]))
+        return self.rows[self.prefixes[prefix]][last]
+
+    def __iter__(self):
+        return chain.from_iterable(map(self.rows.__getitem__, self.prefixes))
+
+    def __eq__(self, other: Sequence) -> bool:
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"ActionTable({tuple(self)!r})"
+
+
+class LeafRows(ActionTable):
+    """An action table given as its leaf rows in table order, each row one
+    row of the table, keyed by its id: equal rows may be one object."""
+
+    def __init__(self, rows: Iterable):
+        rows = list(rows)
+        keys = list(map(id, rows))
+        super().__init__(keys, dict(zip(keys, rows)))
 
 
 class CandidateOps:
@@ -109,19 +142,21 @@ class CandidateOps:
     gives the first n output coordinates, B the last.
     """
 
-    def __init__(self, space: TupleSpace, gamma: GammaTables, B: FiniteAlgebra,
-                 x_zero: int):
+    def __init__(self, space: TupleSpace, gamma: Mapping[str, ActionTable],
+                 B: FiniteAlgebra, x_zero: int):
         self.space = space
         self.gamma = gamma
         self.B = B
         self.zero_tuple = space.pack((x_zero,) * space.n, B.zero)
 
     def columns(self, name: str, args: Sequence[Sequence[int]], block: int) -> list[int]:
-        rows = map(self.space.kernel_rows.__getitem__,
-                   _node(self.gamma[name], self.space.size, args, block))
+        table = self.gamma[name]
+        # the row at each point's leading arguments, read at its last one
+        keys = _node(table.prefixes, self.space.size, args[:-1], block)
+        xs = map(getitem, map(table.rows.__getitem__, keys), args[-1] if args else repeat(0))
         b_size = self.B.size
         base = self.B.columns(name, [[z % b_size for z in col] for col in args], block)
-        return list(map(add, rows, base))
+        return list(map(add, map(self.space.kernel_rows.__getitem__, xs), base))
 
 
 class ActionData:
@@ -142,13 +177,10 @@ def membership_by_term(c: ActionData, omega: Optional[TermSpec] = None,
                        budget: int = DEFAULT_BUDGET) -> list[int]:
     """Ambient indices z whose first n coordinates are reproduced by
     evaluating ``omega`` (default: the witness term) in the candidate
-    operations with every other argument at the zero tuple.
-
-    Any term acting as the identity when its non-distinguished arguments
-    are zero defines the same subset on genuine extension data; the term
-    is validated to have that unit property on X and B (WrongTheta),
+    operations with every other argument at the zero tuple.  Any term with
+    the unit property defines the same subset on genuine extension data;
     after the budget check (SearchBudgetExceeded when |X^n x B| exceeds
-    ``budget``).
+    ``budget``), the term is checked to have it on X and B (WrongTheta).
     """
     space = c.space
     if space.size > budget:
@@ -173,7 +205,7 @@ def membership_by_term(c: ActionData, omega: Optional[TermSpec] = None,
 
 
 def gamma_table(c: ActionData, omega: TermSpec,
-                budget: int = DEFAULT_BUDGET) -> tuple[tuple[int, ...], ...]:
+                budget: int = DEFAULT_BUDGET) -> ActionTable:
     """Action table of an arbitrary term: evaluate it in the candidate
     operations over every ambient argument tuple and keep the first n
     output coordinates.  For a single basic operation this reproduces the
@@ -190,4 +222,4 @@ def gamma_table(c: ActionData, omega: TermSpec,
     for points, columns in lex_blocks([space.size] * omega.arity):
         values = _tabulate(omega.term, ops, dict(zip(omega.vars, columns)), points)
         entries += [kernel_tuples[v // b_size] for v in values]
-    return tuple(entries)
+    return LeafRows(entries[i:i + space.size] for i in range(0, len(entries), space.size))

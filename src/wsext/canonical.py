@@ -9,9 +9,7 @@ transported along the bijection; their first n output coordinates are the
 per-operation action tables (gamma), their last coordinate is computed in
 B.  This module builds that form, verifies the isomorphism, and computes
 the four-map decomposition of the binary action for the monoid witness
-term x + z + y.  The ambient space, the candidate operations and the
-carrier by term come from ``ambient``, the action-data layer that raw
-action data (``gammabuild``) reads too.
+term x + z + y.  The action-data layer is ``ambient``.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from itertools import chain, compress, repeat
 from operator import eq
 from typing import Sequence
 
-from .ambient import ActionData, ambient_space, membership_by_term
+from .ambient import ActionData, ActionTable, ambient_space, membership_by_term
 from .algebra import (
     DEFAULT_BUDGET,
     Equation,
@@ -46,6 +44,7 @@ from .extension import (
     SplitExtension,
     Witness,
     _comparison,
+    _once,
     phi,
     require_valid,
     require_witness,
@@ -54,6 +53,7 @@ from .report import Record, Report
 from .terms import App, ThetaSpec, Var
 
 
+@_once
 def psi(e: SplitExtension, w: Witness) -> FnTable:
     """Tabulate a -> (q_1(a), .., q_n(a), p(a)) as ambient indices."""
     space = ambient_space(e, w.n)
@@ -66,7 +66,7 @@ class CanonicalExtension(ActionData, Record):
 
     Y is stored as a lex-ordered tuple of (x_1, .., x_n, b) tuples; every
     FnTable whose codomain is Y uses positions in that list.  The gamma
-    tables are defined on the full ambient space, not only on Y.
+    tables are ActionTables on the full ambient space, not only on Y.
     """
 
     X: FiniteAlgebra
@@ -78,7 +78,7 @@ class CanonicalExtension(ActionData, Record):
     k_prime: FnTable
     pi_B: FnTable
     iota_B: FnTable
-    gamma: dict[str, tuple[tuple[int, ...], ...]]
+    gamma: dict[str, ActionTable]
     gamma_id: tuple[tuple[int, ...], ...]
 
     def y_algebra(self) -> FiniteAlgebra:
@@ -87,22 +87,23 @@ class CanonicalExtension(ActionData, Record):
 
 
 def _action_table(A: FiniteAlgebra, name: str, arity: int, phis: Sequence[int],
-                  q_of: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    """gamma_op(z_1, .., z_r) = q(op_A(phi z_1, .., phi z_r)), row by row.
+                  q_of: Sequence[tuple[int, ...]]) -> ActionTable:
+    """gamma_op(z_1, .., z_r) = q(op_A(phi z_1, .., phi z_r)), by its rows.
 
-    The table factors through phi: the leaf row over z_r for the A-values
-    (a_1, .., a_{r-1}) of the leading arguments is
-    q o op_A(a_1, .., a_{r-1}, -) o phi, so at most |A|^(r-1) distinct rows
-    exist.  Each is computed once from its row of A's table and the rows
-    are concatenated along the phi-fold of the leading arguments."""
+    The leaf row at the A-values (a_1, .., a_{r-1}) of the leading
+    arguments is the map q o op_A(a_1, .., a_{r-1}, -) on A read at phi, so
+    each distinct map is read once, as the row keyed by its number; phi is
+    onto, so these are the distinct leaf rows."""
     table = A.tables[name]
     if arity == 0:
-        return (q_of[table[0]],)
-    at_phi = _gather(phis)
+        return ActionTable((0,), {0: (q_of[table[0]],)})
     prefixes = fold_indices(A.size, phis, arity - 1)
-    rows = {i: _gather(at_phi(table[i * A.size:(i + 1) * A.size]))(q_of)
-            for i in set(prefixes)}
-    return tuple(chain.from_iterable(map(rows.__getitem__, prefixes)))
+    keys: dict[tuple, int] = {}  # each distinct map -> its number
+    key_of = {i: keys.setdefault(_gather(table[i * A.size:(i + 1) * A.size])(q_of), len(keys))
+              for i in dict.fromkeys(prefixes)}
+    at_phi = _gather(phis)
+    return ActionTable(list(map(key_of.__getitem__, prefixes)),
+                       {k: at_phi(f) for f, k in keys.items()})
 
 
 def build_canonical(e: SplitExtension, theta: ThetaSpec, w: Witness,
@@ -129,7 +130,7 @@ def build_canonical(e: SplitExtension, theta: ThetaSpec, w: Witness,
     phis = phi(e, theta).values
     # phi o psi = id, so psi is injective: require_witness checked both
     y_indices = sorted(psi_t.values)
-    Y = tuple(space.unpack(z)[0] + (space.unpack(z)[1],) for z in y_indices)
+    Y = tuple((*xs, b) for xs, b in map(space.unpack, y_indices))
     y_pos = {z: i for i, z in enumerate(y_indices)}
     psi_Y = [y_pos[z] for z in psi_t.values]  # psi as positions in Y
 

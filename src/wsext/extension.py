@@ -20,6 +20,7 @@ lists, elements of A in increasing index.
 
 from __future__ import annotations
 
+from functools import wraps
 from itertools import compress, cycle, islice, product
 from math import prod
 from operator import eq
@@ -77,8 +78,22 @@ class SplitExtension(Record):
             if f.dom_size != dom or f.cod_size != cod:
                 raise SizeMismatch(
                     f"{name} is {f.dom_size}->{f.cod_size}, expected {dom}->{cod}")
+        object.__setattr__(self, "_memo", {})  # see _once; not a field
 
 
+def _once(f):
+    """f(e, *args), a pure function of an extension, computed once per
+    extension and arguments however many layers ask; read the value only."""
+    @wraps(f)
+    def once(e: SplitExtension, *args):
+        key = (f, *args)
+        if key not in e._memo:
+            e._memo[key] = f(e, *args)
+        return e._memo[key]
+    return once
+
+
+@_once
 def validate_split_extension(e: SplitExtension) -> Report:
     """Check every split-extension law; failures become report entries."""
     rep = Report()
@@ -139,6 +154,7 @@ def _comparison(e: SplitExtension, theta: ThetaSpec, x_columns: Sequence[Sequenc
     return _tabulate(theta.term, e.A, dict(zip(theta.vars, columns)), len(b_column))
 
 
+@_once
 def _phi_values(e: SplitExtension, theta: ThetaSpec) -> list[int]:
     """The values of phi over the ambient tuples of X^n x B in lex order,
     block by block; theta's admissibility is the caller's to check."""
@@ -148,10 +164,15 @@ def _phi_values(e: SplitExtension, theta: ThetaSpec) -> list[int]:
     return values
 
 
+@_once
+def _admissible(e: SplitExtension, theta: ThetaSpec) -> None:
+    require_admissible(theta, e.A, "middle algebra")
+
+
 def phi(e: SplitExtension, theta: ThetaSpec) -> FnTable:
     """Tabulate the comparison map (x_1, .., x_n, b) -> theta(k x_1, .., k x_n, s b)
     over the ambient tuples of X^n x B in lex order, block by block."""
-    require_admissible(theta, e.A, "middle algebra")
+    _admissible(e, theta)
     values = _phi_values(e, theta)
     return FnTable(len(values), e.A.size, tuple(values))
 
@@ -204,7 +225,7 @@ def _fibres(e: SplitExtension, theta: ThetaSpec, normalize: bool,
     ``normalize``, the pin of 0_A to the all-zero row, which lies in its
     fibre whenever theta is admissible on A: phi(0, .., 0, p(0_A)) = 0_A.
     """
-    require_admissible(theta, e.A, "middle algebra")
+    _admissible(e, theta)
     cost = e.A.size * e.X.size ** theta.n
     if cost > budget:
         raise SearchBudgetExceeded(

@@ -14,10 +14,8 @@ the data valid:
 
 When they hold and the zero-tuple section is a homomorphism into Y, the
 subset becomes the middle algebra of a split extension whose witness is
-the tuple of coordinate projections.  The ambient space, the candidate
-operations and the carrier by term come from ``ambient``, the action-data
-layer that canonical forms read too; nothing here comes from
-``canonical``.
+the tuple of coordinate projections.  The action-data layer is
+``ambient``; nothing here comes from ``canonical``.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Optional, Sequence
 
-from .ambient import ActionData, membership_by_term
+from .ambient import ActionData, ActionTable, LeafRows, membership_by_term
 from .algebra import (
     DEFAULT_BUDGET,
     Equation,
@@ -56,37 +54,22 @@ from .report import Record, Report
 from .terms import TermSpec, ThetaSpec
 
 
-class LeafRows(tuple):
-    """An action table given as its leaf rows, in table order: the
-    innermost lists of |X^n x B| entries each, or one row of one entry for
-    a nullary operation.  Equal rows may be one shared object; GammaData
-    checks and interns each distinct row object once."""
-
-
-def distinct_rows(rows: Sequence) -> list:
-    """The distinct objects among rows, in order of first occurrence."""
-    return list(dict(zip(map(id, rows), rows)).values())
-
-
 class GammaData(ActionData, Record):
     """Raw action data: algebras, witness term, per-operation tables, axioms.
 
     Construction is the one place action tables are checked: one table per
     operation, |X^n x B|^arity entries each, every entry a sequence of n
-    exact ints in 0..|X|-1 (bool and float are rejected, not coerced).
-    A table is given flat, in table order, or as LeafRows; a flat table is
-    cut into its rows of |X^n x B| entries first.  Each distinct row
-    object is checked by type in one pass and interned once, and each
-    distinct entry is checked once, when it is first seen, so nothing is
-    built over all |X|^n kernel tuples.  A rejected table names its first
-    bad entry in table order.  Each table is stored as a flat tuple of
-    shared n-tuples; the given tables are read, never changed.
+    exact ints in 0..|X|-1 (bool and float are rejected, not coerced).  A
+    table is an ActionTable (LeafRows, say) or flat in table order.  Each
+    distinct row and entry is checked once; a rejected table names its
+    first bad entry in table order.  The rows given, read and not changed,
+    are stored as rows of shared n-tuples.
     """
 
     X: FiniteAlgebra
     B: FiniteAlgebra
     theta: ThetaSpec
-    gamma: dict[str, tuple[tuple[int, ...], ...]]
+    gamma: dict[str, ActionTable]
     axioms: tuple[Equation, ...]
 
     def __post_init__(self):
@@ -99,25 +82,28 @@ class GammaData(ActionData, Record):
         for name, arity in self.X.signature.ops:
             if name not in self.gamma:
                 raise MissingTable(f"no action table for operation {name!r}")
-            rows = self.gamma[name]
-            if not isinstance(rows, LeafRows):
-                rows = [rows[i:i + space.size] for i in range(0, len(rows), space.size)]
-            entries = sum(map(len, rows))
-            if entries != space.size ** arity:
-                raise ArityMismatch(
-                    f"action table for {name!r} has {entries} entries, "
-                    f"expected {space.size}^{arity}")
-            # in order of first occurrence, so the first bad entry found is
+            table = self.gamma[name]
+            if not isinstance(table, ActionTable):
+                table = LeafRows(table[i:i + space.size] for i in range(0, len(table), space.size))
+            # rows in order of first occurrence: the first bad entry found is
             # the first in table order
-            distinct = distinct_rows(rows)
-            # bool and float compare equal to ints, so they are ruled out
-            # by type before any entry is looked up
-            if not set(map(type, chain.from_iterable(chain.from_iterable(distinct)))) <= {int}:
-                for entry in map(tuple, chain.from_iterable(distinct)):
-                    _check_entry(name, entry, n, size)
-            intern = _Interned(name, n, size).__getitem__
-            shared = {id(row): tuple(map(intern, map(tuple, row))) for row in distinct}
-            gamma[name] = tuple(chain.from_iterable(map(shared.__getitem__, map(id, rows))))
+            keys = list(dict.fromkeys(table.prefixes))
+            distinct = list(map(table.rows.__getitem__, keys))
+            width = space.size if arity else 1
+            if len(table) != space.size ** arity or set(map(len, distinct)) != {width}:
+                raise ArityMismatch(
+                    f"action table for {name!r} has {len(table)} entries, "
+                    f"expected {space.size}^{arity}")
+            flat = list(map(tuple, chain.from_iterable(distinct)))
+            # bool and float equal ints, so with any other leaf type every
+            # entry is checked before equal entries merge
+            ints = set(map(type, chain.from_iterable(flat))) <= {int}
+            for entry in dict.fromkeys(flat) if ints else flat:
+                _check_entry(name, entry, n, size)
+            shared = dict(zip(flat, flat))
+            gamma[name] = ActionTable(table.prefixes, {
+                key: tuple(map(shared.__getitem__, flat[i * width:(i + 1) * width]))
+                for i, key in enumerate(keys)})
         extra = set(self.gamma) - set(self.X.signature.op_names())
         if extra:
             raise SignatureMismatch(f"action tables for unknown operations {sorted(extra)}")
@@ -128,23 +114,6 @@ class GammaData(ActionData, Record):
     @property
     def n(self) -> int:
         return self.theta.n
-
-
-class _Interned(dict):
-    """The action entries of one table seen so far, each keyed by itself: a
-    lookup returns the one shared tuple for all equal entries.  A miss
-    checks the entry and stores it, so the dict grows with the distinct
-    entries of the input, not with |X|^n, and the first bad entry in
-    table order is the one named."""
-
-    def __init__(self, name: str, n: int, size: int):
-        super().__init__()
-        self.name, self.n, self.size = name, n, size
-
-    def __missing__(self, entry: tuple) -> tuple:
-        _check_entry(self.name, entry, self.n, self.size)
-        self[entry] = entry
-        return entry
 
 
 def _check_entry(name: str, entry: tuple, n: int, size: int) -> None:

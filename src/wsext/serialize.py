@@ -15,10 +15,10 @@ import json
 import re
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence, Union
 
 from .algebra import Equation, FiniteAlgebra, FnTable, Signature, make_algebra
-from .ambient import TupleSpace
+from .ambient import ActionTable, LeafRows, TupleSpace
 from .errors import FileFormatError
 from .extension import SplitExtension, Witness
 from .report import Report
@@ -44,15 +44,19 @@ def _check_keys(obj: dict, required: Sequence[str], optional: Sequence[str], wha
 
 
 def _load_json(path: Path) -> Any:
-    """The document in a file.  Equal row lines decode to one shared list
-    (see _decode_shared_rows), so the document is read-only."""
+    """The document in a file, read line by line; equal row lines decode to
+    one shared list (_decode_shared_rows), so the document is read-only."""
     try:
+        try:
+            with open(path) as lines:
+                doc = _decode_shared_rows(lines)
+        except UnicodeDecodeError:
+            doc = None  # read_text names the bad byte by its place in the file
+        if doc is not None:
+            return doc
         text = path.read_text()
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the name
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
-    doc = _decode_shared_rows(text)
-    if doc is not None:
-        return doc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -62,60 +66,64 @@ def _load_json(path: Path) -> Any:
 
 
 # A line that holds one whole array and no string, such as a leaf row of
-# dump_json's layout: (indent, array text, trailing comma and blanks).
-_ROW_LINE = re.compile(r'([ \t]*)(\[[^"]*\])([ \t]*,?[ \t\r]*)')
+# dump_json's layout: (indent, array text, the rest of the line).
+_ROW_LINE = re.compile(r'([ \t]*)(\[[^"]*\])([ \t]*,?[ \t\r]*\n?)')
 # the key of the object that stands for a shared row in the skeleton text
 _ROW_REF = "\u0000row"
 
 
-def _decode_shared_rows(text: str) -> Any:
+def _decode_shared_rows(lines: Iterable[str]) -> Any:
     """The document with each distinct row text decoded once, or None when
     the text has no row line or anything is in doubt (the caller then
-    decodes the whole text, so every error is json.loads' own).  A
-    document decoded here holds a row, so it is never None itself.
+    decodes the whole text, so every error is json.loads' own).
 
-    A row line is a line that holds exactly one JSON array and no string
-    (see _ROW_LINE).  JSON strings cannot span lines, so such an array is
-    outside every string, and swapping it for an object that references
-    its decoded value leaves a skeleton text that parses exactly when the
-    text does, to the same document.  Each distinct row text is decoded
-    once, and every place it occurs holds that one list: the document is
-    equal to json.loads(text), but it is read-only.  Arrays that span
-    lines, or share a line with anything else, are decoded in place.
+    A row line holds exactly one JSON array and no string (_ROW_LINE).
+    JSON strings cannot span lines, so such an array is outside every
+    string, and swapping it for an object that references its decoded
+    value leaves a skeleton text that parses exactly when the text does,
+    to the same document.  Other arrays are decoded in place.
     """
-    lines = text.split("\n")
     rows: list = []
     row_ids: dict[str, int] = {}
-    skeleton: dict[str, str] = {}
-    for line in dict.fromkeys(lines):
+
+    def reference(line: str) -> Optional[str]:
         match = _ROW_LINE.fullmatch(line)
         if match is None:
-            continue
+            return None
         indent, row, tail = match.groups()
         if row not in row_ids:
             try:
                 rows.append(json.loads(row))
             except (ValueError, RecursionError):
-                continue
+                return None
             row_ids[row] = len(rows) - 1
-        skeleton[line] = f"{indent}{{{json.dumps(_ROW_REF)}: {row_ids[row]}}}{tail}"
-    if not skeleton:
+        return f"{indent}{{{json.dumps(_ROW_REF)}: {row_ids[row]}}}{tail}"
+
+    refs: dict[str, Optional[str]] = {}  # each distinct line -> its reference
+    skeleton: list[str] = []
+    made = 0
+    for line in lines:
+        if line not in refs:
+            refs[line] = reference(line)
+        ref = refs[line]
+        skeleton.append(line if ref is None else ref)
+        made += ref is not None
+    if not made:
         return None
-    refs = 0
 
     def resolve(obj: dict) -> Any:
-        nonlocal refs
+        nonlocal made
         if _ROW_REF not in obj:
             return obj
-        refs += 1
+        made -= 1
         return rows[obj[_ROW_REF]]
 
     try:
-        doc = json.loads("\n".join(map(skeleton.get, lines, lines)), object_hook=resolve)
+        doc = json.loads("".join(skeleton), object_hook=resolve)
     except (ValueError, RecursionError, LookupError, TypeError):
         return None
     # a document object keyed like a reference shows as one reference too many
-    return doc if refs == sum(map(skeleton.__contains__, lines)) else None
+    return doc if made == 0 else None
 
 
 def _resolve(obj: Source, base_dir: Optional[Path], what: str) -> tuple[Any, Optional[Path]]:
@@ -138,7 +146,8 @@ def _int(value: Any, what: str) -> int:
 
 
 def _require_lists(level: Sequence, size: int, what: str) -> None:
-    if not (set(map(type, level)) <= {list} and set(map(len, level)) <= {size}):
+    # canonical_to_obj's documents hold their rows as _Rows
+    if not (set(map(type, level)) <= {list, _Row} and set(map(len, level)) <= {size}):
         raise FileFormatError(f"{what}: expected a list of length {size}")
 
 
@@ -324,18 +333,15 @@ _GAMMA_EXTRAS = ["schema", "n", "Y", "ops_Y", "k_prime", "pi_B", "iota_B",
 
 
 def gamma_from_obj(obj: Source, base_dir: Optional[Path] = None) -> GammaData:
-    """Action data from a document.  Only the JSON structure is checked here
-    (nesting lengths, list leaves), in whole-level passes down to the leaf
-    rows (the innermost lists of entries), then once per distinct row
-    object: a document from _load_json holds each distinct row text as one
-    shared list, so the row checks cost what the distinct rows cost.  The
-    rows go to GammaData as LeafRows, which checks the tables themselves:
-    missing and unknown operations, entry lengths, and entry values.  The
-    document is read, never changed.
+    """Action data from a document, which is read, never changed.  Only the
+    JSON structure is checked here, level by level down to the leaf rows
+    (the innermost lists of entries), then once per distinct row object (a
+    document from _load_json shares each distinct row text).  The rows go
+    to GammaData as LeafRows, which checks the tables themselves.
 
     Of the extras that canonical_to_obj writes, ``schema`` and ``n`` are
     checked against the data when present; the others are not read."""
-    from .gammabuild import GammaData, LeafRows, distinct_rows
+    from .gammabuild import GammaData
 
     obj, base_dir = _resolve(obj, base_dir, "gamma data")
     _check_keys(obj, ["X", "B", "theta", "gamma"], ["axioms"] + _GAMMA_EXTRAS, "gamma data")
@@ -355,14 +361,14 @@ def gamma_from_obj(obj: Source, base_dir: Optional[Path] = None) -> GammaData:
         if name in gamma:
             what = f"gamma {name!r}"
             # a nullary table is one bare entry: one row of one entry
-            rows = (_flatten_table(gamma[name], ambient, arity - 1, what) if arity
-                    else [[gamma[name]]])
-            distinct = distinct_rows(rows)
+            table = LeafRows(_flatten_table(gamma[name], ambient, arity - 1, what) if arity
+                             else [[gamma[name]]])
+            distinct = table.rows.values()
             if arity:
                 _require_lists(distinct, ambient, what)
             if not set(map(type, chain.from_iterable(distinct))) <= {list}:
                 raise FileFormatError(f"{what}: entries must be lists of {theta.n} integers")
-            gamma[name] = LeafRows(rows)
+            gamma[name] = table
     axioms = equations_from_obj(obj.get("axioms", []), X.signature)
     return GammaData(X, B, theta, gamma, axioms)
 
@@ -374,30 +380,26 @@ def canonical_to_obj(
 ) -> dict:
     """Canonical form as a document that gamma_from_obj can read back.
 
-    The gamma tables and gamma_id share sublists: equal n-tuples are one
-    list, and equal leaf rows (the innermost lists of a table) are one list
-    of those, so a table costs one list per distinct row, not one per
-    entry.  The document is equal to one with no sharing, but a change
-    made through one reference shows at every place the list occurs:
-    treat it as read-only.
+    In the gamma tables and gamma_id equal n-tuples are one list, and each
+    distinct row of a table is one _Row of those, so a table costs one list
+    per distinct row, not one per entry.  The document is equal to one with
+    no sharing, but it is read-only: a change shows at every place the list
+    occurs, and not in the text dump_json writes.
     """
     ambient = c.space.size
     entries: dict[tuple[int, ...], list[int]] = {}
-    rows: dict[tuple, list] = {}
 
-    def leaf(row: tuple) -> list:
-        shared = rows.get(row)
-        if shared is None:
-            for t in set(row).difference(entries):
-                entries[t] = list(t)
-            shared = rows[row] = list(map(entries.__getitem__, row))
+    def leaf(row: Sequence[tuple[int, ...]]) -> _Row:
+        for t in set(row).difference(entries):
+            entries[t] = list(t)
+        shared = _Row(map(entries.__getitem__, row))
+        shared.text = json.dumps(shared)
         return shared
 
-    def nested(table: tuple, arity: int) -> Any:
-        if arity == 0:
-            return leaf(table)[0]
-        leaves = [leaf(table[i:i + ambient]) for i in range(0, len(table), ambient)]
-        return _nest_table(leaves, ambient, arity - 1)
+    def nested(table: ActionTable, arity: int) -> Any:
+        leaves = {key: leaf(row) for key, row in table.rows.items()}
+        rows = list(map(leaves.__getitem__, table.prefixes))
+        return rows[0][0] if arity == 0 else _nest_table(rows, ambient, arity - 1)
 
     obj = {
         "schema": CANONICAL_SCHEMA,
@@ -455,40 +457,45 @@ def hom_from_obj(obj: Source, base_dir: Optional[Path] = None) -> tuple[FiniteAl
     return B_prime, [_int(v, "f") for v in values]
 
 
-def _rows(obj: Any, pad: str, memo: dict[int, str]) -> str:
-    """JSON text of ``obj``: dicts, lists of dicts and lists of lists of
-    containers are laid out as by ``indent=2``; any other list is a leaf row
-    (one gamma row, one algebra table row, Y) written on one line.  The
-    layout is decided from the first element, so the Python-level work is
-    per row and the C encoder writes the entries.  ``memo`` maps id(row) to
-    the row's text, so a leaf row that occurs at many places in ``obj`` (as
-    canonical_to_obj shares them) is encoded once."""
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = pad + "  "
-        items = [f"{inner}{json.dumps(k)}: {_rows(v, inner, memo)}" for k, v in obj.items()]
+class _Row(list):
+    """A leaf row held at many places, with its JSON text encoded once."""
+
+    __slots__ = ("text",)
+
+
+def _write(obj: Any, pad: str, out: list[str]) -> None:
+    """Append the JSON text of ``obj`` to ``out``: dicts, lists of dicts and
+    lists of lists of containers are laid out as by ``indent=2``; any other
+    list is a leaf row (one gamma row, one algebra table row, Y) written on
+    one line, a _Row as its text.  The layout is decided from the first
+    element, so the Python-level work is per row."""
+    if isinstance(obj, dict) and obj:
+        items, brackets = [(json.dumps(k) + ": ", v) for k, v in obj.items()], "{}"
     elif (isinstance(obj, list) and obj
           and (isinstance(obj[0], dict)
                or (isinstance(obj[0], list) and obj[0]
                    and isinstance(obj[0][0], (list, dict))))):
-        inner = pad + "  "
-        items = [inner + _rows(v, inner, memo) for v in obj]
+        items, brackets = [("", v) for v in obj], "[]"
     else:
-        text = memo.get(id(obj))
-        if text is None:
-            text = memo[id(obj)] = json.dumps(obj)
-        return text
-    opening, closing = ("{", "}") if isinstance(obj, dict) else ("[", "]")
-    return opening + "\n" + ",\n".join(items) + "\n" + pad + closing
+        out.append(obj.text if type(obj) is _Row else json.dumps(obj))
+        return
+    inner, separator = pad + "  ", brackets[0] + "\n"
+    for key, value in items:
+        out.append(separator + inner + key)
+        _write(value, inner, out)
+        separator = ",\n"
+    out.append("\n" + pad + brackets[1])
 
 
 def dump_json(obj: Any, path: Union[str, Path]) -> None:
-    """Write a document with one leaf row per line (see _rows)."""
-    # obj holds every object that memo keys on, so no id is reused meanwhile
-    text = _rows(obj, "", {}) + "\n"
+    """Write a document with one leaf row per line (see _write), piece by
+    piece: the text of a row shared at many places is held once."""
+    out: list[str] = []
+    _write(obj, "", out)
+    out.append("\n")
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as f:
+            f.writelines(out)
     except OSError as exc:
         raise FileFormatError(f"cannot write {path}: {exc}") from exc
 

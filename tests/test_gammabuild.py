@@ -159,7 +159,8 @@ def test_shared_rows_name_the_first_bad_entry_in_table_order(bad_a, bad_b, error
     # sits earlier in its row, so only table order names a's
     e, w, theta, c, g = extracted("example_monoid")
     size = g.space.size
-    rows = [list(map(list, g.gamma["+"][i:i + size])) for i in range(0, size ** 2, size)]
+    table = list(g.gamma["+"])
+    rows = [list(map(list, table[i:i + size])) for i in range(0, size ** 2, size)]
     a, b = rows[0], rows[1]
     a[3], b[0] = list(bad_a), list(bad_b)
     table = LeafRows([a, b, a] + rows[3:])

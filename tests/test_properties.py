@@ -447,6 +447,7 @@ def test_check_equation_holds_less_than_one_full_grid_list():
 # -- canonical action tables against the per-entry oracle -----------------------------
 
 USIG = Signature((("+", 2), ("-", 1), ("0", 0)), "0")
+TSIG = Signature((("+", 2), ("t", 3), ("-", 1), ("0", 0)), "0")
 THETAS = {
     1: ThetaSpec(("x", "y"), parse_term("(+ x y)", USIG, ["x", "y"])),
     2: ThetaSpec(("x1", "x2", "y"), parse_term("(+ x1 (+ y x2))", USIG, ["x1", "x2", "y"])),
@@ -454,15 +455,18 @@ THETAS = {
 
 
 @st.composite
-def unital_algebras(draw, max_size):
-    """USIG algebras on {0..size-1} where 0 is a two-sided unit of + and a
-    fixed point of -; every other entry is free."""
+def unital_algebras(draw, max_size, sig=USIG):
+    """USIG (or TSIG) algebras on {0..size-1} where 0 is a two-sided unit
+    of + and a fixed point of - (and of t); every other entry is free."""
     size = draw(st.integers(1, max_size))
     entries = st.integers(0, size - 1)
     plus = [a if b == 0 else b if a == 0 else draw(entries)
             for a, b in product(range(size), repeat=2)]
     minus = [0] + [draw(entries) for _ in range(size - 1)]
-    return make_algebra(USIG, size, {"+": plus, "-": minus, "0": [0]})
+    tables = {"+": plus, "-": minus, "0": [0]}
+    if sig is TSIG:
+        tables["t"] = [0] + [draw(entries) for _ in range(size ** 3 - 1)]
+    return make_algebra(sig, size, tables)
 
 
 @given(unital_algebras(3), unital_algebras(2), st.sampled_from(sorted(THETAS)), st.data())
@@ -478,6 +482,30 @@ def test_gamma_matches_oracle_on_product_extensions(X, B, n, data):
     w = data.draw(st.sampled_from(find_witnesses(e, theta, limit=4)))
     c = build_canonical(e, theta, w)
     assert (c.gamma, c.gamma_id) == brute_force_gamma(e, theta, w)
+
+
+@given(unital_algebras(3, TSIG), unital_algebras(2, TSIG), st.sampled_from(sorted(THETAS)), st.data())
+@settings(max_examples=40, deadline=None)
+def test_action_tables_read_as_the_oracles_flat_tables(X, B, n, data):
+    # every arity from 0 to 3: indexing, len, iteration and equality read
+    # the rows as the flat table, and a table differing in one entry differs
+    e = product_extension(X, B)
+    theta = THETAS[n]
+    w = data.draw(st.sampled_from(find_witnesses(e, theta, limit=4)))
+    c = build_canonical(e, theta, w)
+    gamma, _ = brute_force_gamma(e, theta, w)
+    size = c.space.size
+    for name, arity in TSIG.ops:
+        table, flat = c.gamma[name], gamma[name]
+        assert len(table) == len(flat) == size ** arity
+        assert [table[z] for z in range(len(flat))] == list(table) == list(flat)
+        assert table == flat and flat == table and not table != flat
+        assert len(table.prefixes) == size ** max(arity - 1, 0)
+        assert len(table.rows) <= e.A.size ** max(arity - 1, 0)
+        z = data.draw(st.integers(0, len(flat) - 1))
+        other = (flat[z][0] + 1,) + flat[z][1:]
+        assert table != flat[:z] + (other,) + flat[z + 1:]
+        assert table != flat[:-1]
 
 
 # -- action-data entry checks against the per-entry oracle ----------------------------
@@ -908,6 +936,12 @@ def cyclic_group(m: int):
                                   "-": [(-u) % m for u in range(m)], "0": [0]})
 
 
+def ternary_group(m: int):
+    """Z_m over TSIG: cyclic_group with the ternary t(x, y, z) = x - y + z."""
+    return make_algebra(TSIG, m, {**cyclic_group(m).tables, "t": [
+        (u - v + w) % m for u, v, w in product(range(m), repeat=3)]})
+
+
 GSIG = Signature((("*", 2), ("inv", 1), ("e", 0)), "e")
 GROUP_THETA = ThetaSpec(("x", "y"), parse_term("(* x y)", GSIG, ["x", "y"]))
 
@@ -934,16 +968,20 @@ def dihedral_extension(m: int) -> SplitExtension:
 @st.composite
 def canonical_cases(draw, max_product_m=5):
     """(e, theta, w, axioms): a product family Z_m -> Z_m^2 -> Z_m with the
-    sum term of n kernel arguments and a witness drawn fibre by fibre, a
+    sum term of n kernel arguments and a witness drawn fibre by fibre (over
+    USIG, or over TSIG, whose ternary t has a prefix index over |S|^2), a
     dihedral family, or a bundled fixture with one of its first witnesses.
     Every signature has a binary, a unary or a nullary operation."""
-    kind = draw(st.sampled_from(["product", "dihedral", "fixture"]))
-    if kind == "product":
+    kind = draw(st.sampled_from(["product", "ternary", "dihedral", "fixture"]))
+    if kind in ("product", "ternary"):
         # sampled, not drawn as integers, so that the largest family
-        # (5^8 binary entries at m=5, n=3) is no likelier than the others
+        # (5^8 binary entries at m=5, n=3; 9^3 ternary ones) is no likelier
+        # than the others
         m, n = draw(st.sampled_from([(m, n) for m in range(2, max_product_m + 1)
-                                     for n in (1, 2, 3)]))
-        e, theta = product_extension(cyclic_group(m), cyclic_group(m)), sum_theta(n)
+                                     for n in (1, 2, 3)] if kind == "product"
+                                    else [(2, 1), (2, 2), (3, 1)]))
+        group = cyclic_group if kind == "product" else ternary_group
+        e, theta = product_extension(group(m), group(m)), sum_theta(n)
         T = feasible_tuples(e, theta)
         choice = [draw(st.sampled_from(ts)) for ts in T]
         w = Witness(n, tuple(FnTable(e.A.size, m, tuple(xs[i] for xs in choice))
@@ -1005,7 +1043,10 @@ def corrupt(c, data):
         j = pick(table)
         table[j] = data.draw(kernel_tuple if field == "gamma"
                              else st.integers(0, len(c.Y) - 1))
-        return replace(c, **{field: {**getattr(c, field), name: tuple(table)}})
+        size = c.space.size
+        table = (LeafRows(table[i:i + size] for i in range(0, len(table), size))
+                 if field == "gamma" else tuple(table))
+        return replace(c, **{field: {**getattr(c, field), name: table}})
     if field == "gamma_id":
         table = list(c.gamma_id)
         table[pick(table)] = data.draw(kernel_tuple)
@@ -1286,9 +1327,21 @@ def test_row_sharing_reader_matches_the_whole_document_oracle(case, data):
         path.write_bytes(layout(faulty_doc(doc, data), data, Path(tmp)))
         got = read_outcome(lambda: gamma_from_obj(_load_json(path), path.parent))
         expected = read_outcome(lambda: per_entry_read_gamma(path))
+        shared = read_outcome(lambda: _load_json(path))
     if isinstance(got, GammaData):
         assert (got.gamma, got.axioms) == expected
-        for table in got.gamma.values():
+        for (name, arity), flat in zip(got.X.signature.ops, expected[0].values()):
+            table = got.gamma[name]
             assert len(set(map(id, table))) == len(set(table))
+            # the stored rows, one per row object the reader handed over,
+            # are the oracle's flat table cut at the prefixes
+            level = [shared["gamma"][name]]
+            for _ in range(arity - 1):
+                level = [row for sub in level for row in sub]
+            assert len(table.rows) == len(set(map(id, level)))
+            width = len(flat) // len(table.prefixes)
+            assert [table.rows[k] for k in table.prefixes] == \
+                [flat[i:i + width] for i in range(0, len(flat), width)]
+            assert {type(row) for row in table.rows.values()} == {tuple}
     else:
         assert got == expected

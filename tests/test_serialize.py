@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -6,9 +7,12 @@ from wsext import (
     FnTable,
     Signature,
     SplitExtension,
+    ThetaSpec,
     build_canonical,
+    find_witnesses,
     gammabuild,
     make_algebra,
+    parse_term,
     product_algebra,
 )
 from wsext import serialize as S
@@ -144,20 +148,45 @@ def test_malformed_json_reports_file_error(tmp_path):
         load_algebra(bad)
 
 
+PSIG = Signature((("+", 2), ("0", 0)), "0")
+PRODUCT_THETA = ThetaSpec(("x1", "x2", "y"), parse_term("(+ x1 (+ y x2))", PSIG, ["x1", "x2", "y"]))
+
+
+def product_family(m: int) -> SplitExtension:
+    """Z_m -> Z_m x Z_m -> Z_m; with the term x1 + y + x2, n = 2 and
+    |X^n x B| = m^3."""
+    Z = make_algebra(PSIG, m, {"+": [(u + v) % m for u in range(m) for v in range(m)],
+                               "0": [0]})
+    return SplitExtension(Z, product_algebra(Z, Z), Z,
+                          FnTable(m, m * m, tuple(x * m for x in range(m))),
+                          FnTable(m * m, m, tuple(a % m for a in range(m * m))),
+                          FnTable(m, m * m, tuple(range(m))))
+
+
 def product_family_files(tmp_path, m: int):
-    """ext.json and theta.json of Z_m -> Z_m x Z_m -> Z_m with the term
-    x1 + y + x2 (n = 2, |X^n x B| = m^3)."""
-    sig = Signature((("+", 2), ("0", 0)), "0")
-    Z = make_algebra(sig, m, {"+": [(u + v) % m for u in range(m) for v in range(m)],
-                              "0": [0]})
-    e = SplitExtension(Z, product_algebra(Z, Z), Z,
-                       FnTable(m, m * m, tuple(x * m for x in range(m))),
-                       FnTable(m * m, m, tuple(a % m for a in range(m * m))),
-                       FnTable(m, m * m, tuple(range(m))))
+    """ext.json and theta.json of the product family with x1 + y + x2."""
     ext, theta = tmp_path / "ext.json", tmp_path / "theta.json"
-    dump_json(extension_to_obj(e), ext)
+    dump_json(extension_to_obj(product_family(m)), ext)
     theta.write_text(json.dumps({"vars": ["x1", "x2", "y"], "term": "(+ x1 (+ y x2))"}))
     return ext, theta
+
+
+def test_the_canonical_form_and_its_document_hold_no_flat_table():
+    """At m = 10 the + table has 10^6 entries, so one flat table of them
+    takes 8 MB of pointers; the canonical form and its document hold the
+    table's 10 distinct rows of 1000 entries and an index of 1000 rows."""
+    e = product_family(10)
+    w = find_witnesses(e, PRODUCT_THETA, limit=1)[0]
+    tracemalloc.start()
+    try:
+        c = build_canonical(e, PRODUCT_THETA, w)
+        doc = canonical_to_obj(c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(c.gamma["+"]) == 10 ** 6 and len(c.gamma["+"].rows) == 10
+    assert len(doc["gamma"]["+"]) == 1000 and len(set(map(id, doc["gamma"]["+"]))) == 10
+    assert peak < 10 ** 6 * 8
 
 
 def test_action_data_is_decoded_and_checked_once_per_distinct_row(
@@ -173,22 +202,24 @@ def test_action_data_is_decoded_and_checked_once_per_distinct_row(
     real = gammabuild.GammaData
     monkeypatch.setattr(gammabuild, "GammaData", lambda X, B, theta, gamma, axioms:
                         given.update(gamma) or real(X, B, theta, gamma, axioms))
-    checks, misses = [], []
-    check_entry, missing = gammabuild._check_entry, gammabuild._Interned.__missing__
+    checks = []
+    check_entry = gammabuild._check_entry
     monkeypatch.setattr(gammabuild, "_check_entry",
                         lambda *args: checks.append(args) or check_entry(*args))
-    monkeypatch.setattr(gammabuild._Interned, "__missing__",
-                        lambda self, entry: misses.append(entry) or missing(self, entry))
     g = gamma_from_obj(S._load_json(canon), canon.parent)
 
     # the + table reaches GammaData as its m^3 leaf rows, one object per
     # distinct row text
     rows = given["+"]
-    assert isinstance(rows, gammabuild.LeafRows) and len(rows) == m ** 3
-    assert len(set(map(id, rows))) == len(row_texts) < m ** 3
-    # each distinct entry of each table is checked and interned once
+    assert isinstance(rows, gammabuild.LeafRows) and len(rows.prefixes) == m ** 3
+    assert len(rows.rows) == len(set(map(id, rows.rows.values()))) == len(row_texts) < m ** 3
+    # each distinct entry of each table is checked once, and stored as one
+    # shared tuple in the distinct rows of the table given
     distinct_entries = sum(len(set(table)) for table in g.gamma.values())
-    assert len(checks) == len(misses) == distinct_entries
+    assert len(checks) == distinct_entries
+    for table in g.gamma.values():
+        assert len(set(map(id, table))) == len(set(table))
+    assert len(g.gamma["+"].rows) == len(row_texts)
 
 
 @pytest.mark.parametrize("placed", [
