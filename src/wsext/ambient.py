@@ -38,7 +38,7 @@ from .algebra import (
     table_index,
 )
 from .errors import ArityMismatch, EntryOutOfRange, SearchBudgetExceeded, WrongTheta
-from .report import Record
+from .report import CheckResult, Record, _once
 from .terms import TermSpec
 
 
@@ -173,6 +173,17 @@ class ActionData:
         return CandidateOps(self.space, self.gamma, self.B, self.X.zero)
 
 
+@_once
+def _unit_law(c: ActionData, omega: TermSpec) -> Optional[tuple[str, CheckResult]]:
+    """(label, check result) at the first of X ("kernel") and B ("base")
+    where omega(0, .., 0, x) = x fails; None if neither."""
+    for alg, label in ((c.X, "kernel"), (c.B, "base")):
+        res = check_theta_admissible(omega, alg)
+        if not res:
+            return label, res
+    return None
+
+
 def membership_by_term(c: ActionData, omega: Optional[TermSpec] = None,
                        budget: int = DEFAULT_BUDGET) -> list[int]:
     """Ambient indices z whose first n coordinates are reproduced by
@@ -187,10 +198,10 @@ def membership_by_term(c: ActionData, omega: Optional[TermSpec] = None,
         raise SearchBudgetExceeded(
             f"membership test needs {space.size} ambient tuples, budget is {budget}")
     omega = omega or c.theta
-    for alg, label in ((c.X, "kernel"), (c.B, "base")):
-        if not check_theta_admissible(omega, alg):
-            raise WrongTheta(
-                f"membership term lacks the unit property on the {label} algebra")
+    failure = _unit_law(c, omega)
+    if failure:
+        raise WrongTheta(
+            f"membership term lacks the unit property on the {failure[0]} algebra")
     ops = c.candidate_ops()
     b_size = space.b_size
     members, start = [], 0

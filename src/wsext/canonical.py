@@ -44,12 +44,11 @@ from .extension import (
     SplitExtension,
     Witness,
     _comparison,
-    _once,
     phi,
     require_valid,
     require_witness,
 )
-from .report import Record, Report
+from .report import Record, Report, _once
 from .terms import App, ThetaSpec, Var
 
 

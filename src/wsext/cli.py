@@ -98,19 +98,6 @@ def _non_negative(text: str) -> int:
     return value
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--theta", metavar="FILE", help="witness term file")
-    p.add_argument("--theta-vars", metavar="CSV",
-                   help="inline variable list, e.g. x1,x2,y (overrides --theta)")
-    p.add_argument("--theta-term", metavar="SEXPR",
-                   help="inline term text, e.g. '(+ x1 (+ y x2))'")
-    p.add_argument("--budget", type=_non_negative, default=DEFAULT_BUDGET,
-                   help="search node budget (default %(default)s)")
-    p.add_argument("--workers", type=_non_negative, default=1,
-                   help="accepted for compatibility; has no effect")
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-
-
 def _resolve_theta(args, signature) -> ThetaSpec:
     """Inline --theta-vars/--theta-term wins over --theta FILE."""
     if args.theta_vars or args.theta_term:
@@ -259,8 +246,7 @@ def cmd_canonicalize(args) -> Outcome:
 
 def cmd_gamma_check(args) -> Outcome:
     g = gamma_from_obj(_load_json(Path(args.gamma)), Path(args.gamma).parent)
-    # the conditions are computed once per data set; the carrier size and
-    # the rebuild reuse them
+    # the carrier size and the rebuild reuse the conditions' memo
     rep = gb.check_conditions(g, budget=args.budget)
     _, carrier = gb._checked(g, args.budget)
     payload = {"conditions": rep.to_json(), "carrier_size": len(carrier.Y)}
@@ -349,59 +335,67 @@ def cmd_morphism_check(args) -> Outcome:
 
 # -- entry point ---------------------------------------------------------------------------
 
-def build_parser() -> _Parser:
+def _arg(*flags: str, **options) -> tuple:
+    return flags, options
+
+
+_COMMON = [  # every command's arguments end with these
+    _arg("--theta", metavar="FILE", help="witness term file"),
+    _arg("--theta-vars", metavar="CSV",
+         help="inline variable list, e.g. x1,x2,y (overrides --theta)"),
+    _arg("--theta-term", metavar="SEXPR", help="inline term text, e.g. '(+ x1 (+ y x2))'"),
+    _arg("--budget", type=_non_negative, default=DEFAULT_BUDGET,
+         help="search node budget (default %(default)s)"),
+    _arg("--workers", type=_non_negative, default=1,
+         help="accepted for compatibility; has no effect"),
+    _arg("--json", action="store_true", help="machine-readable output"),
+]
+
+# name -> (help, handler name, its own arguments)
+_COMMANDS = {
+    "check": ("validate an extension and search witnesses", "cmd_check", [
+        _arg("extension"),
+        _arg("--no-normalize", action="store_true",
+             help="do not pin q_i(0) = 0 during the search"),
+        _arg("--limit", type=_non_negative, default=10,
+             help="witnesses to materialize (default %(default)s)")]),
+    "canonicalize": ("write the canonical tuple form", "cmd_canonicalize", [
+        _arg("extension"),
+        _arg("-o", "--out", help="output file"),
+        _arg("--witness-index", type=_non_negative, default=None,
+             help="use the i-th enumerated witness instead of the file's")]),
+    "gamma-check": ("validate action data (four conditions)", "cmd_gamma_check", [
+        _arg("gamma"),
+        _arg("--rebuild", metavar="OUT", help="also rebuild the extension and write it here")]),
+    "pullback": ("pull an extension back along a homomorphism", "cmd_pullback", [
+        _arg("extension"),
+        _arg("hom", help="JSON file with B_prime and the value array f"),
+        _arg("-o", "--out", help="output extension file")]),
+    "product-check": ("test the product-extension condition on an algebra",
+                      "cmd_product_check", [_arg("algebra")]),
+    "morphism-check": ("validate a morphism of extensions", "cmd_morphism_check",
+                       [_arg("morphism")]),
+}
+
+
+def build_parser(command: Optional[str] = None) -> _Parser:
+    """Every command's parser, each with its arguments unless ``command`` names another."""
     # --help shows the contract above, not how the module writes it
     parser = _Parser(prog="wsext", description=__doc__.partition("\n\nOne writer:")[0],
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="validate an extension and search witnesses")
-    p.add_argument("extension")
-    p.add_argument("--no-normalize", action="store_true",
-                   help="do not pin q_i(0) = 0 during the search")
-    p.add_argument("--limit", type=_non_negative, default=10,
-                   help="witnesses to materialize (default %(default)s)")
-    _add_common(p)
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("canonicalize", help="write the canonical tuple form")
-    p.add_argument("extension")
-    p.add_argument("-o", "--out", help="output file")
-    p.add_argument("--witness-index", type=_non_negative, default=None,
-                   help="use the i-th enumerated witness instead of the file's")
-    _add_common(p)
-    p.set_defaults(fn=cmd_canonicalize)
-
-    p = sub.add_parser("gamma-check", help="validate action data (four conditions)")
-    p.add_argument("gamma")
-    p.add_argument("--rebuild", metavar="OUT",
-                   help="also rebuild the extension and write it here")
-    _add_common(p)
-    p.set_defaults(fn=cmd_gamma_check)
-
-    p = sub.add_parser("pullback", help="pull an extension back along a homomorphism")
-    p.add_argument("extension")
-    p.add_argument("hom", help="JSON file with B_prime and the value array f")
-    p.add_argument("-o", "--out", help="output extension file")
-    _add_common(p)
-    p.set_defaults(fn=cmd_pullback)
-
-    p = sub.add_parser("product-check",
-                       help="test the product-extension condition on an algebra")
-    p.add_argument("algebra")
-    _add_common(p)
-    p.set_defaults(fn=cmd_product_check)
-
-    p = sub.add_parser("morphism-check", help="validate a morphism of extensions")
-    p.add_argument("morphism")
-    _add_common(p)
-    p.set_defaults(fn=cmd_morphism_check)
+    for name, (help_, handler, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        p.set_defaults(fn=globals()[handler])
+        if command in (None, name):
+            for flags, options in arguments + _COMMON:
+                p.add_argument(*flags, **options)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         code, payload, lines = args.fn(args)
         sys.stdout.write(to_text({"schema": JSON_SCHEMA, "command": args.command, **payload})

@@ -20,7 +20,6 @@ lists, elements of A in increasing index.
 
 from __future__ import annotations
 
-from functools import wraps
 from itertools import compress, cycle, islice, product
 from math import prod
 from operator import eq
@@ -48,7 +47,7 @@ from .errors import (
     SizeMismatch,
     WitnessInvalid,
 )
-from .report import CheckResult, Record, Report
+from .report import CheckResult, Record, Report, _once
 from .terms import App, TermSpec, ThetaSpec, Var, substitute
 
 
@@ -78,19 +77,6 @@ class SplitExtension(Record):
             if f.dom_size != dom or f.cod_size != cod:
                 raise SizeMismatch(
                     f"{name} is {f.dom_size}->{f.cod_size}, expected {dom}->{cod}")
-        object.__setattr__(self, "_memo", {})  # see _once; not a field
-
-
-def _once(f):
-    """f(e, *args), a pure function of an extension, computed once per
-    extension and arguments however many layers ask; read the value only."""
-    @wraps(f)
-    def once(e: SplitExtension, *args):
-        key = (f, *args)
-        if key not in e._memo:
-            e._memo[key] = f(e, *args)
-        return e._memo[key]
-    return once
 
 
 @_once
@@ -107,17 +93,17 @@ def validate_split_extension(e: SplitExtension) -> Report:
     rep.add("section_law", bad_b is None,
             "" if bad_b is None else f"p(s({bad_b})) = {e.p(e.s(bad_b))}")
 
-    rep.add("k_injective", e.k.is_injective(),
-            "" if e.k.is_injective() else f"k values {list(e.k.values)}")
+    ok = e.k.is_injective()
+    rep.add("k_injective", ok, "" if ok else f"k values {list(e.k.values)}")
 
     kernel = [a for a in range(e.A.size) if e.p(a) == e.B.zero]
     image = e.k.image()
     rep.add("kernel_image", kernel == image,
             "" if kernel == image else f"p^-1(0) = {kernel}, im k = {image}")
 
-    rep.add("zero_preserved", e.k(e.X.zero) == e.A.zero,
-            "" if e.k(e.X.zero) == e.A.zero else
-            f"k({e.X.zero}) = {e.k(e.X.zero)} != {e.A.zero}")
+    kz = e.k(e.X.zero)
+    rep.add("zero_preserved", kz == e.A.zero,
+            "" if kz == e.A.zero else f"k({e.X.zero}) = {kz} != {e.A.zero}")
     return rep
 
 
@@ -155,25 +141,18 @@ def _comparison(e: SplitExtension, theta: ThetaSpec, x_columns: Sequence[Sequenc
 
 
 @_once
-def _phi_values(e: SplitExtension, theta: ThetaSpec) -> list[int]:
-    """The values of phi over the ambient tuples of X^n x B in lex order,
-    block by block; theta's admissibility is the caller's to check."""
-    values: list[int] = []
-    for _, (*x_columns, b_column) in lex_blocks(ambient_space(e, theta.n).radices):
-        values += _comparison(e, theta, x_columns, b_column)
-    return values
-
-
-@_once
 def _admissible(e: SplitExtension, theta: ThetaSpec) -> None:
     require_admissible(theta, e.A, "middle algebra")
 
 
+@_once
 def phi(e: SplitExtension, theta: ThetaSpec) -> FnTable:
     """Tabulate the comparison map (x_1, .., x_n, b) -> theta(k x_1, .., k x_n, s b)
     over the ambient tuples of X^n x B in lex order, block by block."""
     _admissible(e, theta)
-    values = _phi_values(e, theta)
+    values: list[int] = []
+    for _, (*x_columns, b_column) in lex_blocks(ambient_space(e, theta.n).radices):
+        values += _comparison(e, theta, x_columns, b_column)
     return FnTable(len(values), e.A.size, tuple(values))
 
 
@@ -212,6 +191,7 @@ def require_witness(e: SplitExtension, theta: ThetaSpec, w: Witness,
         raise WitnessInvalid(f"witness fails at {res.counterexample}")
 
 
+@_once
 def _fibres(e: SplitExtension, theta: ThetaSpec, normalize: bool,
             budget: int) -> list[list[int]]:
     """The fibre walk behind every witness query: per element a of A, the
@@ -230,7 +210,7 @@ def _fibres(e: SplitExtension, theta: ThetaSpec, normalize: bool,
     if cost > budget:
         raise SearchBudgetExceeded(
             f"witness feasibility needs {cost} evaluations, budget is {budget}")
-    values = _phi_values(e, theta)
+    values = phi(e, theta).values
     nb = e.B.size
     in_fibre = map(eq, map(e.p.values.__getitem__, values), cycle(range(nb)))
     fibres: list[list[int]] = [[] for _ in range(e.A.size)]
@@ -307,7 +287,7 @@ def semiabelian_witness(
     and the returned q_i are its k-preimages.
     """
     require_valid(e)
-    require_admissible(theta, e.A, "middle algebra")
+    _admissible(e, theta)
     if len(alphas) != theta.n:
         raise AlphaAxiomFailed(f"expected {theta.n} binary terms, got {len(alphas)}")
     x, y = Var("x"), Var("y")

@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import chain
 from typing import Optional, Sequence
 
-from .ambient import ActionData, ActionTable, LeafRows, membership_by_term
+from .ambient import ActionData, ActionTable, LeafRows, _unit_law, membership_by_term
 from .algebra import (
     DEFAULT_BUDGET,
     Equation,
@@ -34,7 +34,6 @@ from .algebra import (
     is_homomorphism,
     lex_blocks,
     lex_grid,
-    require_admissible,
     table_args,
 )
 from .errors import (
@@ -48,9 +47,10 @@ from .errors import (
     SearchBudgetExceeded,
     SectionNotHomomorphism,
     SignatureMismatch,
+    ThetaNotAdmissible,
 )
 from .extension import SplitExtension, Witness, validate_split_extension, validate_witness
-from .report import Record, Report
+from .report import Record, Report, _once
 from .terms import TermSpec, ThetaSpec
 
 
@@ -75,8 +75,10 @@ class GammaData(ActionData, Record):
     def __post_init__(self):
         if self.X.signature != self.B.signature:
             raise SignatureMismatch("kernel and base algebras differ in signature")
-        require_admissible(self.theta, self.X, "kernel algebra")
-        require_admissible(self.theta, self.B, "base algebra")
+        failure = _unit_law(self, self.theta)
+        if failure:
+            raise ThetaNotAdmissible(f"theta(0,..,0,x) != x at "
+                                     f"{failure[1].counterexample} ({failure[0]} algebra)")
         space, n, size = self.space, self.n, self.X.size
         gamma = {}
         for name, arity in self.X.signature.ops:
@@ -108,8 +110,6 @@ class GammaData(ActionData, Record):
         if extra:
             raise SignatureMismatch(f"action tables for unknown operations {sorted(extra)}")
         object.__setattr__(self, "gamma", gamma)
-        # budget -> (report, carrier), filled by the condition checks; not a field
-        object.__setattr__(self, "_memo", {})
 
     @property
     def n(self) -> int:
@@ -163,20 +163,11 @@ class _Carrier(Record):
     k: Optional[tuple[int, ...]]
 
 
+@_once
 def _checked(g: GammaData, budget: int) -> tuple[Report, _Carrier]:
-    """The four conditions and the carrier they were checked on.
-
-    Computed once per data set and budget: a later call, such as the rebuild
-    after ``check_conditions``, reuses the first result.
-    """
-    if budget not in g._memo:
-        g._memo[budget] = _check(g, budget)
-    return g._memo[budget]
-
-
-def _check(g: GammaData, budget: int) -> tuple[Report, _Carrier]:
-    """The four conditions, each operation or term tabulated over its grid
-    of ambient-index arguments; first failures are in lex order."""
+    """The four conditions and the carrier they were checked on, once per
+    data set and budget, each operation or term tabulated over its grid of
+    ambient-index arguments; first failures are in lex order."""
     rep = Report()
     space = g.space
     x_size, b_size = space.x_size, space.b_size

@@ -19,11 +19,13 @@ Every value type of the package derives from :class:`Record`:
 
 Every record shares these methods; a class only builds its field getter,
 once, when it is defined.  So defining the value types compiles no code
-when the CLI starts.
+when the CLI starts.  :func:`_once` is the one memo of values derived
+from a record.
 """
 
 from __future__ import annotations
 
+from functools import wraps
 from operator import attrgetter
 from typing import Any
 
@@ -82,6 +84,20 @@ class Record:
         return f"{self.__class__.__qualname__}({', '.join(f'{f}={v!r}' for f, v in items)})"
 
 
+def _once(f):
+    """f(r, *args), a pure function of a record and hashable arguments,
+    computed once per record and arguments; read the value only.  The
+    memo, ``r._memo``, is not a field; an exception is not memoised."""
+    @wraps(f)
+    def once(r: Record, *args):
+        memo = vars(r).setdefault("_memo", {})
+        key = (f, *args)
+        if key not in memo:
+            memo[key] = f(r, *args)
+        return memo[key]
+    return once
+
+
 class CheckResult(Record):
     """Boolean outcome plus the first counterexample found (or None).
 
@@ -125,9 +141,6 @@ class Report:
     @property
     def ok(self) -> bool:
         return all(e.ok for e in self.entries)
-
-    def failures(self) -> list[ReportEntry]:
-        return [e for e in self.entries if not e.ok]
 
     def entry(self, name: str) -> ReportEntry:
         for e in self.entries:

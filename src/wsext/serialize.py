@@ -139,10 +139,19 @@ def _resolve(obj: Source, base_dir: Optional[Path], what: str) -> tuple[Any, Opt
     return _load_json(path), path.parent
 
 
+def _ints(values: Any, what: str, size: Optional[int] = None) -> Sequence[int]:
+    """``values``, if each is an exact int (not bool or float), in one test,
+    and with ``size`` given, a list of that length."""
+    if size is not None and not (isinstance(values, list) and len(values) == size):
+        raise FileFormatError(f"{what}: expected a list of length {size}")
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise FileFormatError(f"{what}: expected an integer, got {bad!r}")
+    return values
+
+
 def _int(value: Any, what: str) -> int:
-    if type(value) is not int:
-        raise FileFormatError(f"{what}: expected an integer, got {value!r}")
-    return value
+    return _ints([value], what)[0]
 
 
 def _require_lists(level: Sequence, size: int, what: str) -> None:
@@ -194,7 +203,7 @@ def algebra_from_obj(obj: Source, base_dir: Optional[Path] = None) -> FiniteAlge
         if name not in obj["tables"]:
             raise FileFormatError(f"tables: missing table for {name!r}")
         flat = _flatten_table(obj["tables"][name], size, arity, f"table {name!r}")
-        tables[name] = tuple(_int(v, f"table {name!r} entry") for v in flat)
+        tables[name] = tuple(_ints(flat, f"table {name!r} entry"))
     extra = sorted(set(obj["tables"]) - {n for n, _ in sig.ops})
     if extra:
         raise FileFormatError(f"tables: unknown operations {extra}")
@@ -228,9 +237,7 @@ def load_algebra(path: Union[str, Path]) -> FiniteAlgebra:
 # -- function arrays -------------------------------------------------------------
 
 def _fn_from_list(values: Any, dom: int, cod: int, what: str) -> FnTable:
-    if not isinstance(values, list) or len(values) != dom:
-        raise FileFormatError(f"{what}: expected a list of length {dom}")
-    return FnTable(dom, cod, tuple(_int(v, what) for v in values))
+    return FnTable(dom, cod, tuple(_ints(values, what, dom)))
 
 
 # -- witness terms ----------------------------------------------------------------
@@ -451,10 +458,7 @@ def hom_from_obj(obj: Source, base_dir: Optional[Path] = None) -> tuple[FiniteAl
     obj, base_dir = _resolve(obj, base_dir, "homomorphism")
     _check_keys(obj, ["B_prime", "f"], [], "homomorphism")
     B_prime = algebra_from_obj(obj["B_prime"], base_dir)
-    values = obj["f"]
-    if not isinstance(values, list) or len(values) != B_prime.size:
-        raise FileFormatError(f"f: expected a list of length {B_prime.size}")
-    return B_prime, [_int(v, "f") for v in values]
+    return B_prime, list(_ints(obj["f"], "f", B_prime.size))
 
 
 class _Row(list):

@@ -1,7 +1,9 @@
+import inspect
 import json
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,28 @@ def run_cli(*args):
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, "-m", "wsext", *args], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+@contextmanager
+def runs_of(fn):
+    """A spy on the body of ``fn``, under any memo or other wrapper: the
+    arguments of each run of the body in the block, as a dict by name.  A
+    call answered from a memo does not run the body.  Spies nest."""
+    code = inspect.unwrap(fn).__code__
+    runs = []
+    previous = sys.getprofile()
+
+    def profile(frame, event, arg):
+        if previous is not None:
+            previous(frame, event, arg)
+        if event == "call" and frame.f_code is code:
+            runs.append(dict(frame.f_locals))
+
+    sys.setprofile(profile)
+    try:
+        yield runs
+    finally:
+        sys.setprofile(previous)
 
 
 def load_fixture(name: str):

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import gc
@@ -18,7 +19,8 @@ from wsext import (
     gammabuild,
     verify_isomorphism,
 )
-from wsext.algebra import FnTable
+from wsext import extension as ext
+from wsext.algebra import FnTable, check_theta_admissible
 from wsext.cli import main
 from wsext.errors import SectionNotHomomorphism
 from wsext.extension import SplitExtension, Witness
@@ -31,7 +33,7 @@ from wsext.serialize import (
     to_text,
 )
 
-from conftest import load_fixture, run_cli
+from conftest import load_fixture, run_cli, runs_of
 from oracles import brute_force_rebuild
 
 EXAMPLE = str(fixture_path("example_monoid"))
@@ -515,6 +517,71 @@ def test_gamma_check_rebuild_computes_the_carrier_once(name, tmp_path, monkeypat
         FnTable(len(c.Y), c.X.size, tuple(t[i] for t in c.Y)) for i in range(c.n)))
     assert json.loads(rebuilt.read_text()) == json.loads(json.dumps(
         extension_to_obj(expected, witness=projections, axioms=axioms)))
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSIONS))
+def test_check_walks_the_fibres_of_phi_once(name, capsys):
+    argv = ["check", str(fixture_path(name)), "--theta", str(fixture_path(EXTENSIONS[name]))]
+    with runs_of(ext._fibres) as walks:
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert len(walks) == 1
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSIONS))
+def test_canonicalize_builds_phi_once_and_checks_the_unit_law_on_a_x_and_b(
+        name, tmp_path, capsys):
+    argv = ["canonicalize", str(fixture_path(name)), "--theta",
+            str(fixture_path(EXTENSIONS[name])), "-o", str(tmp_path / "canon.json")]
+    with runs_of(ext.phi) as tables, runs_of(check_theta_admissible) as unit_laws:
+        assert main(argv) == 0
+    capsys.readouterr()
+    e = load_fixture(name)[0]
+    assert len(tables) == 1
+    assert [run["A"] for run in unit_laws] == [e.A, e.X, e.B]
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSIONS))
+def test_gamma_check_rebuild_checks_the_unit_law_once_on_x_and_on_b(name, tmp_path, capsys):
+    canon, rebuilt = tmp_path / "canon.json", tmp_path / "rebuilt.json"
+    assert main(["canonicalize", str(fixture_path(name)), "--theta",
+                 str(fixture_path(EXTENSIONS[name])), "-o", str(canon)]) == 0
+    with runs_of(check_theta_admissible) as unit_laws:
+        assert main(["gamma-check", str(canon), "--rebuild", str(rebuilt)]) == 0
+    capsys.readouterr()
+    e = load_fixture(name)[0]
+    assert [run["A"] for run in unit_laws] == [e.X, e.B]
+
+
+def _subparsers(parser) -> dict:
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_a_run_adds_the_arguments_of_its_own_command_only(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda *a: built.append(build(*a)) or built[-1])
+    assert main(["check", EXAMPLE, "--theta", THETA_XZY]) == 0
+    capsys.readouterr()
+    (parser,) = built
+    held = {name: [a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+            for name, sub in _subparsers(parser).items()}
+    assert "extension" in held.pop("check")
+    assert held == dict.fromkeys(held, [])
+
+
+def _declared(action) -> dict:
+    return {k: v for k, v in vars(action).items() if k != "container"}
+
+
+def test_each_command_parser_reads_as_in_the_parser_of_every_command():
+    every = _subparsers(cli.build_parser())
+    assert len(every) == 6
+    for name, sub in every.items():
+        alone = _subparsers(cli.build_parser(name))[name]
+        assert alone.format_help() == sub.format_help()
+        assert list(map(_declared, alone._actions)) == list(map(_declared, sub._actions))
 
 
 # -- malformed action data ---------------------------------------------------------------

@@ -120,6 +120,15 @@ def test_unnormalized_enumeration_is_larger(example):
     assert count_witnesses(e2, theta2, normalize=True) == 8
 
 
+def test_a_budget_error_is_not_memoised(example):
+    e, _, _, theta = example
+    cost = e.A.size * e.X.size ** theta.n
+    for _ in range(2):
+        with pytest.raises(SearchBudgetExceeded, match=f"needs {cost} evaluations"):
+            count_witnesses(e, theta, budget=cost - 1)
+    assert count_witnesses(e, theta, budget=cost) == 6
+
+
 def test_count_witnesses_checks_admissibility_then_budget_then_zero(example):
     e, _, _, theta = example
     cost = e.A.size * e.X.size ** theta.n

@@ -17,14 +17,14 @@ from conftest import load_fixture
 from oracles import dataclass_twin
 from wsext.algebra import DEFAULT_BUDGET, FnTable
 from wsext.ambient import TupleSpace
-from wsext.canonical import build_canonical, sigma_tau_decompose
+from wsext.canonical import CanonicalExtension, build_canonical, sigma_tau_decompose
 from wsext.extension import (
     SplitExtension,
     Witness,
     validate_split_extension,
     validate_witness,
 )
-from wsext.gammabuild import _checked, extract_gamma
+from wsext.gammabuild import GammaData, _checked, extract_gamma
 from wsext.report import Record
 from wsext.terms import TermSpec
 from wsext.transport import ExtensionMorphism, product_extension_check
@@ -114,6 +114,18 @@ def test_record_matches_its_dataclass_twin(cls):
         assert outcome(lambda: hash(r)) == outcome(lambda: hash(t))
         assert not any(r == other for other in SAMPLES if type(other) is not cls)
         assert r != t and t != r
+
+
+def test_a_filled_memo_leaves_equality_hash_and_repr_alone():
+    memoised = [r for r in SAMPLES if vars(r).get("_memo")]
+    assert {type(r) for r in memoised} >= {SplitExtension, CanonicalExtension, GammaData}
+    for r in memoised:
+        assert "_memo" not in r._fields
+        fresh = type(r)(**{f: getattr(r, f) for f in r._fields})
+        assert len(vars(fresh).get("_memo", ())) < len(r._memo)
+        assert fresh == r and r == fresh
+        assert outcome(lambda: hash(fresh)) == outcome(lambda: hash(r))
+        assert repr(fresh) == repr(r)
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__qualname__)

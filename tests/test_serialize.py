@@ -27,6 +27,7 @@ from wsext.serialize import (
     dump_json,
     extension_to_obj,
     gamma_from_obj,
+    hom_from_obj,
     load_algebra,
     load_extension,
     theta_from_obj,
@@ -70,6 +71,47 @@ def test_algebra_rejects_non_integer_entries():
     obj["tables"]["+"] = [[0, 1], [1, True]]
     with pytest.raises(FileFormatError):
         algebra_from_obj(obj)
+
+
+def _cells(array: list) -> list:
+    """The entries of a nested integer array in order, as (list, index)."""
+    if array and isinstance(array[0], list):
+        return [cell for row in array for cell in _cells(row)]
+    return [(array, j) for j in range(len(array))]
+
+
+def _hom_doc(ext: dict) -> tuple[dict, list]:
+    doc = {"B_prime": ext["A"], "f": [0] * ext["A"]["size"]}
+    return doc, doc["f"]
+
+
+# an integer array of a file, built from the example extension document:
+# (the document and the array in it, its reader, the name its errors carry)
+INT_ARRAYS = {
+    "algebra table": (lambda ext: (ext["A"], ext["A"]["tables"]["+"]),
+                      algebra_from_obj, "table '+' entry"),
+    "function array": (lambda ext: (ext, ext["p"]), extension_from_obj, "p"),
+    "hom file f": (_hom_doc, hom_from_obj, "f"),
+}
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, "1"], ids=repr)
+@pytest.mark.parametrize("place", [0, "middle", -1])
+@pytest.mark.parametrize("array", sorted(INT_ARRAYS))
+def test_a_non_integer_entry_is_named_where_it_stands(array, place, bad):
+    document, read, what = INT_ARRAYS[array]
+    doc, entries = document(json.loads(fixture_path("example_monoid").read_text()))
+    cells = _cells(entries)
+    at = len(cells) // 2 if place == "middle" else place
+    row, j = cells[at]
+    row[j] = bad
+    if at != -1:  # a later bad entry is not the one named
+        row, j = cells[-1]
+        row[j] = []
+    with pytest.raises(FileFormatError) as raised:
+        read(doc)
+    assert type(raised.value) is FileFormatError
+    assert str(raised.value) == f"{what}: expected an integer, got {bad!r}"
 
 
 def test_algebra_rejects_ragged_tables():
