@@ -7,8 +7,10 @@ distinguished constant (the "zero" of the pointed variety); its value may
 be any carrier index, not necessarily 0.
 
 Terms are tabulated over blocks of a lex grid by two table kernels:
-``_tabulate`` over argument columns, and ``_factored``, through which
-``check_equation`` checks every identity, over each subterm's own axes.
+``_tabulate`` over argument columns, which ``tabulate_grid`` runs over
+every block of a grid of argument values, and ``_factored``, through
+which ``check_equation`` checks every identity, over each subterm's own
+axes.
 """
 
 from __future__ import annotations
@@ -100,7 +102,9 @@ def table_args(size: int, arity: int, idx: int) -> tuple[int, ...]:
 
 
 def _axis_columns(axes: Sequence[Sequence[int]]) -> list[list[int]]:
-    """lex_columns with coordinate j drawn from axes[j]."""
+    """The columns of the grid axes[0] x axes[1] x .. in lex order: column
+    j holds coordinate j of every grid point, the last coordinate varying
+    fastest.  The grid has prod(map(len, axes)) points (1 when empty)."""
     total = stride = prod(map(len, axes))
     columns = []
     for axis in axes:
@@ -110,21 +114,15 @@ def _axis_columns(axes: Sequence[Sequence[int]]) -> list[list[int]]:
     return columns
 
 
-def lex_columns(radices: Sequence[int]) -> list[list[int]]:
-    """The columns of the mixed-radix grid over ``radices`` in lex order:
-    column j holds coordinate j of every grid point, the last coordinate
-    varying fastest.  The grid has prod(radices) points (1 when empty)."""
-    return _axis_columns([range(r) for r in radices])
-
-
-# Grid points per block in lex_blocks: kernels that tabulate a term over a
+# Grid points per block in lex_grid: kernels that tabulate a term over a
 # grid hold O(term nodes * GRID_BLOCK) integers at a time, whatever its size.
 GRID_BLOCK = 1 << 14
 
 
 def _block_axes(radices: Sequence[int]) -> Iterator[list[range]]:
-    """The grid of lex_columns in consecutive blocks, in lex order, each
-    the grid of its axes: one range of values per coordinate.
+    """The grid of the index ranges of ``radices`` in consecutive blocks,
+    in lex order, each the grid of its axes: one range of values per
+    coordinate.
 
     Each block fixes the leading coordinates, runs the trailing ones over
     their whole range (as many as fit in GRID_BLOCK points, at least none)
@@ -147,11 +145,6 @@ def _block_axes(radices: Sequence[int]) -> Iterator[list[range]]:
     for head in product(*map(range, lead)):
         for start in range(0, edge, run):
             yield [range(h, h + 1) for h in head] + [range(start, min(start + run, edge))] + tail
-
-
-def lex_blocks(radices: Sequence[int]) -> Iterator[tuple[int, list[list[int]]]]:
-    """(points, columns) of each block of _block_axes."""
-    return lex_grid([range(r) for r in radices])
 
 
 def lex_grid(axes: Sequence[Sequence[int]]) -> Iterator[tuple[int, list[list[int]]]]:
@@ -466,6 +459,16 @@ def check_commuting(
         "rows_first": res.counterexample["lhs"],
         "columns_first": res.counterexample["rhs"],
     })
+
+
+def tabulate_grid(spec: TermSpec, A, axes: Sequence[Sequence[int]]) -> list[int]:
+    """The term of ``spec`` at every point of the lex grid of ``axes``,
+    axis j holding the values of its j-th variable, in lex order: _tabulate
+    over each block of lex_grid, in A's ``columns`` kernel."""
+    values: list[int] = []
+    for points, columns in lex_grid(axes):
+        values += _tabulate(spec.term, A, dict(zip(spec.vars, columns)), points)
+    return values
 
 
 def _tabulate(t: Term, A, env: Mapping[str, list[int]], block: int) -> list[int]:

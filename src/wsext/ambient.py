@@ -14,10 +14,11 @@ the ambient set an algebra-like structure, the last coordinate computed
 in B.  An ``ActionTable`` holds a table by its leaf rows: argument tuple
 z = prefix * |S| + last is entry ``last`` of the row at ``prefix``.
 ``CandidateOps.columns`` is the one reader of a table by ambient index;
-terms are tabulated in the candidate operations by ``algebra._tabulate``
-for the carrier by term (``membership_by_term``) and the action table of
-a term (``gamma_table``).  ``ActionData`` gives canonical forms and raw
-action data their ambient space and candidate operations.
+terms are tabulated in the candidate operations by
+``algebra.tabulate_grid`` for the carrier by term (``membership_by_term``)
+and the action table of a term (``gamma_table``).  ``ActionData`` gives
+canonical forms and raw action data their ambient space and candidate
+operations.
 """
 
 from __future__ import annotations
@@ -31,11 +32,10 @@ from .algebra import (
     DEFAULT_BUDGET,
     FiniteAlgebra,
     _node,
-    _tabulate,
     check_theta_admissible,
-    lex_blocks,
     table_args,
     table_index,
+    tabulate_grid,
 )
 from .errors import ArityMismatch, EntryOutOfRange, SearchBudgetExceeded, WrongTheta
 from .report import CheckResult, Record, _once
@@ -138,8 +138,8 @@ class LeafRows(ActionTable):
 class CandidateOps:
     """Ambient-set operations induced by action tables and the base algebra.
 
-    ``columns`` is their kernel for ``algebra._tabulate``: the action table
-    gives the first n output coordinates, B the last.
+    ``columns`` is their kernel for ``algebra.tabulate_grid``: the action
+    table gives the first n output coordinates, B the last.
     """
 
     def __init__(self, space: TupleSpace, gamma: Mapping[str, ActionTable],
@@ -203,16 +203,10 @@ def membership_by_term(c: ActionData, omega: Optional[TermSpec] = None,
         raise WrongTheta(
             f"membership term lacks the unit property on the {failure[0]} algebra")
     ops = c.candidate_ops()
+    values = tabulate_grid(omega, ops, [[ops.zero_tuple]] * (omega.arity - 1)
+                           + [space.indices()])
     b_size = space.b_size
-    members, start = [], 0
-    # each block of the ambient grid is a run of consecutive indices
-    for points, _ in lex_blocks(space.radices):
-        zs = range(start, start + points)
-        columns = [[ops.zero_tuple] * points] * (omega.arity - 1) + [list(zs)]
-        values = _tabulate(omega.term, ops, dict(zip(omega.vars, columns)), points)
-        members += [z for z, v in zip(zs, values) if v // b_size == z // b_size]
-        start += points
-    return members
+    return [z for z, v in enumerate(values) if v // b_size == z // b_size]
 
 
 def gamma_table(c: ActionData, omega: TermSpec,
@@ -227,10 +221,7 @@ def gamma_table(c: ActionData, omega: TermSpec,
     if needed > budget:
         raise SearchBudgetExceeded(
             f"action table needs {needed} entries, budget is {budget}")
-    ops = c.candidate_ops()
+    values = tabulate_grid(omega, c.candidate_ops(), [space.indices()] * omega.arity)
     kernel_tuples, b_size = space.kernel_tuples, space.b_size
-    entries = []
-    for points, columns in lex_blocks([space.size] * omega.arity):
-        values = _tabulate(omega.term, ops, dict(zip(omega.vars, columns)), points)
-        entries += [kernel_tuples[v // b_size] for v in values]
+    entries = [kernel_tuples[v // b_size] for v in values]
     return LeafRows(entries[i:i + space.size] for i in range(0, len(entries), space.size))

@@ -24,15 +24,14 @@ from .algebra import (
     Equation,
     FiniteAlgebra,
     FnTable,
+    _axis_columns,
     _gather,
     _square_failure,
-    _tabulate,
     check_equation,
     fold_indices,
-    lex_blocks,
-    lex_columns,
     lex_grid,
     table_args,
+    tabulate_grid,
 )
 from .errors import (
     InternalCheckFailed,
@@ -167,8 +166,6 @@ def _cross_check(c: CanonicalExtension, budget: int = DEFAULT_BUDGET) -> None:
     """
     space = c.space
     y_indices = [space.pack(t[:-1], t[-1]) for t in c.Y]
-    y_xs = [t[:-1] for t in c.Y]
-    y_b = [t[-1] for t in c.Y]
     ops = c.candidate_ops()
     for name, arity in c.X.signature.ops:
         got = list(_gather(c.ops_Y[name])(y_indices))
@@ -180,13 +177,13 @@ def _cross_check(c: CanonicalExtension, budget: int = DEFAULT_BUDGET) -> None:
                 f"transported {name!r} disagrees with its action table at "
                 f"{table_args(len(c.Y), arity, bad)}")
 
-    # theta_X(ys, 0_X) at every (ys, 0_B) in Y, as one column kernel
-    base = [i for i, b in enumerate(y_b) if b == c.B.zero]
-    columns = [[y_xs[i][j] for i in base] for j in range(c.n)] + [[c.X.zero] * len(base)]
+    # theta_X(ys, 0_X) over X^n, read at every (ys, 0_B) in Y
+    at_zero = tabulate_grid(c.theta, c.X, [range(c.X.size)] * c.n + [[c.X.zero]])
+    b_size = space.b_size
     matches: list[list[int]] = [[] for _ in range(c.X.size)]
-    for i, x in zip(base, _tabulate(c.theta.term, c.X, dict(zip(c.theta.vars, columns)),
-                                    len(base))):
-        matches[x].append(i)
+    for i, z in enumerate(y_indices):
+        if z % b_size == c.B.zero:
+            matches[at_zero[z // b_size]].append(i)
     for x in range(c.X.size):
         if matches[x] != [c.k_prime(x)]:
             raise InternalCheckFailed(
@@ -323,7 +320,8 @@ def sigma_tau_decompose(
     k, s = e.k.values, e.s.values
 
     def tables(dims, maps) -> tuple[TriTable, TriTable]:
-        first, second, third = (_gather(col)(f) for col, f in zip(lex_columns(dims), maps))
+        columns = _axis_columns(list(map(range, dims)))
+        first, second, third = (_gather(col)(f) for col, f in zip(columns, maps))
         points = len(first)
         sums = e.A.columns(add, [e.A.columns(add, [first, second], points), third], points)
         return tuple(TriTable(dims, nX, _gather(sums)(qi.values)) for qi in w.q)
@@ -334,7 +332,7 @@ def sigma_tau_decompose(
     # the direct action against its rewritten form, block by block over
     # the argument pairs ((x11, x21, b1), (x12, x22, b2)) in lex order
     bad = None
-    for points, (x11, x21, b1, x12, x22, b2) in lex_blocks([nX, nX, nB] * 2):
+    for points, (x11, x21, b1, x12, x22, b2) in lex_grid(list(map(range, (nX, nX, nB))) * 2):
         at_sum = _gather(e.A.columns(add, [_comparison(e, theta, [x11, x21], b1),
                                            _comparison(e, theta, [x12, x22], b2)], points))
         direct = list(zip(*(at_sum(qi.values) for qi in w.q)))

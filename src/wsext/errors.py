@@ -97,10 +97,6 @@ class WrongSignature(ToolkitError):
 
 # -- gamma data --------------------------------------------------------------
 
-class MembershipDiscrepancy(ToolkitError):
-    """Two definitions of the carrier subset disagree: invalid action data."""
-
-
 class ConditionsFailed(ToolkitError):
     """Action data failed one of the four validity conditions."""
 

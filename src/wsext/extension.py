@@ -14,8 +14,8 @@ of a search over function space; the extension is Schreier iff phi is a
 bijection onto A.  One fibre walk does that pass for every witness query
 (admissibility, budget, the pass and the pin of 0_A, each once):
 feasible_tuples lists the fibres, count_witnesses multiplies their sizes
-and find_witnesses enumerates the lexicographic product of the T(a)
-lists, elements of A in increasing index.
+and find_witnesses enumerates the lexicographic product of the fibres,
+elements of A in increasing index, decoding only the rows it returns.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from .algebra import (
     _tabulate,
     check_equation,
     is_homomorphism,
-    lex_blocks,
     require_admissible,
+    tabulate_grid,
 )
 from .ambient import ambient_space
 from .errors import (
@@ -133,8 +133,9 @@ class Witness(Record):
 
 def _comparison(e: SplitExtension, theta: ThetaSpec, x_columns: Sequence[Sequence[int]],
                 b_column: Sequence[int]) -> list[int]:
-    """The column kernel of phi: theta evaluated in A, entry by entry, at k
-    of each kernel column and s of the base column."""
+    """phi over columns that are not a grid (a witness's own, the argument
+    pairs of sigma_tau_decompose): theta evaluated in A, entry by entry,
+    at k of each kernel column and s of the base column."""
     k, s = e.k.values, e.s.values
     columns = [[k[x] for x in col] for col in x_columns] + [[s[b] for b in b_column]]
     return _tabulate(theta.term, e.A, dict(zip(theta.vars, columns)), len(b_column))
@@ -148,11 +149,10 @@ def _admissible(e: SplitExtension, theta: ThetaSpec) -> None:
 @_once
 def phi(e: SplitExtension, theta: ThetaSpec) -> FnTable:
     """Tabulate the comparison map (x_1, .., x_n, b) -> theta(k x_1, .., k x_n, s b)
-    over the ambient tuples of X^n x B in lex order, block by block."""
+    over the ambient tuples of X^n x B in lex order: theta in A over the
+    grid of k's values n times, then s's."""
     _admissible(e, theta)
-    values: list[int] = []
-    for _, (*x_columns, b_column) in lex_blocks(ambient_space(e, theta.n).radices):
-        values += _comparison(e, theta, x_columns, b_column)
+    values = tabulate_grid(theta, e.A, [e.k.values] * theta.n + [e.s.values])
     return FnTable(len(values), e.A.size, tuple(values))
 
 
@@ -263,15 +263,23 @@ def find_witnesses(
     Order: elements a in increasing index are the significant positions;
     tuples within each T(a) are tried in lexicographic order.  Returns []
     exactly when some T(a) is empty.  Raises SearchBudgetExceeded when
-    more than ``budget`` witnesses would be materialized.
+    more than ``budget`` witnesses would be materialized.  The choices
+    are taken over the rows of the fibre walk, and only the rows of the
+    witnesses returned are decoded to kernel tuples: the first ``limit``
+    choices, the last element varying fastest, read at most ``limit``
+    rows of each fibre.
     """
-    T = feasible_tuples(e, theta, normalize, budget)
-    total = prod(map(len, T))
+    fibres = _fibres(e, theta, normalize, budget)
+    total = prod(map(len, fibres))
     if min(total, total if limit is None else limit) > budget:
         raise SearchBudgetExceeded(
             f"would materialize {total} witnesses, budget is {budget}")
-    return [Witness(theta.n, tuple(FnTable(e.A.size, e.X.size, q) for q in zip(*choice)))
-            for choice in islice(product(*T), limit)]
+    # row r is the kernel tuple with coordinate i = r // |X|^(n-1-i) % |X|
+    n, size = theta.n, e.X.size
+    strides = [size ** (n - 1 - i) for i in range(n)]
+    return [Witness(n, tuple(FnTable(e.A.size, size, tuple(r // stride % size for r in rows))
+                             for stride in strides))
+            for rows in islice(product(*(rows[:limit] for rows in fibres)), limit)]
 
 
 def semiabelian_witness(

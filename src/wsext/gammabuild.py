@@ -29,12 +29,11 @@ from .algebra import (
     Equation,
     FiniteAlgebra,
     FnTable,
-    _tabulate,
     check_equation,
     is_homomorphism,
-    lex_blocks,
     lex_grid,
     table_args,
+    tabulate_grid,
 )
 from .errors import (
     ArityMismatch,
@@ -42,7 +41,6 @@ from .errors import (
     EntryOutOfRange,
     InternalCheckFailed,
     IotaNotInY,
-    MembershipDiscrepancy,
     MissingTable,
     SearchBudgetExceeded,
     SectionNotHomomorphism,
@@ -51,7 +49,7 @@ from .errors import (
 )
 from .extension import SplitExtension, Witness, validate_split_extension, validate_witness
 from .report import Record, Report, _once
-from .terms import TermSpec, ThetaSpec
+from .terms import ThetaSpec
 
 
 class GammaData(ActionData, Record):
@@ -125,26 +123,15 @@ def _check_entry(name: str, entry: tuple, n: int, size: int) -> None:
             raise EntryOutOfRange(f"action entry {entry} outside the kernel carrier")
 
 
-def compute_Y(g: GammaData, membership_term: Optional[TermSpec] = None,
-              budget: int = DEFAULT_BUDGET) -> list[int]:
+def compute_Y(g: GammaData, budget: int = DEFAULT_BUDGET) -> list[int]:
     """The carrier subset, as ascending (= lexicographic) ambient indices.
 
     Membership of (xs, b) means the witness term, evaluated in the
     candidate operations with all non-distinguished arguments at the zero
-    tuple, reproduces xs (``ambient.membership_by_term``).  An alternative
-    term with the same unit property may be supplied (WrongTheta when it
-    lacks it); if its subset differs the data is inconsistent and
-    MembershipDiscrepancy is raised.  Raises SearchBudgetExceeded when
-    |X^n x B| exceeds ``budget``.
+    tuple, reproduces xs (``ambient.membership_by_term``).  Raises
+    SearchBudgetExceeded when |X^n x B| exceeds ``budget``.
     """
-    base = membership_by_term(g, budget=budget)
-    if membership_term is not None:
-        alt = membership_by_term(g, membership_term, budget=budget)
-        if alt != base:
-            diff = sorted(set(alt) ^ set(base))
-            raise MembershipDiscrepancy(
-                f"carrier definitions disagree at ambient indices {diff}")
-    return base
+    return membership_by_term(g, budget=budget)
 
 
 class _Carrier(Record):
@@ -207,10 +194,7 @@ def _checked(g: GammaData, budget: int) -> tuple[Report, _Carrier]:
 
     # 2: unique kernel tuple over each x.  at_zero is theta_X(ys, 0_X) over
     # X^n (|X|^n <= |X^n x B|, which compute_Y budgeted), read by theta0.
-    at_zero: list[int] = []
-    for points, columns in lex_blocks([x_size] * g.n):
-        env = dict(zip(g.theta.vars, columns + [[g.X.zero] * points]))
-        at_zero += _tabulate(g.theta.term, g.X, env, points)
+    at_zero = tabulate_grid(g.theta, g.X, [range(x_size)] * g.n + [[g.X.zero]])
 
     def theta0(column: Sequence[int]) -> list[int]:
         return [at_zero[z // b_size] for z in column]
@@ -248,9 +232,7 @@ def _checked(g: GammaData, budget: int) -> tuple[Report, _Carrier]:
     if len(kz) ** g.n * b_size > budget:
         raise SearchBudgetExceeded("condition 4 exceeds budget")
     zero_row = space.pack((g.X.zero,) * g.n, 0)  # the ambient index of (0, .., 0, 0)
-    got: list[int] = []
-    for points, args in lex_grid([kz] * g.n + [range(zero_row, zero_row + b_size)]):
-        got += _tabulate(g.theta.term, ops, dict(zip(g.theta.vars, args)), points)
+    got = tabulate_grid(g.theta, ops, [kz] * g.n + [range(zero_row, zero_row + b_size)])
     targets = space.fold([theta0(kz)] * g.n + [range(b_size)])
     j = next((j for j, (t, z) in enumerate(zip(targets, got))
               if t in y_pos and z // b_size != t // b_size), None)

@@ -6,8 +6,9 @@ subterms.  There is no infix syntax and no escaping; symbols are runs of
 non-whitespace, non-parenthesis ASCII characters.
 
 Terms are syntax only: their values are tabulated by the algebra module,
-over argument columns (``algebra._tabulate``) or, in ``check_equation``,
-each subterm over the axes of its own variables (``algebra._factored``).
+over a grid of argument values (``algebra.tabulate_grid``) or, in
+``check_equation``, each subterm over the axes of its own variables
+(``algebra._factored``).
 """
 
 from __future__ import annotations

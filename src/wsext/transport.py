@@ -19,12 +19,11 @@ from .algebra import (
     FnTable,
     _gather,
     _require_same_signature,
-    _tabulate,
     fold_indices,
     is_homomorphism,
-    lex_blocks,
     require_admissible,
     table_args,
+    tabulate_grid,
     trivial_algebra,
 )
 from .errors import (
@@ -251,10 +250,9 @@ def product_extension_check(X: FiniteAlgebra, theta: ThetaSpec,
     Equivalent at finite scale to X --id--> X --> 1 having a witness, and
     hence (by pullback stability) to every product projection X x B -> B
     having one.  theta(ys, 0) is tabulated over the |X|^n tuples ys in lex
-    order, block by block until every element is reached
-    (SearchBudgetExceeded when |X|^n exceeds ``budget``).  Returns the
-    lexicographically first choice per element, or the first unreachable
-    element.
+    order (SearchBudgetExceeded when |X|^n exceeds ``budget``).  Returns
+    the lexicographically first choice per element, or the first
+    unreachable element.
     """
     require_admissible(theta, X, "kernel algebra")
     n = theta.n
@@ -263,14 +261,8 @@ def product_extension_check(X: FiniteAlgebra, theta: ThetaSpec,
         raise SearchBudgetExceeded(
             f"product check needs {cost} evaluations, budget is {budget}")
     first: dict[int, int] = {}  # x -> lex index of its first ys
-    offset = 0
-    for points, ys_columns in lex_blocks([X.size] * n):
-        env = dict(zip(theta.vars, ys_columns + [[X.zero] * points]))
-        for j, x in enumerate(_tabulate(theta.term, X, env, points)):
-            first.setdefault(x, offset + j)
-        if len(first) == X.size:
-            break
-        offset += points
+    for j, x in enumerate(tabulate_grid(theta, X, [range(X.size)] * n + [[X.zero]])):
+        first.setdefault(x, j)
     missing = next((x for x in range(X.size) if x not in first), None)
     if missing is not None:
         return ProductCheck(False, None, missing)

@@ -4,10 +4,12 @@ import os
 import subprocess
 import sys
 from contextlib import contextmanager
+from itertools import product
 from pathlib import Path
 
 import pytest
 
+from wsext import FiniteAlgebra, FnTable, SplitExtension, enumerate_homomorphisms
 from wsext import serialize as S
 from wsext.fixtures import EXTENSIONS, fixture_path
 
@@ -54,6 +56,33 @@ def load_fixture(name: str):
     theta_obj = json.loads(fixture_path(EXTENSIONS[name]).read_text())
     theta = S.theta_from_obj(theta_obj, e.X.signature)
     return e, w, axioms, theta
+
+
+def subalgebra(A: FiniteAlgebra, elements: list[int]) -> FiniteAlgebra:
+    """A's operations on ``elements``, a subset closed under them,
+    relabelled 0, 1, .. in the order given."""
+    pos = {a: i for i, a in enumerate(elements)}
+    return FiniteAlgebra(A.signature, len(elements), {
+        name: tuple(pos[A.op(name, args)] for args in product(elements, repeat=arity))
+        for name, arity in A.signature.ops})
+
+
+def split_extensions(A: FiniteAlgebra) -> list[SplitExtension]:
+    """The split extension of each idempotent endomorphism e of A, in lex
+    order of e's values, over any signature: B = e(A), X = e^-1(0), p = e,
+    and s and k the inclusions."""
+    out = []
+    for e in enumerate_homomorphisms(A, A):
+        if e.then(e) != e:
+            continue
+        image = e.image()
+        kernel = [a for a in range(A.size) if e(a) == A.zero]
+        out.append(SplitExtension(
+            subalgebra(A, kernel), A, subalgebra(A, image),
+            FnTable(len(kernel), A.size, tuple(kernel)),
+            FnTable(A.size, len(image), tuple(map(image.index, e.values))),
+            FnTable(len(image), A.size, tuple(image))))
+    return out
 
 
 @pytest.fixture(params=EXTENSION_NAMES)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from wsext import (
@@ -9,6 +11,7 @@ from wsext import (
     ThetaSpec,
     check_morphism_surjectivity,
     count_witnesses,
+    feasible_tuples,
     find_witnesses,
     is_schreier,
     make_algebra,
@@ -161,6 +164,30 @@ def test_find_witnesses_budget(example):
     e, _, _, theta = example
     with pytest.raises(SearchBudgetExceeded):
         find_witnesses(e, theta, budget=3)
+
+
+def test_find_witnesses_decodes_only_the_rows_it_returns():
+    """n2_product with the sum term of 14 kernel variables: each fibre
+    holds up to 2^14 rows.  With the fibres walked, one witness reads and
+    decodes one row per element, while a list with one pointer per kernel
+    tuple, or a copy of a whole fibre, takes 2^14 * 8 bytes."""
+    e, _, _, _ = load_fixture("n2_product")
+    names = [f"x{i}" for i in range(1, 15)] + ["y"]
+    text = "y"
+    for name in reversed(names[:-1]):
+        text = f"(+ {name} {text})"
+    theta = ThetaSpec(tuple(names), parse_term(text, MSIG, names))
+    assert count_witnesses(e, theta) > 1
+    tracemalloc.start()
+    try:
+        [w] = find_witnesses(e, theta, limit=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 14 * 8
+    # the lex-first tuple of each T(a)
+    assert [w.values_at(a) for a in range(e.A.size)] == \
+        [ts[0] for ts in feasible_tuples(e, theta)]
 
 
 def test_witnesses_match_brute_force(fixture_case):

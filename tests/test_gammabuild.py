@@ -16,6 +16,7 @@ from wsext import (
     extract_gamma,
     find_witnesses,
     make_algebra,
+    membership_by_term,
     parse_term,
     product_algebra,
     psi,
@@ -27,7 +28,6 @@ from wsext.errors import (
     ConditionsFailed,
     EntryOutOfRange,
     IotaNotInY,
-    MembershipDiscrepancy,
     SearchBudgetExceeded,
     WrongTheta,
 )
@@ -110,7 +110,7 @@ def test_membership_is_a_filter_not_an_iteration():
 def test_membership_variant_agreement_and_discrepancy():
     e, w, theta, c, g = extracted("example_monoid")
     omega = TermSpec(("x", "y"), parse_term("(+ x y)", MSIG, ["x", "y"]))
-    assert compute_Y(g, membership_term=omega) == compute_Y(g)
+    assert membership_by_term(g, omega) == compute_Y(g)
 
     # break the binary action so the two membership terms disagree
     space = g.space
@@ -122,15 +122,16 @@ def test_membership_variant_agreement_and_discrepancy():
     table[idx] = (1, 1)  # claim (1,1,0) is fixed by 0 + z
     broken = GammaData(g.X, g.B, g.theta, {"+": tuple(table), "0": g.gamma["0"]},
                        g.axioms)
-    with pytest.raises(MembershipDiscrepancy):
-        compute_Y(broken, membership_term=omega)
+    # only the target moves: omega now keeps it, theta does not
+    alt, base = membership_by_term(broken, omega), compute_Y(broken)
+    assert set(alt) - set(base) == {target} and set(base) <= set(alt)
 
 
 def test_membership_term_without_unit_property_is_wrong_theta():
     e, w, theta, c, g = extracted("example_monoid")
     first = TermSpec(("x", "y"), parse_term("x", MSIG, ["x", "y"]))
     with pytest.raises(WrongTheta):
-        compute_Y(g, membership_term=first)
+        membership_by_term(g, first)
 
 
 @pytest.mark.parametrize("entry, error", [
@@ -183,7 +184,7 @@ def test_remark_variant_terms_per_fixture(fixture_case):
     }
     text, vars_ = variants[name]
     omega = TermSpec(tuple(vars_), parse_term(text, sig, vars_))
-    assert compute_Y(g, membership_term=omega) == compute_Y(g)
+    assert membership_by_term(g, omega) == compute_Y(g)
 
 
 # -- check_conditions ----------------------------------------------------------------

@@ -8,20 +8,19 @@ a ring of sets: meet is intersection and x -> y is the largest element
 whose meet with x lies below y.  Their elements are sorted by size, so
 top, the pointed zero, is the last one.  Every idempotent endomorphism e
 of a lattice A splits it: B = e(A), X = e^-1(top), p = e, and s and k the
-inclusions.  Heyting semilattices are semi-abelian, and the witness term
-(meet (imp x z) y) of the heyting_chain fixture makes every member a
-theta-extension.
+inclusions (``conftest.split_extensions``).  Heyting semilattices are
+semi-abelian, and the witness term (meet (imp x z) y) of the
+heyting_chain fixture makes every member a theta-extension.
 """
 
 from itertools import product
 
 import pytest
 
-from conftest import load_fixture
+from conftest import load_fixture, split_extensions
 from oracles import brute_force_witnesses
 from wsext import (
     FiniteAlgebra,
-    FnTable,
     SplitExtension,
     TermSpec,
     count_witnesses,
@@ -55,32 +54,6 @@ LATTICES = [lattice(range(i) for i in range(k)) for k in range(1, 6)] + [
     lattice([(), (0,), (1,), (0, 1), (0, 1, 2)]),
     lattice([(), (2,), (0, 2), (1, 2), (0, 1, 2)]),
 ]
-
-
-def _subalgebra(A: FiniteAlgebra, elements: list[int]) -> FiniteAlgebra:
-    pos = {a: i for i, a in enumerate(elements)}
-    return FiniteAlgebra(SIG, len(elements), {
-        name: tuple(pos[A.op(name, args)] for args in product(elements, repeat=arity))
-        for name, arity in SIG.ops})
-
-
-def split_extensions(A: FiniteAlgebra) -> list[SplitExtension]:
-    """The split extension of each idempotent endomorphism of A."""
-    top, out = A.zero, []
-    for e in product(range(A.size), repeat=A.size):
-        if e[top] != top or any(e[e[a]] != e[a] for a in range(A.size)):
-            continue
-        if any(e[A.op(name, (a, b))] != A.op(name, (e[a], e[b]))
-               for name in ("meet", "imp") for a, b in product(range(A.size), repeat=2)):
-            continue
-        image = sorted(set(e))
-        kernel = [a for a in range(A.size) if e[a] == top]
-        out.append(SplitExtension(
-            _subalgebra(A, kernel), A, _subalgebra(A, image),
-            FnTable(len(kernel), A.size, tuple(kernel)),
-            FnTable(A.size, len(image), tuple(image.index(b) for b in e)),
-            FnTable(len(image), A.size, tuple(image))))
-    return out
 
 
 @pytest.fixture(scope="module")

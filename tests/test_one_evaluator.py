@@ -8,6 +8,12 @@ of the package may name ``eval_term`` or call a method named ``eval``, so
 a second, per-entry evaluator cannot come back beside the kernels.  The
 per-entry evaluator lives in ``tests/oracles.py``, as the reference the
 kernels are compared against.
+
+A term over a grid of argument values is tabulated by one call,
+``algebra.tabulate_grid``.  Only ``algebra``, which runs ``_tabulate``
+over the blocks of a grid, and ``extension``, whose comparison-map and
+alpha columns are not a grid, may name ``_tabulate``, so a block loop
+around it cannot come back in another module.
 """
 
 import ast
@@ -19,25 +25,36 @@ import wsext
 
 PACKAGE = Path(wsext.__file__).resolve().parent
 MODULES = sorted(PACKAGE.rglob("*.py"))
+TABULATE_USERS = ("algebra.py", "extension.py")
+
+
+def uses(source: str, name: str) -> list[tuple[int, str]]:
+    """(line, form) of every use of ``name``: a reference, an attribute, a
+    definition or an import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == name:
+            found.append((node.lineno, name))
+        elif isinstance(node, ast.Attribute) and node.attr == name:
+            found.append((node.lineno, "." + name))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name:
+            found.append((node.lineno, "def " + name))
+        elif isinstance(node, ast.alias) and name in (node.name, node.asname):
+            found.append((node.lineno, "import " + name))
+    return found
+
+
+def listed(found: list[tuple[int, str]]) -> list[str]:
+    return [f"{form} (line {line})" for line, form in sorted(found)]
 
 
 def second_evaluators(source: str) -> list[str]:
-    """Every use of the name ``eval_term`` (a reference, an attribute, a
-    definition or an import) and every call of an attribute ``eval``."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name) and node.id == "eval_term":
-            found.append((node.lineno, "eval_term"))
-        elif isinstance(node, ast.Attribute) and node.attr == "eval_term":
-            found.append((node.lineno, ".eval_term"))
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "eval_term":
-            found.append((node.lineno, "def eval_term"))
-        elif isinstance(node, ast.alias) and "eval_term" in (node.name, node.asname):
-            found.append((node.lineno, "import eval_term"))
-        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-              and node.func.attr == "eval"):
-            found.append((node.lineno, ".eval()"))
-    return [f"{name} (line {line})" for line, name in sorted(found)]
+    """Every use of the name ``eval_term`` and every call of an attribute
+    ``eval``."""
+    calls = [(node.lineno, ".eval()") for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "eval"]
+    return listed(uses(source, "eval_term") + calls)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
@@ -55,3 +72,26 @@ def test_the_check_catches_every_form():
     assert second_evaluators(source) == [
         "import eval_term (line 1)", "def eval_term (line 3)", ".eval_term (line 4)",
         ".eval() (line 6)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_only_algebra_and_extension_name_the_column_kernel(path):
+    found = listed(uses(path.read_text(), "_tabulate"))
+    if str(path.relative_to(PACKAGE)) in TABULATE_USERS:
+        assert found
+    else:
+        assert found == []
+
+
+def test_the_kernel_check_catches_a_block_loop_outside_algebra():
+    source = ("from .algebra import _tabulate, lex_grid\n"
+              "from . import algebra\n"
+              "def table(spec, A, axes):\n"
+              "    out = []\n"
+              "    for points, columns in lex_grid(axes):\n"
+              "        env = dict(zip(spec.vars, columns))\n"
+              "        out += algebra._tabulate(spec.term, A, env, points)\n"
+              "    return out\n"
+              "kernel = _tabulate\n")
+    assert listed(uses(source, "_tabulate")) == [
+        "import _tabulate (line 1)", "._tabulate (line 7)", "_tabulate (line 9)"]

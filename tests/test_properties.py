@@ -72,6 +72,7 @@ from wsext.transport import product_extension_check
 from conftest import EXTENSION_NAMES, load_fixture
 
 from oracles import (
+    PerEntryOps,
     brute_force_admissible,
     brute_force_closure,
     brute_force_commuting,
@@ -100,6 +101,7 @@ from oracles import (
     listing_canonical_to_obj,
     per_entry_read_gamma,
     plain_rows,
+    term_value,
 )
 
 MSIG = Signature((("+", 2), ("0", 0)), "0")
@@ -128,10 +130,11 @@ LEX_RADICES = st.one_of(
 
 
 @given(LEX_RADICES, st.integers(1, 20))
-def test_lex_blocks_cut_the_lex_grid_in_order(radices, points):
+def test_lex_grid_cuts_the_lex_grid_in_order(radices, points):
+    axes = list(map(range, radices))
     with grid_block(points):
-        blocks = list(algebra.lex_blocks(radices))
-    grid = algebra.lex_columns(radices)
+        blocks = list(algebra.lex_grid(axes))
+    grid = algebra._axis_columns(axes)
     joined = [[v for _, columns in blocks for v in columns[j]] for j in range(len(radices))]
     assert joined == grid
     assert sum(p for p, _ in blocks) == len(list(product(*map(range, radices))))
@@ -149,9 +152,10 @@ def test_lex_blocks_cut_the_lex_grid_in_order(radices, points):
     assert len(blocks) == expected
 
 
-def test_lex_blocks_split_a_coordinate_wider_than_a_block():
-    assert [p for p, _ in algebra.lex_blocks([20000])] == [algebra.GRID_BLOCK, 20000 - algebra.GRID_BLOCK]
-    assert [p for p, _ in algebra.lex_blocks([200, 200])] == [81 * 200, 81 * 200, 38 * 200]
+def test_lex_grid_splits_a_coordinate_wider_than_a_block():
+    assert [p for p, _ in algebra.lex_grid([range(20000)])] == \
+        [algebra.GRID_BLOCK, 20000 - algebra.GRID_BLOCK]
+    assert [p for p, _ in algebra.lex_grid([range(200)] * 2)] == [81 * 200, 81 * 200, 38 * 200]
 
 
 @st.composite
@@ -1183,6 +1187,42 @@ def test_action_data_checks_match_the_per_entry_oracles(case, points, data):
             for cap in ((cost, cost - 1) if cost <= 5000 else (cost - 1,)):
                 assert any_outcome(lambda: gamma_table(g, omega, budget=cap)) == \
                     any_outcome(lambda: brute_force_gamma_table(g, omega, budget=cap))
+
+
+# -- tabulate_grid against the per-entry evaluators -------------------------------------
+
+def grid_axes(values, data, arity):
+    """arity axes of up to 4 values each, repeats allowed; an axis may be
+    empty or one constant value."""
+    return [data.draw(st.lists(st.sampled_from(values), max_size=4)) for _ in range(arity)]
+
+
+@given(sig4_algebras(), GRID_BLOCKS, st.data())
+def test_tabulate_grid_matches_the_term_value_oracle(A, points, data):
+    vars_ = data.draw(st.lists(st.sampled_from("xyz"), max_size=3, unique=True))
+    spec = TermSpec(tuple(vars_), data.draw(sig4_terms(vars_)))
+    axes = grid_axes(range(A.size), data, len(vars_))
+    with grid_block(points):
+        got = algebra.tabulate_grid(spec, A, axes)
+    assert got == [term_value(spec, A, args) for args in product(*axes)]
+
+
+@given(canonical_cases(max_product_m=3), GRID_BLOCKS, st.data())
+@settings(max_examples=60, deadline=None)
+def test_tabulate_grid_matches_the_per_entry_candidate_operations(case, points, data):
+    e, theta, w, _ = case
+    c = build_canonical(e, theta, w)
+    ops, per_entry = c.candidate_ops(), PerEntryOps(c)
+    vars_ = theta.vars[:data.draw(st.integers(0, theta.arity))]
+    spec = TermSpec(vars_, data.draw(sig_terms(c.X.signature, vars_, 2)))
+    if vars_ and data.draw(st.booleans()):
+        # the retraction's axes: the zero tuple in every variable but the last
+        axes = [[ops.zero_tuple]] * (len(vars_) - 1) + [c.space.indices()]
+    else:
+        axes = grid_axes(c.space.indices(), data, len(vars_))
+    with grid_block(points):
+        got = algebra.tabulate_grid(spec, ops, axes)
+    assert got == [per_entry.eval(spec, args) for args in product(*axes)]
 
 
 # -- the row-sharing reader against the whole-document oracle ---------------------------

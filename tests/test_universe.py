@@ -3,7 +3,8 @@ with |A| <= 4.
 
 Each monoid of order <= 4 with identity 0 is taken once up to relabelling
 (1, 2, 7 and 35 of them).  Every idempotent endomorphism e of a monoid A
-splits it: B = e(A), X = e^-1(0), p = e, and s and k the inclusions.
+splits it: B = e(A), X = e^-1(0), p = e, and s and k the inclusions
+(``conftest.split_extensions``).
 """
 
 from itertools import permutations, product
@@ -13,9 +14,7 @@ import pytest
 from wsext import (
     Equation,
     FiniteAlgebra,
-    FnTable,
     Signature,
-    SplitExtension,
     ThetaSpec,
     build_canonical,
     build_extension_from_gamma,
@@ -26,6 +25,7 @@ from wsext import (
     parse_term,
     validate_split_extension,
 )
+from conftest import split_extensions
 from oracles import brute_force_witnesses
 
 MSIG = Signature((("+", 2), ("0", 0)), "0")
@@ -82,33 +82,6 @@ def _relabelled(flat, size: int, perm) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _submonoid(A: FiniteAlgebra, elements: list[int]) -> FiniteAlgebra:
-    pos = {a: i for i, a in enumerate(elements)}
-    table = tuple(pos[A.op("+", (a, b))] for a in elements for b in elements)
-    return FiniteAlgebra(MSIG, len(elements), {"+": table, "0": (pos[A.zero],)})
-
-
-def split_extensions(table: tuple[int, ...]) -> list[SplitExtension]:
-    """The split extension of each idempotent endomorphism of the monoid."""
-    size = round(len(table) ** 0.5)
-    A = FiniteAlgebra(MSIG, size, {"+": table, "0": (0,)})
-    out = []
-    for e in product(range(size), repeat=size):
-        if e[0] != 0 or any(e[e[a]] != e[a] for a in range(size)):
-            continue
-        if any(e[table[a * size + b]] != table[e[a] * size + e[b]]
-               for a, b in product(range(size), repeat=2)):
-            continue
-        image = sorted(set(e))
-        kernel = [a for a in range(size) if e[a] == 0]
-        B, X = _submonoid(A, image), _submonoid(A, kernel)
-        out.append(SplitExtension(
-            X, A, B, FnTable(len(kernel), size, tuple(kernel)),
-            FnTable(size, len(image), tuple(image.index(b) for b in e)),
-            FnTable(len(image), size, tuple(image))))
-    return out
-
-
 @pytest.fixture(scope="module")
 def universe():
     """(monoid counts by order, extensions, the first witness found for
@@ -117,7 +90,8 @@ def universe():
     for size in range(1, 5):
         tables = monoids(size)
         counts.append(len(tables))
-        extensions += [e for table in tables for e in split_extensions(table)]
+        extensions += [e for table in tables for e in split_extensions(
+            FiniteAlgebra(MSIG, size, {"+": table, "0": (0,)}))]
     witnesses = [[find_witnesses(e, theta, limit=1) for theta in THETAS] for e in extensions]
     return counts, extensions, witnesses
 
