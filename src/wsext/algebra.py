@@ -8,9 +8,9 @@ be any carrier index, not necessarily 0.
 
 Terms are tabulated over blocks of a lex grid by two table kernels:
 ``_tabulate`` over argument columns, which ``tabulate_grid`` runs over
-every block of a grid of argument values, and ``_factored``, through
-which ``check_equation`` checks every identity, over each subterm's own
-axes.
+every block of a grid of argument values (a basic operation as its own
+term, ``terms.operation_term``), and ``_factored``, through which
+``check_equation`` checks every identity, over each subterm's own axes.
 """
 
 from __future__ import annotations

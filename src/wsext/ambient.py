@@ -14,9 +14,10 @@ the ambient set an algebra-like structure, the last coordinate computed
 in B.  An ``ActionTable`` holds a table by its leaf rows: argument tuple
 z = prefix * |S| + last is entry ``last`` of the row at ``prefix``.
 ``CandidateOps.columns`` is the one reader of a table by ambient index;
-terms are tabulated in the candidate operations by
-``algebra.tabulate_grid`` for the carrier by term (``membership_by_term``)
-and the action table of a term (``gamma_table``).  ``ActionData`` gives
+every term, a basic operation too (``terms.operation_term``), is
+tabulated in the candidate operations by ``algebra.tabulate_grid``, here
+for the carrier by term (``membership_by_term``) and the action table of
+a term (``gamma_table``).  ``ActionData`` gives
 canonical forms and raw action data their ambient space and candidate
 operations.
 """

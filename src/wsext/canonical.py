@@ -24,7 +24,6 @@ from .algebra import (
     Equation,
     FiniteAlgebra,
     FnTable,
-    _axis_columns,
     _gather,
     _square_failure,
     check_equation,
@@ -48,7 +47,7 @@ from .extension import (
     require_witness,
 )
 from .report import Record, Report, _once
-from .terms import App, ThetaSpec, Var
+from .terms import App, TermSpec, ThetaSpec, Var, operation_term
 
 
 @_once
@@ -169,8 +168,7 @@ def _cross_check(c: CanonicalExtension, budget: int = DEFAULT_BUDGET) -> None:
     ops = c.candidate_ops()
     for name, arity in c.X.signature.ops:
         got = list(_gather(c.ops_Y[name])(y_indices))
-        want = [z for points, args in lex_grid([y_indices] * arity)
-                for z in ops.columns(name, args, points)]
+        want = tabulate_grid(operation_term(name, arity), ops, [y_indices] * arity)
         if got != want:
             bad = next(j for j, (u, v) in enumerate(zip(got, want)) if u != v)
             raise InternalCheckFailed(
@@ -315,19 +313,19 @@ def sigma_tau_decompose(
                                         App(add, (App(add, (x, z)), y)))):
         raise WrongTheta("witness term is not x + z + y on the middle algebra")
 
-    # sigma_i(b, x, b') = q_i(s b + k x + s b'), tau_i(x, b, x') = q_i(k x + s b + k x')
+    # sigma_i(b, x, b') = q_i(s b + k x + s b'), tau_i(x, b, x') = q_i(k x + s b + k x'):
+    # (x + y) + z in A over the axes (s, k, s) and (k, s, k), read by each q_i
     nX, nB = e.X.size, e.B.size
     k, s = e.k.values, e.s.values
+    sum3 = TermSpec(theta.vars, App(add, (App(add, (x, y)), z)))
 
-    def tables(dims, maps) -> tuple[TriTable, TriTable]:
-        columns = _axis_columns(list(map(range, dims)))
-        first, second, third = (_gather(col)(f) for col, f in zip(columns, maps))
-        points = len(first)
-        sums = e.A.columns(add, [e.A.columns(add, [first, second], points), third], points)
+    def tables(maps) -> tuple[TriTable, TriTable]:
+        sums = tabulate_grid(sum3, e.A, maps)
+        dims = tuple(map(len, maps))
         return tuple(TriTable(dims, nX, _gather(sums)(qi.values)) for qi in w.q)
 
-    sigma = tables((nB, nX, nB), (s, k, s))
-    tau = tables((nX, nB, nX), (k, s, k))
+    sigma = tables((s, k, s))
+    tau = tables((k, s, k))
 
     # the direct action against its rewritten form, block by block over
     # the argument pairs ((x11, x21, b1), (x12, x22, b2)) in lex order

@@ -31,7 +31,6 @@ from .algebra import (
     FnTable,
     check_equation,
     is_homomorphism,
-    lex_grid,
     table_args,
     tabulate_grid,
 )
@@ -49,7 +48,7 @@ from .errors import (
 )
 from .extension import SplitExtension, Witness, validate_split_extension, validate_witness
 from .report import Record, Report, _once
-from .terms import ThetaSpec
+from .terms import ThetaSpec, operation_term
 
 
 class GammaData(ActionData, Record):
@@ -153,8 +152,9 @@ class _Carrier(Record):
 @_once
 def _checked(g: GammaData, budget: int) -> tuple[Report, _Carrier]:
     """The four conditions and the carrier they were checked on, once per
-    data set and budget, each operation or term tabulated over its grid of
-    ambient-index arguments; first failures are in lex order."""
+    data set and budget, each operation (``operation_term``) or term
+    tabulated by one ``tabulate_grid`` call over its grid of ambient-index
+    arguments; first failures are in lex order."""
     rep = Report()
     space = g.space
     x_size, b_size = space.x_size, space.b_size
@@ -172,8 +172,8 @@ def _checked(g: GammaData, budget: int) -> tuple[Report, _Carrier]:
     for name, arity in g.X.signature.ops:
         if (len(Y) ** arity) > budget:
             raise SearchBudgetExceeded(f"closure check for {name!r} exceeds budget")
-        table = [y_pos.get(z) for points, args in lex_grid([Y] * arity)
-                 for z in ops.columns(name, args, points)]
+        op = operation_term(name, arity)
+        table = list(map(y_pos.get, tabulate_grid(op, ops, [Y] * arity)))
         if None in table:
             args = table_args(len(Y), arity, table.index(None))
             failure = f"carrier not closed under {name!r} at {tuple(Y[i] for i in args)}"
@@ -200,8 +200,9 @@ def _checked(g: GammaData, budget: int) -> tuple[Report, _Carrier]:
         return [at_zero[z // b_size] for z in column]
 
     kz = [z for z in Y if z % b_size == g.B.zero]  # the (ys, 0_B) in Y, in lex order
+    kx = theta0(kz)  # the kernel element each (ys, 0_B) embeds
     groups: list[list[int]] = [[] for _ in range(x_size)]
-    for z, x in zip(kz, theta0(kz)):
+    for z, x in zip(kz, kx):
         groups[x].append(z)
     bad = next((x for x, group in enumerate(groups) if len(group) != 1), None)
     rep.add("kernel_embedding_well_defined", bad is None,
@@ -213,11 +214,9 @@ def _checked(g: GammaData, budget: int) -> tuple[Report, _Carrier]:
     for name, arity in g.X.signature.ops:
         if len(kz) ** arity > budget:
             raise SearchBudgetExceeded(f"condition 3 for {name!r} exceeds budget")
-        lhs: list[int] = []
-        rhs: list[int] = []
-        for points, args in lex_grid([kz] * arity):
-            lhs += theta0(ops.columns(name, args, points))
-            rhs += g.X.columns(name, list(map(theta0, args)), points)
+        op = operation_term(name, arity)
+        lhs = theta0(tabulate_grid(op, ops, [kz] * arity))
+        rhs = tabulate_grid(op, g.X, [kx] * arity)
         if lhs != rhs:
             j = next(j for j, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
             ys = tuple(xs_of(kz[i]) for i in table_args(len(kz), arity, j))
@@ -233,7 +232,7 @@ def _checked(g: GammaData, budget: int) -> tuple[Report, _Carrier]:
         raise SearchBudgetExceeded("condition 4 exceeds budget")
     zero_row = space.pack((g.X.zero,) * g.n, 0)  # the ambient index of (0, .., 0, 0)
     got = tabulate_grid(g.theta, ops, [kz] * g.n + [range(zero_row, zero_row + b_size)])
-    targets = space.fold([theta0(kz)] * g.n + [range(b_size)])
+    targets = space.fold([kx] * g.n + [range(b_size)])
     j = next((j for j, (t, z) in enumerate(zip(targets, got))
               if t in y_pos and z // b_size != t // b_size), None)
     if j is not None:

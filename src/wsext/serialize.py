@@ -154,6 +154,13 @@ def _int(value: Any, what: str) -> int:
     return _ints([value], what)[0]
 
 
+def _str(value: Any, what: str) -> str:
+    """``value``, if it is a string (a name or term text is never coerced)."""
+    if not isinstance(value, str):
+        raise FileFormatError(f"{what}: expected a string, got {value!r}")
+    return value
+
+
 def _require_lists(level: Sequence, size: int, what: str) -> None:
     # canonical_to_obj's documents hold their rows as _Rows
     if not (set(map(type, level)) <= {list, _Row} and set(map(len, level)) <= {size}):
@@ -193,8 +200,8 @@ def algebra_from_obj(obj: Source, base_dir: Optional[Path] = None) -> FiniteAlge
     ops = []
     for op in sig_obj["ops"]:
         _check_keys(op, ["name", "arity"], [], "operation")
-        ops.append((str(op["name"]), _int(op["arity"], "arity")))
-    sig = Signature(tuple(ops), str(sig_obj["constant"]))
+        ops.append((_str(op["name"], "operation name"), _int(op["arity"], "arity")))
+    sig = Signature(tuple(ops), _str(sig_obj["constant"], "signature constant"))
     size = _int(obj["size"], "size")
     if not isinstance(obj["tables"], dict):
         raise FileFormatError("tables: expected an object")
@@ -248,7 +255,7 @@ def theta_from_obj(obj: Source, sig: Signature, base_dir: Optional[Path] = None)
     vars_ = obj["vars"]
     if not isinstance(vars_, list) or not all(isinstance(v, str) for v in vars_):
         raise FileFormatError("theta vars: expected a list of strings")
-    term = parse_term(str(obj["term"]), sig, vars_)
+    term = parse_term(_str(obj["term"], "theta term"), sig, vars_)
     return ThetaSpec(tuple(vars_), term)
 
 
@@ -267,8 +274,8 @@ def equations_from_obj(items: Any, sig: Signature) -> tuple[Equation, ...]:
         vars_ = item["vars"]
         if not isinstance(vars_, list) or not all(isinstance(v, str) for v in vars_):
             raise FileFormatError("axiom vars: expected a list of strings")
-        lhs = parse_term(str(item["lhs"]), sig, vars_)
-        rhs = parse_term(str(item["rhs"]), sig, vars_)
+        lhs = parse_term(_str(item["lhs"], "axiom lhs"), sig, vars_)
+        rhs = parse_term(_str(item["rhs"], "axiom rhs"), sig, vars_)
         out.append(Equation(tuple(vars_), lhs, rhs))
     return tuple(out)
 

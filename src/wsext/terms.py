@@ -199,6 +199,13 @@ class TermSpec(Record):
         return len(self.vars)
 
 
+def operation_term(name: str, arity: int) -> TermSpec:
+    """The basic operation ``name`` as a term over its own variables,
+    ``(name v0 .. v{arity-1})``, so an operation's table is a term's."""
+    vars_ = tuple(f"v{i}" for i in range(arity))
+    return TermSpec(vars_, App(name, tuple(map(Var, vars_))))
+
+
 class ThetaSpec(TermSpec):
     """Witness term: arity n+1 with the last variable distinguished.
 

@@ -13,7 +13,12 @@ A term over a grid of argument values is tabulated by one call,
 ``algebra.tabulate_grid``.  Only ``algebra``, which runs ``_tabulate``
 over the blocks of a grid, and ``extension``, whose comparison-map and
 alpha columns are not a grid, may name ``_tabulate``, so a block loop
-around it cannot come back in another module.
+around it cannot come back in another module.  An operation's table is a
+term's (``terms.operation_term``), so the action-data layers ``gammabuild``
+and ``canonical`` walk no grid by hand either: neither names ``lex_grid``
+nor an operation's ``columns`` kernel, except ``sigma_tau_decompose``,
+whose early-exit check mixes lookups in X, B and the sigma/tau tables
+that no one algebra's term expresses.
 """
 
 import ast
@@ -26,13 +31,15 @@ import wsext
 PACKAGE = Path(wsext.__file__).resolve().parent
 MODULES = sorted(PACKAGE.rglob("*.py"))
 TABULATE_USERS = ("algebra.py", "extension.py")
+# each action-data layer and the functions in it that may walk a grid by hand
+GRID_WALKERS = {"gammabuild.py": (), "canonical.py": ("sigma_tau_decompose",)}
 
 
-def uses(source: str, name: str) -> list[tuple[int, str]]:
-    """(line, form) of every use of ``name``: a reference, an attribute, a
-    definition or an import."""
+def uses(code, name: str) -> list[tuple[int, str]]:
+    """(line, form) of every use of ``name`` in source text or a syntax
+    tree: a reference, an attribute, a definition or an import."""
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(ast.parse(code) if isinstance(code, str) else code):
         if isinstance(node, ast.Name) and node.id == name:
             found.append((node.lineno, name))
         elif isinstance(node, ast.Attribute) and node.attr == name:
@@ -95,3 +102,38 @@ def test_the_kernel_check_catches_a_block_loop_outside_algebra():
               "kernel = _tabulate\n")
     assert listed(uses(source, "_tabulate")) == [
         "import _tabulate (line 1)", "._tabulate (line 7)", "_tabulate (line 9)"]
+
+
+def grid_walks(source: str, allowed: tuple[str, ...] = ()) -> list[str]:
+    """Every reference to ``lex_grid`` and every ``columns`` attribute or
+    definition outside the top-level functions named in ``allowed``.  An
+    import is not a walk (the allowed functions need it); a call is."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name in allowed:
+            continue
+        found += [use for use in uses(node, "lex_grid") + uses(node, "columns")
+                  if use[1] != "columns" and not use[1].startswith("import ")]
+    return listed(found)
+
+
+@pytest.mark.parametrize("module", sorted(GRID_WALKERS))
+def test_the_action_data_layers_walk_no_grid_by_hand(module):
+    source, allowed = (PACKAGE / module).read_text(), GRID_WALKERS[module]
+    assert grid_walks(source, allowed) == []
+    if allowed:  # the exemption still covers a grid walk
+        assert grid_walks(source) != []
+
+
+def test_the_grid_check_catches_a_block_loop_in_an_action_data_layer():
+    source = ("from .algebra import lex_grid, tabulate_grid\n"
+              "def closure(ops, name, arity, Y):\n"
+              "    return [z for points, args in lex_grid([Y] * arity)\n"
+              "            for z in ops.columns(name, args, points)]\n"
+              "def sigma_tau_decompose(e, add, axes):\n"
+              "    for points, args in lex_grid(axes):\n"
+              "        yield e.A.columns(add, args, points)\n"
+              "columns = 0\n"
+              "kernel = ops.columns\n")
+    assert grid_walks(source, ("sigma_tau_decompose",)) == [
+        "lex_grid (line 3)", ".columns (line 4)", ".columns (line 9)"]

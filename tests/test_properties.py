@@ -66,7 +66,7 @@ from wsext.serialize import (
     gamma_from_obj,
     theta_from_obj,
 )
-from wsext.terms import substitute
+from wsext.terms import operation_term, substitute
 from wsext.transport import product_extension_check
 
 from conftest import EXTENSION_NAMES, load_fixture
@@ -834,8 +834,7 @@ def test_interchange_matches_the_oracle_on_fixtures(name):
     # B; several fail at a matrix that is not its own transpose
     e, _, _, theta = load_fixture(name)
     for op, arity in e.A.signature.ops:
-        vars_ = tuple(f"v{i}" for i in range(arity))
-        omega = TermSpec(vars_, App(op, tuple(map(Var, vars_))))
+        omega = operation_term(op, arity)
         for alg in (e.X, e.A, e.B):
             assert repr(check_commuting(omega, theta, alg)) == \
                 repr(brute_force_commuting(omega, theta, alg))
@@ -1178,9 +1177,7 @@ def test_action_data_checks_match_the_per_entry_oracles(case, points, data):
                 assert any_outcome(lambda: membership_by_term(g, omega, budget=cap)) == \
                     any_outcome(lambda: brute_force_membership(g, omega, budget=cap))
 
-        basic = [TermSpec(vs, App(name, tuple(map(Var, vs))))
-                 for name, arity in g.X.signature.ops
-                 for vs in [tuple(f"v{i}" for i in range(arity))]]
+        basic = [operation_term(name, arity) for name, arity in g.X.signature.ops]
         for omega in basic + membership_variants(g.theta)[:1]:
             cost = size ** omega.arity
             # the full tables only where the per-entry oracle stays quick
@@ -1197,11 +1194,19 @@ def grid_axes(values, data, arity):
     return [data.draw(st.lists(st.sampled_from(values), max_size=4)) for _ in range(arity)]
 
 
+def grid_term(sig: Signature, vars_, terms, data) -> TermSpec:
+    """A term over vars_ drawn from ``terms``, or one basic operation of
+    sig over its own variables."""
+    if data.draw(st.booleans()):
+        return TermSpec(tuple(vars_), data.draw(terms))
+    return operation_term(*data.draw(st.sampled_from(sig.ops)))
+
+
 @given(sig4_algebras(), GRID_BLOCKS, st.data())
 def test_tabulate_grid_matches_the_term_value_oracle(A, points, data):
     vars_ = data.draw(st.lists(st.sampled_from("xyz"), max_size=3, unique=True))
-    spec = TermSpec(tuple(vars_), data.draw(sig4_terms(vars_)))
-    axes = grid_axes(range(A.size), data, len(vars_))
+    spec = grid_term(SIG4, vars_, sig4_terms(vars_), data)
+    axes = grid_axes(range(A.size), data, spec.arity)
     with grid_block(points):
         got = algebra.tabulate_grid(spec, A, axes)
     assert got == [term_value(spec, A, args) for args in product(*axes)]
@@ -1214,15 +1219,24 @@ def test_tabulate_grid_matches_the_per_entry_candidate_operations(case, points, 
     c = build_canonical(e, theta, w)
     ops, per_entry = c.candidate_ops(), PerEntryOps(c)
     vars_ = theta.vars[:data.draw(st.integers(0, theta.arity))]
-    spec = TermSpec(vars_, data.draw(sig_terms(c.X.signature, vars_, 2)))
-    if vars_ and data.draw(st.booleans()):
+    spec = grid_term(c.X.signature, vars_, sig_terms(c.X.signature, vars_, 2), data)
+    if spec.vars and data.draw(st.booleans()):
         # the retraction's axes: the zero tuple in every variable but the last
-        axes = [[ops.zero_tuple]] * (len(vars_) - 1) + [c.space.indices()]
+        axes = [[ops.zero_tuple]] * (spec.arity - 1) + [c.space.indices()]
     else:
-        axes = grid_axes(c.space.indices(), data, len(vars_))
+        axes = grid_axes(c.space.indices(), data, spec.arity)
     with grid_block(points):
         got = algebra.tabulate_grid(spec, ops, axes)
     assert got == [per_entry.eval(spec, args) for args in product(*axes)]
+
+
+@pytest.mark.parametrize("name", EXTENSION_NAMES)
+def test_an_operation_term_tabulates_to_the_operation_table(name):
+    e, _, _, _ = load_fixture(name)
+    for A in (e.X, e.A, e.B):
+        for op, arity in A.signature.ops:
+            assert algebra.tabulate_grid(operation_term(op, arity), A,
+                                         [range(A.size)] * arity) == list(A.tables[op])
 
 
 # -- the row-sharing reader against the whole-document oracle ---------------------------

@@ -34,7 +34,7 @@ from wsext.serialize import (
     to_text,
 )
 
-from conftest import load_fixture
+from conftest import load_fixture, run_cli
 
 
 def n2_obj():
@@ -112,6 +112,60 @@ def test_a_non_integer_entry_is_named_where_it_stands(array, place, bad):
         read(doc)
     assert type(raised.value) is FileFormatError
     assert str(raised.value) == f"{what}: expected an integer, got {bad!r}"
+
+
+def _example() -> dict:
+    return json.loads(fixture_path("example_monoid").read_text())
+
+
+def _theta_doc(ext: dict) -> tuple[dict, dict]:
+    doc = json.loads(fixture_path("theta_monoid_xzy").read_text())
+    return doc, doc
+
+
+def _read_theta(doc: dict) -> ThetaSpec:
+    return theta_from_obj(doc, algebra_from_obj(_example()["A"]).signature)
+
+
+# a name or term text of a file, built from the example extension document
+# or the witness term file: (the document and the object holding the field,
+# the field's key, its reader); each error carries the field's name
+STR_FIELDS = {
+    "operation name": (lambda ext: (ext["A"], ext["A"]["signature"]["ops"][1]), "name",
+                       algebra_from_obj),
+    "signature constant": (lambda ext: (ext["A"], ext["A"]["signature"]), "constant",
+                           algebra_from_obj),
+    "theta term": (_theta_doc, "term", _read_theta),
+    "axiom lhs": (lambda ext: (ext, ext["axioms"][1]), "lhs", extension_from_obj),
+    "axiom rhs": (lambda ext: (ext, ext["axioms"][1]), "rhs", extension_from_obj),
+}
+
+
+@pytest.mark.parametrize("bad", [0, True, None, ["0"]], ids=repr)
+@pytest.mark.parametrize("field", sorted(STR_FIELDS))
+def test_a_name_or_term_that_is_not_a_string_is_named(field, bad):
+    # 0 and ["0"] are not read as the constant "0", nor True as "True"
+    document, key, read = STR_FIELDS[field]
+    doc, holder = document(_example())
+    holder[key] = bad
+    with pytest.raises(FileFormatError) as raised:
+        read(doc)
+    assert type(raised.value) is FileFormatError
+    assert str(raised.value) == f"{field}: expected a string, got {bad!r}"
+
+
+def test_check_refuses_an_integer_constant(tmp_path):
+    # the constant operation named 0 in every algebra, not "0"
+    doc = _example()
+    for alg in ("X", "A", "B"):
+        sig = doc[alg]["signature"]
+        sig["ops"][1]["name"] = sig["constant"] = 0
+    path = tmp_path / "ext.json"
+    path.write_text(json.dumps(doc))
+    res = run_cli("check", str(path), "--theta", str(fixture_path("theta_monoid_xzy")))
+    assert res.returncode == 64
+    assert res.stdout == ""
+    assert res.stderr == "error: operation name: expected a string, got 0\n"
 
 
 def test_algebra_rejects_ragged_tables():
