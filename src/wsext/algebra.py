@@ -47,7 +47,14 @@ class Signature(Record):
     constant_name: str
 
     def __post_init__(self):
-        object.__setattr__(self, "ops", tuple((str(n), int(a)) for n, a in self.ops))
+        object.__setattr__(self, "ops", tuple((n, a) for n, a in self.ops))
+        # names and arities are refused, never coerced: str(0) would be a new name
+        for name in [n for n, _ in self.ops] + [self.constant_name]:
+            if not isinstance(name, str):
+                raise SignatureMismatch(f"name {name!r} is not a string")
+        for name, a in self.ops:
+            if type(a) is not int:
+                raise ArityMismatch(f"arity {a!r} of {name!r} is not an integer")
         names = [n for n, _ in self.ops]
         if len(set(names)) != len(names):
             raise SignatureMismatch(f"duplicate operation names in {names}")

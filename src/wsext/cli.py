@@ -19,12 +19,18 @@ that exits 0, 1 or 2 prints exactly one document with ``schema`` and
 ``command`` keys; an early exit carries ``error``, or ``valid`` and
 ``validation``.  Exits 64 and 70 print nothing on stdout; their message
 goes to stderr.  No other code in the package writes to stdout or stderr.
+
+``main`` flushes what it writes, so a failed write to stdout is exit 70
+whatever the buffering, and returns the exit code to its caller.  ``run``,
+the process entry point, ends the process with ``os._exit(main())`` and
+skips interpreter teardown; a program that embeds the CLI calls ``main``.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import os
 import sys
 from pathlib import Path
 from types import ModuleType
@@ -400,15 +406,23 @@ def main(argv: Optional[list[str]] = None) -> int:
         code, payload, lines = args.fn(args)
         sys.stdout.write(to_text({"schema": JSON_SCHEMA, "command": args.command, **payload})
                          if args.json else "\n".join(lines) + "\n")
+        sys.stdout.flush()  # a failed write is exit 70 here, not at teardown
         return code
     except ToolkitError as exc:
         code, message = EXIT_USAGE, f"error: {exc}"
     except Exception as exc:  # a bug, not a verdict on the input: never exit 1
         code, message = EXIT_SOFTWARE, f"internal error: {type(exc).__name__}: {exc}"
     # one stderr line, even when the message holds a file name with a newline
-    print(message.replace("\n", " "), file=sys.stderr)
+    print(message.replace("\n", " "), file=sys.stderr, flush=True)
     return code
 
 
+def run() -> None:
+    """The process entry point: ``main``, then ``os._exit`` with its code,
+    skipping interpreter teardown.  argparse's --help and usage errors
+    raise ``SystemExit`` and leave the normal way."""
+    os._exit(main())
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

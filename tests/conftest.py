@@ -18,14 +18,20 @@ EXTENSION_NAMES = sorted(EXTENSIONS)
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(*args):
+def run_cli(*args, stdout=subprocess.PIPE, **variables):
     """Run ``python -m wsext`` in a child process that imports this
-    checkout's sources first, whatever the caller's PYTHONPATH."""
+    checkout's sources first, whatever the caller's PYTHONPATH.  Keyword
+    arguments set environment variables; ``None`` unsets one."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run([sys.executable, "-m", "wsext", *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+    for name, value in variables.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return subprocess.run([sys.executable, "-m", "wsext", *args], env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
 
 
 @contextmanager

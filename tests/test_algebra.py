@@ -47,6 +47,30 @@ def test_signature_requires_nullary_constant():
         Signature((("+", 2),), "0")
 
 
+@pytest.mark.parametrize("name", [0, None, ["+"]], ids=["int", "None", "list"])
+def test_signature_refuses_a_name_that_is_not_a_string(name):
+    with pytest.raises(SignatureMismatch, match="is not a string"):
+        Signature(((name, 2), ("0", 0)), "0")
+
+
+@pytest.mark.parametrize("arity", [2.0, 2.7, True, False, "2"],
+                         ids=["float", "fraction", "True", "False", "str"])
+def test_signature_refuses_an_arity_that_is_not_an_int(arity):
+    with pytest.raises(ArityMismatch, match="is not an integer"):
+        Signature((("+", arity), ("0", 0)), "0")
+
+
+def test_signature_refuses_a_constant_name_that_is_not_a_string():
+    with pytest.raises(SignatureMismatch, match="is not a string"):
+        Signature((("+", 2), ("0", 0)), 0)
+
+
+def test_signature_keeps_its_operations_as_tuples():
+    sig = Signature([["+", 2], ("0", 0)], "0")
+    assert sig.ops == (("+", 2), ("0", 0))
+    assert type(sig.ops) is tuple and all(type(op) is tuple for op in sig.ops)
+
+
 # -- make_algebra ----------------------------------------------------------------
 
 def test_make_algebra_saturating_monoid():

@@ -445,6 +445,91 @@ def test_a_failed_report_write_exits_70_with_one_line():
     assert err.getvalue() == "internal error: BrokenPipeError: [Errno 32] Broken pipe\n"
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("json_mode", [False, True], ids=["plain", "json"])
+def test_a_full_stdout_exits_70_with_one_line_in_every_buffering_mode(json_mode, unbuffered):
+    # block-buffered stdout used to fail only at interpreter teardown: exit 120
+    with open("/dev/full", "w") as full:
+        res = run_cli("check", EXAMPLE, "--theta", THETA_XZY, *(["--json"] if json_mode else []),
+                      stdout=full, PYTHONUNBUFFERED=unbuffered)
+    assert res.returncode == 70
+    assert res.stderr == "internal error: OSError: [Errno 28] No space left on device\n"
+
+
+def _main_exit(argv):
+    """(exit code, stdout, stderr) of main in this process, argparse's
+    ``SystemExit`` included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _invalid_example(tmp_path):
+    doc = json.loads(fixture_path("example_monoid").read_text())
+    doc["s"] = [0, 3]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# (exit code, argv; a callable argument is given tmp_path)
+PROCESS_EXITS = {
+    "found": (0, ["check", EXAMPLE, "--theta", THETA_XZY]),
+    "no witness": (1, ["check", EXAMPLE, "--theta", THETA_SUM]),
+    "invalid extension": (2, ["check", _invalid_example, "--theta", THETA_XZY]),
+    "no theta": (64, ["check", EXAMPLE]),
+    "usage error": (64, ["check"]),
+}
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["plain", "json"])
+@pytest.mark.parametrize("case", sorted(PROCESS_EXITS))
+def test_a_cli_process_exits_as_main_returns(case, json_mode, tmp_path):
+    code, argv = PROCESS_EXITS[case]
+    argv = [a(tmp_path) if callable(a) else a for a in argv] + (["--json"] if json_mode else [])
+    res = run_cli(*argv)
+    main_code, out, err = _main_exit(argv)
+    assert res.returncode == main_code == code
+    assert res.stdout == out
+    if case != "usage error":  # argparse wraps its usage line to the terminal
+        assert res.stderr == err
+
+
+def test_a_json_report_larger_than_the_stdout_buffer_arrives_whole():
+    argv = ["check", str(fixture_path("n2_product")), "--theta-vars", "x1,x2,x3,x4,y",
+            "--theta-term", "(+ x1 (+ x2 (+ x3 (+ x4 y))))", "--no-normalize",
+            "--limit", "1000", "--json"]
+    res = run_cli(*argv, PYTHONUNBUFFERED=None)
+    assert res.returncode == 0 and res.stderr == ""
+    assert len(res.stdout) > 4 * io.DEFAULT_BUFFER_SIZE
+    assert res.stdout == _main_exit(argv)[1]
+    doc = json.loads(res.stdout)
+    assert len(doc["witnesses"]) == doc["witness_count"] == 225
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSIONS))
+def test_files_written_by_a_cli_process_equal_the_files_of_main(name, tmp_path):
+    written = {}
+    for side in ("process", "main"):
+        canon, rebuilt = tmp_path / f"{side}-canon.json", tmp_path / f"{side}-rebuilt.json"
+        for argv in (["canonicalize", str(fixture_path(name)), "--theta",
+                      str(fixture_path(EXTENSIONS[name])), "-o", str(canon)],
+                     ["gamma-check", str(canon), "--rebuild", str(rebuilt)]):
+            code = run_cli(*argv).returncode if side == "process" else _main_exit(argv)[0]
+            assert code == 0
+        written[side] = canon.read_bytes(), rebuilt.read_bytes()
+    assert written["process"] == written["main"]
+    canon, rebuilt = tmp_path / "process-canon.json", tmp_path / "process-rebuilt.json"
+    assert check_conditions(gamma_from_obj(json.loads(canon.read_text()), tmp_path)).ok
+    e, _, _ = load_extension(rebuilt)
+    assert ext.validate_split_extension(e).ok
+
+
 def test_unwritable_output_is_a_file_error(tmp_path):
     out = tmp_path / "missing-dir" / "canon.json"
     res = run_cli("canonicalize", EXAMPLE, "--theta", THETA_XZY, "-o", str(out))
