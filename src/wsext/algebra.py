@@ -6,18 +6,17 @@ row-major order: the entry for arguments ``(a_1, .., a_k)`` sits at index
 distinguished constant (the "zero" of the pointed variety); its value may
 be any carrier index, not necessarily 0.
 
-Terms are tabulated over blocks of a lex grid by two table kernels:
-``_tabulate`` over argument columns, which ``tabulate_grid`` runs over
-every block of a grid of argument values (a basic operation as its own
-term, ``terms.operation_term``), and ``_factored``, through which
-``check_equation`` checks every identity, over each subterm's own axes.
+One kernel, ``_factored``, tabulates every term, each subterm over the
+axes of its own variables, in a FiniteAlgebra or ``ambient.CandidateOps``;
+``grid_blocks`` runs it over a grid for ``tabulate_grid`` and
+``check_equation``, and ``_tabulate`` on columns that are not a grid.
 """
 
 from __future__ import annotations
 
-from itertools import chain, product
+from itertools import chain, compress, count, cycle, product, repeat
 from math import prod
-from operator import itemgetter
+from operator import add, itemgetter, mul, ne
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
@@ -89,13 +88,15 @@ def table_index(size: int, args: Sequence[int]) -> int:
     return idx
 
 
-def fold_indices(size: int, values: Sequence[int], arity: int) -> list[int]:
-    """Flat table indices, radix ``size``, of every arity-tuple drawn from
-    ``values`` in lex order: entry j is table_index(size, args) where args
-    is the j-th tuple of ``product(values, repeat=arity)``."""
-    idx = [0]
-    for _ in range(arity):
-        idx = [i * size + v for i in idx for v in values]
+def fold(radices: Sequence[int], axes: Sequence[Sequence[int]]) -> list[int]:
+    """The mixed-radix index, radix radices[j] at coordinate j, of every
+    tuple with coordinate j drawn from axes[j], in lex order: entry j is
+    the index of the j-th tuple of ``product(*axes)``."""
+    idx = list(axes[0]) if axes else [0]
+    for radix, axis in zip(radices[1:], axes[1:]):
+        scaled = map(mul, idx, repeat(radix))
+        idx = list(map(add, chain.from_iterable(map(repeat, scaled, repeat(len(axis)))),
+                       cycle(axis)))
     return idx
 
 
@@ -108,20 +109,7 @@ def table_args(size: int, arity: int, idx: int) -> tuple[int, ...]:
     return tuple(reversed(args))
 
 
-def _axis_columns(axes: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The columns of the grid axes[0] x axes[1] x .. in lex order: column
-    j holds coordinate j of every grid point, the last coordinate varying
-    fastest.  The grid has prod(map(len, axes)) points (1 when empty)."""
-    total = stride = prod(map(len, axes))
-    columns = []
-    for axis in axes:
-        stride //= len(axis)
-        column = list(chain.from_iterable([v] * stride for v in axis))
-        columns.append(column * (total // len(column)))
-    return columns
-
-
-# Grid points per block in lex_grid: kernels that tabulate a term over a
+# Grid points per block in grid_blocks: kernels that tabulate a term over a
 # grid hold O(term nodes * GRID_BLOCK) integers at a time, whatever its size.
 GRID_BLOCK = 1 << 14
 
@@ -152,14 +140,6 @@ def _block_axes(radices: Sequence[int]) -> Iterator[list[range]]:
     for head in product(*map(range, lead)):
         for start in range(0, edge, run):
             yield [range(h, h + 1) for h in head] + [range(start, min(start + run, edge))] + tail
-
-
-def lex_grid(axes: Sequence[Sequence[int]]) -> Iterator[tuple[int, list[list[int]]]]:
-    """Every tuple with coordinate j drawn from axes[j], in lex order, as
-    value columns in the blocks of _block_axes: (points, columns)."""
-    for block in _block_axes([len(axis) for axis in axes]):
-        yield prod(map(len, block)), _axis_columns(
-            [axis[r.start:r.stop] for axis, r in zip(axes, block)])
 
 
 class FiniteAlgebra(Record):
@@ -273,9 +253,8 @@ def _gather(idx: Sequence[int]) -> Callable[[Sequence], tuple]:
     read as one slice."""
     if type(idx) is range and idx.step == 1:
         return itemgetter(slice(idx.start, idx.stop))
-    if len(idx) == 1:
-        i = idx[0]
-        return lambda seq: (seq[i],)
+    if len(idx) < 2:
+        return lambda seq: tuple(map(seq.__getitem__, idx))
     return itemgetter(*idx)
 
 
@@ -292,11 +271,11 @@ def _square_failure(f: Sequence[Optional[int]], A: FiniteAlgebra,
     f0 = [0 if v is None else v for v in f]
     for name, arity in A.signature.ops:
         lhs = _gather(A.tables[name])(f)
-        rhs = _gather(fold_indices(B.size, f0, arity))(B.tables[name])
+        rhs = _gather(fold([B.size] * arity, [f0] * arity))(B.tables[name])
         if total and lhs == rhs:
             continue
         # bit i of args_defined[j] says whether f is defined at argument i
-        args_defined = fold_indices(2, defined, arity)
+        args_defined = fold([2] * arity, [defined] * arity)
         bad = next((j for j, (u, v, d) in enumerate(zip(lhs, rhs, args_defined))
                     if u is None or d != 2 ** arity - 1 or u != v), None)
         if bad is not None:
@@ -344,61 +323,18 @@ def check_equation(A: FiniteAlgebra, eq: Equation) -> CheckResult:
     """Exhaustively check an identity on A; the counterexample is the first
     failing assignment in lexicographic order of the variable list.
 
-    The assignments are taken in the blocks of _block_axes, and each side
-    is tabulated over a block by _factored: O(nodes * GRID_BLOCK) integers
-    at a time, and every assignment is still checked.
+    Both sides are tabulated block by block (grid_blocks): O(nodes *
+    GRID_BLOCK) integers at a time, and every assignment is checked.
     """
-    offset, every = 0, tuple(range(len(eq.vars)))
-    pos = dict(zip(eq.vars, every))
-    for axes in _block_axes([A.size] * len(eq.vars)):
-        lhs, rhs = (tuple(_spread(*_factored(side, A, pos, axes), every, axes))
-                    for side in (eq.lhs, eq.rhs))
-        if lhs != rhs:
-            i = next(i for i, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+    offset = 0
+    for lhs, rhs in grid_blocks(eq.vars, (eq.lhs, eq.rhs), A, [range(A.size)] * len(eq.vars)):
+        if tuple(lhs) != tuple(rhs):
+            i = next(compress(count(), map(ne, lhs, rhs)))
             values = table_args(A.size, len(eq.vars), offset + i)
             return CheckResult(False, {"assignment": dict(zip(eq.vars, values)),
                                        "lhs": lhs[i], "rhs": rhs[i]})
         offset += len(lhs)
     return CheckResult(True)
-
-
-def _factored(t: Term, A: FiniteAlgebra, pos: Mapping[str, int], axes: list[range]):
-    """(vs, values): t over the lex grid of the axes of just its variables,
-    whose positions are vs, ascending.  A binary node whose first argument's
-    variables all precede its second's is an outer product of table rows;
-    other nodes spread their arguments onto one grid for _node."""
-    if isinstance(t, Var):
-        return (pos[t.name],), axes[pos[t.name]]
-    table, n = A.tables[t.op], A.size
-    args = [_factored(a, A, pos, axes) for a in t.args]
-    if not args:
-        return (), (table[0],)
-    if len(args) == 1:
-        return args[0][0], _gather(args[0][1])(table)
-    (vs, first), (ws, second) = args[:2]
-    if len(args) == 2 and not ws:
-        return vs, _gather(first)(table[second[0]::n])
-    if len(args) == 2 and (not vs or vs[-1] < ws[0]):
-        row, out = _gather(second), []
-        for u in first:
-            out += row(table[u * n:u * n + n])
-        return vs + ws, out
-    joint = tuple(sorted({i for vs, _ in args for i in vs}))
-    return joint, _node(table, n, [_spread(*arg, joint, axes) for arg in args],
-                        prod(len(axes[i]) for i in joint))
-
-
-def _spread(vs: tuple[int, ...], values: Sequence[int], joint: tuple[int, ...],
-            axes: list[range]) -> Sequence[int]:
-    """values over the grid of the axes vs, read at each point of the grid
-    of the axes joint, a superset of vs."""
-    if vs == joint:
-        return values
-    idx = [0]
-    for j in joint:
-        r = range(len(axes[j]))
-        idx = [i * len(r) + k for i in idx for k in r] if j in vs else [i for i in idx for _ in r]
-    return _gather(idx)(values)
 
 
 def check_theta_admissible(theta: TermSpec, A: FiniteAlgebra) -> CheckResult:
@@ -470,20 +406,76 @@ def check_commuting(
 
 def tabulate_grid(spec: TermSpec, A, axes: Sequence[Sequence[int]]) -> list[int]:
     """The term of ``spec`` at every point of the lex grid of ``axes``,
-    axis j holding the values of its j-th variable, in lex order: _tabulate
-    over each block of lex_grid, in A's ``columns`` kernel."""
+    axis j holding the values of its j-th variable, in lex order."""
     values: list[int] = []
-    for points, columns in lex_grid(axes):
-        values += _tabulate(spec.term, A, dict(zip(spec.vars, columns)), points)
+    for (block,) in grid_blocks(spec.vars, (spec.term,), A, axes):
+        values += block
     return values
 
 
-def _tabulate(t: Term, A, env: Mapping[str, list[int]], block: int) -> list[int]:
-    """Values of t over one block, given each variable's column, in anything
-    with a ``columns`` kernel: a FiniteAlgebra or ``ambient.CandidateOps``."""
+def grid_blocks(names: Sequence[str], terms: Sequence[Term], A,
+                axes: Sequence[Sequence[int]]) -> Iterator[list[Sequence[int]]]:
+    """Per block of _block_axes, each term's values in A at the block's
+    points of the lex grid of ``axes``, axis j holding variable names[j]."""
+    every = tuple(range(len(axes)))
+    for block in _block_axes([len(axis) for axis in axes]):
+        lens = [len(r) for r in block]
+        env = {name: ((j,), axis[r.start:r.stop])
+               for j, name, axis, r in zip(every, names, axes, block)}
+        yield [_spread(*_factored(t, A, env, lens), every, lens) for t in terms]
+
+
+def _tabulate(t: Term, A, env: Mapping[str, Sequence[int]], block: int) -> list[int]:
+    """t over argument columns that are not a grid, given each variable's
+    column: _factored with every variable on one shared axis."""
+    env = {name: ((0,), column) for name, column in env.items()}
+    return list(_spread(*_factored(t, A, env, [block]), (0,), [block]))
+
+
+def _factored(t: Term, A, env: Mapping, lens: Sequence[int]):
+    """(vs, values): t over the grid of the axes vs (ascending) of its
+    variables, given each one's (axes, values) and the axis lengths.  In
+    a FiniteAlgebra's tables a unary node or one with a constant second
+    argument is a gather, a binary one with ordered variables an outer
+    product of rows; other nodes spread their arguments onto one grid for
+    A's ``columns`` kernel (all nodes in ``ambient.CandidateOps``)."""
     if isinstance(t, Var):
         return env[t.name]
-    return A.columns(t.op, [_tabulate(a, A, env, block) for a in t.args], block)
+    args = [_factored(a, A, env, lens) for a in t.args]
+    if isinstance(A, FiniteAlgebra) and 0 < len(args) < 3:
+        table, n = A.tables[t.op], A.size
+        (vs, first), (ws, second) = args[0], args[-1]
+        if len(args) == 1:
+            return vs, _gather(first)(table)
+        if not ws:
+            return vs, _gather(first)(table[second[0]::n])
+        if not vs or vs[-1] < ws[0]:
+            row, out = _gather(second), []
+            for u in first:
+                out += row(table[u * n:u * n + n])
+            return vs + ws, out
+    joint = tuple(sorted({i for vs, _ in args for i in vs}))
+    return joint, A.columns(t.op, [_spread(*arg, joint, lens) for arg in args],
+                            prod(lens[i] for i in joint))
+
+
+def _spread(vs: tuple[int, ...], values: Sequence[int], joint: tuple[int, ...],
+            lens: Sequence[int]) -> Sequence[int]:
+    """values over the grid of the axes vs, read at each point of the grid
+    of the axes joint, a superset of vs.  Axes of length 1 do not count;
+    a constant is repeated, one axis repeated and tiled, more gathered."""
+    wide = [j for j in joint if lens[j] != 1]
+    own = [j for j in vs if lens[j] != 1]
+    if own == wide:
+        return values
+    if not own:
+        return [values[0]] * prod(lens[j] for j in wide)
+    if len(own) == 1:
+        inner = prod(lens[j] for j in wide if j > own[0])
+        column = chain.from_iterable(map(repeat, values, repeat(inner))) if inner > 1 else values
+        return list(column) * prod(lens[j] for j in wide if j < own[0])
+    return _gather(fold([lens[j] if j in vs else 1 for j in wide],
+                        [range(lens[j]) if j in vs else [0] * lens[j] for j in wide]))(values)
 
 
 def _node(table: Sequence, size: int, args: Sequence[Sequence[int]],

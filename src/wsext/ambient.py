@@ -4,9 +4,8 @@ the tabulations of terms in them; the action-data layer.
 A tuple (x_1, .., x_n, b) is packed into a single index in mixed radix
 (|X| repeated n times, then |B|), so index order is the lexicographic
 order on tuples.  ``TupleSpace`` is the one owner of this encoding: the
-index of a tuple and back, the grid radices and index fold, and the
-kernel tuples in lex order (``kernel_rows`` maps xs to the index of
-(xs, 0)).
+index of a tuple and back, the grid radices, and the kernel tuples in
+lex order (``kernel_rows`` maps xs to the index of (xs, 0)).
 
 Given one "action" table per basic operation (mapping ambient argument
 tuples to the first n output coordinates), the candidate operations make
@@ -82,13 +81,6 @@ class TupleSpace(Record):
     def unpack(self, idx: int) -> tuple[tuple[int, ...], int]:
         return table_args(self.x_size, self.n, idx // self.b_size), idx % self.b_size
 
-    def fold(self, axes: Sequence[Sequence[int]]) -> list[int]:
-        """The indices of the tuples in axes[0] x .. x axes[n], in lex order."""
-        idx = [0]
-        for radix, axis in zip(self.radices, axes):
-            idx = [i * radix + v for i in idx for v in axis]
-        return idx
-
     def indices(self) -> range:
         return range(self.size)
 
@@ -139,7 +131,7 @@ class LeafRows(ActionTable):
 class CandidateOps:
     """Ambient-set operations induced by action tables and the base algebra.
 
-    ``columns`` is their kernel for ``algebra.tabulate_grid``: the action
+    ``columns`` is their kernel for ``algebra._factored``: the action
     table gives the first n output coordinates, B the last.
     """
 

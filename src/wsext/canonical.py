@@ -27,8 +27,8 @@ from .algebra import (
     _gather,
     _square_failure,
     check_equation,
-    fold_indices,
-    lex_grid,
+    fold,
+    grid_blocks,
     table_args,
     tabulate_grid,
 )
@@ -94,7 +94,7 @@ def _action_table(A: FiniteAlgebra, name: str, arity: int, phis: Sequence[int],
     table = A.tables[name]
     if arity == 0:
         return ActionTable((0,), {0: (q_of[table[0]],)})
-    prefixes = fold_indices(A.size, phis, arity - 1)
+    prefixes = fold([A.size] * (arity - 1), [phis] * (arity - 1))
     keys: dict[tuple, int] = {}  # each distinct map -> its number
     key_of = {i: keys.setdefault(_gather(table[i * A.size:(i + 1) * A.size])(q_of), len(keys))
               for i in dict.fromkeys(prefixes)}
@@ -138,7 +138,7 @@ def build_canonical(e: SplitExtension, theta: ThetaSpec, w: Witness,
 
     # transported operations: op_Y(y_1, .., y_r) = psi(op_A(phi y_1, .., phi y_r))
     phi_Y = [phis[z] for z in y_indices]
-    ops_Y = {name: _gather(_gather(fold_indices(e.A.size, phi_Y, arity))(
+    ops_Y = {name: _gather(_gather(fold([e.A.size] * arity, [phi_Y] * arity))(
                  e.A.tables[name]))(psi_Y)
              for name, arity in e.A.signature.ops}
     k_prime = FnTable(e.X.size, len(Y), tuple(psi_Y[a] for a in e.k.values))
@@ -328,9 +328,11 @@ def sigma_tau_decompose(
     tau = tables((k, s, k))
 
     # the direct action against its rewritten form, block by block over
-    # the argument pairs ((x11, x21, b1), (x12, x22, b2)) in lex order
-    bad = None
-    for points, (x11, x21, b1, x12, x22, b2) in lex_grid(list(map(range, (nX, nX, nB))) * 2):
+    # the argument pairs in lex order
+    bad, names = None, "x11 x21 b1 x12 x22 b2".split()
+    for x11, x21, b1, x12, x22, b2 in grid_blocks(names, list(map(Var, names)), e.A,
+                                                 list(map(range, (nX, nX, nB))) * 2):
+        points = len(x11)
         at_sum = _gather(e.A.columns(add, [_comparison(e, theta, [x11, x21], b1),
                                            _comparison(e, theta, [x12, x22], b2)], points))
         direct = list(zip(*(at_sum(qi.values) for qi in w.q)))

@@ -92,6 +92,10 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
+    def _print_message(self, message, file=None):
+        file.write(message)  # argparse drops a failed write; main exits 70
+        file.flush()
+
 
 def _non_negative(text: str) -> int:
     """argparse type for counts: a usage error (exit 64) below zero."""
@@ -401,8 +405,8 @@ def build_parser(command: Optional[str] = None) -> _Parser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
+        args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
         code, payload, lines = args.fn(args)
         sys.stdout.write(to_text({"schema": JSON_SCHEMA, "command": args.command, **payload})
                          if args.json else "\n".join(lines) + "\n")

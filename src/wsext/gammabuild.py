@@ -30,6 +30,7 @@ from .algebra import (
     FiniteAlgebra,
     FnTable,
     check_equation,
+    fold,
     is_homomorphism,
     table_args,
     tabulate_grid,
@@ -232,7 +233,7 @@ def _checked(g: GammaData, budget: int) -> tuple[Report, _Carrier]:
         raise SearchBudgetExceeded("condition 4 exceeds budget")
     zero_row = space.pack((g.X.zero,) * g.n, 0)  # the ambient index of (0, .., 0, 0)
     got = tabulate_grid(g.theta, ops, [kz] * g.n + [range(zero_row, zero_row + b_size)])
-    targets = space.fold([kx] * g.n + [range(b_size)])
+    targets = fold(space.radices, [kx] * g.n + [range(b_size)])
     j = next((j for j, (t, z) in enumerate(zip(targets, got))
               if t in y_pos and z // b_size != t // b_size), None)
     if j is not None:

@@ -5,10 +5,8 @@ The term text format is minimal: a term is either a variable name, a
 subterms.  There is no infix syntax and no escaping; symbols are runs of
 non-whitespace, non-parenthesis ASCII characters.
 
-Terms are syntax only: their values are tabulated by the algebra module,
-over a grid of argument values (``algebra.tabulate_grid``) or, in
-``check_equation``, each subterm over the axes of its own variables
-(``algebra._factored``).
+Terms are syntax only: their values are tabulated by the one term kernel,
+``algebra._factored``, each subterm over the axes of its own variables.
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from .algebra import (
     FnTable,
     _gather,
     _require_same_signature,
-    fold_indices,
+    fold,
     is_homomorphism,
     require_admissible,
     table_args,
@@ -116,8 +116,8 @@ def _pair_tables(A: FiniteAlgebra, B: FiniteAlgebra,
     position = {pair: i for i, pair in enumerate(pairs)}
     a_col, b_col = zip(*pairs)
     return {name: tuple(map(position.get, zip(
-                _gather(fold_indices(A.size, a_col, arity))(A.tables[name]),
-                _gather(fold_indices(B.size, b_col, arity))(B.tables[name]))))
+                _gather(fold([A.size] * arity, [a_col] * arity))(A.tables[name]),
+                _gather(fold([B.size] * arity, [b_col] * arity))(B.tables[name]))))
             for name, arity in A.signature.ops}
 
 
@@ -182,7 +182,7 @@ def subalgebra_closure(A: FiniteAlgebra, generators: Sequence[int]) -> list[int]
         members = sorted(current)
         for name, arity in A.signature.ops:
             current.update(map(A.tables[name].__getitem__,
-                               fold_indices(A.size, members, arity)))
+                               fold([A.size] * arity, [members] * arity)))
         if len(current) == len(members):
             return members
 

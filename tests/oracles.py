@@ -6,8 +6,8 @@ defining equations directly, so they can arbitrate the optimized
 implementations on small instances.  Records are compared against the
 standard library's frozen dataclasses.  Terms are evaluated here, one
 assignment at a time, by the structural recursion of ``eval_term``; the
-library's own kernels (``algebra._tabulate`` and ``algebra._factored``)
-and the identity checks built on them (``check_equation``, admissibility,
+library's own term kernel (``algebra._factored``, which ``tabulate_grid``
+and ``_tabulate`` run) and the identity checks built on it (``check_equation``, admissibility,
 interchange, the alpha laws and the sigma/tau decomposition) are only
 ever compared against.
 """

@@ -457,6 +457,17 @@ def test_a_full_stdout_exits_70_with_one_line_in_every_buffering_mode(json_mode,
     assert res.stderr == "internal error: OSError: [Errno 28] No space left on device\n"
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]], ids=["wsext", "check"])
+def test_help_on_a_full_stdout_exits_70_with_one_line(argv, unbuffered):
+    # argparse used to drop the failed write (exit 0) or leave it to teardown (exit 120)
+    with open("/dev/full", "w") as full:
+        res = run_cli(*argv, stdout=full, PYTHONUNBUFFERED=unbuffered)
+    assert res.returncode == 70
+    assert res.stderr == "internal error: OSError: [Errno 28] No space left on device\n"
+
+
 def _main_exit(argv):
     """(exit code, stdout, stderr) of main in this process, argparse's
     ``SystemExit`` included."""
@@ -484,12 +495,15 @@ PROCESS_EXITS = {
     "invalid extension": (2, ["check", _invalid_example, "--theta", THETA_XZY]),
     "no theta": (64, ["check", EXAMPLE]),
     "usage error": (64, ["check"]),
+    "help": (0, ["--help"]),
+    "command help": (0, ["check", "--help"]),
 }
 
 
 @pytest.mark.parametrize("json_mode", [False, True], ids=["plain", "json"])
 @pytest.mark.parametrize("case", sorted(PROCESS_EXITS))
-def test_a_cli_process_exits_as_main_returns(case, json_mode, tmp_path):
+def test_a_cli_process_exits_as_main_returns(case, json_mode, tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps alike in both processes
     code, argv = PROCESS_EXITS[case]
     argv = [a(tmp_path) if callable(a) else a for a in argv] + (["--json"] if json_mode else [])
     res = run_cli(*argv)

@@ -129,12 +129,22 @@ LEX_RADICES = st.one_of(
               st.integers(0, 2)).map(_with_wide_radix))
 
 
+def grid_block_columns(axes):
+    """(points, columns) of each block of algebra.grid_blocks over axes:
+    the values of each bare variable, and as points the length of the
+    values of the constant, which has no variable."""
+    names = [f"v{j}" for j in range(len(axes))]
+    terms = [Var(v) for v in names] + [App("0", ())]
+    return [(len(values[-1]), values[:-1])
+            for values in algebra.grid_blocks(names, terms, trivial_algebra(MSIG), axes)]
+
+
 @given(LEX_RADICES, st.integers(1, 20))
-def test_lex_grid_cuts_the_lex_grid_in_order(radices, points):
+def test_grid_blocks_cut_the_lex_grid_in_order(radices, points):
     axes = list(map(range, radices))
     with grid_block(points):
-        blocks = list(algebra.lex_grid(axes))
-    grid = algebra._axis_columns(axes)
+        blocks = grid_block_columns(axes)
+    grid = [list(column) for column in zip(*product(*axes))]
     joined = [[v for _, columns in blocks for v in columns[j]] for j in range(len(radices))]
     assert joined == grid
     assert sum(p for p, _ in blocks) == len(list(product(*map(range, radices))))
@@ -152,10 +162,10 @@ def test_lex_grid_cuts_the_lex_grid_in_order(radices, points):
     assert len(blocks) == expected
 
 
-def test_lex_grid_splits_a_coordinate_wider_than_a_block():
-    assert [p for p, _ in algebra.lex_grid([range(20000)])] == \
+def test_grid_blocks_split_a_coordinate_wider_than_a_block():
+    assert [p for p, _ in grid_block_columns([range(20000)])] == \
         [algebra.GRID_BLOCK, 20000 - algebra.GRID_BLOCK]
-    assert [p for p, _ in algebra.lex_grid([range(200)] * 2)] == [81 * 200, 81 * 200, 38 * 200]
+    assert [p for p, _ in grid_block_columns([range(200)] * 2)] == [81 * 200, 81 * 200, 38 * 200]
 
 
 @st.composite
@@ -282,12 +292,13 @@ def test_tuple_space_kernel_tuples_follow_the_encoding(x_size, n, b_size):
     from wsext import TupleSpace
     space = TupleSpace(x_size, n, b_size)
     assert space.radices == [x_size] * n + [b_size]
-    assert space.fold([range(r) for r in space.radices]) == list(space.indices())
+    assert algebra.fold(space.radices, [range(r) for r in space.radices]) == \
+        list(space.indices())
     for z in space.indices():
         xs, b = space.unpack(z)
         assert space.kernel_tuples[z // b_size] == xs
         assert space.kernel_rows[xs] == space.pack(xs, 0)
-        assert space.fold([[x] for x in xs] + [[b]]) == [z]
+        assert algebra.fold(space.radices, [[x] for x in xs] + [[b]]) == [z]
 
 
 def test_space_is_built_once_per_object():
@@ -1200,6 +1211,21 @@ def grid_term(sig: Signature, vars_, terms, data) -> TermSpec:
     if data.draw(st.booleans()):
         return TermSpec(tuple(vars_), data.draw(terms))
     return operation_term(*data.draw(st.sampled_from(sig.ops)))
+
+
+@given(sig4_algebras(), GRID_BLOCKS, st.data())
+def test_tabulate_matches_the_term_value_oracle_on_columns(A, points, data):
+    """_tabulate over argument columns that are not a grid: 0 to 5 rows,
+    repeats allowed; the term may omit declared variables or have none."""
+    vars_ = data.draw(st.lists(st.sampled_from("xyz"), max_size=3, unique=True))
+    t = data.draw(st.one_of(sig4_terms(vars_), sig4_terms(vars_[:1]), sig4_terms([])))
+    block = data.draw(st.integers(0, 5))
+    rows = st.lists(st.integers(0, A.size - 1), min_size=block, max_size=block)
+    env = {v: data.draw(rows) for v in vars_}
+    with grid_block(points):
+        got = algebra._tabulate(t, A, env, block)
+    spec = TermSpec(tuple(vars_), t)
+    assert got == [term_value(spec, A, [env[v][i] for v in vars_]) for i in range(block)]
 
 
 @given(sig4_algebras(), GRID_BLOCKS, st.data())

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from wsext import (
@@ -14,7 +16,7 @@ from wsext import (
     parse_term,
     trivial_algebra,
 )
-from wsext.algebra import _axis_columns, _tabulate
+from wsext.algebra import _tabulate
 from wsext.errors import (
     ArityMismatch,
     SearchBudgetExceeded,
@@ -98,7 +100,7 @@ def test_eval_on_one_element_algebra():
 def test_eval_depth_one_matches_table_lookup():
     e, _, _, _ = load_fixture("example_monoid")
     t = parse_term("(+ x y)", MSIG, ["x", "y"])
-    xs, ys = _axis_columns([range(5), range(5)])
+    xs, ys = map(list, zip(*product(range(5), range(5))))
     assert _tabulate(t, e.A, {"x": xs, "y": ys}, 25) == [
         e.A.op("+", (x, y)) for x, y in zip(xs, ys)]
 

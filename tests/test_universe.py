@@ -119,10 +119,14 @@ def test_every_witnessed_pair_canonicalizes_checks_and_rebuilds(universe):
             if not ws:
                 continue
             pairs += 1
-            g = extract_gamma(build_canonical(e, theta, ws[0]), [ASSOCIATIVITY])
+            c = build_canonical(e, theta, ws[0])
+            g = extract_gamma(c, [ASSOCIATIVITY])
             assert check_conditions(g).ok
             e2, _ = build_extension_from_gamma(g)
-            assert e2.A.size == e.A.size
+            # the rebuilt extension is the canonical form, entry for entry
+            assert e2.A == c.y_algebra()
+            assert (e2.k, e2.p, e2.s) == (c.k_prime, c.pi_B, c.iota_B)
+            assert (e2.X, e2.B) == (e.X, e.B)
     assert pairs == 245
 
 
