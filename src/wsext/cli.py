@@ -29,6 +29,7 @@ skips interpreter teardown; a program that embeds the CLI calls ``main``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
 import os
 import sys
@@ -42,18 +43,19 @@ from .ambient import ambient_space
 from .errors import FileFormatError, IotaNotInY, SectionNotHomomorphism, ToolkitError
 from .serialize import (
     _load_json,
+    algebra_from_obj,
     canonical_to_obj,
     dump_json,
     extension_to_obj,
     gamma_from_obj,
     hom_from_obj,
     load_extension,
-    load_morphism,
-    algebra_from_obj,
+    morphism_from_obj,
     theta_from_obj,
+    theta_to_obj,
     to_text,
 )
-from .terms import ThetaSpec, format_term, parse_term
+from .terms import ThetaSpec, format_term
 
 
 def _lazy(name: str) -> ModuleType:
@@ -114,8 +116,7 @@ def _resolve_theta(args, signature) -> ThetaSpec:
         if not (args.theta_vars and args.theta_term):
             raise FileFormatError("--theta-vars and --theta-term must be given together")
         vars_ = [v.strip() for v in args.theta_vars.split(",") if v.strip()]
-        term = parse_term(args.theta_term, signature, vars_)
-        return ThetaSpec(tuple(vars_), term)
+        return theta_from_obj({"vars": vars_, "term": args.theta_term}, signature)
     if args.theta:
         return theta_from_obj(args.theta, signature, base_dir=Path.cwd())
     raise FileFormatError("a witness term is required (--theta or --theta-vars/--theta-term)")
@@ -169,7 +170,7 @@ def cmd_check(args) -> Outcome:
     payload = {
         "valid": rep.ok,
         "validation": rep.to_json(),
-        "theta": {"vars": list(theta.vars), "term": format_term(theta.term)},
+        "theta": theta_to_obj(theta),
         "n": n,
         "sizes": {
             "X": e.X.size, "A": e.A.size, "B": e.B.size,
@@ -280,7 +281,7 @@ def cmd_gamma_check(args) -> Outcome:
 
 def cmd_pullback(args) -> Outcome:
     e, file_witness, axioms, theta, rep = _load_and_validate(args)
-    B_prime, f_values = hom_from_obj(_load_json(Path(args.hom)), Path(args.hom).parent)
+    B_prime, f_values = hom_from_obj(args.hom)
     if not rep.ok:
         return _invalid(rep)
     f = FnTable(B_prime.size, e.B.size, tuple(f_values))
@@ -312,7 +313,7 @@ def cmd_pullback(args) -> Outcome:
 # -- product-check ----------------------------------------------------------------------
 
 def cmd_product_check(args) -> Outcome:
-    X = algebra_from_obj(_load_json(Path(args.algebra)), Path(args.algebra).parent)
+    X = algebra_from_obj(args.algebra)
     theta = _resolve_theta(args, X.signature)
     res = tr.product_extension_check(X, theta, budget=args.budget)
     payload = {
@@ -331,7 +332,7 @@ def cmd_product_check(args) -> Outcome:
 # -- morphism-check ----------------------------------------------------------------------
 
 def cmd_morphism_check(args) -> Outcome:
-    m = load_morphism(args.morphism)
+    m = morphism_from_obj(args.morphism)
     val = tr.validate_morphism(m)
     payload = {"valid": val.ok, "validation": val.to_json()}
     lines = ["morphism validation:"] + _indented(val)
@@ -416,6 +417,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         code, message = EXIT_USAGE, f"error: {exc}"
     except Exception as exc:  # a bug, not a verdict on the input: never exit 1
         code, message = EXIT_SOFTWARE, f"internal error: {type(exc).__name__}: {exc}"
+        if isinstance(exc, OSError):  # a failed write: the rest goes to devnull, not teardown
+            with contextlib.suppress(OSError, ValueError), open(os.devnull, "w") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
     # one stderr line, even when the message holds a file name with a newline
     print(message.replace("\n", " "), file=sys.stderr, flush=True)
     return code

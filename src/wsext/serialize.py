@@ -45,7 +45,8 @@ def _check_keys(obj: dict, required: Sequence[str], optional: Sequence[str], wha
 
 def _load_json(path: Path) -> Any:
     """The document in a file, read line by line; equal row lines decode to
-    one shared list (_decode_shared_rows), so the document is read-only."""
+    one shared list (_decode_shared_rows), so the document is read-only.
+    Only a file not UTF-8 or in doubt is read again, for json's message."""
     try:
         try:
             with open(path) as lines:
@@ -73,9 +74,10 @@ _ROW_REF = "\u0000row"
 
 
 def _decode_shared_rows(lines: Iterable[str]) -> Any:
-    """The document with each distinct row text decoded once, or None when
-    the text has no row line or anything is in doubt (the caller then
-    decodes the whole text, so every error is json.loads' own).
+    """The document with each distinct row text decoded once, or None only
+    when anything is in doubt (the caller then decodes the whole text, so
+    every error is json.loads' own).  A text with no row line is its own
+    skeleton.
 
     A row line holds exactly one JSON array and no string (_ROW_LINE).
     JSON strings cannot span lines, so such an array is outside every
@@ -108,8 +110,6 @@ def _decode_shared_rows(lines: Iterable[str]) -> Any:
         ref = refs[line]
         skeleton.append(line if ref is None else ref)
         made += ref is not None
-    if not made:
-        return None
 
     def resolve(obj: dict) -> Any:
         nonlocal made
@@ -133,9 +133,7 @@ def _resolve(obj: Source, base_dir: Optional[Path], what: str) -> tuple[Any, Opt
     if not isinstance(obj, (str, Path)):
         raise FileFormatError(f"{what}: expected an object or a file name, "
                               f"got {type(obj).__name__}")
-    path = Path(obj)
-    if base_dir is not None and not path.is_absolute():
-        path = base_dir / path
+    path = Path(obj) if base_dir is None else base_dir / obj
     return _load_json(path), path.parent
 
 
@@ -236,11 +234,6 @@ def algebra_to_obj(A: FiniteAlgebra, element_names: Optional[Sequence[str]] = No
     return obj
 
 
-def load_algebra(path: Union[str, Path]) -> FiniteAlgebra:
-    path = Path(path)
-    return algebra_from_obj(_load_json(path), path.parent)
-
-
 # -- function arrays -------------------------------------------------------------
 
 def _fn_from_list(values: Any, dom: int, cod: int, what: str) -> FnTable:
@@ -314,8 +307,10 @@ def extension_from_obj(
 
 
 def load_extension(path: Union[str, Path]):
-    path = Path(path)
-    return extension_from_obj(_load_json(path), path.parent)
+    """Kept, as is the CLI's gamma_from_obj(_load_json(..)), for the spans
+    of perfbench/traced.py: serialize.ext_decode holds its json_parse, and
+    serialize.gamma_decode does not."""
+    return extension_from_obj(path)
 
 
 def extension_to_obj(
@@ -450,11 +445,6 @@ def morphism_from_obj(obj: Source, base_dir: Optional[Path] = None) -> Extension
     g = _fn_from_list(obj["g"], source.A.size, target.A.size, "g")
     h = _fn_from_list(obj["h"], source.B.size, target.B.size, "h")
     return ExtensionMorphism(source, target, f, g, h)
-
-
-def load_morphism(path: Union[str, Path]) -> ExtensionMorphism:
-    path = Path(path)
-    return morphism_from_obj(_load_json(path), path.parent)
 
 
 # -- homomorphism files (pullback input) ----------------------------------------------

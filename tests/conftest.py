@@ -18,10 +18,11 @@ EXTENSION_NAMES = sorted(EXTENSIONS)
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(*args, stdout=subprocess.PIPE, **variables):
-    """Run ``python -m wsext`` in a child process that imports this
-    checkout's sources first, whatever the caller's PYTHONPATH.  Keyword
-    arguments set environment variables; ``None`` unsets one."""
+def run_cli(*args, stdout=subprocess.PIPE, entry=("-m", "wsext"), **variables):
+    """Run ``python -m wsext`` (or ``python *entry``) in a child process
+    that imports this checkout's sources first, whatever the caller's
+    PYTHONPATH.  Other keyword arguments set environment variables; ``None``
+    unsets one."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -30,7 +31,7 @@ def run_cli(*args, stdout=subprocess.PIPE, **variables):
             env.pop(name, None)
         else:
             env[name] = value
-    return subprocess.run([sys.executable, "-m", "wsext", *args], env=env, stdout=stdout,
+    return subprocess.run([sys.executable, *entry, *args], env=env, stdout=stdout,
                           stderr=subprocess.PIPE, text=True, timeout=120)
 
 
@@ -71,6 +72,14 @@ def subalgebra(A: FiniteAlgebra, elements: list[int]) -> FiniteAlgebra:
     return FiniteAlgebra(A.signature, len(elements), {
         name: tuple(pos[A.op(name, args)] for args in product(elements, repeat=arity))
         for name, arity in A.signature.ops})
+
+
+def relabelled(flat, size: int, perm) -> tuple[int, ...]:
+    """The flat binary table with element a renamed perm[a]."""
+    out = [0] * (size * size)
+    for a, b in product(range(size), repeat=2):
+        out[perm[a] * size + perm[b]] = perm[flat[a * size + b]]
+    return tuple(out)
 
 
 def split_extensions(A: FiniteAlgebra) -> list[SplitExtension]:

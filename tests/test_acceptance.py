@@ -178,8 +178,8 @@ def test_criterion_6_product_magma_boundary():
             e, _, _, theta = load_fixture(name)
             assert product_extension_check(e.X, theta).ok, name
 
-        from wsext.serialize import load_algebra
-        M = load_algebra(fixture_path("left_unital_magma"))
+        from wsext.serialize import algebra_from_obj
+        M = algebra_from_obj(fixture_path("left_unital_magma"))
         theta = ThetaSpec(("x", "y"),
                           parse_term("(* x y)", M.signature, ["x", "y"]))
         res = product_extension_check(M, theta)

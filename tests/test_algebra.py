@@ -266,16 +266,16 @@ def test_associativity_on_example_middle_algebra():
 
 def test_left_unit_on_magma_holds():
     from wsext.fixtures import fixture_path
-    from wsext.serialize import load_algebra
-    M = load_algebra(fixture_path("left_unital_magma"))
+    from wsext.serialize import algebra_from_obj
+    M = algebra_from_obj(fixture_path("left_unital_magma"))
     eq = _eq(M.signature, ["x"], "(* 0 x)", "x")
     assert check_equation(M, eq)
 
 
 def test_right_unit_on_magma_fails_at_one():
     from wsext.fixtures import fixture_path
-    from wsext.serialize import load_algebra
-    M = load_algebra(fixture_path("left_unital_magma"))
+    from wsext.serialize import algebra_from_obj
+    M = algebra_from_obj(fixture_path("left_unital_magma"))
     eq = _eq(M.signature, ["x"], "(* x 0)", "x")
     res = check_equation(M, eq)
     assert not res

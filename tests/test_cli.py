@@ -1,10 +1,12 @@
 import argparse
+import builtins
 import contextlib
 import copy
 import gc
 import io
 import json
 import tempfile
+from collections import Counter
 from functools import lru_cache
 from pathlib import Path
 
@@ -468,6 +470,18 @@ def test_help_on_a_full_stdout_exits_70_with_one_line(argv, unbuffered):
     assert res.stderr == "internal error: OSError: [Errno 28] No space left on device\n"
 
 
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="no /dev/full device")
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_an_embedder_exits_70_with_one_line_after_a_failed_stdout_write(unbuffered):
+    # main returned 70, but teardown flushed the report again: exit 120
+    embedder = ("-c", "import sys; from wsext.cli import main; sys.exit(main())")
+    with open("/dev/full", "w") as full:
+        res = run_cli("check", EXAMPLE, "--theta", THETA_XZY, entry=embedder, stdout=full,
+                      PYTHONUNBUFFERED=unbuffered)
+    assert res.returncode == 70
+    assert res.stderr == "internal error: OSError: [Errno 28] No space left on device\n"
+
+
 def _main_exit(argv):
     """(exit code, stdout, stderr) of main in this process, argparse's
     ``SystemExit`` included."""
@@ -550,6 +564,55 @@ def test_unwritable_output_is_a_file_error(tmp_path):
     assert res.returncode == 64
     assert res.stderr.startswith("error: cannot write ")
     assert "Traceback" not in res.stderr
+
+
+def _input_cases(tmp_path):
+    """command -> (argv, the input files it reads), every file in tmp_path
+    written before the command runs."""
+    n2, theta_sum = str(fixture_path("n2")), str(fixture_path("theta_monoid_sum"))
+    canon = tmp_path / "canon.json"
+    hom = tmp_path / "hom.json"
+    hom.write_text(json.dumps({"B_prime": json.loads(Path(n2).read_text()), "f": [0, 1]}))
+    target = json.loads(Path(EXAMPLE).read_text())
+    morphism = tmp_path / "m.json"  # the source by name, the target inline
+    morphism.write_text(json.dumps({"source": EXAMPLE, "target": target,
+                                    "f": [0, 1], "g": [0, 1, 2, 3, 4], "h": [0, 1]}))
+    theta = ["--theta", THETA_XZY]
+    return {
+        "check": (["check", EXAMPLE, *theta], [EXAMPLE, THETA_XZY]),
+        "canonicalize": (["canonicalize", EXAMPLE, *theta, "-o", str(canon)],
+                         [EXAMPLE, THETA_XZY]),
+        "gamma-check": (["gamma-check", str(canon), "--rebuild", str(tmp_path / "rebuilt.json")],
+                        [canon]),
+        "pullback": (["pullback", EXAMPLE, str(hom), *theta], [EXAMPLE, str(hom), THETA_XZY]),
+        "product-check": (["product-check", n2, "--theta", theta_sum], [n2, theta_sum]),
+        "morphism-check": (["morphism-check", str(morphism)], [str(morphism), EXAMPLE]),
+    }
+
+
+@pytest.mark.parametrize("command", ["check", "canonicalize", "gamma-check", "pullback",
+                                     "product-check", "morphism-check"])
+def test_each_input_file_is_opened_once(command, tmp_path, monkeypatch, capsys):
+    cases = _input_cases(tmp_path)
+    argv, inputs = cases[command]
+    if command == "gamma-check":
+        assert main(cases["canonicalize"][0]) == 0
+    reads = Counter()
+    real_open, real_read_text = builtins.open, Path.read_text
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if isinstance(file, (str, Path)) and not set(mode) & set("wax+"):
+            reads[Path(file).resolve()] += 1
+        return real_open(file, mode, *args, **kwargs)
+
+    def counting_read_text(self, *args, **kwargs):
+        reads[self.resolve()] += 1
+        return real_read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    assert main(argv) == 0
+    assert reads == Counter(Path(f).resolve() for f in inputs)
 
 
 def _leaf_rows(table, arity):

@@ -32,7 +32,7 @@ from wsext.errors import (
     SearchBudgetExceeded,
     ThetaNotAdmissible,
 )
-from wsext.serialize import load_algebra
+from wsext.serialize import algebra_from_obj
 from wsext.fixtures import fixture_path
 
 from conftest import load_fixture
@@ -354,7 +354,7 @@ def test_monoid_product_check_uses_identity():
 
 
 def test_magma_product_check_obstructed_at_one():
-    M = load_algebra(fixture_path("left_unital_magma"))
+    M = algebra_from_obj(fixture_path("left_unital_magma"))
     theta = ThetaSpec(("x", "y"), parse_term("(* x y)", M.signature, ["x", "y"]))
     res = product_extension_check(M, theta)
     assert not res.ok

@@ -146,6 +146,15 @@ def test_each_command_executes_only_its_layers(command, layer, tmp_path, capsys)
     assert executed == sorted(BASE + ([layer] if layer else []))
 
 
+def test_each_input_file_has_one_decoding_path():
+    """A file goes by name to its decoder (serialize._resolve); the wrappers
+    that loaded it by hand, and the CLI's own term parsing, are gone."""
+    from wsext import cli, serialize
+
+    assert not {"load_algebra", "load_morphism"} & set(vars(serialize))
+    assert "parse_term" not in vars(cli)
+
+
 # the names the package exported when it imported every layer eagerly
 EXPORTS = [
     "App", "CandidateOps", "CanonicalExtension", "CheckResult", "DEFAULT_BUDGET", "Equation",

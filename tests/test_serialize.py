@@ -28,7 +28,6 @@ from wsext.serialize import (
     extension_to_obj,
     gamma_from_obj,
     hom_from_obj,
-    load_algebra,
     load_extension,
     theta_from_obj,
     to_text,
@@ -241,7 +240,7 @@ def test_malformed_json_reports_file_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
     with pytest.raises(FileFormatError):
-        load_algebra(bad)
+        algebra_from_obj(bad)
 
 
 PSIG = Signature((("+", 2), ("0", 0)), "0")

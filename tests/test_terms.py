@@ -155,8 +155,8 @@ def test_heyting_term_admissible_on_chain():
 
 def test_magma_product_admissible_but_not_right_unital():
     from wsext.fixtures import fixture_path
-    from wsext.serialize import load_algebra
-    M = load_algebra(fixture_path("left_unital_magma"))
+    from wsext.serialize import algebra_from_obj
+    M = algebra_from_obj(fixture_path("left_unital_magma"))
     theta = ThetaSpec(("x", "y"), parse_term("(* x y)", M.signature, ["x", "y"]))
     assert check_theta_admissible(theta, M)
 

@@ -25,7 +25,7 @@ from wsext import (
     parse_term,
     validate_split_extension,
 )
-from conftest import split_extensions
+from conftest import relabelled, split_extensions
 from oracles import brute_force_witnesses
 
 MSIG = Signature((("+", 2), ("0", 0)), "0")
@@ -61,7 +61,7 @@ def monoids(size: int) -> list[tuple[int, ...]]:
     def fill(i: int) -> None:
         if i == len(cells):
             flat = [table[a, b] for a in range(size) for b in range(size)]
-            classes.add(min(_relabelled(flat, size, (0,) + perm)
+            classes.add(min(relabelled(flat, size, (0,) + perm)
                             for perm in permutations(range(1, size))))
             return
         for value in range(size):
@@ -72,14 +72,6 @@ def monoids(size: int) -> list[tuple[int, ...]]:
 
     fill(0)
     return sorted(classes)
-
-
-def _relabelled(flat, size: int, perm) -> tuple[int, ...]:
-    """The table with element a renamed perm[a]."""
-    out = [0] * (size * size)
-    for a, b in product(range(size), repeat=2):
-        out[perm[a] * size + perm[b]] = perm[flat[a * size + b]]
-    return tuple(out)
 
 
 @pytest.fixture(scope="module")
