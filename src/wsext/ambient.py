@@ -15,10 +15,11 @@ z = prefix * |S| + last is entry ``last`` of the row at ``prefix``.
 ``CandidateOps.columns`` is the one reader of a table by ambient index;
 every term, a basic operation too (``terms.operation_term``), is
 tabulated in the candidate operations by ``algebra.tabulate_grid``, here
-for the carrier by term (``membership_by_term``) and the action table of
-a term (``gamma_table``).  ``ActionData`` gives
-canonical forms and raw action data their ambient space and candidate
-operations.
+for the carrier by term (``membership_by_term``), the operations on it
+(``carrier``) and the action table of a term (``gamma_table``).
+``ActionData`` gives canonical forms and raw action data their ambient
+space and candidate operations; ``carrier`` is the one reading of Y, its
+operations and its kernel tuples off them, for both.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .algebra import (
 )
 from .errors import ArityMismatch, EntryOutOfRange, SearchBudgetExceeded, WrongTheta
 from .report import CheckResult, Record, _once
-from .terms import TermSpec
+from .terms import TermSpec, operation_term
 
 
 class TupleSpace(Record):
@@ -218,3 +219,63 @@ def gamma_table(c: ActionData, omega: TermSpec,
     kernel_tuples, b_size = space.kernel_tuples, space.b_size
     entries = [kernel_tuples[v // b_size] for v in values]
     return LeafRows(entries[i:i + space.size] for i in range(0, len(entries), space.size))
+
+
+class Carrier(Record):
+    """Y, the carrier theta cuts out of action data, with what the canonical
+    form and the conditions read off it (``carrier``): ``Y`` in ascending
+    (= lex) ambient indices and ``y_pos``, each one's position; ``algebra``,
+    Y with the candidate operations by position, or None with
+    ``closure_failure`` naming the first operation and arguments that leave
+    Y; ``at_zero``, theta_X(ys, 0_X) over X^n; ``kz``, the (ys, 0_B) in Y,
+    and ``kx``, the x each embeds; ``k``, the kernel embedding by position,
+    or None with ``kernel_failure`` naming the first x without exactly one
+    kernel tuple."""
+
+    Y: list[int]
+    y_pos: dict[int, int]
+    algebra: Optional[FiniteAlgebra]
+    closure_failure: str
+    at_zero: list[int]
+    kz: list[int]
+    kx: list[int]
+    k: Optional[tuple[int, ...]]
+    kernel_failure: str
+
+
+@_once
+def carrier(c: ActionData, budget: int, members=membership_by_term) -> Carrier:
+    """The carrier of action data, once per record, budget and ``members``,
+    which gives Y as ``members(c, budget=budget)`` (gammabuild passes its
+    ``compute_Y``).  Each operation is tabulated on Y by one
+    ``tabulate_grid`` call, up to the first that leaves Y, and raises
+    SearchBudgetExceeded first when |Y|^arity exceeds ``budget``."""
+    Y = members(c, budget=budget)
+    ops = c.candidate_ops()
+    y_pos = {z: i for i, z in enumerate(Y)}
+    tables, closure_failure = {}, ""
+    for name, arity in c.X.signature.ops:
+        if len(Y) ** arity > budget:
+            raise SearchBudgetExceeded(f"closure check for {name!r} exceeds budget")
+        table = list(map(y_pos.get, tabulate_grid(operation_term(name, arity), ops, [Y] * arity)))
+        if None in table:
+            args = table_args(len(Y), arity, table.index(None))
+            closure_failure = f"carrier not closed under {name!r} at {tuple(Y[i] for i in args)}"
+            break
+        tables[name] = tuple(table)
+    algebra = None if closure_failure else FiniteAlgebra(c.X.signature, len(Y), tables)
+
+    space = c.space
+    b_size = space.b_size
+    # over X^n: |X|^n <= |X^n x B|, which members budgeted
+    at_zero = tabulate_grid(c.theta, c.X, [range(space.x_size)] * c.n + [[c.X.zero]])
+    kz = [z for z in Y if z % b_size == c.B.zero]
+    kx = [at_zero[z // b_size] for z in kz]
+    groups: list[list[int]] = [[] for _ in range(space.x_size)]
+    for z, x in zip(kz, kx):
+        groups[x].append(z)
+    bad = next((x for x, group in enumerate(groups) if len(group) != 1), None)
+    k = None if bad is not None else tuple(y_pos[group[0]] for group in groups)
+    kernel_failure = "" if bad is None else \
+        f"x = {bad} has kernel tuples {[space.unpack(z)[0] for z in groups[bad]]}"
+    return Carrier(Y, y_pos, algebra, closure_failure, at_zero, kz, kx, k, kernel_failure)

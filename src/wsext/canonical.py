@@ -3,13 +3,14 @@
 The middle algebra A maps into the ambient tuple space X^n x B by
 psi(a) = (q_1(a), .., q_n(a), p(a)) and back by
 phi(x_1, .., x_n, b) = theta(k x_1, .., k x_n, s b).  Since phi o psi is
-the identity, A is isomorphic to the subset Y = im(psi), which is also
-cut out by the fixpoint condition q_i(phi(z)) = z_i.  Operations are
-transported along the bijection; their first n output coordinates are the
-per-operation action tables (gamma), their last coordinate is computed in
-B.  This module builds that form, verifies the isomorphism, and computes
-the four-map decomposition of the binary action for the monoid witness
-term x + z + y.  The action-data layer is ``ambient``.
+the identity, A is isomorphic to the subset Y = im(psi).  Transported
+along the bijection, the operations give the per-operation action tables
+(gamma); Y, its operations and the kernel embedding are read off that
+action data (``ambient.carrier``), and ``verify_isomorphism`` checks them
+against psi and phi.  This module builds that form, verifies the
+isomorphism, and computes the four-map decomposition of the binary action
+for the monoid witness term x + z + y.  The action-data layer is
+``ambient``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from itertools import chain, compress, repeat
 from operator import eq
 from typing import Sequence
 
-from .ambient import ActionData, ActionTable, ambient_space, membership_by_term
+from .ambient import ActionData, ActionTable, ambient_space, carrier
 from .algebra import (
     DEFAULT_BUDGET,
     Equation,
@@ -29,7 +30,6 @@ from .algebra import (
     check_equation,
     fold,
     grid_blocks,
-    table_args,
     tabulate_grid,
 )
 from .errors import (
@@ -47,7 +47,7 @@ from .extension import (
     require_witness,
 )
 from .report import Record, Report, _once
-from .terms import App, TermSpec, ThetaSpec, Var, operation_term
+from .terms import App, TermSpec, ThetaSpec, Var
 
 
 @_once
@@ -103,16 +103,28 @@ def _action_table(A: FiniteAlgebra, name: str, arity: int, phis: Sequence[int],
                        {k: at_phi(f) for f, k in keys.items()})
 
 
+class _ActionData(ActionData, Record):
+    """The action data of a canonical form, before Y is read off it."""
+
+    X: FiniteAlgebra
+    B: FiniteAlgebra
+    n: int
+    theta: ThetaSpec
+    gamma: dict[str, ActionTable]
+
+
 def build_canonical(e: SplitExtension, theta: ThetaSpec, w: Witness,
                     budget: int = DEFAULT_BUDGET) -> CanonicalExtension:
-    """Construct Y, the transported operations, the action tables, and the
-    structure maps from a validated, normalized witness.
+    """Construct the canonical form from a validated, normalized witness:
+    the action tables by transport along psi and phi, then Y, its
+    operations and k' read off them (``ambient.carrier``), pi_B as the last
+    coordinate on Y and iota_B as psi o s.  ``verify_isomorphism``, which
+    canonicalize always runs, checks the form against the witness; a
+    library caller of this function alone gets no self-check.
 
-    The transported operations are computed along the bijection and
-    cross-checked against the action-table description; Y is computed from
-    the image of psi and cross-checked against both fixpoint definitions.
-    Any mismatch is an internal invariant failure, not a user error.
-    Raises SearchBudgetExceeded when the action tables would hold more
+    Raises InternalCheckFailed, which only a bug reaches, when Y is not
+    closed, some x has no unique kernel tuple or some psi(s(b)) lies
+    outside Y; SearchBudgetExceeded when the action tables would hold more
     than ``budget`` entries.
     """
     require_valid(e)
@@ -123,75 +135,27 @@ def build_canonical(e: SplitExtension, theta: ThetaSpec, w: Witness,
     if entries > budget:
         raise SearchBudgetExceeded(
             f"action tables need {entries} entries, budget is {budget}")
-    psi_t = psi(e, w)
     phis = phi(e, theta).values
-    # phi o psi = id, so psi is injective: require_witness checked both
-    y_indices = sorted(psi_t.values)
-    Y = tuple((*xs, b) for xs, b in map(space.unpack, y_indices))
-    y_pos = {z: i for i, z in enumerate(y_indices)}
-    psi_Y = [y_pos[z] for z in psi_t.values]  # psi as positions in Y
-
     q_of = [w.values_at(a) for a in range(e.A.size)]
     gamma = {name: _action_table(e.A, name, arity, phis, q_of)
              for name, arity in e.A.signature.ops}
-    gamma_id = _gather(phis)(q_of)
 
-    # transported operations: op_Y(y_1, .., y_r) = psi(op_A(phi y_1, .., phi y_r))
-    phi_Y = [phis[z] for z in y_indices]
-    ops_Y = {name: _gather(_gather(fold([e.A.size] * arity, [phi_Y] * arity))(
-                 e.A.tables[name]))(psi_Y)
-             for name, arity in e.A.signature.ops}
-    k_prime = FnTable(e.X.size, len(Y), tuple(psi_Y[a] for a in e.k.values))
-    pi_B = FnTable(len(Y), e.B.size, tuple(t[-1] for t in Y))
-    iota_B = FnTable(e.B.size, len(Y), tuple(psi_Y[a] for a in e.s.values))
-
-    c = CanonicalExtension(e.X, e.B, n, theta, Y, ops_Y, k_prime, pi_B, iota_B,
-                           gamma, gamma_id)
-    _cross_check(c, budget=budget)
-    return c
-
-
-def _cross_check(c: CanonicalExtension, budget: int = DEFAULT_BUDGET) -> None:
-    """Check a canonical form against itself, raising InternalCheckFailed
-    at the first disagreement:
-
-    - each transported operation against the candidate operation,
-      op_Y(y_1, .., y_r) = (gamma_op(y_1, .., y_r), op_B(b_1, .., b_r)),
-      over the grid of Y, naming the first argument tuple (positions in
-      Y) in lex order;
-    - k_prime(x) against the unique (ys, 0_B) in Y with theta_X(ys, 0_X) = x;
-    - Y against the fixpoint carrier and the candidate-operation carrier
-      (membership_by_gamma_id, membership_by_term with ``budget``).
-    """
-    space = c.space
-    y_indices = [space.pack(t[:-1], t[-1]) for t in c.Y]
-    ops = c.candidate_ops()
-    for name, arity in c.X.signature.ops:
-        got = list(_gather(c.ops_Y[name])(y_indices))
-        want = tabulate_grid(operation_term(name, arity), ops, [y_indices] * arity)
-        if got != want:
-            bad = next(j for j, (u, v) in enumerate(zip(got, want)) if u != v)
-            raise InternalCheckFailed(
-                f"transported {name!r} disagrees with its action table at "
-                f"{table_args(len(c.Y), arity, bad)}")
-
-    # theta_X(ys, 0_X) over X^n, read at every (ys, 0_B) in Y
-    at_zero = tabulate_grid(c.theta, c.X, [range(c.X.size)] * c.n + [[c.X.zero]])
-    b_size = space.b_size
-    matches: list[list[int]] = [[] for _ in range(c.X.size)]
-    for i, z in enumerate(y_indices):
-        if z % b_size == c.B.zero:
-            matches[at_zero[z // b_size]].append(i)
-    for x in range(c.X.size):
-        if matches[x] != [c.k_prime(x)]:
-            raise InternalCheckFailed(
-                f"kernel embedding at {x}: expected unique {c.k_prime(x)}, "
-                f"found {matches[x]}")
-
-    if membership_by_gamma_id(c) != y_indices:
-        raise InternalCheckFailed("fixpoint carrier differs from the image of psi")
-    if membership_by_term(c, budget=budget) != y_indices:
-        raise InternalCheckFailed("candidate-operation carrier differs from im(psi)")
+    car = carrier(_ActionData(e.X, e.B, n, theta, gamma), budget)
+    if car.closure_failure:
+        raise InternalCheckFailed(car.closure_failure)
+    if car.k is None:
+        raise InternalCheckFailed(f"kernel embedding not unique: {car.kernel_failure}")
+    section = list(map(psi(e, w), e.s.values))
+    bad = next((b for b, z in enumerate(section) if z not in car.y_pos), None)
+    if bad is not None:
+        raise InternalCheckFailed(
+            f"psi(s({bad})) = {space.unpack(section[bad])} lies outside the carrier")
+    Y = tuple((*xs, b) for xs, b in map(space.unpack, car.Y))
+    return CanonicalExtension(
+        e.X, e.B, n, theta, Y, car.algebra.tables, FnTable(e.X.size, len(Y), car.k),
+        FnTable(len(Y), e.B.size, tuple(z % space.b_size for z in car.Y)),
+        FnTable(e.B.size, len(Y), tuple(map(car.y_pos.__getitem__, section))),
+        gamma, _gather(phis)(q_of))
 
 
 def membership_by_gamma_id(c: CanonicalExtension) -> list[int]:

@@ -118,7 +118,7 @@ def _resolve_theta(args, signature) -> ThetaSpec:
         vars_ = [v.strip() for v in args.theta_vars.split(",") if v.strip()]
         return theta_from_obj({"vars": vars_, "term": args.theta_term}, signature)
     if args.theta:
-        return theta_from_obj(args.theta, signature, base_dir=Path.cwd())
+        return theta_from_obj(args.theta, signature)
     raise FileFormatError("a witness term is required (--theta or --theta-vars/--theta-term)")
 
 

@@ -21,9 +21,17 @@ the tuple of coordinate projections.  The action-data layer is
 from __future__ import annotations
 
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .ambient import ActionData, ActionTable, LeafRows, _unit_law, membership_by_term
+from .ambient import (
+    ActionData,
+    ActionTable,
+    Carrier,
+    LeafRows,
+    _unit_law,
+    carrier,
+    membership_by_term,
+)
 from .algebra import (
     DEFAULT_BUDGET,
     Equation,
@@ -134,81 +142,42 @@ def compute_Y(g: GammaData, budget: int = DEFAULT_BUDGET) -> list[int]:
     return membership_by_term(g, budget=budget)
 
 
-class _Carrier(Record):
-    """The carved-out carrier, shared by the condition checks and the rebuild.
-
-    ``kernel`` lists the tuples ys with (ys, 0_B) in Y, in lex order.
-    ``algebra`` is Y with the candidate operations, indexed by carrier
-    position; it is None when Y is not closed under them.  ``k`` is the
-    kernel embedding as positions in Y; it is None unless condition 2 holds.
-    """
-
-    Y: list[int]
-    y_pos: dict[int, int]
-    kernel: list[tuple[int, ...]]
-    algebra: Optional[FiniteAlgebra]
-    k: Optional[tuple[int, ...]]
-
-
 @_once
-def _checked(g: GammaData, budget: int) -> tuple[Report, _Carrier]:
+def _checked(g: GammaData, budget: int) -> tuple[Report, Carrier]:
     """The four conditions and the carrier they were checked on, once per
-    data set and budget, each operation (``operation_term``) or term
-    tabulated by one ``tabulate_grid`` call over its grid of ambient-index
-    arguments; first failures are in lex order."""
+    data set and budget: conditions 1 and 2 read the carrier
+    (``ambient.carrier``, Y from ``compute_Y``), and each term of the others
+    is tabulated by one ``tabulate_grid`` call; first failures are in lex
+    order."""
     rep = Report()
     space = g.space
-    x_size, b_size = space.x_size, space.b_size
-    Y = compute_Y(g, budget=budget)
-    ops = g.candidate_ops()  # after compute_Y has budgeted |X^n x B|
-    y_pos = {z: i for i, z in enumerate(Y)}
+    b_size = space.b_size
+    car = carrier(g, budget, compute_Y)
+    Y, y_pos, kz, kx = car.Y, car.y_pos, car.kz, car.kx
+    ops = g.candidate_ops()
 
     def xs_of(z: int) -> tuple[int, ...]:
         return space.unpack(z)[0]
 
-    # 1: closure + defining identities on the carrier; the closure pass
-    # tabulates the operations on Y
-    failure = ""
-    tables = {}
-    for name, arity in g.X.signature.ops:
-        if (len(Y) ** arity) > budget:
-            raise SearchBudgetExceeded(f"closure check for {name!r} exceeds budget")
-        op = operation_term(name, arity)
-        table = list(map(y_pos.get, tabulate_grid(op, ops, [Y] * arity)))
-        if None in table:
-            args = table_args(len(Y), arity, table.index(None))
-            failure = f"carrier not closed under {name!r} at {tuple(Y[i] for i in args)}"
-            break
-        tables[name] = tuple(table)
-    YA = None if failure else FiniteAlgebra(g.X.signature, len(Y), tables)
-    axioms_ok = YA is not None
+    # 1: closure (the carrier's operation tables) + defining identities on it
+    failure = car.closure_failure
+    axioms_ok = car.algebra is not None
     if axioms_ok:
         for i, ax in enumerate(g.axioms):
             if len(Y) ** len(ax.vars) > budget:
                 raise SearchBudgetExceeded(f"axiom {i} check exceeds budget")
-            res = check_equation(YA, ax)
+            res = check_equation(car.algebra, ax)
             if not res:
                 axioms_ok = False
                 failure = f"axiom {i} fails at {res.counterexample}"
                 break
     rep.add("axioms_hold_on_carrier", axioms_ok, failure)
 
-    # 2: unique kernel tuple over each x.  at_zero is theta_X(ys, 0_X) over
-    # X^n (|X|^n <= |X^n x B|, which compute_Y budgeted), read by theta0.
-    at_zero = tabulate_grid(g.theta, g.X, [range(x_size)] * g.n + [[g.X.zero]])
+    # 2: unique kernel tuple over each x
+    rep.add("kernel_embedding_well_defined", car.k is not None, car.kernel_failure)
 
     def theta0(column: Sequence[int]) -> list[int]:
-        return [at_zero[z // b_size] for z in column]
-
-    kz = [z for z in Y if z % b_size == g.B.zero]  # the (ys, 0_B) in Y, in lex order
-    kx = theta0(kz)  # the kernel element each (ys, 0_B) embeds
-    groups: list[list[int]] = [[] for _ in range(x_size)]
-    for z, x in zip(kz, kx):
-        groups[x].append(z)
-    bad = next((x for x, group in enumerate(groups) if len(group) != 1), None)
-    rep.add("kernel_embedding_well_defined", bad is None,
-            "" if bad is None else
-            f"x = {bad} has kernel tuples {list(map(xs_of, groups[bad]))}")
+        return [car.at_zero[z // b_size] for z in column]
 
     # 3: the embedding inverse is a homomorphism: theta0 o op = op_X o theta0
     failure = ""
@@ -240,8 +209,7 @@ def _checked(g: GammaData, budget: int) -> tuple[Report, _Carrier]:
         ys = tuple(xs_of(kz[i]) for i in table_args(len(kz), g.n, j // b_size))
         failure = f"kernel tuples {ys}, base {j % b_size}: {xs_of(got[j])} != {xs_of(targets[j])}"
     rep.add("projection_witness", not failure, failure)
-    k = None if bad is not None else tuple(y_pos[group[0]] for group in groups)
-    return rep, _Carrier(Y, y_pos, list(map(xs_of, kz)), YA, k)
+    return rep, car
 
 
 def check_conditions(g: GammaData, budget: int = DEFAULT_BUDGET) -> Report:
@@ -265,10 +233,10 @@ def build_extension_from_gamma(g: GammaData,
     extension, and the four conditions imply neither property.  The
     result is revalidated before being returned.
     """
-    rep, carrier = _checked(g, budget)
+    rep, car = _checked(g, budget)
     if not rep.ok:
         raise ConditionsFailed(rep)
-    Y, y_pos = carrier.Y, carrier.y_pos
+    Y, y_pos = car.Y, car.y_pos
     x_size, b_size = g.X.size, g.B.size
 
     zero_row = g.space.pack((g.X.zero,) * g.n, 0)  # the ambient index of (0, .., 0, 0)
@@ -276,14 +244,14 @@ def build_extension_from_gamma(g: GammaData,
     if missing:
         raise IotaNotInY(f"zero-tuple section misses the carrier at base {missing}")
 
-    k = FnTable(x_size, len(Y), carrier.k)
+    k = FnTable(x_size, len(Y), car.k)
     p = FnTable(len(Y), b_size, tuple(z % b_size for z in Y))
     s = FnTable(b_size, len(Y), tuple(y_pos[zero_row + b] for b in range(b_size)))
-    res = is_homomorphism(s, g.B, carrier.algebra)
+    res = is_homomorphism(s, g.B, car.algebra)
     if not res:
         raise SectionNotHomomorphism(
             f"zero-tuple section is not a homomorphism: {res.counterexample}")
-    ext = SplitExtension(g.X, carrier.algebra, g.B, k, p, s)
+    ext = SplitExtension(g.X, car.algebra, g.B, k, p, s)
     coords = zip(*(g.space.unpack(z)[0] for z in Y))
     w = Witness(g.n, tuple(FnTable(len(Y), x_size, xs) for xs in coords))
 

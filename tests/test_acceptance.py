@@ -28,8 +28,8 @@ from wsext import (
     validate_witness,
     verify_isomorphism,
 )
-from wsext import enumerate_homomorphisms, pullback_extension
-from wsext.canonical import membership_by_gamma_id, membership_by_term
+from wsext import enumerate_homomorphisms, membership_by_term, pullback_extension
+from wsext.canonical import membership_by_gamma_id
 from wsext.errors import IotaNotInY
 from wsext.fixtures import fixture_path
 from wsext.terms import TermSpec, ThetaSpec

@@ -21,8 +21,15 @@ from wsext import (
     verify_isomorphism,
 )
 from wsext.algebra import _square_failure
+from wsext import canonical
 from wsext.canonical import CanonicalExtension, ambient_space
-from wsext.errors import SearchBudgetExceeded, WitnessInvalid, WrongSignature, WrongTheta
+from wsext.errors import (
+    InternalCheckFailed,
+    SearchBudgetExceeded,
+    WitnessInvalid,
+    WrongSignature,
+    WrongTheta,
+)
 from wsext.extension import SplitExtension
 
 from conftest import load_fixture
@@ -219,6 +226,20 @@ def test_corrupted_transport_table_fails_homomorphism_square(example):
     rep = verify_isomorphism(e, corrupt, w)
     assert not rep.ok
     assert not (rep.entry("psi_homomorphism").ok and rep.entry("phi_homomorphism").ok)
+
+
+def test_a_section_outside_the_carrier_is_an_internal_check(example, monkeypatch):
+    # only a bug reaches this: iota_B is psi o s, and Y is read off the
+    # action data; it raises InternalCheckFailed, never a KeyError
+    e, w, _, theta = example
+    space = ambient_space(e, theta.n)
+    values = list(psi(e, w).values)
+    values[e.s(1)] = space.pack((1, 1), 0)  # not a member of Y
+    assert space.pack((1, 1), 0) not in membership_by_gamma_id(build_canonical(e, theta, w))
+    monkeypatch.setattr(canonical, "psi", lambda *_: FnTable(e.A.size, space.size, tuple(values)))
+    with pytest.raises(InternalCheckFailed,
+                       match=r"^psi\(s\(1\)\) = \(\(1, 1\), 0\) lies outside the carrier$"):
+        build_canonical(e, theta, w)
 
 
 def test_square_failure_names_the_first_argument_outside_a_partial_map():

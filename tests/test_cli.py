@@ -16,13 +16,15 @@ from hypothesis import given, settings, strategies as st
 from wsext import (
     build_canonical,
     build_extension_from_gamma,
+    canonical,
     check_conditions,
     cli,
     gammabuild,
     verify_isomorphism,
 )
 from wsext import extension as ext
-from wsext.algebra import FnTable, check_theta_admissible
+from wsext.algebra import FiniteAlgebra, FnTable, check_theta_admissible
+from wsext.ambient import Carrier, membership_by_term
 from wsext.cli import main
 from wsext.errors import SectionNotHomomorphism
 from wsext.extension import SplitExtension, Witness
@@ -434,6 +436,63 @@ def test_internal_errors_exit_70_with_one_line(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "internal error: ZeroDivisionError: boom second line\n"
+
+
+def _wrong_table(read_off):
+    """The carrier with one entry of its '+' table moved to the next member."""
+    def carrier(action_data, budget):
+        car = read_off(action_data, budget)
+        tables = dict(car.algebra.tables)
+        plus = list(tables["+"])
+        plus[5] = (plus[5] + 1) % len(car.Y)
+        tables["+"] = tuple(plus)
+        algebra = FiniteAlgebra(car.algebra.signature, car.algebra.size, tables)
+        return Carrier(**{**{f: getattr(car, f) for f in car._fields}, "algebra": algebra})
+    return carrier
+
+
+def _one_member_short(read_off):
+    """The carrier read off Y without its last member."""
+    return lambda action_data, budget: read_off(action_data, budget, lambda c, budget: (
+        membership_by_term(c, budget=budget)[:-1]))
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["plain", "json"])
+@pytest.mark.parametrize("patch, code, line", [
+    # Y's operations disagree with the transport along psi: a verification FAIL
+    (_wrong_table, 2, "  psi_homomorphism: FAIL  [op '+' at (2, 0)]"),
+    # a carrier that is not closed: an internal check, one stderr line
+    (_one_member_short, 64, "error: carrier not closed under '+' at (2, 1)"),
+], ids=["wrong-table", "short-carrier"])
+def test_a_carrier_that_disagrees_with_the_witness_names_the_law(
+        patch, code, line, json_mode, monkeypatch, capsys):
+    # only a bug reaches either: the canonical form reads Y off the action data
+    monkeypatch.setattr(canonical, "carrier", patch(canonical.carrier))
+    assert main(["canonicalize", EXAMPLE, "--theta", THETA_XZY,
+                 *(["--json"] if json_mode else [])]) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    if code == 64:
+        assert (out, err) == ("", line + "\n")
+    elif json_mode:
+        name, _, detail = line.strip().partition(": FAIL  ")
+        assert {"name": name, "ok": False, "detail": detail[1:-1]} in \
+            json.loads(out)["verification"]
+        assert err == ""
+    else:
+        assert line in out.splitlines() and err == ""
+
+
+def test_a_theta_file_is_named_as_given(tmp_path, monkeypatch, capsys):
+    # the --theta file was resolved against the absolute working directory,
+    # so its errors named the absolute path, unlike every other input's
+    (tmp_path / "ext.json").write_text(Path(EXAMPLE).read_text())
+    monkeypatch.chdir(tmp_path)
+    assert main(["check", "nope.json", "--theta", THETA_XZY]) == 64
+    missing_extension = capsys.readouterr()
+    assert main(["check", "ext.json", "--theta", "nope.json"]) == 64
+    assert capsys.readouterr() == missing_extension
+    assert missing_extension.err.startswith("error: cannot read nope.json: ")
 
 
 def test_a_failed_report_write_exits_70_with_one_line():

@@ -44,9 +44,15 @@ from wsext import (
     trivial_algebra,
 )
 
-from wsext import algebra, transport
-from wsext.canonical import _cross_check, membership_by_gamma_id, verify_isomorphism
-from wsext.errors import ArityMismatch, EntryOutOfRange, NotHomomorphism, ToolkitError
+from wsext import algebra, canonical, transport
+from wsext.canonical import membership_by_gamma_id, psi, verify_isomorphism
+from wsext.errors import (
+    ArityMismatch,
+    EntryOutOfRange,
+    NotHomomorphism,
+    SearchBudgetExceeded,
+    ToolkitError,
+)
 from wsext.extension import (
     Witness,
     count_witnesses,
@@ -1044,11 +1050,10 @@ def replace(record, **changes):
     return type(record)(**{**fields, **changes})
 
 
-def corrupt(c, data):
+def corrupt(c, data, fields=("ops_Y", "gamma", "gamma_id", "k_prime", "pi_B", "Y", "theta")):
     """c with one entry of one of its tables replaced, within range, or
-    with its witness term replaced by a projection."""
-    field = data.draw(st.sampled_from(
-        ["ops_Y", "gamma", "gamma_id", "k_prime", "pi_B", "Y", "theta"]))
+    with its witness term replaced by a projection; one of ``fields``."""
+    field = data.draw(st.sampled_from(fields))
     pick = lambda seq: data.draw(st.integers(0, len(seq) - 1))  # noqa: E731
     kernel_tuple = st.tuples(*[st.integers(0, c.X.size - 1)] * c.n)
     if field in ("ops_Y", "gamma"):
@@ -1078,6 +1083,25 @@ def corrupt(c, data):
     return replace(c, Y=tuple(map(tuple, Y)))
 
 
+def transported(e, theta, w, c):
+    """c with the Y, ops_Y and k' of the transport along psi, one entry at a
+    time (brute_force_transport), in place of its own."""
+    psi_t = psi(e, w)
+    image = sorted(psi_t.values)
+    Y = tuple((*xs, b) for xs, b in map(c.space.unpack, image))
+    y_pos = {z: i for i, z in enumerate(image)}
+    return replace(c, Y=Y, ops_Y=brute_force_transport(e, theta, w, Y),
+                   k_prime=FnTable(e.X.size, len(Y), tuple(y_pos[psi_t(a)] for a in e.k.values)))
+
+
+def verified(e, w, build):
+    """Whether the form ``build`` returns passes every entry of
+    verify_isomorphism but section_transport, which the canonicalize
+    command reads as the isomorphism itself."""
+    rep = verify_isomorphism(e, build(), w)
+    return all(en.ok for en in rep.entries if en.name != "section_transport")
+
+
 @given(canonical_cases(max_product_m=4), st.data())
 @settings(max_examples=300, deadline=None)
 def test_cross_checks_and_report_match_the_per_entry_loops(case, data):
@@ -1087,9 +1111,22 @@ def test_cross_checks_and_report_match_the_per_entry_loops(case, data):
     brute_force_cross_check(c)
     assert verify_isomorphism(e, c, w).to_json() == brute_force_verify(e, c, w).to_json()
 
+    # the action data (gamma, theta) corrupted before Y is read off it: the
+    # form passes verify_isomorphism exactly when the per-entry cross-check
+    # accepts the same data with the transported Y, ops_Y and k'
+    seen, read_off = [], canonical.carrier
+
+    def corrupted_carrier(action_data, budget):
+        seen.append(corrupt(action_data, data, ("gamma", "theta")))
+        return read_off(seen[-1], budget)
+
+    with mock.patch.object(canonical, "carrier", corrupted_carrier):
+        passes = outcome(lambda: verified(e, w, lambda: build_canonical(e, theta, w)))
+    ref = replace(transported(e, theta, w, c), gamma=seen[0].gamma, theta=seen[0].theta)
+    assert (passes == ("value", True)) == \
+        (outcome(lambda: brute_force_cross_check(ref)) == ("value", None))
+
     bad = corrupt(c, data)
-    assert any_outcome(lambda: _cross_check(bad)) == \
-        any_outcome(lambda: brute_force_cross_check(bad))
     assert membership_by_gamma_id(bad) == brute_force_fixpoint_carrier(bad)
     assert_same_report(e, bad, w)
 
@@ -1154,7 +1191,7 @@ def carrier_outcome(g: GammaData, budget: int):
     rep, carrier = _checked(g, budget)
     assert check_conditions(g, budget) is rep
     tables = None if carrier.algebra is None else dict(carrier.algebra.tables)
-    return rep.to_json(), carrier.Y, carrier.kernel, tables
+    return rep.to_json(), carrier.Y, [g.space.unpack(z)[0] for z in carrier.kz], tables
 
 
 def oracle_carrier_outcome(g: GammaData, budget: int):
@@ -1195,6 +1232,29 @@ def test_action_data_checks_match_the_per_entry_oracles(case, points, data):
             for cap in ((cost, cost - 1) if cost <= 5000 else (cost - 1,)):
                 assert any_outcome(lambda: gamma_table(g, omega, budget=cap)) == \
                     any_outcome(lambda: brute_force_gamma_table(g, omega, budget=cap))
+
+
+def budget_bound(site: str):
+    """(a call of a budget, the exact cost it charges at a gate that no
+    earlier gate masks, its value at that cost)."""
+    Z3 = cyclic_group(3)
+    if site == "find_witnesses":
+        # 3^8 normalized witnesses, over a fibre walk of 9 * 3^2 evaluations
+        e, theta = product_extension(Z3, Z3), sum_theta(2)
+        return (lambda budget: len(find_witnesses(e, theta, budget=budget))), 3 ** 8, 3 ** 8
+    # |B| = 1, so every member of Y is a kernel tuple: condition 3's cost for
+    # '+', |kernel tuples|^2, is the closure cost and the largest one
+    e, theta = product_extension(Z3, trivial_algebra(USIG)), sum_theta(1)
+    g = extract_gamma(build_canonical(e, theta, find_witnesses(e, theta)[0]))
+    return (lambda budget: check_conditions(g, budget).ok), 3 ** 2, True
+
+
+@pytest.mark.parametrize("site", ["find_witnesses", "condition 3"])
+def test_a_budget_bound_passes_at_its_cost_and_raises_one_below(site):
+    run, cost, value = budget_bound(site)
+    assert run(cost) == value
+    with pytest.raises(SearchBudgetExceeded):
+        run(cost - 1)
 
 
 # -- tabulate_grid against the per-entry evaluators -------------------------------------

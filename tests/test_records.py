@@ -16,8 +16,13 @@ import wsext
 from conftest import load_fixture
 from oracles import dataclass_twin
 from wsext.algebra import DEFAULT_BUDGET, FnTable
-from wsext.ambient import TupleSpace
-from wsext.canonical import CanonicalExtension, build_canonical, sigma_tau_decompose
+from wsext.ambient import TupleSpace, carrier
+from wsext.canonical import (
+    CanonicalExtension,
+    _ActionData,
+    build_canonical,
+    sigma_tau_decompose,
+)
 from wsext.extension import (
     SplitExtension,
     Witness,
@@ -51,15 +56,17 @@ def fixture_samples(name: str) -> list:
     """One or more records of every kind that the fixture gives rise to."""
     e, w, axioms, theta = load_fixture(name)
     c = build_canonical(e, theta, w)
+    carrier(c, DEFAULT_BUDGET)  # the form is action data too: read Y off it
     g = extract_gamma(c, axioms)
-    _, carrier = _checked(g, DEFAULT_BUDGET)
+    _, read_off = _checked(g, DEFAULT_BUDGET)
     ids = (FnTable.identity(e.X.size), FnTable.identity(e.A.size), FnTable.identity(e.B.size))
     # fields away from their defaults: a failing witness and section law
     zero_w = Witness(w.n, [FnTable(e.A.size, e.X.size, [0] * e.A.size)] * w.n)
     zero_s = SplitExtension(e.X, e.A, e.B, e.k, e.p, FnTable(e.B.size, e.A.size, [0] * e.B.size))
     samples = [e, e.X, e.A, e.X.signature, e.k, e.p, w, *axioms, theta,
                TermSpec(theta.vars, theta.term), *subterms(theta.term),
-               TupleSpace(e.X.size, w.n, e.B.size), c, g, carrier,
+               TupleSpace(e.X.size, w.n, e.B.size), c, g, read_off,
+               _ActionData(c.X, c.B, c.n, c.theta, c.gamma),
                product_extension_check(e.X, theta), ExtensionMorphism(e, e, *ids),
                validate_witness(e, theta, w), validate_witness(e, theta, zero_w),
                *validate_split_extension(zero_s).entries]
