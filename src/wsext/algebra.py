@@ -23,11 +23,11 @@ from .errors import (
     ArityMismatch,
     EntryOutOfRange,
     MissingTable,
-    SearchBudgetExceeded,
     SignatureMismatch,
     SizeMismatch,
     ThetaNotAdmissible,
     UnknownSymbol,
+    charge,
 )
 from .report import CheckResult, Record
 from .terms import App, Term, TermSpec, ThetaSpec, Var, require_declared_vars, substitute
@@ -381,9 +381,7 @@ def check_commuting(
     """
     m, width = omega.arity, theta.arity
     domain = A.size ** (m * width)
-    if domain > budget:
-        raise SearchBudgetExceeded(
-            f"commutation check needs {domain} cases, budget is {budget}")
+    charge(domain, budget, f"commutation check needs {domain} cases, budget is {budget}")
     rows = [[Var(f"a{j}_{i}") for i in range(width)] for j in range(m)]
     columns = [[row[i] for row in rows] for i in range(width)]
 

@@ -38,7 +38,7 @@ from .algebra import (
     table_index,
     tabulate_grid,
 )
-from .errors import ArityMismatch, EntryOutOfRange, SearchBudgetExceeded, WrongTheta
+from .errors import ArityMismatch, EntryOutOfRange, WrongTheta, charge
 from .report import CheckResult, Record, _once
 from .terms import TermSpec, operation_term
 
@@ -188,9 +188,8 @@ def membership_by_term(c: ActionData, omega: Optional[TermSpec] = None,
     ``budget``), the term is checked to have it on X and B (WrongTheta).
     """
     space = c.space
-    if space.size > budget:
-        raise SearchBudgetExceeded(
-            f"membership test needs {space.size} ambient tuples, budget is {budget}")
+    charge(space.size, budget,
+           f"membership test needs {space.size} ambient tuples, budget is {budget}")
     omega = omega or c.theta
     failure = _unit_law(c, omega)
     if failure:
@@ -212,9 +211,7 @@ def gamma_table(c: ActionData, omega: TermSpec,
     more than ``budget`` entries, |X^n x B|^arity."""
     space = c.space
     needed = space.size ** omega.arity
-    if needed > budget:
-        raise SearchBudgetExceeded(
-            f"action table needs {needed} entries, budget is {budget}")
+    charge(needed, budget, f"action table needs {needed} entries, budget is {budget}")
     values = tabulate_grid(omega, c.candidate_ops(), [space.indices()] * omega.arity)
     kernel_tuples, b_size = space.kernel_tuples, space.b_size
     entries = [kernel_tuples[v // b_size] for v in values]
@@ -255,8 +252,7 @@ def carrier(c: ActionData, budget: int, members=membership_by_term) -> Carrier:
     y_pos = {z: i for i, z in enumerate(Y)}
     tables, closure_failure = {}, ""
     for name, arity in c.X.signature.ops:
-        if len(Y) ** arity > budget:
-            raise SearchBudgetExceeded(f"closure check for {name!r} exceeds budget")
+        charge(len(Y) ** arity, budget, f"closure check for {name!r} exceeds budget")
         table = list(map(y_pos.get, tabulate_grid(operation_term(name, arity), ops, [Y] * arity)))
         if None in table:
             args = table_args(len(Y), arity, table.index(None))

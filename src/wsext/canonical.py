@@ -34,9 +34,9 @@ from .algebra import (
 )
 from .errors import (
     InternalCheckFailed,
-    SearchBudgetExceeded,
     WrongSignature,
     WrongTheta,
+    charge,
 )
 from .extension import (
     SplitExtension,
@@ -132,9 +132,7 @@ def build_canonical(e: SplitExtension, theta: ThetaSpec, w: Witness,
     n = theta.n
     space = ambient_space(e, n)
     entries = sum(space.size ** arity for _, arity in e.A.signature.ops)
-    if entries > budget:
-        raise SearchBudgetExceeded(
-            f"action tables need {entries} entries, budget is {budget}")
+    charge(entries, budget, f"action tables need {entries} entries, budget is {budget}")
     phis = phi(e, theta).values
     q_of = [w.values_at(a) for a in range(e.A.size)]
     gamma = {name: _action_table(e.A, name, arity, phis, q_of)
@@ -269,9 +267,7 @@ def sigma_tau_decompose(
     if theta.n != 2:
         raise WrongTheta(f"witness term must have arity 3, got {theta.arity}")
     cost = e.A.size ** 3 + (e.X.size ** 2 * e.B.size) ** 2
-    if cost > budget:
-        raise SearchBudgetExceeded(
-            f"decomposition needs {cost} evaluations, budget is {budget}")
+    charge(cost, budget, f"decomposition needs {cost} evaluations, budget is {budget}")
     x, y, z = map(Var, theta.vars)
     if not check_equation(e.A, Equation(theta.vars, theta.term,
                                         App(add, (App(add, (x, z)), y)))):

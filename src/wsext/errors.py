@@ -2,6 +2,7 @@
 
 Every error raised by the library derives from :class:`ToolkitError` so
 callers (in particular the CLI) can distinguish domain errors from bugs.
+``charge`` is the one budget gate: every SearchBudgetExceeded comes from it.
 """
 
 
@@ -37,6 +38,15 @@ class NotHomomorphism(ToolkitError):
 
 class SearchBudgetExceeded(ToolkitError):
     """An exhaustive search would exceed the configured node budget."""
+
+
+def charge(cost: int, budget: int, message: str) -> None:
+    """The one budget gate: raise SearchBudgetExceeded(message) when
+    ``cost`` exceeds ``budget``, so a search that costs exactly ``budget``
+    passes.  ``message`` comes built, not as a template: the operation
+    names in it are user input and may hold braces."""
+    if cost > budget:
+        raise SearchBudgetExceeded(message)
 
 
 # -- term language -----------------------------------------------------------

@@ -42,10 +42,10 @@ from .errors import (
     ExtensionInvalid,
     InternalCheckFailed,
     KernelPreimageMissing,
-    SearchBudgetExceeded,
     SignatureMismatch,
     SizeMismatch,
     WitnessInvalid,
+    charge,
 )
 from .report import CheckResult, Record, Report, _once
 from .terms import App, TermSpec, ThetaSpec, Var, substitute
@@ -207,9 +207,7 @@ def _fibres(e: SplitExtension, theta: ThetaSpec, normalize: bool,
     """
     _admissible(e, theta)
     cost = e.A.size * e.X.size ** theta.n
-    if cost > budget:
-        raise SearchBudgetExceeded(
-            f"witness feasibility needs {cost} evaluations, budget is {budget}")
+    charge(cost, budget, f"witness feasibility needs {cost} evaluations, budget is {budget}")
     values = phi(e, theta).values
     nb = e.B.size
     in_fibre = map(eq, map(e.p.values.__getitem__, values), cycle(range(nb)))
@@ -271,9 +269,8 @@ def find_witnesses(
     """
     fibres = _fibres(e, theta, normalize, budget)
     total = prod(map(len, fibres))
-    if min(total, total if limit is None else limit) > budget:
-        raise SearchBudgetExceeded(
-            f"would materialize {total} witnesses, budget is {budget}")
+    charge(min(total, total if limit is None else limit), budget,
+           f"would materialize {total} witnesses, budget is {budget}")
     # row r is the kernel tuple with coordinate i = r // |X|^(n-1-i) % |X|
     n, size = theta.n, e.X.size
     strides = [size ** (n - 1 - i) for i in range(n)]

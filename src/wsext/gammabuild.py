@@ -50,10 +50,10 @@ from .errors import (
     InternalCheckFailed,
     IotaNotInY,
     MissingTable,
-    SearchBudgetExceeded,
     SectionNotHomomorphism,
     SignatureMismatch,
     ThetaNotAdmissible,
+    charge,
 )
 from .extension import SplitExtension, Witness, validate_split_extension, validate_witness
 from .report import Record, Report, _once
@@ -164,8 +164,7 @@ def _checked(g: GammaData, budget: int) -> tuple[Report, Carrier]:
     axioms_ok = car.algebra is not None
     if axioms_ok:
         for i, ax in enumerate(g.axioms):
-            if len(Y) ** len(ax.vars) > budget:
-                raise SearchBudgetExceeded(f"axiom {i} check exceeds budget")
+            charge(len(Y) ** len(ax.vars), budget, f"axiom {i} check exceeds budget")
             res = check_equation(car.algebra, ax)
             if not res:
                 axioms_ok = False
@@ -182,8 +181,7 @@ def _checked(g: GammaData, budget: int) -> tuple[Report, Carrier]:
     # 3: the embedding inverse is a homomorphism: theta0 o op = op_X o theta0
     failure = ""
     for name, arity in g.X.signature.ops:
-        if len(kz) ** arity > budget:
-            raise SearchBudgetExceeded(f"condition 3 for {name!r} exceeds budget")
+        charge(len(kz) ** arity, budget, f"condition 3 for {name!r} exceeds budget")
         op = operation_term(name, arity)
         lhs = theta0(tabulate_grid(op, ops, [kz] * arity))
         rhs = tabulate_grid(op, g.X, [kx] * arity)
@@ -198,8 +196,7 @@ def _checked(g: GammaData, budget: int) -> tuple[Report, Carrier]:
     # target (theta0(ys_1), .., theta0(ys_n), b) is in Y, theta at
     # ((ys_1, 0_B), .., (ys_n, 0_B), (0, .., 0, b)) has its kernel coordinates
     failure = ""
-    if len(kz) ** g.n * b_size > budget:
-        raise SearchBudgetExceeded("condition 4 exceeds budget")
+    charge(len(kz) ** g.n * b_size, budget, "condition 4 exceeds budget")
     zero_row = space.pack((g.X.zero,) * g.n, 0)  # the ambient index of (0, .., 0, 0)
     got = tabulate_grid(g.theta, ops, [kz] * g.n + [range(zero_row, zero_row + b_size)])
     targets = fold(space.radices, [kx] * g.n + [range(b_size)])

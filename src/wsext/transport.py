@@ -30,8 +30,8 @@ from .errors import (
     InternalCheckFailed,
     InvalidMorphism,
     NotHomomorphism,
-    SearchBudgetExceeded,
     SizeMismatch,
+    charge,
 )
 from .extension import (
     SplitExtension,
@@ -81,6 +81,7 @@ def enumerate_homomorphisms(
     out: list[FnTable] = []
     assignment = [0] * A.size
     nodes = 0
+    exceeded = f"homomorphism search exceeded {budget} nodes"
 
     def consistent(pos: int) -> bool:
         for name, args, result in by_position[pos]:
@@ -96,9 +97,7 @@ def enumerate_homomorphisms(
         candidates = (fixed[pos],) if pos in fixed else range(B.size)
         for val in candidates:
             nodes += 1
-            if nodes > budget:
-                raise SearchBudgetExceeded(
-                    f"homomorphism search exceeded {budget} nodes")
+            charge(nodes, budget, exceeded)
             assignment[pos] = val
             if consistent(pos) and extend(pos + 1):
                 return True
@@ -147,9 +146,7 @@ def pullback_algebra(
     p_fibres, f_fibres = Counter(p.values), Counter(f.values)
     size = sum(p_fibres[b] * f_fibres[b] for b in p_fibres)
     entries = sum(size ** arity for _, arity in A.signature.ops)
-    if entries > budget:
-        raise SearchBudgetExceeded(
-            f"pullback tables need {entries} entries, budget is {budget}")
+    charge(entries, budget, f"pullback tables need {entries} entries, budget is {budget}")
 
     elements = [(a, bp) for a in range(A.size) for bp in range(B_prime.size)
                 if p(a) == f(bp)]
@@ -257,9 +254,7 @@ def product_extension_check(X: FiniteAlgebra, theta: ThetaSpec,
     require_admissible(theta, X, "kernel algebra")
     n = theta.n
     cost = X.size ** n
-    if cost > budget:
-        raise SearchBudgetExceeded(
-            f"product check needs {cost} evaluations, budget is {budget}")
+    charge(cost, budget, f"product check needs {cost} evaluations, budget is {budget}")
     first: dict[int, int] = {}  # x -> lex index of its first ys
     for j, x in enumerate(tabulate_grid(theta, X, [range(X.size)] * n + [[X.zero]])):
         first.setdefault(x, j)

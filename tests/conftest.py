@@ -9,7 +9,18 @@ from pathlib import Path
 
 import pytest
 
-from wsext import FiniteAlgebra, FnTable, SplitExtension, enumerate_homomorphisms
+from wsext import (
+    FiniteAlgebra,
+    FnTable,
+    GammaData,
+    Signature,
+    SplitExtension,
+    ThetaSpec,
+    enumerate_homomorphisms,
+    make_algebra,
+    parse_term,
+    trivial_algebra,
+)
 from wsext import serialize as S
 from wsext.fixtures import EXTENSIONS, fixture_path
 
@@ -63,6 +74,25 @@ def load_fixture(name: str):
     theta_obj = json.loads(fixture_path(EXTENSIONS[name]).read_text())
     theta = S.theta_from_obj(theta_obj, e.X.signature)
     return e, w, axioms, theta
+
+
+SLSIG = Signature((("0", 0), ("+", 2)), "0")
+
+
+def unclosed_constant_data(b_size: int) -> GammaData:
+    """Action data on the semilattice N2 = {0, 1} over SLSIG with n = 2 and
+    theta = x1 + y: 0 + (0, 1, 0_B) is (0, 0), which puts (0, 1, 0_B) out
+    of Y, and the constant's entry is (0, 1).  The constant comes first and
+    leaves Y, so the closure charges 1 and no axiom runs, and conditions 3
+    and 4 see the 3 kernel tuples left: 3^2 for '+' and 3^2 * |B|, over
+    4 * |B| ambient tuples."""
+    N2 = make_algebra(SLSIG, 2, {"0": [0], "+": [0, 1, 1, 1]})
+    B = N2 if b_size == 2 else trivial_algebra(SLSIG)
+    theta = ThetaSpec(("x1", "x2", "y"), parse_term("(+ x1 y)", SLSIG, ["x1", "x2", "y"]))
+    xs = [(z // b_size // 2, z // b_size % 2) for z in range(4 * b_size)]
+    plus = [tuple(map(max, u, v)) for u, v in product(xs, repeat=2)]
+    plus[b_size] = (0, 0)
+    return GammaData(N2, B, theta, {"0": ((0, 1),), "+": tuple(plus)}, ())
 
 
 def subalgebra(A: FiniteAlgebra, elements: list[int]) -> FiniteAlgebra:

@@ -220,6 +220,30 @@ def test_pullback_respects_budget(tmp_path):
     assert res.stderr == "error: pullback tables need 26 entries, budget is 25\n"
 
 
+@pytest.mark.parametrize("json_mode", [False, True], ids=["plain", "json"])
+def test_check_respects_budget(json_mode):
+    # the fibre walk is the dearest gate: |A| * |X|^n = 5 * 2^2 evaluations
+    argv = ["check", EXAMPLE, "--theta", THETA_XZY, *(["--json"] if json_mode else []), "--budget"]
+    assert run_cli(*argv, "20").returncode == 0
+    res = run_cli(*argv, "19")
+    assert res.returncode == 64
+    _assert_one_error_line(res)
+    assert res.stderr == "error: witness feasibility needs 20 evaluations, budget is 19\n"
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["plain", "json"])
+def test_gamma_check_respects_budget(json_mode, tmp_path):
+    # associativity, axiom 0, is the dearest gate: |Y|^3 = 5^3 cases
+    canon = tmp_path / "canon.json"
+    assert run_cli("canonicalize", EXAMPLE, "--theta", THETA_XZY, "-o", str(canon)).returncode == 0
+    argv = ["gamma-check", str(canon), *(["--json"] if json_mode else []), "--budget"]
+    assert run_cli(*argv, "125").returncode == 0
+    res = run_cli(*argv, "124")
+    assert res.returncode == 64
+    _assert_one_error_line(res)
+    assert res.stderr == "error: axiom 0 check exceeds budget\n"
+
+
 def test_product_check_monoid_passes():
     res = run_cli("product-check", str(fixture_path("n2")),
                   "--theta-vars", "x,y", "--theta-term", "(+ x y)")

@@ -34,7 +34,7 @@ from wsext.errors import (
 from wsext.canonical import membership_by_gamma_id
 from wsext.gammabuild import LeafRows
 
-from conftest import load_fixture
+from conftest import load_fixture, unclosed_constant_data
 
 MSIG = Signature((("+", 2), ("0", 0)), "0")
 
@@ -250,19 +250,11 @@ def test_closure_failure_names_the_first_argument_tuple():
 
 
 def test_condition_budgets_are_checked_in_order():
-    # the constant comes first in this signature, and the carrier is not
-    # closed under it; condition 3 passes at it, so the budgets of
-    # condition 3 for '+' (3^2 kernel pairs) and of condition 4 (3^2 * 2
-    # cases) are reached and bind above the 8 ambient tuples
-    sig = Signature((("0", 0), ("+", 2)), "0")
-    N2 = make_algebra(sig, 2, {"0": [0], "+": [0, 1, 1, 1]})
-    theta = ThetaSpec(("x1", "x2", "y"), parse_term("(+ x1 y)", sig, ["x1", "x2", "y"]))
-    space_size = 8
-    unpack = [(z // 4, z // 2 % 2) for z in range(space_size)]
-    plus = [tuple(N2.op("+", (u, v)) for u, v in zip(unpack[z1], unpack[z2]))
-            for z1 in range(space_size) for z2 in range(space_size)]
-    plus[2] = (0, 0)  # 0 + (0, 1, 0) leaves the ambient tuple (0, 1, 0)
-    g = GammaData(N2, N2, theta, {"0": ((0, 1),), "+": tuple(plus)}, ())
+    # the carrier is not closed under the constant, which comes first, so
+    # the budgets of condition 3 for '+' (3^2 kernel pairs) and of
+    # condition 4 (3^2 * 2 cases) are reached and bind above the 8 ambient
+    # tuples
+    g = unclosed_constant_data(2)
     from oracles import brute_force_conditions
     assert len(compute_Y(g)) == 7
     expected = {7: "membership test needs 8 ambient tuples, budget is 7",

@@ -84,6 +84,46 @@ def test_the_check_catches_an_unused_import():
     assert unused_imports(source) == ["product (line 2)"]
 
 
+def budget_error_sites(source: str) -> list[str]:
+    """'function (line n)' wherever ``source`` constructs or raises
+    SearchBudgetExceeded, by the innermost enclosing function ('<module>'
+    outside every function)."""
+    sites = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        target = node.func if isinstance(node, ast.Call) else getattr(node, "exc", None)
+        if getattr(target, "id", getattr(target, "attr", None)) == "SearchBudgetExceeded":
+            sites.append(f"{where} (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+def test_only_the_budget_gate_raises_a_budget_error():
+    """Every budget gate is a call of errors.charge, the one place that
+    compares a cost with the budget and raises."""
+    sites = [(str(p.relative_to(PACKAGE)), site) for p in sorted(PACKAGE.rglob("*.py"))
+             for site in budget_error_sites(p.read_text())]
+    assert [(path, site.split()[0]) for path, site in sites] == [("errors.py", "charge")]
+
+
+def test_the_gate_check_catches_a_direct_raise():
+    source = ("from . import errors\n"
+              "from .errors import SearchBudgetExceeded, charge\n"
+              "def gate(cost, budget):\n"
+              "    charge(cost, budget, 'fine')\n"
+              "    if cost > budget:\n"
+              "        raise SearchBudgetExceeded(f'needs {cost}')\n"
+              "def bare():\n"
+              "    raise errors.SearchBudgetExceeded\n"
+              "error = SearchBudgetExceeded('at import')\n")
+    assert budget_error_sites(source) == ["gate (line 6)", "bare (line 8)", "<module> (line 9)"]
+
+
 def _probe(code: str):
     """The JSON value that ``code`` prints, run in a fresh interpreter on
     this checkout's sources."""

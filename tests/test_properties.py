@@ -45,6 +45,7 @@ from wsext import (
 )
 
 from wsext import algebra, canonical, transport
+from wsext.ambient import carrier
 from wsext.canonical import membership_by_gamma_id, psi, verify_isomorphism
 from wsext.errors import (
     ArityMismatch,
@@ -75,7 +76,7 @@ from wsext.serialize import (
 from wsext.terms import operation_term, substitute
 from wsext.transport import product_extension_check
 
-from conftest import EXTENSION_NAMES, load_fixture
+from conftest import EXTENSION_NAMES, load_fixture, unclosed_constant_data
 
 from oracles import (
     PerEntryOps,
@@ -1234,27 +1235,80 @@ def test_action_data_checks_match_the_per_entry_oracles(case, points, data):
                     any_outcome(lambda: brute_force_gamma_table(g, omega, budget=cap))
 
 
-def budget_bound(site: str):
-    """(a call of a budget, the exact cost it charges at a gate that no
-    earlier gate masks, its value at that cost)."""
-    Z3 = cyclic_group(3)
-    if site == "find_witnesses":
+def budget_bounds():
+    """Per gate: (a call of a budget, the exact cost it charges at that gate,
+    which no earlier gate masks, its value at that cost, the message one
+    below).  e is Z_2 -> Z_2 x Z_2 -> Z_2 with theta = x1 + y, so Y is all
+    4 ambient tuples."""
+    Z2, Z3 = cyclic_group(2), cyclic_group(3)
+    e, theta, plus = product_extension(Z2, Z2), sum_theta(1), operation_term("+", 2)
+    w = find_witnesses(e, theta)[0]
+    c = build_canonical(e, theta, w)
+    unit = Equation(("x",), parse_term("(+ 0 x)", USIG, ["x"]), Var("x"))
+    assoc = Equation(("x", "y", "z"), parse_term("(+ x (+ y z))", USIG, ["x", "y", "z"]),
+                     parse_term("(+ (+ x y) z)", USIG, ["x", "y", "z"]))
+    g = extract_gamma(c, (unit, assoc))
+    example, example_w, _, example_theta = load_fixture("example_monoid")
+    e9, theta2 = product_extension(Z3, Z3), sum_theta(2)
+    g3, g4 = unclosed_constant_data(1), unclosed_constant_data(2)
+    return {
+        # |A|^(2 * 2) matrices
+        "check_commuting": (lambda budget: check_commuting(plus, theta, Z2, budget).ok,
+                            16, True, "commutation check needs 16 cases, budget is 15"),
+        "membership_by_term": (lambda budget: membership_by_term(c, budget=budget),
+                               4, [0, 1, 2, 3],
+                               "membership test needs 4 ambient tuples, budget is 3"),
+        "gamma_table": (lambda budget: len(gamma_table(c, plus, budget=budget)),
+                        16, 16, "action table needs 16 entries, budget is 15"),
+        # |Y|^2 for '+', the first operation, over the 4 ambient tuples
+        "closure": (lambda budget: carrier(c, budget).algebra.size,
+                    16, 4, "closure check for '+' exceeds budget"),
+        # 4^2 + 4^1 + 4^0 entries for +, - and 0
+        "build_canonical": (lambda budget: len(build_canonical(e, theta, w, budget=budget).Y),
+                            21, 4, "action tables need 21 entries, budget is 20"),
+        # |A|^3 + (|X|^2 |B|)^2 = 5^3 + 8^2
+        "sigma_tau_decompose": (
+            lambda budget: sigma_tau_decompose(example, example_theta, example_w,
+                                               budget=budget).report.ok,
+            189, True, "decomposition needs 189 evaluations, budget is 188"),
+        # |A| * |X|^n
+        "fibre walk": (lambda budget: count_witnesses(e, theta, budget=budget),
+                       8, 1, "witness feasibility needs 8 evaluations, budget is 7"),
         # 3^8 normalized witnesses, over a fibre walk of 9 * 3^2 evaluations
-        e, theta = product_extension(Z3, Z3), sum_theta(2)
-        return (lambda budget: len(find_witnesses(e, theta, budget=budget))), 3 ** 8, 3 ** 8
-    # |B| = 1, so every member of Y is a kernel tuple: condition 3's cost for
-    # '+', |kernel tuples|^2, is the closure cost and the largest one
-    e, theta = product_extension(Z3, trivial_algebra(USIG)), sum_theta(1)
-    g = extract_gamma(build_canonical(e, theta, find_witnesses(e, theta)[0]))
-    return (lambda budget: check_conditions(g, budget).ok), 3 ** 2, True
+        "find_witnesses": (lambda budget: len(find_witnesses(e9, theta2, budget=budget)),
+                           3 ** 8, 3 ** 8,
+                           "would materialize 6561 witnesses, budget is 6560"),
+        # |Y|^3 for associativity, axiom 1, over the closure's 4^2
+        "axiom": (lambda budget: check_conditions(g, budget).ok,
+                  64, True, "axiom 1 check exceeds budget"),
+        "condition 3": (lambda budget: check_conditions(g3, budget).ok,
+                        9, False, "condition 3 for '+' exceeds budget"),
+        "condition 4": (lambda budget: check_conditions(g4, budget).ok,
+                        18, False, "condition 4 exceeds budget"),
+        # 0 is the only value at position 0 that the constant allows: 3 nodes
+        # there, 3 at position 1 and 3 * 3 at position 2
+        "enumerate_homomorphisms": (
+            lambda budget: len(enumerate_homomorphisms(Z3, Z3, budget=budget)),
+            15, 3, "homomorphism search exceeded 14 nodes"),
+        # the pullback along the identity is A itself: 4^2 + 4 + 1 entries
+        "pullback_algebra": (
+            lambda budget: pullback_algebra(e.A, e.p, Z2, FnTable(2, 2, (0, 1)), Z2,
+                                            budget=budget)[0].size,
+            21, 4, "pullback tables need 21 entries, budget is 20"),
+        # |X|^n
+        "product_extension_check": (
+            lambda budget: product_extension_check(Z3, theta2, budget=budget).ok,
+            9, True, "product check needs 9 evaluations, budget is 8"),
+    }
 
 
-@pytest.mark.parametrize("site", ["find_witnesses", "condition 3"])
+@pytest.mark.parametrize("site", list(budget_bounds()))
 def test_a_budget_bound_passes_at_its_cost_and_raises_one_below(site):
-    run, cost, value = budget_bound(site)
+    run, cost, value, message = budget_bounds()[site]
     assert run(cost) == value
-    with pytest.raises(SearchBudgetExceeded):
+    with pytest.raises(SearchBudgetExceeded) as raised:
         run(cost - 1)
+    assert str(raised.value) == message
 
 
 # -- tabulate_grid against the per-entry evaluators -------------------------------------
