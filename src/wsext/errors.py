@@ -2,6 +2,10 @@
 
 Every error raised by the library derives from :class:`ToolkitError` so
 callers (in particular the CLI) can distinguish domain errors from bugs.
+The CLI reports each toolkit error as one ``error:`` line and exits 64.
+That includes :class:`InternalCheckFailed`, which only a bug or a library
+caller's unvalidated extension raises; exit 70 is for exceptions that are
+not toolkit errors.
 ``charge`` is the one budget gate: every SearchBudgetExceeded comes from it.
 """
 

@@ -269,8 +269,8 @@ def find_witnesses(
     """
     fibres = _fibres(e, theta, normalize, budget)
     total = prod(map(len, fibres))
-    charge(min(total, total if limit is None else limit), budget,
-           f"would materialize {total} witnesses, budget is {budget}")
+    cost = total if limit is None else min(total, limit)
+    charge(cost, budget, f"would materialize {cost} witnesses, budget is {budget}")
     # row r is the kernel tuple with coordinate i = r // |X|^(n-1-i) % |X|
     n, size = theta.n, e.X.size
     strides = [size ** (n - 1 - i) for i in range(n)]

@@ -4,7 +4,7 @@ import os
 import subprocess
 import sys
 from contextlib import contextmanager
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -104,12 +104,58 @@ def subalgebra(A: FiniteAlgebra, elements: list[int]) -> FiniteAlgebra:
         for name, arity in A.signature.ops})
 
 
-def relabelled(flat, size: int, perm) -> tuple[int, ...]:
-    """The flat binary table with element a renamed perm[a]."""
-    out = [0] * (size * size)
-    for a, b in product(range(size), repeat=2):
-        out[perm[a] * size + perm[b]] = perm[flat[a * size + b]]
-    return tuple(out)
+def unital_tables(size: int, domain, fits) -> list[tuple[int, ...]]:
+    """The flat tables of the binary operations on 0..size-1 with unit 0,
+    one per class under the relabellings that fix 0, in lex order.  The
+    other cells are filled in table order by backtracking: cell (a, b)
+    takes the values ``domain(table, a, b)`` in increasing order, and the
+    fill goes on when ``fits(table, a, b)`` (unset cells hold None).  A
+    full table is kept when no relabelling of it is lex-smaller."""
+    table = [a + b if 0 in (a, b) else None for a, b in product(range(size), repeat=2)]
+    cells = [a * size + b for a in range(1, size) for b in range(1, size)]
+    # each relabelling p but the identity, with the cells sorted by where p moves them
+    relabellings = [(p, sorted(cells, key=lambda c: p[c // size] * size + p[c % size]))
+                    for p in map((0,).__add__, permutations(range(1, size)))][1:]
+    found = []
+
+    def least() -> bool:
+        # the table renamed by each p, read entry by entry up to the first difference
+        return all(next((p[table[s]] > table[c] for s, c in zip(sources, cells)
+                         if p[table[s]] != table[c]), True) for p, sources in relabellings)
+
+    def fill(i: int) -> None:
+        if i == len(cells):
+            if least():
+                found.append(tuple(table))
+            return
+        a, b = divmod(cells[i], size)
+        for value in domain(table, a, b):
+            table[cells[i]] = value
+            if fits(table, a, b):
+                fill(i + 1)
+        table[cells[i]] = None
+
+    fill(0)
+    return found
+
+
+def reversed_labels(e: SplitExtension) -> SplitExtension:
+    """e with the labels of X, A and B each reversed, a -> size - 1 - a,
+    over any signature: the zero of each algebra of two or more elements
+    moves."""
+    def algebra(C: FiniteAlgebra) -> FiniteAlgebra:
+        top = C.size - 1
+        return FiniteAlgebra(C.signature, C.size, {
+            name: tuple(top - C.op(name, [top - c for c in args])
+                        for args in C.arg_tuples(arity))
+            for name, arity in C.signature.ops})
+
+    def function(f: FnTable) -> FnTable:
+        return FnTable(f.dom_size, f.cod_size,
+                       tuple(f.cod_size - 1 - v for v in reversed(f.values)))
+
+    return SplitExtension(algebra(e.X), algebra(e.A), algebra(e.B),
+                          function(e.k), function(e.p), function(e.s))
 
 
 def split_extensions(A: FiniteAlgebra) -> list[SplitExtension]:

@@ -27,6 +27,7 @@ from wsext import (
     parse_term,
     validate_split_extension,
 )
+from conftest import reversed_labels
 from oracles import brute_force_equation, brute_force_schreier, brute_force_witnesses
 
 GSIG = Signature((("*", 2), ("inv", 1), ("e", 0)), "e")
@@ -133,3 +134,11 @@ def test_every_member_is_schreier_with_one_normalized_witness(universe):
             assert brute_force_witnesses(e, THETA, True) == [w]
             brute_forced += 1
     assert brute_forced == 22
+
+
+def test_answers_do_not_depend_on_the_labels(universe):
+    for _, _, e in universe:
+        r = reversed_labels(e)
+        assert validate_split_extension(r).ok
+        assert count_witnesses(r, THETA) == count_witnesses(e, THETA)
+        assert is_schreier(r, THETA) == is_schreier(e, THETA)

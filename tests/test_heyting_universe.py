@@ -17,7 +17,7 @@ from itertools import product
 
 import pytest
 
-from conftest import load_fixture, split_extensions
+from conftest import load_fixture, reversed_labels, split_extensions
 from oracles import brute_force_witnesses
 from wsext import (
     FiniteAlgebra,
@@ -25,6 +25,7 @@ from wsext import (
     TermSpec,
     count_witnesses,
     find_witnesses,
+    is_schreier,
     parse_term,
     semiabelian_witness,
     validate_split_extension,
@@ -89,3 +90,11 @@ def test_the_semiabelian_witness_exists_on_every_member(universe):
     for e in universe:
         w = semiabelian_witness(e, THETA, ALPHAS)
         assert w.n == THETA.n
+
+
+def test_answers_do_not_depend_on_the_labels(universe):
+    for e in universe:
+        r = reversed_labels(e)
+        assert validate_split_extension(r).ok
+        assert count_witnesses(r, THETA) == count_witnesses(e, THETA)
+        assert is_schreier(r, THETA) == is_schreier(e, THETA)

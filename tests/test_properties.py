@@ -1278,6 +1278,10 @@ def budget_bounds():
         "find_witnesses": (lambda budget: len(find_witnesses(e9, theta2, budget=budget)),
                            3 ** 8, 3 ** 8,
                            "would materialize 6561 witnesses, budget is 6560"),
+        # the first 1000 of the 3^8, so the message names 1000, not 6561
+        "find_witnesses under a limit": (
+            lambda budget: len(find_witnesses(e9, theta2, limit=1000, budget=budget)),
+            1000, 1000, "would materialize 1000 witnesses, budget is 999"),
         # |Y|^3 for associativity, axiom 1, over the closure's 4^2
         "axiom": (lambda budget: check_conditions(g, budget).ok,
                   64, True, "axiom 1 check exceeds budget"),

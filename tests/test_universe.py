@@ -1,13 +1,17 @@
 """The paper's claims on a whole class: every split extension of monoids
-with |A| <= 4.
+with |A| <= 5.
 
-Each monoid of order <= 4 with identity 0 is taken once up to relabelling
-(1, 2, 7 and 35 of them).  Every idempotent endomorphism e of a monoid A
-splits it: B = e(A), X = e^-1(0), p = e, and s and k the inclusions
-(``conftest.split_extensions``).
+Each monoid of order <= 5 with identity 0 is taken once up to relabelling
+(1, 2, 7, 35 and 228 of them).  Every idempotent endomorphism e of a
+monoid A splits it: B = e(A), X = e^-1(0), p = e, and s and k the
+inclusions (``conftest.split_extensions``), 3,173 splits in all.  The
+tests assert that the weakly Schreier extensions (a witness for x + y)
+lie strictly inside the new class (a witness for x1 + y + x2), that every
+witnessed pair canonicalizes, checks and rebuilds, and that no answer
+depends on the labels; the figures for orders <= 4 are asserted as well.
 """
 
-from itertools import permutations, product
+from itertools import chain, product
 
 import pytest
 
@@ -22,10 +26,11 @@ from wsext import (
     count_witnesses,
     extract_gamma,
     find_witnesses,
+    is_schreier,
     parse_term,
     validate_split_extension,
 )
-from conftest import relabelled, split_extensions
+from conftest import reversed_labels, split_extensions, unital_tables
 from oracles import brute_force_witnesses
 
 MSIG = Signature((("+", 2), ("0", 0)), "0")
@@ -39,39 +44,26 @@ THETAS = (WEAKLY_SCHREIER, NEW_CLASS)
 
 def monoids(size: int) -> list[tuple[int, ...]]:
     """The flat + tables of the monoids on 0..size-1 with identity 0, one
-    per class under relabelling the other elements.  A backtracking fill
-    of the cells of the non-identity elements, in table order, that drops
-    a partial table as soon as a defined instance of associativity fails;
-    each class is kept as its least relabelled table."""
-    cells = [(a, b) for a in range(1, size) for b in range(1, size)]
-    table = {(a, b): max(a, b) if 0 in (a, b) else None
-             for a in range(size) for b in range(size)}
-    triples = list(product(range(size), repeat=3))
-    classes = set()
+    per class (``conftest.unital_tables``): a cell takes any value, and a
+    partial table is dropped when an instance of associativity that reads
+    the cell just set is defined and fails."""
+    pairs = list(product(range(size), repeat=2))
 
-    def associative_so_far() -> bool:
-        for a, b, c in triples:
-            ab, bc = table[a, b], table[b, c]
-            if ab is not None and bc is not None:
-                left, right = table[ab, c], table[a, bc]
+    def associative_through(t, a, b) -> bool:
+        # the instances (u v) w = u (v w) that read cell (a, b): (a b) z,
+        # z (a b), (x y) b with x y = a, and a (x y) with x y = b
+        triples = chain(((a, b, z) for z in range(size)), ((z, a, b) for z in range(size)),
+                        ((x, y, b) for x, y in pairs if t[x * size + y] == a),
+                        ((a, x, y) for x, y in pairs if t[x * size + y] == b))
+        for u, v, w in triples:
+            uv, vw = t[u * size + v], t[v * size + w]
+            if uv is not None and vw is not None:
+                left, right = t[uv * size + w], t[u * size + vw]
                 if left is not None and right is not None and left != right:
                     return False
         return True
 
-    def fill(i: int) -> None:
-        if i == len(cells):
-            flat = [table[a, b] for a in range(size) for b in range(size)]
-            classes.add(min(relabelled(flat, size, (0,) + perm)
-                            for perm in permutations(range(1, size))))
-            return
-        for value in range(size):
-            table[cells[i]] = value
-            if associative_so_far():
-                fill(i + 1)
-        table[cells[i]] = None
-
-    fill(0)
-    return sorted(classes)
+    return unital_tables(size, lambda t, a, b: range(size), associative_through)
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +71,7 @@ def universe():
     """(monoid counts by order, extensions, the first witness found for
     each extension and each of THETAS, as lists of at most one)."""
     counts, extensions = [], []
-    for size in range(1, 5):
+    for size in range(1, 6):
         tables = monoids(size)
         counts.append(len(tables))
         extensions += [e for table in tables for e in split_extensions(
@@ -90,27 +82,36 @@ def universe():
 
 def test_the_universe_has_every_monoid_class_and_split_extension(universe):
     counts, extensions, _ = universe
-    assert counts == [1, 2, 7, 35]
-    assert len(extensions) == 267
+    assert counts == [1, 2, 7, 35, 228]
+    assert len(extensions) == 3173
+    assert sum(e.A.size <= 4 for e in extensions) == 267
     assert all(validate_split_extension(e).ok for e in extensions)
 
 
-def test_weakly_schreier_extensions_lie_strictly_inside_the_new_class(universe):
-    _, _, witnesses = universe
+def class_sizes(witnesses) -> tuple[int, int, int]:
+    """(weakly Schreier, new class, new class only), after asserting that
+    the first lies inside the second."""
     old = {i for i, (found, _) in enumerate(witnesses) if found}
     new = {i for i, (_, found) in enumerate(witnesses) if found}
     assert old <= new
-    assert (len(old), len(new), len(new - old)) == (121, 124, 3)
+    return len(old), len(new), len(new - old)
+
+
+def test_weakly_schreier_extensions_lie_strictly_inside_the_new_class(universe):
+    _, extensions, witnesses = universe
+    assert class_sizes(witnesses) == (738, 767, 29)
+    small = [found for e, found in zip(extensions, witnesses) if e.A.size <= 4]
+    assert class_sizes(small) == (121, 124, 3)
 
 
 def test_every_witnessed_pair_canonicalizes_checks_and_rebuilds(universe):
     _, extensions, witnesses = universe
-    pairs = 0
+    pairs = []
     for e, found in zip(extensions, witnesses):
         for theta, ws in zip(THETAS, found):
             if not ws:
                 continue
-            pairs += 1
+            pairs.append(e.A.size)
             c = build_canonical(e, theta, ws[0])
             g = extract_gamma(c, [ASSOCIATIVITY])
             assert check_conditions(g).ok
@@ -119,7 +120,18 @@ def test_every_witnessed_pair_canonicalizes_checks_and_rebuilds(universe):
             assert e2.A == c.y_algebra()
             assert (e2.k, e2.p, e2.s) == (c.k_prime, c.pi_B, c.iota_B)
             assert (e2.X, e2.B) == (e.X, e.B)
-    assert pairs == 245
+    assert len(pairs) == 1505
+    assert sum(size <= 4 for size in pairs) == 245
+
+
+def test_answers_do_not_depend_on_the_labels(universe):
+    _, extensions, _ = universe
+    for e in extensions:
+        r = reversed_labels(e)
+        assert validate_split_extension(r).ok
+        for theta in THETAS:
+            assert count_witnesses(r, theta) == count_witnesses(e, theta)
+            assert is_schreier(r, theta) == is_schreier(e, theta)
 
 
 def test_witness_counts_match_brute_force_up_to_order_three(universe):
