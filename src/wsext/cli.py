@@ -7,8 +7,10 @@ morphism-check.  Exit codes are part of the machine contract:
   1   the analysed property fails (no witness / condition failure /
       obstruction found)
   2   validation failure (extension or morphism laws broken)
-  64  file, parse, or usage errors
-  70  internal error (a bug in wsext; one line on stderr, no traceback)
+  64  file, parse, or usage errors, and every other toolkit error,
+      InternalCheckFailed included (one error: line on stderr)
+  70  internal error: an exception that is not a toolkit error, or a
+      failed write to stdout (one line on stderr, no traceback)
 
 Plain output is line oriented and stable across runs and worker counts;
 --json emits a versioned document instead.
@@ -113,7 +115,7 @@ def _non_negative(text: str) -> int:
 def _resolve_theta(args, signature) -> ThetaSpec:
     """Inline --theta-vars/--theta-term wins over --theta FILE."""
     if args.theta_vars or args.theta_term:
-        if not (args.theta_vars and args.theta_term):
+        if args.theta_vars is None or args.theta_term is None:
             raise FileFormatError("--theta-vars and --theta-term must be given together")
         vars_ = [v.strip() for v in args.theta_vars.split(",") if v.strip()]
         return theta_from_obj({"vars": vars_, "term": args.theta_term}, signature)

@@ -121,7 +121,9 @@ class Witness(Record):
 
     def __post_init__(self):
         object.__setattr__(self, "q", tuple(self.q))
-        if len(self.q) != self.n or self.n < 1:
+        if self.n < 1:
+            raise SizeMismatch(f"witness n must be at least 1, got {self.n}")
+        if len(self.q) != self.n:
             raise SizeMismatch(f"expected {self.n} component maps, got {len(self.q)}")
 
     def values_at(self, a: int) -> tuple[int, ...]:

@@ -201,6 +201,8 @@ def algebra_from_obj(obj: Source, base_dir: Optional[Path] = None) -> FiniteAlge
         ops.append((_str(op["name"], "operation name"), _int(op["arity"], "arity")))
     sig = Signature(tuple(ops), _str(sig_obj["constant"], "signature constant"))
     size = _int(obj["size"], "size")
+    if size < 1:
+        raise FileFormatError(f"size: expected a positive integer, got {size}")
     if not isinstance(obj["tables"], dict):
         raise FileFormatError("tables: expected an object")
     tables = {}

@@ -16,12 +16,21 @@ from wsext import (
     Signature,
     SplitExtension,
     ThetaSpec,
+    build_canonical,
+    build_extension_from_gamma,
+    check_conditions,
+    count_witnesses,
     enumerate_homomorphisms,
+    extract_gamma,
+    is_schreier,
     make_algebra,
     parse_term,
+    product_algebra,
     trivial_algebra,
+    validate_split_extension,
 )
 from wsext import serialize as S
+from wsext.errors import ToolkitError
 from wsext.fixtures import EXTENSIONS, fixture_path
 
 EXTENSION_NAMES = sorted(EXTENSIONS)
@@ -44,6 +53,20 @@ def run_cli(*args, stdout=subprocess.PIPE, entry=("-m", "wsext"), **variables):
             env[name] = value
     return subprocess.run([sys.executable, *entry, *args], env=env, stdout=stdout,
                           stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+def outcome(fn, crashes=False):
+    """A call's value, or the class and message of the toolkit error it
+    raised.  Any other exception errors the test, unless ``crashes`` is
+    set: then it is recorded by its class, to be compared."""
+    try:
+        return "value", fn()
+    except ToolkitError as exc:
+        return "raised", type(exc), str(exc)
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        if not crashes:
+            raise
+        return "raised", type(exc)
 
 
 @contextmanager
@@ -104,6 +127,44 @@ def subalgebra(A: FiniteAlgebra, elements: list[int]) -> FiniteAlgebra:
         for name, arity in A.signature.ops})
 
 
+def product_extension(X: FiniteAlgebra, B: FiniteAlgebra) -> SplitExtension:
+    """X -> X x B -> B with k x = (x, 0), p (x, b) = b, s b = (0, b)."""
+    A = product_algebra(X, B)
+    return SplitExtension(X, A, B,
+                          FnTable(X.size, A.size, tuple(x * B.size for x in range(X.size))),
+                          FnTable(A.size, B.size, tuple(a % B.size for a in range(A.size))),
+                          FnTable(B.size, A.size, tuple(range(B.size))))
+
+
+GSIG = Signature((("*", 2), ("inv", 1), ("e", 0)), "e")
+
+
+def group(size: int, mul) -> FiniteAlgebra:
+    """The group over GSIG on 0..size-1 with product ``mul`` and identity
+    0, its inverses read off the product table."""
+    table = [mul(a, b) for a, b in product(range(size), repeat=2)]
+    inv = [table[a * size:(a + 1) * size].index(0) for a in range(size)]
+    return make_algebra(GSIG, size, {"*": table, "inv": inv, "e": [0]})
+
+
+def semidirect(X: FiniteAlgebra, B: FiniteAlgebra, alpha) -> SplitExtension:
+    """X -> X ⋊_α B -> B for groups over GSIG, where alpha[b] is the
+    automorphism of X, as a value tuple, by which b acts.  The element
+    (x, b) of the middle is b * |X| + x, with (x1, b1)(x2, b2) =
+    (x1 · α(b1)(x2), b1 b2); k and s are the inclusions and p the
+    projection."""
+    nx, size = X.size, X.size * B.size
+
+    def mul(u, v):
+        (b1, x1), (b2, x2) = divmod(u, nx), divmod(v, nx)
+        return B.op("*", (b1, b2)) * nx + X.op("*", (x1, alpha[b1][x2]))
+
+    return SplitExtension(
+        X, group(size, mul), B, FnTable(nx, size, tuple(range(nx))),
+        FnTable(size, B.size, tuple(a // nx for a in range(size))),
+        FnTable(B.size, size, tuple(b * nx for b in range(B.size))))
+
+
 def unital_tables(size: int, domain, fits) -> list[tuple[int, ...]]:
     """The flat tables of the binary operations on 0..size-1 with unit 0,
     one per class under the relabellings that fix 0, in lex order.  The
@@ -156,6 +217,32 @@ def reversed_labels(e: SplitExtension) -> SplitExtension:
 
     return SplitExtension(algebra(e.X), algebra(e.A), algebra(e.B),
                           function(e.k), function(e.p), function(e.s))
+
+
+def assert_labels_do_not_matter(extensions, thetas) -> None:
+    """For each extension e, validation passes on ``reversed_labels(e)``,
+    and its witness count and ``is_schreier`` under each theta are e's."""
+    for e in extensions:
+        r = reversed_labels(e)
+        assert validate_split_extension(r).ok
+        for theta in thetas:
+            assert count_witnesses(r, theta) == count_witnesses(e, theta)
+            assert is_schreier(r, theta) == is_schreier(e, theta)
+
+
+def assert_rebuilds(e: SplitExtension, theta: ThetaSpec, w, axioms):
+    """The round trip of e with witness w: its canonical form, the action
+    data read off it with ``axioms``, the conditions, and the extension
+    rebuilt from the data, which is the canonical form entry for entry.
+    Returns the canonical form."""
+    c = build_canonical(e, theta, w)
+    g = extract_gamma(c, axioms)
+    assert check_conditions(g).ok
+    e2, _ = build_extension_from_gamma(g)
+    assert e2.A == c.y_algebra()
+    assert (e2.k, e2.p, e2.s) == (c.k_prime, c.pi_B, c.iota_B)
+    assert (e2.X, e2.B) == (e.X, e.B)
+    return c
 
 
 def split_extensions(A: FiniteAlgebra) -> list[SplitExtension]:

@@ -111,6 +111,39 @@ def test_check_missing_theta_exits_64():
     assert res.returncode == 64
 
 
+@pytest.mark.parametrize("theta_vars, theta_term, message", [
+    ("x1,x2,y", "", "empty term (at offset 0)"),
+    ("", "(+ x1 (+ y x2))", "symbol 'x1' is neither a variable nor an operation"),
+], ids=["empty term", "empty vars"])
+def test_an_empty_inline_theta_flag_is_named(theta_vars, theta_term, message):
+    # both flags given, one of them empty: the error names what is wrong
+    # with the term, not a missing flag
+    argv = ["check", EXAMPLE, "--theta-vars", theta_vars, "--theta-term", theta_term]
+    assert _run_main(argv) == (64, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("flags", [["--theta-term", "(+ x1 (+ y x2))"],
+                                   ["--theta-vars", "x,y"]], ids=["term only", "vars only"])
+def test_one_inline_theta_flag_alone_is_named(flags):
+    assert _run_main(["check", EXAMPLE, *flags]) == \
+        (64, "", "error: --theta-vars and --theta-term must be given together\n")
+
+
+def test_empty_theta_vars_alone_fall_back_to_the_theta_file():
+    argv = ["check", EXAMPLE, "--theta", THETA_XZY]
+    assert _run_main(argv + ["--theta-vars", ""]) == _run_main(argv)
+    assert _run_main(argv)[0] == 0
+
+
+def test_a_witness_with_n_0_is_named(tmp_path):
+    doc = json.loads(fixture_path("example_monoid").read_text())
+    doc["witness"] = {"n": 0, "q": []}
+    path = tmp_path / "ext.json"
+    path.write_text(json.dumps(doc))
+    assert _run_main(["check", str(path), "--theta", THETA_XZY]) == \
+        (64, "", "error: witness n must be at least 1, got 0\n")
+
+
 def test_check_usage_error_exits_64():
     res = run_cli("check")
     assert res.returncode == 64

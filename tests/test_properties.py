@@ -49,8 +49,6 @@ from wsext.ambient import carrier
 from wsext.canonical import membership_by_gamma_id, psi, verify_isomorphism
 from wsext.errors import (
     ArityMismatch,
-    EntryOutOfRange,
-    NotHomomorphism,
     SearchBudgetExceeded,
     ToolkitError,
 )
@@ -76,7 +74,16 @@ from wsext.serialize import (
 from wsext.terms import operation_term, substitute
 from wsext.transport import product_extension_check
 
-from conftest import EXTENSION_NAMES, load_fixture, unclosed_constant_data
+from conftest import (
+    EXTENSION_NAMES,
+    GSIG,
+    group,
+    load_fixture,
+    outcome,
+    product_extension,
+    semidirect,
+    unclosed_constant_data,
+)
 
 from oracles import (
     PerEntryOps,
@@ -176,41 +183,57 @@ def test_grid_blocks_split_a_coordinate_wider_than_a_block():
 
 
 @st.composite
-def small_algebras(draw, max_size=3):
+def free_algebras(draw, sig: Signature, max_size=3):
+    """Algebras over sig on {0..size-1}, size at most max_size, with every
+    table entry free."""
     size = draw(st.integers(1, max_size))
     entries = st.integers(0, size - 1)
-    table = draw(st.lists(entries, min_size=size * size, max_size=size * size))
-    zero = draw(entries)
-    return make_algebra(MSIG, size, {"+": table, "0": [zero]})
+    return make_algebra(sig, size, {
+        name: draw(st.lists(entries, min_size=size ** arity, max_size=size ** arity))
+        for name, arity in sig.ops})
 
 
-term_leaves = st.sampled_from([Var("x"), Var("y"), App("0", ())])
-terms = st.recursive(
-    term_leaves,
-    lambda kids: st.tuples(kids, kids).map(lambda ab: App("+", ab)),
-    max_leaves=8,
-)
+def sig_terms(sig: Signature, vars_, depth=None, max_leaves=6):
+    """Terms over sig and vars_, leaves being the variables and the
+    constants: with ``depth``, applications nested at most that deep; else
+    hypothesis's recursive terms of at most ``max_leaves`` leaves."""
+    leaves = st.sampled_from([Var(v) for v in vars_]
+                             + [App(name, ()) for name, arity in sig.ops if arity == 0])
+
+    def apply(kids):
+        return st.one_of(*(st.tuples(*[kids] * arity).map(lambda args, name=name: App(name, args))
+                           for name, arity in sig.ops if arity))
+
+    if depth is None:
+        return st.recursive(leaves, apply, max_leaves=max_leaves)
+    terms = leaves
+    for _ in range(depth):
+        terms = st.one_of(leaves, apply(terms))
+    return terms
 
 
-@given(terms)
+MSIG_TERMS = sig_terms(MSIG, "xy", max_leaves=8)
+
+
+@given(MSIG_TERMS)
 def test_parse_inverts_format(t):
     assert parse_term(format_term(t), MSIG, ["x", "y"]) == t
 
 
-@given(small_algebras(), small_algebras())
+@given(free_algebras(MSIG), free_algebras(MSIG))
 def test_enumeration_matches_brute_force(A, B):
     fast = enumerate_homomorphisms(A, B)
     slow = brute_force_homs(A, B)
     assert [h.values for h in fast] == [h.values for h in slow]
 
 
-@given(small_algebras(), small_algebras())
+@given(free_algebras(MSIG), free_algebras(MSIG))
 def test_enumeration_is_sorted(A, B):
     values = [h.values for h in enumerate_homomorphisms(A, B)]
     assert values == sorted(values)
 
 
-@given(small_algebras(), small_algebras())
+@given(free_algebras(MSIG), free_algebras(MSIG))
 def test_product_projections_are_homomorphisms(A, B):
     P = product_algebra(A, B)
     proj_A = FnTable(P.size, A.size, tuple(i // B.size for i in range(P.size)))
@@ -220,20 +243,20 @@ def test_product_projections_are_homomorphisms(A, B):
     assert P.zero == A.zero * B.size + B.zero
 
 
-@given(small_algebras())
+@given(free_algebras(MSIG))
 def test_unique_map_to_trivial_algebra(A):
     homs = enumerate_homomorphisms(A, trivial_algebra(MSIG))
     assert len(homs) == 1
 
 
-@given(terms, terms)
+@given(MSIG_TERMS, MSIG_TERMS)
 def test_equations_hold_on_one_element_algebra(lhs, rhs):
     one = trivial_algebra(MSIG)
     eq = Equation(("x", "y"), lhs, rhs)
     assert check_equation(one, eq)
 
 
-@given(small_algebras(), small_algebras())
+@given(free_algebras(MSIG), free_algebras(MSIG))
 @settings(max_examples=50)
 def test_pullback_carrier_is_closed(A, B):
     # pull any hom A -> B back along any hom B' = B -> B; closure is
@@ -248,7 +271,7 @@ def test_pullback_carrier_is_closed(A, B):
             assert p(proj_A(i)) == f(proj_B(i))
 
 
-@given(small_algebras(), small_algebras())
+@given(free_algebras(MSIG), free_algebras(MSIG))
 def test_product_matches_the_per_entry_oracle(A, B):
     P = product_algebra(A, B)
     assert (P.size, P.tables) == (A.size * B.size, brute_force_product(A, B).tables)
@@ -271,7 +294,7 @@ def pullback_outcome(build, *args):
     return outcome(call)
 
 
-@given(small_algebras(), small_algebras(), small_algebras(), st.data())
+@given(free_algebras(MSIG), free_algebras(MSIG), free_algebras(MSIG), st.data())
 @settings(max_examples=80)
 def test_pullback_matches_the_per_entry_oracle(A, B_prime, B, data):
     # tables and projections, or the NotHomomorphism message of the first
@@ -288,7 +311,7 @@ def test_pullback_matches_the_per_entry_oracle(A, B_prime, B, data):
     assert got == pullback_outcome(brute_force_pullback, A, p, B_prime, f, B, False)
 
 
-@given(small_algebras(), st.data())
+@given(free_algebras(MSIG), st.data())
 def test_subalgebra_closure_matches_the_per_entry_oracle(A, data):
     generators = data.draw(st.lists(st.integers(0, A.size - 1), max_size=3))
     assert subalgebra_closure(A, generators) == brute_force_closure(A, generators)
@@ -409,28 +432,10 @@ def test_perturbing_one_entry_breaks_an_identity():
     assert res.counterexample == {"assignment": {"x": 0, "y": 0, "z": 1}, "lhs": 1, "rhs": 0}
 
 
-@st.composite
-def sig4_algebras(draw, max_size=3):
-    size = draw(st.integers(1, max_size))
-    entries = st.integers(0, size - 1)
-    return make_algebra(SIG4, size, {
-        name: draw(st.lists(entries, min_size=size ** arity, max_size=size ** arity))
-        for name, arity in SIG4.ops})
-
-
-def sig4_terms(vars_):
-    leaves = st.sampled_from([Var(v) for v in vars_] + [App("0", ())])
-    return st.recursive(leaves, lambda kids: st.one_of(
-        kids.map(lambda a: App("-", (a,))),
-        st.tuples(kids, kids).map(lambda ab: App("+", ab)),
-        st.tuples(kids, kids, kids).map(lambda abc: App("m", abc)),
-    ), max_leaves=6)
-
-
-@given(sig4_algebras(), GRID_BLOCKS, st.data())
+@given(free_algebras(SIG4), GRID_BLOCKS, st.data())
 def test_check_equation_matches_oracle_on_random_algebras(A, points, data):
     vars_ = data.draw(st.lists(st.sampled_from("xyz"), max_size=3, unique=True))
-    terms_ = sig4_terms(vars_)
+    terms_ = sig_terms(SIG4, vars_)
     with grid_block(points):
         assert_same_result(A, Equation(tuple(vars_), data.draw(terms_), data.draw(terms_)))
 
@@ -478,28 +483,25 @@ THETAS = {
 
 @st.composite
 def unital_algebras(draw, max_size, sig=USIG):
-    """USIG (or TSIG) algebras on {0..size-1} where 0 is a two-sided unit
-    of + and a fixed point of - (and of t); every other entry is free."""
+    """Algebras over sig (USIG, TSIG or MSIG) on {0..size-1} where 0 is a
+    two-sided unit of +, the constant, and a fixed point of every other
+    operation; every other entry is free, so + need not be associative."""
     size = draw(st.integers(1, max_size))
     entries = st.integers(0, size - 1)
-    plus = [a if b == 0 else b if a == 0 else draw(entries)
-            for a, b in product(range(size), repeat=2)]
-    minus = [0] + [draw(entries) for _ in range(size - 1)]
-    tables = {"+": plus, "-": minus, "0": [0]}
-    if sig is TSIG:
-        tables["t"] = [0] + [draw(entries) for _ in range(size ** 3 - 1)]
-    return make_algebra(sig, size, tables)
+
+    def table(name, arity):
+        if name == "+":
+            return [a if b == 0 else b if a == 0 else draw(entries)
+                    for a, b in product(range(size), repeat=2)]
+        return [0] + [draw(entries) for _ in range(size ** arity - 1)]
+
+    return make_algebra(sig, size, {name: table(name, arity) for name, arity in sig.ops})
 
 
 @given(unital_algebras(3), unital_algebras(2), st.sampled_from(sorted(THETAS)), st.data())
 @settings(max_examples=60, deadline=None)
 def test_gamma_matches_oracle_on_product_extensions(X, B, n, data):
-    # X -> X x B -> B with k x = (x, 0), p (x, b) = b, s b = (0, b)
-    A = product_algebra(X, B)
-    e = SplitExtension(X, A, B,
-                       FnTable(X.size, A.size, tuple(x * B.size for x in range(X.size))),
-                       FnTable(A.size, B.size, tuple(a % B.size for a in range(A.size))),
-                       FnTable(B.size, A.size, tuple(range(B.size))))
+    e = product_extension(X, B)
     theta = THETAS[n]
     w = data.draw(st.sampled_from(find_witnesses(e, theta, limit=4)))
     c = build_canonical(e, theta, w)
@@ -563,18 +565,21 @@ def test_gamma_data_entry_checks_match_oracle(X, B, n, as_lists, data):
             j = data.draw(st.integers(0, len(target) - 1))
             target[j] = X.size if bad == "|X|" else bad
     as_tuples = {name: tuple(map(tuple, t)) for name, t in tables.items()}
-    given_tables = tables if as_lists else as_tuples
+    assert_entries_checked(X, B, n, tables if as_lists else as_tuples, as_tuples)
+
+
+def assert_entries_checked(X, B, n, given_tables, as_tuples) -> None:
+    """GammaData on ``given_tables`` raises the per-entry oracle's first
+    entry error, or holds ``as_tuples`` with equal entries as one shared
+    tuple."""
     expected = brute_force_entry_error(USIG.ops, as_tuples, n, X.size)
-    try:
-        g = GammaData(X, B, sum_theta(n), given_tables, ())
-    except (ArityMismatch, EntryOutOfRange) as exc:
-        assert (type(exc), str(exc)) == expected
-    else:
-        assert expected is None
-        assert g.gamma == as_tuples
-        # equal entries are one shared tuple
-        for table in g.gamma.values():
-            assert len(set(map(id, table))) == len(set(table))
+    got = outcome(lambda: GammaData(X, B, sum_theta(n), given_tables, ()))
+    if expected is not None:
+        assert got == ("raised", *expected)
+        return
+    assert got[0] == "value" and got[1].gamma == as_tuples
+    for table in got[1].gamma.values():
+        assert len(set(map(id, table))) == len(set(table))
 
 
 def put_bad_leaf(row: list, j: int, bad, size: int, data) -> None:
@@ -615,16 +620,7 @@ def test_shared_leaf_rows_are_checked_like_the_flat_table(X, B, n, data):
                     for name, rows in tables.items()}
     as_tuples = {name: tuple(tuple(e) for row in rows for e in row)
                  for name, rows in tables.items()}
-    expected = brute_force_entry_error(USIG.ops, as_tuples, n, X.size)
-    try:
-        g = GammaData(X, B, sum_theta(n), given_tables, ())
-    except (ArityMismatch, EntryOutOfRange) as exc:
-        assert (type(exc), str(exc)) == expected
-    else:
-        assert expected is None
-        assert g.gamma == as_tuples
-        for table in g.gamma.values():
-            assert len(set(map(id, table))) == len(set(table))
+    assert_entries_checked(X, B, n, given_tables, as_tuples)
 
 
 # -- is_homomorphism against the per-tuple oracle ----------------------------------------
@@ -633,7 +629,7 @@ def test_shared_leaf_rows_are_checked_like_the_flat_table(X, B, n, data):
 def test_is_homomorphism_matches_oracle(G, data):
     # the identity of G, and of algebras one entry away from G, perturbed in
     # at most one value: the counterexample must be the oracle's first one
-    B = data.draw(st.one_of(st.just(G), sig4_algebras().filter(lambda B: B.size == G.size)))
+    B = data.draw(st.one_of(st.just(G), free_algebras(SIG4).filter(lambda B: B.size == G.size)))
     values = list(range(G.size))
     if data.draw(st.booleans()):
         values[data.draw(st.integers(0, G.size - 1))] = data.draw(st.integers(0, G.size - 1))
@@ -641,7 +637,7 @@ def test_is_homomorphism_matches_oracle(G, data):
     assert repr(is_homomorphism(f, G, B)) == repr(brute_force_homomorphism(f, G, B))
 
 
-@given(sig4_algebras(), sig4_algebras(), st.data())
+@given(free_algebras(SIG4), free_algebras(SIG4), st.data())
 def test_is_homomorphism_matches_oracle_on_random_maps(A, B, data):
     f = FnTable(A.size, B.size, tuple(data.draw(st.lists(
         st.integers(0, B.size - 1), min_size=A.size, max_size=A.size))))
@@ -649,31 +645,6 @@ def test_is_homomorphism_matches_oracle_on_random_maps(A, B, data):
 
 
 # -- the comparison map against the per-element oracles -----------------------------------
-
-def usig_terms(vars_):
-    leaves = st.sampled_from([Var(v) for v in vars_] + [App("0", ())])
-    return st.recursive(leaves, lambda kids: st.one_of(
-        kids.map(lambda a: App("-", (a,))),
-        st.tuples(kids, kids).map(lambda ab: App("+", ab)),
-    ), max_leaves=6)
-
-
-def outcome(fn):
-    """A call's value, or the class and message of the toolkit error it raised."""
-    try:
-        return "value", fn()
-    except ToolkitError as exc:
-        return "raised", type(exc), str(exc)
-
-
-def product_extension(X, B):
-    """X -> X x B -> B with k x = (x, 0), p (x, b) = b, s b = (0, b)."""
-    A = product_algebra(X, B)
-    return SplitExtension(X, A, B,
-                          FnTable(X.size, A.size, tuple(x * B.size for x in range(X.size))),
-                          FnTable(A.size, B.size, tuple(a % B.size for a in range(A.size))),
-                          FnTable(B.size, A.size, tuple(range(B.size))))
-
 
 def perturb(f: FnTable, data) -> FnTable:
     """f with one value replaced (possibly by itself)."""
@@ -701,7 +672,7 @@ def compare_comparison_map(X, B, n, normalize, broken, data):
     # the sum term is admissible; a random term usually is not
     theta = data.draw(st.one_of(
         st.just(sum_theta(n)),
-        usig_terms(vars_).map(lambda t: ThetaSpec(tuple(vars_), t))))
+        sig_terms(USIG, vars_).map(lambda t: ThetaSpec(tuple(vars_), t))))
 
     assert outcome(lambda: feasible_tuples(e, theta, normalize=normalize)) == \
         outcome(lambda: brute_force_feasible(e, theta, normalize))
@@ -778,7 +749,7 @@ def test_product_check_matches_oracle(X, n, points, data):
     vars_ = [f"x{i + 1}" for i in range(n)] + ["y"]
     theta = data.draw(st.one_of(
         st.just(sum_theta(n)),
-        usig_terms(vars_).map(lambda t: ThetaSpec(tuple(vars_), t))))
+        sig_terms(USIG, vars_).map(lambda t: ThetaSpec(tuple(vars_), t))))
     with grid_block(points):
         res = outcome(lambda: product_extension_check(X, theta))
     expected = outcome(lambda: brute_force_product_check(X, theta))
@@ -801,34 +772,13 @@ def test_product_check_matches_oracle(X, n, points, data):
 ZSIG = Signature((("1", 0), ("-", 1), ("+", 2), ("0", 0)), "0")
 
 
-def sig_terms(sig: Signature, vars_, depth: int):
-    """Terms over sig and vars_ with applications nested at most ``depth`` deep."""
-    leaves = st.sampled_from([Var(v) for v in vars_]
-                             + [App(name, ()) for name, arity in sig.ops if arity == 0])
-    if depth == 0:
-        return leaves
-    kids = sig_terms(sig, vars_, depth - 1)
-    return st.one_of(leaves, *(
-        st.tuples(*[kids] * arity).map(lambda args, name=name: App(name, args))
-        for name, arity in sig.ops if arity))
-
-
-@st.composite
-def zsig_algebras(draw, max_size=4):
-    size = draw(st.integers(1, max_size))
-    entries = st.integers(0, size - 1)
-    return make_algebra(ZSIG, size, {
-        name: draw(st.lists(entries, min_size=size ** arity, max_size=size ** arity))
-        for name, arity in ZSIG.ops})
-
-
 def checked(fn):
     """outcome with a check's result as its repr, which also pins the key
     order of its counterexample."""
     return outcome(lambda: repr(fn()))
 
 
-@given(zsig_algebras(), st.integers(1, 2), st.integers(0, 2), GRID_BLOCKS, st.data())
+@given(free_algebras(ZSIG, 4), st.integers(1, 2), st.integers(0, 2), GRID_BLOCKS, st.data())
 @settings(max_examples=300, deadline=None)
 def test_admissibility_and_interchange_match_the_oracles(A, n, m, points, data):
     theta_vars = [f"x{i + 1}" for i in range(n)] + ["y"]
@@ -919,21 +869,10 @@ def test_sigma_tau_matches_the_oracle_on_fixtures(points):
         assert dec == brute_force_sigma_tau(e, theta, w)
 
 
-@st.composite
-def unital_magmas(draw, max_size):
-    """MSIG algebras where 0 is a two-sided unit of +; every other entry is
-    free, so + need not be associative."""
-    size = draw(st.integers(1, max_size))
-    entries = st.integers(0, size - 1)
-    plus = [a if b == 0 else b if a == 0 else draw(entries)
-            for a, b in product(range(size), repeat=2)]
-    return make_algebra(MSIG, size, {"+": plus, "0": [0]})
-
-
 XZY = ThetaSpec(("x1", "x2", "y"), parse_term("(+ (+ x1 y) x2)", MSIG, ["x1", "x2", "y"]))
 
 
-@given(unital_magmas(3), unital_magmas(2), GRID_BLOCKS, st.data())
+@given(unital_algebras(3, MSIG), unital_algebras(2, MSIG), GRID_BLOCKS, st.data())
 @settings(max_examples=80, deadline=None)
 def test_sigma_tau_matches_the_oracle_on_product_extensions(X, B, points, data):
     # X -> X x B -> B with theta = x + z + y; without associativity the
@@ -963,27 +902,7 @@ def ternary_group(m: int):
         (u - v + w) % m for u, v, w in product(range(m), repeat=3)]})
 
 
-GSIG = Signature((("*", 2), ("inv", 1), ("e", 0)), "e")
 GROUP_THETA = ThetaSpec(("x", "y"), parse_term("(* x y)", GSIG, ["x", "y"]))
-
-
-def dihedral_extension(m: int) -> SplitExtension:
-    """Z_m -> D_m -> Z_2; r^i s^j is element j * m + i of the middle."""
-    def group(size, mul, inv):
-        return make_algebra(GSIG, size, {
-            "*": [mul(u, v) for u in range(size) for v in range(size)],
-            "inv": [inv(u) for u in range(size)], "e": [0]})
-
-    def mul(u, v):
-        (j, i), (j2, i2) = divmod(u, m), divmod(v, m)
-        return ((j + j2) % 2) * m + (i + (i2 if j == 0 else -i2)) % m
-
-    X = group(m, lambda u, v: (u + v) % m, lambda u: (-u) % m)
-    B = group(2, lambda u, v: (u + v) % 2, lambda u: u)
-    A = group(2 * m, mul, lambda u: u if u >= m else (-u) % m)
-    return SplitExtension(X, A, B, FnTable(m, 2 * m, tuple(range(m))),
-                          FnTable(2 * m, 2, tuple(a // m for a in range(2 * m))),
-                          FnTable(2, 2 * m, (0, m)))
 
 
 @st.composite
@@ -991,8 +910,9 @@ def canonical_cases(draw, max_product_m=5):
     """(e, theta, w, axioms): a product family Z_m -> Z_m^2 -> Z_m with the
     sum term of n kernel arguments and a witness drawn fibre by fibre (over
     USIG, or over TSIG, whose ternary t has a prefix index over |S|^2), a
-    dihedral family, or a bundled fixture with one of its first witnesses.
-    Every signature has a binary, a unary or a nullary operation."""
+    dihedral family Z_m -> D_m -> Z_2, or a bundled fixture with one of its
+    first witnesses.  Every signature has a binary, a unary or a nullary
+    operation."""
     kind = draw(st.sampled_from(["product", "ternary", "dihedral", "fixture"]))
     if kind in ("product", "ternary"):
         # sampled, not drawn as integers, so that the largest family
@@ -1001,15 +921,18 @@ def canonical_cases(draw, max_product_m=5):
         m, n = draw(st.sampled_from([(m, n) for m in range(2, max_product_m + 1)
                                      for n in (1, 2, 3)] if kind == "product"
                                     else [(2, 1), (2, 2), (3, 1)]))
-        group = cyclic_group if kind == "product" else ternary_group
-        e, theta = product_extension(group(m), group(m)), sum_theta(n)
+        Z = cyclic_group(m) if kind == "product" else ternary_group(m)
+        e, theta = product_extension(Z, Z), sum_theta(n)
         T = feasible_tuples(e, theta)
         choice = [draw(st.sampled_from(ts)) for ts in T]
         w = Witness(n, tuple(FnTable(e.A.size, m, tuple(xs[i] for xs in choice))
                              for i in range(n)))
         return e, theta, w, ()
     if kind == "dihedral":
-        e = dihedral_extension(draw(st.integers(2, 6)))
+        # the reflection acts on Z_m by negation
+        m = draw(st.integers(2, 6))
+        Z_m, Z_2 = (group(k, lambda a, b, k=k: (a + b) % k) for k in (m, 2))
+        e = semidirect(Z_m, Z_2, (tuple(range(m)), tuple(-x % m for x in range(m))))
         return e, GROUP_THETA, find_witnesses(e, GROUP_THETA)[0], ()
     e, file_witness, axioms, theta = load_fixture(draw(st.sampled_from(EXTENSION_NAMES)))
     witnesses = find_witnesses(e, theta, limit=3)
@@ -1032,17 +955,9 @@ def test_writer_matches_the_listing_oracle(case):
         assert json.loads(path.read_text()) == doc
 
 
-def any_outcome(fn):
-    """outcome, also for a non-toolkit exception, recorded by its class."""
-    try:
-        return outcome(fn)
-    except Exception as exc:  # noqa: BLE001 - compared, not handled
-        return "raised", type(exc)
-
-
 def assert_same_report(e, c, w):
-    assert any_outcome(lambda: verify_isomorphism(e, c, w).to_json()) == \
-        any_outcome(lambda: brute_force_verify(e, c, w).to_json())
+    assert outcome(lambda: verify_isomorphism(e, c, w).to_json(), crashes=True) == \
+        outcome(lambda: brute_force_verify(e, c, w).to_json(), crashes=True)
 
 
 def replace(record, **changes):
@@ -1216,23 +1131,23 @@ def test_action_data_checks_match_the_per_entry_oracles(case, points, data):
                                  st.sampled_from(condition_costs(g, Y, kernel))))
     size = g.space.size
     with grid_block(points):
-        assert any_outcome(lambda: carrier_outcome(g, budget)) == \
-            any_outcome(lambda: oracle_carrier_outcome(g, budget))
-        assert any_outcome(lambda: rebuilt(build_extension_from_gamma(g, budget))) == \
-            any_outcome(lambda: rebuilt(brute_force_rebuild(g, budget)))
+        assert outcome(lambda: carrier_outcome(g, budget), crashes=True) == \
+            outcome(lambda: oracle_carrier_outcome(g, budget), crashes=True)
+        assert outcome(lambda: rebuilt(build_extension_from_gamma(g, budget)), crashes=True) == \
+            outcome(lambda: rebuilt(brute_force_rebuild(g, budget)), crashes=True)
 
         for omega in membership_variants(g.theta):
             for cap in (size, size - 1):
-                assert any_outcome(lambda: membership_by_term(g, omega, budget=cap)) == \
-                    any_outcome(lambda: brute_force_membership(g, omega, budget=cap))
+                assert outcome(lambda: membership_by_term(g, omega, budget=cap), crashes=True) == \
+                    outcome(lambda: brute_force_membership(g, omega, budget=cap), crashes=True)
 
         basic = [operation_term(name, arity) for name, arity in g.X.signature.ops]
         for omega in basic + membership_variants(g.theta)[:1]:
             cost = size ** omega.arity
             # the full tables only where the per-entry oracle stays quick
             for cap in ((cost, cost - 1) if cost <= 5000 else (cost - 1,)):
-                assert any_outcome(lambda: gamma_table(g, omega, budget=cap)) == \
-                    any_outcome(lambda: brute_force_gamma_table(g, omega, budget=cap))
+                assert outcome(lambda: gamma_table(g, omega, budget=cap), crashes=True) == \
+                    outcome(lambda: brute_force_gamma_table(g, omega, budget=cap), crashes=True)
 
 
 def budget_bounds():
@@ -1331,12 +1246,12 @@ def grid_term(sig: Signature, vars_, terms, data) -> TermSpec:
     return operation_term(*data.draw(st.sampled_from(sig.ops)))
 
 
-@given(sig4_algebras(), GRID_BLOCKS, st.data())
+@given(free_algebras(SIG4), GRID_BLOCKS, st.data())
 def test_tabulate_matches_the_term_value_oracle_on_columns(A, points, data):
     """_tabulate over argument columns that are not a grid: 0 to 5 rows,
     repeats allowed; the term may omit declared variables or have none."""
     vars_ = data.draw(st.lists(st.sampled_from("xyz"), max_size=3, unique=True))
-    t = data.draw(st.one_of(sig4_terms(vars_), sig4_terms(vars_[:1]), sig4_terms([])))
+    t = data.draw(st.one_of(*(sig_terms(SIG4, vs) for vs in (vars_, vars_[:1], []))))
     block = data.draw(st.integers(0, 5))
     rows = st.lists(st.integers(0, A.size - 1), min_size=block, max_size=block)
     env = {v: data.draw(rows) for v in vars_}
@@ -1346,10 +1261,10 @@ def test_tabulate_matches_the_term_value_oracle_on_columns(A, points, data):
     assert got == [term_value(spec, A, [env[v][i] for v in vars_]) for i in range(block)]
 
 
-@given(sig4_algebras(), GRID_BLOCKS, st.data())
+@given(free_algebras(SIG4), GRID_BLOCKS, st.data())
 def test_tabulate_grid_matches_the_term_value_oracle(A, points, data):
     vars_ = data.draw(st.lists(st.sampled_from("xyz"), max_size=3, unique=True))
-    spec = grid_term(SIG4, vars_, sig4_terms(vars_), data)
+    spec = grid_term(SIG4, vars_, sig_terms(SIG4, vars_), data)
     axes = grid_axes(range(A.size), data, spec.arity)
     with grid_block(points):
         got = algebra.tabulate_grid(spec, A, axes)
@@ -1508,13 +1423,6 @@ def layout(doc: dict, data, tmp: Path) -> bytes:
     return raw
 
 
-def read_outcome(read):
-    try:
-        return read()
-    except ToolkitError as exc:
-        return type(exc), str(exc)
-
-
 @given(canonical_cases(max_product_m=3), st.data())
 @settings(max_examples=200, deadline=None)
 def test_row_sharing_reader_matches_the_whole_document_oracle(case, data):
@@ -1523,17 +1431,18 @@ def test_row_sharing_reader_matches_the_whole_document_oracle(case, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "gamma.json"
         path.write_bytes(layout(faulty_doc(doc, data), data, Path(tmp)))
-        got = read_outcome(lambda: gamma_from_obj(_load_json(path), path.parent))
-        expected = read_outcome(lambda: per_entry_read_gamma(path))
-        shared = read_outcome(lambda: _load_json(path))
-    if isinstance(got, GammaData):
-        assert (got.gamma, got.axioms) == expected
-        for (name, arity), flat in zip(got.X.signature.ops, expected[0].values()):
-            table = got.gamma[name]
+        got = outcome(lambda: gamma_from_obj(_load_json(path), path.parent))
+        expected = outcome(lambda: per_entry_read_gamma(path))
+        shared = outcome(lambda: _load_json(path))
+    if got[0] == "value":
+        g = got[1]
+        assert expected == ("value", (g.gamma, g.axioms))
+        for (name, arity), flat in zip(g.X.signature.ops, expected[1][0].values()):
+            table = g.gamma[name]
             assert len(set(map(id, table))) == len(set(table))
             # the stored rows, one per row object the reader handed over,
             # are the oracle's flat table cut at the prefixes
-            level = [shared["gamma"][name]]
+            level = [shared[1]["gamma"][name]]
             for _ in range(arity - 1):
                 level = [row for sub in level for row in sub]
             assert len(table.rows) == len(set(map(id, level)))

@@ -4,16 +4,13 @@ import tracemalloc
 import pytest
 
 from wsext import (
-    FnTable,
     Signature,
-    SplitExtension,
     ThetaSpec,
     build_canonical,
     find_witnesses,
     gammabuild,
     make_algebra,
     parse_term,
-    product_algebra,
 )
 from wsext import serialize as S
 from wsext.cli import main
@@ -33,7 +30,7 @@ from wsext.serialize import (
     to_text,
 )
 
-from conftest import load_fixture, run_cli
+from conftest import load_fixture, product_extension, run_cli
 
 
 def n2_obj():
@@ -167,6 +164,15 @@ def test_check_refuses_an_integer_constant(tmp_path):
     assert res.stderr == "error: operation name: expected a string, got 0\n"
 
 
+@pytest.mark.parametrize("size", [0, -1])
+def test_a_size_below_one_is_named(size):
+    obj = n2_obj()
+    obj["size"] = size
+    with pytest.raises(FileFormatError) as raised:
+        algebra_from_obj(obj)
+    assert str(raised.value) == f"size: expected a positive integer, got {size}"
+
+
 def test_algebra_rejects_ragged_tables():
     obj = n2_obj()
     obj["tables"]["+"] = [[0, 1, 1], [1]]
@@ -247,21 +253,17 @@ PSIG = Signature((("+", 2), ("0", 0)), "0")
 PRODUCT_THETA = ThetaSpec(("x1", "x2", "y"), parse_term("(+ x1 (+ y x2))", PSIG, ["x1", "x2", "y"]))
 
 
-def product_family(m: int) -> SplitExtension:
-    """Z_m -> Z_m x Z_m -> Z_m; with the term x1 + y + x2, n = 2 and
-    |X^n x B| = m^3."""
-    Z = make_algebra(PSIG, m, {"+": [(u + v) % m for u in range(m) for v in range(m)],
-                               "0": [0]})
-    return SplitExtension(Z, product_algebra(Z, Z), Z,
-                          FnTable(m, m * m, tuple(x * m for x in range(m))),
-                          FnTable(m * m, m, tuple(a % m for a in range(m * m))),
-                          FnTable(m, m * m, tuple(range(m))))
+def cyclic(m: int):
+    """Z_m over PSIG."""
+    return make_algebra(PSIG, m, {"+": [(u + v) % m for u in range(m) for v in range(m)],
+                                  "0": [0]})
 
 
 def product_family_files(tmp_path, m: int):
-    """ext.json and theta.json of the product family with x1 + y + x2."""
+    """ext.json and theta.json of the product family Z_m -> Z_m x Z_m -> Z_m
+    with x1 + y + x2, so n = 2 and |X^n x B| = m^3."""
     ext, theta = tmp_path / "ext.json", tmp_path / "theta.json"
-    dump_json(extension_to_obj(product_family(m)), ext)
+    dump_json(extension_to_obj(product_extension(cyclic(m), cyclic(m))), ext)
     theta.write_text(json.dumps({"vars": ["x1", "x2", "y"], "term": "(+ x1 (+ y x2))"}))
     return ext, theta
 
@@ -270,7 +272,7 @@ def test_the_canonical_form_and_its_document_hold_no_flat_table():
     """At m = 10 the + table has 10^6 entries, so one flat table of them
     takes 8 MB of pointers; the canonical form and its document hold the
     table's 10 distinct rows of 1000 entries and an index of 1000 rows."""
-    e = product_family(10)
+    e = product_extension(cyclic(10), cyclic(10))
     w = find_witnesses(e, PRODUCT_THETA, limit=1)[0]
     tracemalloc.start()
     try:
