@@ -17,9 +17,11 @@ every term, a basic operation too (``terms.operation_term``), is
 tabulated in the candidate operations by ``algebra.tabulate_grid``, here
 for the carrier by term (``membership_by_term``), the operations on it
 (``carrier``) and the action table of a term (``gamma_table``).
-``ActionData`` gives canonical forms and raw action data their ambient
-space and candidate operations; ``carrier`` is the one reading of Y, its
-operations and its kernel tuples off them, for both.
+``ActionData`` is the one record of action data, X, B, theta and gamma,
+that canonical forms and raw action data extend; it gives them their
+ambient space and candidate operations.  ``carrier`` is the one reading
+of Y off it, for both: Y's operations, the base coordinate and the kernel
+embedding, the maps of the split extension X -> Y -> B.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from .algebra import (
     DEFAULT_BUDGET,
     FiniteAlgebra,
+    FnTable,
     _node,
     check_theta_admissible,
     table_args,
@@ -40,7 +43,7 @@ from .algebra import (
 )
 from .errors import ArityMismatch, EntryOutOfRange, WrongTheta, charge
 from .report import CheckResult, Record, _once
-from .terms import TermSpec, operation_term
+from .terms import TermSpec, ThetaSpec, operation_term
 
 
 class TupleSpace(Record):
@@ -153,11 +156,20 @@ class CandidateOps:
         return list(map(add, map(self.space.kernel_rows.__getitem__, xs), base))
 
 
-class ActionData:
-    """The ambient space and candidate operations of a holder of action
-    tables: a record with the algebras ``X`` and ``B``, ``n`` kernel
-    coordinates, a witness term ``theta`` and the tables ``gamma``.
-    Adds no field."""
+class ActionData(Record):
+    """Action data: the kernel and base algebras ``X`` and ``B``, the
+    witness term ``theta`` with its ``n`` kernel arguments, and one action
+    table per operation in ``gamma``; with its ambient space and candidate
+    operations."""
+
+    X: FiniteAlgebra
+    B: FiniteAlgebra
+    theta: ThetaSpec
+    gamma: Mapping[str, ActionTable]
+
+    @property
+    def n(self) -> int:
+        return self.theta.n
 
     @cached_property
     def space(self) -> TupleSpace:
@@ -224,19 +236,21 @@ class Carrier(Record):
     (= lex) ambient indices and ``y_pos``, each one's position; ``algebra``,
     Y with the candidate operations by position, or None with
     ``closure_failure`` naming the first operation and arguments that leave
-    Y; ``at_zero``, theta_X(ys, 0_X) over X^n; ``kz``, the (ys, 0_B) in Y,
-    and ``kx``, the x each embeds; ``k``, the kernel embedding by position,
-    or None with ``kernel_failure`` naming the first x without exactly one
-    kernel tuple."""
+    Y; ``p``, the base coordinate of each member; ``at_zero``, theta_X(ys,
+    0_X) over X^n; ``kz``, the (ys, 0_B) in Y, and ``kx``, the x each
+    embeds; ``k``, the kernel embedding X -> Y by position, or None with
+    ``kernel_failure`` naming the first x without exactly one kernel
+    tuple."""
 
     Y: list[int]
     y_pos: dict[int, int]
     algebra: Optional[FiniteAlgebra]
     closure_failure: str
+    p: FnTable
     at_zero: list[int]
     kz: list[int]
     kx: list[int]
-    k: Optional[tuple[int, ...]]
+    k: Optional[FnTable]
     kernel_failure: str
 
 
@@ -263,15 +277,17 @@ def carrier(c: ActionData, budget: int, members=membership_by_term) -> Carrier:
 
     space = c.space
     b_size = space.b_size
+    p = FnTable(len(Y), b_size, tuple(z % b_size for z in Y))
     # over X^n: |X|^n <= |X^n x B|, which members budgeted
     at_zero = tabulate_grid(c.theta, c.X, [range(space.x_size)] * c.n + [[c.X.zero]])
-    kz = [z for z in Y if z % b_size == c.B.zero]
+    kz = [z for z, b in zip(Y, p.values) if b == c.B.zero]
     kx = [at_zero[z // b_size] for z in kz]
     groups: list[list[int]] = [[] for _ in range(space.x_size)]
     for z, x in zip(kz, kx):
         groups[x].append(z)
     bad = next((x for x, group in enumerate(groups) if len(group) != 1), None)
-    k = None if bad is not None else tuple(y_pos[group[0]] for group in groups)
+    k = None if bad is not None else \
+        FnTable(space.x_size, len(Y), tuple(y_pos[group[0]] for group in groups))
     kernel_failure = "" if bad is None else \
         f"x = {bad} has kernel tuples {[space.unpack(z)[0] for z in groups[bad]]}"
-    return Carrier(Y, y_pos, algebra, closure_failure, at_zero, kz, kx, k, kernel_failure)
+    return Carrier(Y, y_pos, algebra, closure_failure, p, at_zero, kz, kx, k, kernel_failure)

@@ -5,8 +5,11 @@ psi(a) = (q_1(a), .., q_n(a), p(a)) and back by
 phi(x_1, .., x_n, b) = theta(k x_1, .., k x_n, s b).  Since phi o psi is
 the identity, A is isomorphic to the subset Y = im(psi).  Transported
 along the bijection, the operations give the per-operation action tables
-(gamma); Y, its operations and the kernel embedding are read off that
-action data (``ambient.carrier``), and ``verify_isomorphism`` checks them
+(gamma).  Y is read off that action data (``ambient.carrier``), and the
+form holds X -> Y -> B as one split extension: Y's operations, the kernel
+embedding k', the base coordinate pi_B and the section iota_B = psi o s.
+``gammabuild`` rebuilds it from the data alone, with the zero-tuple
+section in place of iota_B.  ``verify_isomorphism`` checks the form
 against psi and phi.  This module builds that form, verifies the
 isomorphism, and computes the four-map decomposition of the binary action
 for the monoid witness term x + z + y.  The action-data layer is
@@ -58,29 +61,19 @@ def psi(e: SplitExtension, w: Witness) -> FnTable:
                    tuple(space.pack(w.values_at(a), e.p(a)) for a in range(e.A.size)))
 
 
-class CanonicalExtension(ActionData, Record):
-    """The subset Y with transported operations and structure maps.
+class CanonicalExtension(ActionData):
+    """The action data of a witnessed extension with the subset Y it cuts
+    out and the split extension X -> Y -> B on it.
 
     Y is stored as a lex-ordered tuple of (x_1, .., x_n, b) tuples; every
-    FnTable whose codomain is Y uses positions in that list.  The gamma
-    tables are ActionTables on the full ambient space, not only on Y.
+    FnTable whose codomain is Y uses positions in that list.  ``extension``
+    has Y's transported operations, k', pi_B and iota_B = psi o s.  The
+    gamma tables are ActionTables on the full ambient space, not only on Y.
     """
 
-    X: FiniteAlgebra
-    B: FiniteAlgebra
-    n: int
-    theta: ThetaSpec
     Y: tuple[tuple[int, ...], ...]
-    ops_Y: dict[str, tuple[int, ...]]
-    k_prime: FnTable
-    pi_B: FnTable
-    iota_B: FnTable
-    gamma: dict[str, ActionTable]
+    extension: SplitExtension
     gamma_id: tuple[tuple[int, ...], ...]
-
-    def y_algebra(self) -> FiniteAlgebra:
-        """Y with its transported operations, as a finite algebra."""
-        return FiniteAlgebra(self.X.signature, len(self.Y), self.ops_Y)
 
 
 def _action_table(A: FiniteAlgebra, name: str, arity: int, phis: Sequence[int],
@@ -103,23 +96,13 @@ def _action_table(A: FiniteAlgebra, name: str, arity: int, phis: Sequence[int],
                        {k: at_phi(f) for f, k in keys.items()})
 
 
-class _ActionData(ActionData, Record):
-    """The action data of a canonical form, before Y is read off it."""
-
-    X: FiniteAlgebra
-    B: FiniteAlgebra
-    n: int
-    theta: ThetaSpec
-    gamma: dict[str, ActionTable]
-
-
 def build_canonical(e: SplitExtension, theta: ThetaSpec, w: Witness,
                     budget: int = DEFAULT_BUDGET) -> CanonicalExtension:
     """Construct the canonical form from a validated, normalized witness:
     the action tables by transport along psi and phi, then Y, its
-    operations and k' read off them (``ambient.carrier``), pi_B as the last
-    coordinate on Y and iota_B as psi o s.  ``verify_isomorphism``, which
-    canonicalize always runs, checks the form against the witness; a
+    operations, k' and pi_B read off them (``ambient.carrier``) and iota_B
+    as psi o s, the split extension X -> Y -> B.  ``verify_isomorphism``,
+    which canonicalize always runs, checks the form against the witness; a
     library caller of this function alone gets no self-check.
 
     Raises InternalCheckFailed, which only a bug reaches, when Y is not
@@ -129,8 +112,7 @@ def build_canonical(e: SplitExtension, theta: ThetaSpec, w: Witness,
     """
     require_valid(e)
     require_witness(e, theta, w, normalized=True)
-    n = theta.n
-    space = ambient_space(e, n)
+    space = ambient_space(e, theta.n)
     entries = sum(space.size ** arity for _, arity in e.A.signature.ops)
     charge(entries, budget, f"action tables need {entries} entries, budget is {budget}")
     phis = phi(e, theta).values
@@ -138,7 +120,7 @@ def build_canonical(e: SplitExtension, theta: ThetaSpec, w: Witness,
     gamma = {name: _action_table(e.A, name, arity, phis, q_of)
              for name, arity in e.A.signature.ops}
 
-    car = carrier(_ActionData(e.X, e.B, n, theta, gamma), budget)
+    car = carrier(ActionData(e.X, e.B, theta, gamma), budget)
     if car.closure_failure:
         raise InternalCheckFailed(car.closure_failure)
     if car.k is None:
@@ -149,11 +131,10 @@ def build_canonical(e: SplitExtension, theta: ThetaSpec, w: Witness,
         raise InternalCheckFailed(
             f"psi(s({bad})) = {space.unpack(section[bad])} lies outside the carrier")
     Y = tuple((*xs, b) for xs, b in map(space.unpack, car.Y))
-    return CanonicalExtension(
-        e.X, e.B, n, theta, Y, car.algebra.tables, FnTable(e.X.size, len(Y), car.k),
-        FnTable(len(Y), e.B.size, tuple(z % space.b_size for z in car.Y)),
-        FnTable(e.B.size, len(Y), tuple(map(car.y_pos.__getitem__, section))),
-        gamma, _gather(phis)(q_of))
+    iota = FnTable(e.B.size, len(Y), tuple(map(car.y_pos.__getitem__, section)))
+    return CanonicalExtension(e.X, e.B, theta, gamma, Y,
+                              SplitExtension(e.X, car.algebra, e.B, car.k, car.p, iota),
+                              _gather(phis)(q_of))
 
 
 def membership_by_gamma_id(c: CanonicalExtension) -> list[int]:
@@ -167,7 +148,8 @@ def membership_by_gamma_id(c: CanonicalExtension) -> list[int]:
 
 def verify_isomorphism(e: SplitExtension, c: CanonicalExtension, w: Witness) -> Report:
     """Check that psi and phi are mutually inverse homomorphisms between A
-    and (Y, ops_Y) and that all structure maps transport correctly.
+    and the form's Y with its operations, and that all structure maps
+    transport correctly.
 
     The section_transport entry compares the transported section with the
     zero-tuple injection b -> (0, .., 0, b); witnesses whose q_i do not
@@ -180,7 +162,7 @@ def verify_isomorphism(e: SplitExtension, c: CanonicalExtension, w: Witness) -> 
     phi_t = phi(e, c.theta)
     y_indices = [space.pack(t[:-1], t[-1]) for t in c.Y]
     y_pos = {z: i for i, z in enumerate(y_indices)}
-    YA = c.y_algebra()
+    YA = c.extension.A
 
     bad = next((a for a in range(e.A.size) if phi_t(psi_t(a)) != a), None)
     rep.add("phi_psi_identity", bad is None,
@@ -198,10 +180,10 @@ def verify_isomorphism(e: SplitExtension, c: CanonicalExtension, w: Witness) -> 
         rep.add(label, fail is None,
                 "" if fail is None else f"op {fail[0]!r} at {fail[1]}")
 
-    k_ok = c.k_prime.values == tuple(psi_Y[a] for a in e.k.values)
+    k_ok = c.extension.k.values == tuple(psi_Y[a] for a in e.k.values)
     rep.add("kernel_transport", k_ok)
 
-    p_ok = all(y is not None and c.pi_B(y) == e.p(a) for a, y in enumerate(psi_Y))
+    p_ok = all(y is not None and c.extension.p(y) == e.p(a) for a, y in enumerate(psi_Y))
     rep.add("quotient_transport", p_ok)
 
     bad = next((b for b in range(e.B.size)

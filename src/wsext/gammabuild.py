@@ -35,7 +35,6 @@ from .ambient import (
 from .algebra import (
     DEFAULT_BUDGET,
     Equation,
-    FiniteAlgebra,
     FnTable,
     check_equation,
     fold,
@@ -56,12 +55,12 @@ from .errors import (
     charge,
 )
 from .extension import SplitExtension, Witness, validate_split_extension, validate_witness
-from .report import Record, Report, _once
-from .terms import ThetaSpec, operation_term
+from .report import Report, _once
+from .terms import operation_term
 
 
-class GammaData(ActionData, Record):
-    """Raw action data: algebras, witness term, per-operation tables, axioms.
+class GammaData(ActionData):
+    """Raw action data (``ambient.ActionData``) with the axioms of its variety.
 
     Construction is the one place action tables are checked: one table per
     operation, |X^n x B|^arity entries each, every entry a sequence of n
@@ -72,10 +71,6 @@ class GammaData(ActionData, Record):
     are stored as rows of shared n-tuples.
     """
 
-    X: FiniteAlgebra
-    B: FiniteAlgebra
-    theta: ThetaSpec
-    gamma: dict[str, ActionTable]
     axioms: tuple[Equation, ...]
 
     def __post_init__(self):
@@ -116,10 +111,6 @@ class GammaData(ActionData, Record):
         if extra:
             raise SignatureMismatch(f"action tables for unknown operations {sorted(extra)}")
         object.__setattr__(self, "gamma", gamma)
-
-    @property
-    def n(self) -> int:
-        return self.theta.n
 
 
 def _check_entry(name: str, entry: tuple, n: int, size: int) -> None:
@@ -234,23 +225,21 @@ def build_extension_from_gamma(g: GammaData,
     if not rep.ok:
         raise ConditionsFailed(rep)
     Y, y_pos = car.Y, car.y_pos
-    x_size, b_size = g.X.size, g.B.size
+    b_size = g.B.size
 
     zero_row = g.space.pack((g.X.zero,) * g.n, 0)  # the ambient index of (0, .., 0, 0)
     missing = [b for b in range(b_size) if zero_row + b not in y_pos]
     if missing:
         raise IotaNotInY(f"zero-tuple section misses the carrier at base {missing}")
 
-    k = FnTable(x_size, len(Y), car.k)
-    p = FnTable(len(Y), b_size, tuple(z % b_size for z in Y))
     s = FnTable(b_size, len(Y), tuple(y_pos[zero_row + b] for b in range(b_size)))
     res = is_homomorphism(s, g.B, car.algebra)
     if not res:
         raise SectionNotHomomorphism(
             f"zero-tuple section is not a homomorphism: {res.counterexample}")
-    ext = SplitExtension(g.X, car.algebra, g.B, k, p, s)
+    ext = SplitExtension(g.X, car.algebra, g.B, car.k, car.p, s)
     coords = zip(*(g.space.unpack(z)[0] for z in Y))
-    w = Witness(g.n, tuple(FnTable(len(Y), x_size, xs) for xs in coords))
+    w = Witness(g.n, tuple(FnTable(len(Y), g.X.size, xs) for xs in coords))
 
     val = validate_split_extension(ext)
     if not val.ok:

@@ -389,7 +389,8 @@ def canonical_to_obj(
     axioms: Sequence[Equation] = (),
     verification: Optional[Report] = None,
 ) -> dict:
-    """Canonical form as a document that gamma_from_obj can read back.
+    """Canonical form as a document that gamma_from_obj can read back;
+    ops_Y, k_prime, pi_B and iota_B are the tables of its extension.
 
     In the gamma tables and gamma_id equal n-tuples are one list, and each
     distinct row of a table is one _Row of those, so a table costs one list
@@ -397,7 +398,7 @@ def canonical_to_obj(
     no sharing, but it is read-only: a change shows at every place the list
     occurs, and not in the text dump_json writes.
     """
-    ambient = c.space.size
+    ambient, ext = c.space.size, c.extension
     entries: dict[tuple[int, ...], list[int]] = {}
 
     def leaf(row: Sequence[tuple[int, ...]]) -> _Row:
@@ -419,11 +420,11 @@ def canonical_to_obj(
         "n": c.n,
         "theta": theta_to_obj(c.theta),
         "Y": [list(t) for t in c.Y],
-        "ops_Y": {name: _nest_table(c.ops_Y[name], len(c.Y), arity)
+        "ops_Y": {name: _nest_table(ext.A.tables[name], len(c.Y), arity)
                   for name, arity in c.X.signature.ops},
-        "k_prime": list(c.k_prime.values),
-        "pi_B": list(c.pi_B.values),
-        "iota_B": list(c.iota_B.values),
+        "k_prime": list(ext.k.values),
+        "pi_B": list(ext.p.values),
+        "iota_B": list(ext.s.values),
         "gamma": {name: nested(c.gamma[name], arity)
                   for name, arity in c.X.signature.ops},
         "gamma_id": leaf(c.gamma_id),

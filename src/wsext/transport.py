@@ -17,9 +17,7 @@ from .algebra import (
     DEFAULT_BUDGET,
     FiniteAlgebra,
     FnTable,
-    _gather,
     _require_same_signature,
-    fold,
     is_homomorphism,
     require_admissible,
     table_args,
@@ -42,7 +40,7 @@ from .extension import (
     validate_witness,
 )
 from .report import Record, Report
-from .terms import ThetaSpec
+from .terms import ThetaSpec, operation_term
 
 
 # -- algebras ------------------------------------------------------------------
@@ -110,13 +108,14 @@ def enumerate_homomorphisms(
 def _pair_tables(A: FiniteAlgebra, B: FiniteAlgebra,
                  pairs: Sequence[tuple[int, int]]) -> dict[str, tuple]:
     """The componentwise operations on a subset of A x B, given as its (a, b)
-    pairs in lex order: one index fold per coordinate column and operation,
-    then a lookup of each result pair; None where a result leaves the subset."""
+    pairs in lex order: each operation tabulated over each coordinate column
+    (``tabulate_grid``), then a lookup of each result pair; None where a
+    result leaves the subset."""
     position = {pair: i for i, pair in enumerate(pairs)}
     a_col, b_col = zip(*pairs)
     return {name: tuple(map(position.get, zip(
-                _gather(fold([A.size] * arity, [a_col] * arity))(A.tables[name]),
-                _gather(fold([B.size] * arity, [b_col] * arity))(B.tables[name]))))
+                tabulate_grid(operation_term(name, arity), A, [a_col] * arity),
+                tabulate_grid(operation_term(name, arity), B, [b_col] * arity))))
             for name, arity in A.signature.ops}
 
 
@@ -173,13 +172,12 @@ def product_algebra(A: FiniteAlgebra, B: FiniteAlgebra) -> FiniteAlgebra:
 def subalgebra_closure(A: FiniteAlgebra, generators: Sequence[int]) -> list[int]:
     """Smallest subset of the carrier containing the generators and closed
     under every operation (constants included), sorted ascending: each
-    round reads every operation's table at the index fold of the members."""
+    round tabulates every operation over the members (``tabulate_grid``)."""
     current = set(generators)
     while True:
         members = sorted(current)
         for name, arity in A.signature.ops:
-            current.update(map(A.tables[name].__getitem__,
-                               fold([A.size] * arity, [members] * arity)))
+            current.update(tabulate_grid(operation_term(name, arity), A, [members] * arity))
         if len(current) == len(members):
             return members
 

@@ -16,6 +16,7 @@ from wsext import (
     Signature,
     SplitExtension,
     ThetaSpec,
+    Witness,
     build_canonical,
     build_extension_from_gamma,
     check_conditions,
@@ -100,6 +101,16 @@ def load_fixture(name: str):
 
 
 SLSIG = Signature((("0", 0), ("+", 2)), "0")
+MSIG = Signature((("+", 2), ("0", 0)), "0")
+
+
+def cyclic(m: int, sig: Signature) -> FiniteAlgebra:
+    """Z_m over ``sig``, each operation filled by its arity: a binary one
+    is addition mod m, a unary one negation and a nullary one 0."""
+    fill = {0: lambda: 0, 1: lambda u: -u % m, 2: lambda u, v: (u + v) % m}
+    return make_algebra(sig, m, {name: [fill[arity](*args)
+                                        for args in product(range(m), repeat=arity)]
+                                 for name, arity in sig.ops})
 
 
 def unclosed_constant_data(b_size: int) -> GammaData:
@@ -230,17 +241,25 @@ def assert_labels_do_not_matter(extensions, thetas) -> None:
             assert is_schreier(r, theta) == is_schreier(e, theta)
 
 
+def projections(c) -> Witness:
+    """The coordinate projections of a canonical form's Y, as a witness
+    of its extension."""
+    return Witness(c.n, tuple(FnTable(len(c.Y), c.X.size, tuple(t[i] for t in c.Y))
+                              for i in range(c.n)))
+
+
 def assert_rebuilds(e: SplitExtension, theta: ThetaSpec, w, axioms):
     """The round trip of e with witness w: its canonical form, the action
     data read off it with ``axioms``, the conditions, and the extension
-    rebuilt from the data, which is the canonical form entry for entry.
-    Returns the canonical form."""
+    rebuilt from the data, which is the form's extension, with the
+    coordinate projections of Y as its witness.  Returns the canonical
+    form."""
     c = build_canonical(e, theta, w)
     g = extract_gamma(c, axioms)
     assert check_conditions(g).ok
-    e2, _ = build_extension_from_gamma(g)
-    assert e2.A == c.y_algebra()
-    assert (e2.k, e2.p, e2.s) == (c.k_prime, c.pi_B, c.iota_B)
+    e2, w2 = build_extension_from_gamma(g)
+    assert e2 == c.extension
+    assert w2 == projections(c)
     assert (e2.X, e2.B) == (e.X, e.B)
     return c
 

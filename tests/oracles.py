@@ -452,7 +452,7 @@ def classical_weakly_schreier(e: SplitExtension, add: str) -> bool:
 # -- canonical form: cross-checks, isomorphism report, writer -------------------------
 
 def brute_force_transport(e: SplitExtension, theta: ThetaSpec, w: Witness, Y):
-    """ops_Y entry by entry along the bijection: the position in Y of
+    """Y's operations entry by entry along the bijection: the position in Y of
     psi(op_A(phi y_1, .., phi y_r)) for every argument tuple of positions."""
     psi_t, phi_t = psi(e, w), phi(e, theta)
     y_indices = [table_index(e.X.size, t[:-1]) * e.B.size + t[-1] for t in Y]
@@ -472,7 +472,7 @@ def brute_force_cross_check(c, budget: int = DEFAULT_BUDGET) -> None:
     for name, arity in c.X.signature.ops:
         for j, args in enumerate(product(range(len(c.Y)), repeat=arity)):
             ambient_args = tuple(y_indices[i] for i in args)
-            z_out = y_indices[c.ops_Y[name][j]]
+            z_out = y_indices[c.extension.A.tables[name][j]]
             xs_expected = c.gamma[name][table_index(space.size, ambient_args)]
             b_expected = c.B.op(name, tuple(space.unpack(z)[1] for z in ambient_args))
             if space.unpack(z_out) != (xs_expected, b_expected):
@@ -483,9 +483,9 @@ def brute_force_cross_check(c, budget: int = DEFAULT_BUDGET) -> None:
         matches = [i for i, t in enumerate(c.Y)
                    if t[-1] == c.B.zero
                    and term_value(c.theta, c.X, t[:-1] + (c.X.zero,)) == x]
-        if matches != [c.k_prime(x)]:
+        if matches != [c.extension.k(x)]:
             raise InternalCheckFailed(
-                f"kernel embedding at {x}: expected unique {c.k_prime(x)}, found {matches}")
+                f"kernel embedding at {x}: expected unique {c.extension.k(x)}, found {matches}")
     if brute_force_fixpoint_carrier(c) != y_indices:
         raise InternalCheckFailed("fixpoint carrier differs from the image of psi")
     if brute_force_membership(c, budget=budget) != y_indices:
@@ -508,7 +508,7 @@ def brute_force_verify(e: SplitExtension, c, w: Witness) -> Report:
     phi_t = phi(e, c.theta)
     y_indices = [space.pack(t[:-1], t[-1]) for t in c.Y]
     y_pos = {z: i for i, z in enumerate(y_indices)}
-    YA = c.y_algebra()
+    YA = c.extension.A
 
     bad = next((a for a in range(e.A.size) if phi_t(psi_t(a)) != a), None)
     rep.add("phi_psi_identity", bad is None,
@@ -544,10 +544,10 @@ def brute_force_verify(e: SplitExtension, c, w: Witness) -> Report:
     rep.add("phi_homomorphism", fail is None,
             "" if fail is None else f"op {fail[0]!r} at {fail[1]}")
 
-    k_ok = all(c.k_prime(x) == y_pos.get(psi_t(e.k(x))) for x in range(e.X.size))
+    k_ok = all(c.extension.k(x) == y_pos.get(psi_t(e.k(x))) for x in range(e.X.size))
     rep.add("kernel_transport", k_ok)
 
-    p_ok = all(psi_t(a) in y_pos and c.pi_B(y_pos[psi_t(a)]) == e.p(a)
+    p_ok = all(psi_t(a) in y_pos and c.extension.p(y_pos[psi_t(a)]) == e.p(a)
                for a in range(e.A.size))
     rep.add("quotient_transport", p_ok)
 
@@ -575,11 +575,11 @@ def listing_canonical_to_obj(c, axioms=(), verification=None) -> dict:
         "n": c.n,
         "theta": theta_to_obj(c.theta),
         "Y": [list(t) for t in c.Y],
-        "ops_Y": {name: _nest_table(c.ops_Y[name], len(c.Y), arity)
+        "ops_Y": {name: _nest_table(c.extension.A.tables[name], len(c.Y), arity)
                   for name, arity in c.X.signature.ops},
-        "k_prime": list(c.k_prime.values),
-        "pi_B": list(c.pi_B.values),
-        "iota_B": list(c.iota_B.values),
+        "k_prime": list(c.extension.k.values),
+        "pi_B": list(c.extension.p.values),
+        "iota_B": list(c.extension.s.values),
         "gamma": {
             name: _nest_table([list(t) for t in c.gamma[name]], ambient, arity)
             for name, arity in c.X.signature.ops

@@ -23,10 +23,8 @@ from wsext.errors import (
     SignatureMismatch,
 )
 
-from conftest import load_fixture
+from conftest import MSIG, load_fixture
 from oracles import brute_force_homs, brute_force_pullback
-
-MSIG = Signature((("+", 2), ("0", 0)), "0")
 
 
 def n2():

@@ -1,8 +1,8 @@
 import pytest
 
 from wsext import (
+    FiniteAlgebra,
     FnTable,
-    Signature,
     TermSpec,
     ThetaSpec,
     Witness,
@@ -18,6 +18,8 @@ from wsext import (
     psi,
     sigma_tau_decompose,
     trivial_algebra,
+    validate_split_extension,
+    validate_witness,
     verify_isomorphism,
 )
 from wsext.algebra import _square_failure
@@ -32,10 +34,8 @@ from wsext.errors import (
 )
 from wsext.extension import SplitExtension
 
-from conftest import load_fixture
+from conftest import EXTENSION_NAMES, MSIG, load_fixture, projections
 from oracles import brute_force_gamma
-
-MSIG = Signature((("+", 2), ("0", 0)), "0")
 
 
 def unpackd(space, z):
@@ -104,7 +104,7 @@ def test_canonical_of_trivial_quotient():
     c = build_canonical(e, theta, w)
     # Y is X x {0} with the operations of X
     assert c.Y == ((0, 0), (1, 0))
-    assert c.ops_Y["+"] == X.tables["+"]
+    assert c.extension.A.tables["+"] == X.tables["+"]
 
 
 def test_direct_product_extension_is_componentwise():
@@ -114,7 +114,7 @@ def test_direct_product_extension_is_componentwise():
     c = build_canonical(e, theta, w)
     assert len(c.Y) == 4
     # the transported binary op acts componentwise on the kernel coordinate
-    YA = c.y_algebra()
+    YA = c.extension.A
     for i, (x1, b1) in enumerate(c.Y):
         for j, (x2, b2) in enumerate(c.Y):
             out = c.Y[YA.op("*", (i, j))]
@@ -125,7 +125,7 @@ def test_direct_product_extension_is_componentwise():
 def test_componentwise_on_commuting_ops_in_general(fixture_case):
     name, e, w, axioms, theta = fixture_case
     c = build_canonical(e, theta, w)
-    YA = c.y_algebra()
+    YA = c.extension.A
     for op, arity in e.A.signature.ops:
         if arity == 0:
             continue
@@ -160,6 +160,23 @@ def test_transported_witnesses_are_projections(fixture_case):
         for i, t in enumerate(c.Y):
             a = m_phi(space.pack(t[:-1], t[-1]))
             assert w2.values_at(a) == t[:-1]
+
+
+def test_the_canonical_form_is_a_witnessed_split_extension():
+    """X -> Y -> B with the coordinate projections of Y as its witness, for
+    every witness of every bundled fixture: also the 6 of the 17 whose
+    section psi o s is not the zero-tuple injection, where the rebuild
+    refuses and so checks nothing."""
+    forms = other_sections = 0
+    for name in EXTENSION_NAMES:
+        e, _, _, theta = load_fixture(name)
+        for w in find_witnesses(e, theta):
+            c = build_canonical(e, theta, w)
+            assert validate_split_extension(c.extension).ok
+            assert validate_witness(c.extension, theta, projections(c))
+            forms += 1
+            other_sections += not verify_isomorphism(e, c, w).entry("section_transport").ok
+    assert (forms, other_sections) == (17, 6)
 
 
 def test_three_way_carrier_agreement(fixture_case):
@@ -201,7 +218,7 @@ def test_transported_structure_satisfies_axioms(fixture_case):
     from wsext import check_equation
     name, e, w, axioms, theta = fixture_case
     c = build_canonical(e, theta, w)
-    YA = c.y_algebra()
+    YA = c.extension.A
     for ax in axioms:
         assert check_equation(YA, ax)
 
@@ -218,11 +235,14 @@ def test_example_verification_all_pass(example):
 def test_corrupted_transport_table_fails_homomorphism_square(example):
     e, w, _, theta = example
     c = build_canonical(e, theta, w)
-    table = list(c.ops_Y["+"])
+    YA = c.extension.A
+    table = list(YA.tables["+"])
     table[7] = (table[7] + 1) % len(c.Y)
-    corrupt = CanonicalExtension(c.X, c.B, c.n, c.theta, c.Y,
-                                 {"+": tuple(table), "0": c.ops_Y["0"]},
-                                 c.k_prime, c.pi_B, c.iota_B, c.gamma, c.gamma_id)
+    A = FiniteAlgebra(YA.signature, YA.size, {"+": tuple(table), "0": YA.tables["0"]})
+    ext = c.extension
+    corrupt = CanonicalExtension(c.X, c.B, c.theta, c.gamma, c.Y,
+                                 SplitExtension(ext.X, A, ext.B, ext.k, ext.p, ext.s),
+                                 c.gamma_id)
     rep = verify_isomorphism(e, corrupt, w)
     assert not rep.ok
     assert not (rep.entry("psi_homomorphism").ok and rep.entry("phi_homomorphism").ok)

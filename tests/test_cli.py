@@ -23,11 +23,10 @@ from wsext import (
     verify_isomorphism,
 )
 from wsext import extension as ext
-from wsext.algebra import FiniteAlgebra, FnTable, check_theta_admissible
+from wsext.algebra import FiniteAlgebra, check_theta_admissible
 from wsext.ambient import Carrier, membership_by_term
 from wsext.cli import main
 from wsext.errors import SectionNotHomomorphism
-from wsext.extension import SplitExtension, Witness
 from wsext.fixtures import EXTENSIONS, fixture_path
 from wsext.serialize import (
     canonical_to_obj,
@@ -37,7 +36,7 @@ from wsext.serialize import (
     to_text,
 )
 
-from conftest import load_fixture, run_cli, runs_of
+from conftest import assert_rebuilds, load_fixture, projections, run_cli, runs_of
 from oracles import brute_force_rebuild
 
 EXAMPLE = str(fixture_path("example_monoid"))
@@ -780,7 +779,7 @@ def test_gamma_check_rebuild_computes_the_carrier_once(name, tmp_path, monkeypat
 
     # the report and the rebuilt file are the canonical form read back
     e, w, axioms, theta = load_fixture(name)
-    c = build_canonical(e, theta, w)
+    c = assert_rebuilds(e, theta, w, axioms)
     assert json.loads(capsys.readouterr().out) == {
         "schema": "wsext.report/1",
         "command": "gamma-check",
@@ -790,11 +789,8 @@ def test_gamma_check_rebuild_computes_the_carrier_once(name, tmp_path, monkeypat
         "carrier_size": len(c.Y),
         "rebuild": {"ok": True, "out": str(rebuilt)},
     }
-    expected = SplitExtension(c.X, c.y_algebra(), c.B, c.k_prime, c.pi_B, c.iota_B)
-    projections = Witness(c.n, tuple(
-        FnTable(len(c.Y), c.X.size, tuple(t[i] for t in c.Y)) for i in range(c.n)))
     assert json.loads(rebuilt.read_text()) == json.loads(json.dumps(
-        extension_to_obj(expected, witness=projections, axioms=axioms)))
+        extension_to_obj(c.extension, witness=projections(c), axioms=axioms)))
 
 
 @pytest.mark.parametrize("name", sorted(EXTENSIONS))

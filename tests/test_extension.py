@@ -5,7 +5,6 @@ import pytest
 from wsext import (
     ExtensionMorphism,
     FnTable,
-    Signature,
     SplitExtension,
     TermSpec,
     ThetaSpec,
@@ -35,10 +34,8 @@ from wsext.errors import (
 from wsext.serialize import algebra_from_obj
 from wsext.fixtures import fixture_path
 
-from conftest import load_fixture
+from conftest import MSIG, load_fixture
 from oracles import brute_force_witnesses, classical_weakly_schreier, witness_key
-
-MSIG = Signature((("+", 2), ("0", 0)), "0")
 
 
 def trivial_quotient_extension(X):

@@ -34,9 +34,7 @@ from wsext.errors import (
 from wsext.canonical import membership_by_gamma_id
 from wsext.gammabuild import LeafRows
 
-from conftest import load_fixture, unclosed_constant_data
-
-MSIG = Signature((("+", 2), ("0", 0)), "0")
+from conftest import MSIG, assert_rebuilds, load_fixture, projections, unclosed_constant_data
 
 
 def extracted(name):
@@ -274,17 +272,10 @@ def test_condition_budgets_are_checked_in_order():
 
 def test_roundtrip_is_identity_on_carrier(fixture_case):
     name, e, w, axioms, theta = fixture_case
-    c = build_canonical(e, theta, w)
-    ext2, w2 = build_extension_from_gamma(extract_gamma(c, axioms))
-    assert ext2.A.size == len(c.Y)
-    assert ext2.A.tables == c.y_algebra().tables
-    assert ext2.k.values == c.k_prime.values
-    assert ext2.p.values == c.pi_B.values
-    assert ext2.s.values == c.iota_B.values
-    assert [q.values for q in w2.q] == [
-        tuple(t[i] for t in c.Y) for i in range(c.n)]
-    assert validate_split_extension(ext2).ok
-    assert validate_witness(ext2, theta, w2)
+    c = assert_rebuilds(e, theta, w, axioms)
+    assert c.extension.A.size == len(c.Y)
+    assert validate_split_extension(c.extension).ok
+    assert validate_witness(c.extension, theta, projections(c))
 
 
 def test_product_data_rebuilds_the_product_extension():

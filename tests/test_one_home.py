@@ -1,6 +1,7 @@
-"""Each test structure has one home: ``conftest.py`` holds the product
-extension, the semidirect product of groups, the outcome of a call, the
-label-independence check and the round-trip check, and
+"""Each test structure has one home: ``conftest.py`` holds the monoid
+signature, Z_m over any signature of operations of arity at most 2, the
+product extension, the semidirect product of groups, the outcome of a
+call, the label-independence check and the round-trip check, and
 ``test_properties.py`` draws its algebras from one strategy per kind
 (``free_algebras``, ``unital_algebras``) and its terms from one
 (``sig_terms``), each driven by the signature.  No test module but
@@ -14,7 +15,7 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 RETIRED = ("product_family", "dihedral_extension", "outcome", "any_outcome", "read_outcome",
            "small_algebras", "sig4_algebras", "zsig_algebras", "unital_magmas", "sig4_terms",
-           "usig_terms", "semidirect")
+           "usig_terms", "semidirect", "cyclic", "cyclic_group")
 
 
 def retired_definitions(source: str) -> list[str]:

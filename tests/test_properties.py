@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from wsext import (
     App,
     Equation,
+    FiniteAlgebra,
     FnTable,
     Signature,
     SplitExtension,
@@ -77,6 +78,8 @@ from wsext.transport import product_extension_check
 from conftest import (
     EXTENSION_NAMES,
     GSIG,
+    MSIG,
+    cyclic,
     group,
     load_fixture,
     outcome,
@@ -118,7 +121,6 @@ from oracles import (
     term_value,
 )
 
-MSIG = Signature((("+", 2), ("0", 0)), "0")
 
 # grid block sizes for the flat kernels: tiny ones cut even small grids
 # into many blocks, the real one keeps them whole
@@ -460,8 +462,7 @@ def test_check_equation_finds_the_first_failure_in_either_block_of_a_real_grid(a
 def test_check_equation_holds_less_than_one_full_grid_list():
     """Associativity on Z_64 has 262,144 assignments; a list of them all
     takes 2 MB, and the kernel holds a few blocks of 16,384 at a time."""
-    Z = make_algebra(MSIG, 64, {"+": [(a + b) % 64 for a, b in product(range(64), repeat=2)],
-                                "0": [0]})
+    Z = cyclic(64, MSIG)
     tracemalloc.start()
     try:
         assert check_equation(Z, ASSOCIATIVITY)
@@ -890,15 +891,9 @@ def test_sigma_tau_matches_the_oracle_on_product_extensions(X, B, points, data):
 
 # -- canonical form: writer, cross-checks and report against the per-entry oracles ----
 
-def cyclic_group(m: int):
-    """Z_m over USIG: +, unary minus, 0."""
-    return make_algebra(USIG, m, {"+": [(u + v) % m for u in range(m) for v in range(m)],
-                                  "-": [(-u) % m for u in range(m)], "0": [0]})
-
-
 def ternary_group(m: int):
-    """Z_m over TSIG: cyclic_group with the ternary t(x, y, z) = x - y + z."""
-    return make_algebra(TSIG, m, {**cyclic_group(m).tables, "t": [
+    """Z_m over TSIG: Z_m over USIG with the ternary t(x, y, z) = x - y + z."""
+    return make_algebra(TSIG, m, {**cyclic(m, USIG).tables, "t": [
         (u - v + w) % m for u, v, w in product(range(m), repeat=3)]})
 
 
@@ -921,7 +916,7 @@ def canonical_cases(draw, max_product_m=5):
         m, n = draw(st.sampled_from([(m, n) for m in range(2, max_product_m + 1)
                                      for n in (1, 2, 3)] if kind == "product"
                                     else [(2, 1), (2, 2), (3, 1)]))
-        Z = cyclic_group(m) if kind == "product" else ternary_group(m)
+        Z = cyclic(m, USIG) if kind == "product" else ternary_group(m)
         e, theta = product_extension(Z, Z), sum_theta(n)
         T = feasible_tuples(e, theta)
         choice = [draw(st.sampled_from(ts)) for ts in T]
@@ -966,22 +961,27 @@ def replace(record, **changes):
     return type(record)(**{**fields, **changes})
 
 
-def corrupt(c, data, fields=("ops_Y", "gamma", "gamma_id", "k_prime", "pi_B", "Y", "theta")):
+def corrupt(c, data, fields=("A", "gamma", "gamma_id", "k", "p", "Y", "theta")):
     """c with one entry of one of its tables replaced, within range, or
-    with its witness term replaced by a projection; one of ``fields``."""
+    with its witness term replaced by a projection; one of ``fields``, the
+    tables A, k and p those of its extension."""
     field = data.draw(st.sampled_from(fields))
     pick = lambda seq: data.draw(st.integers(0, len(seq) - 1))  # noqa: E731
     kernel_tuple = st.tuples(*[st.integers(0, c.X.size - 1)] * c.n)
-    if field in ("ops_Y", "gamma"):
+    if field == "gamma":
         name = data.draw(st.sampled_from(c.X.signature.op_names()))
-        table = list(getattr(c, field)[name])
-        j = pick(table)
-        table[j] = data.draw(kernel_tuple if field == "gamma"
-                             else st.integers(0, len(c.Y) - 1))
+        table = list(c.gamma[name])
+        table[pick(table)] = data.draw(kernel_tuple)
         size = c.space.size
-        table = (LeafRows(table[i:i + size] for i in range(0, len(table), size))
-                 if field == "gamma" else tuple(table))
-        return replace(c, **{field: {**getattr(c, field), name: table}})
+        table = LeafRows(table[i:i + size] for i in range(0, len(table), size))
+        return replace(c, gamma={**c.gamma, name: table})
+    if field == "A":
+        A = c.extension.A
+        name = data.draw(st.sampled_from(c.X.signature.op_names()))
+        table = list(A.tables[name])
+        table[pick(table)] = data.draw(st.integers(0, len(c.Y) - 1))
+        A = replace(A, tables={**A.tables, name: tuple(table)})
+        return replace(c, extension=replace(c.extension, A=A))
     if field == "gamma_id":
         table = list(c.gamma_id)
         table[pick(table)] = data.draw(kernel_tuple)
@@ -989,9 +989,9 @@ def corrupt(c, data, fields=("ops_Y", "gamma", "gamma_id", "k_prime", "pi_B", "Y
     if field == "theta":  # a projection: theta_X(ys, 0) need not be injective
         return replace(c, theta=ThetaSpec(
             c.theta.vars, Var(data.draw(st.sampled_from(c.theta.vars)))))
-    if field in ("k_prime", "pi_B"):
-        f = getattr(c, field)
-        return replace(c, **{field: perturb(f, data)})
+    if field in ("k", "p"):
+        f = getattr(c.extension, field)
+        return replace(c, extension=replace(c.extension, **{field: perturb(f, data)}))
     Y = [list(t) for t in c.Y]
     i = pick(Y)
     j = data.draw(st.integers(0, c.n))
@@ -1000,14 +1000,15 @@ def corrupt(c, data, fields=("ops_Y", "gamma", "gamma_id", "k_prime", "pi_B", "Y
 
 
 def transported(e, theta, w, c):
-    """c with the Y, ops_Y and k' of the transport along psi, one entry at a
-    time (brute_force_transport), in place of its own."""
+    """c with the Y, operations on Y and k' of the transport along psi, one
+    entry at a time (brute_force_transport), in place of its own."""
     psi_t = psi(e, w)
     image = sorted(psi_t.values)
     Y = tuple((*xs, b) for xs, b in map(c.space.unpack, image))
     y_pos = {z: i for i, z in enumerate(image)}
-    return replace(c, Y=Y, ops_Y=brute_force_transport(e, theta, w, Y),
-                   k_prime=FnTable(e.X.size, len(Y), tuple(y_pos[psi_t(a)] for a in e.k.values)))
+    A = FiniteAlgebra(c.X.signature, len(Y), brute_force_transport(e, theta, w, Y))
+    k = FnTable(e.X.size, len(Y), tuple(y_pos[psi_t(a)] for a in e.k.values))
+    return replace(c, Y=Y, extension=replace(c.extension, A=A, k=k))
 
 
 def verified(e, w, build):
@@ -1023,13 +1024,13 @@ def verified(e, w, build):
 def test_cross_checks_and_report_match_the_per_entry_loops(case, data):
     e, theta, w, _ = case
     c = build_canonical(e, theta, w)
-    assert c.ops_Y == brute_force_transport(e, theta, w, c.Y)
+    assert c.extension.A.tables == brute_force_transport(e, theta, w, c.Y)
     brute_force_cross_check(c)
     assert verify_isomorphism(e, c, w).to_json() == brute_force_verify(e, c, w).to_json()
 
     # the action data (gamma, theta) corrupted before Y is read off it: the
     # form passes verify_isomorphism exactly when the per-entry cross-check
-    # accepts the same data with the transported Y, ops_Y and k'
+    # accepts the same data with the transported Y, operations on Y and k'
     seen, read_off = [], canonical.carrier
 
     def corrupted_carrier(action_data, budget):
@@ -1053,7 +1054,7 @@ def test_cross_checks_and_report_match_the_per_entry_loops(case, data):
     assert_same_report(e, c, mutant)
     if validate_witness(e, theta, mutant, normalized=True):
         c2 = build_canonical(e, theta, mutant)
-        assert c2.ops_Y == brute_force_transport(e, theta, mutant, c2.Y)
+        assert c2.extension.A.tables == brute_force_transport(e, theta, mutant, c2.Y)
         brute_force_cross_check(c2)
 
 
@@ -1155,7 +1156,7 @@ def budget_bounds():
     which no earlier gate masks, its value at that cost, the message one
     below).  e is Z_2 -> Z_2 x Z_2 -> Z_2 with theta = x1 + y, so Y is all
     4 ambient tuples."""
-    Z2, Z3 = cyclic_group(2), cyclic_group(3)
+    Z2, Z3 = cyclic(2, USIG), cyclic(3, USIG)
     e, theta, plus = product_extension(Z2, Z2), sum_theta(1), operation_term("+", 2)
     w = find_witnesses(e, theta)[0]
     c = build_canonical(e, theta, w)

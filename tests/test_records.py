@@ -16,10 +16,9 @@ import wsext
 from conftest import load_fixture, outcome
 from oracles import dataclass_twin
 from wsext.algebra import DEFAULT_BUDGET, FnTable
-from wsext.ambient import TupleSpace, carrier
+from wsext.ambient import ActionData, TupleSpace, carrier
 from wsext.canonical import (
     CanonicalExtension,
-    _ActionData,
     build_canonical,
     sigma_tau_decompose,
 )
@@ -66,7 +65,7 @@ def fixture_samples(name: str) -> list:
     samples = [e, e.X, e.A, e.X.signature, e.k, e.p, w, *axioms, theta,
                TermSpec(theta.vars, theta.term), *subterms(theta.term),
                TupleSpace(e.X.size, w.n, e.B.size), c, g, read_off,
-               _ActionData(c.X, c.B, c.n, c.theta, c.gamma),
+               ActionData(c.X, c.B, c.theta, c.gamma),
                product_extension_check(e.X, theta), ExtensionMorphism(e, e, *ids),
                validate_witness(e, theta, w), validate_witness(e, theta, zero_w),
                *validate_split_extension(zero_s).entries]

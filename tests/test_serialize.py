@@ -4,12 +4,10 @@ import tracemalloc
 import pytest
 
 from wsext import (
-    Signature,
     ThetaSpec,
     build_canonical,
     find_witnesses,
     gammabuild,
-    make_algebra,
     parse_term,
 )
 from wsext import serialize as S
@@ -30,7 +28,7 @@ from wsext.serialize import (
     to_text,
 )
 
-from conftest import load_fixture, product_extension, run_cli
+from conftest import MSIG, cyclic, load_fixture, product_extension, run_cli
 
 
 def n2_obj():
@@ -249,21 +247,14 @@ def test_malformed_json_reports_file_error(tmp_path):
         algebra_from_obj(bad)
 
 
-PSIG = Signature((("+", 2), ("0", 0)), "0")
-PRODUCT_THETA = ThetaSpec(("x1", "x2", "y"), parse_term("(+ x1 (+ y x2))", PSIG, ["x1", "x2", "y"]))
-
-
-def cyclic(m: int):
-    """Z_m over PSIG."""
-    return make_algebra(PSIG, m, {"+": [(u + v) % m for u in range(m) for v in range(m)],
-                                  "0": [0]})
+PRODUCT_THETA = ThetaSpec(("x1", "x2", "y"), parse_term("(+ x1 (+ y x2))", MSIG, ["x1", "x2", "y"]))
 
 
 def product_family_files(tmp_path, m: int):
     """ext.json and theta.json of the product family Z_m -> Z_m x Z_m -> Z_m
     with x1 + y + x2, so n = 2 and |X^n x B| = m^3."""
     ext, theta = tmp_path / "ext.json", tmp_path / "theta.json"
-    dump_json(extension_to_obj(product_extension(cyclic(m), cyclic(m))), ext)
+    dump_json(extension_to_obj(product_extension(cyclic(m, MSIG), cyclic(m, MSIG))), ext)
     theta.write_text(json.dumps({"vars": ["x1", "x2", "y"], "term": "(+ x1 (+ y x2))"}))
     return ext, theta
 
@@ -272,7 +263,7 @@ def test_the_canonical_form_and_its_document_hold_no_flat_table():
     """At m = 10 the + table has 10^6 entries, so one flat table of them
     takes 8 MB of pointers; the canonical form and its document hold the
     table's 10 distinct rows of 1000 entries and an index of 1000 rows."""
-    e = product_extension(cyclic(10), cyclic(10))
+    e = product_extension(cyclic(10, MSIG), cyclic(10, MSIG))
     w = find_witnesses(e, PRODUCT_THETA, limit=1)[0]
     tracemalloc.start()
     try:

@@ -25,9 +25,8 @@ from wsext.errors import (
     UnknownSymbol,
 )
 
-from conftest import load_fixture
+from conftest import MSIG, load_fixture
 
-MSIG = Signature((("+", 2), ("0", 0)), "0")
 HSIG = Signature((("meet", 2), ("imp", 2), ("top", 0)), "top")
 
 

@@ -9,8 +9,12 @@ tests assert that the weakly Schreier extensions (a witness for x + y)
 lie strictly inside the new class (a witness for x1 + y + x2), that every
 witnessed pair canonicalizes, checks and rebuilds, and that no answer
 depends on the labels; the figures for orders <= 4 are asserted as well.
+A seeded sample of the splits with |A| <= 4 goes through ``check --json``
+and must give the library's answers.
 """
 
+import json
+import random
 from itertools import chain, product
 
 import pytest
@@ -18,17 +22,24 @@ import pytest
 from wsext import (
     Equation,
     FiniteAlgebra,
-    Signature,
     ThetaSpec,
     count_witnesses,
     find_witnesses,
+    is_schreier,
     parse_term,
     validate_split_extension,
 )
-from conftest import assert_labels_do_not_matter, assert_rebuilds, split_extensions, unital_tables
+from wsext.cli import main
+from wsext.serialize import dump_json, extension_to_obj, theta_to_obj
+from conftest import (
+    MSIG,
+    assert_labels_do_not_matter,
+    assert_rebuilds,
+    split_extensions,
+    unital_tables,
+)
 from oracles import brute_force_witnesses
 
-MSIG = Signature((("+", 2), ("0", 0)), "0")
 ASSOCIATIVITY = Equation(("x", "y", "z"), parse_term("(+ (+ x y) z)", MSIG, ["x", "y", "z"]),
                          parse_term("(+ x (+ y z))", MSIG, ["x", "y", "z"]))
 # the distinguished variable y comes last
@@ -114,6 +125,29 @@ def test_every_witnessed_pair_canonicalizes_checks_and_rebuilds(universe):
 
 def test_answers_do_not_depend_on_the_labels(universe):
     assert_labels_do_not_matter(universe[1], THETAS)
+
+
+def test_a_seeded_sample_checks_the_same_through_the_cli(universe, tmp_path, capsys):
+    """12 of the 267 splits with |A| <= 4, drawn by random.Random(30), each
+    written to a file and run through ``check --json`` under both terms:
+    the witness count, the Schreier answer and the exit code (0 iff there
+    is a witness, else 1) are the library's."""
+    sample = random.Random(30).sample([e for e in universe[1] if e.A.size <= 4], 12)
+    theta_files = [tmp_path / f"theta{j}.json" for j in range(len(THETAS))]
+    for theta, path in zip(THETAS, theta_files):
+        dump_json(theta_to_obj(theta), path)
+    codes = set()
+    for i, e in enumerate(sample):
+        ext = tmp_path / f"ext{i}.json"
+        dump_json(extension_to_obj(e), ext)
+        for theta, path in zip(THETAS, theta_files):
+            code = main(["check", str(ext), "--theta", str(path), "--json"])
+            report = json.loads(capsys.readouterr().out)
+            count = count_witnesses(e, theta)
+            assert (report["witness_count"], report["schreier"], code) == \
+                (count, is_schreier(e, theta), 0 if count else 1)
+            codes.add(code)
+    assert codes == {0, 1}
 
 
 def test_witness_counts_match_brute_force_up_to_order_three(universe):
