@@ -13,19 +13,17 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "algebra": (
         "DEFAULT_BUDGET", "Equation", "FiniteAlgebra", "FnTable", "Signature",
-        "check_commuting", "check_equation", "check_theta_admissible",
-        "is_homomorphism", "make_algebra", "trivial_algebra",
+        "TupleSpace", "check_equation", "check_theta_admissible", "is_homomorphism",
+        "make_algebra", "trivial_algebra",
     ),
-    "ambient": ("CandidateOps", "TupleSpace", "gamma_table", "membership_by_term"),
-    "canonical": (
-        "CanonicalExtension", "build_canonical", "membership_by_gamma_id", "psi",
-        "sigma_tau_decompose", "verify_isomorphism",
-    ),
+    "ambient": ("CandidateOps", "gamma_table", "membership_by_term"),
+    "canonical": ("CanonicalExtension", "build_canonical", "psi", "verify_isomorphism"),
     "extension": (
         "SplitExtension", "Witness", "count_witnesses", "feasible_tuples",
         "find_witnesses", "is_schreier", "phi", "semiabelian_witness",
         "validate_split_extension", "validate_witness",
     ),
+    "extras": ("check_commuting", "sigma_tau_decompose"),
     "gammabuild": (
         "GammaData", "build_extension_from_gamma", "check_conditions", "compute_Y",
         "extract_gamma",

@@ -14,6 +14,7 @@ axes of its own variables, in a FiniteAlgebra or ``ambient.CandidateOps``;
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain, compress, count, cycle, product, repeat
 from math import prod
 from operator import add, itemgetter, mul, ne
@@ -27,7 +28,6 @@ from .errors import (
     SizeMismatch,
     ThetaNotAdmissible,
     UnknownSymbol,
-    charge,
 )
 from .report import CheckResult, Record
 from .terms import App, Term, TermSpec, ThetaSpec, Var, require_declared_vars, substitute
@@ -107,6 +107,54 @@ def table_args(size: int, arity: int, idx: int) -> tuple[int, ...]:
         idx, a = divmod(idx, size)
         args.append(a)
     return tuple(reversed(args))
+
+
+class TupleSpace(Record):
+    """Mixed-radix index <-> tuple conversion for X^n x B (|X| n times, then
+    |B|), so index order is lex order on tuples."""
+
+    x_size: int
+    n: int
+    b_size: int
+
+    @property
+    def size(self) -> int:
+        return self.x_size ** self.n * self.b_size
+
+    @property
+    def radices(self) -> list[int]:
+        """The grid of the ambient tuples: n kernel coordinates, then B."""
+        return [self.x_size] * self.n + [self.b_size]
+
+    @cached_property
+    def kernel_tuples(self) -> list[tuple[int, ...]]:
+        """The |X|^n kernel tuples in lex order, built on first use."""
+        return list(product(range(self.x_size), repeat=self.n))
+
+    @cached_property
+    def kernel_rows(self) -> dict[tuple[int, ...], int]:
+        """Each kernel tuple xs -> the index of (xs, 0), built on first use."""
+        return {xs: i * self.b_size for i, xs in enumerate(self.kernel_tuples)}
+
+    def pack(self, xs: Sequence[int], b: int) -> int:
+        if len(xs) != self.n:
+            raise ArityMismatch(f"expected {self.n} kernel coordinates, got {len(xs)}")
+        for x in xs:
+            if not (0 <= x < self.x_size):
+                raise EntryOutOfRange(f"coordinate {x} outside 0..{self.x_size - 1}")
+        if not (0 <= b < self.b_size):
+            raise EntryOutOfRange(f"base coordinate {b} outside 0..{self.b_size - 1}")
+        return table_index(self.x_size, xs) * self.b_size + b
+
+    def unpack(self, idx: int) -> tuple[tuple[int, ...], int]:
+        return table_args(self.x_size, self.n, idx // self.b_size), idx % self.b_size
+
+    def indices(self) -> range:
+        return range(self.size)
+
+
+def ambient_space(e, n: int) -> TupleSpace:
+    return TupleSpace(e.X.size, n, e.B.size)
 
 
 # Grid points per block in grid_blocks: kernels that tabulate a term over a
@@ -362,44 +410,6 @@ def require_admissible(theta: ThetaSpec, A: FiniteAlgebra, where: str = "") -> N
         suffix = f" ({where})" if where else ""
         raise ThetaNotAdmissible(
             f"theta(0,..,0,x) != x at {res.counterexample}{suffix}")
-
-
-def check_commuting(
-    omega: TermSpec,
-    theta: ThetaSpec,
-    A: FiniteAlgebra,
-    budget: int = DEFAULT_BUDGET,
-) -> CheckResult:
-    """Interchange law between an m-ary term and the witness term.
-
-    For every m x (n+1) matrix of elements: applying theta to each row and
-    then omega to the results must equal applying omega down each column
-    and then theta.  The matrix entries are the variables of one equation,
-    in row-major order, and the counterexample is its first failing
-    matrix.  Raises SearchBudgetExceeded when the |A|^(m(n+1)) matrices
-    exceed ``budget``.
-    """
-    m, width = omega.arity, theta.arity
-    domain = A.size ** (m * width)
-    charge(domain, budget, f"commutation check needs {domain} cases, budget is {budget}")
-    rows = [[Var(f"a{j}_{i}") for i in range(width)] for j in range(m)]
-    columns = [[row[i] for row in rows] for i in range(width)]
-
-    def apply(spec: TermSpec, args) -> Term:
-        return substitute(spec.term, dict(zip(spec.vars, args)))
-
-    res = check_equation(A, Equation(
-        tuple(v.name for row in rows for v in row),
-        apply(omega, [apply(theta, row) for row in rows]),
-        apply(theta, [apply(omega, column) for column in columns])))
-    if res:
-        return res
-    values = list(res.counterexample["assignment"].values())
-    return CheckResult(False, {
-        "matrix": [values[j * width:(j + 1) * width] for j in range(m)],
-        "rows_first": res.counterexample["lhs"],
-        "columns_first": res.counterexample["rhs"],
-    })
 
 
 def tabulate_grid(spec: TermSpec, A, axes: Sequence[Sequence[int]]) -> list[int]:

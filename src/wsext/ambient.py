@@ -1,11 +1,6 @@
-"""The ambient tuple algebra X^n x B: indexing, candidate operations and
-the tabulations of terms in them; the action-data layer.
-
-A tuple (x_1, .., x_n, b) is packed into a single index in mixed radix
-(|X| repeated n times, then |B|), so index order is the lexicographic
-order on tuples.  ``TupleSpace`` is the one owner of this encoding: the
-index of a tuple and back, the grid radices, and the kernel tuples in
-lex order (``kernel_rows`` maps xs to the index of (xs, 0)).
+"""The action-data layer: the candidate operations on the ambient tuple
+algebra X^n x B (``algebra.TupleSpace``) and the tabulations of terms in
+them.
 
 Given one "action" table per basic operation (mapping ambient argument
 tuples to the first n output coordinates), the candidate operations make
@@ -27,7 +22,7 @@ embedding, the maps of the split extension X -> Y -> B.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import chain, product, repeat
+from itertools import chain, repeat
 from operator import add, eq, getitem
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -35,62 +30,15 @@ from .algebra import (
     DEFAULT_BUDGET,
     FiniteAlgebra,
     FnTable,
+    TupleSpace,
     _node,
     check_theta_admissible,
     table_args,
-    table_index,
     tabulate_grid,
 )
-from .errors import ArityMismatch, EntryOutOfRange, WrongTheta, charge
+from .errors import WrongTheta, charge
 from .report import CheckResult, Record, _once
 from .terms import TermSpec, ThetaSpec, operation_term
-
-
-class TupleSpace(Record):
-    """Mixed-radix index <-> tuple conversion for X^n x B."""
-
-    x_size: int
-    n: int
-    b_size: int
-
-    @property
-    def size(self) -> int:
-        return self.x_size ** self.n * self.b_size
-
-    @property
-    def radices(self) -> list[int]:
-        """The grid of the ambient tuples: n kernel coordinates, then B."""
-        return [self.x_size] * self.n + [self.b_size]
-
-    @cached_property
-    def kernel_tuples(self) -> list[tuple[int, ...]]:
-        """The |X|^n kernel tuples in lex order, built on first use."""
-        return list(product(range(self.x_size), repeat=self.n))
-
-    @cached_property
-    def kernel_rows(self) -> dict[tuple[int, ...], int]:
-        """Each kernel tuple xs -> the index of (xs, 0), built on first use."""
-        return {xs: i * self.b_size for i, xs in enumerate(self.kernel_tuples)}
-
-    def pack(self, xs: Sequence[int], b: int) -> int:
-        if len(xs) != self.n:
-            raise ArityMismatch(f"expected {self.n} kernel coordinates, got {len(xs)}")
-        for x in xs:
-            if not (0 <= x < self.x_size):
-                raise EntryOutOfRange(f"coordinate {x} outside 0..{self.x_size - 1}")
-        if not (0 <= b < self.b_size):
-            raise EntryOutOfRange(f"base coordinate {b} outside 0..{self.b_size - 1}")
-        return table_index(self.x_size, xs) * self.b_size + b
-
-    def unpack(self, idx: int) -> tuple[tuple[int, ...], int]:
-        return table_args(self.x_size, self.n, idx // self.b_size), idx % self.b_size
-
-    def indices(self) -> range:
-        return range(self.size)
-
-
-def ambient_space(e, n: int) -> TupleSpace:
-    return TupleSpace(e.X.size, n, e.B.size)
 
 
 class ActionTable:

@@ -40,8 +40,7 @@ from types import ModuleType
 from typing import Optional
 
 from . import extension as ext
-from .algebra import DEFAULT_BUDGET, FnTable, is_homomorphism
-from .ambient import ambient_space
+from .algebra import DEFAULT_BUDGET, FnTable, ambient_space, is_homomorphism
 from .errors import FileFormatError, IotaNotInY, SectionNotHomomorphism, ToolkitError
 from .serialize import (
     _load_json,
@@ -54,10 +53,9 @@ from .serialize import (
     load_extension,
     morphism_from_obj,
     theta_from_obj,
-    theta_to_obj,
     to_text,
 )
-from .terms import ThetaSpec, format_term
+from .terms import ThetaSpec, format_term, theta_to_obj
 
 
 def _lazy(name: str) -> ModuleType:

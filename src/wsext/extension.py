@@ -31,12 +31,12 @@ from .algebra import (
     FiniteAlgebra,
     FnTable,
     _tabulate,
+    ambient_space,
     check_equation,
     is_homomorphism,
     require_admissible,
     tabulate_grid,
 )
-from .ambient import ambient_space
 from .errors import (
     AlphaAxiomFailed,
     ExtensionInvalid,

@@ -5,8 +5,7 @@ All formats reject unknown keys.  Elements are integers everywhere; the
 optional ``element_names`` list on algebra files is documentation only.
 Nested algebra/action tables are row-major and arity-deep (arity 0 is a
 bare value).  Sub-objects may be inlined or given as a path relative to
-the referencing file.  Emitted documents use a fixed key order so that a
-byte-level comparison of two runs is meaningful.
+the referencing file.  ``writer`` writes the documents.
 """
 
 from __future__ import annotations
@@ -17,15 +16,12 @@ from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Optional, Sequence, Union
 
-from .algebra import Equation, FiniteAlgebra, FnTable, Signature, make_algebra
-from .ambient import ActionTable, LeafRows, TupleSpace
+from .algebra import Equation, FiniteAlgebra, FnTable, Signature, TupleSpace, make_algebra
 from .errors import FileFormatError
 from .extension import SplitExtension, Witness
-from .report import Report
-from .terms import ThetaSpec, format_term, parse_term
+from .terms import ThetaSpec, parse_term
 
 if TYPE_CHECKING:
-    from .canonical import CanonicalExtension
     from .gammabuild import GammaData
     from .transport import ExtensionMorphism
 
@@ -60,7 +56,7 @@ def _load_json(path: Path) -> Any:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise FileFormatError(f"{path}: JSON nested too deeply") from exc
@@ -153,15 +149,27 @@ def _int(value: Any, what: str) -> int:
 
 
 def _str(value: Any, what: str) -> str:
-    """``value``, if it is a string (a name or term text is never coerced)."""
+    """``value``, if it is a string (never coerced) that UTF-8 can encode,
+    so that it prints: a lone surrogate cannot."""
     if not isinstance(value, str):
         raise FileFormatError(f"{what}: expected a string, got {value!r}")
+    try:
+        value.encode()
+    except UnicodeEncodeError:
+        raise FileFormatError(f"{what}: {value!r} cannot be encoded as UTF-8") from None
     return value
 
 
+def _strs(values: Any, what: str) -> list[str]:
+    if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+        raise FileFormatError(f"{what}: expected a list of strings")
+    return [_str(v, what) for v in values]
+
+
 def _require_lists(level: Sequence, size: int, what: str) -> None:
-    # canonical_to_obj's documents hold their rows as _Rows
-    if not (set(map(type, level)) <= {list, _Row} and set(map(len, level)) <= {size}):
+    # canonical_to_obj's documents hold their rows as writer._Rows
+    if not (all(issubclass(t, list) for t in set(map(type, level)))
+            and set(map(len, level)) <= {size}):
         raise FileFormatError(f"{what}: expected a list of length {size}")
 
 
@@ -173,17 +181,6 @@ def _flatten_table(nested: Any, size: int, arity: int, what: str) -> list:
         _require_lists(level, size, what)
         level = list(chain.from_iterable(level))
     return level
-
-
-def _nest_table(flat: Sequence, size: int, arity: int) -> Any:
-    """Inverse of _flatten_table: cut the flat list into rows of ``size``,
-    arity - 1 times."""
-    if arity == 0:
-        return flat[0]
-    nested = list(flat)
-    for _ in range(arity - 1):
-        nested = [nested[i:i + size] for i in range(0, len(nested), size)]
-    return nested
 
 
 # -- algebra files --------------------------------------------------------------
@@ -222,20 +219,6 @@ def algebra_from_obj(obj: Source, base_dir: Optional[Path] = None) -> FiniteAlge
     return make_algebra(sig, size, tables)
 
 
-def algebra_to_obj(A: FiniteAlgebra, element_names: Optional[Sequence[str]] = None) -> dict:
-    obj = {
-        "signature": {
-            "ops": [{"name": n, "arity": a} for n, a in A.signature.ops],
-            "constant": A.signature.constant_name,
-        },
-        "size": A.size,
-        "tables": {n: _nest_table(A.tables[n], A.size, a) for n, a in A.signature.ops},
-    }
-    if element_names is not None:
-        obj["element_names"] = list(element_names)
-    return obj
-
-
 # -- function arrays -------------------------------------------------------------
 
 def _fn_from_list(values: Any, dom: int, cod: int, what: str) -> FnTable:
@@ -247,15 +230,9 @@ def _fn_from_list(values: Any, dom: int, cod: int, what: str) -> FnTable:
 def theta_from_obj(obj: Source, sig: Signature, base_dir: Optional[Path] = None) -> ThetaSpec:
     obj, _ = _resolve(obj, base_dir, "theta")
     _check_keys(obj, ["vars", "term"], [], "theta")
-    vars_ = obj["vars"]
-    if not isinstance(vars_, list) or not all(isinstance(v, str) for v in vars_):
-        raise FileFormatError("theta vars: expected a list of strings")
+    vars_ = _strs(obj["vars"], "theta vars")
     term = parse_term(_str(obj["term"], "theta term"), sig, vars_)
     return ThetaSpec(tuple(vars_), term)
-
-
-def theta_to_obj(theta: ThetaSpec) -> dict:
-    return {"vars": list(theta.vars), "term": format_term(theta.term)}
 
 
 # -- equations ---------------------------------------------------------------------
@@ -266,18 +243,11 @@ def equations_from_obj(items: Any, sig: Signature) -> tuple[Equation, ...]:
     out = []
     for item in items:
         _check_keys(item, ["vars", "lhs", "rhs"], [], "axiom")
-        vars_ = item["vars"]
-        if not isinstance(vars_, list) or not all(isinstance(v, str) for v in vars_):
-            raise FileFormatError("axiom vars: expected a list of strings")
+        vars_ = _strs(item["vars"], "axiom vars")
         lhs = parse_term(_str(item["lhs"], "axiom lhs"), sig, vars_)
         rhs = parse_term(_str(item["rhs"], "axiom rhs"), sig, vars_)
         out.append(Equation(tuple(vars_), lhs, rhs))
     return tuple(out)
-
-
-def equations_to_obj(axioms: Sequence[Equation]) -> list:
-    return [{"vars": list(ax.vars), "lhs": format_term(ax.lhs),
-             "rhs": format_term(ax.rhs)} for ax in axioms]
 
 
 # -- extension files -----------------------------------------------------------------
@@ -308,36 +278,14 @@ def extension_from_obj(
     return ext, witness, axioms
 
 
+# Kept for the spans of perfbench/traced.py, as is the CLI's
+# gamma_from_obj(_load_json(..)): serialize.ext_decode holds its
+# json_parse, and serialize.gamma_decode does not.
 def load_extension(path: Union[str, Path]):
-    """Kept, as is the CLI's gamma_from_obj(_load_json(..)), for the spans
-    of perfbench/traced.py: serialize.ext_decode holds its json_parse, and
-    serialize.gamma_decode does not."""
     return extension_from_obj(path)
 
 
-def extension_to_obj(
-    e: SplitExtension,
-    witness: Optional[Witness] = None,
-    axioms: Sequence[Equation] = (),
-) -> dict:
-    obj = {
-        "X": algebra_to_obj(e.X),
-        "A": algebra_to_obj(e.A),
-        "B": algebra_to_obj(e.B),
-        "k": list(e.k.values),
-        "p": list(e.p.values),
-        "s": list(e.s.values),
-    }
-    if witness is not None:
-        obj["witness"] = {"n": witness.n, "q": [list(q.values) for q in witness.q]}
-    if axioms:
-        obj["axioms"] = equations_to_obj(axioms)
-    return obj
-
-
 # -- action data files -----------------------------------------------------------------
-
-CANONICAL_SCHEMA = "wsext.canonical/1"
 
 _GAMMA_EXTRAS = ["schema", "n", "Y", "ops_Y", "k_prime", "pi_B", "iota_B",
                  "gamma_id", "verification"]
@@ -352,13 +300,17 @@ def gamma_from_obj(obj: Source, base_dir: Optional[Path] = None) -> GammaData:
 
     Of the extras that canonical_to_obj writes, ``schema`` and ``n`` are
     checked against the data when present; the others are not read."""
+    from .ambient import LeafRows
     from .gammabuild import GammaData
 
     obj, base_dir = _resolve(obj, base_dir, "gamma data")
     _check_keys(obj, ["X", "B", "theta", "gamma"], ["axioms"] + _GAMMA_EXTRAS, "gamma data")
-    if "schema" in obj and obj["schema"] != CANONICAL_SCHEMA:
-        raise FileFormatError(
-            f"schema: expected {CANONICAL_SCHEMA!r}, got {obj['schema']!r}")
+    if "schema" in obj:
+        from .writer import CANONICAL_SCHEMA
+
+        if obj["schema"] != CANONICAL_SCHEMA:
+            raise FileFormatError(
+                f"schema: expected {CANONICAL_SCHEMA!r}, got {obj['schema']!r}")
     X = algebra_from_obj(obj["X"], base_dir)
     B = algebra_from_obj(obj["B"], base_dir)
     theta = theta_from_obj(obj["theta"], X.signature, base_dir)
@@ -382,57 +334,6 @@ def gamma_from_obj(obj: Source, base_dir: Optional[Path] = None) -> GammaData:
             gamma[name] = table
     axioms = equations_from_obj(obj.get("axioms", []), X.signature)
     return GammaData(X, B, theta, gamma, axioms)
-
-
-def canonical_to_obj(
-    c: CanonicalExtension,
-    axioms: Sequence[Equation] = (),
-    verification: Optional[Report] = None,
-) -> dict:
-    """Canonical form as a document that gamma_from_obj can read back;
-    ops_Y, k_prime, pi_B and iota_B are the tables of its extension.
-
-    In the gamma tables and gamma_id equal n-tuples are one list, and each
-    distinct row of a table is one _Row of those, so a table costs one list
-    per distinct row, not one per entry.  The document is equal to one with
-    no sharing, but it is read-only: a change shows at every place the list
-    occurs, and not in the text dump_json writes.
-    """
-    ambient, ext = c.space.size, c.extension
-    entries: dict[tuple[int, ...], list[int]] = {}
-
-    def leaf(row: Sequence[tuple[int, ...]]) -> _Row:
-        for t in set(row).difference(entries):
-            entries[t] = list(t)
-        shared = _Row(map(entries.__getitem__, row))
-        shared.text = json.dumps(shared)
-        return shared
-
-    def nested(table: ActionTable, arity: int) -> Any:
-        leaves = {key: leaf(row) for key, row in table.rows.items()}
-        rows = list(map(leaves.__getitem__, table.prefixes))
-        return rows[0][0] if arity == 0 else _nest_table(rows, ambient, arity - 1)
-
-    obj = {
-        "schema": CANONICAL_SCHEMA,
-        "X": algebra_to_obj(c.X),
-        "B": algebra_to_obj(c.B),
-        "n": c.n,
-        "theta": theta_to_obj(c.theta),
-        "Y": [list(t) for t in c.Y],
-        "ops_Y": {name: _nest_table(ext.A.tables[name], len(c.Y), arity)
-                  for name, arity in c.X.signature.ops},
-        "k_prime": list(ext.k.values),
-        "pi_B": list(ext.p.values),
-        "iota_B": list(ext.s.values),
-        "gamma": {name: nested(c.gamma[name], arity)
-                  for name, arity in c.X.signature.ops},
-        "gamma_id": leaf(c.gamma_id),
-        "axioms": equations_to_obj(axioms),
-    }
-    if verification is not None:
-        obj["verification"] = verification.to_json()
-    return obj
 
 
 # -- morphism files ------------------------------------------------------------------
@@ -461,47 +362,22 @@ def hom_from_obj(obj: Source, base_dir: Optional[Path] = None) -> tuple[FiniteAl
     return B_prime, list(_ints(obj["f"], "f", B_prime.size))
 
 
-class _Row(list):
-    """A leaf row held at many places, with its JSON text encoded once."""
+# Kept for the spans of perfbench/traced.py: the writer's functions of the
+# same names, loaded on first use.
 
-    __slots__ = ("text",)
-
-
-def _write(obj: Any, pad: str, out: list[str]) -> None:
-    """Append the JSON text of ``obj`` to ``out``: dicts, lists of dicts and
-    lists of lists of containers are laid out as by ``indent=2``; any other
-    list is a leaf row (one gamma row, one algebra table row, Y) written on
-    one line, a _Row as its text.  The layout is decided from the first
-    element, so the Python-level work is per row."""
-    if isinstance(obj, dict) and obj:
-        items, brackets = [(json.dumps(k) + ": ", v) for k, v in obj.items()], "{}"
-    elif (isinstance(obj, list) and obj
-          and (isinstance(obj[0], dict)
-               or (isinstance(obj[0], list) and obj[0]
-                   and isinstance(obj[0][0], (list, dict))))):
-        items, brackets = [("", v) for v in obj], "[]"
-    else:
-        out.append(obj.text if type(obj) is _Row else json.dumps(obj))
-        return
-    inner, separator = pad + "  ", brackets[0] + "\n"
-    for key, value in items:
-        out.append(separator + inner + key)
-        _write(value, inner, out)
-        separator = ",\n"
-    out.append("\n" + pad + brackets[1])
+def canonical_to_obj(*args, **kwargs) -> dict:
+    from . import writer
+    return writer.canonical_to_obj(*args, **kwargs)
 
 
-def dump_json(obj: Any, path: Union[str, Path]) -> None:
-    """Write a document with one leaf row per line (see _write), piece by
-    piece: the text of a row shared at many places is held once."""
-    out: list[str] = []
-    _write(obj, "", out)
-    out.append("\n")
-    try:
-        with open(path, "w") as f:
-            f.writelines(out)
-    except OSError as exc:
-        raise FileFormatError(f"cannot write {path}: {exc}") from exc
+def extension_to_obj(*args, **kwargs) -> dict:
+    from . import writer
+    return writer.extension_to_obj(*args, **kwargs)
+
+
+def dump_json(*args, **kwargs) -> None:
+    from . import writer
+    writer.dump_json(*args, **kwargs)
 
 
 def to_text(obj: Any) -> str:

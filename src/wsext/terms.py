@@ -220,3 +220,8 @@ class ThetaSpec(TermSpec):
     @property
     def n(self) -> int:
         return len(self.vars) - 1
+
+
+def theta_to_obj(theta: ThetaSpec) -> dict:
+    """A witness term as a document."""
+    return {"vars": list(theta.vars), "term": format_term(theta.term)}

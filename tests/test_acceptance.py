@@ -29,13 +29,12 @@ from wsext import (
     verify_isomorphism,
 )
 from wsext import enumerate_homomorphisms, membership_by_term, pullback_extension
-from wsext.canonical import membership_by_gamma_id
 from wsext.errors import IotaNotInY
 from wsext.fixtures import fixture_path
 from wsext.terms import TermSpec, ThetaSpec
 
 from conftest import EXTENSION_NAMES, assert_rebuilds, load_fixture, run_cli
-from oracles import brute_force_witnesses, witness_key
+from oracles import brute_force_witnesses, membership_by_gamma_id, witness_key
 
 
 @contextmanager

@@ -11,7 +11,6 @@ from wsext import (
     find_witnesses,
     gamma_table,
     make_algebra,
-    membership_by_gamma_id,
     membership_by_term,
     parse_term,
     phi,
@@ -35,7 +34,7 @@ from wsext.errors import (
 from wsext.extension import SplitExtension
 
 from conftest import EXTENSION_NAMES, MSIG, load_fixture, projections
-from oracles import brute_force_gamma
+from oracles import brute_force_gamma, membership_by_gamma_id
 
 
 def unpackd(space, z):
@@ -246,6 +245,23 @@ def test_corrupted_transport_table_fails_homomorphism_square(example):
     rep = verify_isomorphism(e, corrupt, w)
     assert not rep.ok
     assert not (rep.entry("psi_homomorphism").ok and rep.entry("phi_homomorphism").ok)
+
+
+@pytest.mark.parametrize("which", ["X", "B"])
+def test_a_form_whose_extension_has_another_x_or_b_is_an_internal_check(example, which):
+    # the hand-built form above, with X or B of its extension changed
+    e, w, _, theta = example
+    c = build_canonical(e, theta, w)
+    ext = c.extension
+    alg = getattr(ext, which)
+    table = list(alg.tables["+"])
+    table[-1] = (table[-1] + 1) % alg.size
+    changed = FiniteAlgebra(alg.signature, alg.size, {"+": tuple(table), "0": alg.tables["0"]})
+    parts = {"X": ext.X, "B": ext.B, which: changed}
+    with pytest.raises(InternalCheckFailed, match="^the action data and the extension differ"):
+        CanonicalExtension(c.X, c.B, c.theta, c.gamma, c.Y,
+                           SplitExtension(parts["X"], ext.A, parts["B"], ext.k, ext.p, ext.s),
+                           c.gamma_id)
 
 
 def test_a_section_outside_the_carrier_is_an_internal_check(example, monkeypatch):

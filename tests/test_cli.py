@@ -1126,6 +1126,58 @@ def test_hostile_documents_are_file_errors(case, command, tmp_path):
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+# an integer literal past the interpreter's default limit on int-string
+# conversion (4300 digits): the whole-text decode raises ValueError, not
+# JSONDecodeError; (role, path to the literal, command that reads the role)
+LONG_INTEGERS = {
+    "extension k": ("extension", ("extension", "k", 1), "check"),
+    "theta vars": ("theta", ("theta", "vars", 0), "check"),
+    "canonical n": ("canonical", ("canonical", "n"), "gamma-check"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_INTEGERS))
+@pytest.mark.parametrize("json_mode", [False, True])
+def test_an_integer_past_the_digit_limit_is_a_file_error(case, json_mode, tmp_path):
+    role, path, command = LONG_INTEGERS[case]
+    docs = _documents()
+    _set(path, "<long>")(docs)
+    paths = _write_documents(docs, tmp_path)
+    paths[role].write_text(paths[role].read_text().replace('"<long>"', "9" * 5000))
+    res = run_cli(*_argv(command, paths), *(["--json"] if json_mode else []),
+                  PYTHONINTMAXSTRDIGITS=None)
+    assert res.returncode == 64
+    _assert_one_error_line(res)
+    assert res.stderr.startswith(f"error: {paths[role]}: invalid JSON: ")
+
+
+# names that UTF-8 cannot encode, which a plain report could not print
+LONE_SURROGATES = {
+    "theta variable": ("theta", ("theta", "vars", 0), "x1", "check"),
+    "axiom variable": ("extension", ("extension", "axioms", 1, "vars", 0), "x", "canonicalize"),
+    "operation name": ("algebra", ("algebra", "signature", "ops", 0, "name"), "+",
+                       "product-check"),
+    "signature constant": ("extension", ("extension", "X", "signature", "constant"), "0",
+                           "check"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONE_SURROGATES))
+@pytest.mark.parametrize("json_mode", [False, True])
+def test_a_name_with_a_lone_surrogate_is_a_file_error(case, json_mode, tmp_path):
+    role, path, name, command = LONE_SURROGATES[case]
+    docs = _documents()
+    _set(path, "\ud800")(docs)
+    # the name's other occurrences too, so that only its encoding is wrong
+    text = json.dumps(docs[role]).replace(json.dumps(f"({name} "), json.dumps("(\ud800 "))
+    docs[role] = json.loads(text)
+    res = run_cli(*_argv(command, _write_documents(docs, tmp_path)),
+                  *(["--json"] if json_mode else []))
+    assert res.returncode == 64
+    _assert_one_error_line(res)
+    assert "'\\ud800' cannot be encoded as UTF-8" in res.stderr
+
+
 # replacement values: leaves, containers, and whole documents of other roles
 FUZZ_DOCUMENT_VALUES = FUZZ_VALUES + [
     False, -10 ** 30, "", "a\x00b", "a\nb", "theta.json", [1, 2], [[0, 1], [1, 0]],

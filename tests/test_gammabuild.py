@@ -31,10 +31,10 @@ from wsext.errors import (
     SearchBudgetExceeded,
     WrongTheta,
 )
-from wsext.canonical import membership_by_gamma_id
 from wsext.gammabuild import LeafRows
 
 from conftest import MSIG, assert_rebuilds, load_fixture, projections, unclosed_constant_data
+from oracles import membership_by_gamma_id
 
 
 def extracted(name):

@@ -159,13 +159,16 @@ def test_importing_the_package_executes_no_layer():
     assert _probe(f"import json, sys, types, wsext; print(json.dumps({EXECUTED}))") == ["wsext"]
 
 
-BASE = ["wsext", "wsext.algebra", "wsext.ambient", "wsext.cli", "wsext.errors",
-        "wsext.extension", "wsext.report", "wsext.serialize", "wsext.terms"]
+BASE = ["wsext", "wsext.algebra", "wsext.cli", "wsext.errors", "wsext.extension",
+        "wsext.report", "wsext.serialize", "wsext.terms"]
 
 
 @pytest.mark.parametrize("command,layer", [
     ("check", None), ("canonicalize", "wsext.canonical"), ("gamma-check", "wsext.gammabuild")])
 def test_each_command_executes_only_its_layers(command, layer, tmp_path, capsys):
+    """``check`` executes neither the action-data layer, ``ambient``, nor
+    the document writer, nor the library-only ``extras``; the other two run
+    the action-data layer through their own and write a document."""
     ext, theta = str(fixture_path("example_monoid")), str(fixture_path("theta_monoid_xzy"))
     canon = tmp_path / "canon.json"
     argv = {
@@ -183,7 +186,7 @@ def test_each_command_executes_only_its_layers(command, layer, tmp_path, capsys)
         f"    code = cli.main({argv!r})\n"
         f"print(json.dumps([code, {EXECUTED}]))")
     assert code == 0
-    assert executed == sorted(BASE + ([layer] if layer else []))
+    assert executed == sorted(BASE + ([layer, "wsext.ambient", "wsext.writer"] if layer else []))
 
 
 def test_each_input_file_has_one_decoding_path():
@@ -204,8 +207,8 @@ EXPORTS = [
     "check_commuting", "check_conditions", "check_equation", "check_morphism_surjectivity",
     "check_theta_admissible", "compute_Y", "count_witnesses", "enumerate_homomorphisms",
     "extract_gamma", "feasible_tuples", "find_witnesses", "format_term", "gamma_table",
-    "is_homomorphism", "is_schreier", "make_algebra", "membership_by_gamma_id",
-    "membership_by_term", "parse_term", "phi", "product_algebra", "product_extension_check",
+    "is_homomorphism", "is_schreier", "make_algebra", "membership_by_term", "parse_term",
+    "phi", "product_algebra", "product_extension_check",
     "psi", "pullback_algebra", "pullback_extension", "semiabelian_witness",
     "sigma_tau_decompose", "subalgebra_closure", "trivial_algebra", "validate_morphism",
     "validate_split_extension", "validate_witness", "verify_isomorphism",
@@ -229,12 +232,14 @@ def test_the_public_namespace_is_unchanged():
         wsext.no_such_name
 
 
-# The layers of the package, lowest first.  canonical, gammabuild and
-# transport share one: each serves its own commands, canonical and
-# gammabuild as clients of the action-data layer, ambient, and none of the
-# three imports another.
+# The layers of the package, lowest first.  canonical, extras, gammabuild
+# and transport share one: each serves its own commands (extras none, the
+# library only), canonical and gammabuild as clients of the action-data
+# layer, ambient, and none of the four imports another.  The document
+# writer lies below serialize, which loads it on first use.
 LAYERS = [{"errors"}, {"report"}, {"terms"}, {"algebra"}, {"ambient"}, {"extension"},
-          {"canonical", "gammabuild", "transport"}, {"serialize"}, {"cli"}, {"__main__"}]
+          {"canonical", "extras", "gammabuild", "transport"}, {"writer"}, {"serialize"},
+          {"cli"}, {"__main__"}]
 LAYER_OF = {module: i for i, layer in enumerate(LAYERS) for module in layer}
 
 

@@ -47,7 +47,7 @@ from wsext import (
 
 from wsext import algebra, canonical, transport
 from wsext.ambient import carrier
-from wsext.canonical import membership_by_gamma_id, psi, verify_isomorphism
+from wsext.canonical import psi, verify_isomorphism
 from wsext.errors import (
     ArityMismatch,
     SearchBudgetExceeded,
@@ -116,6 +116,7 @@ from oracles import (
     brute_force_verify,
     brute_force_witness_check,
     listing_canonical_to_obj,
+    membership_by_gamma_id,
     per_entry_read_gamma,
     plain_rows,
     term_value,

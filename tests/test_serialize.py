@@ -16,7 +16,6 @@ from wsext.errors import FileFormatError
 from wsext.fixtures import fixture_path
 from wsext.serialize import (
     algebra_from_obj,
-    algebra_to_obj,
     canonical_to_obj,
     extension_from_obj,
     dump_json,
@@ -27,6 +26,7 @@ from wsext.serialize import (
     theta_from_obj,
     to_text,
 )
+from wsext.writer import algebra_to_obj
 
 from conftest import MSIG, cyclic, load_fixture, product_extension, run_cli
 

@@ -30,7 +30,8 @@ from wsext import (
     validate_split_extension,
 )
 from wsext.cli import main
-from wsext.serialize import dump_json, extension_to_obj, theta_to_obj
+from wsext.serialize import dump_json, extension_to_obj
+from wsext.terms import theta_to_obj
 from conftest import (
     MSIG,
     assert_labels_do_not_matter,
