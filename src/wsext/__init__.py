@@ -17,13 +17,16 @@ _EXPORTS = {
         "make_algebra", "trivial_algebra",
     ),
     "ambient": ("CandidateOps", "gamma_table", "membership_by_term"),
-    "canonical": ("CanonicalExtension", "build_canonical", "psi", "verify_isomorphism"),
+    "canonical": (
+        "CanonicalExtension", "build_canonical", "psi", "sigma_tau_decompose",
+        "verify_isomorphism",
+    ),
     "extension": (
         "SplitExtension", "Witness", "count_witnesses", "feasible_tuples",
         "find_witnesses", "is_schreier", "phi", "semiabelian_witness",
         "validate_split_extension", "validate_witness",
     ),
-    "extras": ("check_commuting", "sigma_tau_decompose"),
+    "extras": ("check_commuting",),
     "gammabuild": (
         "GammaData", "build_extension_from_gamma", "check_conditions", "compute_Y",
         "extract_gamma",

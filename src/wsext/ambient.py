@@ -40,6 +40,10 @@ from .errors import WrongTheta, charge
 from .report import CheckResult, Record, _once
 from .terms import TermSpec, ThetaSpec, operation_term
 
+# the schema of an action-data document that canonicalize writes and
+# gamma-check reads back
+CANONICAL_SCHEMA = "wsext.canonical/1"
+
 
 class ActionTable:
     """An action table by its distinct leaf rows: ``rows`` maps a key to a

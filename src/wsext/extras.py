@@ -1,25 +1,14 @@
-"""Library-only checks and constructions: the interchange law of a term
-with the witness term (``check_commuting``) and the four-map
-decomposition of the binary action for the monoid witness term x + z + y
-(``sigma_tau_decompose``).  No command runs them, so only the package's
+"""Library-only checks: the interchange law of a term with the witness
+term (``check_commuting``).  No command runs it, so only the package's
 name table loads this module.
 """
 
 from __future__ import annotations
 
-from .algebra import (
-    DEFAULT_BUDGET,
-    Equation,
-    FiniteAlgebra,
-    _gather,
-    check_equation,
-    grid_blocks,
-    tabulate_grid,
-)
-from .errors import WrongSignature, WrongTheta, charge
-from .extension import SplitExtension, Witness, _comparison, require_valid, require_witness
-from .report import CheckResult, Record, Report
-from .terms import App, Term, TermSpec, ThetaSpec, Var, substitute
+from .algebra import DEFAULT_BUDGET, Equation, FiniteAlgebra, check_equation
+from .errors import charge
+from .report import CheckResult
+from .terms import Term, TermSpec, ThetaSpec, Var, substitute
 
 
 def check_commuting(
@@ -58,99 +47,3 @@ def check_commuting(
         "rows_first": res.counterexample["lhs"],
         "columns_first": res.counterexample["rhs"],
     })
-
-
-# -- four-map decomposition of the binary action (monoid case) -----------------
-
-class TriTable(Record):
-    """A table for a three-argument map with per-argument domains."""
-
-    dims: tuple[int, int, int]
-    cod_size: int
-    values: tuple[int, ...]
-
-    def __call__(self, a: int, b: int, c: int) -> int:
-        return self.values[(a * self.dims[1] + b) * self.dims[2] + c]
-
-
-class SigmaTauDecomposition(Record):
-    sigma: tuple[TriTable, TriTable]
-    tau: tuple[TriTable, TriTable]
-    report: Report
-
-
-def sigma_tau_decompose(
-    e: SplitExtension,
-    theta: ThetaSpec,
-    w: Witness,
-    budget: int = DEFAULT_BUDGET,
-) -> SigmaTauDecomposition:
-    """Decompose the binary action table into four simpler maps.
-
-    Requires a monoid-shaped signature (one binary operation plus the
-    constant) and the witness term x + z + y (checked semantically on the
-    middle algebra).  Associativity lets the action at a pair of ambient
-    tuples be rewritten through
-    sigma_i(b, x, b') = q_i(s b + k x + s b') and
-    tau_i(x, b, x') = q_i(k x + s b + k x'); the report checks the
-    rewritten form against the direct action at every argument pair.
-    Raises SearchBudgetExceeded when the |A|^3 term evaluations of the
-    x + z + y check plus the (|X|^2 |B|)^2 argument pairs exceed ``budget``.
-    """
-    ops = [(nm, ar) for nm, ar in e.A.signature.ops]
-    binary = [nm for nm, ar in ops if ar == 2]
-    if len(binary) != 1 or len(ops) != 2:
-        raise WrongSignature(
-            "need exactly one binary operation and the constant, got "
-            + str(ops))
-    add = binary[0]
-    require_valid(e)
-    require_witness(e, theta, w)
-    if theta.n != 2:
-        raise WrongTheta(f"witness term must have arity 3, got {theta.arity}")
-    cost = e.A.size ** 3 + (e.X.size ** 2 * e.B.size) ** 2
-    charge(cost, budget, f"decomposition needs {cost} evaluations, budget is {budget}")
-    x, y, z = map(Var, theta.vars)
-    if not check_equation(e.A, Equation(theta.vars, theta.term,
-                                        App(add, (App(add, (x, z)), y)))):
-        raise WrongTheta("witness term is not x + z + y on the middle algebra")
-
-    # sigma_i(b, x, b') = q_i(s b + k x + s b'), tau_i(x, b, x') = q_i(k x + s b + k x'):
-    # (x + y) + z in A over the axes (s, k, s) and (k, s, k), read by each q_i
-    nX, nB = e.X.size, e.B.size
-    k, s = e.k.values, e.s.values
-    sum3 = TermSpec(theta.vars, App(add, (App(add, (x, y)), z)))
-
-    def tables(maps) -> tuple[TriTable, TriTable]:
-        sums = tabulate_grid(sum3, e.A, maps)
-        dims = tuple(map(len, maps))
-        return tuple(TriTable(dims, nX, _gather(sums)(qi.values)) for qi in w.q)
-
-    sigma = tables((s, k, s))
-    tau = tables((k, s, k))
-
-    # the direct action against its rewritten form, block by block over
-    # the argument pairs in lex order
-    bad, names = None, "x11 x21 b1 x12 x22 b2".split()
-    for x11, x21, b1, x12, x22, b2 in grid_blocks(names, list(map(Var, names)), e.A,
-                                                 list(map(range, (nX, nX, nB))) * 2):
-        points = len(x11)
-        at_sum = _gather(e.A.columns(add, [_comparison(e, theta, [x11, x21], b1),
-                                           _comparison(e, theta, [x12, x22], b2)], points))
-        direct = list(zip(*(at_sum(qi.values) for qi in w.q)))
-        mid = e.X.columns(add, [x21, x12], points)
-        at_sigma = _gather([(a * nX + b) * nB + c for a, b, c in zip(b1, mid, b2)])
-        left = e.X.columns(add, [x11, at_sigma(sigma[0].values)], points)
-        right = e.X.columns(add, [at_sigma(sigma[1].values), x22], points)
-        bb = e.B.columns(add, [b1, b2], points)
-        at_tau = _gather([(a * nB + b) * nX + c for a, b, c in zip(left, bb, right)])
-        composed = list(zip(*(at_tau(t.values) for t in tau)))
-        if direct != composed:
-            j = next(j for j, (d, c) in enumerate(zip(direct, composed)) if d != c)
-            bad = ((x11[j], x21[j], b1[j]), (x12[j], x22[j], b2[j]), direct[j], composed[j])
-            break
-    rep = Report()
-    rep.add("decomposition_identity", bad is None,
-            "" if bad is None else
-            f"args {bad[0]} , {bad[1]}: direct {bad[2]} != composed {bad[3]}")
-    return SigmaTauDecomposition(sigma, tau, rep)

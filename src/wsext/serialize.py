@@ -300,17 +300,14 @@ def gamma_from_obj(obj: Source, base_dir: Optional[Path] = None) -> GammaData:
 
     Of the extras that canonical_to_obj writes, ``schema`` and ``n`` are
     checked against the data when present; the others are not read."""
-    from .ambient import LeafRows
+    from .ambient import CANONICAL_SCHEMA, LeafRows
     from .gammabuild import GammaData
 
     obj, base_dir = _resolve(obj, base_dir, "gamma data")
     _check_keys(obj, ["X", "B", "theta", "gamma"], ["axioms"] + _GAMMA_EXTRAS, "gamma data")
-    if "schema" in obj:
-        from .writer import CANONICAL_SCHEMA
-
-        if obj["schema"] != CANONICAL_SCHEMA:
-            raise FileFormatError(
-                f"schema: expected {CANONICAL_SCHEMA!r}, got {obj['schema']!r}")
+    if "schema" in obj and obj["schema"] != CANONICAL_SCHEMA:
+        raise FileFormatError(
+            f"schema: expected {CANONICAL_SCHEMA!r}, got {obj['schema']!r}")
     X = algebra_from_obj(obj["X"], base_dir)
     B = algebra_from_obj(obj["B"], base_dir)
     theta = theta_from_obj(obj["theta"], X.signature, base_dir)

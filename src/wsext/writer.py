@@ -1,8 +1,7 @@
 """The document writer: the JSON documents the toolkit emits (algebras,
 extensions, canonical forms) and their layout.  ``serialize`` loads it on
 first use, through ``canonical_to_obj``, ``extension_to_obj`` and
-``dump_json`` or for the schema of a canonical document it reads, so
-``check`` never compiles it.  Emitted documents use a fixed key order so
+``dump_json``, so ``check`` and a plain ``gamma-check`` never compile it.  Emitted documents use a fixed key order so
 that a byte-level comparison of two runs is meaningful.
 """
 
@@ -21,8 +20,6 @@ from .terms import format_term, theta_to_obj
 if TYPE_CHECKING:
     from .ambient import ActionTable
     from .canonical import CanonicalExtension
-
-CANONICAL_SCHEMA = "wsext.canonical/1"
 
 
 class _Row(list):
@@ -95,6 +92,8 @@ def canonical_to_obj(
     no sharing, but it is read-only: a change shows at every place the list
     occurs, and not in the text dump_json writes.
     """
+    from .ambient import CANONICAL_SCHEMA
+
     ambient, ext = c.space.size, c.extension
     entries: dict[tuple[int, ...], list[int]] = {}
 

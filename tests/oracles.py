@@ -14,8 +14,7 @@ ever compared against.
 
 import dataclasses
 import json
-from itertools import chain, compress, product, repeat
-from operator import eq
+from itertools import product
 from pathlib import Path
 
 from wsext.algebra import (
@@ -25,7 +24,8 @@ from wsext.algebra import (
     FnTable,
     table_index,
 )
-from wsext.canonical import psi
+from wsext.ambient import CANONICAL_SCHEMA
+from wsext.canonical import SigmaTauDecomposition, TriTable, psi
 from wsext.errors import (
     AlphaAxiomFailed,
     ArityMismatch,
@@ -54,7 +54,6 @@ from wsext.extension import (
     validate_split_extension,
     validate_witness,
 )
-from wsext.extras import SigmaTauDecomposition, TriTable
 from wsext.report import CheckResult, Record, Report
 from wsext.serialize import (
     _GAMMA_EXTRAS,
@@ -65,7 +64,7 @@ from wsext.serialize import (
     theta_from_obj,
 )
 from wsext.terms import Term, TermSpec, ThetaSpec, Var, theta_to_obj
-from wsext.writer import CANONICAL_SCHEMA, _nest_table, algebra_to_obj, equations_to_obj
+from wsext.writer import _nest_table, algebra_to_obj, equations_to_obj
 
 
 # -- terms, one assignment at a time -----------------------------------------------
@@ -493,15 +492,6 @@ def brute_force_cross_check(c, budget: int = DEFAULT_BUDGET) -> None:
 def brute_force_fixpoint_carrier(c) -> list[int]:
     """Ambient indices z with gamma_id(z) = (z_1, .., z_n), one at a time."""
     return [z for z in c.space.indices() if c.gamma_id[z] == c.space.unpack(z)[0]]
-
-
-def membership_by_gamma_id(c) -> list[int]:
-    """Ambient indices satisfying the stored fixpoint condition
-    gamma_id(z) = (z_1, .., z_n), compared in one pass against the kernel
-    coordinates of every ambient tuple in lex order."""
-    space = c.space
-    xs_of_z = chain.from_iterable(map(repeat, space.kernel_tuples, repeat(space.b_size)))
-    return list(compress(space.indices(), map(eq, c.gamma_id, xs_of_z)))
 
 
 def brute_force_verify(e: SplitExtension, c, w: Witness) -> Report:

@@ -34,7 +34,7 @@ from wsext.fixtures import fixture_path
 from wsext.terms import TermSpec, ThetaSpec
 
 from conftest import EXTENSION_NAMES, assert_rebuilds, load_fixture, run_cli
-from oracles import brute_force_witnesses, membership_by_gamma_id, witness_key
+from oracles import brute_force_fixpoint_carrier, brute_force_witnesses, witness_key
 
 
 @contextmanager
@@ -97,7 +97,7 @@ def test_criterion_3_canonical_roundtrip():
 
                 # the three carrier definitions coincide
                 image = sorted(set(psi(e, w).values))
-                assert image == membership_by_gamma_id(c)
+                assert image == brute_force_fixpoint_carrier(c)
                 assert image == membership_by_term(c)
 
                 # transported q_i are the coordinate projections

@@ -34,7 +34,7 @@ from wsext.errors import (
 from wsext.extension import SplitExtension
 
 from conftest import EXTENSION_NAMES, MSIG, load_fixture, projections
-from oracles import brute_force_gamma, membership_by_gamma_id
+from oracles import brute_force_fixpoint_carrier, brute_force_gamma
 
 
 def unpackd(space, z):
@@ -184,7 +184,7 @@ def test_three_way_carrier_agreement(fixture_case):
         c = build_canonical(e, theta, w2)
         m_psi = psi(e, w2)
         image = sorted(set(m_psi.values))
-        assert image == membership_by_gamma_id(c)
+        assert image == brute_force_fixpoint_carrier(c)
         assert image == membership_by_term(c)
 
 
@@ -202,7 +202,7 @@ def test_remark_variant_membership_terms(fixture_case):
     }
     text, vars_ = variants[name]
     omega = TermSpec(tuple(vars_), parse_term(text, sig, vars_))
-    assert membership_by_term(c, omega) == membership_by_gamma_id(c)
+    assert membership_by_term(c, omega) == brute_force_fixpoint_carrier(c)
 
 
 def test_membership_term_without_unit_property_rejected(example):
@@ -271,7 +271,7 @@ def test_a_section_outside_the_carrier_is_an_internal_check(example, monkeypatch
     space = ambient_space(e, theta.n)
     values = list(psi(e, w).values)
     values[e.s(1)] = space.pack((1, 1), 0)  # not a member of Y
-    assert space.pack((1, 1), 0) not in membership_by_gamma_id(build_canonical(e, theta, w))
+    assert space.pack((1, 1), 0) not in brute_force_fixpoint_carrier(build_canonical(e, theta, w))
     monkeypatch.setattr(canonical, "psi", lambda *_: FnTable(e.A.size, space.size, tuple(values)))
     with pytest.raises(InternalCheckFailed,
                        match=r"^psi\(s\(1\)\) = \(\(1, 1\), 0\) lies outside the carrier$"):
@@ -322,7 +322,7 @@ def test_gamma_id_values_on_example(example):
     space = c.space
     assert c.gamma_id[space.pack((1, 0), 1)] == (1, 0)       # member
     assert c.gamma_id[space.pack((1, 1), 0)] == (0, 1)       # not a member
-    assert space.pack((1, 1), 0) not in membership_by_gamma_id(c)
+    assert space.pack((1, 1), 0) not in brute_force_fixpoint_carrier(c)
 
 
 def test_gamma_tables_preserve_zero(fixture_case):
@@ -354,7 +354,7 @@ def test_gamma_table_respects_budget(example):
 def test_membership_by_term_respects_budget(example):
     e, w, _, theta = example
     c = build_canonical(e, theta, w)
-    assert membership_by_term(c, budget=8) == membership_by_gamma_id(c)
+    assert membership_by_term(c, budget=8) == brute_force_fixpoint_carrier(c)
     with pytest.raises(SearchBudgetExceeded):
         membership_by_term(c, budget=7)
 

@@ -34,7 +34,7 @@ from wsext.errors import (
 from wsext.gammabuild import LeafRows
 
 from conftest import MSIG, assert_rebuilds, load_fixture, projections, unclosed_constant_data
-from oracles import membership_by_gamma_id
+from oracles import brute_force_fixpoint_carrier
 
 
 def extracted(name):
@@ -66,7 +66,7 @@ def test_extracted_example_carrier_has_five_elements():
     e, w, theta, c, g = extracted("example_monoid")
     Y = compute_Y(g)
     assert len(Y) == 5
-    assert Y == membership_by_gamma_id(c)
+    assert Y == brute_force_fixpoint_carrier(c)
 
 
 def test_compute_Y_respects_budget():

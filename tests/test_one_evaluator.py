@@ -19,9 +19,9 @@ columns, so a block loop around it cannot come back in another module.
 An operation's table is a term's (``terms.operation_term``), so the
 action-data layers ``gammabuild`` and ``canonical`` walk no grid by hand
 either: neither names ``grid_blocks`` nor an operation's ``columns``
-kernel.  Nor does ``extras``, except in ``sigma_tau_decompose``, whose
-early-exit check mixes lookups in X, B and the sigma/tau tables that no
-one algebra's term expresses.
+kernel, except ``sigma_tau_decompose``, whose early-exit check mixes
+lookups in X, B and the sigma/tau tables that no one algebra's term
+expresses.
 """
 
 import ast
@@ -36,8 +36,8 @@ MODULES = sorted(PACKAGE.rglob("*.py"))
 TABULATE_USERS = ("algebra.py", "extension.py")
 KERNEL_NAMES = ("_factored", "_spread")
 DELETED_NAMES = ("lex_grid", "_axis_columns", "fold_indices")
-# each module built on the action data and the functions in it that may walk a grid by hand
-GRID_WALKERS = {"gammabuild.py": (), "canonical.py": (), "extras.py": ("sigma_tau_decompose",)}
+# each action-data layer and the functions in it that may walk a grid by hand
+GRID_WALKERS = {"gammabuild.py": (), "canonical.py": ("sigma_tau_decompose",)}
 
 
 def uses(code, name: str) -> list[tuple[int, str]]:

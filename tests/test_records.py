@@ -17,14 +17,13 @@ from conftest import load_fixture, outcome
 from oracles import dataclass_twin
 from wsext.algebra import DEFAULT_BUDGET, FnTable, TupleSpace
 from wsext.ambient import ActionData, carrier
-from wsext.canonical import CanonicalExtension, build_canonical
+from wsext.canonical import CanonicalExtension, build_canonical, sigma_tau_decompose
 from wsext.extension import (
     SplitExtension,
     Witness,
     validate_split_extension,
     validate_witness,
 )
-from wsext.extras import sigma_tau_decompose
 from wsext.gammabuild import GammaData, _checked, extract_gamma
 from wsext.report import Record
 from wsext.terms import TermSpec
