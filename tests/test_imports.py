@@ -164,19 +164,22 @@ BASE = ["wsext", "wsext.algebra", "wsext.cli", "wsext.errors", "wsext.extension"
 
 
 @pytest.mark.parametrize("command,layer", [
-    ("check", None), ("canonicalize", "wsext.canonical"), ("gamma-check", "wsext.gammabuild")])
+    ("check", None), ("canonicalize", "wsext.canonical"), ("gamma-check", "wsext.gammabuild"),
+    ("gamma-check without --rebuild", "wsext.gammabuild")])
 def test_each_command_executes_only_its_layers(command, layer, tmp_path, capsys):
     """``check`` executes neither the action-data layer, ``ambient``, nor
     the document writer, nor the library-only ``extras``; the other two run
-    the action-data layer through their own and write a document."""
+    the action-data layer through their own, and the writer only when they
+    write a document (a canonical document's schema is ``ambient``'s)."""
     ext, theta = str(fixture_path("example_monoid")), str(fixture_path("theta_monoid_xzy"))
     canon = tmp_path / "canon.json"
     argv = {
         "check": ["check", ext, "--theta", theta],
         "canonicalize": ["canonicalize", ext, "--theta", theta, "-o", str(canon)],
         "gamma-check": ["gamma-check", str(canon), "--rebuild", str(tmp_path / "rebuilt.json")],
+        "gamma-check without --rebuild": ["gamma-check", str(canon)],
     }[command]
-    if command == "gamma-check":
+    if argv[0] == "gamma-check":
         assert main(["canonicalize", ext, "--theta", theta, "-o", str(canon)]) == 0
         capsys.readouterr()
     code, executed = _probe(
@@ -186,7 +189,8 @@ def test_each_command_executes_only_its_layers(command, layer, tmp_path, capsys)
         f"    code = cli.main({argv!r})\n"
         f"print(json.dumps([code, {EXECUTED}]))")
     assert code == 0
-    assert executed == sorted(BASE + ([layer, "wsext.ambient", "wsext.writer"] if layer else []))
+    writes = ["wsext.writer"] if argv[-2] in ("-o", "--rebuild") else []
+    assert executed == sorted(BASE + ([layer, "wsext.ambient"] + writes if layer else []))
 
 
 def test_each_input_file_has_one_decoding_path():
