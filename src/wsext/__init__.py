@@ -16,7 +16,7 @@ _EXPORTS = {
         "TupleSpace", "check_equation", "check_theta_admissible", "is_homomorphism",
         "make_algebra", "trivial_algebra",
     ),
-    "ambient": ("CandidateOps", "gamma_table", "membership_by_term"),
+    "ambient": ("gamma_table", "membership_by_term"),
     "canonical": (
         "CanonicalExtension", "build_canonical", "psi", "sigma_tau_decompose",
         "verify_isomorphism",
@@ -26,7 +26,6 @@ _EXPORTS = {
         "find_witnesses", "is_schreier", "phi", "semiabelian_witness",
         "validate_split_extension", "validate_witness",
     ),
-    "extras": ("check_commuting",),
     "gammabuild": (
         "GammaData", "build_extension_from_gamma", "check_conditions", "compute_Y",
         "extract_gamma",
@@ -34,7 +33,7 @@ _EXPORTS = {
     "report": ("CheckResult", "Report", "ReportEntry"),
     "terms": ("App", "Term", "TermSpec", "ThetaSpec", "Var", "format_term", "parse_term"),
     "transport": (
-        "ExtensionMorphism", "ProductCheck", "check_morphism_surjectivity",
+        "ExtensionMorphism", "ProductCheck", "check_commuting", "check_morphism_surjectivity",
         "enumerate_homomorphisms", "product_algebra", "product_extension_check",
         "pullback_algebra", "pullback_extension", "subalgebra_closure",
         "validate_morphism",

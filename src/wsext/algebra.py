@@ -7,7 +7,7 @@ distinguished constant (the "zero" of the pointed variety); its value may
 be any carrier index, not necessarily 0.
 
 One kernel, ``_factored``, tabulates every term, each subterm over the
-axes of its own variables, in a FiniteAlgebra or ``ambient.CandidateOps``;
+axes of its own variables, in a FiniteAlgebra or ``ambient.ActionData``;
 ``grid_blocks`` runs it over a grid for ``tabulate_grid`` and
 ``check_equation``, and ``_tabulate`` on columns that are not a grid.
 """
@@ -446,7 +446,7 @@ def _factored(t: Term, A, env: Mapping, lens: Sequence[int]):
     a FiniteAlgebra's tables a unary node or one with a constant second
     argument is a gather, a binary one with ordered variables an outer
     product of rows; other nodes spread their arguments onto one grid for
-    A's ``columns`` kernel (all nodes in ``ambient.CandidateOps``)."""
+    A's ``columns`` kernel (all nodes in an ``ambient.ActionData``)."""
     if isinstance(t, Var):
         return env[t.name]
     args = [_factored(a, A, env, lens) for a in t.args]

@@ -1,22 +1,22 @@
-"""The action-data layer: the candidate operations on the ambient tuple
-algebra X^n x B (``algebra.TupleSpace``) and the tabulations of terms in
-them.
+"""The action-data layer: action data (``ActionData``) as the candidate
+operations on the ambient tuple algebra X^n x B (``algebra.TupleSpace``)
+and the tabulations of terms in them.
 
 Given one "action" table per basic operation (mapping ambient argument
 tuples to the first n output coordinates), the candidate operations make
 the ambient set an algebra-like structure, the last coordinate computed
 in B.  An ``ActionTable`` holds a table by its leaf rows: argument tuple
 z = prefix * |S| + last is entry ``last`` of the row at ``prefix``.
-``CandidateOps.columns`` is the one reader of a table by ambient index;
-every term, a basic operation too (``terms.operation_term``), is
-tabulated in the candidate operations by ``algebra.tabulate_grid``, here
-for the carrier by term (``membership_by_term``), the operations on it
-(``carrier``) and the action table of a term (``gamma_table``).
 ``ActionData`` is the one record of action data, X, B, theta and gamma,
-that canonical forms and raw action data extend; it gives them their
-ambient space and candidate operations.  ``carrier`` is the one reading
-of Y off it, for both: Y's operations, the base coordinate and the kernel
-embedding, the maps of the split extension X -> Y -> B.
+that canonical forms and raw action data extend, with its ambient space,
+the index of its zero tuple, and ``columns``, the candidate operations'
+kernel and the one reader of a table by ambient index.  Every term, a
+basic operation too (``terms.operation_term``), is tabulated in the
+action data itself by ``algebra.tabulate_grid``, here for the carrier by
+term (``membership_by_term``), the operations on it (``carrier``) and the
+action table of a term (``gamma_table``).  ``carrier`` is the one reading
+of Y off action data, for both: Y's operations, the base coordinate and
+the kernel embedding, the maps of the split extension X -> Y -> B.
 """
 
 from __future__ import annotations
@@ -84,35 +84,13 @@ class LeafRows(ActionTable):
         super().__init__(keys, dict(zip(keys, rows)))
 
 
-class CandidateOps:
-    """Ambient-set operations induced by action tables and the base algebra.
-
-    ``columns`` is their kernel for ``algebra._factored``: the action
-    table gives the first n output coordinates, B the last.
-    """
-
-    def __init__(self, space: TupleSpace, gamma: Mapping[str, ActionTable],
-                 B: FiniteAlgebra, x_zero: int):
-        self.space = space
-        self.gamma = gamma
-        self.B = B
-        self.zero_tuple = space.pack((x_zero,) * space.n, B.zero)
-
-    def columns(self, name: str, args: Sequence[Sequence[int]], block: int) -> list[int]:
-        table = self.gamma[name]
-        # the row at each point's leading arguments, read at its last one
-        keys = _node(table.prefixes, self.space.size, args[:-1], block)
-        xs = map(getitem, map(table.rows.__getitem__, keys), args[-1] if args else repeat(0))
-        b_size = self.B.size
-        base = self.B.columns(name, [[z % b_size for z in col] for col in args], block)
-        return list(map(add, map(self.space.kernel_rows.__getitem__, xs), base))
-
-
 class ActionData(Record):
     """Action data: the kernel and base algebras ``X`` and ``B``, the
     witness term ``theta`` with its ``n`` kernel arguments, and one action
-    table per operation in ``gamma``; with its ambient space and candidate
-    operations."""
+    table per operation in ``gamma``; with its ambient space, the index of
+    its zero tuple, and the candidate operations as a column kernel for
+    ``algebra._factored``: the action table gives the first n output
+    coordinates, B the last."""
 
     X: FiniteAlgebra
     B: FiniteAlgebra
@@ -127,8 +105,20 @@ class ActionData(Record):
     def space(self) -> TupleSpace:
         return TupleSpace(self.X.size, self.n, self.B.size)
 
-    def candidate_ops(self) -> CandidateOps:
-        return CandidateOps(self.space, self.gamma, self.B, self.X.zero)
+    @cached_property
+    def zero_row(self) -> int:
+        """The ambient index of (0, .., 0, 0); (0, .., 0, b) sits at
+        ``zero_row + b``."""
+        return self.space.pack((self.X.zero,) * self.n, 0)
+
+    def columns(self, name: str, args: Sequence[Sequence[int]], block: int) -> list[int]:
+        table = self.gamma[name]
+        # the row at each point's leading arguments, read at its last one
+        keys = _node(table.prefixes, self.space.size, args[:-1], block)
+        xs = map(getitem, map(table.rows.__getitem__, keys), args[-1] if args else repeat(0))
+        b_size = self.B.size
+        base = self.B.columns(name, [[z % b_size for z in col] for col in args], block)
+        return list(map(add, map(self.space.kernel_rows.__getitem__, xs), base))
 
 
 @_once
@@ -159,8 +149,7 @@ def membership_by_term(c: ActionData, omega: Optional[TermSpec] = None,
     if failure:
         raise WrongTheta(
             f"membership term lacks the unit property on the {failure[0]} algebra")
-    ops = c.candidate_ops()
-    values = tabulate_grid(omega, ops, [[ops.zero_tuple]] * (omega.arity - 1)
+    values = tabulate_grid(omega, c, [[c.zero_row + c.B.zero]] * (omega.arity - 1)
                            + [space.indices()])
     b_size = space.b_size
     return [z for z, v in enumerate(values) if v // b_size == z // b_size]
@@ -176,7 +165,7 @@ def gamma_table(c: ActionData, omega: TermSpec,
     space = c.space
     needed = space.size ** omega.arity
     charge(needed, budget, f"action table needs {needed} entries, budget is {budget}")
-    values = tabulate_grid(omega, c.candidate_ops(), [space.indices()] * omega.arity)
+    values = tabulate_grid(omega, c, [space.indices()] * omega.arity)
     kernel_tuples, b_size = space.kernel_tuples, space.b_size
     entries = [kernel_tuples[v // b_size] for v in values]
     return LeafRows(entries[i:i + space.size] for i in range(0, len(entries), space.size))
@@ -214,12 +203,11 @@ def carrier(c: ActionData, budget: int, members=membership_by_term) -> Carrier:
     ``tabulate_grid`` call, up to the first that leaves Y, and raises
     SearchBudgetExceeded first when |Y|^arity exceeds ``budget``."""
     Y = members(c, budget=budget)
-    ops = c.candidate_ops()
     y_pos = {z: i for i, z in enumerate(Y)}
     tables, closure_failure = {}, ""
     for name, arity in c.X.signature.ops:
         charge(len(Y) ** arity, budget, f"closure check for {name!r} exceeds budget")
-        table = list(map(y_pos.get, tabulate_grid(operation_term(name, arity), ops, [Y] * arity)))
+        table = list(map(y_pos.get, tabulate_grid(operation_term(name, arity), c, [Y] * arity)))
         if None in table:
             args = table_args(len(Y), arity, table.index(None))
             closure_failure = f"carrier not closed under {name!r} at {tuple(Y[i] for i in args)}"

@@ -181,7 +181,7 @@ def verify_isomorphism(e: SplitExtension, c: CanonicalExtension, w: Witness) -> 
     rep.add("quotient_transport", p_ok)
 
     bad = next((b for b in range(e.B.size)
-                if psi_t(e.s(b)) != space.pack((e.X.zero,) * c.n, b)), None)
+                if psi_t(e.s(b)) != c.zero_row + b), None)
     rep.add("section_transport", bad is None,
             "" if bad is None else
             f"psi(s({bad})) = {space.unpack(psi_t(e.s(bad)))}, "

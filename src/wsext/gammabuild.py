@@ -145,7 +145,6 @@ def _checked(g: GammaData, budget: int) -> tuple[Report, Carrier]:
     b_size = space.b_size
     car = carrier(g, budget, compute_Y)
     Y, y_pos, kz, kx = car.Y, car.y_pos, car.kz, car.kx
-    ops = g.candidate_ops()
 
     def xs_of(z: int) -> tuple[int, ...]:
         return space.unpack(z)[0]
@@ -174,7 +173,7 @@ def _checked(g: GammaData, budget: int) -> tuple[Report, Carrier]:
     for name, arity in g.X.signature.ops:
         charge(len(kz) ** arity, budget, f"condition 3 for {name!r} exceeds budget")
         op = operation_term(name, arity)
-        lhs = theta0(tabulate_grid(op, ops, [kz] * arity))
+        lhs = theta0(tabulate_grid(op, g, [kz] * arity))
         rhs = tabulate_grid(op, g.X, [kx] * arity)
         if lhs != rhs:
             j = next(j for j, (u, v) in enumerate(zip(lhs, rhs)) if u != v)
@@ -188,8 +187,7 @@ def _checked(g: GammaData, budget: int) -> tuple[Report, Carrier]:
     # ((ys_1, 0_B), .., (ys_n, 0_B), (0, .., 0, b)) has its kernel coordinates
     failure = ""
     charge(len(kz) ** g.n * b_size, budget, "condition 4 exceeds budget")
-    zero_row = space.pack((g.X.zero,) * g.n, 0)  # the ambient index of (0, .., 0, 0)
-    got = tabulate_grid(g.theta, ops, [kz] * g.n + [range(zero_row, zero_row + b_size)])
+    got = tabulate_grid(g.theta, g, [kz] * g.n + [range(g.zero_row, g.zero_row + b_size)])
     targets = fold(space.radices, [kx] * g.n + [range(b_size)])
     j = next((j for j, (t, z) in enumerate(zip(targets, got))
               if t in y_pos and z // b_size != t // b_size), None)
@@ -227,12 +225,11 @@ def build_extension_from_gamma(g: GammaData,
     Y, y_pos = car.Y, car.y_pos
     b_size = g.B.size
 
-    zero_row = g.space.pack((g.X.zero,) * g.n, 0)  # the ambient index of (0, .., 0, 0)
-    missing = [b for b in range(b_size) if zero_row + b not in y_pos]
+    missing = [b for b in range(b_size) if g.zero_row + b not in y_pos]
     if missing:
         raise IotaNotInY(f"zero-tuple section misses the carrier at base {missing}")
 
-    s = FnTable(b_size, len(Y), tuple(y_pos[zero_row + b] for b in range(b_size)))
+    s = FnTable(b_size, len(Y), tuple(y_pos[g.zero_row + b] for b in range(b_size)))
     res = is_homomorphism(s, g.B, car.algebra)
     if not res:
         raise SectionNotHomomorphism(

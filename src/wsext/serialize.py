@@ -42,7 +42,8 @@ def _check_keys(obj: dict, required: Sequence[str], optional: Sequence[str], wha
 def _load_json(path: Path) -> Any:
     """The document in a file, read line by line; equal row lines decode to
     one shared list (_decode_shared_rows), so the document is read-only.
-    Only a file not UTF-8 or in doubt is read again, for json's message."""
+    Only a file not UTF-8 or in doubt is read again, for json's message.
+    A repeated key, NaN and Infinity are invalid (_unique, _refuse)."""
     try:
         try:
             with open(path) as lines:
@@ -55,11 +56,26 @@ def _load_json(path: Path) -> Any:
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the name
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+        return json.loads(text, object_pairs_hook=_unique, parse_constant=_refuse)
+    except ValueError as exc:  # JSONDecodeError, a hook's, or an integer past the digit limit
         raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise FileFormatError(f"{path}: JSON nested too deeply") from exc
+
+
+def _unique(pairs: list) -> dict:
+    """An object from its (key, value) pairs; a repeated key is an error."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        key = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ValueError(f"duplicate key {json.dumps(key)}")
+    return obj
+
+
+def _refuse(constant: str):
+    """NaN, Infinity and -Infinity: json reads them, JSON has none."""
+    raise ValueError(f"{constant} is not a JSON value")
 
 
 # A line that holds one whole array and no string, such as a leaf row of
@@ -91,7 +107,7 @@ def _decode_shared_rows(lines: Iterable[str]) -> Any:
         indent, row, tail = match.groups()
         if row not in row_ids:
             try:
-                rows.append(json.loads(row))
+                rows.append(json.loads(row, parse_constant=_refuse))
             except (ValueError, RecursionError):
                 return None
             row_ids[row] = len(rows) - 1
@@ -107,15 +123,16 @@ def _decode_shared_rows(lines: Iterable[str]) -> Any:
         skeleton.append(line if ref is None else ref)
         made += ref is not None
 
-    def resolve(obj: dict) -> Any:
+    def resolve(pairs: list) -> Any:
         nonlocal made
+        obj = _unique(pairs)
         if _ROW_REF not in obj:
             return obj
         made -= 1
         return rows[obj[_ROW_REF]]
 
     try:
-        doc = json.loads("".join(skeleton), object_hook=resolve)
+        doc = json.loads("".join(skeleton), object_pairs_hook=resolve, parse_constant=_refuse)
     except (ValueError, RecursionError, LookupError, TypeError):
         return None
     # a document object keyed like a reference shows as one reference too many

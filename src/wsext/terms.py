@@ -3,7 +3,8 @@
 The term text format is minimal: a term is either a variable name, a
 0-ary operation name, or ``(op t1 ... tk)`` with whitespace-separated
 subterms.  There is no infix syntax and no escaping; symbols are runs of
-non-whitespace, non-parenthesis ASCII characters.
+any characters but parentheses and whitespace (``str.isspace``), so
+non-ASCII ones too.
 
 Terms are syntax only: their values are tabulated by the one term kernel,
 ``algebra._factored``, each subterm over the axes of its own variables.

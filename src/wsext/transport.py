@@ -1,7 +1,8 @@
 """Transport along maps: homomorphism enumeration, pullbacks, products
 and subalgebra closure of finite algebras; pullbacks of split extensions
-with their witnesses, the product-extension condition, and morphisms of
-extensions.
+with their witnesses, the two witness-term conditions on one algebra
+(the product-extension condition and the interchange law,
+``check_commuting``, which no command runs), and morphisms of extensions.
 
 Only ``pullback``, ``product-check`` and ``morphism-check`` run this
 code, so it is a layer of its own beside ``canonical`` and
@@ -15,9 +16,11 @@ from typing import Mapping, Optional, Sequence
 
 from .algebra import (
     DEFAULT_BUDGET,
+    Equation,
     FiniteAlgebra,
     FnTable,
     _require_same_signature,
+    check_equation,
     is_homomorphism,
     require_admissible,
     table_args,
@@ -39,8 +42,8 @@ from .extension import (
     validate_split_extension,
     validate_witness,
 )
-from .report import Record, Report
-from .terms import ThetaSpec, operation_term
+from .report import CheckResult, Record, Report
+from .terms import Term, TermSpec, ThetaSpec, Var, operation_term, substitute
 
 
 # -- algebras ------------------------------------------------------------------
@@ -262,6 +265,44 @@ def product_extension_check(X: FiniteAlgebra, theta: ThetaSpec,
     choices = [table_args(X.size, n, first[x]) for x in range(X.size)]
     q = tuple(FnTable(X.size, X.size, tuple(ys[i] for ys in choices)) for i in range(n))
     return ProductCheck(True, q, None)
+
+
+def check_commuting(
+    omega: TermSpec,
+    theta: ThetaSpec,
+    A: FiniteAlgebra,
+    budget: int = DEFAULT_BUDGET,
+) -> CheckResult:
+    """Interchange law between an m-ary term and the witness term.
+
+    For every m x (n+1) matrix of elements: applying theta to each row and
+    then omega to the results must equal applying omega down each column
+    and then theta.  The matrix entries are the variables of one equation,
+    in row-major order, and the counterexample is its first failing
+    matrix.  Raises SearchBudgetExceeded when the |A|^(m(n+1)) matrices
+    exceed ``budget``.
+    """
+    m, width = omega.arity, theta.arity
+    domain = A.size ** (m * width)
+    charge(domain, budget, f"commutation check needs {domain} cases, budget is {budget}")
+    rows = [[Var(f"a{j}_{i}") for i in range(width)] for j in range(m)]
+    columns = [[row[i] for row in rows] for i in range(width)]
+
+    def apply(spec: TermSpec, args) -> Term:
+        return substitute(spec.term, dict(zip(spec.vars, args)))
+
+    res = check_equation(A, Equation(
+        tuple(v.name for row in rows for v in row),
+        apply(omega, [apply(theta, row) for row in rows]),
+        apply(theta, [apply(omega, column) for column in columns])))
+    if res:
+        return res
+    values = list(res.counterexample["assignment"].values())
+    return CheckResult(False, {
+        "matrix": [values[j * width:(j + 1) * width] for j in range(m)],
+        "rows_first": res.counterexample["lhs"],
+        "columns_first": res.counterexample["rhs"],
+    })
 
 
 # -- morphisms of extensions ---------------------------------------------------

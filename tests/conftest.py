@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import contextmanager
@@ -54,6 +55,34 @@ def run_cli(*args, stdout=subprocess.PIPE, entry=("-m", "wsext"), **variables):
             env[name] = value
     return subprocess.run([sys.executable, *entry, *args], env=env, stdout=stdout,
                           stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+# a string token (with the colon after a key) or a number token of JSON text
+JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"(\s*:)?|-?\d+')
+# text-level mutations of a JSON file, which no parsed document written back
+# can hold; all but a lone surrogate make any file invalid JSON
+TEXT_MUTATIONS = ["long integer", "lone surrogate", "duplicate key", "non-finite", "BOM"]
+
+
+def mutate_text(text: str, kind: str, pick) -> str:
+    """JSON text with one mutation of the kind, at the token (and with the
+    value) that ``pick`` chooses from those it is given: an integer past
+    the interpreter's default digit limit or a non-finite constant in
+    place of a number or a string value, an escaped lone surrogate at the
+    start of a string, a key repeated just before itself, a leading BOM."""
+    tokens = list(JSON_TOKEN.finditer(text))
+    if kind == "BOM":
+        return "\ufeff" + text
+    if kind in ("long integer", "non-finite"):
+        m = pick([m for m in tokens if not m.group(1)])
+        value = "9" * 4301 if kind == "long integer" else pick(["NaN", "Infinity", "-Infinity"])
+        return text[:m.start()] + value + text[m.end():]
+    if kind == "lone surrogate":
+        m = pick([m for m in tokens if m.group().startswith('"')])
+        return text[:m.start() + 1] + "\\ud800" + text[m.start() + 1:]
+    m = pick([m for m in tokens if m.group(1)])
+    value = pick(["0", "[]", "{}", '"x"'])
+    return f"{text[:m.start()]}{m.group()} {value}, {text[m.start():]}"
 
 
 def outcome(fn, crashes=False):

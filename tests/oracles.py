@@ -362,10 +362,25 @@ def brute_force_entry_error(ops, gamma, n: int, size: int):
     return None
 
 
+def _strict_object(pairs: list) -> dict:
+    """An object from its pairs, refusing the first key seen twice."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ValueError(f"duplicate key {json.dumps(key)}")
+        seen.add(key)
+    return dict(pairs)
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON value")
+
+
 def per_entry_read_gamma(path: Path):
     """Action data read from a file the whole-document way: json.loads of
-    the text, every nesting level checked element by element and flattened
-    down to the entries, then the GammaData checks walked entry by entry.
+    the text (a repeated key, NaN and Infinity refused), every nesting
+    level checked element by element and flattened down to the entries,
+    then the GammaData checks walked entry by entry.
     (gamma tables as tuples of n-tuples, axioms); raises what the library
     raises, with the same messages.  The algebras, theta and axioms are
     read by the library's own functions."""
@@ -374,8 +389,8 @@ def per_entry_read_gamma(path: Path):
     except (OSError, ValueError) as exc:
         raise FileFormatError(f"cannot read {path}: {exc}") from exc
     try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+        obj = json.loads(text, object_pairs_hook=_strict_object, parse_constant=_no_constant)
+    except ValueError as exc:
         raise FileFormatError(f"{path}: invalid JSON: {exc}") from exc
     except RecursionError as exc:
         raise FileFormatError(f"{path}: JSON nested too deeply") from exc

@@ -5,6 +5,8 @@ import copy
 import gc
 import io
 import json
+import re
+import sys
 import tempfile
 from collections import Counter
 from functools import lru_cache
@@ -30,13 +32,22 @@ from wsext.errors import SectionNotHomomorphism
 from wsext.fixtures import EXTENSIONS, fixture_path
 from wsext.serialize import (
     canonical_to_obj,
+    dump_json,
     extension_to_obj,
     gamma_from_obj,
     load_extension,
     to_text,
 )
 
-from conftest import assert_rebuilds, load_fixture, projections, run_cli, runs_of
+from conftest import (
+    TEXT_MUTATIONS,
+    assert_rebuilds,
+    load_fixture,
+    mutate_text,
+    projections,
+    run_cli,
+    runs_of,
+)
 from oracles import brute_force_rebuild
 
 EXAMPLE = str(fixture_path("example_monoid"))
@@ -1176,6 +1187,80 @@ def test_a_name_with_a_lone_surrogate_is_a_file_error(case, json_mode, tmp_path)
     assert res.returncode == 64
     _assert_one_error_line(res)
     assert "'\\ud800' cannot be encoded as UTF-8" in res.stderr
+
+
+# a repeated key and a constant that json reads and JSON does not have, in
+# a file without row lines (an extension as json.dumps writes it) and in
+# one with them (a canonical document as canonicalize writes it): (role,
+# text, its replacement, command, what the error names); "<row>" is the
+# first row line
+INVALID_JSON = {
+    "repeated key, extension": ("extension", '"k"', '"k": [0], "k"', "check",
+                                'duplicate key "k"'),
+    "repeated key, canonical": ("canonical", '"schema"', '"gamma": {}, "schema"',
+                                "gamma-check", 'duplicate key "gamma"'),
+    "-Infinity, extension": ("extension", '"k": [', '"k": [-Infinity, ', "check",
+                             "-Infinity is not a JSON value"),
+    "NaN, canonical extra key": ("canonical", '"pi_B": [', '"pi_B": [NaN, ', "gamma-check",
+                                 "NaN is not a JSON value"),
+    "Infinity, canonical row line": ("canonical", "<row>", "[Infinity, ", "gamma-check",
+                                     "Infinity is not a JSON value"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_JSON))
+@pytest.mark.parametrize("json_mode", [False, True])
+def test_a_repeated_key_or_a_non_finite_constant_is_a_file_error(case, json_mode, tmp_path):
+    role, old, new, command, named = INVALID_JSON[case]
+    paths = _write_documents(_documents(), tmp_path)
+    dump_json(json.loads(paths["canonical"].read_text()), paths["canonical"])
+    text = paths[role].read_text()
+    if old == "<row>":
+        old = next(line for line in text.splitlines(True)
+                   if re.fullmatch(r'\s*\[[^"]*\],?\s*', line))
+        new = old.replace("[", new, 1)
+    paths[role].write_text(text.replace(old, new, 1))
+    code, out, err = _run_main(_argv(command, paths) + (["--json"] if json_mode else []))
+    assert (code, out, err) == (64, "", f"error: {paths[role]}: invalid JSON: {named}\n")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(COMMAND_ARGV)), st.booleans(), st.data())
+def test_every_command_keeps_the_exit_code_contract_under_text_fuzz(command, json_mode, data):
+    """One input file with one text mutation (``mutate_text``), laid out
+    by json.dumps or as canonicalize writes; stdout encodes strictly as
+    UTF-8, as a terminal's does."""
+    docs = _documents()
+    role = data.draw(st.sampled_from([a for a in COMMAND_ARGV[command] if a in docs]))
+    kind = data.draw(st.sampled_from(TEXT_MUTATIONS))
+
+    def pick(values):
+        return data.draw(st.sampled_from(values))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = _write_documents(docs, Path(tmp))
+        if data.draw(st.booleans()):  # the layout canonicalize writes, row lines and all
+            dump_json(json.loads(paths[role].read_text()), paths[role])
+        paths[role].write_text(mutate_text(paths[role].read_text(), kind, pick))
+        argv = _argv(command, paths) + (["--json"] if json_mode else [])
+        out, err = io.TextIOWrapper(io.BytesIO(), encoding="utf-8"), io.StringIO()
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        out, err = out.buffer.getvalue().decode(), err.getvalue()
+    assert code in (0, 1, 2, 64)
+    assert "Traceback" not in out + err
+    if kind != "lone surrogate":
+        assert code == 64
+    if code == 64:
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    else:
+        assert err == ""
 
 
 # replacement values: leaves, containers, and whole documents of other roles

@@ -168,9 +168,10 @@ BASE = ["wsext", "wsext.algebra", "wsext.cli", "wsext.errors", "wsext.extension"
     ("gamma-check without --rebuild", "wsext.gammabuild")])
 def test_each_command_executes_only_its_layers(command, layer, tmp_path, capsys):
     """``check`` executes neither the action-data layer, ``ambient``, nor
-    the document writer, nor the library-only ``extras``; the other two run
-    the action-data layer through their own, and the writer only when they
-    write a document (a canonical document's schema is ``ambient``'s)."""
+    the document writer, nor ``transport``, which holds the library-only
+    ``check_commuting``; the other two run the action-data layer through
+    their own, and the writer only when they write a document (a canonical
+    document's schema is ``ambient``'s)."""
     ext, theta = str(fixture_path("example_monoid")), str(fixture_path("theta_monoid_xzy"))
     canon = tmp_path / "canon.json"
     argv = {
@@ -204,7 +205,7 @@ def test_each_input_file_has_one_decoding_path():
 
 # the names the package exported when it imported every layer eagerly
 EXPORTS = [
-    "App", "CandidateOps", "CanonicalExtension", "CheckResult", "DEFAULT_BUDGET", "Equation",
+    "App", "CanonicalExtension", "CheckResult", "DEFAULT_BUDGET", "Equation",
     "ExtensionMorphism", "FiniteAlgebra", "FnTable", "GammaData", "ProductCheck", "Report",
     "ReportEntry", "Signature", "SplitExtension", "Term", "TermSpec", "ThetaSpec",
     "TupleSpace", "Var", "Witness", "build_canonical", "build_extension_from_gamma",
@@ -236,13 +237,13 @@ def test_the_public_namespace_is_unchanged():
         wsext.no_such_name
 
 
-# The layers of the package, lowest first.  canonical, extras, gammabuild
-# and transport share one: each serves its own commands (extras none, the
-# library only), canonical and gammabuild as clients of the action-data
-# layer, ambient, and none of the four imports another.  The document
-# writer lies below serialize, which loads it on first use.
+# The layers of the package, lowest first.  canonical, gammabuild and
+# transport share one: each serves its own commands, canonical and
+# gammabuild as clients of the action-data layer, ambient, and none of the
+# three imports another.  The document writer lies below serialize, which
+# loads it on first use.
 LAYERS = [{"errors"}, {"report"}, {"terms"}, {"algebra"}, {"ambient"}, {"extension"},
-          {"canonical", "extras", "gammabuild", "transport"}, {"writer"}, {"serialize"},
+          {"canonical", "gammabuild", "transport"}, {"writer"}, {"serialize"},
           {"cli"}, {"__main__"}]
 LAYER_OF = {module: i for i, layer in enumerate(LAYERS) for module in layer}
 

@@ -82,6 +82,7 @@ from conftest import (
     cyclic,
     group,
     load_fixture,
+    mutate_text,
     outcome,
     product_extension,
     semidirect,
@@ -1275,16 +1276,16 @@ def test_tabulate_grid_matches_the_term_value_oracle(A, points, data):
 def test_tabulate_grid_matches_the_per_entry_candidate_operations(case, points, data):
     e, theta, w, _ = case
     c = build_canonical(e, theta, w)
-    ops, per_entry = c.candidate_ops(), PerEntryOps(c)
+    per_entry = PerEntryOps(c)
     vars_ = theta.vars[:data.draw(st.integers(0, theta.arity))]
     spec = grid_term(c.X.signature, vars_, sig_terms(c.X.signature, vars_, 2), data)
     if spec.vars and data.draw(st.booleans()):
         # the retraction's axes: the zero tuple in every variable but the last
-        axes = [[ops.zero_tuple]] * (spec.arity - 1) + [c.space.indices()]
+        axes = [[c.zero_row + c.B.zero]] * (spec.arity - 1) + [c.space.indices()]
     else:
         axes = grid_axes(c.space.indices(), data, spec.arity)
     with grid_block(points):
-        got = algebra.tabulate_grid(spec, ops, axes)
+        got = algebra.tabulate_grid(spec, c, axes)
     assert got == [per_entry.eval(spec, args) for args in product(*axes)]
 
 
@@ -1340,7 +1341,8 @@ PLACED = ["[" * 100_000 + "]" * 100_000, json.dumps({_ROW_REF: 0}),
 DOC_FAULTS = ["deeper row", "deeper entry", "shallower table", "short row", "non-list row",
               "non-list entry", "bad leaf", "row text in strings", "marker object",
               "placed text"]
-TEXT_FAULTS = ["truncated", "not UTF-8", "raw newline in a string"]
+TEXT_FAULTS = ["truncated", "not UTF-8", "raw newline in a string", "duplicate key",
+               "non-finite"]
 
 
 def faulty_doc(doc: dict, data) -> dict:
@@ -1415,6 +1417,8 @@ def layout(doc: dict, data, tmp: Path) -> bytes:
         text = text[:data.draw(st.integers(0, len(text) - 1))]
     elif fault == "raw newline in a string":
         text = text.replace('"[[0]]"', '"\n[[0]]\n"', 1)
+    elif fault in ("duplicate key", "non-finite"):
+        text = mutate_text(text, fault, lambda values: data.draw(st.sampled_from(values)))
     raw = text.encode()
     if fault == "not UTF-8":
         i = data.draw(st.integers(0, len(raw)))
