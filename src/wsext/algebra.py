@@ -441,12 +441,12 @@ def _tabulate(t: Term, A, env: Mapping[str, Sequence[int]], block: int) -> list[
 
 
 def _factored(t: Term, A, env: Mapping, lens: Sequence[int]):
-    """(vs, values): t over the grid of the axes vs (ascending) of its
-    variables, given each one's (axes, values) and the axis lengths.  In
-    a FiniteAlgebra's tables a unary node or one with a constant second
-    argument is a gather, a binary one with ordered variables an outer
-    product of rows; other nodes spread their arguments onto one grid for
-    A's ``columns`` kernel (all nodes in an ``ambient.ActionData``)."""
+    """(vs, values): t in A, a FiniteAlgebra or ``ambient.ActionData``,
+    over the grid of the axes vs (ascending) of its variables, given each
+    one's (axes, values) and the axis lengths.  In a FiniteAlgebra's
+    tables a unary node or one with a constant second argument is a
+    gather, a binary one with ordered variables an outer product of rows;
+    other nodes spread their arguments onto one grid for ``A.columns``."""
     if isinstance(t, Var):
         return env[t.name]
     args = [_factored(a, A, env, lens) for a in t.args]
