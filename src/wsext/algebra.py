@@ -246,38 +246,39 @@ def trivial_algebra(sig: Signature) -> FiniteAlgebra:
 # -- function tables ----------------------------------------------------------
 
 class FnTable(Record):
-    """A total function {0..dom_size-1} -> {0..cod_size-1} as a value array."""
+    """A total function {0..dom_size-1} -> {0..cod_size-1} as a value array:
+    its domain is its array's length."""
 
-    dom_size: int
     cod_size: int
     values: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(self.values))
-        if len(self.values) != self.dom_size:
-            raise SizeMismatch(
-                f"function table has {len(self.values)} entries, expected {self.dom_size}")
         for v in self.values:
             if type(v) is not int or not (0 <= v < self.cod_size):
                 raise EntryOutOfRange(
                     f"function value {v!r} outside 0..{self.cod_size - 1}")
+
+    @property
+    def dom_size(self) -> int:
+        return len(self.values)
 
     def __call__(self, x: int) -> int:
         return self.values[x]
 
     @classmethod
     def identity(cls, size: int) -> "FnTable":
-        return cls(size, size, tuple(range(size)))
+        return cls(size, tuple(range(size)))
 
     @classmethod
     def constant(cls, dom_size: int, cod_size: int, value: int) -> "FnTable":
-        return cls(dom_size, cod_size, (value,) * dom_size)
+        return cls(cod_size, (value,) * dom_size)
 
     def then(self, g: "FnTable") -> "FnTable":
         """Composition: first self, then g."""
         if self.cod_size != g.dom_size:
             raise SizeMismatch("composition endpoint mismatch")
-        return FnTable(self.dom_size, g.cod_size, tuple(g(v) for v in self.values))
+        return FnTable(g.cod_size, tuple(g(v) for v in self.values))
 
     def is_injective(self) -> bool:
         return len(set(self.values)) == self.dom_size

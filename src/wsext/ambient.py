@@ -217,7 +217,7 @@ def carrier(c: ActionData, budget: int, members=membership_by_term) -> Carrier:
 
     space = c.space
     b_size = space.b_size
-    p = FnTable(len(Y), b_size, tuple(z % b_size for z in Y))
+    p = FnTable(b_size, tuple(z % b_size for z in Y))
     # over X^n: |X|^n <= |X^n x B|, which members budgeted
     at_zero = tabulate_grid(c.theta, c.X, [range(space.x_size)] * c.n + [[c.X.zero]])
     kz = [z for z, b in zip(Y, p.values) if b == c.B.zero]
@@ -227,7 +227,7 @@ def carrier(c: ActionData, budget: int, members=membership_by_term) -> Carrier:
         groups[x].append(z)
     bad = next((x for x, group in enumerate(groups) if len(group) != 1), None)
     k = None if bad is not None else \
-        FnTable(space.x_size, len(Y), tuple(y_pos[group[0]] for group in groups))
+        FnTable(len(Y), tuple(y_pos[group[0]] for group in groups))
     kernel_failure = "" if bad is None else \
         f"x = {bad} has kernel tuples {[space.unpack(z)[0] for z in groups[bad]]}"
     return Carrier(Y, y_pos, algebra, closure_failure, p, at_zero, kz, kx, k, kernel_failure)

@@ -56,8 +56,7 @@ from .terms import App, TermSpec, ThetaSpec, Var
 def psi(e: SplitExtension, w: Witness) -> FnTable:
     """Tabulate a -> (q_1(a), .., q_n(a), p(a)) as ambient indices."""
     space = ambient_space(e, w.n)
-    return FnTable(e.A.size, space.size,
-                   tuple(space.pack(w.values_at(a), e.p(a)) for a in range(e.A.size)))
+    return FnTable(space.size, tuple(space.pack(w.values_at(a), e.p(a)) for a in range(e.A.size)))
 
 
 class CanonicalExtension(ActionData):
@@ -134,7 +133,7 @@ def build_canonical(e: SplitExtension, theta: ThetaSpec, w: Witness,
         raise InternalCheckFailed(
             f"psi(s({bad})) = {space.unpack(section[bad])} lies outside the carrier")
     Y = tuple((*xs, b) for xs, b in map(space.unpack, car.Y))
-    iota = FnTable(e.B.size, len(Y), tuple(map(car.y_pos.__getitem__, section)))
+    iota = FnTable(len(Y), tuple(map(car.y_pos.__getitem__, section)))
     return CanonicalExtension(e.X, e.B, theta, gamma, Y,
                               SplitExtension(e.X, car.algebra, e.B, car.k, car.p, iota),
                               _gather(phis)(q_of))

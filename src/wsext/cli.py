@@ -284,7 +284,7 @@ def cmd_pullback(args) -> Outcome:
     B_prime, f_values = hom_from_obj(args.hom)
     if not rep.ok:
         return _invalid(rep)
-    f = FnTable(B_prime.size, e.B.size, tuple(f_values))
+    f = FnTable(e.B.size, tuple(f_values))
     res = is_homomorphism(f, B_prime, e.B)
     if not res:
         return _failure(EXIT_INVALID, f"f is not a homomorphism: {res.counterexample}")

@@ -114,17 +114,19 @@ def require_valid(e: SplitExtension) -> None:
 
 
 class Witness(Record):
-    """An n-tuple of functions q_i : A -> X certifying the decomposition."""
+    """An n-tuple of functions q_i : A -> X certifying the decomposition:
+    n is the number of maps, theta's n for a witness of theta."""
 
-    n: int
     q: tuple[FnTable, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "q", tuple(self.q))
-        if self.n < 1:
-            raise SizeMismatch(f"witness n must be at least 1, got {self.n}")
-        if len(self.q) != self.n:
-            raise SizeMismatch(f"expected {self.n} component maps, got {len(self.q)}")
+        if not self.q:
+            raise SizeMismatch("witness n must be at least 1, got 0")
+
+    @property
+    def n(self) -> int:
+        return len(self.q)
 
     def values_at(self, a: int) -> tuple[int, ...]:
         return tuple(qi(a) for qi in self.q)
@@ -155,7 +157,7 @@ def phi(e: SplitExtension, theta: ThetaSpec) -> FnTable:
     grid of k's values n times, then s's."""
     _admissible(e, theta)
     values = tabulate_grid(theta, e.A, [e.k.values] * theta.n + [e.s.values])
-    return FnTable(len(values), e.A.size, tuple(values))
+    return FnTable(e.A.size, tuple(values))
 
 
 def validate_witness(
@@ -276,8 +278,8 @@ def find_witnesses(
     # row r is the kernel tuple with coordinate i = r // |X|^(n-1-i) % |X|
     n, size = theta.n, e.X.size
     strides = [size ** (n - 1 - i) for i in range(n)]
-    return [Witness(n, tuple(FnTable(e.A.size, size, tuple(r // stride % size for r in rows))
-                             for stride in strides))
+    return [Witness(tuple(FnTable(size, tuple(r // stride % size for r in rows))
+                          for stride in strides))
             for rows in islice(product(*(rows[:limit] for rows in fibres)), limit)]
 
 
@@ -325,8 +327,8 @@ def semiabelian_witness(
         if a is not None:
             raise KernelPreimageMissing(
                 f"alpha(a, sp(a)) = {values[a]} at a = {a} is outside the kernel image")
-        q.append(FnTable(e.A.size, e.X.size, tuple(map(k_preimage.__getitem__, values))))
-    w = Witness(theta.n, tuple(q))
+        q.append(FnTable(e.X.size, tuple(map(k_preimage.__getitem__, values))))
+    w = Witness(tuple(q))
     res = validate_witness(e, theta, w)
     if not res:
         raise InternalCheckFailed(f"derived witness fails at {res.counterexample}")

@@ -229,14 +229,14 @@ def build_extension_from_gamma(g: GammaData,
     if missing:
         raise IotaNotInY(f"zero-tuple section misses the carrier at base {missing}")
 
-    s = FnTable(b_size, len(Y), tuple(y_pos[g.zero_row + b] for b in range(b_size)))
+    s = FnTable(len(Y), tuple(y_pos[g.zero_row + b] for b in range(b_size)))
     res = is_homomorphism(s, g.B, car.algebra)
     if not res:
         raise SectionNotHomomorphism(
             f"zero-tuple section is not a homomorphism: {res.counterexample}")
     ext = SplitExtension(g.X, car.algebra, g.B, car.k, car.p, s)
     coords = zip(*(g.space.unpack(z)[0] for z in Y))
-    w = Witness(g.n, tuple(FnTable(len(Y), g.X.size, xs) for xs in coords))
+    w = Witness(tuple(FnTable(g.X.size, xs) for xs in coords))
 
     val = validate_split_extension(ext)
     if not val.ok:

@@ -239,7 +239,7 @@ def algebra_from_obj(obj: Source, base_dir: Optional[Path] = None) -> FiniteAlge
 # -- function arrays -------------------------------------------------------------
 
 def _fn_from_list(values: Any, dom: int, cod: int, what: str) -> FnTable:
-    return FnTable(dom, cod, tuple(_ints(values, what, dom)))
+    return FnTable(cod, tuple(_ints(values, what, dom)))
 
 
 # -- witness terms ----------------------------------------------------------------
@@ -289,8 +289,7 @@ def extension_from_obj(
         qs = wobj["q"]
         if not isinstance(qs, list) or len(qs) != n:
             raise FileFormatError(f"witness q: expected {n} arrays")
-        witness = Witness(n, tuple(_fn_from_list(q, A.size, X.size, "witness q")
-                                   for q in qs))
+        witness = Witness(tuple(_fn_from_list(q, A.size, X.size, "witness q") for q in qs))
     axioms = equations_from_obj(obj.get("axioms", []), X.signature)
     return ext, witness, axioms
 

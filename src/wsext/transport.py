@@ -93,7 +93,7 @@ def enumerate_homomorphisms(
     def extend(pos: int) -> bool:
         nonlocal nodes
         if pos == A.size:
-            out.append(FnTable(A.size, B.size, tuple(assignment)))
+            out.append(FnTable(B.size, tuple(assignment)))
             return limit is not None and len(out) >= limit
         candidates = (fixed[pos],) if pos in fixed else range(B.size)
         for val in candidates:
@@ -160,8 +160,8 @@ def pullback_algebra(
             raise NotHomomorphism(f"pullback carrier not closed under {name!r} at "
                                   f"{tuple(elements[i] for i in args)}")
     P = FiniteAlgebra(A.signature, size, tables)
-    proj_A = FnTable(size, A.size, tuple(a for a, _ in elements))
-    proj_Bp = FnTable(size, B_prime.size, tuple(bp for _, bp in elements))
+    proj_A = FnTable(A.size, tuple(a for a, _ in elements))
+    proj_Bp = FnTable(B_prime.size, tuple(bp for _, bp in elements))
     return P, proj_A, proj_Bp
 
 
@@ -208,18 +208,12 @@ def pullback_extension(
     P, proj_A, proj_Bp = pullback_algebra(e.A, e.p, B_prime, f, e.B, budget=budget)
     index = {(proj_A(i), proj_Bp(i)): i for i in range(P.size)}
 
-    k2 = FnTable(e.X.size, P.size,
-                 tuple(index[(e.k(x), B_prime.zero)] for x in range(e.X.size)))
+    k2 = FnTable(P.size, tuple(index[(e.k(x), B_prime.zero)] for x in range(e.X.size)))
     p2 = proj_Bp
-    s2 = FnTable(B_prime.size, P.size,
-                 tuple(index[(e.s(f(b)), b)] for b in range(B_prime.size)))
+    s2 = FnTable(P.size, tuple(index[(e.s(f(b)), b)] for b in range(B_prime.size)))
     ext = SplitExtension(e.X, P, B_prime, k2, p2, s2)
 
-    q2 = tuple(
-        FnTable(P.size, e.X.size, tuple(qi(proj_A(j)) for j in range(P.size)))
-        for qi in w.q
-    )
-    w2 = Witness(w.n, q2)
+    w2 = Witness(tuple(FnTable(e.X.size, tuple(map(qi, proj_A.values))) for qi in w.q))
 
     rep = validate_split_extension(ext)
     if not rep.ok:
@@ -263,7 +257,7 @@ def product_extension_check(X: FiniteAlgebra, theta: ThetaSpec,
     if missing is not None:
         return ProductCheck(False, None, missing)
     choices = [table_args(X.size, n, first[x]) for x in range(X.size)]
-    q = tuple(FnTable(X.size, X.size, tuple(ys[i] for ys in choices)) for i in range(n))
+    q = tuple(FnTable(X.size, tuple(ys[i] for ys in choices)) for i in range(n))
     return ProductCheck(True, q, None)
 
 

@@ -39,8 +39,8 @@ def _nest_table(flat: Sequence, size: int, arity: int) -> Any:
     return nested
 
 
-def algebra_to_obj(A: FiniteAlgebra, element_names: Optional[Sequence[str]] = None) -> dict:
-    obj = {
+def algebra_to_obj(A: FiniteAlgebra) -> dict:
+    return {
         "signature": {
             "ops": [{"name": n, "arity": a} for n, a in A.signature.ops],
             "constant": A.signature.constant_name,
@@ -48,9 +48,6 @@ def algebra_to_obj(A: FiniteAlgebra, element_names: Optional[Sequence[str]] = No
         "size": A.size,
         "tables": {n: _nest_table(A.tables[n], A.size, a) for n, a in A.signature.ops},
     }
-    if element_names is not None:
-        obj["element_names"] = list(element_names)
-    return obj
 
 
 def equations_to_obj(axioms: Sequence[Equation]) -> list:

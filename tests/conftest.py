@@ -171,9 +171,9 @@ def product_extension(X: FiniteAlgebra, B: FiniteAlgebra) -> SplitExtension:
     """X -> X x B -> B with k x = (x, 0), p (x, b) = b, s b = (0, b)."""
     A = product_algebra(X, B)
     return SplitExtension(X, A, B,
-                          FnTable(X.size, A.size, tuple(x * B.size for x in range(X.size))),
-                          FnTable(A.size, B.size, tuple(a % B.size for a in range(A.size))),
-                          FnTable(B.size, A.size, tuple(range(B.size))))
+                          FnTable(A.size, tuple(x * B.size for x in range(X.size))),
+                          FnTable(B.size, tuple(a % B.size for a in range(A.size))),
+                          FnTable(A.size, tuple(range(B.size))))
 
 
 GSIG = Signature((("*", 2), ("inv", 1), ("e", 0)), "e")
@@ -200,9 +200,9 @@ def semidirect(X: FiniteAlgebra, B: FiniteAlgebra, alpha) -> SplitExtension:
         return B.op("*", (b1, b2)) * nx + X.op("*", (x1, alpha[b1][x2]))
 
     return SplitExtension(
-        X, group(size, mul), B, FnTable(nx, size, tuple(range(nx))),
-        FnTable(size, B.size, tuple(a // nx for a in range(size))),
-        FnTable(B.size, size, tuple(b * nx for b in range(B.size))))
+        X, group(size, mul), B, FnTable(size, tuple(range(nx))),
+        FnTable(B.size, tuple(a // nx for a in range(size))),
+        FnTable(size, tuple(b * nx for b in range(B.size))))
 
 
 def unital_tables(size: int, domain, fits) -> list[tuple[int, ...]]:
@@ -252,8 +252,7 @@ def reversed_labels(e: SplitExtension) -> SplitExtension:
             for name, arity in C.signature.ops})
 
     def function(f: FnTable) -> FnTable:
-        return FnTable(f.dom_size, f.cod_size,
-                       tuple(f.cod_size - 1 - v for v in reversed(f.values)))
+        return FnTable(f.cod_size, tuple(f.cod_size - 1 - v for v in reversed(f.values)))
 
     return SplitExtension(algebra(e.X), algebra(e.A), algebra(e.B),
                           function(e.k), function(e.p), function(e.s))
@@ -273,8 +272,7 @@ def assert_labels_do_not_matter(extensions, thetas) -> None:
 def projections(c) -> Witness:
     """The coordinate projections of a canonical form's Y, as a witness
     of its extension."""
-    return Witness(c.n, tuple(FnTable(len(c.Y), c.X.size, tuple(t[i] for t in c.Y))
-                              for i in range(c.n)))
+    return Witness(tuple(FnTable(c.X.size, tuple(t[i] for t in c.Y)) for i in range(c.n)))
 
 
 def assert_rebuilds(e: SplitExtension, theta: ThetaSpec, w, axioms):
@@ -305,9 +303,9 @@ def split_extensions(A: FiniteAlgebra) -> list[SplitExtension]:
         kernel = [a for a in range(A.size) if e(a) == A.zero]
         out.append(SplitExtension(
             subalgebra(A, kernel), A, subalgebra(A, image),
-            FnTable(len(kernel), A.size, tuple(kernel)),
-            FnTable(A.size, len(image), tuple(map(image.index, e.values))),
-            FnTable(len(image), A.size, tuple(image))))
+            FnTable(A.size, tuple(kernel)),
+            FnTable(len(image), tuple(map(image.index, e.values))),
+            FnTable(A.size, tuple(image))))
     return out
 
 

@@ -155,7 +155,7 @@ def brute_force_homs(A, B):
     """Filter of the homomorphism predicate over all |B|^|A| functions."""
     out = []
     for values in all_functions(A.size, B.size):
-        f = FnTable(A.size, B.size, values)
+        f = FnTable(B.size, values)
         if brute_force_homomorphism(f, A, B):
             out.append(f)
     return out
@@ -203,8 +203,8 @@ def brute_force_pullback(A: FiniteAlgebra, p: FnTable, B_prime: FiniteAlgebra,
             values.append(index[(a_val, bp_val)])
         tables[name] = tuple(values)
     P = FiniteAlgebra(A.signature, len(elements), tables)
-    proj_A = FnTable(len(elements), A.size, tuple(a for a, _ in elements))
-    proj_Bp = FnTable(len(elements), B_prime.size, tuple(bp for _, bp in elements))
+    proj_A = FnTable(A.size, tuple(a for a, _ in elements))
+    proj_Bp = FnTable(B_prime.size, tuple(bp for _, bp in elements))
     return P, proj_A, proj_Bp
 
 
@@ -317,8 +317,7 @@ def brute_force_witnesses(e: SplitExtension, theta: ThetaSpec, normalized: bool)
                 ok = False
                 break
         if ok:
-            out.append(Witness(n, tuple(FnTable(e.A.size, e.X.size, arr)
-                                        for arr in arrays)))
+            out.append(Witness(tuple(FnTable(e.X.size, arr) for arr in arrays)))
     return out
 
 
@@ -807,17 +806,16 @@ def brute_force_rebuild(g, budget: int = DEFAULT_BUDGET):
         ys = next(t for t in kernel if term_value(g.theta, g.X, t + (g.X.zero,)) == x)
         k_vals.append(y_pos[space.pack(ys, g.B.zero)])
     A = FiniteAlgebra(g.X.signature, len(Y), tables)
-    s = FnTable(g.B.size, len(Y), tuple(y_pos[space.pack(zeros, b)] for b in range(g.B.size)))
+    s = FnTable(len(Y), tuple(y_pos[space.pack(zeros, b)] for b in range(g.B.size)))
     res = brute_force_homomorphism(s, g.B, A)
     if not res:
         raise SectionNotHomomorphism(
             f"zero-tuple section is not a homomorphism: {res.counterexample}")
     ext = SplitExtension(
-        g.X, A, g.B, FnTable(g.X.size, len(Y), tuple(k_vals)),
-        FnTable(len(Y), g.B.size, tuple(space.unpack(z)[1] for z in Y)), s)
-    w = Witness(g.n, tuple(FnTable(len(Y), g.X.size,
-                                   tuple(space.unpack(z)[0][i] for z in Y))
-                           for i in range(g.n)))
+        g.X, A, g.B, FnTable(len(Y), tuple(k_vals)),
+        FnTable(g.B.size, tuple(space.unpack(z)[1] for z in Y)), s)
+    w = Witness(tuple(FnTable(g.X.size, tuple(space.unpack(z)[0][i] for z in Y))
+                      for i in range(g.n)))
     val = validate_split_extension(ext)
     if not val.ok:
         raise InternalCheckFailed(
@@ -861,8 +859,8 @@ def brute_force_semiabelian_witness(e: SplitExtension, theta: ThetaSpec, alphas)
                 raise KernelPreimageMissing(
                     f"alpha(a, sp(a)) = {v} at a = {a} is outside the kernel image")
             values.append(k_preimage[v])
-        q.append(FnTable(e.A.size, e.X.size, tuple(values)))
-    w = Witness(theta.n, tuple(q))
+        q.append(FnTable(e.X.size, tuple(values)))
+    w = Witness(tuple(q))
     res = validate_witness(e, theta, w)
     if not res:
         raise InternalCheckFailed(f"derived witness fails at {res.counterexample}")

@@ -97,7 +97,7 @@ def test_make_algebra_rejects_bool_entries():
 
 def test_fn_table_rejects_float_values():
     with pytest.raises(EntryOutOfRange):
-        FnTable(2, 2, (0, 1.0))
+        FnTable(2, (0, 1.0))
 
 
 def test_make_algebra_missing_table():
@@ -131,7 +131,7 @@ def test_kernel_inclusion_into_example_is_homomorphism():
 
 def test_swap_map_is_not_homomorphism():
     A = n2()
-    res = is_homomorphism(FnTable(2, 2, (1, 0)), A, A)
+    res = is_homomorphism(FnTable(2, (1, 0)), A, A)
     assert not res
     # the constant is the first operation checked that fails
     assert res.counterexample["op"] in ("+", "0")
@@ -207,8 +207,8 @@ def test_example_ambient_product_has_eight_elements():
 def test_product_projections_are_homomorphisms():
     A = n2()
     P = product_algebra(A, A)
-    proj1 = FnTable(4, 2, tuple(i // 2 for i in range(4)))
-    proj2 = FnTable(4, 2, tuple(i % 2 for i in range(4)))
+    proj1 = FnTable(2, tuple(i // 2 for i in range(4)))
+    proj2 = FnTable(2, tuple(i % 2 for i in range(4)))
     assert is_homomorphism(proj1, P, A)
     assert is_homomorphism(proj2, P, A)
 
@@ -227,14 +227,14 @@ def test_pullback_along_identity_is_isomorphic_to_domain():
 def test_pullback_along_zero_map_is_kernel():
     e, _, _, _ = load_fixture("example_monoid")
     one = trivial_algebra(MSIG)
-    P, proj_A, _ = pullback_algebra(e.A, e.p, one, FnTable(1, 2, (0,)), e.B)
+    P, proj_A, _ = pullback_algebra(e.A, e.p, one, FnTable(2, (0,)), e.B)
     assert proj_A.values == (0, 1)  # p^-1(0)
     assert P.size == 2
 
 
 def test_pullback_rejects_non_homomorphism():
     e, _, _, _ = load_fixture("example_monoid")
-    bad = FnTable(2, 2, (1, 0))
+    bad = FnTable(2, (1, 0))
     with pytest.raises(NotHomomorphism) as raised:
         pullback_algebra(e.A, e.p, e.B, bad, e.B)
     with pytest.raises(NotHomomorphism) as expected:

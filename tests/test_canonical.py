@@ -97,7 +97,7 @@ def test_canonical_of_trivial_quotient():
     X = make_algebra(MSIG, 2, {"+": [0, 1, 1, 1], "0": [0]})
     one = trivial_algebra(MSIG)
     e = SplitExtension(X, X, one, FnTable.identity(2),
-                       FnTable.constant(2, 1, 0), FnTable(1, 2, (0,)))
+                       FnTable.constant(2, 1, 0), FnTable(2, (0,)))
     theta = ThetaSpec(("x", "y"), parse_term("(+ x y)", MSIG, ["x", "y"]))
     w = find_witnesses(e, theta)[0]
     c = build_canonical(e, theta, w)
@@ -145,7 +145,7 @@ def test_build_canonical_rejects_unnormalized_witness(example):
     e, w, _, theta = example
     # swap in a valid but unnormalized witness at a = 0 if one exists;
     # otherwise fabricate one by breaking normalization directly
-    bad = Witness(2, (FnTable(5, 2, (1, 0, 0, 0, 1)), w.q[1]))
+    bad = Witness((FnTable(2, (1, 0, 0, 0, 1)), w.q[1]))
     with pytest.raises(WitnessInvalid):
         build_canonical(e, theta, bad)
 
@@ -272,7 +272,7 @@ def test_a_section_outside_the_carrier_is_an_internal_check(example, monkeypatch
     values = list(psi(e, w).values)
     values[e.s(1)] = space.pack((1, 1), 0)  # not a member of Y
     assert space.pack((1, 1), 0) not in brute_force_fixpoint_carrier(build_canonical(e, theta, w))
-    monkeypatch.setattr(canonical, "psi", lambda *_: FnTable(e.A.size, space.size, tuple(values)))
+    monkeypatch.setattr(canonical, "psi", lambda *_: FnTable(space.size, tuple(values)))
     with pytest.raises(InternalCheckFailed,
                        match=r"^psi\(s\(1\)\) = \(\(1, 1\), 0\) lies outside the carrier$"):
         build_canonical(e, theta, w)
@@ -291,7 +291,7 @@ def test_trivial_extension_verification():
     X = make_algebra(MSIG, 2, {"+": [0, 1, 1, 1], "0": [0]})
     one = trivial_algebra(MSIG)
     e = SplitExtension(X, X, one, FnTable.identity(2),
-                       FnTable.constant(2, 1, 0), FnTable(1, 2, (0,)))
+                       FnTable.constant(2, 1, 0), FnTable(2, (0,)))
     theta = ThetaSpec(("x", "y"), parse_term("(+ x y)", MSIG, ["x", "y"]))
     w = find_witnesses(e, theta)[0]
     c = build_canonical(e, theta, w)

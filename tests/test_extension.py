@@ -3,11 +3,13 @@ import tracemalloc
 import pytest
 
 from wsext import (
+    CheckResult,
     ExtensionMorphism,
     FnTable,
     SplitExtension,
     TermSpec,
     ThetaSpec,
+    Witness,
     check_morphism_surjectivity,
     count_witnesses,
     feasible_tuples,
@@ -29,12 +31,13 @@ from wsext.errors import (
     InvalidMorphism,
     NotHomomorphism,
     SearchBudgetExceeded,
+    SizeMismatch,
     ThetaNotAdmissible,
 )
 from wsext.serialize import algebra_from_obj
 from wsext.fixtures import fixture_path
 
-from conftest import MSIG, load_fixture
+from conftest import MSIG, load_fixture, outcome
 from oracles import brute_force_witnesses, classical_weakly_schreier, witness_key
 
 
@@ -44,7 +47,7 @@ def trivial_quotient_extension(X):
     return SplitExtension(X, X, one,
                           FnTable.identity(X.size),
                           FnTable.constant(X.size, 1, 0),
-                          FnTable(1, X.size, (X.zero,)))
+                          FnTable(X.size, (X.zero,)))
 
 
 # -- validate_split_extension ---------------------------------------------------
@@ -56,7 +59,7 @@ def test_all_fixture_extensions_validate(fixture_case):
 
 def test_example_with_bad_section_fails():
     e, _, _, _ = load_fixture("example_monoid")
-    bad = SplitExtension(e.X, e.A, e.B, e.k, e.p, FnTable(2, 5, (0, 3)))
+    bad = SplitExtension(e.X, e.A, e.B, e.k, e.p, FnTable(5, (0, 3)))
     rep = validate_split_extension(bad)
     assert rep.entry("section_law").ok          # p(3) = 1
     assert not rep.entry("s_homomorphism").ok   # 3 + 3 = 4 != 3
@@ -70,10 +73,59 @@ def test_trivial_quotient_extension_validates():
 
 def test_broken_kernel_is_reported():
     e, _, _, _ = load_fixture("example_monoid")
-    bad = SplitExtension(e.X, e.A, e.B, FnTable(2, 5, (0, 0)), e.p, e.s)
+    bad = SplitExtension(e.X, e.A, e.B, FnTable(5, (0, 0)), e.p, e.s)
     rep = validate_split_extension(bad)
     assert not rep.entry("k_injective").ok
     assert not rep.entry("kernel_image").ok
+
+
+def resized(f: FnTable, by: int) -> FnTable:
+    """f's array one entry shorter (by = -1) or longer (by = 1, a 0 appended)."""
+    return FnTable(f.cod_size, f.values[:-1] if by < 0 else f.values + (0,))
+
+
+def with_map(e: SplitExtension, name: str, by: int) -> SplitExtension:
+    maps = {"k": e.k, "p": e.p, "s": e.s}
+    maps[name] = resized(maps[name], by)
+    return SplitExtension(e.X, e.A, e.B, **maps)
+
+
+# what is built from the example (X = 2, A = 5, B = 2 elements) -> its outcome
+WRONG_SHAPES = {
+    "k short": (lambda e, w, theta: with_map(e, "k", -1),
+                ("raised", SizeMismatch, "k is 1->5, expected 2->5")),
+    "k long": (lambda e, w, theta: with_map(e, "k", 1),
+               ("raised", SizeMismatch, "k is 3->5, expected 2->5")),
+    "p short": (lambda e, w, theta: with_map(e, "p", -1),
+                ("raised", SizeMismatch, "p is 4->2, expected 5->2")),
+    "p long": (lambda e, w, theta: with_map(e, "p", 1),
+               ("raised", SizeMismatch, "p is 6->2, expected 5->2")),
+    "s short": (lambda e, w, theta: with_map(e, "s", -1),
+                ("raised", SizeMismatch, "s is 1->5, expected 2->5")),
+    "s long": (lambda e, w, theta: with_map(e, "s", 1),
+               ("raised", SizeMismatch, "s is 3->5, expected 2->5")),
+    "q_1 short": (lambda e, w, theta: validate_witness(
+                      e, theta, Witness((resized(w.q[0], -1), *w.q[1:]))),
+                  ("value", CheckResult(False, {"reason": "shape"}))),
+    "g short": (lambda e, w, theta: validate_morphism(ExtensionMorphism(
+                    e, trivial_quotient_extension(e.X), FnTable.identity(2),
+                    FnTable(2, (0, 1, 0, 1)), FnTable.constant(2, 1, 0))),
+                ("raised", SizeMismatch, "morphism component g has wrong endpoints")),
+    "FnTable(dom_size, cod_size, values)": (lambda e, w, theta: FnTable(2, 2, (0, 1)),
+                                            ("raised", TypeError)),
+    "Witness(n, q)": (lambda e, w, theta: Witness(w.n, w.q), ("raised", TypeError)),
+}
+
+
+@pytest.mark.parametrize("case", WRONG_SHAPES)
+def test_a_map_of_the_wrong_length_is_refused_where_it_meets_its_algebras(example, case):
+    """A map's domain is its array's length and a witness's n its number
+    of maps, so neither record takes them as arguments; an array of the
+    wrong length is refused by the extension, witness or morphism check
+    that sets it against its algebras."""
+    build, expected = WRONG_SHAPES[case]
+    e, w, _, theta = example
+    assert outcome(lambda: build(e, w, theta), crashes=True) == expected
 
 
 # -- find_witnesses ----------------------------------------------------------------
@@ -97,7 +149,7 @@ def test_mutually_inverse_section_admits_zero_witness():
     # 1 --k--> B --p/s-- B with p = s = id: the all-zero tuple works
     B = make_algebra(MSIG, 2, {"+": [0, 1, 1, 1], "0": [0]})
     one = trivial_algebra(MSIG)
-    e = SplitExtension(one, B, B, FnTable(1, 2, (0,)),
+    e = SplitExtension(one, B, B, FnTable(2, (0,)),
                        FnTable.identity(2), FnTable.identity(2))
     theta = ThetaSpec(("x", "y"), parse_term("(+ x y)", MSIG, ["x", "y"]))
     found = find_witnesses(e, theta)
@@ -147,7 +199,7 @@ def test_count_witnesses_checks_admissibility_then_budget_then_zero(example):
     # p(0_A) = 1: the all-zero tuple is looked up at base 1, where it gives s(1)
     p = list(e.p.values)
     p[e.A.zero] = 1
-    broken = SplitExtension(e.X, e.A, e.B, e.k, FnTable(e.A.size, e.B.size, tuple(p)), e.s)
+    broken = SplitExtension(e.X, e.A, e.B, e.k, FnTable(e.B.size, tuple(p)), e.s)
     with pytest.raises(InternalCheckFailed, match="all-zero tuple infeasible"):
         count_witnesses(broken, theta)
 
@@ -304,7 +356,7 @@ def test_pullback_along_identity_preserves_everything(example):
 def test_pullback_along_terminal_map_gives_kernel(example):
     e, w, _, theta = example
     one = trivial_algebra(MSIG)
-    e2, w2 = pullback_extension(e, theta, one, FnTable(1, 2, (0,)), w)
+    e2, w2 = pullback_extension(e, theta, one, FnTable(2, (0,)), w)
     assert e2.A.size == e.X.size
     # q'_i(x) = q_i(k(x))
     for i in range(w.n):
@@ -337,7 +389,7 @@ def test_pullback_respects_budget(fixture_case):
 def test_pullback_checks_homomorphisms_before_the_budget(example):
     e, w, _, theta = example
     with pytest.raises(NotHomomorphism):
-        pullback_extension(e, theta, e.B, FnTable(2, 2, (1, 0)), w, budget=0)
+        pullback_extension(e, theta, e.B, FnTable(2, (1, 0)), w, budget=0)
 
 
 # -- product_extension_check ---------------------------------------------------------------
@@ -400,7 +452,7 @@ def test_quotient_morphism_onto_trivial_base(example):
     # kernel decomposition and is forced to be surjective by the lemma
     e, _, _, _ = example
     target = trivial_quotient_extension(e.X)
-    g = FnTable(5, 2, (0, 1, 0, 1, 1))
+    g = FnTable(2, (0, 1, 0, 1, 1))
     m = ExtensionMorphism(e, target, FnTable.identity(2), g,
                           FnTable.constant(2, 1, 0))
     assert validate_morphism(m).ok
@@ -414,8 +466,8 @@ def test_morphism_with_non_surjective_h_makes_no_claim():
     src_X = make_algebra(MSIG, 2, {"+": [0, 1, 1, 1], "0": [0]})
     src = trivial_quotient_extension(src_X)
     tgt, _, _, _ = load_fixture("n2_product")
-    g = FnTable(2, 4, (0, 2))  # x -> (x, 0) = k2(x)
-    m = ExtensionMorphism(src, tgt, FnTable.identity(2), g, FnTable(1, 2, (0,)))
+    g = FnTable(4, (0, 2))  # x -> (x, 0) = k2(x)
+    m = ExtensionMorphism(src, tgt, FnTable.identity(2), g, FnTable(2, (0,)))
     assert validate_morphism(m).ok
     rep = check_morphism_surjectivity(m)
     assert rep.entry("f_surjective").ok

@@ -238,8 +238,8 @@ def test_enumeration_is_sorted(A, B):
 @given(free_algebras(MSIG), free_algebras(MSIG))
 def test_product_projections_are_homomorphisms(A, B):
     P = product_algebra(A, B)
-    proj_A = FnTable(P.size, A.size, tuple(i // B.size for i in range(P.size)))
-    proj_B = FnTable(P.size, B.size, tuple(i % B.size for i in range(P.size)))
+    proj_A = FnTable(A.size, tuple(i // B.size for i in range(P.size)))
+    proj_B = FnTable(B.size, tuple(i % B.size for i in range(P.size)))
     assert is_homomorphism(proj_A, P, A)
     assert is_homomorphism(proj_B, P, B)
     assert P.zero == A.zero * B.size + B.zero
@@ -286,7 +286,7 @@ def draw_map(S, B, data, label):
         return data.draw(st.sampled_from(homs), label=label)
     values = data.draw(st.lists(st.integers(0, B.size - 1), min_size=S.size,
                                 max_size=S.size), label=label)
-    return FnTable(S.size, B.size, tuple(values))
+    return FnTable(B.size, tuple(values))
 
 
 def pullback_outcome(build, *args):
@@ -634,13 +634,13 @@ def test_is_homomorphism_matches_oracle(G, data):
     values = list(range(G.size))
     if data.draw(st.booleans()):
         values[data.draw(st.integers(0, G.size - 1))] = data.draw(st.integers(0, G.size - 1))
-    f = FnTable(G.size, G.size, tuple(values))
+    f = FnTable(G.size, tuple(values))
     assert repr(is_homomorphism(f, G, B)) == repr(brute_force_homomorphism(f, G, B))
 
 
 @given(free_algebras(SIG4), free_algebras(SIG4), st.data())
 def test_is_homomorphism_matches_oracle_on_random_maps(A, B, data):
-    f = FnTable(A.size, B.size, tuple(data.draw(st.lists(
+    f = FnTable(B.size, tuple(data.draw(st.lists(
         st.integers(0, B.size - 1), min_size=A.size, max_size=A.size))))
     assert repr(is_homomorphism(f, A, B)) == repr(brute_force_homomorphism(f, A, B))
 
@@ -652,7 +652,7 @@ def perturb(f: FnTable, data) -> FnTable:
     values = list(f.values)
     values[data.draw(st.integers(0, f.dom_size - 1))] = data.draw(
         st.integers(0, f.cod_size - 1))
-    return FnTable(f.dom_size, f.cod_size, tuple(values))
+    return FnTable(f.cod_size, tuple(values))
 
 
 @given(unital_algebras(3), unital_algebras(2), st.integers(1, 3), st.booleans(),
@@ -690,13 +690,13 @@ def compare_comparison_map(X, B, n, normalize, broken, data):
     # a found witness, or random maps, with at most one value changed
     found = outcome(lambda: find_witnesses(e, theta, normalize=normalize, limit=3))
     q = (list(data.draw(st.sampled_from(found[1])).q) if found[0] == "value" and found[1]
-         else [FnTable(e.A.size, X.size, tuple(data.draw(st.lists(
+         else [FnTable(X.size, tuple(data.draw(st.lists(
              st.integers(0, X.size - 1), min_size=e.A.size, max_size=e.A.size))))
                for _ in range(n)])
     if data.draw(st.booleans()):
         i = data.draw(st.integers(0, n - 1))
         q[i] = perturb(q[i], data)
-    w = Witness(n, tuple(q))
+    w = Witness(tuple(q))
     for normalized in (False, True):
         assert repr(validate_witness(e, theta, w, normalized)) == \
             repr(brute_force_witness_check(e, theta, w, normalized))
@@ -712,8 +712,8 @@ def single_changes(w: Witness):
                     values = list(qi.values)
                     values[a] = x
                     q = list(w.q)
-                    q[i] = FnTable(qi.dom_size, qi.cod_size, tuple(values))
-                    yield Witness(w.n, tuple(q))
+                    q[i] = FnTable(qi.cod_size, tuple(values))
+                    yield Witness(tuple(q))
 
 
 @pytest.mark.parametrize("name", EXTENSION_NAMES)
@@ -881,7 +881,7 @@ def test_sigma_tau_matches_the_oracle_on_product_extensions(X, B, points, data):
     e = product_extension(X, B)
     found = find_witnesses(e, XZY, normalize=False, limit=4)
     w = (data.draw(st.sampled_from(found)) if found else
-         Witness(2, tuple(FnTable(e.A.size, X.size, tuple(data.draw(st.lists(
+         Witness(tuple(FnTable(X.size, tuple(data.draw(st.lists(
              st.integers(0, X.size - 1), min_size=e.A.size, max_size=e.A.size))))
              for _ in range(2))))
     with grid_block(points):
@@ -920,8 +920,7 @@ def canonical_cases(draw, max_product_m=5):
         e, theta = product_extension(Z, Z), sum_theta(n)
         T = feasible_tuples(e, theta)
         choice = [draw(st.sampled_from(ts)) for ts in T]
-        w = Witness(n, tuple(FnTable(e.A.size, m, tuple(xs[i] for xs in choice))
-                             for i in range(n)))
+        w = Witness(tuple(FnTable(m, tuple(xs[i] for xs in choice)) for i in range(n)))
         return e, theta, w, ()
     if kind == "dihedral":
         # the reflection acts on Z_m by negation
@@ -1007,7 +1006,7 @@ def transported(e, theta, w, c):
     Y = tuple((*xs, b) for xs, b in map(c.space.unpack, image))
     y_pos = {z: i for i, z in enumerate(image)}
     A = FiniteAlgebra(c.X.signature, len(Y), brute_force_transport(e, theta, w, Y))
-    k = FnTable(e.X.size, len(Y), tuple(y_pos[psi_t(a)] for a in e.k.values))
+    k = FnTable(len(Y), tuple(y_pos[psi_t(a)] for a in e.k.values))
     return replace(c, Y=Y, extension=replace(c.extension, A=A, k=k))
 
 
@@ -1049,7 +1048,7 @@ def test_cross_checks_and_report_match_the_per_entry_loops(case, data):
     # a witness with one value changed: the same report (or the same kind
     # of failure) for c, and the checks pass on its own canonical form
     i = data.draw(st.integers(0, w.n - 1))
-    mutant = Witness(w.n, w.q[:i] + (perturb(w.q[i], data),) + w.q[i + 1:])
+    mutant = Witness(w.q[:i] + (perturb(w.q[i], data),) + w.q[i + 1:])
     assert_same_report(e, c, mutant)
     if validate_witness(e, theta, mutant, normalized=True):
         c2 = build_canonical(e, theta, mutant)
@@ -1211,7 +1210,7 @@ def budget_bounds():
             15, 3, "homomorphism search exceeded 14 nodes"),
         # the pullback along the identity is A itself: 4^2 + 4 + 1 entries
         "pullback_algebra": (
-            lambda budget: pullback_algebra(e.A, e.p, Z2, FnTable(2, 2, (0, 1)), Z2,
+            lambda budget: pullback_algebra(e.A, e.p, Z2, FnTable(2, (0, 1)), Z2,
                                             budget=budget)[0].size,
             21, 4, "pullback tables need 21 entries, budget is 20"),
         # |X|^n

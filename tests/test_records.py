@@ -56,8 +56,8 @@ def fixture_samples(name: str) -> list:
     _, read_off = _checked(g, DEFAULT_BUDGET)
     ids = (FnTable.identity(e.X.size), FnTable.identity(e.A.size), FnTable.identity(e.B.size))
     # fields away from their defaults: a failing witness and section law
-    zero_w = Witness(w.n, [FnTable(e.A.size, e.X.size, [0] * e.A.size)] * w.n)
-    zero_s = SplitExtension(e.X, e.A, e.B, e.k, e.p, FnTable(e.B.size, e.A.size, [0] * e.B.size))
+    zero_w = Witness([FnTable(e.X.size, [0] * e.A.size)] * w.n)
+    zero_s = SplitExtension(e.X, e.A, e.B, e.k, e.p, FnTable(e.A.size, [0] * e.B.size))
     samples = [e, e.X, e.A, e.X.signature, e.k, e.p, w, *axioms, theta,
                TermSpec(theta.vars, theta.term), *subterms(theta.term),
                TupleSpace(e.X.size, w.n, e.B.size), c, g, read_off,

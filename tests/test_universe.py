@@ -10,7 +10,9 @@ lie strictly inside the new class (a witness for x1 + y + x2), that every
 witnessed pair canonicalizes, checks and rebuilds, and that no answer
 depends on the labels; the figures for orders <= 4 are asserted as well.
 A seeded sample of the splits with |A| <= 4 goes through ``check --json``
-and must give the library's answers.
+and must give the library's answers.  Each witnessed pair with |A| <= 4
+is pulled back along every homomorphism into its base from each monoid of
+order <= 3, and the result is compared with the brute-force pullback.
 """
 
 import json
@@ -23,11 +25,15 @@ from wsext import (
     Equation,
     FiniteAlgebra,
     ThetaSpec,
+    FnTable,
     count_witnesses,
+    enumerate_homomorphisms,
     find_witnesses,
     is_schreier,
     parse_term,
+    pullback_extension,
     validate_split_extension,
+    validate_witness,
 )
 from wsext.cli import main
 from wsext.serialize import dump_json, extension_to_obj
@@ -39,7 +45,7 @@ from conftest import (
     split_extensions,
     unital_tables,
 )
-from oracles import brute_force_witnesses
+from oracles import brute_force_pullback, brute_force_witnesses
 
 ASSOCIATIVITY = Equation(("x", "y", "z"), parse_term("(+ (+ x y) z)", MSIG, ["x", "y", "z"]),
                          parse_term("(+ x (+ y z))", MSIG, ["x", "y", "z"]))
@@ -158,3 +164,34 @@ def test_witness_counts_match_brute_force_up_to_order_three(universe):
     for e, theta, normalize in product(small, THETAS, (True, False)):
         assert count_witnesses(e, theta, normalize=normalize) == \
             len(brute_force_witnesses(e, theta, normalize))
+
+
+def test_every_small_witnessed_pair_pulls_back_along_every_homomorphism(universe):
+    """The 245 witnessed pairs with |A| <= 4, each pulled back along every
+    homomorphism f : M -> B from each of the 10 monoids M of order <= 3:
+    the middle algebra and its projections are the brute-force pullback's,
+    k' and s' are (k x, 0) and (s f b', b'), the transported witness is
+    q'_i = q_i . proj_A, and the extension and the witness validate."""
+    _, extensions, witnesses = universe
+    small = [FiniteAlgebra(MSIG, size, {"+": table, "0": (0,)})
+             for size in range(1, 4) for table in monoids(size)]
+    assert len(small) == 10
+    pairs = [(e, theta, ws[0]) for e, found in zip(extensions, witnesses) if e.A.size <= 4
+             for theta, ws in zip(THETAS, found) if ws]
+    assert len(pairs) == 245
+    count = 0
+    for e, theta, w in pairs:
+        for M in small:
+            for f in enumerate_homomorphisms(M, e.B):
+                ext, w2 = pullback_extension(e, theta, M, f, w)
+                P, proj_A, proj_M = brute_force_pullback(e.A, e.p, M, f, e.B)
+                assert (ext.X, ext.A, ext.B, ext.p) == (e.X, P, M, proj_M)
+                assert ext.k.then(proj_A) == e.k
+                assert ext.k.then(proj_M) == FnTable.constant(e.X.size, M.size, M.zero)
+                assert ext.s.then(proj_A) == f.then(e.s)
+                assert ext.s.then(proj_M) == FnTable.identity(M.size)
+                assert w2.q == tuple(proj_A.then(qi) for qi in w.q)
+                assert validate_split_extension(ext).ok
+                assert validate_witness(ext, theta, w2)
+                count += 1
+    assert count == 4508
