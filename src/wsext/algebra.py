@@ -216,8 +216,11 @@ class FiniteAlgebra(Record):
 def make_algebra(sig: Signature, size: int, tables: Mapping[str, Sequence[int]]) -> FiniteAlgebra:
     """Validate tables against the signature and build the algebra.
 
-    Raises MissingTable, ArityMismatch or EntryOutOfRange on bad input.
+    Raises SizeMismatch, MissingTable, ArityMismatch or EntryOutOfRange on
+    bad input.
     """
+    if type(size) is not int:
+        raise SizeMismatch(f"carrier size must be an int, got {size!r}")
     if size < 1:
         raise SizeMismatch(f"carrier size must be positive, got {size}")
     frozen: dict[str, tuple[int, ...]] = {}
@@ -247,12 +250,14 @@ def trivial_algebra(sig: Signature) -> FiniteAlgebra:
 
 class FnTable(Record):
     """A total function {0..dom_size-1} -> {0..cod_size-1} as a value array:
-    its domain is its array's length."""
+    its domain is its array's length, its codomain size an exact int."""
 
     cod_size: int
     values: tuple[int, ...]
 
     def __post_init__(self):
+        if type(self.cod_size) is not int:
+            raise SizeMismatch(f"codomain size must be an int, got {self.cod_size!r}")
         object.__setattr__(self, "values", tuple(self.values))
         for v in self.values:
             if type(v) is not int or not (0 <= v < self.cod_size):

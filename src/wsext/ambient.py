@@ -5,8 +5,9 @@ and the tabulations of terms in them.
 Given one "action" table per basic operation (mapping ambient argument
 tuples to the first n output coordinates), the candidate operations make
 the ambient set an algebra-like structure, the last coordinate computed
-in B.  An ``ActionTable`` holds a table by its leaf rows: argument tuple
-z = prefix * |S| + last is entry ``last`` of the row at ``prefix``.
+in B.  An ``ActionTable`` is a table as its leaf rows, equal rows one
+object where the builder shares them: argument tuple z = prefix * |S| +
+last is entry ``last`` of the row at ``prefix``.
 ``ActionData`` is the one record of action data, X, B, theta and gamma,
 that canonical forms and raw action data extend, with its ambient space,
 the index of its zero tuple, and ``columns``, the candidate operations'
@@ -46,26 +47,26 @@ CANONICAL_SCHEMA = "wsext.canonical/1"
 
 
 class ActionTable:
-    """An action table by its distinct leaf rows: ``rows`` maps a key to a
-    row, the n-tuples over the last argument, and ``prefixes`` holds the
-    key at each tuple of leading arguments in lex order (a nullary table
-    is one row of one entry).  Indexing, ``len``, iteration and equality
-    read it as the sequence of its entries in table order."""
+    """An action table by its leaf rows: ``rows`` holds the row, the
+    n-tuples over the last argument, at each tuple of leading arguments in
+    lex order (a nullary table is one row of one entry); equal rows may be
+    one object.  Indexing, ``len``, iteration and equality read it as the
+    sequence of its entries in table order."""
 
-    __slots__ = ("prefixes", "rows")
+    __slots__ = ("rows",)
 
-    def __init__(self, prefixes: Sequence, rows: Mapping):
-        self.prefixes, self.rows = prefixes, rows
+    def __init__(self, rows: Iterable):
+        self.rows = tuple(rows)
 
     def __len__(self) -> int:
-        return sum(map(len, map(self.rows.__getitem__, self.prefixes)))
+        return sum(map(len, self.rows))
 
     def __getitem__(self, z: int):
-        prefix, last = divmod(z, len(self.rows[self.prefixes[0]]))
-        return self.rows[self.prefixes[prefix]][last]
+        prefix, last = divmod(z, len(self.rows[0]))
+        return self.rows[prefix][last]
 
     def __iter__(self):
-        return chain.from_iterable(map(self.rows.__getitem__, self.prefixes))
+        return chain.from_iterable(self.rows)
 
     def __eq__(self, other: Sequence) -> bool:
         return len(self) == len(other) and all(map(eq, self, other))
@@ -73,15 +74,9 @@ class ActionTable:
     def __repr__(self) -> str:
         return f"ActionTable({tuple(self)!r})"
 
-
-class LeafRows(ActionTable):
-    """An action table given as its leaf rows in table order, each row one
-    row of the table, keyed by its id: equal rows may be one object."""
-
-    def __init__(self, rows: Iterable):
-        rows = list(rows)
-        keys = list(map(id, rows))
-        super().__init__(keys, dict(zip(keys, rows)))
+    def distinct(self) -> list:
+        """The row objects, each once, in order of first occurrence."""
+        return list({id(row): row for row in self.rows}.values())
 
 
 class ActionData(Record):
@@ -112,10 +107,9 @@ class ActionData(Record):
         return self.space.pack((self.X.zero,) * self.n, 0)
 
     def columns(self, name: str, args: Sequence[Sequence[int]], block: int) -> list[int]:
-        table = self.gamma[name]
         # the row at each point's leading arguments, read at its last one
-        keys = _node(table.prefixes, self.space.size, args[:-1], block)
-        xs = map(getitem, map(table.rows.__getitem__, keys), args[-1] if args else repeat(0))
+        rows = _node(self.gamma[name].rows, self.space.size, args[:-1], block)
+        xs = map(getitem, rows, args[-1] if args else repeat(0))
         b_size = self.B.size
         base = self.B.columns(name, [[z % b_size for z in col] for col in args], block)
         return list(map(add, map(self.space.kernel_rows.__getitem__, xs), base))
@@ -168,7 +162,7 @@ def gamma_table(c: ActionData, omega: TermSpec,
     values = tabulate_grid(omega, c, [space.indices()] * omega.arity)
     kernel_tuples, b_size = space.kernel_tuples, space.b_size
     entries = [kernel_tuples[v // b_size] for v in values]
-    return LeafRows(entries[i:i + space.size] for i in range(0, len(entries), space.size))
+    return ActionTable(entries[i:i + space.size] for i in range(0, len(entries), space.size))
 
 
 class Carrier(Record):

@@ -84,18 +84,17 @@ def _action_table(A: FiniteAlgebra, name: str, arity: int, phis: Sequence[int],
 
     The leaf row at the A-values (a_1, .., a_{r-1}) of the leading
     arguments is the map q o op_A(a_1, .., a_{r-1}, -) on A read at phi, so
-    each distinct map is read once, as the row keyed by its number; phi is
-    onto, so these are the distinct leaf rows."""
+    each distinct map is read once, and rows of equal maps are one object;
+    phi is onto, so these are the distinct leaf rows."""
     table = A.tables[name]
     if arity == 0:
-        return ActionTable((0,), {0: (q_of[table[0]],)})
+        return ActionTable([(q_of[table[0]],)])
     prefixes = fold([A.size] * (arity - 1), [phis] * (arity - 1))
     keys: dict[tuple, int] = {}  # each distinct map -> its number
     key_of = {i: keys.setdefault(_gather(table[i * A.size:(i + 1) * A.size])(q_of), len(keys))
               for i in dict.fromkeys(prefixes)}
-    at_phi = _gather(phis)
-    return ActionTable(list(map(key_of.__getitem__, prefixes)),
-                       {k: at_phi(f) for f, k in keys.items()})
+    rows = list(map(_gather(phis), keys))
+    return ActionTable(rows[key_of[i]] for i in prefixes)
 
 
 def build_canonical(e: SplitExtension, theta: ThetaSpec, w: Witness,

@@ -27,7 +27,6 @@ from .ambient import (
     ActionData,
     ActionTable,
     Carrier,
-    LeafRows,
     _unit_law,
     carrier,
     membership_by_term,
@@ -65,10 +64,10 @@ class GammaData(ActionData):
     Construction is the one place action tables are checked: one table per
     operation, |X^n x B|^arity entries each, every entry a sequence of n
     exact ints in 0..|X|-1 (bool and float are rejected, not coerced).  A
-    table is an ActionTable (LeafRows, say) or flat in table order.  Each
-    distinct row and entry is checked once; a rejected table names its
-    first bad entry in table order.  The rows given, read and not changed,
-    are stored as rows of shared n-tuples.
+    table is an ActionTable or flat in table order.  Each distinct row
+    object and entry is checked once; a rejected table names its first bad
+    entry in table order.  The rows given, read and not changed, are stored
+    as one tuple of shared n-tuples per distinct row object.
     """
 
     axioms: tuple[Equation, ...]
@@ -87,11 +86,10 @@ class GammaData(ActionData):
                 raise MissingTable(f"no action table for operation {name!r}")
             table = self.gamma[name]
             if not isinstance(table, ActionTable):
-                table = LeafRows(table[i:i + space.size] for i in range(0, len(table), space.size))
+                table = ActionTable(table[i:i + space.size] for i in range(0, len(table), space.size))
             # rows in order of first occurrence: the first bad entry found is
             # the first in table order
-            keys = list(dict.fromkeys(table.prefixes))
-            distinct = list(map(table.rows.__getitem__, keys))
+            distinct = table.distinct()
             width = space.size if arity else 1
             if len(table) != space.size ** arity or set(map(len, distinct)) != {width}:
                 raise ArityMismatch(
@@ -104,9 +102,9 @@ class GammaData(ActionData):
             for entry in dict.fromkeys(flat) if ints else flat:
                 _check_entry(name, entry, n, size)
             shared = dict(zip(flat, flat))
-            gamma[name] = ActionTable(table.prefixes, {
-                key: tuple(map(shared.__getitem__, flat[i * width:(i + 1) * width]))
-                for i, key in enumerate(keys)})
+            stored = {id(row): tuple(map(shared.__getitem__, flat[i * width:(i + 1) * width]))
+                      for i, row in enumerate(distinct)}
+            gamma[name] = ActionTable(stored[id(row)] for row in table.rows)
         extra = set(self.gamma) - set(self.X.signature.op_names())
         if extra:
             raise SignatureMismatch(f"action tables for unknown operations {sorted(extra)}")

@@ -312,11 +312,11 @@ def gamma_from_obj(obj: Source, base_dir: Optional[Path] = None) -> GammaData:
     JSON structure is checked here, level by level down to the leaf rows
     (the innermost lists of entries), then once per distinct row object (a
     document from _load_json shares each distinct row text).  The rows go
-    to GammaData as LeafRows, which checks the tables themselves.
+    to GammaData as ActionTables, which checks the tables themselves.
 
     Of the extras that canonical_to_obj writes, ``schema`` and ``n`` are
     checked against the data when present; the others are not read."""
-    from .ambient import CANONICAL_SCHEMA, LeafRows
+    from .ambient import CANONICAL_SCHEMA, ActionTable
     from .gammabuild import GammaData
 
     obj, base_dir = _resolve(obj, base_dir, "gamma data")
@@ -337,9 +337,9 @@ def gamma_from_obj(obj: Source, base_dir: Optional[Path] = None) -> GammaData:
         if name in gamma:
             what = f"gamma {name!r}"
             # a nullary table is one bare entry: one row of one entry
-            table = LeafRows(_flatten_table(gamma[name], ambient, arity - 1, what) if arity
-                             else [[gamma[name]]])
-            distinct = table.rows.values()
+            table = ActionTable(_flatten_table(gamma[name], ambient, arity - 1, what) if arity
+                                else [[gamma[name]]])
+            distinct = table.distinct()
             if arity:
                 _require_lists(distinct, ambient, what)
             if not set(map(type, chain.from_iterable(distinct))) <= {list}:

@@ -42,7 +42,7 @@ from .extension import (
     validate_split_extension,
     validate_witness,
 )
-from .report import CheckResult, Record, Report
+from .report import CheckResult, Record, Report, _once
 from .terms import Term, TermSpec, ThetaSpec, Var, operation_term, substitute
 
 
@@ -311,8 +311,10 @@ class ExtensionMorphism(Record):
     h: FnTable
 
 
+@_once
 def validate_morphism(m: ExtensionMorphism) -> Report:
-    """Homomorphism checks plus the three commuting squares."""
+    """Homomorphism checks plus the three commuting squares, once per
+    morphism."""
     rep = Report()
     for name, fn, dom, cod in (("f", m.f, m.source.X, m.target.X),
                                ("g", m.g, m.source.A, m.target.A),

@@ -102,8 +102,8 @@ def canonical_to_obj(
         return shared
 
     def nested(table: ActionTable, arity: int) -> Any:
-        leaves = {key: leaf(row) for key, row in table.rows.items()}
-        rows = list(map(leaves.__getitem__, table.prefixes))
+        leaves = {id(row): leaf(row) for row in table.distinct()}
+        rows = [leaves[id(row)] for row in table.rows]
         return rows[0][0] if arity == 0 else _nest_table(rows, ambient, arity - 1)
 
     obj = {

@@ -25,7 +25,7 @@ from wsext import (
     verify_isomorphism,
 )
 from wsext import extension as ext
-from wsext.algebra import FiniteAlgebra, check_theta_admissible
+from wsext.algebra import FiniteAlgebra, check_theta_admissible, is_homomorphism
 from wsext.ambient import Carrier, membership_by_term
 from wsext.cli import main
 from wsext.errors import SectionNotHomomorphism
@@ -330,6 +330,27 @@ def test_morphism_check_identity(tmp_path):
     res = run_cli("morphism-check", str(path))
     assert res.returncode == 0
     assert "surjection_lemma: PASS" in res.stdout
+
+
+def test_morphism_check_validates_the_morphism_once(tmp_path, capsys):
+    # f, g and h are each checked once: the surjectivity report reads the
+    # validation the command already made
+    doc = json.loads(fixture_path("example_monoid").read_text())
+    doc.pop("witness"); doc.pop("axioms")
+    m = {"source": doc, "target": doc,
+         "f": [0, 1], "g": [0, 1, 2, 3, 4], "h": [0, 1]}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(m))
+    with runs_of(is_homomorphism) as checks:
+        assert main(["morphism-check", str(path)]) == 0
+    assert len(checks) == 3
+    assert capsys.readouterr().out == "".join(f"{line}\n" for line in [
+        "morphism validation:",
+        *(f"  {name}: PASS" for name in ("f_homomorphism", "g_homomorphism", "h_homomorphism",
+                                         "kernel_square", "quotient_square", "section_square")),
+        "surjectivity:",
+        *(f"  {name}: PASS" for name in ("f_surjective", "h_surjective", "g_surjective",
+                                         "joint_generation", "surjection_lemma"))])
 
 
 def test_morphism_check_broken_square(tmp_path):

@@ -114,6 +114,19 @@ WRONG_SHAPES = {
     "FnTable(dom_size, cod_size, values)": (lambda e, w, theta: FnTable(2, 2, (0, 1)),
                                             ("raised", TypeError)),
     "Witness(n, q)": (lambda e, w, theta: Witness(w.n, w.q), ("raised", TypeError)),
+    # a size is an exact int: bool, float and str are refused, not coerced
+    "FnTable(2.5, values)": (lambda e, w, theta: FnTable(2.5, (0, 1, 2)),
+                             ("raised", SizeMismatch, "codomain size must be an int, got 2.5")),
+    "FnTable(True, values)": (lambda e, w, theta: FnTable(True, (0,)),
+                              ("raised", SizeMismatch, "codomain size must be an int, got True")),
+    "make_algebra size 2.0": (lambda e, w, theta: make_algebra(e.X.signature, 2.0, e.X.tables),
+                              ("raised", SizeMismatch, "carrier size must be an int, got 2.0")),
+    "make_algebra size True": (lambda e, w, theta: make_algebra(e.X.signature, True, e.X.tables),
+                               ("raised", SizeMismatch, "carrier size must be an int, got True")),
+    "make_algebra size '3'": (lambda e, w, theta: make_algebra(e.X.signature, "3", e.X.tables),
+                              ("raised", SizeMismatch, "carrier size must be an int, got '3'")),
+    "make_algebra size 0": (lambda e, w, theta: make_algebra(e.X.signature, 0, e.X.tables),
+                            ("raised", SizeMismatch, "carrier size must be positive, got 0")),
 }
 
 
@@ -122,7 +135,8 @@ def test_a_map_of_the_wrong_length_is_refused_where_it_meets_its_algebras(exampl
     """A map's domain is its array's length and a witness's n its number
     of maps, so neither record takes them as arguments; an array of the
     wrong length is refused by the extension, witness or morphism check
-    that sets it against its algebras."""
+    that sets it against its algebras.  A codomain or carrier size that
+    is not an exact int is refused where it is given."""
     build, expected = WRONG_SHAPES[case]
     e, w, _, theta = example
     assert outcome(lambda: build(e, w, theta), crashes=True) == expected

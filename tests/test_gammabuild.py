@@ -31,7 +31,7 @@ from wsext.errors import (
     SearchBudgetExceeded,
     WrongTheta,
 )
-from wsext.gammabuild import LeafRows
+from wsext.ambient import ActionTable
 
 from conftest import MSIG, assert_rebuilds, load_fixture, projections, unclosed_constant_data
 from oracles import brute_force_fixpoint_carrier
@@ -162,9 +162,19 @@ def test_shared_rows_name_the_first_bad_entry_in_table_order(bad_a, bad_b, error
     rows = [list(map(list, table[i:i + size])) for i in range(0, size ** 2, size)]
     a, b = rows[0], rows[1]
     a[3], b[0] = list(bad_a), list(bad_b)
-    table = LeafRows([a, b, a] + rows[3:])
+    table = ActionTable([a, b, a] + rows[3:])
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         GammaData(g.X, g.B, g.theta, {"+": table, "0": g.gamma["0"]}, g.axioms)
+
+
+def test_distinct_rows_are_the_row_objects_in_first_occurrence_order():
+    # by identity, not by value: an equal row built as a separate object
+    # counts again, and one shared object counts once
+    a, b, twin = [(0,), (1,)], [(1,), (0,)], [(0,), (1,)]
+    table = ActionTable([b, a, b, twin, a])
+    assert list(map(id, table.distinct())) == [id(b), id(a), id(twin)]
+    assert table.distinct() == [b, a, a]
+    assert list(table) == b + a + b + a + a and len(table) == 10 and table[4] == b[0]
 
 
 def test_remark_variant_terms_per_fixture(fixture_case):

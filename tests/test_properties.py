@@ -10,7 +10,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from wsext import (
     App,
@@ -46,7 +46,7 @@ from wsext import (
 )
 
 from wsext import algebra, canonical, transport
-from wsext.ambient import carrier
+from wsext.ambient import ActionTable, carrier
 from wsext.canonical import psi, verify_isomorphism
 from wsext.errors import (
     ArityMismatch,
@@ -62,7 +62,7 @@ from wsext.extension import (
     validate_witness,
 )
 from wsext.fixtures import fixture_path
-from wsext.gammabuild import GammaData, LeafRows, _checked
+from wsext.gammabuild import GammaData, _checked
 from wsext.report import CheckResult
 from wsext.serialize import (
     _ROW_REF,
@@ -525,8 +525,8 @@ def test_action_tables_read_as_the_oracles_flat_tables(X, B, n, data):
         assert len(table) == len(flat) == size ** arity
         assert [table[z] for z in range(len(flat))] == list(table) == list(flat)
         assert table == flat and flat == table and not table != flat
-        assert len(table.prefixes) == size ** max(arity - 1, 0)
-        assert len(table.rows) <= e.A.size ** max(arity - 1, 0)
+        assert len(table.rows) == size ** max(arity - 1, 0)
+        assert len(table.distinct()) <= e.A.size ** max(arity - 1, 0)
         z = data.draw(st.integers(0, len(flat) - 1))
         other = (flat[z][0] + 1,) + flat[z][1:]
         assert table != flat[:z] + (other,) + flat[z + 1:]
@@ -617,7 +617,7 @@ def test_shared_leaf_rows_are_checked_like_the_flat_table(X, B, n, data):
         put_bad_leaf(row, data.draw(st.integers(0, len(row) - 1)),
                      data.draw(st.sampled_from(BAD_LEAVES)), X.size, data)
     shared: dict = {}
-    given_tables = {name: LeafRows(shared.setdefault(json.dumps(row), row) for row in rows)
+    given_tables = {name: ActionTable(shared.setdefault(json.dumps(row), row) for row in rows)
                     for name, rows in tables.items()}
     as_tuples = {name: tuple(tuple(e) for row in rows for e in row)
                  for name, rows in tables.items()}
@@ -933,6 +933,9 @@ def canonical_cases(draw, max_product_m=5):
     return e, theta, draw(st.sampled_from(witnesses + [file_witness])), axioms
 
 
+# seeded: the cost of a draw swings with the size of its family, and seed 3
+# draws the largest product family (m = 5, n = 3) twice in its 60 examples
+@seed(3)
 @given(canonical_cases())
 @settings(max_examples=60, deadline=None)
 def test_writer_matches_the_listing_oracle(case):
@@ -972,7 +975,7 @@ def corrupt(c, data, fields=("A", "gamma", "gamma_id", "k", "p", "Y", "theta")):
         table = list(c.gamma[name])
         table[pick(table)] = data.draw(kernel_tuple)
         size = c.space.size
-        table = LeafRows(table[i:i + size] for i in range(0, len(table), size))
+        table = ActionTable(table[i:i + size] for i in range(0, len(table), size))
         return replace(c, gamma={**c.gamma, name: table})
     if field == "A":
         A = c.extension.A
@@ -1443,14 +1446,13 @@ def test_row_sharing_reader_matches_the_whole_document_oracle(case, data):
             table = g.gamma[name]
             assert len(set(map(id, table))) == len(set(table))
             # the stored rows, one per row object the reader handed over,
-            # are the oracle's flat table cut at the prefixes
+            # are the oracle's flat table cut at the leading arguments
             level = [shared[1]["gamma"][name]]
             for _ in range(arity - 1):
                 level = [row for sub in level for row in sub]
-            assert len(table.rows) == len(set(map(id, level)))
-            width = len(flat) // len(table.prefixes)
-            assert [table.rows[k] for k in table.prefixes] == \
-                [flat[i:i + width] for i in range(0, len(flat), width)]
-            assert {type(row) for row in table.rows.values()} == {tuple}
+            assert len(table.distinct()) == len(set(map(id, level)))
+            width = len(flat) // len(table.rows)
+            assert list(table.rows) == [flat[i:i + width] for i in range(0, len(flat), width)]
+            assert {type(row) for row in table.rows} == {tuple}
     else:
         assert got == expected

@@ -11,6 +11,7 @@ from wsext import (
     parse_term,
 )
 from wsext import serialize as S
+from wsext.ambient import ActionTable
 from wsext.cli import main
 from wsext.errors import FileFormatError
 from wsext.fixtures import fixture_path
@@ -262,7 +263,8 @@ def product_family_files(tmp_path, m: int):
 def test_the_canonical_form_and_its_document_hold_no_flat_table():
     """At m = 10 the + table has 10^6 entries, so one flat table of them
     takes 8 MB of pointers; the canonical form and its document hold the
-    table's 10 distinct rows of 1000 entries and an index of 1000 rows."""
+    table's 1000 leaf rows as references to 10 distinct rows of 1000
+    entries."""
     e = product_extension(cyclic(10, MSIG), cyclic(10, MSIG))
     w = find_witnesses(e, PRODUCT_THETA, limit=1)[0]
     tracemalloc.start()
@@ -272,7 +274,7 @@ def test_the_canonical_form_and_its_document_hold_no_flat_table():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(c.gamma["+"]) == 10 ** 6 and len(c.gamma["+"].rows) == 10
+    assert len(c.gamma["+"]) == 10 ** 6 and len(c.gamma["+"].distinct()) == 10
     assert len(doc["gamma"]["+"]) == 1000 and len(set(map(id, doc["gamma"]["+"]))) == 10
     assert peak < 10 ** 6 * 8
 
@@ -299,15 +301,15 @@ def test_action_data_is_decoded_and_checked_once_per_distinct_row(
     # the + table reaches GammaData as its m^3 leaf rows, one object per
     # distinct row text
     rows = given["+"]
-    assert isinstance(rows, gammabuild.LeafRows) and len(rows.prefixes) == m ** 3
-    assert len(rows.rows) == len(set(map(id, rows.rows.values()))) == len(row_texts) < m ** 3
+    assert isinstance(rows, ActionTable) and len(rows.rows) == m ** 3
+    assert len(rows.distinct()) == len(row_texts) < m ** 3
     # each distinct entry of each table is checked once, and stored as one
     # shared tuple in the distinct rows of the table given
     distinct_entries = sum(len(set(table)) for table in g.gamma.values())
     assert len(checks) == distinct_entries
     for table in g.gamma.values():
         assert len(set(map(id, table))) == len(set(table))
-    assert len(g.gamma["+"].rows) == len(row_texts)
+    assert len(g.gamma["+"].distinct()) == len(row_texts)
 
 
 @pytest.mark.parametrize("placed", [
